@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 
 from . import fermionic, lfunction, twisted
@@ -51,29 +51,15 @@ def default_grid() -> Grid:
 
 
 def grid_from_json(doc: dict) -> Grid:
-    grid = Grid()
+    """A grid from a JSON document: keys are the Grid field names, except "q"
+    for q_values (exact rationals); absent keys keep their defaults."""
     kwargs = {}
-    if "n_max" in doc:
-        kwargs["n_max"] = int(doc["n_max"])
-    if "moduli" in doc:
-        kwargs["moduli"] = tuple(int(d) for d in doc["moduli"])
-    if "q" in doc:
-        kwargs["q_values"] = tuple(parse_rational(str(q)) for q in doc["q"])
-    if "zeta_orders" in doc:
-        kwargs["zeta_orders"] = tuple(int(n) for n in doc["zeta_orders"])
-    if "zeta_exponent" in doc:
-        kwargs["zeta_exponent"] = int(doc["zeta_exponent"])
-    if "primes" in doc:
-        kwargs["primes"] = tuple(int(p) for p in doc["primes"])
-    if "level_max" in doc:
-        kwargs["level_max"] = int(doc["level_max"])
-    if "padic_n_max" in doc:
-        kwargs["padic_n_max"] = int(doc["padic_n_max"])
-    if "random_tables" in doc:
-        kwargs["random_tables"] = int(doc["random_tables"])
-    if "seed" in doc:
-        kwargs["seed"] = int(doc["seed"])
-    return replace(grid, **kwargs)
+    for f in fields(Grid):
+        key = "q" if f.name == "q_values" else f.name
+        if key in doc:
+            parse = (lambda x: parse_rational(str(x))) if key == "q" else int
+            kwargs[f.name] = tuple(map(parse, doc[key])) if isinstance(f.default, tuple) else parse(doc[key])
+    return Grid(**kwargs)
 
 
 def grid_characters(d: int) -> list[tuple[str, DirichletCharacter]]:
@@ -133,18 +119,17 @@ class CheckReport:
         }
 
 
-def _configs(grid: Grid):
+def _configs(grid: Grid, fixed_q: Fraction | None = None):
+    """Every grid configuration with its point key; a fixed q replaces the
+    grid's q values and stays out of the key."""
     for d in grid.moduli:
         for char_name, char in grid_characters(d):
             for zeta_order in grid.zeta_orders:
                 k = grid.zeta_exponent % zeta_order if zeta_order > 1 else 0
-                for q in grid.q_values:
+                key = f"d={d} char={char_name} zeta={zeta_order}^{k}"
+                for q in grid.q_values if fixed_q is None else (fixed_q,):
                     cfg = twisted.TwistedConfig.build(char, zeta_order, k, q)
-                    key = (
-                        f"d={d} char={char_name} zeta={zeta_order}^{k} "
-                        f"q={format_rational(q)}"
-                    )
-                    yield key, cfg
+                    yield (key if fixed_q is not None else f"{key} q={format_rational(q)}"), cfg
 
 
 def run_eq15(grid: Grid) -> CheckReport:
@@ -165,10 +150,8 @@ def run_thm2(grid: Grid) -> CheckReport:
     report = CheckReport("thm2", grid.describe())
     for key, cfg in _configs(grid):
         gf = twisted.twisted_gf(cfg, grid.n_max + 1)
-        for n in range(grid.n_max + 1):
-            a = nth_taylor_coefficient(gf, n)
-            b = twisted.twisted_series_value(cfg, n)
-            report.add(f"{key} n={n}", a == b)
+        for n, b in enumerate(twisted.twisted_series_values(cfg, grid.n_max)):
+            report.add(f"{key} n={n}", nth_taylor_coefficient(gf, n) == b)
     return report.finalize()
 
 
@@ -176,8 +159,8 @@ def run_thm3(grid: Grid) -> CheckReport:
     """Numeric partial sums of the alternating series against the exact value."""
     report = CheckReport("thm3", grid.describe())
     for key, cfg in _configs(grid):
-        for n in range(grid.n_max + 1):
-            res = lfunction.series_partial_sum_check(cfg, n, tol=1e-10)
+        ns = range(grid.n_max + 1)
+        for n, res in zip(ns, lfunction.series_partial_sum_checks(cfg, ns, tol=1e-10)):
             report.add(f"{key} n={n}", res.passed, f"gap={res.gap:.3e}")
     return report.finalize()
 
@@ -186,12 +169,11 @@ def run_thm6(grid: Grid) -> CheckReport:
     """Interpolation of the exact values by the L-series at negative integers."""
     report = CheckReport("thm6", grid.describe())
     for key, cfg in _configs(grid):
-        for n in range(grid.n_max + 1):
-            if cfg.char.modulus == 1 and n == 0:
-                report.skip(f"{key} n={n}", "series misses the index-0 term at modulus 1")
-                continue
-            res = lfunction.interpolation_check(cfg, n, tol=1e-9)
-            report.add(f"{key} n={n}", res.passed, f"gap={res.gap:.3e}")
+        ns = range(1 if cfg.char.modulus == 1 else 0, grid.n_max + 1)
+        if ns.start:
+            report.skip(f"{key} n=0", "series misses the index-0 term at modulus 1")
+        for res in lfunction.interpolation_checks(cfg, ns, tol=1e-9):
+            report.add(f"{key} n={res.n}", res.passed, f"gap={res.gap:.3e}")
     return report.finalize()
 
 
@@ -199,33 +181,30 @@ def run_distribution(grid: Grid) -> CheckReport:
     """Residue-class decomposition of the character moment, exact."""
     report = CheckReport("distribution", grid.describe())
     for key, cfg in _configs(grid):
-        for n in range(grid.n_max + 1):
-            res = fermionic.distribution_identity_check(n, cfg.char, cfg.zeta, cfg.q)
+        for n, res in enumerate(fermionic.distribution_identity_checks(grid.n_max, cfg.char, cfg.zeta, cfg.q)):
             report.add(f"{key} n={n}", res.equal)
     return report.finalize()
 
 
-def _residual_report(grid: Grid, name: str, compute) -> CheckReport:
+def _residual_report(grid: Grid, name: str, residuals) -> CheckReport:
     report = CheckReport(name, grid.describe())
     for key, cfg in _configs(grid):
         expected = cfg.field.from_rational(cfg.q**2)
-        for n in range(grid.n_max + 1):
+        for n, rho in enumerate(residuals(cfg, grid.n_max)):
             point = f"{key} n={n}"
-            try:
-                rho = compute(cfg, n)
-            except ResidualUndefined as exc:
-                report.skip(point, str(exc))
-                continue
-            report.add(point, rho == expected, "expected q^2")
+            if isinstance(rho, ResidualUndefined):
+                report.skip(point, str(rho))
+            else:
+                report.add(point, rho == expected, "expected q^2")
     return report.finalize()
 
 
 def run_thm1_residual(grid: Grid) -> CheckReport:
-    return _residual_report(grid, "thm1-residual", twisted.witt_residual)
+    return _residual_report(grid, "thm1-residual", twisted.witt_residuals)
 
 
 def run_thm5_residual(grid: Grid) -> CheckReport:
-    return _residual_report(grid, "thm5-residual", twisted.multiplication_residual)
+    return _residual_report(grid, "thm5-residual", twisted.multiplication_residuals)
 
 
 def run_cor2_residual(grid: Grid) -> CheckReport:
@@ -252,13 +231,9 @@ def run_cor2_residual(grid: Grid) -> CheckReport:
 def run_cor3(grid: Grid) -> CheckReport:
     """Exact reduction at q = 1 to twisted Euler polynomial combinations."""
     report = CheckReport("cor3", grid.describe())
-    for d in grid.moduli:
-        for char_name, char in grid_characters(d):
-            for zeta_order in grid.zeta_orders:
-                k = grid.zeta_exponent % zeta_order if zeta_order > 1 else 0
-                for n in range(grid.n_max + 1):
-                    res = twisted.euler_reduction_check(char, zeta_order, k, n)
-                    report.add(f"d={d} char={char_name} zeta={zeta_order}^{k} n={n}", res.equal)
+    for key, cfg in _configs(grid, fixed_q=Fraction(1)):
+        for n, res in enumerate(twisted.euler_reduction_checks(cfg, grid.n_max)):
+            report.add(f"{key} n={n}", res.equal)
     return report.finalize()
 
 

@@ -211,12 +211,6 @@ class CyclotomicNumber:
     def __bool__(self) -> bool:
         return not self.is_zero()
 
-    def rational_part(self) -> Fraction:
-        """The element as a rational; raises if it is not one."""
-        if any(c != 0 for c in self.coeffs[1:]):
-            raise ValueError("element is not rational")
-        return self.coeffs[0]
-
     def to_json(self) -> dict:
         return {
             "order": self.field.order,

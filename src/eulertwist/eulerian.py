@@ -96,26 +96,36 @@ def power_sum_rational(j: int, w):
     return w * eulerian_recurrence(j).evaluate(w) * inv ** (j + 1)
 
 
-def periodic_power_sum(cycle, n: int, z):
-    """Exact value of sum_{m>=1} c(m) m^n z^m for a periodic coefficient
-    sequence; cycle[i] = c(i+1) for one full period.
+def periodic_power_sums(cycle, n_max: int, z) -> list:
+    """Exact values S_n of sum_{m>=1} c(m) m^n z^m for n = 0..n_max, for a
+    periodic coefficient sequence; cycle[i] = c(i+1) for one full period P.
 
-    Regroups m = l + j*P and folds each residue class into
-    :func:`power_sum_rational` evaluated at z^P.
+    Regrouping m = l + j*P gives S_n = sum_k C(n,k) P^k T_k B_(n-k), with the
+    tails T_k = :func:`power_sum_rational` (k, z^P) and the residue moments
+    B_i = sum_l c(l) z^l l^i each built once for all n.
     """
     period = len(cycle)
     if period < 1:
         raise ValueError("need at least one coefficient")
     w = z**period
-    tails = [power_sum_rational(k, w) for k in range(n + 1)]
-    acc = None
+    tails = [power_sum_rational(k, w) for k in range(n_max + 1)]
+    moments = [None] * (n_max + 1)
     z_power = z**0
-    for l in range(1, period + 1):
+    for l, c in enumerate(cycle, start=1):
         z_power = z_power * z
-        scalar = sum(
-            math.comb(n, k) * period**k * Fraction(l) ** (n - k) * tails[k]
-            for k in range(n + 1)
-        )
-        term = cycle[l - 1] * (z_power * scalar)
-        acc = term if acc is None else acc + term
-    return acc
+        term = c * z_power
+        for i in range(n_max + 1):
+            moments[i] = term if moments[i] is None else moments[i] + term
+            term = term * l
+    sums = []
+    for n in range(n_max + 1):
+        acc = tails[0] * moments[n]
+        for k in range(1, n + 1):
+            acc = acc + (math.comb(n, k) * period**k * tails[k]) * moments[n - k]
+        sums.append(acc)
+    return sums
+
+
+def periodic_power_sum(cycle, n: int, z):
+    """S_n alone; see :func:`periodic_power_sums`."""
+    return periodic_power_sums(cycle, n, z)[n]

@@ -17,6 +17,7 @@ from .cyclotomic import cyclotomic_field, lift_to_field
 from .errors import NotPadicallyConvergent, SingularFunctionalEquation
 from .eulerian import periodic_power_sum
 from .rationals import format_rational, padic_valuation, q_bracket_neg
+from .series import _is_zero
 
 
 @dataclass(frozen=True)
@@ -40,10 +41,6 @@ class EqualityReport:
         return self.lhs == self.rhs
 
 
-def _is_zero(x) -> bool:
-    return x == 0
-
-
 def _moment_sequence(spec: IntegralSpec) -> list:
     ratio = Fraction(spec.ratio)
     if ratio == 0:
@@ -55,10 +52,7 @@ def _moment_sequence(spec: IntegralSpec) -> list:
     pivot_inv = pivot ** (-1)
     moments = [(1 + ratio) * pivot_inv]
     for m in range(1, spec.n + 1):
-        acc = None
-        for k in range(m):
-            term = math.comb(m, k) * moments[k]
-            acc = term if acc is None else acc + term
+        acc = sum((math.comb(m, k) * moments[k] for k in range(1, m)), moments[0])
         rhs = (1 + ratio) * shift**m - ratio * spec.twist * acc
         moments.append(rhs * pivot_inv)
     return moments
@@ -76,20 +70,20 @@ def _aligned(char: DirichletCharacter, zeta):
     Returns (chi_values, zeta) where chi_values[a] is chi(a).  Everything
     stays rational when the character is rational-valued and the twist is 1.
     """
-    if isinstance(zeta, int):
-        zeta = Fraction(zeta)
-    if isinstance(zeta, Fraction):
+    if isinstance(zeta, (int, Fraction)):
         if char.is_rational_valued:
-            return [char.rational_value(a) for a in range(char.modulus)], zeta
-        field = cyclotomic_field(char.value_order)
-        return (
-            [lift_to_field(char.value(a), field) for a in range(char.modulus)],
-            field.from_rational(zeta),
-        )
-    ambient = math.lcm(zeta.field.order, char.value_order)
-    field = cyclotomic_field(ambient)
-    zeta = lift_to_field(zeta, field)
-    return [lift_to_field(char.value(a), field) for a in range(char.modulus)], zeta
+            return [char.rational_value(a) for a in range(char.modulus)], Fraction(zeta)
+        zeta = cyclotomic_field(char.value_order).from_rational(zeta)
+    field = cyclotomic_field(math.lcm(zeta.field.order, char.value_order))
+    return [lift_to_field(char.value(a), field) for a in range(char.modulus)], lift_to_field(zeta, field)
+
+
+def _powers(x, k: int) -> list:
+    """[x^0, x^1, ..., x^k]."""
+    out = [x**0]
+    for _ in range(k):
+        out.append(out[-1] * x)
+    return out
 
 
 def _char_moment_sequence(n: int, char: DirichletCharacter, zeta, q: Fraction) -> list:
@@ -98,9 +92,7 @@ def _char_moment_sequence(n: int, char: DirichletCharacter, zeta, q: Fraction) -
         raise ValueError("q must avoid 0 and -1")
     d = char.modulus
     chi, zeta = _aligned(char, zeta)
-    zeta_pows = [zeta**0]
-    for _ in range(d):
-        zeta_pows.append(zeta_pows[-1] * zeta)
+    zeta_pows = _powers(zeta, d)
     pivot = zeta_pows[d] + q**d
     if _is_zero(pivot):
         raise SingularFunctionalEquation("twist^d + q^d vanishes")
@@ -108,18 +100,13 @@ def _char_moment_sequence(n: int, char: DirichletCharacter, zeta, q: Fraction) -
     two_q = 1 + q
     moments: list = []
     for m in range(n + 1):
-        rhs = None
-        for l in range(d):
-            if _is_zero(chi[l]):
-                continue
-            term = ((-1) ** l * q ** (d - 1 - l) * l**m) * (chi[l] * zeta_pows[l])
-            rhs = term if rhs is None else rhs + term
-        rhs = pivot * 0 if rhs is None else two_q * rhs
-        lower = None
-        for k in range(m):
-            term = (math.comb(m, k) * d ** (m - k)) * moments[k]
-            lower = term if lower is None else lower + term
-        if lower is not None:
+        kernel = [
+            ((-1) ** l * q ** (d - 1 - l) * l**m) * (chi[l] * zeta_pows[l])
+            for l in range(d) if not _is_zero(chi[l])
+        ]
+        rhs = two_q * sum(kernel[1:], kernel[0]) if kernel else pivot * 0
+        if m:
+            lower = sum((math.comb(m, k) * d ** (m - k) * moments[k] for k in range(1, m)), d**m * moments[0])
             rhs = rhs - zeta_pows[d] * lower
         moments.append(rhs * pivot_inv)
     return moments
@@ -136,29 +123,42 @@ def char_twist_integral(n: int, char: DirichletCharacter, zeta, q: Fraction):
     return _char_moment_sequence(n, char, zeta, q)[n]
 
 
-def distribution_identity_check(n: int, char: DirichletCharacter, zeta, q: Fraction) -> EqualityReport:
-    """Exact comparison of the moment against its residue-class decomposition
-    into d scaled poly_twist_integral values (the multiplication identity)."""
+def residue_class_sums(n_max: int, chi, zeta, q: Fraction) -> list:
+    """sum_{a<d} (-1)^a q^-a chi(a) zeta^a I((a/d + x)^n zeta^(dx)) for
+    n = 0..n_max, each moment under the measure parameter q^-d: the
+    residue-class decomposition of I(zeta^x chi(x) x^n) without its factor
+    d^n/[d]_{-1/q}.  chi[a] = chi(a) for a < d, in the field of zeta; one
+    moment sequence is solved per residue class."""
     q = Fraction(q)
-    d = char.modulus
-    lhs = char_twist_integral(n, char, zeta, q)
-    chi, zeta_a = _aligned(char, zeta)
-    zeta_pows = [zeta_a**0]
-    for _ in range(d):
-        zeta_pows.append(zeta_pows[-1] * zeta_a)
-    acc = None
+    d = len(chi)
+    zeta_pows = _powers(zeta, d)
+    sums = [zeta_pows[0] * 0] * (n_max + 1)
     for a in range(d):
         if _is_zero(chi[a]):
             continue
-        inner = poly_twist_integral(
-            IntegralSpec(n=n, shift=Fraction(a, d), twist=zeta_pows[d], ratio=q**-d)
+        coeff = ((-1) ** a * q**-a) * (chi[a] * zeta_pows[a])
+        inner = _moment_sequence(
+            IntegralSpec(n=n_max, shift=Fraction(a, d), twist=zeta_pows[d], ratio=q**-d)
         )
-        term = ((-1) ** a * q**-a) * (chi[a] * zeta_pows[a]) * inner
-        acc = term if acc is None else acc + term
-    if acc is None:
-        acc = lhs * 0
-    rhs = Fraction(d**n) / q_bracket_neg(d, 1 / q) * acc
-    return EqualityReport(lhs, rhs)
+        sums = [acc + coeff * moment for acc, moment in zip(sums, inner)]
+    return sums
+
+
+def distribution_identity_checks(n_max: int, char: DirichletCharacter, zeta, q: Fraction) -> list:
+    """Exact comparison of the moments for n <= n_max against their
+    residue-class decomposition into d scaled poly_twist_integral values
+    (the multiplication identity)."""
+    q = Fraction(q)
+    d = char.modulus
+    chi, zeta = _aligned(char, zeta)
+    lhs = _char_moment_sequence(n_max, char, zeta, q)
+    sums = residue_class_sums(n_max, chi, zeta, q)
+    bracket = q_bracket_neg(d, 1 / q)
+    return [EqualityReport(lhs[n], Fraction(d**n) / bracket * acc) for n, acc in enumerate(sums)]
+
+
+def distribution_identity_check(n: int, char: DirichletCharacter, zeta, q: Fraction) -> EqualityReport:
+    return distribution_identity_checks(n, char, zeta, q)[n]
 
 
 def alternating_kernel_ratio_check(d: int, values, q: Fraction) -> EqualityReport:
@@ -211,6 +211,26 @@ def _check_padic_regime(q: Fraction, p: int, char: DirichletCharacter | None) ->
             )
 
 
+def _alternating_sums(n: int, q: Fraction, p: int, max_level: int, char) -> list[Fraction]:
+    """U_N = sum_{0 <= x < p^N} (-1/q)^x chi(x) x^n for N = 0..max_level, in
+    one pass over x < p^max_level; char None weighs every x by 1."""
+    step = Fraction(-1, 1) / q
+    sums = []
+    total = Fraction(0)
+    weight = Fraction(1)
+    end = 1  # the next checkpoint p^N
+    for x in range(p**max_level if max_level >= 0 else 0):
+        if x:
+            weight *= step
+        chi_x = char.rational_value(x) if char is not None else Fraction(1)
+        if chi_x:
+            total += weight * chi_x * x**n
+        if x + 1 == end:
+            sums.append(total)
+            end *= p
+    return sums
+
+
 def padic_truncation(
     n: int, q: Fraction, p: int, max_level: int, char: DirichletCharacter | None = None
 ) -> TruncationReport:
@@ -222,19 +242,9 @@ def padic_truncation(
         exact = char_twist_integral(n, char, 1, q)
     else:
         exact = poly_twist_integral(IntegralSpec(n=n, shift=0, twist=1, ratio=1 / q))
-    step = Fraction(-1, 1) / q
     levels = []
-    for level in range(max_level + 1):
-        count = p**level
-        total = Fraction(0)
-        weight = Fraction(1)
-        for x in range(count):
-            if x:
-                weight *= step
-            chi_x = char.rational_value(x) if char is not None else Fraction(1)
-            if chi_x:
-                total += weight * chi_x * x**n
-        partial = total / q_bracket_neg(count, 1 / q)
+    for level, total in enumerate(_alternating_sums(n, q, p, max_level, char)):
+        partial = total / q_bracket_neg(p**level, 1 / q)
         levels.append(TruncationLevel(level, partial, padic_valuation(partial - exact, p)))
     return TruncationReport(p=p, exact=exact, levels=tuple(levels))
 
@@ -266,20 +276,11 @@ def series_limit_check(
     limit = 2 * (closed + index_zero)
     scaled = 2 * q**2 * closed
     ratio = None if closed == 0 else scaled / (2 * closed)
-    step = Fraction(-1, 1) / q
-    levels = []
-    for level in range(max_level + 1):
-        count = p**level
-        total = Fraction(0)
-        weight = Fraction(1)
-        for x in range(count):
-            if x:
-                weight *= step
-            chi_x = char.rational_value(x)
-            if chi_x:
-                total += weight * chi_x * x**n
-        levels.append(TruncationLevel(level, total, padic_valuation(total - limit, p)))
+    levels = tuple(
+        TruncationLevel(level, total, padic_valuation(total - limit, p))
+        for level, total in enumerate(_alternating_sums(n, q, p, max_level, char))
+    )
     return SeriesLimitReport(
         p=p, q=q, series_value=closed, limit=limit, scaled_limit=scaled,
-        ratio=ratio, levels=tuple(levels),
+        ratio=ratio, levels=levels,
     )

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .cyclotomic import embed_complex
 from .errors import NotConverged, OutsideConvergence
-from .twisted import TwistedConfig, alternating_char_sum, twisted_value
+from .twisted import TwistedConfig, alternating_char_sums, twisted_values
 
 
 @dataclass(frozen=True)
@@ -37,12 +37,17 @@ def l_prefactor(s: complex, q: float) -> complex:
     return q * cmath.exp((1 - s) * math.log(1 + q))
 
 
-def _stable_index(re_abs: float, ln_q: float) -> int:
-    """Smallest M with m^re_abs <= q^(m/2) for every m >= M."""
-    m = 1
+def _stable_index(re_abs: float, ln_q: float, max_terms: int) -> int:
+    """Smallest M with m^re_abs <= q^(m/2) for every m >= M; NotConverged
+    when M would exceed max_terms, since no tail bound is checked before M."""
     peak = 2 * re_abs / ln_q  # beyond this the majorant ratio is decreasing
-    while m < peak or re_abs * math.log(m) > m * ln_q / 2:
+    if not peak <= max_terms:
+        raise NotConverged(f"tail bound not reached within {max_terms} terms")
+    m = max(1, math.ceil(peak))
+    while re_abs * math.log(m) > m * ln_q / 2:
         m += 1
+        if m > max_terms:
+            raise NotConverged(f"tail bound not reached within {max_terms} terms")
     return m
 
 
@@ -57,29 +62,35 @@ def l_series_sum(params: LParams) -> LEvaluation:
     chi = [embed_complex(cfg.char_value(a), k) for a in range(cfg.char.modulus)]
     zeta = [embed_complex(cfg.zeta_pow(m), k) for m in range(cfg.zeta_order)]
     s = complex(params.s)
-    start = _stable_index(abs(s.real), ln_q)
+    start = _stable_index(abs(s.real), ln_q, params.max_terms)
     tail_scale = 1.0 / (1.0 - math.exp(-ln_q / 2))
     total = 0j
     m = 0
-    while True:
-        m += 1
-        if m > params.max_terms:
-            raise NotConverged(f"tail bound not reached within {params.max_terms} terms")
-        chi_m = chi[m % cfg.char.modulus]
-        if chi_m != 0:
-            sign = -1.0 if m % 2 else 1.0
-            magnitude = cmath.exp(-s * math.log(m) - m * ln_q)
-            total += sign * chi_m * zeta[m % cfg.zeta_order] * magnitude
-        if m >= start:
-            tail = math.exp(-m * ln_q / 2) * tail_scale
-            if tail < params.tol:
-                return LEvaluation(value=total, terms_used=m, tail_bound=tail)
+    try:
+        while True:
+            m += 1
+            if m > params.max_terms:
+                raise NotConverged(f"tail bound not reached within {params.max_terms} terms")
+            chi_m = chi[m % cfg.char.modulus]
+            if chi_m != 0:
+                sign = -1.0 if m % 2 else 1.0
+                magnitude = cmath.exp(-s * math.log(m) - m * ln_q)
+                total += sign * chi_m * zeta[m % cfg.zeta_order] * magnitude
+            if m >= start:
+                tail = math.exp(-m * ln_q / 2) * tail_scale
+                if tail < params.tol:
+                    return LEvaluation(value=total, terms_used=m, tail_bound=tail)
+    except OverflowError as exc:
+        raise NotConverged(f"term {m} overflows double precision") from exc
 
 
 def l_eval(params: LParams) -> LEvaluation:
     """Full L-value: prefactor times the truncated series."""
     inner = l_series_sum(params)
-    value = l_prefactor(complex(params.s), float(params.cfg.q)) * inner.value
+    try:
+        value = l_prefactor(complex(params.s), float(params.cfg.q)) * inner.value
+    except OverflowError as exc:
+        raise NotConverged("non-finite value") from exc
     if not (math.isfinite(value.real) and math.isfinite(value.imag)):
         raise NotConverged("non-finite value")
     return LEvaluation(value=value, terms_used=inner.terms_used, tail_bound=inner.tail_bound)
@@ -98,21 +109,27 @@ class InterpolationReport:
         return self.gap <= self.tolerance
 
 
-def interpolation_check(cfg: TwistedConfig, n: int, tol: float = 1e-9) -> InterpolationReport:
-    """L(-n) against (-1)^n times the exact twisted value, embedded.
+def interpolation_checks(cfg: TwistedConfig, ns, tol: float = 1e-9) -> list[InterpolationReport]:
+    """L(-n) against (-1)^n times the exact twisted value, embedded, for each
+    n in ns; the exact values come from one twisted_values call.
 
     For modulus 1 the series misses the index-0 summand of the generating
     function, which only contributes at n = 0; that one cell is excluded.
     """
-    if cfg.char.modulus == 1 and n == 0:
+    ns = list(ns)
+    if cfg.char.modulus == 1 and 0 in ns:
         raise ValueError("the n = 0 value at modulus 1 is not interpolated by the series")
-    exact = (-1) ** n * embed_complex(twisted_value(cfg, n).value, 1)
-    result = l_eval(LParams(s=complex(-n), cfg=cfg, tol=min(tol * 1e-2, 1e-12)))
-    gap = abs(result.value - exact)
-    return InterpolationReport(
-        n=n, l_value=result.value, exact_value=exact, gap=gap,
-        tolerance=tol * (1 + abs(exact)),
-    )
+    values = twisted_values(cfg, max(ns, default=0))
+    out = []
+    for n in ns:
+        exact = (-1) ** n * embed_complex(values[n].value, 1)
+        result = l_eval(LParams(s=complex(-n), cfg=cfg, tol=min(tol * 1e-2, 1e-12))).value
+        out.append(InterpolationReport(n, result, exact, abs(result - exact), tol * (1 + abs(exact))))
+    return out
+
+
+def interpolation_check(cfg: TwistedConfig, n: int, tol: float = 1e-9) -> InterpolationReport:
+    return interpolation_checks(cfg, [n], tol)[0]
 
 
 @dataclass(frozen=True)
@@ -127,10 +144,15 @@ class PartialSumReport:
         return self.gap <= self.tolerance
 
 
-def series_partial_sum_check(cfg: TwistedConfig, n: int, tol: float = 1e-10) -> PartialSumReport:
+def series_partial_sum_checks(cfg: TwistedConfig, ns, tol: float = 1e-10) -> list[PartialSumReport]:
     """Numeric partial sums of sum (-1)^m zeta^m chi(m) m^n / q^m against the
-    embedded exact closed form of the same series."""
-    numeric = l_series_sum(LParams(s=complex(-n), cfg=cfg, tol=min(tol * 1e-2, 1e-12)))
-    exact = embed_complex(alternating_char_sum(cfg, n), 1)
-    gap = abs(numeric.value - exact)
-    return PartialSumReport(numeric=numeric.value, exact=exact, gap=gap, tolerance=tol)
+    embedded exact closed form of the same series, for each n in ns."""
+    ns = list(ns)
+    numerics = [l_series_sum(LParams(s=complex(-n), cfg=cfg, tol=min(tol * 1e-2, 1e-12))).value for n in ns]
+    sums = alternating_char_sums(cfg, max(ns, default=0))
+    exacts = [embed_complex(sums[n], 1) for n in ns]
+    return [PartialSumReport(v, e, abs(v - e), tol) for v, e in zip(numerics, exacts)]
+
+
+def series_partial_sum_check(cfg: TwistedConfig, n: int, tol: float = 1e-10) -> PartialSumReport:
+    return series_partial_sum_checks(cfg, [n], tol)[0]

@@ -45,10 +45,6 @@ class Poly:
     def one() -> "Poly":
         return Poly.of(1)
 
-    @staticmethod
-    def x() -> "Poly":
-        return Poly.of(0, 1)
-
     @property
     def degree(self) -> int:
         """Degree of the leading term; the zero polynomial has degree -1."""

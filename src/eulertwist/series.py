@@ -44,11 +44,6 @@ class TruncatedSeries:
     def order(self) -> int:
         return len(self.coeffs)
 
-    def truncate(self, order: int) -> "TruncatedSeries":
-        if order >= self.order:
-            return self
-        return TruncatedSeries(self.coeffs[:order])
-
     def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         n = min(self.order, other.order)
         return TruncatedSeries(tuple(self.coeffs[i] + other.coeffs[i] for i in range(n)))

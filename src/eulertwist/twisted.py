@@ -19,12 +19,11 @@ from .cyclotomic import (
     CyclotomicField,
     CyclotomicNumber,
     cyclotomic_field,
-    galois_conjugate,
-    lift_to_field,
 )
 from .errors import InternalInconsistency, ResidualUndefined, SingularFunctionalEquation
-from .eulerian import periodic_power_sum
-from .fermionic import EqualityReport, IntegralSpec, char_twist_integral, poly_twist_integral
+from .eulerian import periodic_power_sums
+from .fermionic import EqualityReport, IntegralSpec, poly_twist_integral, residue_class_sums
+from .fermionic import _aligned, _char_moment_sequence, _moment_sequence
 from .rationals import q_bracket_neg
 from .series import TruncatedSeries, exp_linear, nth_taylor_coefficient
 
@@ -57,9 +56,7 @@ class TwistedConfig:
         ambient = math.lcm(zeta_order, char.value_order)
         field = cyclotomic_field(ambient)
         zeta = field.zeta_power((zeta_exponent % zeta_order) * (ambient // zeta_order))
-        values = tuple(
-            lift_to_field(char.value(a), field) for a in range(char.modulus)
-        )
+        values = tuple(_aligned(char, zeta)[0])
         cfg = TwistedConfig(
             char=char, zeta_order=zeta_order, zeta_exponent=zeta_exponent % zeta_order,
             q=q, field=field, zeta=zeta, char_values=values,
@@ -125,39 +122,46 @@ def twisted_gf(cfg: TwistedConfig, order: int) -> TruncatedSeries:
     return numerator.scale(field.from_rational(1 + q)) * denominator.inverse()
 
 
-def alternating_char_sum(cfg: TwistedConfig, n: int) -> CyclotomicNumber:
-    """Closed form of sum_{m>=1} (-1)^m zeta^m chi(m) m^n (1/q)^m, exact.
+def alternating_char_sums(cfg: TwistedConfig, n_max: int) -> list:
+    """Closed forms of sum_{m>=1} (-1)^m zeta^m chi(m) m^n (1/q)^m for
+    n = 0..n_max, exact.
 
     The coefficient is periodic with period lcm(2, d, twist order), so the
-    sum regroups into the rational power-sum closed forms."""
+    sums regroup into the rational power-sum closed forms."""
     period = math.lcm(2, cfg.char.modulus, cfg.zeta_order)
-    cycle = []
-    for m in range(1, period + 1):
-        sign = -1 if m % 2 else 1
-        cycle.append(sign * (cfg.char_value(m) * cfg.zeta_pow(m)))
-    return periodic_power_sum(cycle, n, 1 / cfg.q)
+    cycle = [(-1) ** m * (cfg.char_value(m) * cfg.zeta_pow(m)) for m in range(1, period + 1)]
+    return periodic_power_sums(cycle, n_max, 1 / cfg.q)
+
+
+def alternating_char_sum(cfg: TwistedConfig, n: int) -> CyclotomicNumber:
+    return alternating_char_sums(cfg, n)[n]
+
+
+def twisted_series_values(cfg: TwistedConfig, n_max: int) -> list[CyclotomicNumber]:
+    """A_0 .. A_{n_max} through the alternating series: (-1)^n q (1+q)^(n+1)
+    times the closed-form sum, plus the index-0 summand q(1+q) chi(0), which
+    survives only at n = 0 (and is nonzero only for modulus 1)."""
+    q = cfg.q
+    sums = alternating_char_sums(cfg, n_max)
+    out = [((-1) ** n * q * (1 + q) ** (n + 1)) * alt for n, alt in enumerate(sums)]
+    out[0] = out[0] + (q * (1 + q)) * cfg.char_value(0)
+    return out
 
 
 def twisted_series_value(cfg: TwistedConfig, n: int) -> CyclotomicNumber:
-    """A_n through the alternating series: (-1)^n q (1+q)^(n+1) times the
-    closed-form sum, plus the index-0 summand q(1+q) chi(0), which survives
-    only at n = 0 (and is nonzero only for modulus 1)."""
-    q = cfg.q
-    total = ((-1) ** n * q * (1 + q) ** (n + 1)) * alternating_char_sum(cfg, n)
-    if n == 0:
-        total = total + (q * (1 + q)) * cfg.char_value(0)
-    return total
+    return twisted_series_values(cfg, n)[n]
 
 
 def twisted_values(cfg: TwistedConfig, n_max: int) -> list[TwistedValue]:
     """A_0 .. A_{n_max} with every available evaluation path recorded; the
     series path exists whenever q != 1 (1/q must avoid roots of unity)."""
     gf = twisted_gf(cfg, n_max + 1)
+    series = twisted_series_values(cfg, n_max) if cfg.q != 1 else None
     out = []
     for n in range(n_max + 1):
         paths = {PATH_GENERATING_FUNCTION: nth_taylor_coefficient(gf, n)}
-        if cfg.q != 1:
-            paths[PATH_SERIES_CLOSED_FORM] = twisted_series_value(cfg, n)
+        if series is not None:
+            paths[PATH_SERIES_CLOSED_FORM] = series[n]
         out.append(TwistedValue(n=n, value=paths[PATH_GENERATING_FUNCTION], paths=paths))
     return out
 
@@ -200,74 +204,77 @@ def euler_gf_consistency(d_fold: int, zeta_eff, order: int) -> EulerGfReport:
     folded = numerator.scale(2 * one) * folded_denom.inverse()
     direct_denom = exp_linear(Fraction(1), order).scale(zeta_eff) + TruncatedSeries.constant(one, order)
     direct = TruncatedSeries.constant(2 * one, order) * direct_denom.inverse()
-    moments_equal = all(
-        nth_taylor_coefficient(direct, n) == twisted_euler(n, zeta_eff, 0)
-        for n in range(order)
-    )
+    eulers = _moment_sequence(IntegralSpec(n=order - 1, shift=0, twist=zeta_eff, ratio=Fraction(1)))
+    moments_equal = all(nth_taylor_coefficient(direct, n) == e for n, e in enumerate(eulers))
     return EulerGfReport(
         folded=folded, direct=direct,
         series_equal=folded == direct, moments_equal=moments_equal,
     )
 
 
+def _defined(residual):
+    """A residual from a sequence, raised if it is undefined."""
+    if isinstance(residual, ResidualUndefined):
+        raise residual
+    return residual
+
+
+def witt_residuals(cfg: TwistedConfig, n_max: int) -> list:
+    """Ratios of A_n to (-1)^n (1+q)^n I(zeta^x chi(x) x^n) for n <= n_max:
+    the constant q^2, the gap between the d-l+1 kernel and the iterated d-1-l
+    kernel.  Where the moment vanishes the entry is a ResidualUndefined."""
+    moments = _char_moment_sequence(n_max, cfg.char, cfg.zeta, cfg.q)
+    out = []
+    for n, (tv, integral) in enumerate(zip(twisted_values(cfg, n_max), moments)):
+        denom = ((-1) ** n * (1 + cfg.q) ** n) * integral
+        if denom == 0:
+            out.append(ResidualUndefined(f"integral moment vanishes at n={n}"))
+        else:
+            out.append(tv.value * denom ** (-1))
+    return out
+
+
 def witt_residual(cfg: TwistedConfig, n: int) -> CyclotomicNumber:
-    """Ratio of A_n to (-1)^n (1+q)^n I(zeta^x chi(x) x^n): the constant q^2,
-    the gap between the d-l+1 kernel and the iterated d-1-l kernel."""
-    integral = char_twist_integral(n, cfg.char, cfg.zeta, cfg.q)
-    denom = ((-1) ** n * (1 + cfg.q) ** n) * integral
-    if denom == 0:
-        raise ResidualUndefined(f"integral moment vanishes at n={n}")
-    return twisted_value(cfg, n).value * denom ** (-1)
+    return _defined(witt_residuals(cfg, n)[n])
+
+
+def multiplication_residuals(cfg: TwistedConfig, n_max: int) -> list:
+    """Ratios of (-1)^n A_n/(1+q)^n to the residue-class decomposition
+    d^n/[d]_alt * sum_a (-1)^a chi(a) zeta^a q^-a I((a/d + x)^n zeta^(dx)) for
+    n <= n_max; again the constant q^2, through an independent route.  Where
+    the decomposition sum vanishes the entry is a ResidualUndefined."""
+    q, d = cfg.q, cfg.char.modulus
+    sums = residue_class_sums(n_max, cfg.char_values, cfg.zeta, q)
+    out = []
+    for n, (tv, acc) in enumerate(zip(twisted_values(cfg, n_max), sums)):
+        if acc.is_zero():
+            out.append(ResidualUndefined(f"decomposition sum vanishes at n={n}"))
+        else:
+            rhs = Fraction(d**n) / q_bracket_neg(d, 1 / q) * acc
+            out.append(((-1) ** n * (1 + q) ** -n) * tv.value * rhs ** (-1))
+    return out
 
 
 def multiplication_residual(cfg: TwistedConfig, n: int) -> CyclotomicNumber:
-    """Ratio of (-1)^n A_n/(1+q)^n to the residue-class decomposition
-    d^n/[d]_alt * sum_a (-1)^a chi(a) zeta^a q^-a I((a/d + x)^n zeta^(dx));
-    again the constant q^2, through an independent route."""
-    q, d = cfg.q, cfg.char.modulus
-    acc = None
-    zeta_d = cfg.zeta_pow(d)
-    for a in range(d):
-        chi_a = cfg.char_value(a)
-        if chi_a.is_zero():
-            continue
-        inner = poly_twist_integral(
-            IntegralSpec(n=n, shift=Fraction(a, d), twist=zeta_d, ratio=q**-d)
-        )
-        term = ((-1) ** a * q**-a) * (chi_a * cfg.zeta_pow(a)) * inner
-        acc = term if acc is None else acc + term
-    if acc is None or acc.is_zero():
-        raise ResidualUndefined(f"decomposition sum vanishes at n={n}")
-    rhs = Fraction(d**n) / q_bracket_neg(d, 1 / q) * acc
-    lhs = ((-1) ** n * (1 + q) ** -n) * twisted_value(cfg, n).value
-    return lhs * rhs ** (-1)
+    return _defined(multiplication_residuals(cfg, n)[n])
+
+
+def euler_reduction_checks(cfg: TwistedConfig, n_max: int) -> list[EqualityReport]:
+    """At q = 1 the multiplication identity is exact: A_n at -1 must equal
+    (-2d)^n sum_a (-1)^a chi(a) zeta^a E_n(a/d) with twist zeta^d, n <= n_max;
+    the twisted Euler values E_n are the moments at measure parameter 1."""
+    if cfg.q != 1:
+        raise ValueError("the reduction to twisted Euler values holds at q = 1")
+    d = cfg.char.modulus
+    sums = residue_class_sums(n_max, cfg.char_values, cfg.zeta, cfg.q)
+    return [
+        EqualityReport(tv.value, Fraction(-2 * d) ** n * acc)
+        for n, (tv, acc) in enumerate(zip(twisted_values(cfg, n_max), sums))
+    ]
 
 
 def euler_reduction_check(
     char: DirichletCharacter, zeta_order: int, zeta_exponent: int, n: int
 ) -> EqualityReport:
-    """At q = 1 the multiplication identity is exact: A_n at -1 must equal
-    (-2d)^n sum_a (-1)^a chi(a) zeta^a E_n(a/d) with twist zeta^d."""
     cfg = TwistedConfig.build(char, zeta_order, zeta_exponent, Fraction(1))
-    d = char.modulus
-    lhs = twisted_value(cfg, n).value
-    zeta_d = cfg.zeta_pow(d)
-    acc = None
-    for a in range(d):
-        chi_a = cfg.char_value(a)
-        if chi_a.is_zero():
-            continue
-        euler_val = twisted_euler(n, zeta_d, Fraction(a, d))
-        term = ((-1) ** a) * (chi_a * cfg.zeta_pow(a)) * euler_val
-        acc = term if acc is None else acc + term
-    if acc is None:
-        acc = cfg.field.zero
-    rhs = Fraction(-2 * d) ** n * acc
-    return EqualityReport(lhs, rhs)
-
-
-def conjugated_value(cfg: TwistedConfig, n: int) -> CyclotomicNumber:
-    """Image of A_n under the automorphism zeta_L -> zeta_L^(-1); equals the
-    value computed from the conjugated character and twist."""
-    value = twisted_value(cfg, n).value
-    return galois_conjugate(value, cfg.field.order - 1) if cfg.field.order > 1 else value
+    return euler_reduction_checks(cfg, n)[n]

@@ -149,6 +149,14 @@ def test_math_precondition_exit_code(capsys):
     assert "NotSquarefree" in err
 
 
+@pytest.mark.parametrize("s", ["1e300", "-200"])
+def test_lfun_beyond_double_precision_exits_three(s):
+    argv = [sys.executable, "-m", "eulertwist", "lfun", "--q", "2", "--d", "3", "--s", s]
+    proc = subprocess.run(argv, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 3
+    assert "NotConverged" in proc.stderr and "Traceback" not in proc.stderr
+
+
 def test_unknown_relation_is_usage_error(capsys):
     code = cli.main(["check", "--relation", "nonsense"])
     assert code == 2

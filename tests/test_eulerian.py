@@ -8,13 +8,14 @@ import pytest
 from eulertwist import (
     Poly,
     TruncatedSeries,
+    cyclotomic_field,
     descent_oracle,
     eulerian_gf_coefficients,
     eulerian_recurrence,
     power_sum_rational,
 )
 from eulertwist.errors import OracleTooLarge, PoleAtOne
-from eulertwist.eulerian import GF_AS_PRINTED, periodic_power_sum
+from eulertwist.eulerian import GF_AS_PRINTED, periodic_power_sum, periodic_power_sums
 
 
 def test_base_case():
@@ -115,11 +116,20 @@ class TestPowerSums:
         assert abs(tail) < bound
 
     def test_periodic_sum_against_partial_sums(self):
-        cycle = [F(1), F(-2), F(0), F(3, 2), F(1), F(-1)]
+        field = cyclotomic_field(9)
+        inputs = [  # (cycle, zero, n_max): a rational cycle, a generic cyclotomic one
+            ([F(1), F(-2), F(0), F(3, 2), F(1), F(-1)], F(0), 3),
+            ([(-1) ** m * field.zeta_power(2 * m) + F(m, 7) for m in range(1, 19)], field.zero, 6),
+        ]
         z = F(1, 3)
-        for n in range(4):
-            closed = periodic_power_sum(cycle, n, z)
-            partial = sum(
-                cycle[(m - 1) % 6] * F(m) ** n * z**m for m in range(1, 151)
-            )
-            assert abs(float(closed - partial)) < 1e-40
+        for cycle, zero, n_max in inputs:
+            sums = periodic_power_sums(cycle, n_max, z)
+            assert len(sums) == n_max + 1
+            for n in range(n_max + 1):
+                closed = periodic_power_sum(cycle, n, z)
+                assert sums[n] == closed
+                partial = sum(
+                    (cycle[(m - 1) % len(cycle)] * (F(m) ** n * z**m) for m in range(1, 151)), zero
+                )
+                gap = closed - partial
+                assert max(abs(float(c)) for c in getattr(gap, "coeffs", (gap,))) < 1e-40

@@ -15,6 +15,7 @@ from eulertwist import (
     padic_truncation,
     poly_twist_integral,
     principal_character,
+    q_bracket_neg,
     quadratic_character,
 )
 from eulertwist.errors import NotPadicallyConvergent, SingularFunctionalEquation
@@ -160,6 +161,21 @@ class TestPadicTruncation:
             vals = [lv.valuation for lv in report.levels]
             assert all(v >= lv.level for lv, v in zip(report.levels, vals))
             assert all(vals[i] <= vals[i + 1] for i in range(len(vals) - 1))
+
+    @pytest.mark.parametrize("n, p, char", [(0, 3, None), (2, 3, quadratic_character(3)), (1, 5, None)])
+    def test_partial_sums_equal_a_fresh_sum_per_level(self, n, p, char):
+        q = F(1 + p)
+        report = padic_truncation(n, q, p, 3, char=char)
+        limits = series_limit_check(n, char, q, p, 3) if char is not None else None
+        for level in range(4):
+            count = p**level
+            fresh = sum(
+                (F(-1, 1) / q) ** x * (char.rational_value(x) if char else 1) * x**n
+                for x in range(count)
+            )
+            assert report.levels[level].partial == fresh / q_bracket_neg(count, 1 / q)
+            if limits is not None:
+                assert limits.levels[level].partial == fresh
 
     def test_regime_guards(self):
         with pytest.raises(NotPadicallyConvergent):

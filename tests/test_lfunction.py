@@ -1,4 +1,5 @@
 """Complex L-series evaluation and its interpolation of the exact values."""
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -42,6 +43,16 @@ class TestEvaluation:
     def test_max_terms_guard(self):
         with pytest.raises(NotConverged):
             l_eval(LParams(s=0j, cfg=quadratic3_config(), tol=1e-12, max_terms=5))
+
+    @pytest.mark.parametrize("q, s", [(F(2), 1e300), (F(2), -1e5), (F(2), -200.0), (F(100), -200.0)])
+    def test_unbounded_work_is_not_converged_quickly(self, q, s):
+        # 1e300 and -1e5 need more than max_terms terms before any tail bound
+        # is checked; at -200 a term (q = 2) or the prefactor (q = 100)
+        # overflows double precision.
+        start = time.monotonic()
+        with pytest.raises(NotConverged):
+            l_eval(LParams(s=complex(s), cfg=quadratic3_config(q)))
+        assert time.monotonic() - start < 1.0
 
     def test_prefactor_factorization_is_exact(self):
         params = LParams(s=complex(-1.5, 0.25), cfg=quadratic3_config())

@@ -12,6 +12,7 @@ from eulertwist import (
     euler_gf_consistency,
     euler_reduction_check,
     eulerian_recurrence,
+    galois_conjugate,
     multiplication_residual,
     nth_taylor_coefficient,
     principal_character,
@@ -27,8 +28,10 @@ from eulertwist.twisted import (
     PATH_GENERATING_FUNCTION,
     PATH_SERIES_CLOSED_FORM,
     alternating_char_sum,
-    conjugated_value,
+    multiplication_residuals,
     twisted_series_value,
+    twisted_series_values,
+    witt_residuals,
 )
 
 
@@ -192,7 +195,48 @@ class TestQOneReduction:
 
 
 def test_galois_equivariance():
+    # zeta_L -> zeta_L^(-1) maps A_n to the value of the conjugated character and twist
     for char in (quadratic_character(3), enumerate_characters(5)[1]):
         cfg = TwistedConfig.build(char, 9, 1, F(5, 2))
-        for n in range(4):
-            assert conjugated_value(cfg, n) == twisted_value(cfg.conjugate(), n).value
+        conjugated = twisted_values(cfg.conjugate(), 3)
+        for n, tv in enumerate(twisted_values(cfg, 3)):
+            assert galois_conjugate(tv.value, cfg.field.order - 1) == conjugated[n].value
+
+
+class TestOneComputationPerPoint:
+    def test_thm1_residual_builds_each_point_once(self, monkeypatch):
+        from collections import Counter
+
+        from eulertwist import checks, eulerian, twisted
+
+        grid = dataclasses.replace(
+            checks.default_grid(), moduli=(5,), zeta_orders=(3,), q_values=(F(5, 2),)
+        )
+        gf_builds = Counter()
+        tail_calls = []
+        real_gf, real_tail = twisted.twisted_gf, eulerian.power_sum_rational
+
+        def counted_gf(cfg, order):
+            gf_builds[cfg.describe()] += 1
+            return real_gf(cfg, order)
+
+        def counted_tail(j, w):
+            tail_calls.append(j)
+            return real_tail(j, w)
+
+        monkeypatch.setattr(twisted, "twisted_gf", counted_gf)
+        monkeypatch.setattr(eulerian, "power_sum_rational", counted_tail)
+        report = checks.run_relation("thm1-residual", grid)
+        assert report.passed
+        configs = len(checks.grid_characters(5))
+        assert len(gf_builds) == configs and set(gf_builds.values()) == {1}
+        assert len(tail_calls) <= configs * (grid.n_max + 1)
+
+    def test_sequences_match_per_n_reads(self):
+        cfg = TwistedConfig.build(quadratic_character(5), 3, 1, F(5, 2))
+        rho1 = witt_residuals(cfg, 4)
+        rho5 = multiplication_residuals(cfg, 4)
+        series = twisted_series_values(cfg, 4)
+        for n in range(5):
+            assert rho1[n] == witt_residual(cfg, n) == rho5[n] == multiplication_residual(cfg, n)
+            assert series[n] == twisted_series_value(cfg, n) == twisted_value(cfg, n).value
