@@ -7,12 +7,15 @@ Identical invocations produce byte-identical output.
 
 Exit codes: 0 success, 1 a check failed, 2 usage error, 3 violated
 mathematical precondition (the error class name is printed to stderr).
+Every flag value is parsed and bounded before any computation starts, so a
+bad value exits 2 with a usage message, never with a traceback.
 """
 from __future__ import annotations
 
 import argparse
 import json
 import math
+import re
 import sys
 
 from . import checks
@@ -29,6 +32,18 @@ from .fermionic import padic_truncation
 from .lfunction import LEvaluation, LParams, l_eval
 from .rationals import format_rational, parse_rational
 from .twisted import TwistedConfig, twisted_values
+
+# Upper bounds on the work one invocation may start.
+MAX_TERMS = 10_000_000  # lfun --max-terms: L-series terms summed
+MAX_TRUNCATION_TERMS = 20_000  # integral: p^levels terms in the largest Riemann sum
+
+# An option value argparse would otherwise read as an option: "-1e9", "-.5",
+# "-0.5,3", "-3/7".
+_NEGATIVE_VALUE = re.compile(r"-\.?\d")
+
+
+class UsageError(Exception):
+    """A flag combination outside the documented limits; exit 2."""
 
 
 def _dumps(doc) -> str:
@@ -50,13 +65,75 @@ def _dumps(doc) -> str:
     raise TypeError(f"cannot serialize {type(doc).__name__}")
 
 
-def _parse_index_list(text: str) -> list[int]:
-    """Index lists: "3", "0,2,4", or "0..5" (inclusive)."""
+def _flag_type(parse):
+    """An argparse ``type=``: parse's ValueError or ZeroDivisionError becomes
+    a usage error (exit 2) naming the flag."""
+
+    def convert(text: str):
+        try:
+            return parse(text)
+        except (ValueError, ZeroDivisionError) as exc:
+            reason = "zero denominator" if isinstance(exc, ZeroDivisionError) else exc
+            raise argparse.ArgumentTypeError(f"invalid value {text!r}: {reason}") from None
+
+    return convert
+
+
+def _index_list(text: str) -> list[int]:
+    """Index lists: "3", "0,2,4", or "0..5" (inclusive); nonempty, each >= 0."""
     text = text.strip()
     if ".." in text:
         lo, _, hi = text.partition("..")
-        return list(range(int(lo), int(hi) + 1))
-    return [int(part) for part in text.split(",")]
+        indices = list(range(int(lo), int(hi) + 1))
+    else:
+        indices = [int(part) for part in text.split(",")]
+    if not indices:
+        raise ValueError("empty index range")
+    if min(indices) < 0:
+        raise ValueError("indices must be >= 0")
+    return indices
+
+
+def _bounded_int(lo: int, hi: int | None = None):
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < lo:
+            raise ValueError(f"must be >= {lo}")
+        if hi is not None and value > hi:
+            raise ValueError(f"must be <= {hi}")
+        return value
+
+    return parse
+
+
+def _complex_point(text: str) -> complex:
+    """ "RE" or "RE,IM", both finite floats."""
+    parts = text.split(",")
+    if len(parts) > 2:
+        raise ValueError('expected "RE" or "RE,IM"')
+    s = complex(float(parts[0]), float(parts[1]) if len(parts) > 1 else 0.0)
+    if not (math.isfinite(s.real) and math.isfinite(s.imag)):
+        raise ValueError("s must be finite")
+    return s
+
+
+def _grid(spec: str):
+    """A check grid: "default" or "file:PATH" holding a JSON grid."""
+    if spec == "default":
+        return checks.default_grid()
+    if not spec.startswith("file:"):
+        raise ValueError("expected default or file:PATH")
+    try:
+        with open(spec.split(":", 1)[1], "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except OSError as exc:
+        raise ValueError(exc.strerror or str(exc)) from None
+    if not isinstance(doc, dict):
+        raise ValueError("a grid file holds one JSON object")
+    try:
+        return checks.grid_from_json(doc)
+    except TypeError as exc:  # a list where a number belongs, or the reverse
+        raise ValueError(exc) from None
 
 
 def _resolve_character(spec: str, modulus: int):
@@ -109,11 +186,11 @@ def _cmd_classic(args) -> int:
 
 
 def _cmd_twisted(args) -> int:
-    q = parse_rational(args.q)
+    q = args.q
     _validate_zeta(args.zeta_order, args.zeta_k)
     char = _resolve_character(args.char, args.d)
     cfg = TwistedConfig.build(char, args.zeta_order, args.zeta_k % args.zeta_order, q)
-    indices = _parse_index_list(args.n)
+    indices = args.n
     values = twisted_values(cfg, max(indices))
     rows = []
     for n in indices:
@@ -145,8 +222,24 @@ def _cmd_twisted(args) -> int:
     return 0
 
 
+def _truncation_terms(p: int, levels: int) -> int:
+    """|p|^levels, or the first partial power above MAX_TRUNCATION_TERMS."""
+    if abs(p) < 2:
+        return 1
+    terms = 1
+    for _ in range(levels):
+        terms *= abs(p)
+        if terms > MAX_TRUNCATION_TERMS:
+            break
+    return terms
+
+
 def _cmd_integral(args) -> int:
-    q = parse_rational(args.q)
+    q = args.q
+    if _truncation_terms(args.p, args.levels) > MAX_TRUNCATION_TERMS:
+        raise UsageError(
+            f"p^levels = {args.p}^{args.levels} exceeds {MAX_TRUNCATION_TERMS} terms"
+        )
     report = padic_truncation(args.n, q, args.p, args.levels)
     if args.format == "json":
         doc = {
@@ -170,12 +263,11 @@ def _cmd_integral(args) -> int:
 
 
 def _cmd_lfun(args) -> int:
-    q = parse_rational(args.q)
+    q = args.q
     _validate_zeta(args.zeta_order, args.zeta_k)
     char = _resolve_character(args.char, args.d)
     cfg = TwistedConfig.build(char, args.zeta_order, args.zeta_k % args.zeta_order, q)
-    parts = args.s.split(",")
-    s = complex(float(parts[0]), float(parts[1]) if len(parts) > 1 else 0.0)
+    s = args.s
     result: LEvaluation = l_eval(
         LParams(s=s, cfg=cfg, tol=args.tol, max_terms=args.max_terms)
     )
@@ -197,15 +289,8 @@ def _cmd_chars(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    if args.grid == "default":
-        grid = checks.default_grid()
-    elif args.grid.startswith("file:"):
-        with open(args.grid.split(":", 1)[1], "r", encoding="utf-8") as fh:
-            grid = checks.grid_from_json(json.load(fh))
-    else:
-        raise ValueError(f"unknown grid spec {args.grid!r}")
     try:
-        report = checks.run_relation(args.relation, grid)
+        report = checks.run_relation(args.relation, args.grid)
     except KeyError:
         print(f"error: unknown relation {args.relation!r}", file=sys.stderr)
         return 2
@@ -220,6 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
         "and their L-series, with relation checks.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    rational = _flag_type(parse_rational)
 
     p = sub.add_parser("classic", help="classical Eulerian polynomial coefficients")
     p.add_argument("--n", type=int, required=True)
@@ -228,34 +314,46 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_classic)
 
     p = sub.add_parser("twisted", help="twisted Eulerian values on a parameter point")
-    p.add_argument("--q", required=True, help='rational, e.g. "2" or "5/2"')
+    p.add_argument("--q", type=rational, required=True, help='rational, e.g. "2" or "5/2"')
     p.add_argument("--d", type=int, required=True, help="character modulus (odd)")
     p.add_argument("--char", default="principal", help="principal|quadratic|index:I|file:PATH")
     p.add_argument("--zeta-order", type=int, default=1)
     p.add_argument("--zeta-k", type=int, default=1)
-    p.add_argument("--n", required=True, help='index list: "3", "0,2", or "0..5"')
+    p.add_argument(
+        "--n", type=_flag_type(_index_list), required=True,
+        help='index list: "3", "0,2", or "0..5"; nonempty, each >= 0',
+    )
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--output")
     p.set_defaults(handler=_cmd_twisted)
 
     p = sub.add_parser("integral", help="alternating Riemann-sum truncation report")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--q", required=True)
+    p.add_argument("--n", type=_flag_type(_bounded_int(0)), required=True, help="moment index, >= 0")
+    p.add_argument("--q", type=rational, required=True)
     p.add_argument("--p", type=int, required=True)
-    p.add_argument("--levels", type=int, default=5)
+    p.add_argument(
+        "--levels", type=_flag_type(_bounded_int(0)), default=5,
+        help=f"levels N = 0..LEVELS, >= 0; p^LEVELS at most {MAX_TRUNCATION_TERMS}",
+    )
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--output")
     p.set_defaults(handler=_cmd_integral)
 
     p = sub.add_parser("lfun", help="L-series value at a complex point")
-    p.add_argument("--q", required=True)
+    p.add_argument("--q", type=rational, required=True)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--char", default="principal")
     p.add_argument("--zeta-order", type=int, default=1)
     p.add_argument("--zeta-k", type=int, default=1)
-    p.add_argument("--s", required=True, help='complex point "RE" or "RE,IM"')
+    p.add_argument(
+        "--s", type=_flag_type(_complex_point), required=True,
+        help='complex point "RE" or "RE,IM", finite; either part may be negative',
+    )
     p.add_argument("--tol", type=float, default=1e-12)
-    p.add_argument("--max-terms", type=int, default=200000)
+    p.add_argument(
+        "--max-terms", type=_flag_type(_bounded_int(1, MAX_TERMS)), default=200000,
+        help=f"most series terms summed, 1..{MAX_TERMS}",
+    )
     p.add_argument("--output")
     p.set_defaults(handler=_cmd_lfun)
 
@@ -266,18 +364,33 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="run one relation check over a grid")
     p.add_argument("--relation", required=True)
-    p.add_argument("--grid", default="default", help="default|file:PATH")
+    p.add_argument("--grid", type=_flag_type(_grid), default="default", help="default|file:PATH")
     p.add_argument("--output")
     p.set_defaults(handler=_cmd_check)
 
     return parser
 
 
+def _attach_negative_values(argv: list[str]) -> list[str]:
+    """Join "--opt -1e9" into "--opt=-1e9": argparse takes a value that
+    starts with "-" and is not a plain integer or decimal for an option."""
+    out = []
+    for token in argv:
+        if out and out[-1].startswith("--") and "=" not in out[-1] and _NEGATIVE_VALUE.match(token):
+            out[-1] = f"{out[-1]}={token}"
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_negative_values(sys.argv[1:] if argv is None else list(argv)))
     try:
         return args.handler(args)
+    except (UsageError, OSError) as exc:  # OSError: a character or --output file
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except (MathError, ValueError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3

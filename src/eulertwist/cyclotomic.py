@@ -1,9 +1,18 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_N).
 
-Elements are residues modulo the N-th cyclotomic polynomial Phi_N, stored as
-length-phi(N) vectors of rationals over the power basis 1, zeta, ...,
-zeta^(phi(N)-1).  Working modulo Phi_N rather than x^N - 1 keeps the ring a
-field, so power-series constant terms stay invertible.
+Elements are residues modulo the N-th cyclotomic polynomial Phi_N over the
+power basis 1, zeta, ..., zeta^(phi(N)-1).  Working modulo Phi_N rather than
+x^N - 1 keeps the ring a field, so power-series constant terms stay
+invertible.
+
+An element a = (num_0 + num_1 zeta + ... ) / den is stored as one integer
+numerator vector ``num`` over one integer denominator ``den`` (the layout of
+ANTIC's ``nf_elem``; Cohen, *A Course in Computational Algebraic Number
+Theory*, 4.2).  The form is canonical: ``den > 0`` and
+``gcd(den, *num) == 1``, so zero is ``(0, ..., 0) / 1`` and structural
+equality is equality in the field.  Every operation works on integers and
+divides out the content gcd once at the end; ``coeffs`` gives the same
+element as a tuple of Fractions.
 
 The class of x itself is a primitive N-th root of unity; complex embeddings
 send it to exp(2*pi*i*k/N).
@@ -12,7 +21,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -63,27 +71,37 @@ class CyclotomicField:
                 for i in range(self.degree):
                     shifted[i] -= lead * phi_coeffs[i]
             table[j] = shifted[: self.degree]
-        self._power_table = table
+        self._power_table = [tuple(row) for row in table]
+        # The nonzero entries of x^j for j >= degree: the rows a vector's
+        # high part is reduced through.
+        self._high_rows = [
+            tuple((i, c) for i, c in enumerate(row) if c) for row in self._power_table[self.degree :]
+        ]
 
-    def reduce(self, coeffs: list[Fraction]) -> "CyclotomicNumber":
-        """Reduce a coefficient list of any length <= table size mod Phi_N."""
-        out = [Fraction(0)] * self.degree
-        for j, c in enumerate(coeffs):
+    def _reduce_ints(self, vec: list[int], den: int) -> "CyclotomicNumber":
+        """vec / den mod Phi_N for an integer vector of length <= table size."""
+        n = self.degree
+        out = vec[:n] + [0] * (n - len(vec))
+        for c, row in zip(vec[n:], self._high_rows):
             if c:
-                row = self._power_table[j]
-                for i in range(self.degree):
-                    if row[i]:
-                        out[i] += c * row[i]
-        return CyclotomicNumber(self, tuple(out))
+                for i, r in row:
+                    out[i] += c * r
+        return CyclotomicNumber(self, out, den)
+
+    def reduce(self, coeffs) -> "CyclotomicNumber":
+        """Reduce a list of rationals of any length <= table size mod Phi_N."""
+        if len(coeffs) > len(self._power_table):
+            raise ValueError(f"at most {len(self._power_table)} coefficients reduce in order {self.order}")
+        fracs = [Fraction(c) for c in coeffs]
+        den = math.lcm(*(c.denominator for c in fracs))
+        return self._reduce_ints([c.numerator * (den // c.denominator) for c in fracs], den)
 
     def from_rational(self, value) -> "CyclotomicNumber":
-        vec = [Fraction(0)] * self.degree
-        vec[0] = Fraction(value)
-        return CyclotomicNumber(self, tuple(vec))
+        value = Fraction(value)
+        return _make(self, (value.numerator,) + (0,) * (self.degree - 1), value.denominator)
 
     def zeta_power(self, exponent: int) -> "CyclotomicNumber":
-        row = self._power_table[exponent % self.order]
-        return CyclotomicNumber(self, tuple(Fraction(c) for c in row))
+        return _make(self, self._power_table[exponent % self.order], 1)
 
     def zeta(self) -> "CyclotomicNumber":
         return self.zeta_power(1)
@@ -105,10 +123,30 @@ def cyclotomic_field(order: int) -> CyclotomicField:
     return CyclotomicField(order)
 
 
-@dataclass(frozen=True)
 class CyclotomicNumber:
-    field: CyclotomicField
-    coeffs: tuple[Fraction, ...]
+    """num / den in Q(zeta_N), canonical; immutable after construction."""
+
+    __slots__ = ("field", "num", "den")
+
+    def __init__(self, field: CyclotomicField, num, den: int = 1):
+        """The element num / den, from any integer vector of length
+        field.degree and any nonzero integer den."""
+        if len(num) != field.degree:
+            raise ValueError(f"expected {field.degree} coefficients for order {field.order}")
+        if den == 0:
+            raise DivisionByZero("zero denominator in a cyclotomic number")
+        g = math.gcd(den, *num)  # also rejects entries that are not ints
+        if den < 0:
+            g = -g
+        self.field = field
+        self.num = tuple(num) if g == 1 else tuple([c // g for c in num])
+        self.den = den // g
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The power-basis coefficients as Fractions."""
+        den = self.den
+        return tuple(Fraction(c, den) for c in self.num)
 
     def _coerce(self, other) -> "CyclotomicNumber":
         if isinstance(other, CyclotomicNumber):
@@ -125,7 +163,7 @@ class CyclotomicNumber:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return CyclotomicNumber(self.field, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        return _sum(self.field, self.num, self.den, other.num, other.den, 1)
 
     __radd__ = __add__
 
@@ -133,46 +171,81 @@ class CyclotomicNumber:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return CyclotomicNumber(self.field, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+        return _sum(self.field, self.num, self.den, other.num, other.den, -1)
 
     def __rsub__(self, other) -> "CyclotomicNumber":
         return (-self) + other
 
     def __neg__(self) -> "CyclotomicNumber":
-        return CyclotomicNumber(self.field, tuple(-a for a in self.coeffs))
+        return _make(self.field, tuple([-a for a in self.num]), self.den)
 
     def __mul__(self, other) -> "CyclotomicNumber":
         if isinstance(other, (int, Fraction)):
-            return CyclotomicNumber(self.field, tuple(a * other for a in self.coeffs))
+            # With gcd(den, num) = 1 and gcd(p, q) = 1, the content of
+            # (p*num)/(den*q) is gcd(den, p) * gcd(q, num).
+            p, q = other.numerator, other.denominator
+            g, h = math.gcd(self.den, p), math.gcd(q, *self.num)
+            k = p // g
+            return _make(self.field, tuple([a // h * k for a in self.num]), self.den // g * (q // h))
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        n = self.field.degree
-        prod = [Fraction(0)] * (2 * n - 1)
-        for i, a in enumerate(self.coeffs):
+        right = [(j, b) for j, b in enumerate(other.num) if b]
+        prod = [0] * (2 * self.field.degree - 1)
+        for i, a in enumerate(self.num):
             if a:
-                for j, b in enumerate(other.coeffs):
-                    if b:
-                        prod[i + j] += a * b
-        return self.field.reduce(prod)
+                for j, b in right:
+                    prod[i + j] += a * b
+        return self.field._reduce_ints(prod, self.den * other.den)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "CyclotomicNumber":
-        """Multiplicative inverse via the extended Euclidean algorithm mod Phi_N."""
+        """Multiplicative inverse: solve (multiplication by num) x = 1 over
+        the integers by fraction-free (Bareiss) elimination."""
         if self.is_zero():
             raise DivisionByZero("inverse of zero in a cyclotomic field")
-        r0, r1 = self.field.minimal_polynomial, Poly.of(*self.coeffs)
-        t0, t1 = Poly.zero(), Poly.one()
-        while r1.degree > 0:
-            q, r = divmod(r0, r1)
-            r0, r1 = r1, r
-            t0, t1 = t1, t0 - q * t1
-        # r1 is a nonzero constant: Phi_N is irreducible over Q
-        scale = r1.coeffs[0]
-        inv = t1 * (1 / scale)
-        vec = [inv.coefficient(i) for i in range(self.field.degree)]
-        return CyclotomicNumber(self.field, tuple(vec))
+        field, num, den = self.field, self.num, self.den
+        n = field.degree
+        if not any(num[1:]):
+            return field.from_rational(Fraction(den, num[0]))
+        # Column j of the matrix is num * x^j mod Phi_N; each row ends with
+        # its coefficient of the right-hand side 1.
+        columns = [list(num)]
+        for _ in range(n - 1):
+            last = columns[-1]
+            lead = last[-1]
+            column = [0] + last[:-1]
+            if lead:
+                for i, r in field._high_rows[0]:
+                    column[i] += lead * r
+            columns.append(column)
+        rows = [[*row, 0] for row in zip(*columns)]
+        rows[0][n] = 1
+        # Entries left of the diagonal are never read again, so they are
+        # not cleared.
+        previous = 1
+        for k in range(n):
+            if rows[k][k] == 0:
+                swap = next(r for r in range(k + 1, n) if rows[r][k])
+                rows[k], rows[swap] = rows[swap], rows[k]
+            pivot = rows[k][k]
+            tail = rows[k][k + 1 :]
+            for row in rows[k + 1 :]:
+                factor = row[k]
+                row[k + 1 :] = [
+                    (pivot * x - factor * y) // previous for x, y in zip(row[k + 1 :], tail)
+                ]
+            previous = pivot
+        # rows is now upper triangular with rows[n-1][n-1] = +-det; back
+        # substitution yields det * x, every division exact.
+        det = rows[n - 1][n - 1]
+        x = [0] * n
+        for i in range(n - 1, -1, -1):
+            row = rows[i]
+            acc = det * row[n] - sum([a * b for a, b in zip(row[i + 1 : n], x[i + 1 :])])
+            x[i] = acc // row[i]
+        return CyclotomicNumber(field, [c * den for c in x], det)
 
     def __truediv__(self, other) -> "CyclotomicNumber":
         other = self._coerce(other)
@@ -200,13 +273,13 @@ class CyclotomicNumber:
             other = self.field.from_rational(other)
         if not isinstance(other, CyclotomicNumber) or other.field is not self.field:
             return False
-        return self.coeffs == other.coeffs
+        return self.den == other.den and self.num == other.num
 
     def __hash__(self) -> int:
-        return hash((self.field.order, self.coeffs))
+        return hash((self.field.order, self.num, self.den))
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.num)
 
     def __bool__(self) -> bool:
         return not self.is_zero()
@@ -221,12 +294,41 @@ class CyclotomicNumber:
         return f"CyclotomicNumber(order={self.field.order}, coeffs={self.coeffs})"
 
 
+def _make(field: CyclotomicField, num: tuple, den: int) -> CyclotomicNumber:
+    """Wrap a vector already in canonical form."""
+    out = object.__new__(CyclotomicNumber)
+    out.field, out.num, out.den = field, num, den
+    return out
+
+
+def _sum(field: CyclotomicField, a: tuple, da: int, b: tuple, db: int, sign: int) -> CyclotomicNumber:
+    """a/da + sign * b/db for canonical operands.
+
+    Over the common denominator da*db/g, g = gcd(da, db), a prime that
+    divides the new denominator and every new numerator entry divides g
+    (otherwise it would divide da and all of a, or db and all of b), so the
+    content gcd is taken against g alone and skipped when g = 1."""
+    g = math.gcd(da, db)
+    if da == db:
+        num = [x + y for x, y in zip(a, b)] if sign > 0 else [x - y for x, y in zip(a, b)]
+        den = da
+    else:
+        ma, mb = db // g, sign * (da // g)
+        num = [x * ma + y * mb for x, y in zip(a, b)]
+        den = da * ma
+    if g != 1:
+        h = math.gcd(g, *num)
+        if h != 1:
+            return _make(field, tuple([c // h for c in num]), den // h)
+    return _make(field, tuple(num), den)
+
+
 def cyclotomic_from_json(doc: dict) -> CyclotomicNumber:
     field = cyclotomic_field(int(doc["order"]))
     coeffs = [parse_rational(c) for c in doc["coeffs"]]
     if len(coeffs) != field.degree:
         raise ValueError(f"expected {field.degree} coefficients for order {field.order}")
-    return CyclotomicNumber(field, tuple(coeffs))
+    return field.reduce(coeffs)
 
 
 def embed_complex(a: CyclotomicNumber, k: int = 1) -> complex:
@@ -235,9 +337,11 @@ def embed_complex(a: CyclotomicNumber, k: int = 1) -> complex:
     if math.gcd(k, n) != 1:
         raise NotAPrimitiveEmbedding(f"gcd({k}, {n}) != 1")
     root = cmath.exp(2j * cmath.pi * k / n)
+    den = a.den
     value = 0j
-    for c in reversed(a.coeffs):
-        value = value * root + complex(c)
+    for c in reversed(a.num):
+        # int / int is correctly rounded: the same float as float(Fraction)
+        value = value * root + complex(c / den)
     return value
 
 

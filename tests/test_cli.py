@@ -7,6 +7,7 @@ from fractions import Fraction as F
 import pytest
 
 from eulertwist import cli
+from eulertwist.lfunction import LEvaluation
 from eulertwist.polys import Poly
 from eulertwist.rationals import parse_rational
 
@@ -191,3 +192,79 @@ def test_output_flag_writes_file(tmp_path, capsys):
     code = cli.main(["classic", "--n", "2", "--output", str(target)])
     assert code == 0
     assert json.loads(target.read_text()) == {"n": 2, "coeffs": ["1/1", "1/1"]}
+
+
+def usage_exit(capsys, *argv):
+    """The exit code of a run that must stop at the argparse boundary, and stderr."""
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main(list(argv))
+    return excinfo.value.code, capsys.readouterr().err
+
+
+def test_zero_denominator_q_is_usage_error(capsys):
+    code, err = usage_exit(capsys, "twisted", "--q", "1/0", "--d", "3", "--n", "0")
+    assert code == 2 and "--q" in err and "Traceback" not in err
+
+
+def test_missing_grid_file_is_usage_error(capsys, tmp_path):
+    code, err = usage_exit(capsys, "check", "--relation", "thm2", "--grid", f"file:{tmp_path / 'none.json'}")
+    assert code == 2 and "--grid" in err
+
+
+@pytest.mark.parametrize("indices", ["5..2", "-1"])
+def test_empty_or_negative_index_list_is_usage_error(capsys, indices):
+    code, err = usage_exit(capsys, "twisted", "--q", "2", "--d", "3", "--n", indices)
+    assert code == 2 and "--n" in err
+
+
+def test_negative_levels_is_usage_error(capsys):
+    code, err = usage_exit(capsys, "integral", "--n", "1", "--q", "4", "--p", "3", "--levels", "-1")
+    assert code == 2 and "--levels" in err
+
+
+def test_max_terms_above_bound_is_rejected_before_summing(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "l_eval", lambda params: pytest.fail("the series was started"))
+    code, err = usage_exit(
+        capsys, "lfun", "--q", "2", "--d", "3", "--s=-1e9", "--max-terms", str(cli.MAX_TERMS + 1),
+    )
+    assert code == 2 and "--max-terms" in err
+
+
+def test_truncation_above_bound_is_rejected_before_summing(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "padic_truncation", lambda *args: pytest.fail("the sums were started"))
+    code = cli.main(["integral", "--levels", "20", "--q", "4", "--p", "3", "--n", "2"])
+    assert code == 2
+    assert str(cli.MAX_TRUNCATION_TERMS) in capsys.readouterr().err
+    # a large level count is bounded without computing p^levels in full
+    assert cli.main(["integral", "--levels", "1000000000", "--q", "4", "--p", "3", "--n", "2"]) == 2
+
+
+@pytest.mark.parametrize("command, bound", [("lfun", "MAX_TERMS"), ("integral", "MAX_TRUNCATION_TERMS")])
+def test_bounds_are_documented_in_help(capsys, command, bound):
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main([command, "--help"])
+    assert excinfo.value.code == 0
+    assert str(getattr(cli, bound)) in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "text, expected", [("-1e9", complex(-1e9)), ("-0.5,3", complex(-0.5, 3)), ("-.5", complex(-0.5))]
+)
+def test_negative_s_values_parse(capsys, monkeypatch, text, expected):
+    seen = []
+
+    def fake_eval(params):
+        seen.append(params.s)
+        return LEvaluation(value=0j, terms_used=1, tail_bound=0.0)
+
+    monkeypatch.setattr(cli, "l_eval", fake_eval)
+    code, out = run_cli(capsys, "lfun", "--q", "2", "--d", "3", "--s", text)
+    assert code == 0 and seen == [expected]
+    assert json.loads(out)["s"] == [expected.real, expected.imag]
+
+
+def test_unreadable_character_and_output_files_are_usage_errors(capsys, tmp_path):
+    missing = tmp_path / "none" / "x.json"
+    assert cli.main(["twisted", "--q", "2", "--d", "3", "--char", f"file:{missing}", "--n", "0"]) == 2
+    assert cli.main(["classic", "--n", "3", "--output", str(missing)]) == 2
+    assert "Traceback" not in capsys.readouterr().err

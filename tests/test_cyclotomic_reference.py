@@ -1,0 +1,172 @@
+"""The integer-vector field arithmetic against a Fraction reference.
+
+The reference is the earlier rational implementation: a schoolbook product
+of Fraction coefficients reduced by polynomial division by Phi_N, and the
+extended Euclidean inverse over Fraction polynomials.  Results must agree
+coefficient for coefficient and stay in canonical form; the complex
+embedding must agree bit for bit with a Fraction Horner loop.
+"""
+import cmath
+import math
+from fractions import Fraction as F
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from eulertwist import Poly, cyclotomic_field, cyclotomic_polynomial, embed_complex
+from eulertwist.cyclotomic import CyclotomicNumber
+
+ORDERS = (9, 36, 54)
+
+
+def ref_reduce(field, coeffs):
+    remainder = divmod(Poly.of(*coeffs), field.minimal_polynomial)[1]
+    return tuple(remainder.coefficient(i) for i in range(field.degree))
+
+
+def ref_mul(field, a, b):
+    prod = [F(0)] * (2 * field.degree - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                if y:
+                    prod[i + j] += x * y
+    return ref_reduce(field, prod)
+
+
+def ref_inverse(field, a):
+    r0, r1 = field.minimal_polynomial, Poly.of(*a)
+    t0, t1 = Poly.zero(), Poly.one()
+    while r1.degree > 0:
+        q, r = divmod(r0, r1)
+        r0, r1 = r1, r
+        t0, t1 = t1, t0 - q * t1
+    inv = t1 * (1 / r1.coeffs[0])
+    return tuple(inv.coefficient(i) for i in range(field.degree))
+
+
+def ref_pow(field, a, n):
+    if n < 0:
+        a, n = ref_inverse(field, a), -n
+    result = (F(1),) + (F(0),) * (field.degree - 1)
+    for _ in range(n):
+        result = ref_mul(field, result, a)
+    return result
+
+
+def ref_embed(field, a, k):
+    root = cmath.exp(2j * cmath.pi * k / field.order)
+    value = 0j
+    for c in reversed(a):
+        value = value * root + complex(c)
+    return value
+
+
+def assert_canonical(x):
+    assert all(type(c) is int for c in x.num) and type(x.den) is int
+    assert len(x.num) == x.field.degree
+    assert x.den > 0
+    assert math.gcd(x.den, *x.num) == 1
+    if not any(x.num):
+        assert x.den == 1
+
+
+def bits(z):
+    """Both parts exactly, the sign of a zero part included."""
+    return (z.real.hex(), z.imag.hex())
+
+
+rationals = st.builds(F, st.integers(-99, 99), st.integers(1, 99))
+
+
+@st.composite
+def elements(draw, field):
+    """Dense, sparse (mostly zero) and rational elements."""
+    kind = draw(st.sampled_from(("dense", "sparse", "rational")))
+    n = field.degree
+    if kind == "dense":
+        coeffs = draw(st.lists(rationals, min_size=n, max_size=n))
+    elif kind == "sparse":
+        coeffs = draw(st.lists(st.one_of(st.just(F(0)), rationals), min_size=n, max_size=n))
+    else:
+        coeffs = [draw(rationals)] + [F(0)] * (n - 1)
+    return tuple(coeffs)
+
+
+@st.composite
+def field_pairs(draw):
+    field = cyclotomic_field(draw(st.sampled_from(ORDERS)))
+    return field, draw(elements(field)), draw(elements(field))
+
+
+@settings(max_examples=60, deadline=None)
+@given(field_pairs(), rationals, st.integers(-40, 40))
+def test_ring_operations_match_reference(pair, scalar, integer):
+    field, ra, rb = pair
+    a, b = field.reduce(list(ra)), field.reduce(list(rb))
+    assert a.coeffs == ra and b.coeffs == rb
+    expected = {
+        "add": (a + b, tuple(x + y for x, y in zip(ra, rb))),
+        "sub": (a - b, tuple(x - y for x, y in zip(ra, rb))),
+        "neg": (-a, tuple(-x for x in ra)),
+        "mul": (a * b, ref_mul(field, ra, rb)),
+        "square": (a * a, ref_mul(field, ra, ra)),
+        "fraction": (a * scalar, tuple(x * scalar for x in ra)),
+        "integer": (integer * a, tuple(x * integer for x in ra)),
+        # scaling back shares factors between the scalar and every entry
+        "rescale": ((a * 6) * F(1, 6), ra),
+        "radd": (scalar + a, (ra[0] + scalar,) + ra[1:]),
+    }
+    for name, (got, want) in expected.items():
+        assert got.coeffs == want, name
+        assert_canonical(got)
+
+
+@settings(max_examples=40, deadline=None)
+@given(field_pairs(), st.integers(-3, 4))
+def test_inverse_and_powers_match_reference(pair, exponent):
+    field, ra, _ = pair
+    a = field.reduce(list(ra))
+    if a.is_zero():
+        return
+    inverse = a.inverse()
+    assert inverse.coeffs == ref_inverse(field, ra)
+    assert_canonical(inverse)
+    power = a**exponent
+    assert power.coeffs == ref_pow(field, ra, exponent)
+    assert_canonical(power)
+
+
+@settings(max_examples=40, deadline=None)
+@given(field_pairs())
+def test_equal_values_have_equal_hashes(pair):
+    field, ra, rb = pair
+    a, b = field.reduce(list(ra)), field.reduce(list(rb))
+    scaled = CyclotomicNumber(field, [-6 * c for c in a.num], -6 * a.den)
+    for left, right in ((a * b, b * a), ((a + b) - b, a), (scaled, a), (a * 2 - a, a)):
+        assert left == right
+        assert (left.num, left.den) == (right.num, right.den)
+        assert hash(left) == hash(right)
+    zero = a - a
+    assert zero.num == (0,) * field.degree and zero.den == 1
+    assert zero == field.zero and hash(zero) == hash(field.zero)
+
+
+@settings(max_examples=60, deadline=None)
+@given(field_pairs(), st.integers(0, 100))
+def test_embedding_matches_fraction_horner_bit_for_bit(pair, k_seed):
+    field, ra, _ = pair
+    units = [k for k in range(1, field.order) if math.gcd(k, field.order) == 1]
+    k = units[k_seed % len(units)]
+    a = field.reduce(list(ra))
+    for value, coeffs in ((a, ra), (-a, tuple(-x for x in ra))):
+        assert bits(embed_complex(value, k)) == bits(ref_embed(field, coeffs, k))
+
+
+@pytest.mark.parametrize("n", range(1, 61))
+def test_cyclotomic_polynomial_against_sympy(n):
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    expected = [int(c) for c in reversed(sympy.Poly(sympy.cyclotomic_poly(n, x), x).all_coeffs())]
+    assert cyclotomic_polynomial(n) == Poly.from_ints(*expected)
