@@ -28,12 +28,12 @@ from .fermionic import (
     IntegralSpec,
     TruncationReport,
     char_twist_integral,
-    distribution_identity_check,
+    distribution_identity_checks,
     padic_truncation,
     poly_twist_integral,
-    series_limit_check,
+    series_limit_checks,
 )
-from .lfunction import LEvaluation, LParams, interpolation_check, l_eval, series_partial_sum_check
+from .lfunction import LEvaluation, LParams, interpolation_checks, l_eval, series_partial_sum_checks
 from .polys import Poly
 from .rationals import PLUS_INFINITY, padic_valuation, q_bracket, q_bracket_neg
 from .series import TruncatedSeries, exp_linear, nth_taylor_coefficient
@@ -41,13 +41,13 @@ from .twisted import (
     TwistedConfig,
     TwistedValue,
     euler_gf_consistency,
-    euler_reduction_check,
-    multiplication_residual,
+    euler_reduction_checks,
+    multiplication_residuals,
     twisted_euler,
     twisted_gf,
     twisted_value,
     twisted_values,
-    witt_residual,
+    witt_residuals,
 )
 
 __version__ = "0.1.0"

@@ -215,9 +215,9 @@ def run_cor2_residual(grid: Grid) -> CheckReport:
         q = Fraction(1 + p)
         for char_name, char in (("principal", principal_character(p)),
                                 ("quadratic", quadratic_character(p))):
-            for n in range(grid.padic_n_max + 1):
+            reports = fermionic.series_limit_checks(grid.padic_n_max, char, q, p, grid.level_max)
+            for n, res in enumerate(reports):
                 key = f"p={p} char={char_name} n={n}"
-                res = fermionic.series_limit_check(n, char, q, p, grid.level_max)
                 vals = [lv.valuation for lv in res.levels]
                 growth = all(v >= lv.level for lv, v in zip(res.levels, vals)) and all(
                     vals[i] <= vals[i + 1] for i in range(len(vals) - 1)

@@ -36,6 +36,9 @@ from .twisted import TwistedConfig, twisted_values
 # Upper bounds on the work one invocation may start.
 MAX_TERMS = 10_000_000  # lfun --max-terms: L-series terms summed
 MAX_TRUNCATION_TERMS = 20_000  # integral: p^levels terms in the largest Riemann sum
+# twisted, classic and integral --n: the largest index; the work grows fast
+# in n (Eulerian polynomials up to degree n), and n = 40 takes a few seconds.
+MAX_INDEX = 40
 
 # An option value argparse would otherwise read as an option: "-1e9", "-.5",
 # "-0.5,3", "-3/7".
@@ -80,7 +83,8 @@ def _flag_type(parse):
 
 
 def _index_list(text: str) -> list[int]:
-    """Index lists: "3", "0,2,4", or "0..5" (inclusive); nonempty, each >= 0."""
+    """Index lists: "3", "0,2,4", or "0..5" (inclusive); nonempty, each in
+    0..MAX_INDEX."""
     text = text.strip()
     if ".." in text:
         lo, _, hi = text.partition("..")
@@ -91,6 +95,8 @@ def _index_list(text: str) -> list[int]:
         raise ValueError("empty index range")
     if min(indices) < 0:
         raise ValueError("indices must be >= 0")
+    if max(indices) > MAX_INDEX:
+        raise ValueError(f"indices must be <= {MAX_INDEX}")
     return indices
 
 
@@ -104,6 +110,14 @@ def _bounded_int(lo: int, hi: int | None = None):
         return value
 
     return parse
+
+
+def _tolerance(text: str) -> float:
+    """A finite float > 0: a tolerance that can be met."""
+    tol = float(text)
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError("must be a finite number > 0")
+    return tol
 
 
 def _complex_point(text: str) -> complex:
@@ -164,6 +178,13 @@ def _validate_zeta(order: int, exponent: int) -> None:
         raise ValueError(f"zeta exponent {exponent} is not coprime to order {order}")
 
 
+def _point_config(args) -> TwistedConfig:
+    """The parameter point named by the shared point flags."""
+    _validate_zeta(args.zeta_order, args.zeta_k)
+    char = _resolve_character(args.char, args.d)
+    return TwistedConfig.build(char, args.zeta_order, args.zeta_k % args.zeta_order, args.q)
+
+
 def _emit(args, text: str) -> None:
     if getattr(args, "output", None):
         with open(args.output, "w", encoding="utf-8") as fh:
@@ -186,10 +207,7 @@ def _cmd_classic(args) -> int:
 
 
 def _cmd_twisted(args) -> int:
-    q = args.q
-    _validate_zeta(args.zeta_order, args.zeta_k)
-    char = _resolve_character(args.char, args.d)
-    cfg = TwistedConfig.build(char, args.zeta_order, args.zeta_k % args.zeta_order, q)
+    cfg = _point_config(args)
     indices = args.n
     values = twisted_values(cfg, max(indices))
     rows = []
@@ -199,7 +217,7 @@ def _cmd_twisted(args) -> int:
         rows.append({"n": n, "cyclotomic": val.to_json(), "complex": [emb.real, emb.imag]})
     doc = {
         "params": {
-            "q": format_rational(q),
+            "q": format_rational(args.q),
             "d": args.d,
             "char": args.char,
             "zeta_order": args.zeta_order,
@@ -263,10 +281,7 @@ def _cmd_integral(args) -> int:
 
 
 def _cmd_lfun(args) -> int:
-    q = args.q
-    _validate_zeta(args.zeta_order, args.zeta_k)
-    char = _resolve_character(args.char, args.d)
-    cfg = TwistedConfig.build(char, args.zeta_order, args.zeta_k % args.zeta_order, q)
+    cfg = _point_config(args)
     s = args.s
     result: LEvaluation = l_eval(
         LParams(s=s, cfg=cfg, tol=args.tol, max_terms=args.max_terms)
@@ -306,29 +321,32 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     rational = _flag_type(parse_rational)
+    index = _flag_type(_bounded_int(0, MAX_INDEX))
+
+    point = argparse.ArgumentParser(add_help=False)
+    point.add_argument("--q", type=rational, required=True, help='rational, e.g. "2" or "5/2"')
+    point.add_argument("--d", type=int, required=True, help="character modulus (odd)")
+    point.add_argument("--char", default="principal", help="principal|quadratic|index:I|file:PATH")
+    point.add_argument("--zeta-order", type=int, default=1)
+    point.add_argument("--zeta-k", type=int, default=1)
 
     p = sub.add_parser("classic", help="classical Eulerian polynomial coefficients")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=index, required=True, help=f"polynomial index, 0..{MAX_INDEX}")
     p.add_argument("--check-oracle", action="store_true")
     p.add_argument("--output")
     p.set_defaults(handler=_cmd_classic)
 
-    p = sub.add_parser("twisted", help="twisted Eulerian values on a parameter point")
-    p.add_argument("--q", type=rational, required=True, help='rational, e.g. "2" or "5/2"')
-    p.add_argument("--d", type=int, required=True, help="character modulus (odd)")
-    p.add_argument("--char", default="principal", help="principal|quadratic|index:I|file:PATH")
-    p.add_argument("--zeta-order", type=int, default=1)
-    p.add_argument("--zeta-k", type=int, default=1)
+    p = sub.add_parser("twisted", parents=[point], help="twisted Eulerian values on a parameter point")
     p.add_argument(
         "--n", type=_flag_type(_index_list), required=True,
-        help='index list: "3", "0,2", or "0..5"; nonempty, each >= 0',
+        help=f'index list: "3", "0,2", or "0..5"; nonempty, each in 0..{MAX_INDEX}',
     )
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--output")
     p.set_defaults(handler=_cmd_twisted)
 
     p = sub.add_parser("integral", help="alternating Riemann-sum truncation report")
-    p.add_argument("--n", type=_flag_type(_bounded_int(0)), required=True, help="moment index, >= 0")
+    p.add_argument("--n", type=index, required=True, help=f"moment index, 0..{MAX_INDEX}")
     p.add_argument("--q", type=rational, required=True)
     p.add_argument("--p", type=int, required=True)
     p.add_argument(
@@ -339,17 +357,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output")
     p.set_defaults(handler=_cmd_integral)
 
-    p = sub.add_parser("lfun", help="L-series value at a complex point")
-    p.add_argument("--q", type=rational, required=True)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--char", default="principal")
-    p.add_argument("--zeta-order", type=int, default=1)
-    p.add_argument("--zeta-k", type=int, default=1)
+    p = sub.add_parser("lfun", parents=[point], help="L-series value at a complex point")
     p.add_argument(
         "--s", type=_flag_type(_complex_point), required=True,
         help='complex point "RE" or "RE,IM", finite; either part may be negative',
     )
-    p.add_argument("--tol", type=float, default=1e-12)
+    p.add_argument(
+        "--tol", type=_flag_type(_tolerance), default=1e-12,
+        help="bound on the series tail, a finite float > 0",
+    )
     p.add_argument(
         "--max-terms", type=_flag_type(_bounded_int(1, MAX_TERMS)), default=200000,
         help=f"most series terms summed, 1..{MAX_TERMS}",
@@ -386,6 +402,12 @@ def _attach_negative_values(argv: list[str]) -> list[str]:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(_attach_negative_values(sys.argv[1:] if argv is None else list(argv)))
+    # Exact results may have more digits than Python's int-to-string limit
+    # (3.10.7 and later) allows; lift it while the handler runs.  The flags
+    # were parsed above, under the limit.
+    digit_limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if digit_limit is not None:
+        sys.set_int_max_str_digits(0)
     try:
         return args.handler(args)
     except (UsageError, OSError) as exc:  # OSError: a character or --output file
@@ -394,6 +416,9 @@ def main(argv=None) -> int:
     except (MathError, ValueError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
+    finally:
+        if digit_limit is not None:
+            sys.set_int_max_str_digits(digit_limit)
 
 
 if __name__ == "__main__":

@@ -350,11 +350,7 @@ def galois_conjugate(a: CyclotomicNumber, k: int) -> CyclotomicNumber:
     n = a.field.order
     if math.gcd(k, n) != 1:
         raise NotAPrimitiveEmbedding(f"gcd({k}, {n}) != 1")
-    out = a.field.zero
-    for j, c in enumerate(a.coeffs):
-        if c:
-            out = out + a.field.zeta_power(j * k) * c
-    return out
+    return _substitute(a, a.field, k)
 
 
 def lift_to_field(a: CyclotomicNumber, target: CyclotomicField) -> CyclotomicNumber:
@@ -363,9 +359,14 @@ def lift_to_field(a: CyclotomicNumber, target: CyclotomicField) -> CyclotomicNum
         return a
     if target.order % a.field.order != 0:
         raise FieldMismatch(f"{a.field.order} does not divide {target.order}")
-    step = target.order // a.field.order
-    out = target.zero
-    for j, c in enumerate(a.coeffs):
+    return _substitute(a, target, target.order // a.field.order)
+
+
+def _substitute(a: CyclotomicNumber, target: CyclotomicField, e: int) -> CyclotomicNumber:
+    """a(zeta_N) with zeta_N -> zeta_L^e in Q(zeta_L): the numerator entry j
+    goes to index j*e mod L, and the vector is reduced once over a.den."""
+    vec = [0] * target.order
+    for j, c in enumerate(a.num):
         if c:
-            out = out + target.zeta_power(j * step) * c
-    return out
+            vec[j * e % target.order] += c
+    return target._reduce_ints(vec, a.den)

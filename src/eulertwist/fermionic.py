@@ -15,7 +15,7 @@ from fractions import Fraction
 from .characters import DirichletCharacter
 from .cyclotomic import cyclotomic_field, lift_to_field
 from .errors import NotPadicallyConvergent, SingularFunctionalEquation
-from .eulerian import periodic_power_sum
+from .eulerian import periodic_power_sums
 from .rationals import format_rational, padic_valuation, q_bracket_neg
 from .series import _is_zero
 
@@ -86,12 +86,13 @@ def _powers(x, k: int) -> list:
     return out
 
 
-def _char_moment_sequence(n: int, char: DirichletCharacter, zeta, q: Fraction) -> list:
+def _char_moment_sequence(n: int, chi, zeta, q: Fraction) -> list:
+    """I(zeta^x chi(x) x^m) for m = 0..n; chi[a] = chi(a) for a < d, in the
+    field of zeta (see :func:`_aligned`)."""
     q = Fraction(q)
     if q in (0, -1):
         raise ValueError("q must avoid 0 and -1")
-    d = char.modulus
-    chi, zeta = _aligned(char, zeta)
+    d = len(chi)
     zeta_pows = _powers(zeta, d)
     pivot = zeta_pows[d] + q**d
     if _is_zero(pivot):
@@ -120,7 +121,7 @@ def char_twist_integral(n: int, char: DirichletCharacter, zeta, q: Fraction):
 
     solved upward in n.  The alternating kernel exponent d-1-l is the one
     obtained by iterating the one-step equation d times."""
-    return _char_moment_sequence(n, char, zeta, q)[n]
+    return _char_moment_sequence(n, *_aligned(char, zeta), q)[n]
 
 
 def residue_class_sums(n_max: int, chi, zeta, q: Fraction) -> list:
@@ -151,14 +152,10 @@ def distribution_identity_checks(n_max: int, char: DirichletCharacter, zeta, q: 
     q = Fraction(q)
     d = char.modulus
     chi, zeta = _aligned(char, zeta)
-    lhs = _char_moment_sequence(n_max, char, zeta, q)
+    lhs = _char_moment_sequence(n_max, chi, zeta, q)
     sums = residue_class_sums(n_max, chi, zeta, q)
     bracket = q_bracket_neg(d, 1 / q)
     return [EqualityReport(lhs[n], Fraction(d**n) / bracket * acc) for n, acc in enumerate(sums)]
-
-
-def distribution_identity_check(n: int, char: DirichletCharacter, zeta, q: Fraction) -> EqualityReport:
-    return distribution_identity_checks(n, char, zeta, q)[n]
 
 
 def alternating_kernel_ratio_check(d: int, values, q: Fraction) -> EqualityReport:
@@ -260,27 +257,30 @@ class SeriesLimitReport:
     levels: tuple[TruncationLevel, ...]  # valuation of U_N - limit per level
 
 
-def series_limit_check(
-    n: int, char: DirichletCharacter, q: Fraction, p: int, max_level: int
-) -> SeriesLimitReport:
-    """Unnormalized alternating sums U_N against twice the exact alternating
-    series value, plus the constant kernel-normalization ratio q^2."""
+def series_limit_checks(
+    n_max: int, char: DirichletCharacter, q: Fraction, p: int, max_level: int
+) -> list[SeriesLimitReport]:
+    """For n = 0..n_max, unnormalized alternating sums U_N against twice the
+    exact alternating series value, plus the constant kernel-normalization
+    ratio q^2; the series values come from one closed-form sequence."""
     q = Fraction(q)
     _check_padic_regime(q, p, char)
     period = math.lcm(2, char.modulus)
     cycle = [Fraction(-1) ** m * char.rational_value(m) for m in range(1, period + 1)]
-    closed = periodic_power_sum(cycle, n, 1 / q)
-    # The index-0 summand survives only at n = 0, and only when chi(0) != 0
-    # (modulus 1); the sums converge to twice the series plus twice that term.
-    index_zero = char.rational_value(0) if n == 0 else Fraction(0)
-    limit = 2 * (closed + index_zero)
-    scaled = 2 * q**2 * closed
-    ratio = None if closed == 0 else scaled / (2 * closed)
-    levels = tuple(
-        TruncationLevel(level, total, padic_valuation(total - limit, p))
-        for level, total in enumerate(_alternating_sums(n, q, p, max_level, char))
-    )
-    return SeriesLimitReport(
-        p=p, q=q, series_value=closed, limit=limit, scaled_limit=scaled,
-        ratio=ratio, levels=levels,
-    )
+    reports = []
+    for n, closed in enumerate(periodic_power_sums(cycle, n_max, 1 / q)):
+        # The index-0 summand survives only at n = 0, and only when chi(0) != 0
+        # (modulus 1); the sums converge to twice the series plus twice that term.
+        index_zero = char.rational_value(0) if n == 0 else Fraction(0)
+        limit = 2 * (closed + index_zero)
+        scaled = 2 * q**2 * closed
+        ratio = None if closed == 0 else scaled / (2 * closed)
+        levels = tuple(
+            TruncationLevel(level, total, padic_valuation(total - limit, p))
+            for level, total in enumerate(_alternating_sums(n, q, p, max_level, char))
+        )
+        reports.append(SeriesLimitReport(
+            p=p, q=q, series_value=closed, limit=limit, scaled_limit=scaled,
+            ratio=ratio, levels=levels,
+        ))
+    return reports

@@ -128,10 +128,6 @@ def interpolation_checks(cfg: TwistedConfig, ns, tol: float = 1e-9) -> list[Inte
     return out
 
 
-def interpolation_check(cfg: TwistedConfig, n: int, tol: float = 1e-9) -> InterpolationReport:
-    return interpolation_checks(cfg, [n], tol)[0]
-
-
 @dataclass(frozen=True)
 class PartialSumReport:
     numeric: complex
@@ -152,7 +148,3 @@ def series_partial_sum_checks(cfg: TwistedConfig, ns, tol: float = 1e-10) -> lis
     sums = alternating_char_sums(cfg, max(ns, default=0))
     exacts = [embed_complex(sums[n], 1) for n in ns]
     return [PartialSumReport(v, e, abs(v - e), tol) for v, e in zip(numerics, exacts)]
-
-
-def series_partial_sum_check(cfg: TwistedConfig, n: int, tol: float = 1e-10) -> PartialSumReport:
-    return series_partial_sum_checks(cfg, [n], tol)[0]

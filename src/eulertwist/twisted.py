@@ -133,10 +133,6 @@ def alternating_char_sums(cfg: TwistedConfig, n_max: int) -> list:
     return periodic_power_sums(cycle, n_max, 1 / cfg.q)
 
 
-def alternating_char_sum(cfg: TwistedConfig, n: int) -> CyclotomicNumber:
-    return alternating_char_sums(cfg, n)[n]
-
-
 def twisted_series_values(cfg: TwistedConfig, n_max: int) -> list[CyclotomicNumber]:
     """A_0 .. A_{n_max} through the alternating series: (-1)^n q (1+q)^(n+1)
     times the closed-form sum, plus the index-0 summand q(1+q) chi(0), which
@@ -212,18 +208,11 @@ def euler_gf_consistency(d_fold: int, zeta_eff, order: int) -> EulerGfReport:
     )
 
 
-def _defined(residual):
-    """A residual from a sequence, raised if it is undefined."""
-    if isinstance(residual, ResidualUndefined):
-        raise residual
-    return residual
-
-
 def witt_residuals(cfg: TwistedConfig, n_max: int) -> list:
     """Ratios of A_n to (-1)^n (1+q)^n I(zeta^x chi(x) x^n) for n <= n_max:
     the constant q^2, the gap between the d-l+1 kernel and the iterated d-1-l
     kernel.  Where the moment vanishes the entry is a ResidualUndefined."""
-    moments = _char_moment_sequence(n_max, cfg.char, cfg.zeta, cfg.q)
+    moments = _char_moment_sequence(n_max, cfg.char_values, cfg.zeta, cfg.q)
     out = []
     for n, (tv, integral) in enumerate(zip(twisted_values(cfg, n_max), moments)):
         denom = ((-1) ** n * (1 + cfg.q) ** n) * integral
@@ -232,10 +221,6 @@ def witt_residuals(cfg: TwistedConfig, n_max: int) -> list:
         else:
             out.append(tv.value * denom ** (-1))
     return out
-
-
-def witt_residual(cfg: TwistedConfig, n: int) -> CyclotomicNumber:
-    return _defined(witt_residuals(cfg, n)[n])
 
 
 def multiplication_residuals(cfg: TwistedConfig, n_max: int) -> list:
@@ -255,10 +240,6 @@ def multiplication_residuals(cfg: TwistedConfig, n_max: int) -> list:
     return out
 
 
-def multiplication_residual(cfg: TwistedConfig, n: int) -> CyclotomicNumber:
-    return _defined(multiplication_residuals(cfg, n)[n])
-
-
 def euler_reduction_checks(cfg: TwistedConfig, n_max: int) -> list[EqualityReport]:
     """At q = 1 the multiplication identity is exact: A_n at -1 must equal
     (-2d)^n sum_a (-1)^a chi(a) zeta^a E_n(a/d) with twist zeta^d, n <= n_max;
@@ -271,10 +252,3 @@ def euler_reduction_checks(cfg: TwistedConfig, n_max: int) -> list[EqualityRepor
         EqualityReport(tv.value, Fraction(-2 * d) ** n * acc)
         for n, (tv, acc) in enumerate(zip(twisted_values(cfg, n_max), sums))
     ]
-
-
-def euler_reduction_check(
-    char: DirichletCharacter, zeta_order: int, zeta_exponent: int, n: int
-) -> EqualityReport:
-    cfg = TwistedConfig.build(char, zeta_order, zeta_exponent, Fraction(1))
-    return euler_reduction_checks(cfg, n)[n]

@@ -14,13 +14,13 @@ from eulertwist import (
     TwistedConfig,
     cli,
     descent_oracle,
-    distribution_identity_check,
+    distribution_identity_checks,
     enumerate_characters,
     euler_gf_consistency,
-    euler_reduction_check,
+    euler_reduction_checks,
     eulerian_recurrence,
-    interpolation_check,
-    multiplication_residual,
+    interpolation_checks,
+    multiplication_residuals,
     nth_taylor_coefficient,
     padic_truncation,
     poly_twist_integral,
@@ -29,7 +29,7 @@ from eulertwist import (
     twisted_euler,
     twisted_gf,
     twisted_values,
-    witt_residual,
+    witt_residuals,
 )
 from eulertwist.checks import RELATIONS, grid_characters
 from eulertwist.cyclotomic import cyclotomic_field
@@ -37,10 +37,10 @@ from eulertwist.errors import ResidualUndefined
 from eulertwist.fermionic import (
     IntegralSpec,
     alternating_kernel_ratio_check,
-    series_limit_check,
+    series_limit_checks,
 )
 from eulertwist.ntheory import euler_phi
-from eulertwist.twisted import twisted_series_value
+from eulertwist.twisted import twisted_series_values
 
 Q_GRID = (F(2), F(3), F(5, 2))
 
@@ -90,8 +90,8 @@ def test_criterion_3_cross_path_identity():
     count = 0
     for cfg in config_grid(6):
         gf = twisted_gf(cfg, 7)
-        for n in range(7):
-            ok = ok and nth_taylor_coefficient(gf, n) == twisted_series_value(cfg, n)
+        for n, series in enumerate(twisted_series_values(cfg, 6)):
+            ok = ok and nth_taylor_coefficient(gf, n) == series
             count += 1
     report(3, "generating function vs closed-form series, exact", ok, f"{count} points")
 
@@ -103,8 +103,7 @@ def test_criterion_4_interpolation():
     anchor_cfg = TwistedConfig.build(quadratic_character(3), 1, 0, F(2))
     anchors = [v.value for v in twisted_values(anchor_cfg, 2)]
     ok = ok and anchors == [-4, 12, -12]
-    for n in range(3):
-        res = interpolation_check(anchor_cfg, n, tol=1e-9)
+    for res in interpolation_checks(anchor_cfg, range(3), tol=1e-9):
         ok = ok and res.passed
     for d in (3, 5):
         for char_name, char in grid_characters(d):
@@ -112,8 +111,7 @@ def test_criterion_4_interpolation():
                 k = 1 if zeta_order > 1 else 0
                 for q in (F(2), F(3)):
                     cfg = TwistedConfig.build(char, zeta_order, k, q)
-                    for n in range(6):
-                        res = interpolation_check(cfg, n, tol=1e-9)
+                    for res in interpolation_checks(cfg, range(6), tol=1e-9):
                         ok = ok and res.passed
     elapsed = time.monotonic() - start
     report(4, "L-series interpolates the exact values at -n", ok and elapsed < 30,
@@ -123,8 +121,8 @@ def test_criterion_4_interpolation():
 def test_criterion_5_distribution_identity():
     ok = True
     for cfg in config_grid(5):
-        for n in range(6):
-            ok = ok and distribution_identity_check(n, cfg.char, cfg.zeta, cfg.q).equal
+        for res in distribution_identity_checks(5, cfg.char, cfg.zeta, cfg.q):
+            ok = ok and res.equal
     report(5, "residue-class decomposition, exact", ok)
 
 
@@ -133,11 +131,8 @@ def test_criterion_6_normalization_residuals():
     skipped = 0
     for cfg in config_grid(5):
         expected = cfg.field.from_rational(cfg.q ** 2)
-        for n in range(6):
-            try:
-                rho1 = witt_residual(cfg, n)
-                rho5 = multiplication_residual(cfg, n)
-            except ResidualUndefined:
+        for rho1, rho5 in zip(witt_residuals(cfg, 5), multiplication_residuals(cfg, 5)):
+            if isinstance(rho1, ResidualUndefined) or isinstance(rho5, ResidualUndefined):
                 skipped += 1
                 continue
             ok = ok and rho1 == expected and rho5 == expected
@@ -154,14 +149,15 @@ def test_criterion_6_normalization_residuals():
 
 
 def test_criterion_7_reduction_at_q_one():
-    anchor = euler_reduction_check(quadratic_character(3), 1, 0, 0)
+    anchor = euler_reduction_checks(TwistedConfig.build(quadratic_character(3), 1, 0, F(1)), 0)[0]
     ok = anchor.lhs == -2 and anchor.rhs == -2
     for d in (3, 5):
         for char_name, char in grid_characters(d):
             for zeta_order in (1, 3):
                 k = 1 if zeta_order > 1 else 0
-                for n in range(6):
-                    ok = ok and euler_reduction_check(char, zeta_order, k, n).equal
+                cfg = TwistedConfig.build(char, zeta_order, k, F(1))
+                for res in euler_reduction_checks(cfg, 5):
+                    ok = ok and res.equal
     report(7, "exact reduction to twisted Euler values at q = 1", ok)
 
 
@@ -180,8 +176,7 @@ def test_criterion_8_padic_convergence():
                 ok = ok and all(v >= lv.level for lv, v in zip(rep.levels, vals))
                 ok = ok and all(vals[i] <= vals[i + 1] for i in range(len(vals) - 1))
         for char in (principal_character(p), quadratic_character(p)):
-            for n in range(5):
-                rep = series_limit_check(n, char, q, p, 4)
+            for rep in series_limit_checks(4, char, q, p, 4):
                 vals = [lv.valuation for lv in rep.levels]
                 ok = ok and all(v >= lv.level for lv, v in zip(rep.levels, vals))
                 ok = ok and (rep.ratio is None or rep.ratio == q ** 2)

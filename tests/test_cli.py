@@ -239,7 +239,10 @@ def test_truncation_above_bound_is_rejected_before_summing(capsys, monkeypatch):
     assert cli.main(["integral", "--levels", "1000000000", "--q", "4", "--p", "3", "--n", "2"]) == 2
 
 
-@pytest.mark.parametrize("command, bound", [("lfun", "MAX_TERMS"), ("integral", "MAX_TRUNCATION_TERMS")])
+@pytest.mark.parametrize("command, bound", [
+    ("lfun", "MAX_TERMS"), ("integral", "MAX_TRUNCATION_TERMS"),
+    ("twisted", "MAX_INDEX"), ("classic", "MAX_INDEX"), ("integral", "MAX_INDEX"),
+])
 def test_bounds_are_documented_in_help(capsys, command, bound):
     with pytest.raises(SystemExit) as excinfo:
         cli.main([command, "--help"])
@@ -268,3 +271,40 @@ def test_unreadable_character_and_output_files_are_usage_errors(capsys, tmp_path
     assert cli.main(["twisted", "--q", "2", "--d", "3", "--char", f"file:{missing}", "--n", "0"]) == 2
     assert cli.main(["classic", "--n", "3", "--output", str(missing)]) == 2
     assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, stub, argv", [
+    ("twisted", "twisted_values", ["--q", "2", "--d", "3", "--n", "0,41"]),
+    ("classic", "eulerian_recurrence", ["--n", "41"]),
+    ("classic", "eulerian_recurrence", ["--n", "-1"]),
+    ("integral", "padic_truncation", ["--q", "4", "--p", "3", "--levels", "2", "--n", "41"]),
+])
+def test_index_outside_bounds_is_rejected_before_computing(capsys, monkeypatch, command, stub, argv):
+    monkeypatch.setattr(cli, stub, lambda *args: pytest.fail("the computation was started"))
+    code, err = usage_exit(capsys, command, *argv)
+    assert code == 2 and "--n" in err
+
+
+@pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
+def test_unmeetable_tolerance_is_rejected_before_summing(capsys, monkeypatch, tol):
+    monkeypatch.setattr(cli, "l_eval", lambda params: pytest.fail("the series was started"))
+    code, err = usage_exit(capsys, "lfun", "--q", "2", "--d", "3", "--s", "1", "--tol", tol)
+    assert code == 2 and "--tol" in err
+
+
+def test_rationals_longer_than_the_default_digit_limit_are_printed(capsys, monkeypatch):
+    reports = []
+    real = cli.padic_truncation
+    monkeypatch.setattr(cli, "padic_truncation", lambda *args: reports.append(real(*args)) or reports[-1])
+    limit = sys.get_int_max_str_digits()
+    code, out = run_cli(capsys, "integral", "--n", "2", "--q", "4", "--p", "3", "--levels", "9")
+    assert code == 0
+    assert sys.get_int_max_str_digits() == limit  # restored after the run
+    printed = [line.split(",")[1] for line in out.splitlines()[1:]]
+    assert max(len(text) for text in printed) > limit
+    sys.set_int_max_str_digits(0)  # parsing them back needs the limit lifted too
+    try:
+        parsed = [parse_rational(text) for text in printed]
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert parsed == [lv.partial for lv in reports[0].levels]

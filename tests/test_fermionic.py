@@ -10,7 +10,7 @@ from eulertwist import (
     PLUS_INFINITY,
     char_twist_integral,
     cyclotomic_field,
-    distribution_identity_check,
+    distribution_identity_checks,
     eulerian_recurrence,
     padic_truncation,
     poly_twist_integral,
@@ -22,7 +22,7 @@ from eulertwist.errors import NotPadicallyConvergent, SingularFunctionalEquation
 from eulertwist.fermionic import (
     IntegralSpec,
     alternating_kernel_ratio_check,
-    series_limit_check,
+    series_limit_checks,
 )
 
 
@@ -108,19 +108,17 @@ class TestCharTwistIntegral:
 
 class TestDistributionIdentity:
     def test_anchor(self):
-        report = distribution_identity_check(0, quadratic_character(3), 1, F(2))
+        report = distribution_identity_checks(0, quadratic_character(3), 1, F(2))[0]
         assert report.lhs == -1
         assert report.equal
 
     def test_modulus_one_is_structural(self):
-        for n in range(4):
-            report = distribution_identity_check(n, principal_character(1), 1, F(3))
+        for report in distribution_identity_checks(3, principal_character(1), 1, F(3)):
             assert report.equal
 
     def test_cyclotomic_point(self):
         zeta = cyclotomic_field(3).zeta()
-        for n in range(5):
-            report = distribution_identity_check(n, quadratic_character(5), zeta, F(3))
+        for report in distribution_identity_checks(4, quadratic_character(5), zeta, F(3)):
             assert report.equal
 
 
@@ -166,7 +164,7 @@ class TestPadicTruncation:
     def test_partial_sums_equal_a_fresh_sum_per_level(self, n, p, char):
         q = F(1 + p)
         report = padic_truncation(n, q, p, 3, char=char)
-        limits = series_limit_check(n, char, q, p, 3) if char is not None else None
+        limits = series_limit_checks(n, char, q, p, 3)[n] if char is not None else None
         for level in range(4):
             count = p**level
             fresh = sum(
@@ -188,7 +186,7 @@ class TestPadicTruncation:
 
 class TestSeriesLimit:
     def test_quadratic_anchor(self):
-        report = series_limit_check(0, quadratic_character(3), F(4), 3, 4)
+        report = series_limit_checks(0, quadratic_character(3), F(4), 3, 4)[0]
         assert report.series_value == F(-4, 13)
         assert report.ratio == 16
         for level in report.levels:
@@ -196,16 +194,16 @@ class TestSeriesLimit:
 
     @pytest.mark.parametrize("n", range(4))
     def test_ratio_constant_in_n(self, n):
-        report = series_limit_check(n, quadratic_character(3), F(4), 3, 2)
+        report = series_limit_checks(n, quadratic_character(3), F(4), 3, 2)[n]
         assert report.ratio == F(4) ** 2
 
     def test_modulus_one_limit_includes_index_zero_term(self):
-        report = series_limit_check(0, principal_character(1), F(4), 3, 3)
+        report = series_limit_checks(0, principal_character(1), F(4), 3, 3)[0]
         assert report.limit == 2 * (report.series_value + 1)
         for level in report.levels:
             assert level.valuation >= level.level
 
     def test_scaled_limit_is_q_squared_times_true_series(self):
         q = F(6)
-        report = series_limit_check(2, quadratic_character(5), q, 5, 2)
+        report = series_limit_checks(2, quadratic_character(5), q, 5, 2)[2]
         assert report.scaled_limit == q**2 * 2 * report.series_value

@@ -6,11 +6,11 @@ import pytest
 
 from eulertwist import (
     TwistedConfig,
-    interpolation_check,
+    interpolation_checks,
     l_eval,
     principal_character,
     quadratic_character,
-    series_partial_sum_check,
+    series_partial_sum_checks,
 )
 from eulertwist.errors import NotConverged, OutsideConvergence
 from eulertwist.lfunction import LParams, l_prefactor, l_series_sum
@@ -83,30 +83,30 @@ class TestEvaluation:
 class TestInterpolation:
     @pytest.mark.parametrize("n", range(3))
     def test_anchor_points(self, n):
-        report = interpolation_check(quadratic3_config(), n, tol=1e-9)
+        report = interpolation_checks(quadratic3_config(), [n], tol=1e-9)[0]
         assert report.passed
         assert report.gap <= 1e-9 * (1 + abs(report.exact_value))
 
     def test_modulus_one_needs_positive_index(self):
         cfg = TwistedConfig.build(principal_character(1), 1, 0, F(2))
         with pytest.raises(ValueError):
-            interpolation_check(cfg, 0)
-        assert interpolation_check(cfg, 1, tol=1e-9).passed
+            interpolation_checks(cfg, [0])
+        assert interpolation_checks(cfg, [1], tol=1e-9)[0].passed
 
     def test_nontrivial_twist(self):
         cfg = TwistedConfig.build(quadratic_character(5), 3, 1, F(3))
-        for n in range(4):
-            assert interpolation_check(cfg, n, tol=1e-9).passed
+        for report in interpolation_checks(cfg, range(4), tol=1e-9):
+            assert report.passed
 
 
 class TestSeriesPartialSums:
     def test_linear_moment(self):
-        report = series_partial_sum_check(quadratic3_config(), 1, tol=1e-10)
+        report = series_partial_sum_checks(quadratic3_config(), [1], tol=1e-10)[0]
         assert report.passed
         assert abs(report.exact - (-2.0 / 3.0)) < 1e-12
 
     def test_quadratic_moment(self):
-        report = series_partial_sum_check(quadratic3_config(), 2, tol=1e-10)
+        report = series_partial_sum_checks(quadratic3_config(), [2], tol=1e-10)[0]
         assert report.passed
         assert abs(report.exact - (-2.0 / 9.0)) < 1e-12
 
@@ -117,7 +117,7 @@ class TestSeriesPartialSums:
         muted = dataclasses.replace(
             cfg, char_values=tuple(cfg.field.zero for _ in cfg.char_values)
         )
-        report = series_partial_sum_check(muted, 2, tol=1e-10)
+        report = series_partial_sum_checks(muted, [2], tol=1e-10)[0]
         assert report.passed
         assert report.numeric == 0
         assert report.exact == 0
