@@ -189,13 +189,13 @@ def run_distribution(grid: Grid) -> CheckReport:
 def _residual_report(grid: Grid, name: str, residuals) -> CheckReport:
     report = CheckReport(name, grid.describe())
     for key, cfg in _configs(grid):
-        expected = cfg.field.from_rational(cfg.q**2)
-        for n, rho in enumerate(residuals(cfg, grid.n_max)):
+        for n, sides in enumerate(residuals(cfg, grid.n_max)):
             point = f"{key} n={n}"
-            if isinstance(rho, ResidualUndefined):
-                report.skip(point, str(rho))
+            if isinstance(sides, ResidualUndefined):
+                report.skip(point, str(sides))
             else:
-                report.add(point, rho == expected, "expected q^2")
+                lhs, rhs = sides
+                report.add(point, lhs == cfg.q**2 * rhs, "expected q^2")
     return report.finalize()
 
 

@@ -30,6 +30,7 @@ from .errors import MathError
 from .eulerian import descent_oracle, eulerian_recurrence
 from .fermionic import padic_truncation
 from .lfunction import LEvaluation, LParams, l_eval
+from .ntheory import euler_phi
 from .rationals import format_rational, parse_rational
 from .twisted import TwistedConfig, twisted_values
 
@@ -39,6 +40,18 @@ MAX_TRUNCATION_TERMS = 20_000  # integral: p^levels terms in the largest Riemann
 # twisted, classic and integral --n: the largest index; the work grows fast
 # in n (Eulerian polynomials up to degree n), and n = 40 takes a few seconds.
 MAX_INDEX = 40
+# twisted and lfun --d and --zeta-order, and the moduli and twist orders of a
+# grid file: odd and at most these, so the bound below is cheap to compute.
+MAX_MODULUS = 99
+MAX_ZETA_ORDER = 99
+# The work of one parameter point follows the cycle length lcm(2, d, twist
+# order) of the alternating series times the degree of the ambient field
+# Q(zeta_lcm(twist order, character order)); at this bound and n = MAX_INDEX
+# the slowest point found takes about 10 s at q = 2.
+MAX_POINT_WORK = 10_000
+# chars --d: the enumeration holds d * phi(d) values; d = 999 takes 3 s and
+# 150 MB, d = 1999 12 s and 550 MB.
+MAX_CHARS_MODULUS = 999
 
 # An option value argparse would otherwise read as an option: "-1e9", "-.5",
 # "-0.5,3", "-3/7".
@@ -112,6 +125,39 @@ def _bounded_int(lo: int, hi: int | None = None):
     return parse
 
 
+def _odd_int(hi: int):
+    """Odd integers in 1..hi, from a flag's text or a grid file's int."""
+
+    def parse(value) -> int:
+        value = int(value)
+        if not 1 <= value <= hi or value % 2 == 0:
+            raise ValueError(f"must be odd and in 1..{hi}")
+        return value
+
+    return parse
+
+
+def _character_spec(text: str) -> str:
+    """principal, quadratic, index:I with I >= 0, or file:PATH."""
+    if text in ("principal", "quadratic") or text.startswith("file:"):
+        return text
+    if text.startswith("index:"):
+        _bounded_int(0)(text[6:])
+        return text
+    raise ValueError("expected principal, quadratic, index:I or file:PATH")
+
+
+def _work_error(d: int, zeta_order: int, char_order: int) -> str:
+    """Why a parameter point is over MAX_POINT_WORK, or "" when it is within."""
+    cycle, degree = math.lcm(2, d, zeta_order), euler_phi(math.lcm(zeta_order, char_order))
+    if cycle * degree <= MAX_POINT_WORK:
+        return ""
+    return (
+        f"d={d}, zeta order {zeta_order}, character order {char_order}: cycle length "
+        f"{cycle} times field degree {degree} exceeds {MAX_POINT_WORK}"
+    )
+
+
 def _tolerance(text: str) -> float:
     """A finite float > 0: a tolerance that can be met."""
     tol = float(text)
@@ -145,9 +191,20 @@ def _grid(spec: str):
     if not isinstance(doc, dict):
         raise ValueError("a grid file holds one JSON object")
     try:
-        return checks.grid_from_json(doc)
+        grid = checks.grid_from_json(doc)
     except TypeError as exc:  # a list where a number belongs, or the reverse
         raise ValueError(exc) from None
+    for d in grid.moduli:
+        _odd_int(MAX_MODULUS)(d)
+    for zeta_order in grid.zeta_orders:
+        _odd_int(MAX_ZETA_ORDER)(zeta_order)
+    for d in grid.moduli:
+        for _, char in checks.grid_characters(d):
+            for zeta_order in grid.zeta_orders:
+                error = _work_error(d, zeta_order, char.value_order)
+                if error:
+                    raise ValueError(error)
+    return grid
 
 
 def _resolve_character(spec: str, modulus: int):
@@ -156,32 +213,28 @@ def _resolve_character(spec: str, modulus: int):
     if spec == "quadratic":
         return quadratic_character(modulus)
     if spec.startswith("index:"):
-        index = int(spec.split(":", 1)[1])
-        chars = enumerate_characters(modulus)
-        if not 0 <= index < len(chars):
-            raise ValueError(f"character index {index} outside 0..{len(chars) - 1}")
-        return chars[index]
-    if spec.startswith("file:"):
-        char = load_character_file(spec.split(":", 1)[1])
-        if char.modulus != modulus:
-            raise ValueError(
-                f"character file has modulus {char.modulus}, flags say {modulus}"
-            )
-        return char
-    raise ValueError(f"unknown character spec {spec!r}")
+        return enumerate_characters(modulus)[int(spec[6:])]
+    char = load_character_file(spec[5:])
+    if char.modulus != modulus:
+        raise ValueError(f"character file has modulus {char.modulus}, flags say {modulus}")
+    return char
 
 
-def _validate_zeta(order: int, exponent: int) -> None:
-    if order < 1 or order % 2 == 0:
-        raise ValueError("zeta order must be odd and positive")
-    if math.gcd(exponent, order) != 1:
-        raise ValueError(f"zeta exponent {exponent} is not coprime to order {order}")
+def _check_point_flags(parser, args) -> None:
+    """The point-flag checks that read two flags; a failure exits 2."""
+    if math.gcd(args.zeta_k, args.zeta_order) != 1:
+        parser.error(f"argument --zeta-k: {args.zeta_k} is not coprime to --zeta-order {args.zeta_order}")
+    if args.char.startswith("index:") and int(args.char[6:]) >= euler_phi(args.d):
+        parser.error(f"argument --char: modulus {args.d} has characters index:0..{euler_phi(args.d) - 1}")
 
 
 def _point_config(args) -> TwistedConfig:
-    """The parameter point named by the shared point flags."""
-    _validate_zeta(args.zeta_order, args.zeta_k)
+    """The parameter point named by the shared point flags, once its work is
+    known to be within MAX_POINT_WORK."""
     char = _resolve_character(args.char, args.d)
+    error = _work_error(args.d, args.zeta_order, char.value_order)
+    if error:
+        raise UsageError(error)
     return TwistedConfig.build(char, args.zeta_order, args.zeta_k % args.zeta_order, args.q)
 
 
@@ -325,10 +378,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     point = argparse.ArgumentParser(add_help=False)
     point.add_argument("--q", type=rational, required=True, help='rational, e.g. "2" or "5/2"')
-    point.add_argument("--d", type=int, required=True, help="character modulus (odd)")
-    point.add_argument("--char", default="principal", help="principal|quadratic|index:I|file:PATH")
-    point.add_argument("--zeta-order", type=int, default=1)
-    point.add_argument("--zeta-k", type=int, default=1)
+    point.add_argument(
+        "--d", type=_flag_type(_odd_int(MAX_MODULUS)), required=True,
+        help=f"character modulus, odd, 1..{MAX_MODULUS}",
+    )
+    point.add_argument(
+        "--char", type=_flag_type(_character_spec), default="principal",
+        help="principal|quadratic|index:I|file:PATH; I < phi(d)",
+    )
+    point.add_argument(
+        "--zeta-order", type=_flag_type(_odd_int(MAX_ZETA_ORDER)), default=1,
+        help=f"twist order, odd, 1..{MAX_ZETA_ORDER}; the cycle length lcm(2, d, order) "
+        f"times the degree of Q(zeta_lcm(order, character order)) is at most {MAX_POINT_WORK}",
+    )
+    point.add_argument("--zeta-k", type=int, default=1, help="twist exponent, coprime to the order")
 
     p = sub.add_parser("classic", help="classical Eulerian polynomial coefficients")
     p.add_argument("--n", type=index, required=True, help=f"polynomial index, 0..{MAX_INDEX}")
@@ -374,13 +437,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_lfun)
 
     p = sub.add_parser("chars", help="enumerate all characters of a modulus")
-    p.add_argument("--d", type=int, required=True)
+    p.add_argument(
+        "--d", type=_flag_type(_odd_int(MAX_CHARS_MODULUS)), required=True,
+        help=f"modulus, odd, 1..{MAX_CHARS_MODULUS}",
+    )
     p.add_argument("--output")
     p.set_defaults(handler=_cmd_chars)
 
     p = sub.add_parser("check", help="run one relation check over a grid")
     p.add_argument("--relation", required=True)
-    p.add_argument("--grid", type=_flag_type(_grid), default="default", help="default|file:PATH")
+    p.add_argument(
+        "--grid", type=_flag_type(_grid), default="default",
+        help=f"default|file:PATH; a file's moduli and twist orders are odd, at most "
+        f"{MAX_MODULUS} and {MAX_ZETA_ORDER}, and each point's work at most {MAX_POINT_WORK}",
+    )
     p.add_argument("--output")
     p.set_defaults(handler=_cmd_check)
 
@@ -402,6 +472,8 @@ def _attach_negative_values(argv: list[str]) -> list[str]:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(_attach_negative_values(sys.argv[1:] if argv is None else list(argv)))
+    if "zeta_k" in vars(args):
+        _check_point_flags(parser, args)
     # Exact results may have more digits than Python's int-to-string limit
     # (3.10.7 and later) allows; lift it while the handler runs.  The flags
     # were parsed above, under the limit.

@@ -5,8 +5,8 @@ a root-of-unity twist, and a rational q: once as Taylor coefficients of its
 generating function (the canonical definition, kernel exponent d-l+1), once
 through the regrouped alternating series in closed form.  The two paths are
 algebraically independent and must agree exactly; the links back to the
-integral world hold up to the constant factor q^2, which is computed, never
-assumed.
+integral world hold up to the constant factor q^2, which the checks test
+exactly by one product, never assume.
 """
 from __future__ import annotations
 
@@ -209,25 +209,26 @@ def euler_gf_consistency(d_fold: int, zeta_eff, order: int) -> EulerGfReport:
 
 
 def witt_residuals(cfg: TwistedConfig, n_max: int) -> list:
-    """Ratios of A_n to (-1)^n (1+q)^n I(zeta^x chi(x) x^n) for n <= n_max:
-    the constant q^2, the gap between the d-l+1 kernel and the iterated d-1-l
-    kernel.  Where the moment vanishes the entry is a ResidualUndefined."""
+    """The two sides (lhs, rhs) of A_n = q^2 (-1)^n (1+q)^n I(zeta^x chi(x) x^n)
+    for n <= n_max; q^2 is the gap between the d-l+1 kernel and the iterated
+    d-1-l kernel.  Where the moment vanishes the entry is a ResidualUndefined."""
     moments = _char_moment_sequence(n_max, cfg.char_values, cfg.zeta, cfg.q)
     out = []
     for n, (tv, integral) in enumerate(zip(twisted_values(cfg, n_max), moments)):
-        denom = ((-1) ** n * (1 + cfg.q) ** n) * integral
-        if denom == 0:
+        rhs = ((-1) ** n * (1 + cfg.q) ** n) * integral
+        if rhs.is_zero():
             out.append(ResidualUndefined(f"integral moment vanishes at n={n}"))
         else:
-            out.append(tv.value * denom ** (-1))
+            out.append((tv.value, rhs))
     return out
 
 
 def multiplication_residuals(cfg: TwistedConfig, n_max: int) -> list:
-    """Ratios of (-1)^n A_n/(1+q)^n to the residue-class decomposition
-    d^n/[d]_alt * sum_a (-1)^a chi(a) zeta^a q^-a I((a/d + x)^n zeta^(dx)) for
-    n <= n_max; again the constant q^2, through an independent route.  Where
-    the decomposition sum vanishes the entry is a ResidualUndefined."""
+    """The two sides of (-1)^n A_n = q^2 (1+q)^n d^n/[d]_alt * sum_a (-1)^a
+    chi(a) zeta^a q^-a I((a/d + x)^n zeta^(dx)) for n <= n_max, one (lhs,
+    rhs) pair per n: again the constant q^2, through the residue-class
+    decomposition.  Where the decomposition sum vanishes the entry is a
+    ResidualUndefined."""
     q, d = cfg.q, cfg.char.modulus
     sums = residue_class_sums(n_max, cfg.char_values, cfg.zeta, q)
     out = []
@@ -235,8 +236,7 @@ def multiplication_residuals(cfg: TwistedConfig, n_max: int) -> list:
         if acc.is_zero():
             out.append(ResidualUndefined(f"decomposition sum vanishes at n={n}"))
         else:
-            rhs = Fraction(d**n) / q_bracket_neg(d, 1 / q) * acc
-            out.append(((-1) ** n * (1 + q) ** -n) * tv.value * rhs ** (-1))
+            out.append(((-1) ** n * tv.value, (1 + q) ** n * d**n / q_bracket_neg(d, 1 / q) * acc))
     return out
 
 

@@ -242,6 +242,10 @@ def test_truncation_above_bound_is_rejected_before_summing(capsys, monkeypatch):
 @pytest.mark.parametrize("command, bound", [
     ("lfun", "MAX_TERMS"), ("integral", "MAX_TRUNCATION_TERMS"),
     ("twisted", "MAX_INDEX"), ("classic", "MAX_INDEX"), ("integral", "MAX_INDEX"),
+    ("twisted", "MAX_MODULUS"), ("twisted", "MAX_ZETA_ORDER"), ("twisted", "MAX_POINT_WORK"),
+    ("lfun", "MAX_MODULUS"), ("lfun", "MAX_ZETA_ORDER"), ("lfun", "MAX_POINT_WORK"),
+    ("check", "MAX_MODULUS"), ("check", "MAX_ZETA_ORDER"), ("check", "MAX_POINT_WORK"),
+    ("chars", "MAX_CHARS_MODULUS"),
 ])
 def test_bounds_are_documented_in_help(capsys, command, bound):
     with pytest.raises(SystemExit) as excinfo:
@@ -308,3 +312,92 @@ def test_rationals_longer_than_the_default_digit_limit_are_printed(capsys, monke
     finally:
         sys.set_int_max_str_digits(limit)
     assert parsed == [lv.partial for lv in reports[0].levels]
+
+
+def test_modulus_above_bound_is_rejected_before_computing(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "twisted_values", lambda *args: pytest.fail("the computation was started"))
+    code, err = usage_exit(capsys, "twisted", "--q", "2", "--d", str(cli.MAX_MODULUS + 2), "--n", "0")
+    assert code == 2 and "--d" in err and str(cli.MAX_MODULUS) in err
+
+
+def test_zeta_order_above_bound_is_rejected_before_computing(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "l_eval", lambda params: pytest.fail("the series was started"))
+    code, err = usage_exit(
+        capsys, "lfun", "--q", "2", "--d", "3", "--zeta-order", str(cli.MAX_ZETA_ORDER + 2), "--s", "2",
+    )
+    assert code == 2 and "--zeta-order" in err and str(cli.MAX_ZETA_ORDER) in err
+
+
+@pytest.mark.parametrize("command, extra", [("twisted", ["--n", "0"]), ("lfun", ["--s", "2"])])
+def test_point_work_above_bound_is_rejected_before_any_field(capsys, monkeypatch, command, extra):
+    from eulertwist import twisted
+
+    monkeypatch.setattr(twisted, "cyclotomic_field", lambda order: pytest.fail("a field was built"))
+    # cycle length lcm(2, 91, 11) = 2002 times the degree phi(11) = 10
+    code = cli.main([command, "--q", "2", "--d", "91", "--zeta-order", "11", *extra])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "2002" in err and str(cli.MAX_POINT_WORK) in err and "Traceback" not in err
+
+
+def test_point_work_counts_the_character_order(capsys, monkeypatch):
+    from eulertwist import twisted
+
+    monkeypatch.setattr(twisted, "cyclotomic_field", lambda order: pytest.fail("a field was built"))
+    # index:1 mod 97 has order 96: cycle 582 times the degree phi(96) = 32 of Q(zeta_96)
+    code = cli.main(["twisted", "--q", "2", "--d", "97", "--char", "index:1", "--zeta-order", "3", "--n", "0"])
+    assert code == 2 and str(cli.MAX_POINT_WORK) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("doc", [
+    {"moduli": [cli.MAX_MODULUS + 2], "zeta_orders": [1]},
+    {"moduli": [3], "zeta_orders": [cli.MAX_ZETA_ORDER + 2]},
+    {"moduli": [4], "zeta_orders": [1]},
+    {"moduli": [3], "zeta_orders": [2]},
+    {"moduli": [91], "zeta_orders": [1, 11]},  # 2002 * 10 at zeta order 11
+])
+def test_grid_file_outside_bounds_is_rejected_before_checking(capsys, monkeypatch, tmp_path, doc):
+    monkeypatch.setattr(cli.checks, "run_relation", lambda *args: pytest.fail("the check was started"))
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps(doc))
+    code, err = usage_exit(capsys, "check", "--relation", "thm2", "--grid", f"file:{path}")
+    assert code == 2 and "--grid" in err
+
+
+def test_reach_grid_is_within_bounds(capsys, monkeypatch, tmp_path):
+    seen = []
+
+    def fake_run(name, grid):
+        seen.append(grid)
+        return cli.checks.CheckReport(name, "")
+
+    monkeypatch.setattr(cli.checks, "run_relation", fake_run)
+    path = tmp_path / "grid.json"
+    doc = {"n_max": 8, "moduli": [1, 3, 5, 7, 15], "zeta_orders": [1, 3, 9, 27], "q": ["2", "5/2"]}
+    path.write_text(json.dumps(doc))
+    code, _ = run_cli(capsys, "check", "--relation", "thm2", "--grid", f"file:{path}")
+    assert code == 0 and seen[0].zeta_orders == (1, 3, 9, 27)
+
+
+def test_chars_modulus_above_bound_is_rejected_before_enumerating(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "enumerate_characters", lambda d: pytest.fail("the enumeration was started"))
+    code, err = usage_exit(capsys, "chars", "--d", "100003")
+    assert code == 2 and "--d" in err and str(cli.MAX_CHARS_MODULUS) in err
+
+
+@pytest.mark.parametrize("flag, argv", [
+    ("--d", ["--d", "0"]),
+    ("--d", ["--d", "-3"]),
+    ("--d", ["--d", "4"]),
+    ("--zeta-order", ["--d", "3", "--zeta-order", "2"]),
+    ("--zeta-order", ["--d", "3", "--zeta-order", "0"]),
+    ("--zeta-k", ["--d", "3", "--zeta-order", "3", "--zeta-k", "3"]),
+    ("--char", ["--d", "3", "--char", "bogus"]),
+    ("--char", ["--d", "3", "--char", "index:99"]),
+    ("--char", ["--d", "3", "--char", "index:x"]),
+])
+def test_point_flag_usage_errors_exit_two(capsys, monkeypatch, flag, argv):
+    monkeypatch.setattr(cli, "twisted_values", lambda *args: pytest.fail("the computation was started"))
+    monkeypatch.setattr(cli, "enumerate_characters", lambda d: pytest.fail("the enumeration was started"))
+    code, err = usage_exit(capsys, "twisted", "--q", "2", "--n", "0", *argv)
+    assert code == 2 and flag in err and "Traceback" not in err

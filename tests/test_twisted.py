@@ -153,24 +153,50 @@ class TestEulerGfConsistency:
 
 
 class TestResiduals:
+    # Each residual entry is the pair (lhs, rhs) of lhs = q^2 * rhs.
     def test_witt_anchor(self):
-        assert witt_residuals(quadratic3_config(), 0)[0] == 4
+        lhs, rhs = witt_residuals(quadratic3_config(), 0)[0]
+        assert not rhs.is_zero() and lhs == 4 * rhs
 
     def test_witt_modulus_one(self):
         cfg = TwistedConfig.build(principal_character(1), 1, 0, F(2))
-        assert witt_residuals(cfg, 0)[0] == 4
+        lhs, rhs = witt_residuals(cfg, 0)[0]
+        assert not rhs.is_zero() and lhs == 4 * rhs
 
     def test_residual_is_one_at_q_one(self):
         cfg = TwistedConfig.build(quadratic_character(3), 1, 0, F(1))
-        assert witt_residuals(cfg, 2)[2] == 1
-        assert multiplication_residuals(cfg, 2)[2] == 1
+        for lhs, rhs in (witt_residuals(cfg, 2)[2], multiplication_residuals(cfg, 2)[2]):
+            assert not rhs.is_zero() and lhs == 1 * rhs
 
     @pytest.mark.parametrize("q", [F(2), F(5, 2)])
     def test_residuals_agree_and_equal_q_squared(self, q):
         cfg = TwistedConfig.build(quadratic_character(5), 3, 1, q)
-        for rho1, rho5 in zip(witt_residuals(cfg, 3), multiplication_residuals(cfg, 3)):
-            assert rho1 == rho5
-            assert rho1 == q**2
+        pairs = zip(witt_residuals(cfg, 3), multiplication_residuals(cfg, 3))
+        for n, ((lhs1, rhs1), (lhs5, rhs5)) in enumerate(pairs):
+            assert lhs1 == (-1) ** n * lhs5  # both are A_n, up to the sign (-1)^n
+            assert not rhs1.is_zero() and lhs1 == q**2 * rhs1
+            assert not rhs5.is_zero() and lhs5 == q**2 * rhs5
+
+    def test_residuals_never_invert_per_n(self, monkeypatch):
+        from eulertwist.cyclotomic import CyclotomicNumber
+
+        order4 = next(c for c in enumerate_characters(5) if c.value_order == 4)
+        cfg = TwistedConfig.build(order4, 9, 1, F(5, 2))
+        real_inverse = CyclotomicNumber.inverse
+        calls = []
+
+        def counted_inverse(self):
+            calls.append(self)
+            return real_inverse(self)
+
+        monkeypatch.setattr(CyclotomicNumber, "inverse", counted_inverse)
+        for residuals in (witt_residuals, multiplication_residuals):
+            counts = []
+            for n_max in (2, 8):
+                calls.clear()
+                residuals(cfg, n_max)
+                counts.append(len(calls))
+            assert counts[1] <= counts[0], (residuals.__name__, counts)
 
 
 class TestQOneReduction:
@@ -235,5 +261,7 @@ class TestOneComputationPerPoint:
         rho5 = multiplication_residuals(cfg, 4)
         series = twisted_series_values(cfg, 4)
         for n in range(5):
-            assert rho1[n] == rho5[n]
+            (lhs1, rhs1), (lhs5, rhs5) = rho1[n], rho5[n]
+            assert lhs1 == (-1) ** n * lhs5
+            assert lhs1 == F(5, 2) ** 2 * rhs1 and lhs5 == F(5, 2) ** 2 * rhs5
             assert series[n] == twisted_series_value(cfg, n) == twisted_value(cfg, n).value
