@@ -145,96 +145,112 @@ def run_eq15(grid: Grid) -> CheckReport:
     return report.finalize()
 
 
+# Tolerances of the two float relations: thm3 bounds the absolute gap, thm6
+# the gap relative to 1 + |exact value|.
+PARTIAL_SUM_TOL = 1e-10
+INTERPOLATION_TOL = 1e-9
+
+
+def _config_report(grid: Grid, name: str, sides, decide, fixed_q: Fraction | None = None) -> CheckReport:
+    """One verdict per configuration and n: sides(cfg, n_max) gives an
+    (lhs, rhs) pair per n, or a ResidualUndefined that skips the point, and
+    decide(cfg, lhs, rhs) gives (ok, detail)."""
+    report = CheckReport(name, grid.describe())
+    for key, cfg in _configs(grid, fixed_q):
+        for n, pair in enumerate(sides(cfg, grid.n_max)):
+            point = f"{key} n={n}"
+            if isinstance(pair, ResidualUndefined):
+                report.skip(point, str(pair))
+            else:
+                report.add(point, *decide(cfg, *pair))
+    return report.finalize()
+
+
+def _equal(cfg, lhs, rhs) -> tuple:
+    return lhs == rhs, ""
+
+
+def _equal_up_to_q_squared(cfg, lhs, rhs) -> tuple:
+    return lhs == cfg.q**2 * rhs, "expected q^2"
+
+
+def _absolute_gap(cfg, lhs, rhs) -> tuple:
+    gap = abs(lhs - rhs)
+    return gap <= PARTIAL_SUM_TOL, f"gap={gap:.3e}"
+
+
+def _relative_gap(cfg, lhs, rhs) -> tuple:
+    gap = abs(lhs - rhs)
+    return gap <= INTERPOLATION_TOL * (1 + abs(rhs)), f"gap={gap:.3e}"
+
+
+def _path_sides(cfg, n_max: int) -> list:
+    """Generating-function coefficients beside the closed-form series path."""
+    gf = twisted.twisted_gf(cfg, n_max + 1)
+    return [(nth_taylor_coefficient(gf, n), b) for n, b in enumerate(twisted.twisted_series_values(cfg, n_max))]
+
+
+def _distribution_sides(cfg, n_max: int) -> list:
+    return fermionic.distribution_identity_checks(n_max, cfg.char_values, cfg.zeta, cfg.q)
+
+
 def run_thm2(grid: Grid) -> CheckReport:
     """Generating-function coefficients against the closed-form series path."""
-    report = CheckReport("thm2", grid.describe())
-    for key, cfg in _configs(grid):
-        gf = twisted.twisted_gf(cfg, grid.n_max + 1)
-        for n, b in enumerate(twisted.twisted_series_values(cfg, grid.n_max)):
-            report.add(f"{key} n={n}", nth_taylor_coefficient(gf, n) == b)
-    return report.finalize()
+    return _config_report(grid, "thm2", _path_sides, _equal)
 
 
 def run_thm3(grid: Grid) -> CheckReport:
     """Numeric partial sums of the alternating series against the exact value."""
-    report = CheckReport("thm3", grid.describe())
-    for key, cfg in _configs(grid):
-        ns = range(grid.n_max + 1)
-        for n, res in zip(ns, lfunction.series_partial_sum_checks(cfg, ns, tol=1e-10)):
-            report.add(f"{key} n={n}", res.passed, f"gap={res.gap:.3e}")
-    return report.finalize()
+    return _config_report(grid, "thm3", lfunction.series_partial_sum_checks, _absolute_gap)
 
 
 def run_thm6(grid: Grid) -> CheckReport:
     """Interpolation of the exact values by the L-series at negative integers."""
-    report = CheckReport("thm6", grid.describe())
-    for key, cfg in _configs(grid):
-        ns = range(1 if cfg.char.modulus == 1 else 0, grid.n_max + 1)
-        if ns.start:
-            report.skip(f"{key} n=0", "series misses the index-0 term at modulus 1")
-        for res in lfunction.interpolation_checks(cfg, ns, tol=1e-9):
-            report.add(f"{key} n={res.n}", res.passed, f"gap={res.gap:.3e}")
-    return report.finalize()
+    return _config_report(grid, "thm6", lfunction.interpolation_checks, _relative_gap)
 
 
 def run_distribution(grid: Grid) -> CheckReport:
     """Residue-class decomposition of the character moment, exact."""
-    report = CheckReport("distribution", grid.describe())
-    for key, cfg in _configs(grid):
-        for n, res in enumerate(fermionic.distribution_identity_checks(grid.n_max, cfg.char, cfg.zeta, cfg.q)):
-            report.add(f"{key} n={n}", res.equal)
-    return report.finalize()
-
-
-def _residual_report(grid: Grid, name: str, residuals) -> CheckReport:
-    report = CheckReport(name, grid.describe())
-    for key, cfg in _configs(grid):
-        for n, sides in enumerate(residuals(cfg, grid.n_max)):
-            point = f"{key} n={n}"
-            if isinstance(sides, ResidualUndefined):
-                report.skip(point, str(sides))
-            else:
-                lhs, rhs = sides
-                report.add(point, lhs == cfg.q**2 * rhs, "expected q^2")
-    return report.finalize()
+    return _config_report(grid, "distribution", _distribution_sides, _equal)
 
 
 def run_thm1_residual(grid: Grid) -> CheckReport:
-    return _residual_report(grid, "thm1-residual", twisted.witt_residuals)
+    return _config_report(grid, "thm1-residual", twisted.witt_residuals, _equal_up_to_q_squared)
 
 
 def run_thm5_residual(grid: Grid) -> CheckReport:
-    return _residual_report(grid, "thm5-residual", twisted.multiplication_residuals)
+    return _config_report(grid, "thm5-residual", twisted.multiplication_residuals, _equal_up_to_q_squared)
 
 
 def run_cor2_residual(grid: Grid) -> CheckReport:
     """Unnormalized alternating sums: valuation growth toward twice the
-    series value, and the constant normalization ratio q^2."""
+    series value, and the limit of the d-l+1 kernel, read from A_n, over
+    the true one: the constant normalization ratio q^2."""
     report = CheckReport("cor2-residual", grid.describe())
     for p in grid.primes:
         q = Fraction(1 + p)
         for char_name, char in (("principal", principal_character(p)),
                                 ("quadratic", quadratic_character(p))):
+            values = twisted.twisted_values(twisted.TwistedConfig.build(char, 1, 0, q), grid.padic_n_max)
             reports = fermionic.series_limit_checks(grid.padic_n_max, char, q, p, grid.level_max)
-            for n, res in enumerate(reports):
+            for n, (res, tv) in enumerate(zip(reports, values)):
                 key = f"p={p} char={char_name} n={n}"
                 vals = [lv.valuation for lv in res.levels]
                 growth = all(v >= lv.level for lv, v in zip(res.levels, vals)) and all(
                     vals[i] <= vals[i + 1] for i in range(len(vals) - 1)
                 )
-                ratio_ok = res.ratio is None or res.ratio == q**2
-                detail = f"valuations={['inf' if v == math.inf else v for v in vals]} ratio={res.ratio}"
+                # A_n is rational here: the twist is 1 and chi takes values in {0, 1, -1}.
+                kernel_limit = 2 * q * (-1) ** n * tv.value.coeffs[0] / (1 + q) ** (n + 1)
+                ratio = None if res.limit == 0 else kernel_limit / res.limit
+                ratio_ok = ratio is None or ratio == q**2
+                detail = f"valuations={['inf' if v == math.inf else v for v in vals]} ratio={ratio}"
                 report.add(key, growth and ratio_ok, detail)
     return report.finalize()
 
 
 def run_cor3(grid: Grid) -> CheckReport:
     """Exact reduction at q = 1 to twisted Euler polynomial combinations."""
-    report = CheckReport("cor3", grid.describe())
-    for key, cfg in _configs(grid, fixed_q=Fraction(1)):
-        for n, res in enumerate(twisted.euler_reduction_checks(cfg, grid.n_max)):
-            report.add(f"{key} n={n}", res.equal)
-    return report.finalize()
+    return _config_report(grid, "cor3", twisted.euler_reduction_checks, _equal, fixed_q=Fraction(1))
 
 
 def run_eq22(grid: Grid) -> CheckReport:
@@ -244,11 +260,12 @@ def run_eq22(grid: Grid) -> CheckReport:
         for zeta_order in grid.zeta_orders:
             k = grid.zeta_exponent % zeta_order if zeta_order > 1 else 0
             zeta_eff = cyclotomic_field(zeta_order).zeta_power(k)
-            res = twisted.euler_gf_consistency(d, zeta_eff, 12)
+            (folded, direct), (taylor, moments) = twisted.euler_gf_consistency(d, zeta_eff, 12)
+            series_equal, moments_equal = folded == direct, taylor == moments
             report.add(
                 f"d_fold={d} zeta={zeta_order}^{k}",
-                res.passed,
-                f"series_equal={res.series_equal} moments_equal={res.moments_equal}",
+                series_equal and moments_equal,
+                f"series_equal={series_equal} moments_equal={moments_equal}",
             )
     return report.finalize()
 
@@ -263,10 +280,8 @@ def run_eq28_residual(grid: Grid) -> CheckReport:
                 values = [
                     Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(d)
                 ]
-                res = fermionic.alternating_kernel_ratio_check(d, values, q)
-                report.add(
-                    f"d={d} q={format_rational(q)} trial={trial}", res.equal
-                )
+                lhs, rhs = fermionic.alternating_kernel_ratio_check(d, values, q)
+                report.add(f"d={d} q={format_rational(q)} trial={trial}", lhs == rhs)
     return report.finalize()
 
 

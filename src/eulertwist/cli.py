@@ -30,7 +30,7 @@ from .errors import MathError
 from .eulerian import descent_oracle, eulerian_recurrence
 from .fermionic import padic_truncation
 from .lfunction import LEvaluation, LParams, l_eval
-from .ntheory import euler_phi
+from .ntheory import euler_phi, is_prime
 from .rationals import format_rational, parse_rational
 from .twisted import TwistedConfig, twisted_values
 
@@ -49,6 +49,15 @@ MAX_ZETA_ORDER = 99
 # Q(zeta_lcm(twist order, character order)); at this bound and n = MAX_INDEX
 # the slowest point found takes about 10 s at q = 2.
 MAX_POINT_WORK = 10_000
+# check --grid file: cor2-residual walks 2 * (padic_n_max + 1) alternating
+# sums per prime, each over p^level_max terms of growing rationals; summed
+# over the primes, the terms are at most this.  The slowest grid found at the
+# bound (p = 97, level_max 2, padic_n_max 1: four walks of 9409 terms) takes
+# about 10 s.
+MAX_COR2_TERMS = 40_000
+# check --grid file: eq28-residual draws this many random tables at most per
+# (modulus, q); 1000 tables at d = 99 take about 4 s per q.
+MAX_RANDOM_TABLES = 1000
 # chars --d: the enumeration holds d * phi(d) values; d = 999 takes 3 s and
 # 150 MB, d = 1999 12 s and 550 MB.
 MAX_CHARS_MODULUS = 999
@@ -194,6 +203,7 @@ def _grid(spec: str):
         grid = checks.grid_from_json(doc)
     except TypeError as exc:  # a list where a number belongs, or the reverse
         raise ValueError(exc) from None
+    _check_grid_bounds(grid)
     for d in grid.moduli:
         _odd_int(MAX_MODULUS)(d)
     for zeta_order in grid.zeta_orders:
@@ -205,6 +215,35 @@ def _grid(spec: str):
                 if error:
                     raise ValueError(error)
     return grid
+
+
+def _check_grid_bounds(grid) -> None:
+    """The bounds of a grid file's lists, indices, primes and cor2 and eq28
+    work, each naming its key as the file does."""
+    for key, values in (("moduli", grid.moduli), ("q", grid.q_values),
+                        ("zeta_orders", grid.zeta_orders), ("primes", grid.primes)):
+        if not values:
+            raise ValueError(f"{key} must be nonempty")
+    for key, value, lo, hi in (("n_max", grid.n_max, 0, MAX_INDEX), ("padic_n_max", grid.padic_n_max, 0, MAX_INDEX),
+                               ("random_tables", grid.random_tables, 1, MAX_RANDOM_TABLES)):
+        if not lo <= value <= hi:
+            raise ValueError(f"{key} must be in {lo}..{hi}, got {value}")
+    for zeta_order in grid.zeta_orders:
+        if math.gcd(grid.zeta_exponent, zeta_order) != 1:
+            raise ValueError(f"zeta_exponent {grid.zeta_exponent} is not coprime to twist order {zeta_order}")
+    if grid.level_max < 0:
+        raise ValueError(f"level_max must be >= 0, got {grid.level_max}")
+    for p in grid.primes:
+        if p == 2 or p > MAX_MODULUS or not is_prime(p):
+            raise ValueError(f"primes must be odd primes at most {MAX_MODULUS}, got {p}")
+        if _truncation_terms(p, grid.level_max) > MAX_TRUNCATION_TERMS:
+            raise ValueError(f"p^level_max = {p}^{grid.level_max} exceeds {MAX_TRUNCATION_TERMS} terms")
+    walks = 2 * (grid.padic_n_max + 1) * sum(p**grid.level_max for p in grid.primes)
+    if walks > MAX_COR2_TERMS:
+        raise ValueError(
+            f"cor2 sums 2 * (padic_n_max + 1) * (sum of p^level_max) = {walks} terms, "
+            f"more than {MAX_COR2_TERMS}"
+        )
 
 
 def _resolve_character(spec: str, modulus: int):
@@ -448,8 +487,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--relation", required=True)
     p.add_argument(
         "--grid", type=_flag_type(_grid), default="default",
-        help=f"default|file:PATH; a file's moduli and twist orders are odd, at most "
-        f"{MAX_MODULUS} and {MAX_ZETA_ORDER}, and each point's work at most {MAX_POINT_WORK}",
+        help=f"default|file:PATH; a file's lists are nonempty; its moduli and twist orders are odd, "
+        f"at most {MAX_MODULUS} and {MAX_ZETA_ORDER}, each point's work at most {MAX_POINT_WORK}, and "
+        f"zeta_exponent coprime to each twist order; n_max and padic_n_max lie in 0..{MAX_INDEX}; "
+        f"primes are odd primes at most {MAX_MODULUS}, level_max >= 0 with each p^level_max at most "
+        f"{MAX_TRUNCATION_TERMS}, and 2 * (padic_n_max + 1) * (sum of p^level_max) at most "
+        f"{MAX_COR2_TERMS}; random_tables lies in 1..{MAX_RANDOM_TABLES}",
     )
     p.add_argument("--output")
     p.set_defaults(handler=_cmd_check)

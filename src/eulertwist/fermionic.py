@@ -31,16 +31,6 @@ class IntegralSpec:
     ratio: Fraction
 
 
-@dataclass(frozen=True)
-class EqualityReport:
-    lhs: object
-    rhs: object
-
-    @property
-    def equal(self) -> bool:
-        return self.lhs == self.rhs
-
-
 def _moment_sequence(spec: IntegralSpec) -> list:
     ratio = Fraction(spec.ratio)
     if ratio == 0:
@@ -145,26 +135,27 @@ def residue_class_sums(n_max: int, chi, zeta, q: Fraction) -> list:
     return sums
 
 
-def distribution_identity_checks(n_max: int, char: DirichletCharacter, zeta, q: Fraction) -> list:
-    """Exact comparison of the moments for n <= n_max against their
-    residue-class decomposition into d scaled poly_twist_integral values
-    (the multiplication identity)."""
+def distribution_identity_checks(n_max: int, chi, zeta, q: Fraction) -> list:
+    """The two sides (lhs, rhs) of the multiplication identity for
+    n <= n_max: the moment I(zeta^x chi(x) x^n) and its residue-class
+    decomposition into d scaled poly_twist_integral values.  chi[a] = chi(a)
+    for a < d, in the field of zeta (see :func:`_aligned`)."""
     q = Fraction(q)
-    d = char.modulus
-    chi, zeta = _aligned(char, zeta)
+    d = len(chi)
     lhs = _char_moment_sequence(n_max, chi, zeta, q)
     sums = residue_class_sums(n_max, chi, zeta, q)
     bracket = q_bracket_neg(d, 1 / q)
-    return [EqualityReport(lhs[n], Fraction(d**n) / bracket * acc) for n, acc in enumerate(sums)]
+    return [(lhs[n], Fraction(d**n) / bracket * acc) for n, acc in enumerate(sums)]
 
 
-def alternating_kernel_ratio_check(d: int, values, q: Fraction) -> EqualityReport:
-    """Finite-sum check that the kernel with exponent d-l+1 is exactly q^2
-    times the kernel with exponent d-1-l, for an arbitrary value table."""
+def alternating_kernel_ratio_check(d: int, values, q: Fraction) -> tuple:
+    """The two sides of the finite-sum identity: the kernel with exponent
+    d-l+1 is exactly q^2 times the kernel with exponent d-1-l, for an
+    arbitrary value table."""
     q = Fraction(q)
     lhs = sum((-1) ** l * q ** (d - l + 1) * v for l, v in enumerate(values[:d]))
     rhs = q**2 * sum((-1) ** l * q ** (d - 1 - l) * v for l, v in enumerate(values[:d]))
-    return EqualityReport(lhs, rhs)
+    return lhs, rhs
 
 
 @dataclass(frozen=True)
@@ -252,8 +243,6 @@ class SeriesLimitReport:
     q: Fraction
     series_value: Fraction  # closed form of sum_{m>=1} (-1)^m chi(m) m^n / q^m
     limit: Fraction  # what the unnormalized sums converge to
-    scaled_limit: Fraction  # 2 q^2 * series_value, under the d-l+1 kernel normalization
-    ratio: Fraction | None  # scaled / (2 * series_value); exactly q^2 when defined
     levels: tuple[TruncationLevel, ...]  # valuation of U_N - limit per level
 
 
@@ -261,8 +250,8 @@ def series_limit_checks(
     n_max: int, char: DirichletCharacter, q: Fraction, p: int, max_level: int
 ) -> list[SeriesLimitReport]:
     """For n = 0..n_max, unnormalized alternating sums U_N against twice the
-    exact alternating series value, plus the constant kernel-normalization
-    ratio q^2; the series values come from one closed-form sequence."""
+    exact alternating series value; the series values come from one
+    closed-form sequence."""
     q = Fraction(q)
     _check_padic_regime(q, p, char)
     period = math.lcm(2, char.modulus)
@@ -273,14 +262,9 @@ def series_limit_checks(
         # (modulus 1); the sums converge to twice the series plus twice that term.
         index_zero = char.rational_value(0) if n == 0 else Fraction(0)
         limit = 2 * (closed + index_zero)
-        scaled = 2 * q**2 * closed
-        ratio = None if closed == 0 else scaled / (2 * closed)
         levels = tuple(
             TruncationLevel(level, total, padic_valuation(total - limit, p))
             for level, total in enumerate(_alternating_sums(n, q, p, max_level, char))
         )
-        reports.append(SeriesLimitReport(
-            p=p, q=q, series_value=closed, limit=limit, scaled_limit=scaled,
-            ratio=ratio, levels=levels,
-        ))
+        reports.append(SeriesLimitReport(p=p, q=q, series_value=closed, limit=limit, levels=levels))
     return reports

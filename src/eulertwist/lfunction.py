@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 from .cyclotomic import embed_complex
-from .errors import NotConverged, OutsideConvergence
+from .errors import NotConverged, OutsideConvergence, ResidualUndefined
 from .twisted import TwistedConfig, alternating_char_sums, twisted_values
 
 
@@ -20,7 +20,6 @@ from .twisted import TwistedConfig, alternating_char_sums, twisted_values
 class LParams:
     s: complex
     cfg: TwistedConfig
-    embedding_index: int = 1
     tol: float = 1e-12
     max_terms: int = 200000
 
@@ -58,9 +57,8 @@ def l_series_sum(params: LParams) -> LEvaluation:
     if q <= 1:
         raise OutsideConvergence(f"series evaluation needs q > 1, got q={cfg.q}")
     ln_q = math.log(q)
-    k = params.embedding_index
-    chi = [embed_complex(cfg.char_value(a), k) for a in range(cfg.char.modulus)]
-    zeta = [embed_complex(cfg.zeta_pow(m), k) for m in range(cfg.zeta_order)]
+    chi = [embed_complex(cfg.char_value(a), 1) for a in range(cfg.char.modulus)]
+    zeta = [embed_complex(cfg.zeta_pow(m), 1) for m in range(cfg.zeta_order)]
     s = complex(params.s)
     start = _stable_index(abs(s.real), ln_q, params.max_terms)
     tail_scale = 1.0 / (1.0 - math.exp(-ln_q / 2))
@@ -96,55 +94,27 @@ def l_eval(params: LParams) -> LEvaluation:
     return LEvaluation(value=value, terms_used=inner.terms_used, tail_bound=inner.tail_bound)
 
 
-@dataclass(frozen=True)
-class InterpolationReport:
-    n: int
-    l_value: complex
-    exact_value: complex
-    gap: float
-    tolerance: float
-
-    @property
-    def passed(self) -> bool:
-        return self.gap <= self.tolerance
-
-
-def interpolation_checks(cfg: TwistedConfig, ns, tol: float = 1e-9) -> list[InterpolationReport]:
-    """L(-n) against (-1)^n times the exact twisted value, embedded, for each
-    n in ns; the exact values come from one twisted_values call.
+def interpolation_checks(cfg: TwistedConfig, n_max: int) -> list:
+    """The two sides (L(-n), (-1)^n A_n embedded) for n = 0..n_max; the
+    exact values come from one twisted_values call.
 
     For modulus 1 the series misses the index-0 summand of the generating
-    function, which only contributes at n = 0; that one cell is excluded.
+    function, which only contributes at n = 0; that entry is a
+    ResidualUndefined.
     """
-    ns = list(ns)
-    if cfg.char.modulus == 1 and 0 in ns:
-        raise ValueError("the n = 0 value at modulus 1 is not interpolated by the series")
-    values = twisted_values(cfg, max(ns, default=0))
     out = []
-    for n in ns:
-        exact = (-1) ** n * embed_complex(values[n].value, 1)
-        result = l_eval(LParams(s=complex(-n), cfg=cfg, tol=min(tol * 1e-2, 1e-12))).value
-        out.append(InterpolationReport(n, result, exact, abs(result - exact), tol * (1 + abs(exact))))
+    for n, tv in enumerate(twisted_values(cfg, n_max)):
+        if n == 0 and cfg.char.modulus == 1:
+            out.append(ResidualUndefined("series misses the index-0 term at modulus 1"))
+            continue
+        exact = (-1) ** n * embed_complex(tv.value, 1)
+        out.append((l_eval(LParams(s=complex(-n), cfg=cfg)).value, exact))
     return out
 
 
-@dataclass(frozen=True)
-class PartialSumReport:
-    numeric: complex
-    exact: complex
-    gap: float
-    tolerance: float
-
-    @property
-    def passed(self) -> bool:
-        return self.gap <= self.tolerance
-
-
-def series_partial_sum_checks(cfg: TwistedConfig, ns, tol: float = 1e-10) -> list[PartialSumReport]:
-    """Numeric partial sums of sum (-1)^m zeta^m chi(m) m^n / q^m against the
-    embedded exact closed form of the same series, for each n in ns."""
-    ns = list(ns)
-    numerics = [l_series_sum(LParams(s=complex(-n), cfg=cfg, tol=min(tol * 1e-2, 1e-12))).value for n in ns]
-    sums = alternating_char_sums(cfg, max(ns, default=0))
-    exacts = [embed_complex(sums[n], 1) for n in ns]
-    return [PartialSumReport(v, e, abs(v - e), tol) for v, e in zip(numerics, exacts)]
+def series_partial_sum_checks(cfg: TwistedConfig, n_max: int) -> list:
+    """The two sides (numeric, exact) for n = 0..n_max: numeric partial sums
+    of sum (-1)^m zeta^m chi(m) m^n / q^m, and the embedded exact closed form
+    of the same series."""
+    numerics = [l_series_sum(LParams(s=complex(-n), cfg=cfg)).value for n in range(n_max + 1)]
+    return [(v, embed_complex(e, 1)) for v, e in zip(numerics, alternating_char_sums(cfg, n_max))]

@@ -22,7 +22,7 @@ from .cyclotomic import (
 )
 from .errors import InternalInconsistency, ResidualUndefined, SingularFunctionalEquation
 from .eulerian import periodic_power_sums
-from .fermionic import EqualityReport, IntegralSpec, poly_twist_integral, residue_class_sums
+from .fermionic import IntegralSpec, poly_twist_integral, residue_class_sums
 from .fermionic import _aligned, _char_moment_sequence, _moment_sequence
 from .rationals import q_bracket_neg
 from .series import TruncatedSeries, exp_linear, nth_taylor_coefficient
@@ -172,23 +172,11 @@ def twisted_euler(n: int, zeta_eff, shift):
     return poly_twist_integral(IntegralSpec(n=n, shift=shift, twist=zeta_eff, ratio=Fraction(1)))
 
 
-@dataclass(frozen=True)
-class EulerGfReport:
-    folded: TruncatedSeries
-    direct: TruncatedSeries
-    series_equal: bool
-    moments_equal: bool
-
-    @property
-    def passed(self) -> bool:
-        return self.series_equal and self.moments_equal
-
-
-def euler_gf_consistency(d_fold: int, zeta_eff, order: int) -> EulerGfReport:
-    """Telescoping of the d-fold twisted Euler generating function
-    2 sum_{l<d} (-1)^l zeta^l e^(lt) / (zeta^d e^(dt) + 1) down to
-    2/(zeta e^t + 1), plus agreement of its Taylor coefficients with the
-    integral moments."""
+def euler_gf_consistency(d_fold: int, zeta_eff, order: int) -> tuple:
+    """Two pairs of sides: the d-fold twisted Euler generating function
+    2 sum_{l<d} (-1)^l zeta^l e^(lt) / (zeta^d e^(dt) + 1) against its
+    telescoped form 2/(zeta e^t + 1), and the Taylor coefficients of that
+    form against the integral moments, through order - 1."""
     if d_fold < 1 or d_fold % 2 == 0:
         raise ValueError("the fold count must be odd")
     one = zeta_eff**0
@@ -201,11 +189,8 @@ def euler_gf_consistency(d_fold: int, zeta_eff, order: int) -> EulerGfReport:
     direct_denom = exp_linear(Fraction(1), order).scale(zeta_eff) + TruncatedSeries.constant(one, order)
     direct = TruncatedSeries.constant(2 * one, order) * direct_denom.inverse()
     eulers = _moment_sequence(IntegralSpec(n=order - 1, shift=0, twist=zeta_eff, ratio=Fraction(1)))
-    moments_equal = all(nth_taylor_coefficient(direct, n) == e for n, e in enumerate(eulers))
-    return EulerGfReport(
-        folded=folded, direct=direct,
-        series_equal=folded == direct, moments_equal=moments_equal,
-    )
+    taylor = [nth_taylor_coefficient(direct, n) for n in range(order)]
+    return (folded, direct), (taylor, eulers)
 
 
 def witt_residuals(cfg: TwistedConfig, n_max: int) -> list:
@@ -240,15 +225,16 @@ def multiplication_residuals(cfg: TwistedConfig, n_max: int) -> list:
     return out
 
 
-def euler_reduction_checks(cfg: TwistedConfig, n_max: int) -> list[EqualityReport]:
-    """At q = 1 the multiplication identity is exact: A_n at -1 must equal
-    (-2d)^n sum_a (-1)^a chi(a) zeta^a E_n(a/d) with twist zeta^d, n <= n_max;
-    the twisted Euler values E_n are the moments at measure parameter 1."""
+def euler_reduction_checks(cfg: TwistedConfig, n_max: int) -> list:
+    """The two sides of the q = 1 multiplication identity, one (lhs, rhs)
+    pair per n <= n_max: A_n at -1 and (-2d)^n sum_a (-1)^a chi(a) zeta^a
+    E_n(a/d) with twist zeta^d; the twisted Euler values E_n are the moments
+    at measure parameter 1."""
     if cfg.q != 1:
         raise ValueError("the reduction to twisted Euler values holds at q = 1")
     d = cfg.char.modulus
     sums = residue_class_sums(n_max, cfg.char_values, cfg.zeta, cfg.q)
     return [
-        EqualityReport(tv.value, Fraction(-2 * d) ** n * acc)
+        (tv.value, Fraction(-2 * d) ** n * acc)
         for n, (tv, acc) in enumerate(zip(twisted_values(cfg, n_max), sums))
     ]

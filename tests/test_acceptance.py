@@ -103,16 +103,16 @@ def test_criterion_4_interpolation():
     anchor_cfg = TwistedConfig.build(quadratic_character(3), 1, 0, F(2))
     anchors = [v.value for v in twisted_values(anchor_cfg, 2)]
     ok = ok and anchors == [-4, 12, -12]
-    for res in interpolation_checks(anchor_cfg, range(3), tol=1e-9):
-        ok = ok and res.passed
+    for l_value, exact in interpolation_checks(anchor_cfg, 2):
+        ok = ok and abs(l_value - exact) <= 1e-9 * (1 + abs(exact))
     for d in (3, 5):
         for char_name, char in grid_characters(d):
             for zeta_order in (1, 3):
                 k = 1 if zeta_order > 1 else 0
                 for q in (F(2), F(3)):
                     cfg = TwistedConfig.build(char, zeta_order, k, q)
-                    for res in interpolation_checks(cfg, range(6), tol=1e-9):
-                        ok = ok and res.passed
+                    for l_value, exact in interpolation_checks(cfg, 5):
+                        ok = ok and abs(l_value - exact) <= 1e-9 * (1 + abs(exact))
     elapsed = time.monotonic() - start
     report(4, "L-series interpolates the exact values at -n", ok and elapsed < 30,
            f"{elapsed:.1f}s")
@@ -121,8 +121,8 @@ def test_criterion_4_interpolation():
 def test_criterion_5_distribution_identity():
     ok = True
     for cfg in config_grid(5):
-        for res in distribution_identity_checks(5, cfg.char, cfg.zeta, cfg.q):
-            ok = ok and res.equal
+        for lhs, rhs in distribution_identity_checks(5, cfg.char_values, cfg.zeta, cfg.q):
+            ok = ok and lhs == rhs
     report(5, "residue-class decomposition, exact", ok)
 
 
@@ -144,21 +144,22 @@ def test_criterion_6_normalization_residuals():
         for q in Q_GRID:
             for _ in range(10):
                 values = [F(rng.randint(-20, 20), rng.randint(1, 12)) for _ in range(d)]
-                ok = ok and alternating_kernel_ratio_check(d, values, q).equal
+                lhs, rhs = alternating_kernel_ratio_check(d, values, q)
+                ok = ok and lhs == rhs
     report(6, "kernel normalization residual equals q^2 everywhere", ok,
            f"{skipped} skipped")
 
 
 def test_criterion_7_reduction_at_q_one():
-    anchor = euler_reduction_checks(TwistedConfig.build(quadratic_character(3), 1, 0, F(1)), 0)[0]
-    ok = anchor.lhs == -2 and anchor.rhs == -2
+    lhs, rhs = euler_reduction_checks(TwistedConfig.build(quadratic_character(3), 1, 0, F(1)), 0)[0]
+    ok = lhs == -2 and rhs == -2
     for d in (3, 5):
         for char_name, char in grid_characters(d):
             for zeta_order in (1, 3):
                 k = 1 if zeta_order > 1 else 0
                 cfg = TwistedConfig.build(char, zeta_order, k, F(1))
-                for res in euler_reduction_checks(cfg, 5):
-                    ok = ok and res.equal
+                for lhs, rhs in euler_reduction_checks(cfg, 5):
+                    ok = ok and lhs == rhs
     report(7, "exact reduction to twisted Euler values at q = 1", ok)
 
 
@@ -177,10 +178,14 @@ def test_criterion_8_padic_convergence():
                 ok = ok and all(v >= lv.level for lv, v in zip(rep.levels, vals))
                 ok = ok and all(vals[i] <= vals[i + 1] for i in range(len(vals) - 1))
         for char in (principal_character(p), quadratic_character(p)):
-            for rep in series_limit_checks(4, char, q, p, 4):
+            values = twisted_values(TwistedConfig.build(char, 1, 0, q), 4)
+            for n, rep in enumerate(series_limit_checks(4, char, q, p, 4)):
                 vals = [lv.valuation for lv in rep.levels]
                 ok = ok and all(v >= lv.level for lv, v in zip(rep.levels, vals))
-                ok = ok and (rep.ratio is None or rep.ratio == q ** 2)
+                # the d-l+1 kernel's limit, read from A_n, over the true limit
+                kernel_limit = 2 * q * (-1) ** n * values[n].value / (1 + q) ** (n + 1)
+                ratio = None if rep.limit == 0 else kernel_limit / rep.limit
+                ok = ok and (ratio is None or ratio == q ** 2)
     elapsed = time.monotonic() - start
     report(8, "alternating sums converge with valuation >= level", ok and elapsed < 60,
            f"{elapsed:.1f}s")
@@ -192,7 +197,8 @@ def test_criterion_9_twisted_euler_generating_function():
         for zeta_order in (1, 3, 9):
             k = 1 if zeta_order > 1 else 0
             zeta = cyclotomic_field(zeta_order).zeta_power(k)
-            ok = ok and euler_gf_consistency(d, zeta, 12).passed
+            (folded, direct), (taylor, moments) = euler_gf_consistency(d, zeta, 12)
+            ok = ok and folded == direct and taylor == moments
     ok = ok and twisted_euler(0, 1, 0) == 1
     ok = ok and twisted_euler(1, 1, 0) == F(-1, 2)
     report(9, "folded Euler generating function telescopes, exact", ok)

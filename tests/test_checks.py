@@ -1,0 +1,58 @@
+"""The checks driver can fail: one side off at one n fails exactly the
+points at that n, and every other point still passes."""
+import dataclasses
+from fractions import Fraction as F
+
+import pytest
+
+from eulertwist import checks, lfunction, twisted
+
+SMALL_GRID = checks.Grid(
+    n_max=3, moduli=(3,), q_values=(F(2),), zeta_orders=(1, 3),
+    primes=(3, 5), level_max=2, padic_n_max=3,
+)
+BAD_N = 2
+
+
+def lhs_off_by_one(sides):
+    def patched(cfg, n_max):
+        out = list(sides(cfg, n_max))
+        lhs, rhs = out[BAD_N]
+        out[BAD_N] = (lhs + 1, rhs)
+        return out
+
+    return patched
+
+
+def doubled_value(values):
+    def patched(cfg, n_max):
+        out = list(values(cfg, n_max))
+        out[BAD_N] = dataclasses.replace(out[BAD_N], value=2 * out[BAD_N].value)
+        return out
+
+    return patched
+
+
+# relation -> (namespace, attribute, wrapper): what reads the patched side
+CASES = {
+    "thm2": (checks, "_path_sides", lhs_off_by_one),
+    "thm3": (lfunction, "series_partial_sum_checks", lhs_off_by_one),
+    "thm6": (lfunction, "interpolation_checks", lhs_off_by_one),
+    "distribution": (checks, "_distribution_sides", lhs_off_by_one),
+    "thm1-residual": (twisted, "witt_residuals", lhs_off_by_one),
+    "thm5-residual": (twisted, "multiplication_residuals", lhs_off_by_one),
+    "cor3": (twisted, "euler_reduction_checks", lhs_off_by_one),
+    # cor2 reads A_n for its kernel ratio; doubled, the ratio is 2 q^2.
+    "cor2-residual": (twisted, "twisted_values", doubled_value),
+}
+
+
+@pytest.mark.parametrize("relation", sorted(CASES))
+def test_one_bad_side_fails_exactly_its_points(monkeypatch, relation):
+    namespace, attribute, wrap = CASES[relation]
+    monkeypatch.setattr(namespace, attribute, wrap(getattr(namespace, attribute)))
+    report = checks.run_relation(relation, SMALL_GRID)
+    bad = {p.key for p in report.points if p.key.endswith(f" n={BAD_N}")}
+    assert bad
+    assert {p.key for p in report.points if p.verdict == "fail"} == bad
+    assert all(p.verdict == "pass" for p in report.points if p.key not in bad)

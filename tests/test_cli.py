@@ -245,6 +245,8 @@ def test_truncation_above_bound_is_rejected_before_summing(capsys, monkeypatch):
     ("twisted", "MAX_MODULUS"), ("twisted", "MAX_ZETA_ORDER"), ("twisted", "MAX_POINT_WORK"),
     ("lfun", "MAX_MODULUS"), ("lfun", "MAX_ZETA_ORDER"), ("lfun", "MAX_POINT_WORK"),
     ("check", "MAX_MODULUS"), ("check", "MAX_ZETA_ORDER"), ("check", "MAX_POINT_WORK"),
+    ("check", "MAX_INDEX"), ("check", "MAX_TRUNCATION_TERMS"), ("check", "MAX_COR2_TERMS"),
+    ("check", "MAX_RANDOM_TABLES"),
     ("chars", "MAX_CHARS_MODULUS"),
 ])
 def test_bounds_are_documented_in_help(capsys, command, bound):
@@ -349,19 +351,47 @@ def test_point_work_counts_the_character_order(capsys, monkeypatch):
     assert code == 2 and str(cli.MAX_POINT_WORK) in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("doc", [
-    {"moduli": [cli.MAX_MODULUS + 2], "zeta_orders": [1]},
-    {"moduli": [3], "zeta_orders": [cli.MAX_ZETA_ORDER + 2]},
-    {"moduli": [4], "zeta_orders": [1]},
-    {"moduli": [3], "zeta_orders": [2]},
-    {"moduli": [91], "zeta_orders": [1, 11]},  # 2002 * 10 at zeta order 11
-])
-def test_grid_file_outside_bounds_is_rejected_before_checking(capsys, monkeypatch, tmp_path, doc):
+GRID_BOUND_CASES = [
+    ({"moduli": [cli.MAX_MODULUS + 2], "zeta_orders": [1]}, f"1..{cli.MAX_MODULUS}"),
+    ({"moduli": [3], "zeta_orders": [cli.MAX_ZETA_ORDER + 2]}, f"1..{cli.MAX_ZETA_ORDER}"),
+    ({"moduli": [4], "zeta_orders": [1]}, "must be odd"),
+    ({"moduli": [3], "zeta_orders": [2]}, "must be odd"),
+    ({"moduli": [91], "zeta_orders": [1, 11]}, f"exceeds {cli.MAX_POINT_WORK}"),  # 2002 * 10 at zeta order 11
+    ({"n_max": -1}, "n_max must"),
+    ({"n_max": cli.MAX_INDEX + 1}, "n_max must"),
+    ({"padic_n_max": cli.MAX_INDEX + 1}, "padic_n_max must"),
+    ({"primes": [9]}, "primes must"),
+    ({"primes": [2]}, "primes must"),
+    ({"primes": [101]}, "primes must"),
+    ({"level_max": -1}, "level_max must"),
+    ({"primes": [5], "level_max": 9}, "p^level_max = 5^9"),
+    ({"primes": [97], "level_max": 2, "padic_n_max": 2}, "(padic_n_max + 1)"),
+    ({"moduli": []}, "moduli must"),
+    ({"q": []}, "q must"),
+    ({"zeta_orders": []}, "zeta_orders must"),
+    ({"primes": []}, "primes must"),
+    ({"random_tables": -3}, "random_tables must"),
+    ({"random_tables": cli.MAX_RANDOM_TABLES + 1}, "random_tables must"),
+    ({"zeta_orders": [1, 9], "zeta_exponent": 3}, "zeta_exponent 3"),
+]
+
+
+@pytest.mark.parametrize("doc, message", GRID_BOUND_CASES, ids=[f"doc{i}" for i in range(len(GRID_BOUND_CASES))])
+def test_grid_file_outside_bounds_is_rejected_before_checking(capsys, monkeypatch, tmp_path, doc, message):
     monkeypatch.setattr(cli.checks, "run_relation", lambda *args: pytest.fail("the check was started"))
     path = tmp_path / "grid.json"
     path.write_text(json.dumps(doc))
     code, err = usage_exit(capsys, "check", "--relation", "thm2", "--grid", f"file:{path}")
-    assert code == 2 and "--grid" in err
+    assert code == 2 and "--grid" in err and message in " ".join(err.split()) and "Traceback" not in err
+
+
+def test_cor2_grid_at_the_walk_bound_is_accepted(capsys, monkeypatch, tmp_path):
+    monkeypatch.setattr(cli.checks, "run_relation", lambda name, grid: cli.checks.CheckReport(name, ""))
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps({"primes": [97], "level_max": 2, "padic_n_max": 1}))
+    assert 2 * 2 * 97**2 <= cli.MAX_COR2_TERMS
+    code, _ = run_cli(capsys, "check", "--relation", "cor2", "--grid", f"file:{path}")
+    assert code == 0
 
 
 def test_reach_grid_is_within_bounds(capsys, monkeypatch, tmp_path):

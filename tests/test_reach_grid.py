@@ -18,7 +18,10 @@ REACH_GRID = checks.Grid(
 )
 
 
-@pytest.mark.parametrize("relation", ["thm2", "distribution", "thm1-residual", "thm5-residual", "cor3"])
+@pytest.mark.parametrize("relation", [
+    "eq15", "thm2", "distribution", "thm1-residual", "thm5-residual", "cor2-residual", "cor3", "eq22",
+    "eq28-residual",
+])
 def test_exact_relations_pass_on_the_reach_grid(relation):
     report = checks.run_relation(relation, REACH_GRID)
     counts = report.counts

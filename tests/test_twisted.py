@@ -135,17 +135,19 @@ class TestTwistedEuler:
 
 
 class TestEulerGfConsistency:
+    # Two pairs of sides: folded against telescoped series, and Taylor
+    # coefficients against integral moments.
     def test_single_fold_is_structural(self):
-        report = euler_gf_consistency(1, cyclotomic_field(3).zeta(), 8)
-        assert report.passed
+        (folded, direct), (taylor, moments) = euler_gf_consistency(1, cyclotomic_field(3).zeta(), 8)
+        assert folded == direct and taylor == moments
 
     def test_threefold_telescoping(self):
-        report = euler_gf_consistency(3, cyclotomic_field(3).zeta(), 10)
-        assert report.passed
+        (folded, direct), (taylor, moments) = euler_gf_consistency(3, cyclotomic_field(3).zeta(), 10)
+        assert folded == direct and taylor == moments
 
     def test_fivefold_untwisted(self):
-        report = euler_gf_consistency(5, 1, 10)
-        assert report.passed
+        (folded, direct), (taylor, moments) = euler_gf_consistency(5, 1, 10)
+        assert folded == direct and taylor == moments
 
     def test_even_fold_rejected(self):
         with pytest.raises(ValueError):
@@ -202,19 +204,20 @@ class TestResiduals:
 class TestQOneReduction:
     def test_anchor_both_sides_minus_two(self):
         cfg = TwistedConfig.build(quadratic_character(3), 1, 0, F(1))
-        report = euler_reduction_checks(cfg, 0)[0]
-        assert report.lhs == -2
-        assert report.rhs == -2
-        assert report.equal
+        lhs, rhs = euler_reduction_checks(cfg, 0)[0]
+        assert lhs == -2
+        assert rhs == -2
+        assert lhs == rhs
 
     def test_principal_mod_three(self):
         cfg = TwistedConfig.build(principal_character(3), 1, 0, F(1))
-        assert euler_reduction_checks(cfg, 0)[0].equal
+        lhs, rhs = euler_reduction_checks(cfg, 0)[0]
+        assert lhs == rhs
 
     def test_cyclotomic_grid(self):
         cfg = TwistedConfig.build(quadratic_character(5), 3, 1, F(1))
-        for report in euler_reduction_checks(cfg, 4):
-            assert report.equal
+        for lhs, rhs in euler_reduction_checks(cfg, 4):
+            assert lhs == rhs
 
 
 def test_galois_equivariance():
