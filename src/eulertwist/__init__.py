@@ -31,7 +31,7 @@ from .fermionic import (
     distribution_identity_checks,
     padic_truncation,
     poly_twist_integral,
-    series_limit_checks,
+    riemann_sums,
 )
 from .lfunction import LEvaluation, LParams, interpolation_checks, l_eval, series_partial_sum_checks
 from .polys import Poly

@@ -22,7 +22,7 @@ from .cyclotomic import cyclotomic_field
 from .errors import ResidualUndefined
 from .eulerian import eulerian_recurrence
 from .ntheory import is_squarefree
-from .rationals import format_rational, parse_rational
+from .rationals import format_rational, padic_valuation, parse_rational
 from .series import nth_taylor_coefficient
 
 
@@ -223,28 +223,27 @@ def run_thm5_residual(grid: Grid) -> CheckReport:
 
 
 def run_cor2_residual(grid: Grid) -> CheckReport:
-    """Unnormalized alternating sums: valuation growth toward twice the
-    series value, and the limit of the d-l+1 kernel, read from A_n, over
-    the true one: the constant normalization ratio q^2."""
+    """Corollary 2: the unnormalized alternating sums U_N tend to
+    2 (-1)^n A_n / (q (1+q)^(n+1)), A_n on the series path, with every
+    v_p(U_N - limit) at least N; the d-l+1 kernel's limit, the same formula
+    times q^2 with A_n from the generating function, is q^2 times it."""
     report = CheckReport("cor2-residual", grid.describe())
     for p in grid.primes:
         q = Fraction(1 + p)
         for char_name, char in (("principal", principal_character(p)),
                                 ("quadratic", quadratic_character(p))):
-            values = twisted.twisted_values(twisted.TwistedConfig.build(char, 1, 0, q), grid.padic_n_max)
-            reports = fermionic.series_limit_checks(grid.padic_n_max, char, q, p, grid.level_max)
-            for n, (res, tv) in enumerate(zip(reports, values)):
-                key = f"p={p} char={char_name} n={n}"
-                vals = [lv.valuation for lv in res.levels]
-                growth = all(v >= lv.level for lv, v in zip(res.levels, vals)) and all(
-                    vals[i] <= vals[i + 1] for i in range(len(vals) - 1)
-                )
+            sums = fermionic.riemann_sums(grid.padic_n_max, q, p, grid.level_max, char)
+            sides = _path_sides(twisted.TwistedConfig.build(char, 1, 0, q), grid.padic_n_max)
+            for n, (row, (gf, series)) in enumerate(zip(sums, sides)):
                 # A_n is rational here: the twist is 1 and chi takes values in {0, 1, -1}.
-                kernel_limit = 2 * q * (-1) ** n * tv.value.coeffs[0] / (1 + q) ** (n + 1)
-                ratio = None if res.limit == 0 else kernel_limit / res.limit
-                ratio_ok = ratio is None or ratio == q**2
+                scale = 2 * (-1) ** n / (q * (1 + q) ** (n + 1))
+                limit = scale * series.coeffs[0]
+                vals = [padic_valuation(total - limit, p) for total in row]
+                growth = all(v >= level for level, v in enumerate(vals))
+                kernel_limit = q**2 * scale * gf.coeffs[0]
+                ratio = None if limit == 0 else kernel_limit / limit
                 detail = f"valuations={['inf' if v == math.inf else v for v in vals]} ratio={ratio}"
-                report.add(key, growth and ratio_ok, detail)
+                report.add(f"p={p} char={char_name} n={n}", growth and kernel_limit == q**2 * limit, detail)
     return report.finalize()
 
 

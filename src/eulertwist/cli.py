@@ -49,11 +49,11 @@ MAX_ZETA_ORDER = 99
 # Q(zeta_lcm(twist order, character order)); at this bound and n = MAX_INDEX
 # the slowest point found takes about 10 s at q = 2.
 MAX_POINT_WORK = 10_000
-# check --grid file: cor2-residual walks 2 * (padic_n_max + 1) alternating
-# sums per prime, each over p^level_max terms of growing rationals; summed
-# over the primes, the terms are at most this.  The slowest grid found at the
-# bound (p = 97, level_max 2, padic_n_max 1: four walks of 9409 terms) takes
-# about 10 s.
+# check --grid file: cor2-residual makes two walks per prime, one per
+# character, over p^level_max terms, and each term updates padic_n_max + 1
+# growing integer sums; summed over the primes, the 2 * (padic_n_max + 1) *
+# p^level_max updates are at most this.  The slowest grid found at the bound
+# (p = 31, level_max 2, padic_n_max 19) takes about 0.3 s.
 MAX_COR2_TERMS = 40_000
 # check --grid file: eq28-residual draws this many random tables at most per
 # (modulus, q); 1000 tables at d = 99 take about 4 s per q.
@@ -146,6 +146,19 @@ def _odd_int(hi: int):
     return parse
 
 
+def _odd_prime(hi: int):
+    """Odd primes in 3..hi, from a flag's text or a grid file's int; the
+    bound is checked before the trial division."""
+
+    def parse(value) -> int:
+        value = int(value)
+        if not 3 <= value <= hi or not is_prime(value):
+            raise ValueError(f"must be an odd prime at most {hi}")
+        return value
+
+    return parse
+
+
 def _character_spec(text: str) -> str:
     """principal, quadratic, index:I with I >= 0, or file:PATH."""
     if text in ("principal", "quadratic") or text.startswith("file:"):
@@ -224,6 +237,9 @@ def _check_grid_bounds(grid) -> None:
                         ("zeta_orders", grid.zeta_orders), ("primes", grid.primes)):
         if not values:
             raise ValueError(f"{key} must be nonempty")
+        repeated = next((v for i, v in enumerate(values) if v in values[:i]), None)
+        if repeated is not None:
+            raise ValueError(f"{key} lists {repeated} more than once")
     for key, value, lo, hi in (("n_max", grid.n_max, 0, MAX_INDEX), ("padic_n_max", grid.padic_n_max, 0, MAX_INDEX),
                                ("random_tables", grid.random_tables, 1, MAX_RANDOM_TABLES)):
         if not lo <= value <= hi:
@@ -234,8 +250,10 @@ def _check_grid_bounds(grid) -> None:
     if grid.level_max < 0:
         raise ValueError(f"level_max must be >= 0, got {grid.level_max}")
     for p in grid.primes:
-        if p == 2 or p > MAX_MODULUS or not is_prime(p):
-            raise ValueError(f"primes must be odd primes at most {MAX_MODULUS}, got {p}")
+        try:
+            _odd_prime(MAX_MODULUS)(p)
+        except ValueError as exc:
+            raise ValueError(f"primes {exc}, got {p}") from None
         if _truncation_terms(p, grid.level_max) > MAX_TRUNCATION_TERMS:
             raise ValueError(f"p^level_max = {p}^{grid.level_max} exceeds {MAX_TRUNCATION_TERMS} terms")
     walks = 2 * (grid.padic_n_max + 1) * sum(p**grid.level_max for p in grid.primes)
@@ -333,12 +351,11 @@ def _cmd_twisted(args) -> int:
 
 
 def _truncation_terms(p: int, levels: int) -> int:
-    """|p|^levels, or the first partial power above MAX_TRUNCATION_TERMS."""
-    if abs(p) < 2:
-        return 1
+    """p^levels for a prime p, or the first partial power above
+    MAX_TRUNCATION_TERMS."""
     terms = 1
     for _ in range(levels):
-        terms *= abs(p)
+        terms *= p
         if terms > MAX_TRUNCATION_TERMS:
             break
     return terms
@@ -450,7 +467,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("integral", help="alternating Riemann-sum truncation report")
     p.add_argument("--n", type=index, required=True, help=f"moment index, 0..{MAX_INDEX}")
     p.add_argument("--q", type=rational, required=True)
-    p.add_argument("--p", type=int, required=True)
+    p.add_argument(
+        "--p", type=_flag_type(_odd_prime(MAX_TRUNCATION_TERMS)), required=True,
+        help=f"odd prime, at most {MAX_TRUNCATION_TERMS}",
+    )
     p.add_argument(
         "--levels", type=_flag_type(_bounded_int(0)), default=5,
         help=f"levels N = 0..LEVELS, >= 0; p^LEVELS at most {MAX_TRUNCATION_TERMS}",
@@ -487,7 +507,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--relation", required=True)
     p.add_argument(
         "--grid", type=_flag_type(_grid), default="default",
-        help=f"default|file:PATH; a file's lists are nonempty; its moduli and twist orders are odd, "
+        help=f"default|file:PATH; a file's lists are nonempty and repeat no entry; its moduli and twist orders are odd, "
         f"at most {MAX_MODULUS} and {MAX_ZETA_ORDER}, each point's work at most {MAX_POINT_WORK}, and "
         f"zeta_exponent coprime to each twist order; n_max and padic_n_max lie in 0..{MAX_INDEX}; "
         f"primes are odd primes at most {MAX_MODULUS}, level_max >= 0 with each p^level_max at most "

@@ -12,10 +12,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .characters import DirichletCharacter
+from .characters import DirichletCharacter, principal_character
 from .cyclotomic import cyclotomic_field, lift_to_field
 from .errors import NotPadicallyConvergent, SingularFunctionalEquation
-from .eulerian import periodic_power_sums
 from .rationals import format_rational, padic_valuation, q_bracket_neg
 from .series import _is_zero
 
@@ -179,42 +178,52 @@ class TruncationReport:
         return "\n".join(lines) + "\n"
 
 
-def _check_padic_regime(q: Fraction, p: int, char: DirichletCharacter | None) -> None:
+def _check_padic_regime(q: Fraction, p: int, char: DirichletCharacter) -> None:
     from .ntheory import is_prime
 
     if p == 2 or not is_prime(p):
         raise ValueError(f"p must be an odd prime, got {p}")
     if padic_valuation(q - 1, p) < 1 or padic_valuation(q, p) != 0:
         raise NotPadicallyConvergent(f"need |q-1|_p < 1 and |q|_p = 1 at p={p}")
-    if char is not None:
-        if not char.is_rational_valued:
-            raise NotPadicallyConvergent("character must take values in {0, 1, -1}")
-        d = char.modulus
-        while d % p == 0:
-            d //= p
-        if d != 1:
-            raise NotPadicallyConvergent(
-                f"character modulus {char.modulus} is not a power of p={p}; "
-                "the alternating sums do not converge"
-            )
+    if not char.is_rational_valued:
+        raise NotPadicallyConvergent("character must take values in {0, 1, -1}")
+    d = char.modulus
+    while d % p == 0:
+        d //= p
+    if d != 1:
+        raise NotPadicallyConvergent(
+            f"character modulus {char.modulus} is not a power of p={p}; "
+            "the alternating sums do not converge"
+        )
 
 
-def _alternating_sums(n: int, q: Fraction, p: int, max_level: int, char) -> list[Fraction]:
-    """U_N = sum_{0 <= x < p^N} (-1/q)^x chi(x) x^n for N = 0..max_level, in
-    one pass over x < p^max_level; char None weighs every x by 1."""
-    step = Fraction(-1, 1) / q
-    sums = []
-    total = Fraction(0)
-    weight = Fraction(1)
+def riemann_sums(
+    n_max: int, q: Fraction, p: int, max_level: int, char: DirichletCharacter
+) -> list[list[Fraction]]:
+    """sums[n][N] = U_N = sum_{0 <= x < p^N} (-1/q)^x chi(x) x^n for
+    n = 0..n_max and N = 0..max_level, in one pass over x < p^max_level.
+
+    With q = u/v the pass stays in integers: acc_n = u^x times the prefix
+    sum up to x, so acc_n <- acc_n u + chi(x) (-v)^x x^n, and U_N is
+    acc_n / u^x at x = p^N - 1."""
+    q = Fraction(q)
+    _check_padic_regime(q, p, char)
+    u, v = q.numerator, q.denominator
+    chi = [int(char.rational_value(a)) for a in range(char.modulus)]
+    acc = [0] * (n_max + 1)
+    sums: list[list[Fraction]] = [[] for _ in acc]
+    weight = 1  # (-v)^x
     end = 1  # the next checkpoint p^N
     for x in range(p**max_level if max_level >= 0 else 0):
-        if x:
-            weight *= step
-        chi_x = char.rational_value(x) if char is not None else Fraction(1)
-        if chi_x:
-            total += weight * chi_x * x**n
+        term = chi[x % char.modulus] * weight
+        for m in range(n_max + 1):
+            acc[m] = acc[m] * u + term
+            term *= x
+        weight *= -v
         if x + 1 == end:
-            sums.append(total)
+            scale = u**x
+            for row, total in zip(sums, acc):
+                row.append(Fraction(total, scale))
             end *= p
     return sums
 
@@ -223,48 +232,14 @@ def padic_truncation(
     n: int, q: Fraction, p: int, max_level: int, char: DirichletCharacter | None = None
 ) -> TruncationReport:
     """Alternating Riemann sums S_N over 0 <= x < p^N, normalized by the
-    alternating bracket of p^N, with the p-adic valuation of S_N - exact."""
+    alternating bracket of p^N, with the p-adic valuation of S_N - exact;
+    char None weighs every x by 1, as the character mod 1 does."""
+    char = principal_character(1) if char is None else char
     q = Fraction(q)
-    _check_padic_regime(q, p, char)
-    if char is not None:
-        exact = char_twist_integral(n, char, 1, q)
-    else:
-        exact = poly_twist_integral(IntegralSpec(n=n, shift=0, twist=1, ratio=1 / q))
+    sums = riemann_sums(n, q, p, max_level, char)[n]
+    exact = char_twist_integral(n, char, 1, q)
     levels = []
-    for level, total in enumerate(_alternating_sums(n, q, p, max_level, char)):
+    for level, total in enumerate(sums):
         partial = total / q_bracket_neg(p**level, 1 / q)
         levels.append(TruncationLevel(level, partial, padic_valuation(partial - exact, p)))
     return TruncationReport(p=p, exact=exact, levels=tuple(levels))
-
-
-@dataclass(frozen=True)
-class SeriesLimitReport:
-    p: int
-    q: Fraction
-    series_value: Fraction  # closed form of sum_{m>=1} (-1)^m chi(m) m^n / q^m
-    limit: Fraction  # what the unnormalized sums converge to
-    levels: tuple[TruncationLevel, ...]  # valuation of U_N - limit per level
-
-
-def series_limit_checks(
-    n_max: int, char: DirichletCharacter, q: Fraction, p: int, max_level: int
-) -> list[SeriesLimitReport]:
-    """For n = 0..n_max, unnormalized alternating sums U_N against twice the
-    exact alternating series value; the series values come from one
-    closed-form sequence."""
-    q = Fraction(q)
-    _check_padic_regime(q, p, char)
-    period = math.lcm(2, char.modulus)
-    cycle = [Fraction(-1) ** m * char.rational_value(m) for m in range(1, period + 1)]
-    reports = []
-    for n, closed in enumerate(periodic_power_sums(cycle, n_max, 1 / q)):
-        # The index-0 summand survives only at n = 0, and only when chi(0) != 0
-        # (modulus 1); the sums converge to twice the series plus twice that term.
-        index_zero = char.rational_value(0) if n == 0 else Fraction(0)
-        limit = 2 * (closed + index_zero)
-        levels = tuple(
-            TruncationLevel(level, total, padic_valuation(total - limit, p))
-            for level, total in enumerate(_alternating_sums(n, q, p, max_level, char))
-        )
-        reports.append(SeriesLimitReport(p=p, q=q, series_value=closed, limit=limit, levels=levels))
-    return reports

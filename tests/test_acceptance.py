@@ -23,9 +23,11 @@ from eulertwist import (
     multiplication_residuals,
     nth_taylor_coefficient,
     padic_truncation,
+    padic_valuation,
     poly_twist_integral,
     principal_character,
     quadratic_character,
+    riemann_sums,
     twisted_euler,
     twisted_gf,
     twisted_values,
@@ -37,7 +39,6 @@ from eulertwist.errors import ResidualUndefined
 from eulertwist.fermionic import (
     IntegralSpec,
     alternating_kernel_ratio_check,
-    series_limit_checks,
 )
 from eulertwist.ntheory import euler_phi
 from eulertwist.twisted import twisted_series_values
@@ -178,13 +179,17 @@ def test_criterion_8_padic_convergence():
                 ok = ok and all(v >= lv.level for lv, v in zip(rep.levels, vals))
                 ok = ok and all(vals[i] <= vals[i + 1] for i in range(len(vals) - 1))
         for char in (principal_character(p), quadratic_character(p)):
-            values = twisted_values(TwistedConfig.build(char, 1, 0, q), 4)
-            for n, rep in enumerate(series_limit_checks(4, char, q, p, 4)):
-                vals = [lv.valuation for lv in rep.levels]
-                ok = ok and all(v >= lv.level for lv, v in zip(rep.levels, vals))
+            cfg = TwistedConfig.build(char, 1, 0, q)
+            values = twisted_values(cfg, 4)
+            series = twisted_series_values(cfg, 4)
+            for n, sums in enumerate(riemann_sums(4, q, p, 4, char)):
+                # the true limit, read from A_n on the series path
+                limit = 2 * (-1) ** n * series[n].coeffs[0] / (q * (1 + q) ** (n + 1))
+                vals = [padic_valuation(total - limit, p) for total in sums]
+                ok = ok and all(v >= level for level, v in enumerate(vals))
                 # the d-l+1 kernel's limit, read from A_n, over the true limit
                 kernel_limit = 2 * q * (-1) ** n * values[n].value / (1 + q) ** (n + 1)
-                ratio = None if rep.limit == 0 else kernel_limit / rep.limit
+                ratio = None if limit == 0 else kernel_limit / limit
                 ok = ok and (ratio is None or ratio == q ** 2)
     elapsed = time.monotonic() - start
     report(8, "alternating sums converge with valuation >= level", ok and elapsed < 60,

@@ -1,11 +1,10 @@
 """The checks driver can fail: one side off at one n fails exactly the
 points at that n, and every other point still passes."""
-import dataclasses
 from fractions import Fraction as F
 
 import pytest
 
-from eulertwist import checks, lfunction, twisted
+from eulertwist import checks, fermionic, lfunction, twisted
 
 SMALL_GRID = checks.Grid(
     n_max=3, moduli=(3,), q_values=(F(2),), zeta_orders=(1, 3),
@@ -24,15 +23,6 @@ def lhs_off_by_one(sides):
     return patched
 
 
-def doubled_value(values):
-    def patched(cfg, n_max):
-        out = list(values(cfg, n_max))
-        out[BAD_N] = dataclasses.replace(out[BAD_N], value=2 * out[BAD_N].value)
-        return out
-
-    return patched
-
-
 # relation -> (namespace, attribute, wrapper): what reads the patched side
 CASES = {
     "thm2": (checks, "_path_sides", lhs_off_by_one),
@@ -42,17 +32,32 @@ CASES = {
     "thm1-residual": (twisted, "witt_residuals", lhs_off_by_one),
     "thm5-residual": (twisted, "multiplication_residuals", lhs_off_by_one),
     "cor3": (twisted, "euler_reduction_checks", lhs_off_by_one),
-    # cor2 reads A_n for its kernel ratio; doubled, the ratio is 2 q^2.
-    "cor2-residual": (twisted, "twisted_values", doubled_value),
+    # cor2 reads A_n from both paths; the generating-function side sets its kernel ratio.
+    "cor2-residual": (checks, "_path_sides", lhs_off_by_one),
 }
+
+
+def assert_fails_exactly_bad_n(report) -> None:
+    bad = {p.key for p in report.points if p.key.endswith(f" n={BAD_N}")}
+    assert bad
+    assert {p.key for p in report.points if p.verdict == "fail"} == bad
+    assert all(p.verdict == "pass" for p in report.points if p.key not in bad)
 
 
 @pytest.mark.parametrize("relation", sorted(CASES))
 def test_one_bad_side_fails_exactly_its_points(monkeypatch, relation):
     namespace, attribute, wrap = CASES[relation]
     monkeypatch.setattr(namespace, attribute, wrap(getattr(namespace, attribute)))
-    report = checks.run_relation(relation, SMALL_GRID)
-    bad = {p.key for p in report.points if p.key.endswith(f" n={BAD_N}")}
-    assert bad
-    assert {p.key for p in report.points if p.verdict == "fail"} == bad
-    assert all(p.verdict == "pass" for p in report.points if p.key not in bad)
+    assert_fails_exactly_bad_n(checks.run_relation(relation, SMALL_GRID))
+
+
+def test_one_bad_walk_sum_fails_exactly_its_cor2_points(monkeypatch):
+    real = fermionic.riemann_sums
+
+    def shifted(*args):
+        sums = real(*args)
+        sums[BAD_N][-1] += 1  # v_p(U_N - limit) >= N >= 1 before the shift, 0 after
+        return sums
+
+    monkeypatch.setattr(fermionic, "riemann_sums", shifted)
+    assert_fails_exactly_bad_n(checks.run_relation("cor2-residual", SMALL_GRID))

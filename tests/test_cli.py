@@ -239,6 +239,20 @@ def test_truncation_above_bound_is_rejected_before_summing(capsys, monkeypatch):
     assert cli.main(["integral", "--levels", "1000000000", "--q", "4", "--p", "3", "--n", "2"]) == 2
 
 
+@pytest.mark.parametrize("p", ["9", "2", "1", "-3", "1000000000000000000000000000057"])
+def test_integral_p_outside_bounds_is_rejected_before_summing(capsys, monkeypatch, p):
+    # the last value used to run trial division for as long as the run lasted
+    monkeypatch.setattr(cli, "padic_truncation", lambda *args: pytest.fail("the sums were started"))
+    code, err = usage_exit(capsys, "integral", "--n", "1", "--q", "4", "--p", p, "--levels", "0")
+    assert code == 2 and "--p" in err and str(cli.MAX_TRUNCATION_TERMS) in err
+
+
+def test_integral_p_bound_is_documented_in_help(capsys):
+    with pytest.raises(SystemExit):
+        cli.main(["integral", "--help"])
+    assert f"odd prime, at most {cli.MAX_TRUNCATION_TERMS}" in " ".join(capsys.readouterr().out.split())
+
+
 @pytest.mark.parametrize("command, bound", [
     ("lfun", "MAX_TERMS"), ("integral", "MAX_TRUNCATION_TERMS"),
     ("twisted", "MAX_INDEX"), ("classic", "MAX_INDEX"), ("integral", "MAX_INDEX"),
@@ -373,6 +387,10 @@ GRID_BOUND_CASES = [
     ({"random_tables": -3}, "random_tables must"),
     ({"random_tables": cli.MAX_RANDOM_TABLES + 1}, "random_tables must"),
     ({"zeta_orders": [1, 9], "zeta_exponent": 3}, "zeta_exponent 3"),
+    ({"moduli": [3, 3]}, "moduli lists 3 more than once"),
+    ({"q": ["2", "4/2"]}, "q lists 2 more than once"),
+    ({"zeta_orders": [1, 3, 3]}, "zeta_orders lists 3 more than once"),
+    ({"primes": [3, 5, 3]}, "primes lists 3 more than once"),
 ]
 
 
@@ -392,6 +410,21 @@ def test_cor2_grid_at_the_walk_bound_is_accepted(capsys, monkeypatch, tmp_path):
     assert 2 * 2 * 97**2 <= cli.MAX_COR2_TERMS
     code, _ = run_cli(capsys, "check", "--relation", "cor2", "--grid", f"file:{path}")
     assert code == 0
+
+
+@pytest.mark.parametrize("doc", [
+    {"primes": [11], "level_max": 3, "padic_n_max": 14},
+    {"primes": [17], "level_max": 2, "padic_n_max": 40},
+])
+def test_cor2_file_grid_passes_every_point(capsys, tmp_path, doc):
+    # Corollary 2 bounds each valuation v_p(U_N - limit) below by N and says
+    # nothing of their order across levels; these grids hold points whose
+    # valuation at a low level is high by accident.
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps(doc))
+    code, out = run_cli(capsys, "check", "--relation", "cor2", "--grid", f"file:{path}")
+    assert code == 0
+    assert json.loads(out)["summary"] == {"pass": 2 * (doc["padic_n_max"] + 1), "fail": 0, "skip": 0}
 
 
 def test_reach_grid_is_within_bounds(capsys, monkeypatch, tmp_path):

@@ -14,10 +14,12 @@ from eulertwist import (
     distribution_identity_checks,
     eulerian_recurrence,
     padic_truncation,
+    padic_valuation,
     poly_twist_integral,
     principal_character,
     q_bracket_neg,
     quadratic_character,
+    riemann_sums,
     twisted_values,
 )
 from eulertwist.errors import NotPadicallyConvergent, SingularFunctionalEquation
@@ -25,8 +27,8 @@ from eulertwist.fermionic import (
     IntegralSpec,
     _aligned,
     alternating_kernel_ratio_check,
-    series_limit_checks,
 )
+from eulertwist.twisted import alternating_char_sums, twisted_series_values
 
 
 def distribution_sides(n_max, char, zeta, q):
@@ -38,6 +40,24 @@ def kernel_limit(char, q, n):
     A_n at twist 1: 2 q (-1)^n A_n / (1+q)^(n+1)."""
     a_n = twisted_values(TwistedConfig.build(char, 1, 0, q), n)[n].value
     return 2 * q * (-1) ** n * a_n / (1 + q) ** (n + 1)
+
+
+def series_limit(char, q, n):
+    """The limit of the unnormalized sums U_N, read from A_n on the series
+    path: 2 (-1)^n A_n / (q (1+q)^(n+1))."""
+    a_n = twisted_series_values(TwistedConfig.build(char, 1, 0, q), n)[n]
+    return 2 * (-1) ** n * a_n.coeffs[0] / (q * (1 + q) ** (n + 1))
+
+
+def series_value(char, q, n):
+    """The alternating series sum_{m>=1} (-1)^m chi(m) m^n / q^m, closed form."""
+    return alternating_char_sums(TwistedConfig.build(char, 1, 0, q), n)[n].coeffs[0]
+
+
+def walk_valuations(char, q, p, max_level, n):
+    """v_p(U_N - limit) for N = 0..max_level."""
+    limit = series_limit(char, q, n)
+    return [padic_valuation(total - limit, p) for total in riemann_sums(n, q, p, max_level, char)[n]]
 
 
 class TestPolyTwistIntegral:
@@ -179,7 +199,7 @@ class TestPadicTruncation:
     def test_partial_sums_equal_a_fresh_sum_per_level(self, n, p, char):
         q = F(1 + p)
         report = padic_truncation(n, q, p, 3, char=char)
-        limits = series_limit_checks(n, char, q, p, 3)[n] if char is not None else None
+        walk = riemann_sums(n, q, p, 3, char)[n] if char is not None else None
         for level in range(4):
             count = p**level
             fresh = sum(
@@ -187,8 +207,29 @@ class TestPadicTruncation:
                 for x in range(count)
             )
             assert report.levels[level].partial == fresh / q_bracket_neg(count, 1 / q)
-            if limits is not None:
-                assert limits.levels[level].partial == fresh
+            if walk is not None:
+                assert walk[level] == fresh
+
+    @pytest.mark.parametrize("q, p, char", [
+        (F(4, 7), 3, quadratic_character(3)),
+        (F(-2), 3, principal_character(3)),
+        (F(6, 11), 5, principal_character(1)),
+        (F(-6), 7, quadratic_character(7)),
+        (F(8, 15), 7, principal_character(7)),
+    ])
+    def test_integer_walk_equals_a_fresh_sum_off_integer_q(self, q, p, char):
+        # The checks and the benchmark only reach q = 1 + kp; here q has a
+        # denominator, a negative sign, or both.
+        sums = riemann_sums(4, q, p, 3, char)
+        for n in range(5):
+            for level in range(4):
+                fresh = sum(
+                    (F(-1, 1) / q) ** x * char.rational_value(x) * x**n for x in range(p**level)
+                )
+                assert sums[n][level] == fresh
+
+    def test_negative_level_count_gives_no_levels(self):
+        assert riemann_sums(2, F(4), 3, -1, quadratic_character(3)) == [[], [], []]
 
     def test_regime_guards(self):
         with pytest.raises(NotPadicallyConvergent):
@@ -201,24 +242,23 @@ class TestPadicTruncation:
 
 class TestSeriesLimit:
     def test_quadratic_anchor(self):
-        report = series_limit_checks(0, quadratic_character(3), F(4), 3, 4)[0]
-        assert report.series_value == F(-4, 13)
-        assert kernel_limit(quadratic_character(3), F(4), 0) / report.limit == 16
-        for level in report.levels:
-            assert level.valuation >= level.level
+        assert series_value(quadratic_character(3), F(4), 0) == F(-4, 13)
+        limit = series_limit(quadratic_character(3), F(4), 0)
+        assert kernel_limit(quadratic_character(3), F(4), 0) / limit == 16
+        for level, valuation in enumerate(walk_valuations(quadratic_character(3), F(4), 3, 4, 0)):
+            assert valuation >= level
 
     @pytest.mark.parametrize("n", range(4))
     def test_ratio_constant_in_n(self, n):
-        report = series_limit_checks(n, quadratic_character(3), F(4), 3, 2)[n]
-        assert kernel_limit(quadratic_character(3), F(4), n) / report.limit == F(4) ** 2
+        limit = series_limit(quadratic_character(3), F(4), n)
+        assert kernel_limit(quadratic_character(3), F(4), n) / limit == F(4) ** 2
 
     def test_modulus_one_limit_includes_index_zero_term(self):
-        report = series_limit_checks(0, principal_character(1), F(4), 3, 3)[0]
-        assert report.limit == 2 * (report.series_value + 1)
-        for level in report.levels:
-            assert level.valuation >= level.level
+        char = principal_character(1)
+        assert series_limit(char, F(4), 0) == 2 * (series_value(char, F(4), 0) + 1)
+        for level, valuation in enumerate(walk_valuations(char, F(4), 3, 3, 0)):
+            assert valuation >= level
 
     def test_scaled_limit_is_q_squared_times_true_series(self):
         q = F(6)
-        report = series_limit_checks(2, quadratic_character(5), q, 5, 2)[2]
-        assert kernel_limit(quadratic_character(5), q, 2) == q**2 * 2 * report.series_value
+        assert kernel_limit(quadratic_character(5), q, 2) == q**2 * 2 * series_value(quadratic_character(5), q, 2)

@@ -27,3 +27,13 @@ def test_exact_relations_pass_on_the_reach_grid(relation):
     counts = report.counts
     assert counts["fail"] == 0, [p for p in report.points if p.verdict == "fail"][:5]
     assert counts["pass"] > 0
+
+
+# cor2 reads only the primes, level_max and padic_n_max of a grid; these go
+# past the default grid's primes (3, 5) and padic_n_max 4.
+COR2_REACH_GRID = checks.Grid(primes=(3, 5, 7, 11, 13), level_max=3, padic_n_max=12)
+
+
+def test_cor2_passes_on_the_reach_primes():
+    counts = checks.run_relation("cor2-residual", COR2_REACH_GRID).counts
+    assert counts == {"pass": 5 * 2 * 13, "fail": 0, "skip": 0}
