@@ -23,7 +23,6 @@ from .errors import ResidualUndefined
 from .eulerian import eulerian_recurrence
 from .ntheory import is_squarefree
 from .rationals import format_rational, padic_valuation, parse_rational
-from .series import nth_taylor_coefficient
 
 
 @dataclass(frozen=True)
@@ -185,9 +184,9 @@ def _relative_gap(cfg, lhs, rhs) -> tuple:
 
 
 def _path_sides(cfg, n_max: int) -> list:
-    """Generating-function coefficients beside the closed-form series path."""
-    gf = twisted.twisted_gf(cfg, n_max + 1)
-    return [(nth_taylor_coefficient(gf, n), b) for n, b in enumerate(twisted.twisted_series_values(cfg, n_max))]
+    """Theorem 2: generating-function coefficients beside the closed-form series path."""
+    values = twisted.twisted_values(cfg, n_max)
+    return [(tv.value, b) for tv, b in zip(values, twisted.twisted_series_values(cfg, n_max))]
 
 
 def _distribution_sides(cfg, n_max: int) -> list:

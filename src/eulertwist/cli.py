@@ -47,7 +47,8 @@ MAX_ZETA_ORDER = 99
 # The work of one parameter point follows the cycle length lcm(2, d, twist
 # order) of the alternating series times the degree of the ambient field
 # Q(zeta_lcm(twist order, character order)); at this bound and n = MAX_INDEX
-# the slowest point found takes about 10 s at q = 2.
+# the slowest point found (d = 97, quadratic character, twist order 7) takes
+# about 3 s at q = 2 and 10 s at q = 5/2.
 MAX_POINT_WORK = 10_000
 # check --grid file: cor2-residual makes two walks per prime, one per
 # character, over p^level_max terms, and each term updates padic_n_max + 1
@@ -240,6 +241,9 @@ def _check_grid_bounds(grid) -> None:
         repeated = next((v for i, v in enumerate(values) if v in values[:i]), None)
         if repeated is not None:
             raise ValueError(f"{key} lists {repeated} more than once")
+    for q in grid.q_values:
+        if q in (0, -1):
+            raise ValueError(f"q must avoid 0 and -1, got {q}")
     for key, value, lo, hi in (("n_max", grid.n_max, 0, MAX_INDEX), ("padic_n_max", grid.padic_n_max, 0, MAX_INDEX),
                                ("random_tables", grid.random_tables, 1, MAX_RANDOM_TABLES)):
         if not lo <= value <= hi:
@@ -507,10 +511,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--relation", required=True)
     p.add_argument(
         "--grid", type=_flag_type(_grid), default="default",
-        help=f"default|file:PATH; a file's lists are nonempty and repeat no entry; its moduli and twist orders are odd, "
-        f"at most {MAX_MODULUS} and {MAX_ZETA_ORDER}, each point's work at most {MAX_POINT_WORK}, and "
-        f"zeta_exponent coprime to each twist order; n_max and padic_n_max lie in 0..{MAX_INDEX}; "
-        f"primes are odd primes at most {MAX_MODULUS}, level_max >= 0 with each p^level_max at most "
+        help=f"default|file:PATH; a file's lists are nonempty and repeat no entry; its q values avoid 0 and -1; "
+        f"its moduli and twist orders are odd, at most {MAX_MODULUS} and {MAX_ZETA_ORDER}, each point's work at "
+        f"most {MAX_POINT_WORK}, and zeta_exponent coprime to each twist order; n_max and padic_n_max lie in "
+        f"0..{MAX_INDEX}; primes are odd primes at most {MAX_MODULUS}, level_max >= 0 with each p^level_max at most "
         f"{MAX_TRUNCATION_TERMS}, and 2 * (padic_n_max + 1) * (sum of p^level_max) at most "
         f"{MAX_COR2_TERMS}; random_tables lies in 1..{MAX_RANDOM_TABLES}",
     )

@@ -96,7 +96,8 @@ def l_eval(params: LParams) -> LEvaluation:
 
 def interpolation_checks(cfg: TwistedConfig, n_max: int) -> list:
     """The two sides (L(-n), (-1)^n A_n embedded) for n = 0..n_max; the
-    exact values come from one twisted_values call.
+    exact values are the generating-function coefficients of one
+    twisted_values call, and the series path is not built.
 
     For modulus 1 the series misses the index-0 summand of the generating
     function, which only contributes at n = 0; that entry is a

@@ -1,12 +1,12 @@
 """Twisted Eulerian polynomial values over cyclotomic fields.
 
 Everything here evaluates the family A_n attached to a character chi mod d,
-a root-of-unity twist, and a rational q: once as Taylor coefficients of its
-generating function (the canonical definition, kernel exponent d-l+1), once
-through the regrouped alternating series in closed form.  The two paths are
-algebraically independent and must agree exactly; the links back to the
-integral world hold up to the constant factor q^2, which the checks test
-exactly by one product, never assume.
+a root-of-unity twist, and a rational q.  The values are the Taylor
+coefficients of the generating function (kernel exponent d-l+1); the
+regrouped alternating series in closed form is an independent second route
+(Theorem 2), read beside them only by the thm2 and cor2 checks.  The links
+back to the integral world hold up to the constant factor q^2, which the
+checks test exactly by one product, never assume.
 """
 from __future__ import annotations
 
@@ -20,15 +20,12 @@ from .cyclotomic import (
     CyclotomicNumber,
     cyclotomic_field,
 )
-from .errors import InternalInconsistency, ResidualUndefined, SingularFunctionalEquation
+from .errors import ResidualUndefined, SingularFunctionalEquation
 from .eulerian import periodic_power_sums
 from .fermionic import IntegralSpec, poly_twist_integral, residue_class_sums
 from .fermionic import _aligned, _char_moment_sequence, _moment_sequence
 from .rationals import q_bracket_neg
 from .series import TruncatedSeries, exp_linear, nth_taylor_coefficient
-
-PATH_GENERATING_FUNCTION = "generating_function"
-PATH_SERIES_CLOSED_FORM = "series_closed_form"
 
 
 @dataclass(frozen=True)
@@ -91,12 +88,6 @@ class TwistedConfig:
 class TwistedValue:
     n: int
     value: CyclotomicNumber
-    paths: dict
-
-    def __post_init__(self):
-        vals = list(self.paths.values())
-        if any(v != vals[0] for v in vals[1:]):
-            raise InternalInconsistency(f"evaluation paths disagree at n={self.n}: {self.paths}")
 
 
 def twisted_gf(cfg: TwistedConfig, order: int) -> TruncatedSeries:
@@ -149,17 +140,10 @@ def twisted_series_value(cfg: TwistedConfig, n: int) -> CyclotomicNumber:
 
 
 def twisted_values(cfg: TwistedConfig, n_max: int) -> list[TwistedValue]:
-    """A_0 .. A_{n_max} with every available evaluation path recorded; the
-    series path exists whenever q != 1 (1/q must avoid roots of unity)."""
+    """A_0 .. A_{n_max}: the Taylor coefficients of the generating function,
+    defined at every admissible q, q = 1 included."""
     gf = twisted_gf(cfg, n_max + 1)
-    series = twisted_series_values(cfg, n_max) if cfg.q != 1 else None
-    out = []
-    for n in range(n_max + 1):
-        paths = {PATH_GENERATING_FUNCTION: nth_taylor_coefficient(gf, n)}
-        if series is not None:
-            paths[PATH_SERIES_CLOSED_FORM] = series[n]
-        out.append(TwistedValue(n=n, value=paths[PATH_GENERATING_FUNCTION], paths=paths))
-    return out
+    return [TwistedValue(n, nth_taylor_coefficient(gf, n)) for n in range(n_max + 1)]
 
 
 def twisted_value(cfg: TwistedConfig, n: int) -> TwistedValue:

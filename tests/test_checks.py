@@ -61,3 +61,19 @@ def test_one_bad_walk_sum_fails_exactly_its_cor2_points(monkeypatch):
 
     monkeypatch.setattr(fermionic, "riemann_sums", shifted)
     assert_fails_exactly_bad_n(checks.run_relation("cor2-residual", SMALL_GRID))
+
+
+def test_a_bad_series_path_fails_only_the_relations_that_read_it(monkeypatch):
+    real = twisted.twisted_series_values
+
+    def shifted(cfg, n_max):
+        out = real(cfg, n_max)
+        out[BAD_N] = out[BAD_N] + 1
+        return out
+
+    monkeypatch.setattr(twisted, "twisted_series_values", shifted)
+    for relation in ("thm2", "cor2-residual"):
+        assert_fails_exactly_bad_n(checks.run_relation(relation, SMALL_GRID))
+    for relation in ("thm1-residual", "thm5-residual", "thm6", "cor3"):
+        report = checks.run_relation(relation, SMALL_GRID)
+        assert report.counts["fail"] == 0 and report.counts["pass"] > 0

@@ -389,6 +389,8 @@ GRID_BOUND_CASES = [
     ({"zeta_orders": [1, 9], "zeta_exponent": 3}, "zeta_exponent 3"),
     ({"moduli": [3, 3]}, "moduli lists 3 more than once"),
     ({"q": ["2", "4/2"]}, "q lists 2 more than once"),
+    ({"q": [0]}, "q must avoid 0 and -1, got 0"),
+    ({"q": ["2", "-1"]}, "q must avoid 0 and -1, got -1"),
     ({"zeta_orders": [1, 3, 3]}, "zeta_orders lists 3 more than once"),
     ({"primes": [3, 5, 3]}, "primes lists 3 more than once"),
 ]

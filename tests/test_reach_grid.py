@@ -1,6 +1,6 @@
 """The exact relations on a grid beyond the default one: moduli up to 15,
 twist orders up to 27 (ambient fields up to Q(zeta_108), degree 36) and
-n up to 8.  Every point must pass.
+n up to 12.  Every point must pass.
 
 thm3 and thm6 are left out: they compare against double-precision
 L-series sums, which lose all accuracy at some of these points and so give
@@ -14,7 +14,7 @@ import pytest
 from eulertwist import checks
 
 REACH_GRID = checks.Grid(
-    n_max=8, moduli=(1, 3, 5, 7, 15), zeta_orders=(1, 3, 9, 27), q_values=(F(2), F(5, 2))
+    n_max=12, moduli=(1, 3, 5, 7, 15), zeta_orders=(1, 3, 9, 27), q_values=(F(2), F(5, 2))
 )
 
 

@@ -23,10 +23,8 @@ from eulertwist import (
     twisted_values,
     witt_residuals,
 )
-from eulertwist.errors import SingularFunctionalEquation
+from eulertwist.errors import PoleAtOne, SingularFunctionalEquation
 from eulertwist.twisted import (
-    PATH_GENERATING_FUNCTION,
-    PATH_SERIES_CLOSED_FORM,
     alternating_char_sums,
     twisted_series_value,
     twisted_series_values,
@@ -67,14 +65,17 @@ class TestValueAnchors:
         assert [v.value for v in values] == [-4, 12, -12]
 
     def test_both_paths_recorded_and_equal(self):
-        value = twisted_value(quadratic3_config(), 2)
-        assert set(value.paths) == {PATH_GENERATING_FUNCTION, PATH_SERIES_CLOSED_FORM}
-        assert value.paths[PATH_GENERATING_FUNCTION] == value.paths[PATH_SERIES_CLOSED_FORM]
+        cfg = quadratic3_config()
+        assert twisted_value(cfg, 2).value == twisted_series_value(cfg, 2)
 
     def test_at_q_one_only_the_series_expansion_exists(self):
+        # the generating function is defined at q = 1, where it is even in t
+        # for this character (so A_1 = 0); the closed-form series in 1/q has
+        # its pole there
         cfg = TwistedConfig.build(quadratic_character(3), 1, 0, F(1))
-        value = twisted_value(cfg, 1)
-        assert set(value.paths) == {PATH_GENERATING_FUNCTION}
+        assert twisted_value(cfg, 1).value == 0
+        with pytest.raises(PoleAtOne):
+            twisted_series_value(cfg, 1)
 
 
 class TestSeriesPath:
@@ -230,7 +231,11 @@ def test_galois_equivariance():
 
 
 class TestOneComputationPerPoint:
-    def test_thm1_residual_builds_each_point_once(self, monkeypatch):
+    # These relations read A_n from the generating function alone: one
+    # twisted_gf per configuration, and the series path, whose closed form
+    # builds the tails power_sum_rational, is never built.
+    @pytest.mark.parametrize("relation", ["thm1-residual", "thm5-residual", "thm6"])
+    def test_builds_each_point_once(self, monkeypatch, relation):
         from collections import Counter
 
         from eulertwist import checks, eulerian, twisted
@@ -252,11 +257,11 @@ class TestOneComputationPerPoint:
 
         monkeypatch.setattr(twisted, "twisted_gf", counted_gf)
         monkeypatch.setattr(eulerian, "power_sum_rational", counted_tail)
-        report = checks.run_relation("thm1-residual", grid)
+        report = checks.run_relation(relation, grid)
         assert report.passed
         configs = len(checks.grid_characters(5))
         assert len(gf_builds) == configs and set(gf_builds.values()) == {1}
-        assert len(tail_calls) <= configs * (grid.n_max + 1)
+        assert tail_calls == []
 
     def test_sequences_match_per_n_reads(self):
         cfg = TwistedConfig.build(quadratic_character(5), 3, 1, F(5, 2))
