@@ -24,7 +24,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import DivisionByZero, FieldMismatch, NotAPrimitiveEmbedding
+from .errors import DivisionByZero, FieldMismatch, NotAPrimitiveEmbedding, OutsideDoubleRange
 from .ntheory import divisors, euler_phi, mobius
 from .polys import Poly
 from .rationals import format_rational, parse_rational
@@ -332,16 +332,22 @@ def cyclotomic_from_json(doc: dict) -> CyclotomicNumber:
 
 
 def embed_complex(a: CyclotomicNumber, k: int = 1) -> complex:
-    """Evaluate the coefficient polynomial at exp(2*pi*i*k/N); k coprime to N."""
+    """Evaluate the coefficient polynomial at exp(2*pi*i*k/N); k coprime to N.
+    OutsideDoubleRange when a coefficient or the value exceeds double range."""
     n = a.field.order
     if math.gcd(k, n) != 1:
         raise NotAPrimitiveEmbedding(f"gcd({k}, {n}) != 1")
     root = cmath.exp(2j * cmath.pi * k / n)
     den = a.den
     value = 0j
-    for c in reversed(a.num):
-        # int / int is correctly rounded: the same float as float(Fraction)
-        value = value * root + complex(c / den)
+    try:
+        for c in reversed(a.num):
+            # int / int is correctly rounded: the same float as float(Fraction)
+            value = value * root + complex(c / den)
+    except OverflowError as exc:
+        raise OutsideDoubleRange("a coefficient exceeds double range") from exc
+    if not cmath.isfinite(value):
+        raise OutsideDoubleRange("the complex value exceeds double range")
     return value
 
 

@@ -72,5 +72,9 @@ class OutsideConvergence(MathError):
     pass
 
 
+class OutsideDoubleRange(MathError):
+    """An exact value too large for a double, where a float is needed."""
+
+
 class ResidualUndefined(MathError):
     pass

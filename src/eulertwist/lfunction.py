@@ -10,9 +10,10 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .cyclotomic import embed_complex
-from .errors import NotConverged, OutsideConvergence, ResidualUndefined
+from .errors import NotConverged, OutsideConvergence, OutsideDoubleRange, ResidualUndefined
 from .twisted import TwistedConfig, alternating_char_sums, twisted_values
 
 
@@ -50,36 +51,74 @@ def _stable_index(re_abs: float, ln_q: float, max_terms: int) -> int:
     return m
 
 
+# The config evaluated last and its coefficients.  The entry holds the
+# config, so the identity test below cannot match another object; callers
+# scan s on one config at a time.
+_last_coefficients: tuple = (None, [])
+
+
+def _coefficients(cfg: TwistedConfig) -> list:
+    """sign(m) chi(m) zeta^m for m mod lcm(2, d, twist order), embedded once
+    per config; None where chi(m) = 0, whose terms the series skips."""
+    global _last_coefficients
+    last, coefficients = _last_coefficients
+    if last is cfg:
+        return coefficients
+    d, order = cfg.char.modulus, cfg.zeta_order
+    chi = [embed_complex(cfg.char_value(a), 1) for a in range(d)]
+    zeta = [embed_complex(cfg.zeta_pow(m), 1) for m in range(order)]
+    coefficients = [
+        (-1.0 if m % 2 else 1.0) * chi[m % d] * zeta[m % order] if chi[m % d] != 0 else None
+        for m in range(math.lcm(2, d, order))
+    ]
+    _last_coefficients = (cfg, coefficients)
+    return coefficients
+
+
+@lru_cache(maxsize=256)
+def _stop_index(re_abs: float, ln_q: float, tol: float, max_terms: int) -> tuple:
+    """(M, tail): the first M >= _stable_index whose tail bound is below tol,
+    and that bound; (max_terms, None) when no M <= max_terms has one."""
+    start = _stable_index(re_abs, ln_q, max_terms)
+    tail_scale = 1.0 / (1.0 - math.exp(-ln_q / 2))
+    for m in range(start, max_terms + 1):
+        tail = math.exp(-m * ln_q / 2) * tail_scale
+        if tail < tol:
+            return m, tail
+    return max_terms, None
+
+
 def l_series_sum(params: LParams) -> LEvaluation:
-    """The bare alternating series, without the prefactor."""
+    """The bare alternating series, without the prefactor.
+
+    Only the terms depend on s.  The periodic coefficients are embedded once
+    per config object, and the stop index is found once per (|Re s|, q, tol,
+    max_terms); every call then sums terms 1..stop in order."""
     cfg = params.cfg
-    q = float(cfg.q)
+    try:
+        q = float(cfg.q)
+    except OverflowError as exc:
+        raise OutsideDoubleRange("q exceeds double range") from exc
     if q <= 1:
         raise OutsideConvergence(f"series evaluation needs q > 1, got q={cfg.q}")
     ln_q = math.log(q)
-    chi = [embed_complex(cfg.char_value(a), 1) for a in range(cfg.char.modulus)]
-    zeta = [embed_complex(cfg.zeta_pow(m), 1) for m in range(cfg.zeta_order)]
+    coefficients = _coefficients(cfg)
+    cycle = len(coefficients)
     s = complex(params.s)
-    start = _stable_index(abs(s.real), ln_q, params.max_terms)
-    tail_scale = 1.0 / (1.0 - math.exp(-ln_q / 2))
+    stop, tail = _stop_index(abs(s.real), ln_q, params.tol, params.max_terms)
+    neg_s, log, exp = -s, math.log, cmath.exp
     total = 0j
     m = 0
     try:
-        while True:
-            m += 1
-            if m > params.max_terms:
-                raise NotConverged(f"tail bound not reached within {params.max_terms} terms")
-            chi_m = chi[m % cfg.char.modulus]
-            if chi_m != 0:
-                sign = -1.0 if m % 2 else 1.0
-                magnitude = cmath.exp(-s * math.log(m) - m * ln_q)
-                total += sign * chi_m * zeta[m % cfg.zeta_order] * magnitude
-            if m >= start:
-                tail = math.exp(-m * ln_q / 2) * tail_scale
-                if tail < params.tol:
-                    return LEvaluation(value=total, terms_used=m, tail_bound=tail)
+        for m in range(1, stop + 1):
+            c = coefficients[m % cycle]
+            if c is not None:
+                total += c * exp(neg_s * log(m) - m * ln_q)
     except OverflowError as exc:
         raise NotConverged(f"term {m} overflows double precision") from exc
+    if tail is None:
+        raise NotConverged(f"tail bound not reached within {params.max_terms} terms")
+    return LEvaluation(value=total, terms_used=stop, tail_bound=tail)
 
 
 def l_eval(params: LParams) -> LEvaluation:

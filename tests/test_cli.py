@@ -158,6 +158,29 @@ def test_lfun_beyond_double_precision_exits_three(s):
     assert "NotConverged" in proc.stderr and "Traceback" not in proc.stderr
 
 
+def math_exit(capsys, *argv):
+    """The exit code and stderr of a run that must stop on a MathError."""
+    code = cli.main(list(argv))
+    return code, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["lfun", "--q", str(10**400), "--d", "3", "--s", "1"],  # q itself
+    ["twisted", "--q", str(10**180), "--d", "3", "--n", "0..3"],  # A_3 is about 1e540
+])
+def test_values_beyond_double_range_exit_three(capsys, argv):
+    code, err = math_exit(capsys, *argv)
+    assert code == 3 and "OutsideDoubleRange" in err
+
+
+@pytest.mark.parametrize("relation", ["thm3", "thm6"])
+def test_grid_q_beyond_double_range_exits_three(capsys, tmp_path, relation):
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps({"q": [str(10**400)]}))
+    code, err = math_exit(capsys, "check", "--relation", relation, "--grid", f"file:{path}")
+    assert code == 3 and "OutsideDoubleRange" in err
+
+
 def test_unknown_relation_is_usage_error(capsys):
     code = cli.main(["check", "--relation", "nonsense"])
     assert code == 2

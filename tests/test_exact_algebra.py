@@ -24,6 +24,7 @@ from eulertwist.errors import (
     DivisionByZero,
     FieldMismatch,
     NotAPrimitiveEmbedding,
+    OutsideDoubleRange,
     PoleAtMinusOne,
 )
 from eulertwist.ntheory import euler_phi
@@ -109,6 +110,14 @@ class TestComplexEmbedding:
     def test_non_coprime_index_rejected(self):
         with pytest.raises(NotAPrimitiveEmbedding):
             embed_complex(cyclotomic_field(9).zeta(), 3)
+
+    @pytest.mark.parametrize("coeffs", [
+        [F(10**400), F(0)],  # a coefficient beyond double range
+        [F(15 * 10**307), F(15 * 10**307)],  # each in range, their embedding 2.6e308 is not
+    ])
+    def test_beyond_double_range_rejected(self, coeffs):
+        with pytest.raises(OutsideDoubleRange):
+            embed_complex(cyclotomic_field(6).reduce(coeffs), 1)
 
     def test_ring_homomorphism(self):
         rng = random.Random(7)

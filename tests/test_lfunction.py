@@ -1,4 +1,8 @@
 """Complex L-series evaluation and its interpolation of the exact values."""
+import cmath
+import dataclasses
+import math
+import random
 import time
 from fractions import Fraction as F
 
@@ -6,13 +10,16 @@ import pytest
 
 from eulertwist import (
     TwistedConfig,
+    enumerate_characters,
     interpolation_checks,
     l_eval,
     principal_character,
     quadratic_character,
     series_partial_sum_checks,
 )
-from eulertwist.errors import NotConverged, OutsideConvergence, ResidualUndefined
+from eulertwist.errors import MathError, NotConverged, OutsideConvergence, ResidualUndefined
+from eulertwist import lfunction
+from eulertwist.cyclotomic import embed_complex
 from eulertwist.lfunction import LParams, l_prefactor, l_series_sum
 
 
@@ -118,3 +125,132 @@ class TestSeriesPartialSums:
         assert abs(numeric - exact) <= 1e-10
         assert numeric == 0
         assert exact == 0
+
+
+def reference_series_sum(params: LParams) -> lfunction.LEvaluation:
+    """The series as one per-term loop that embeds chi and zeta on every call
+    and tests the tail bound after every term past the stable index: the
+    plain form that l_series_sum must reproduce bit for bit."""
+    cfg = params.cfg
+    q = float(cfg.q)
+    if q <= 1:
+        raise OutsideConvergence(f"series evaluation needs q > 1, got q={cfg.q}")
+    ln_q = math.log(q)
+    chi = [embed_complex(cfg.char_value(a), 1) for a in range(cfg.char.modulus)]
+    zeta = [embed_complex(cfg.zeta_pow(m), 1) for m in range(cfg.zeta_order)]
+    s = complex(params.s)
+    re_abs = abs(s.real)
+    if not 2 * re_abs / ln_q <= params.max_terms:
+        raise NotConverged(f"tail bound not reached within {params.max_terms} terms")
+    start = max(1, math.ceil(2 * re_abs / ln_q))
+    while re_abs * math.log(start) > start * ln_q / 2:
+        start += 1
+        if start > params.max_terms:
+            raise NotConverged(f"tail bound not reached within {params.max_terms} terms")
+    tail_scale = 1.0 / (1.0 - math.exp(-ln_q / 2))
+    total = 0j
+    m = 0
+    try:
+        while True:
+            m += 1
+            if m > params.max_terms:
+                raise NotConverged(f"tail bound not reached within {params.max_terms} terms")
+            chi_m = chi[m % cfg.char.modulus]
+            if chi_m != 0:
+                sign = -1.0 if m % 2 else 1.0
+                magnitude = cmath.exp(-s * math.log(m) - m * ln_q)
+                total += sign * chi_m * zeta[m % cfg.zeta_order] * magnitude
+            if m >= start:
+                tail = math.exp(-m * ln_q / 2) * tail_scale
+                if tail < params.tol:
+                    return lfunction.LEvaluation(value=total, terms_used=m, tail_bound=tail)
+    except OverflowError as exc:
+        raise NotConverged(f"term {m} overflows double precision") from exc
+
+
+def outcome(fn, params) -> tuple:
+    """Every bit of a result, or the type and message of its error."""
+    try:
+        r = fn(params)
+    except MathError as exc:
+        return type(exc).__name__, str(exc)
+    return repr(r.value), r.terms_used, repr(r.tail_bound)
+
+
+def reference_eval(params: LParams) -> lfunction.LEvaluation:
+    inner = reference_series_sum(params)
+    value = l_prefactor(complex(params.s), float(params.cfg.q)) * inner.value
+    return lfunction.LEvaluation(value=value, terms_used=inner.terms_used, tail_bound=inner.tail_bound)
+
+
+def random_config(rng: random.Random) -> TwistedConfig:
+    d = rng.choice(range(1, 16, 2))
+    order = rng.choice((1, 3, 9))
+    k = rng.choice([k for k in range(order) if math.gcd(k, order) == 1] or [0])
+    q = 1 + F(rng.randint(1, 400), 100)  # in (1, 5]
+    return TwistedConfig.build(rng.choice(enumerate_characters(d)), order, k, q)
+
+
+class TestSameBitsAsThePerTermLoop:
+    """Reusing the coefficients per config and the stop index per key changes
+    no bit of a value, a term count, a tail bound or an error message."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_random_configs(self, seed):
+        rng = random.Random(seed)
+        for _ in range(25):
+            cfg = random_config(rng)
+            for _ in range(6):
+                s = complex(rng.uniform(-2, 8), rng.uniform(-40, 40))
+                tol, max_terms = rng.choice(((1e-12, 200000), (1e-6, 200000), (1e-14, 300)))
+                params = LParams(s=s, cfg=cfg, tol=tol, max_terms=max_terms)
+                assert outcome(l_series_sum, params) == outcome(reference_series_sum, params)
+                assert outcome(l_eval, params) == outcome(reference_eval, params)
+
+    @pytest.mark.parametrize("q", [F(1), F(1, 2), F(-3, 7)])
+    def test_outside_convergence(self, q):
+        params = LParams(s=1j, cfg=quadratic3_config(q))
+        assert outcome(l_series_sum, params)[0] == "OutsideConvergence"
+        assert outcome(l_series_sum, params) == outcome(reference_series_sum, params)
+
+    @pytest.mark.parametrize("s, max_terms", [(0j, 5), (1 + 0j, 40), (1e300 + 0j, 200000), (-1e5 + 0j, 200000)])
+    def test_max_terms_message(self, s, max_terms):
+        params = LParams(s=s, cfg=quadratic3_config(), max_terms=max_terms)
+        expected = ("NotConverged", f"tail bound not reached within {max_terms} terms")
+        assert outcome(l_series_sum, params) == outcome(reference_series_sum, params) == expected
+
+    @pytest.mark.parametrize("s", [-200 + 0j, complex(-160, 25), -171 + 0j])
+    def test_overflow_message_names_the_same_term(self, s):
+        # At s = -171 the first term too large for a double is m = 93, where
+        # chi(93) = 0: that term is skipped, never summed, and m = 94 overflows.
+        params = LParams(s=s, cfg=quadratic3_config())
+        got = outcome(l_series_sum, params)
+        assert got[0] == "NotConverged" and "overflows double precision" in got[1]
+        assert got == outcome(reference_series_sum, params)
+
+
+class TestCoefficientReuse:
+    def test_one_embedding_of_chi_and_zeta_per_config(self, monkeypatch):
+        embeds = []
+        monkeypatch.setattr(lfunction, "embed_complex", lambda a, k=1: embeds.append(a) or embed_complex(a, k))
+        cfg = TwistedConfig.build(quadratic_character(5), 9, 2, F(5, 2))
+        for j in range(100):
+            l_eval(LParams(s=complex(-2 + j / 10, j - 50), cfg=cfg))
+        assert len(embeds) == 5 + 9
+
+    def test_alternating_configs(self):
+        cfg = TwistedConfig.build(quadratic_character(5), 3, 1, F(2))
+        muted = dataclasses.replace(cfg, char_values=tuple(cfg.field.zero for _ in cfg.char_values))
+        other = TwistedConfig.build(quadratic_character(7), 9, 4, F(11, 10))
+        for j in range(6):
+            for c in (cfg, muted, other):
+                params = LParams(s=complex(j, 3 - j), cfg=c)
+                assert outcome(l_eval, params) == outcome(reference_eval, params)
+
+    def test_equal_configs_that_are_distinct_objects(self):
+        first, second = (TwistedConfig.build(quadratic_character(3), 3, 2, F(3, 2)) for _ in range(2))
+        assert first == second and first is not second
+        for j in range(4):
+            for c in (first, second):
+                params = LParams(s=complex(0.5, j), cfg=c)
+                assert outcome(l_eval, params) == outcome(reference_eval, params)
