@@ -197,35 +197,63 @@ def _check_padic_regime(q: Fraction, p: int, char: DirichletCharacter) -> None:
         )
 
 
-def riemann_sums(
-    n_max: int, q: Fraction, p: int, max_level: int, char: DirichletCharacter
-) -> list[list[Fraction]]:
-    """sums[n][N] = U_N = sum_{0 <= x < p^N} (-1/q)^x chi(x) x^n for
-    n = 0..n_max and N = 0..max_level, in one pass over x < p^max_level.
+# Terms of the walk summed in small integers before one fold into the
+# growing accumulators; a checkpoint p^N always ends a piece.
+_PIECE = 64
 
-    With q = u/v the pass stays in integers: acc_n = u^x times the prefix
-    sum up to x, so acc_n <- acc_n u + chi(x) (-v)^x x^n, and U_N is
-    acc_n / u^x at x = p^N - 1."""
+
+def _walk(
+    exponents: list[int], q: Fraction, p: int, max_level: int, char: DirichletCharacter
+) -> list[list[Fraction]]:
+    """U_N = sum_{0 <= x < p^N} (-1/q)^x chi(x) x^m for each m of
+    `exponents` (ascending) and N = 0..max_level, in one pass over
+    x < p^max_level.
+
+    With q = u/v the pass stays in integers: acc_m = u^x times the prefix
+    sum up to x, so U_N is acc_m / u^x at x = p^N - 1.  The pass goes in
+    pieces [a, b): piece_m = sum chi(x) x^m (-v)^(x-a) u^(b-1-x) is a sum
+    of small integers, and acc_m <- acc_m u^(b-a) + (-v)^a piece_m folds
+    it in, with the same integer totals as one term at a time."""
     q = Fraction(q)
     _check_padic_regime(q, p, char)
     u, v = q.numerator, q.denominator
     chi = [int(char.rational_value(a)) for a in range(char.modulus)]
-    acc = [0] * (n_max + 1)
-    sums: list[list[Fraction]] = [[] for _ in acc]
-    weight = 1  # (-v)^x
-    end = 1  # the next checkpoint p^N
-    for x in range(p**max_level if max_level >= 0 else 0):
-        term = chi[x % char.modulus] * weight
-        for m in range(n_max + 1):
-            acc[m] = acc[m] * u + term
-            term *= x
-        weight *= -v
-        if x + 1 == end:
-            scale = u**x
-            for row, total in zip(sums, acc):
-                row.append(Fraction(total, scale))
-            end *= p
+    acc = [0] * len(exponents)
+    sums: list[list[Fraction]] = [[] for _ in exponents]
+    shapes: dict[int, tuple] = {}  # length k -> ([(-v)^i u^(k-1-i)], u^k, (-v)^k)
+    start, lead = 0, 1  # the first x of the next piece; (-v)^start
+    for level in range(max_level + 1):
+        end = p**level
+        while start < end:
+            stop = min(start + _PIECE, end)
+            k = stop - start
+            if k not in shapes:
+                shapes[k] = ([(-v) ** i * u ** (k - 1 - i) for i in range(k)], u**k, (-v) ** k)
+            weights, fold, step = shapes[k]
+            signs = [chi[x % char.modulus] for x in range(start, stop)]
+            xs = [x for x, c in zip(range(start, stop), signs) if c]
+            terms = [c * weight for c, weight in zip(signs, weights) if c]
+            done = 0  # terms hold chi(x) (-v)^(x-start) u^(stop-1-x) x^done
+            for j, m in enumerate(exponents):
+                if m != done:
+                    terms = [t * x ** (m - done) for t, x in zip(terms, xs)]
+                    done = m
+                acc[j] = acc[j] * fold + lead * sum(terms)
+            lead *= step
+            start = stop
+        scale = u ** (end - 1)
+        for row, total in zip(sums, acc):
+            row.append(Fraction(total, scale))
     return sums
+
+
+def riemann_sums(
+    n_max: int, q: Fraction, p: int, max_level: int, char: DirichletCharacter
+) -> list[list[Fraction]]:
+    """sums[n][N] = U_N = sum_{0 <= x < p^N} (-1/q)^x chi(x) x^n for
+    n = 0..n_max and N = 0..max_level, in one integer pass over
+    x < p^max_level that is folded in pieces (see :func:`_walk`)."""
+    return _walk(list(range(n_max + 1)), q, p, max_level, char)
 
 
 def padic_truncation(
@@ -233,10 +261,11 @@ def padic_truncation(
 ) -> TruncationReport:
     """Alternating Riemann sums S_N over 0 <= x < p^N, normalized by the
     alternating bracket of p^N, with the p-adic valuation of S_N - exact;
-    char None weighs every x by 1, as the character mod 1 does."""
+    char None weighs every x by 1, as the character mod 1 does.  The walk
+    sums x^n alone, not the lower exponents :func:`riemann_sums` returns."""
     char = principal_character(1) if char is None else char
     q = Fraction(q)
-    sums = riemann_sums(n, q, p, max_level, char)[n]
+    sums = _walk([n], q, p, max_level, char)[0]
     exact = char_twist_integral(n, char, 1, q)
     levels = []
     for level, total in enumerate(sums):

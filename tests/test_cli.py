@@ -1,7 +1,9 @@
 """CLI contract: grammar, determinism, JSON round-trips, exit codes."""
+import hashlib
 import json
 import subprocess
 import sys
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -268,6 +270,19 @@ def test_integral_p_outside_bounds_is_rejected_before_summing(capsys, monkeypatc
     monkeypatch.setattr(cli, "padic_truncation", lambda *args: pytest.fail("the sums were started"))
     code, err = usage_exit(capsys, "integral", "--n", "1", "--q", "4", "--p", p, "--levels", "0")
     assert code == 2 and "--p" in err and str(cli.MAX_TRUNCATION_TERMS) in err
+
+
+def test_integral_at_a_large_q_and_p_is_exact_and_quick(capsys):
+    # Inside every bound: a walk that updated all 41 sums at each of the
+    # 19997 terms took 13 s here (2-vCPU VM).  The digest pins the stdout.
+    start = time.monotonic()
+    code, out = run_cli(capsys, "integral", "--n", "40", "--q", "19998", "--p", "19997", "--levels", "1")
+    elapsed = time.monotonic() - start
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "c7232cc2bfd3e72896b734895f66f17fb3932c56fcd20206e2779928418fb6dc"
+    )
+    assert elapsed < 5.0
 
 
 def test_integral_p_bound_is_documented_in_help(capsys):

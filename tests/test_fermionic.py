@@ -54,6 +54,42 @@ def series_value(char, q, n):
     return alternating_char_sums(TwistedConfig.build(char, 1, 0, q), n)[n].coeffs[0]
 
 
+def one_term_walk(n_max, q, p, max_level, char):
+    """sums[n][N] = U_N, one term at a time: with q = u/v,
+    acc_n <- acc_n u + chi(x) (-v)^x x^n, and U_N = acc_n / u^x at
+    x = p^N - 1.  The oracle of the pieced walk in `riemann_sums`."""
+    u, v = q.numerator, q.denominator
+    acc = [0] * (n_max + 1)
+    sums = [[] for _ in acc]
+    weight = 1  # (-v)^x
+    end = 1  # the next checkpoint p^N
+    for x in range(p**max_level if max_level >= 0 else 0):
+        term = int(char.rational_value(x)) * weight
+        for m in range(n_max + 1):
+            acc[m] = acc[m] * u + term
+            term *= x
+        weight *= -v
+        if x + 1 == end:
+            for row, total in zip(sums, acc):
+                row.append(F(total, u**x))
+            end *= p
+    return sums
+
+
+# Below, at and across the piece size of the walk: p^N runs past 64 at
+# N = 4 for p = 3, N = 3 for p = 5 and N = 3 for p = 7.
+WALK_TOP_LEVEL = {3: 7, 5: 5, 7: 4}
+WALK_POINTS = [
+    (F(4, 7), 3), (F(4), 3), (F(-2), 3),
+    (F(6, 11), 5), (F(11), 5),
+    (F(-6), 7), (F(8, 15), 7), (F(15), 7),
+]
+
+
+def walk_characters(p):
+    return [principal_character(1), principal_character(p), quadratic_character(p)]
+
+
 def walk_valuations(char, q, p, max_level, n):
     """v_p(U_N - limit) for N = 0..max_level."""
     limit = series_limit(char, q, n)
@@ -228,8 +264,38 @@ class TestPadicTruncation:
                 )
                 assert sums[n][level] == fresh
 
+    @pytest.mark.parametrize("q, p", WALK_POINTS)
+    def test_pieced_walk_equals_the_one_term_walk(self, q, p):
+        for char in walk_characters(p):
+            oracle = one_term_walk(4, q, p, WALK_TOP_LEVEL[p], char)
+            for max_level in range(-1, WALK_TOP_LEVEL[p] + 1):
+                expected = [row[: max_level + 1] for row in oracle]
+                assert riemann_sums(4, q, p, max_level, char) == expected
+
+    @pytest.mark.parametrize("q, p", WALK_POINTS)
+    def test_truncation_walks_its_exponent_alone(self, q, p):
+        top = WALK_TOP_LEVEL[p]
+        for char in walk_characters(p):
+            oracle = one_term_walk(6, q, p, top, char)
+            for n in (0, 1, 6):
+                partials = [lv.partial for lv in padic_truncation(n, q, p, top, char=char).levels]
+                assert partials == [
+                    total / q_bracket_neg(p**level, 1 / q) for level, total in enumerate(oracle[n])
+                ]
+
+    def test_index_zero_term_of_modulus_one_is_one(self):
+        # 0^0 = 1: at d = 1 and n = 0 the x = 0 term is chi(0) = 1.
+        char = principal_character(1)
+        for max_level in (0, 4):
+            sums = riemann_sums(0, F(4), 3, max_level, char)
+            assert sums == one_term_walk(0, F(4), 3, max_level, char)
+            assert sums[0][0] == 1
+        assert padic_truncation(0, F(4), 3, 0).levels[0].partial == 1
+        assert padic_truncation(1, F(4), 3, 0).levels[0].partial == 0
+
     def test_negative_level_count_gives_no_levels(self):
         assert riemann_sums(2, F(4), 3, -1, quadratic_character(3)) == [[], [], []]
+        assert padic_truncation(2, F(4), 3, -1).levels == ()
 
     def test_regime_guards(self):
         with pytest.raises(NotPadicallyConvergent):
