@@ -203,14 +203,23 @@ def enumerate_characters(modulus: int) -> list[DirichletCharacter]:
     return out
 
 
-def character_from_json(doc: dict) -> DirichletCharacter:
-    modulus = int(doc["modulus"])
-    order = int(doc["order"])
-    raw = doc["values"]
-    table = {int(a): (None if e is None else int(e)) for a, e in raw.items()}
-    return character_from_table(modulus, order, table)
+def character_from_json(doc: dict, modulus: int | None = None) -> DirichletCharacter:
+    """The character of a to_json document; InvalidCharacter for a document
+    of another shape, and for one whose modulus is not `modulus` (when
+    given), before the table is validated."""
+    try:
+        read = int(doc["modulus"])
+        order = int(doc["order"])
+        table = {int(a): (None if e is None else int(e)) for a, e in doc["values"].items()}
+    except (TypeError, KeyError, AttributeError, ValueError) as exc:
+        raise InvalidCharacter(
+            'a character file holds {"modulus": d, "order": M, "values": {"a": exponent or null}}'
+        ) from exc
+    if modulus is not None and read != modulus:
+        raise InvalidCharacter(f"character file has modulus {read}, expected {modulus}")
+    return character_from_table(read, order, table)
 
 
-def load_character_file(path: str) -> DirichletCharacter:
+def load_character_file(path: str, modulus: int | None = None) -> DirichletCharacter:
     with open(path, "r", encoding="utf-8") as fh:
-        return character_from_json(json.load(fh))
+        return character_from_json(json.load(fh), modulus)

@@ -49,15 +49,37 @@ def default_grid() -> Grid:
     return Grid()
 
 
+def _json_int(key: str, value) -> int:
+    if type(value) is not int:  # bool is an int subclass, and a float would be truncated
+        raise ValueError(f"{key} takes integers, got {value!r}")
+    return value
+
+
+def _json_rational(key: str, value) -> Fraction:
+    if type(value) not in (int, str):
+        raise ValueError(f"{key} takes integers or rational strings, got {value!r}")
+    return parse_rational(str(value))
+
+
 def grid_from_json(doc: dict) -> Grid:
     """A grid from a JSON document: keys are the Grid field names, except "q"
-    for q_values (exact rationals); absent keys keep their defaults."""
+    for q_values (integers or rational strings); absent keys keep their
+    defaults.  A ValueError names the key of an unknown key, a list where a
+    number belongs or the reverse, and a non-integer number."""
+    keys = {"q" if f.name == "q_values" else f.name: f for f in fields(Grid)}
+    unknown = [key for key in doc if key not in keys]
+    if unknown:
+        raise ValueError(f"unknown key {unknown[0]!r}; the keys are {', '.join(keys)}")
     kwargs = {}
-    for f in fields(Grid):
-        key = "q" if f.name == "q_values" else f.name
-        if key in doc:
-            parse = (lambda x: parse_rational(str(x))) if key == "q" else int
-            kwargs[f.name] = tuple(map(parse, doc[key])) if isinstance(f.default, tuple) else parse(doc[key])
+    for key, value in doc.items():
+        f = keys[key]
+        parse = _json_rational if key == "q" else _json_int
+        if not isinstance(f.default, tuple):
+            kwargs[f.name] = parse(key, value)
+        elif isinstance(value, list):
+            kwargs[f.name] = tuple(parse(key, x) for x in value)
+        else:
+            raise ValueError(f"{key} takes a list, got {value!r}")
     return Grid(**kwargs)
 
 

@@ -29,45 +29,31 @@ from .cyclotomic import embed_complex
 from .errors import MathError
 from .eulerian import descent_oracle, eulerian_recurrence
 from .fermionic import padic_truncation
-from .lfunction import LEvaluation, LParams, l_eval
+from .lfunction import LParams, l_eval
 from .ntheory import euler_phi, is_prime
 from .rationals import format_rational, parse_rational
 from .twisted import TwistedConfig, twisted_values
 
 # Upper bounds on the work one invocation may start.
 MAX_TERMS = 10_000_000  # lfun --max-terms: L-series terms summed
-# integral: p^levels terms in the largest Riemann sum.  The walk sums 64
-# terms at a time in small integers and folds each piece into the exact
-# total once; at this bound and n = MAX_INDEX, q = 19998, p = 19997 at one
-# level takes about 0.5 s, as does q = 19684, p = 3 at nine levels (2-vCPU
-# VM, Python 3.11.7).
-MAX_TRUNCATION_TERMS = 20_000
-# twisted, classic and integral --n: the largest index; the work grows fast
-# in n (Eulerian polynomials up to degree n), and n = 40 takes a few seconds.
+# integral --p: an odd prime at most this, checked before the trial division.
+MAX_PRIME = 20_000
+# twisted, classic and integral --n, and a grid file's n_max and
+# padic_n_max: the largest index.
 MAX_INDEX = 40
 # twisted and lfun --d and --zeta-order, and the moduli and twist orders of a
-# grid file: odd and at most these, so the bound below is cheap to compute.
+# grid file: odd and at most these.
 MAX_MODULUS = 99
 MAX_ZETA_ORDER = 99
-# The work of one parameter point follows the cycle length lcm(2, d, twist
-# order) of the alternating series times the degree of the ambient field
-# Q(zeta_lcm(twist order, character order)); at this bound and n = MAX_INDEX
-# the slowest point found (d = 97, quadratic character, twist order 7) takes
-# about 3 s at q = 2 and 10 s at q = 5/2.
-MAX_POINT_WORK = 10_000
-# check --grid file: cor2-residual makes two walks per prime, one per
-# character, over p^level_max terms for padic_n_max + 1 exponents; summed
-# over the primes, 2 * (padic_n_max + 1) * p^level_max is at most this.
-# Folded in pieces, the walks at the bound take tens of milliseconds (16 ms
-# at p = 31, level_max 2, padic_n_max 19, of a 0.5 s run); A_n of the limit
-# dominates at large padic_n_max.
-MAX_COR2_TERMS = 40_000
 # check --grid file: eq28-residual draws this many random tables at most per
-# (modulus, q); 1000 tables at d = 99 take about 4 s per q.
+# (modulus, q).
 MAX_RANDOM_TABLES = 1000
 # chars --d: the enumeration holds d * phi(d) values; d = 999 takes 3 s and
 # 150 MB, d = 1999 12 s and 550 MB.
 MAX_CHARS_MODULUS = 999
+# The work budget: twisted, lfun, integral and check exit 2 before any field
+# is built or any sum starts when predicted_seconds exceeds this.
+MAX_WORK_S = 5.0
 
 # An option value argparse would otherwise read as an option: "-1e9", "-.5",
 # "-0.5,3", "-3/7".
@@ -176,17 +162,6 @@ def _character_spec(text: str) -> str:
     raise ValueError("expected principal, quadratic, index:I or file:PATH")
 
 
-def _work_error(d: int, zeta_order: int, char_order: int) -> str:
-    """Why a parameter point is over MAX_POINT_WORK, or "" when it is within."""
-    cycle, degree = math.lcm(2, d, zeta_order), euler_phi(math.lcm(zeta_order, char_order))
-    if cycle * degree <= MAX_POINT_WORK:
-        return ""
-    return (
-        f"d={d}, zeta order {zeta_order}, character order {char_order}: cycle length "
-        f"{cycle} times field degree {degree} exceeds {MAX_POINT_WORK}"
-    )
-
-
 def _tolerance(text: str) -> float:
     """A finite float > 0: a tolerance that can be met."""
     tol = float(text)
@@ -207,7 +182,9 @@ def _complex_point(text: str) -> complex:
 
 
 def _grid(spec: str):
-    """A check grid: "default" or "file:PATH" holding a JSON grid."""
+    """A check grid: "default" or "file:PATH" holding a JSON grid, with the
+    bounds of its lists, moduli, twist orders, indices, primes and tables,
+    each naming its key as the file does; the work budget comes later."""
     if spec == "default":
         return checks.default_grid()
     if not spec.startswith("file:"):
@@ -219,27 +196,7 @@ def _grid(spec: str):
         raise ValueError(exc.strerror or str(exc)) from None
     if not isinstance(doc, dict):
         raise ValueError("a grid file holds one JSON object")
-    try:
-        grid = checks.grid_from_json(doc)
-    except TypeError as exc:  # a list where a number belongs, or the reverse
-        raise ValueError(exc) from None
-    _check_grid_bounds(grid)
-    for d in grid.moduli:
-        _odd_int(MAX_MODULUS)(d)
-    for zeta_order in grid.zeta_orders:
-        _odd_int(MAX_ZETA_ORDER)(zeta_order)
-    for d in grid.moduli:
-        for _, char in checks.grid_characters(d):
-            for zeta_order in grid.zeta_orders:
-                error = _work_error(d, zeta_order, char.value_order)
-                if error:
-                    raise ValueError(error)
-    return grid
-
-
-def _check_grid_bounds(grid) -> None:
-    """The bounds of a grid file's lists, indices, primes and cor2 and eq28
-    work, each naming its key as the file does."""
+    grid = checks.grid_from_json(doc)
     for key, values in (("moduli", grid.moduli), ("q", grid.q_values),
                         ("zeta_orders", grid.zeta_orders), ("primes", grid.primes)):
         if not values:
@@ -254,7 +211,10 @@ def _check_grid_bounds(grid) -> None:
                                ("random_tables", grid.random_tables, 1, MAX_RANDOM_TABLES)):
         if not lo <= value <= hi:
             raise ValueError(f"{key} must be in {lo}..{hi}, got {value}")
+    for d in grid.moduli:
+        _odd_int(MAX_MODULUS)(d)
     for zeta_order in grid.zeta_orders:
+        _odd_int(MAX_ZETA_ORDER)(zeta_order)
         if math.gcd(grid.zeta_exponent, zeta_order) != 1:
             raise ValueError(f"zeta_exponent {grid.zeta_exponent} is not coprime to twist order {zeta_order}")
     if grid.level_max < 0:
@@ -264,14 +224,7 @@ def _check_grid_bounds(grid) -> None:
             _odd_prime(MAX_MODULUS)(p)
         except ValueError as exc:
             raise ValueError(f"primes {exc}, got {p}") from None
-        if _truncation_terms(p, grid.level_max) > MAX_TRUNCATION_TERMS:
-            raise ValueError(f"p^level_max = {p}^{grid.level_max} exceeds {MAX_TRUNCATION_TERMS} terms")
-    walks = 2 * (grid.padic_n_max + 1) * sum(p**grid.level_max for p in grid.primes)
-    if walks > MAX_COR2_TERMS:
-        raise ValueError(
-            f"cor2 sums 2 * (padic_n_max + 1) * (sum of p^level_max) = {walks} terms, "
-            f"more than {MAX_COR2_TERMS}"
-        )
+    return grid
 
 
 def _resolve_character(spec: str, modulus: int):
@@ -281,28 +234,112 @@ def _resolve_character(spec: str, modulus: int):
         return quadratic_character(modulus)
     if spec.startswith("index:"):
         return enumerate_characters(modulus)[int(spec[6:])]
-    char = load_character_file(spec[5:])
-    if char.modulus != modulus:
-        raise ValueError(f"character file has modulus {char.modulus}, flags say {modulus}")
-    return char
+    return load_character_file(spec[5:], modulus)
 
 
-def _check_point_flags(parser, args) -> None:
-    """The point-flag checks that read two flags; a failure exits 2."""
-    if math.gcd(args.zeta_k, args.zeta_order) != 1:
-        parser.error(f"argument --zeta-k: {args.zeta_k} is not coprime to --zeta-order {args.zeta_order}")
-    if args.char.startswith("index:") and int(args.char[6:]) >= euler_phi(args.d):
-        parser.error(f"argument --char: modulus {args.d} has characters index:0..{euler_phi(args.d) - 1}")
+# The cost model behind MAX_WORK_S, in seconds, fitted to in-process timings on a 2-vCPU VM with Python
+# 3.11.7.  h: log2 of q's larger part, at least 1; D: degree of the ambient field; D' = phi(z / gcd(z, d)):
+# that of zeta^d; P = lcm(2, d, z); s = d h: bits of q^d; solve(n, b) = (n+1)^2 ((n+1) b)^1.5.
+#   term               model                                      a measured point: measured -> model seconds
+#   field build        4.5e-6 order D                             order 990: 1.07 -> 1.07; 7954: 34 -> 137
+#   inverse of         5e-7 D^3 + 5e-12 D^4 s^2, 0 when D' = 1    order 198, d 29, q 98: 2.45 -> 2.49;
+#     zeta^d + q^d                                                order 81, d 97, q 5/2: 0.53 -> 2.16
+#   A_0..A_n           inverse + 2e-10 solve(n, s D') D^0.35      d 97, quadratic, z 7, q 2, n 40: 1.90 -> 2.61;
+#                      + 4e-8 d (n+1)^2 D'^2                      d 31, quadratic, q 2^40+1, n 40: 4.86 -> 4.46;
+#                      + 1.4e-13 (d+10) (n+1)^3 s^2 D'            d 99, z 33, q 10^4299+7, n 0: 30.6 -> 31.5
+#   series path        2e-5 P (n+1) + 2e-8 (n+1)^2 P^1.48 h^1.1   d 59, z 15, q 2, n 2: 0.121 -> 0.128;
+#                      D^0.31 + 3.3e-12 (n+1)^3 (P h)^2           d 97, z 3, q 1001/997, n 20: 3.30 -> 2.97;
+#                                                                 d 3, q 10^4299+7, n 5: 5.29 -> 5.61
+#   residue classes    phi(d) (inverse + 6e-6 (n+1)^2 + 4e-8      d 97, quadratic, z 7, q 2, n 40: 33 -> 54;
+#                      (n+1)^2 D'^2 + 2.8e-12 (n+1)^3 s^2 D'      d 27, q 10^4299+7, n 0: 7.46 -> 8.79
+#                      + 3e-10 (n+1)^-0.5 solve(n, s D') D^0.35)
+#   float L-series     2.2e-6 (n+1) min(200000, (2n+56) / ln q)   d 45, z 3, q 1001/997, n 20: 1.11 -> 1.11
+#   p-adic walk        4.6e-12 (p^levels h)^2 per exponent        p 3, 9 levels, q 3*10^30+1, n 40: 18.3 -> 18.2;
+#                      (7.5e-13 at exponent 0)                    p 19991, 1 level, q 19991*10^30+1, n 0: 3.69 -> 3.89
+#   integral's exact   7.3e-11 solve(n, h)                        n 40, q 10/(3^8000+1): 46 -> 46
+#   Eulerian A_0..A_n  2.3e-5 (n+1)^3, once per grid              n 40: 1.48 -> 1.59
+#   eq15 per q         A_0..A_8 at d = 1                          q (3^9000+1)/7: 0.70 -> 0.97
+#   eq22 per (d, z)    5e-4 (d + D)                               d 99, z 99: 0.071 -> 0.080
+#   eq28 per table     d (3.5e-5 (1 + log2(h) / 4) + 1.3e-13 s^2) d 99, q 2: 0.0035 -> 0.0035; q 3^800+1: 0.20 -> 0.22
+# Each point adds 1e-3.  A grid configuration costs A_0..A_n and the dearest of series path, residue classes and
+# float sums.
 
 
-def _point_config(args) -> TwistedConfig:
-    """The parameter point named by the shared point flags, once its work is
-    known to be within MAX_POINT_WORK."""
-    char = _resolve_character(args.char, args.d)
-    error = _work_error(args.d, args.zeta_order, char.value_order)
-    if error:
-        raise UsageError(error)
-    return TwistedConfig.build(char, args.zeta_order, args.zeta_k % args.zeta_order, args.q)
+def _height(q) -> float:
+    return max(1.0, math.log2(max(abs(q.numerator), q.denominator)))
+
+
+def _field_s(order: int) -> float:
+    return 4.5e-6 * order * euler_phi(order)
+
+
+def _point_parts(n: int, d: int, char_order: int, z: int, q) -> tuple:
+    """(A_0..A_n, series path, residue classes, float L-series) at one point."""
+    h, degree, zeta_d_degree = _height(q), euler_phi(math.lcm(z, char_order)), euler_phi(z // math.gcd(z, d))
+    size, period = d * h, math.lcm(2, d, z)
+    inverse = 0.0 if zeta_d_degree == 1 else 5e-7 * degree**3 + 5e-12 * degree**4 * size**2
+    coefficients = (n + 1) ** 3.5 * (size * zeta_d_degree) ** 1.5 * degree**0.35  # solve(n, s D') D^0.35
+    products = 4e-8 * (n + 1) ** 2 * zeta_d_degree**2
+    gcds = (n + 1) ** 3 * size**2 * zeta_d_degree  # content gcds, quadratic in the bits, at large q
+    values = inverse + 2e-10 * coefficients + d * products + 1.4e-13 * (d + 10) * gcds
+    series = 2e-5 * period * (n + 1) + 2e-8 * (n + 1) ** 2 * period**1.48 * h**1.1 * degree**0.31
+    series += 3.3e-12 * (n + 1) ** 3 * (period * h) ** 2
+    per_class = inverse + 6e-6 * (n + 1) ** 2 + 3e-10 * coefficients / (n + 1) ** 0.5 + products + 2.8e-12 * gcds
+    floats = 0.0
+    if q > 1 and h < 1000:  # elsewhere the float sums stop at once
+        floats = 2.2e-6 * (n + 1) * min(200_000, (2 * n + 56) / math.log(q))
+    return values, series, euler_phi(d) * per_class, floats
+
+
+def _walk_s(p: int, levels: int, h: float, exponents) -> float:
+    """The walk over p^levels terms for each exponent, priced in logs: no power of p is computed."""
+    per_exponent = sum(7.5e-13 if m == 0 else 4.6e-12 for m in exponents)
+    return per_exponent * math.exp(2 * (min(levels * math.log(p), 100.0) + math.log(h)))
+
+
+def _grid_s(grid) -> float:
+    """A grid's dearest relation, whatever relation runs: the dearest family of points one relation reads
+    (configurations, cor3's at q = 1, eq15's q, eq22's (d, z), eq28's tables, cor2's primes), plus the
+    Eulerian polynomials and the fields."""
+    n, families = grid.n_max, [0.0] * 6
+    orders = set()
+    for d in grid.moduli:
+        for _, char in checks.grid_characters(d):
+            for z in grid.zeta_orders:
+                orders.add(math.lcm(z, char.value_order))
+                for q in grid.q_values:
+                    values, series, residues, floats = _point_parts(n, d, char.value_order, z, q)
+                    families[0] += 1e-3 + values + max(series, residues, floats)
+                values, _, residues, _ = _point_parts(n, d, char.value_order, z, 1)
+                families[1] += 1e-3 + values + residues
+        families[2] += sum(5e-4 * (d + euler_phi(z)) for z in grid.zeta_orders)
+        for q in grid.q_values:
+            h = _height(q)
+            families[3] += grid.random_tables * d * (3.5e-5 * (1 + math.log2(h) / 4) + 1.3e-13 * (d * h) ** 2)
+    families[4] = sum(1e-3 + _point_parts(8, 1, 1, 1, q)[0] for q in grid.q_values)
+    for p in grid.primes:
+        values, series, _, _ = _point_parts(grid.padic_n_max, p, 2, 1, 1 + p)
+        walk = _walk_s(p, grid.level_max, _height(1 + p), range(grid.padic_n_max + 1))
+        families[5] += 2 * (1e-3 + walk + values + series)
+    eulerian = 2.3e-5 * (max(n, grid.padic_n_max, 8) + 1) ** 3
+    return eulerian + sum(map(_field_s, orders)) + max(families)
+
+
+def predicted_seconds(args) -> float:
+    """The predicted run time of a twisted, lfun, integral or check invocation from its parsed flags, checked
+    against MAX_WORK_S before any field is built or any sum starts; 0 for classic and chars (bounded otherwise)."""
+    if args.command == "check":
+        return _grid_s(args.grid)
+    if args.command == "integral":
+        h = _height(args.q)
+        return 1e-3 + _walk_s(args.p, args.levels, h, [args.n]) + 7.3e-11 * (args.n + 1) ** 3.5 * h**1.5
+    if args.command not in ("twisted", "lfun"):
+        return 0.0
+    char_order = args.character.value_order
+    seconds = 1e-3 + _field_s(math.lcm(args.zeta_order, char_order))
+    if args.command == "twisted":
+        seconds += _point_parts(max(args.n), args.d, char_order, args.zeta_order, args.q)[0]
+    return seconds
 
 
 def _emit(args, text: str) -> None:
@@ -327,7 +364,7 @@ def _cmd_classic(args) -> int:
 
 
 def _cmd_twisted(args) -> int:
-    cfg = _point_config(args)
+    cfg = TwistedConfig.build(args.character, args.zeta_order, args.zeta_k % args.zeta_order, args.q)
     indices = args.n
     values = twisted_values(cfg, max(indices))
     rows = []
@@ -335,64 +372,31 @@ def _cmd_twisted(args) -> int:
         val = values[n].value
         emb = embed_complex(val, 1)
         rows.append({"n": n, "cyclotomic": val.to_json(), "complex": [emb.real, emb.imag]})
-    doc = {
-        "params": {
-            "q": format_rational(args.q),
-            "d": args.d,
-            "char": args.char,
-            "zeta_order": args.zeta_order,
-            "zeta_k": args.zeta_k % args.zeta_order,
-            "ambient_order": cfg.field.order,
-        },
-        "values": rows,
-    }
+    params = {"q": format_rational(args.q), "d": args.d, "char": args.char, "zeta_order": args.zeta_order,
+              "zeta_k": args.zeta_k % args.zeta_order, "ambient_order": cfg.field.order}
+    doc = {"params": params, "values": rows}
     if args.format == "json":
         _emit(args, _dumps(doc) + "\n")
     else:
         lines = ["n,re,im,cyclotomic_order,cyclotomic_coeffs"]
         for row in rows:
-            coeffs = ";".join(row["cyclotomic"]["coeffs"])
-            lines.append(
-                f"{row['n']},{format(row['complex'][0], '.17g')},"
-                f"{format(row['complex'][1], '.17g')},{row['cyclotomic']['order']},{coeffs}"
-            )
+            real, imag = (format(x, ".17g") for x in row["complex"])
+            cyclotomic = row["cyclotomic"]
+            lines.append(f"{row['n']},{real},{imag},{cyclotomic['order']},{';'.join(cyclotomic['coeffs'])}")
         _emit(args, "\n".join(lines) + "\n")
     return 0
 
 
-def _truncation_terms(p: int, levels: int) -> int:
-    """p^levels for a prime p, or the first partial power above
-    MAX_TRUNCATION_TERMS."""
-    terms = 1
-    for _ in range(levels):
-        terms *= p
-        if terms > MAX_TRUNCATION_TERMS:
-            break
-    return terms
-
-
 def _cmd_integral(args) -> int:
-    q = args.q
-    if _truncation_terms(args.p, args.levels) > MAX_TRUNCATION_TERMS:
-        raise UsageError(
-            f"p^levels = {args.p}^{args.levels} exceeds {MAX_TRUNCATION_TERMS} terms"
-        )
-    report = padic_truncation(args.n, q, args.p, args.levels)
+    q, report = args.q, padic_truncation(args.n, args.q, args.p, args.levels)
     if args.format == "json":
-        doc = {
-            "n": args.n,
-            "q": format_rational(q),
-            "p": args.p,
-            "exact": format_rational(report.exact),
-            "levels": [
-                {
-                    "N": lv.level,
-                    "partial": format_rational(lv.partial),
-                    "valuation": "inf" if lv.valuation == math.inf else lv.valuation,
-                }
-                for lv in report.levels
-            ],
-        }
+        levels = [
+            {"N": lv.level, "partial": format_rational(lv.partial),
+             "valuation": "inf" if lv.valuation == math.inf else lv.valuation}
+            for lv in report.levels
+        ]
+        doc = {"n": args.n, "q": format_rational(q), "p": args.p, "exact": format_rational(report.exact)}
+        doc["levels"] = levels
         _emit(args, _dumps(doc) + "\n")
     else:
         _emit(args, report.to_csv())
@@ -400,17 +404,11 @@ def _cmd_integral(args) -> int:
 
 
 def _cmd_lfun(args) -> int:
-    cfg = _point_config(args)
+    cfg = TwistedConfig.build(args.character, args.zeta_order, args.zeta_k % args.zeta_order, args.q)
     s = args.s
-    result: LEvaluation = l_eval(
-        LParams(s=s, cfg=cfg, tol=args.tol, max_terms=args.max_terms)
-    )
-    doc = {
-        "s": [s.real, s.imag],
-        "value": [result.value.real, result.value.imag],
-        "terms": result.terms_used,
-        "tail_bound": result.tail_bound,
-    }
+    result = l_eval(LParams(s=s, cfg=cfg, tol=args.tol, max_terms=args.max_terms))
+    doc = {"s": [s.real, s.imag], "value": [result.value.real, result.value.imag],
+           "terms": result.terms_used, "tail_bound": result.tail_bound}
     _emit(args, _dumps(doc) + "\n")
     return 0
 
@@ -423,11 +421,7 @@ def _cmd_chars(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    try:
-        report = checks.run_relation(args.relation, args.grid)
-    except KeyError:
-        print(f"error: unknown relation {args.relation!r}", file=sys.stderr)
-        return 2
+    report = checks.run_relation(args.relation, args.grid)
     _emit(args, _dumps(report.to_json()) + "\n")
     return 0 if report.passed else 1
 
@@ -439,14 +433,17 @@ def build_parser() -> argparse.ArgumentParser:
         "and their L-series, with relation checks.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    budget = (
+        f"The run exits 2 before any field is built or any sum starts when it is predicted to take more than "
+        f"MAX_WORK_S = {MAX_WORK_S} s; the prediction sees n, d, the field degrees, the height of q and p^levels."
+    )
     rational = _flag_type(parse_rational)
     index = _flag_type(_bounded_int(0, MAX_INDEX))
 
     point = argparse.ArgumentParser(add_help=False)
     point.add_argument("--q", type=rational, required=True, help='rational, e.g. "2" or "5/2"')
     point.add_argument(
-        "--d", type=_flag_type(_odd_int(MAX_MODULUS)), required=True,
-        help=f"character modulus, odd, 1..{MAX_MODULUS}",
+        "--d", type=_flag_type(_odd_int(MAX_MODULUS)), required=True, help=f"character modulus, odd, 1..{MAX_MODULUS}"
     )
     point.add_argument(
         "--char", type=_flag_type(_character_spec), default="principal",
@@ -454,8 +451,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     point.add_argument(
         "--zeta-order", type=_flag_type(_odd_int(MAX_ZETA_ORDER)), default=1,
-        help=f"twist order, odd, 1..{MAX_ZETA_ORDER}; the cycle length lcm(2, d, order) "
-        f"times the degree of Q(zeta_lcm(order, character order)) is at most {MAX_POINT_WORK}",
+        help=f"twist order, odd, 1..{MAX_ZETA_ORDER}; its field, with the character's, is priced by the work budget",
     )
     point.add_argument("--zeta-k", type=int, default=1, help="twist exponent, coprime to the order")
 
@@ -465,7 +461,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output")
     p.set_defaults(handler=_cmd_classic)
 
-    p = sub.add_parser("twisted", parents=[point], help="twisted Eulerian values on a parameter point")
+    p = sub.add_parser("twisted", parents=[point], help="twisted Eulerian values on a parameter point", epilog=budget)
     p.add_argument(
         "--n", type=_flag_type(_index_list), required=True,
         help=f'index list: "3", "0,2", or "0..5"; nonempty, each in 0..{MAX_INDEX}',
@@ -474,30 +470,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output")
     p.set_defaults(handler=_cmd_twisted)
 
-    p = sub.add_parser("integral", help="alternating Riemann-sum truncation report")
+    p = sub.add_parser("integral", help="alternating Riemann-sum truncation report", epilog=budget)
     p.add_argument("--n", type=index, required=True, help=f"moment index, 0..{MAX_INDEX}")
     p.add_argument("--q", type=rational, required=True)
-    p.add_argument(
-        "--p", type=_flag_type(_odd_prime(MAX_TRUNCATION_TERMS)), required=True,
-        help=f"odd prime, at most {MAX_TRUNCATION_TERMS}",
-    )
+    p.add_argument("--p", type=_flag_type(_odd_prime(MAX_PRIME)), required=True, help=f"odd prime, at most {MAX_PRIME}")
     p.add_argument(
         "--levels", type=_flag_type(_bounded_int(0)), default=5,
-        help=f"levels N = 0..LEVELS, >= 0; p^LEVELS at most {MAX_TRUNCATION_TERMS}",
+        help="levels N = 0..LEVELS, >= 0; the p^LEVELS terms of the largest sum are priced by the work budget",
     )
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--output")
     p.set_defaults(handler=_cmd_integral)
 
-    p = sub.add_parser("lfun", parents=[point], help="L-series value at a complex point")
+    p = sub.add_parser("lfun", parents=[point], help="L-series value at a complex point", epilog=budget)
     p.add_argument(
         "--s", type=_flag_type(_complex_point), required=True,
         help='complex point "RE" or "RE,IM", finite; either part may be negative',
     )
-    p.add_argument(
-        "--tol", type=_flag_type(_tolerance), default=1e-12,
-        help="bound on the series tail, a finite float > 0",
-    )
+    p.add_argument("--tol", type=_flag_type(_tolerance), default=1e-12, help="bound on the tail, a finite float > 0")
     p.add_argument(
         "--max-terms", type=_flag_type(_bounded_int(1, MAX_TERMS)), default=200000,
         help=f"most series terms summed, 1..{MAX_TERMS}",
@@ -507,22 +497,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("chars", help="enumerate all characters of a modulus")
     p.add_argument(
-        "--d", type=_flag_type(_odd_int(MAX_CHARS_MODULUS)), required=True,
-        help=f"modulus, odd, 1..{MAX_CHARS_MODULUS}",
+        "--d", type=_flag_type(_odd_int(MAX_CHARS_MODULUS)), required=True, help=f"modulus, odd, 1..{MAX_CHARS_MODULUS}"
     )
     p.add_argument("--output")
     p.set_defaults(handler=_cmd_chars)
 
-    p = sub.add_parser("check", help="run one relation check over a grid")
-    p.add_argument("--relation", required=True)
+    p = sub.add_parser("check", help="run one relation check over a grid", epilog=budget)
+    p.add_argument("--relation", required=True, choices=(*checks.RELATIONS, *checks.ALIASES))
     p.add_argument(
         "--grid", type=_flag_type(_grid), default="default",
-        help=f"default|file:PATH; a file's lists are nonempty and repeat no entry; its q values avoid 0 and -1; "
-        f"its moduli and twist orders are odd, at most {MAX_MODULUS} and {MAX_ZETA_ORDER}, each point's work at "
-        f"most {MAX_POINT_WORK}, and zeta_exponent coprime to each twist order; n_max and padic_n_max lie in "
-        f"0..{MAX_INDEX}; primes are odd primes at most {MAX_MODULUS}, level_max >= 0 with each p^level_max at most "
-        f"{MAX_TRUNCATION_TERMS}, and 2 * (padic_n_max + 1) * (sum of p^level_max) at most "
-        f"{MAX_COR2_TERMS}; random_tables lies in 1..{MAX_RANDOM_TABLES}",
+        help=f"default|file:PATH; a file's lists are nonempty and repeat no entry; q avoids 0 and -1; moduli "
+        f"and twist orders are odd, at most {MAX_MODULUS} and {MAX_ZETA_ORDER}; zeta_exponent is coprime to each "
+        f"twist order; n_max and padic_n_max lie in 0..{MAX_INDEX}; primes are odd primes at most {MAX_MODULUS}; "
+        f"level_max >= 0; random_tables lies in 1..{MAX_RANDOM_TABLES}; every point is priced, whatever the relation",
     )
     p.add_argument("--output")
     p.set_defaults(handler=_cmd_check)
@@ -545,8 +532,11 @@ def _attach_negative_values(argv: list[str]) -> list[str]:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(_attach_negative_values(sys.argv[1:] if argv is None else list(argv)))
-    if "zeta_k" in vars(args):
-        _check_point_flags(parser, args)
+    if "zeta_k" in vars(args):  # the point-flag checks that read two flags
+        if math.gcd(args.zeta_k, args.zeta_order) != 1:
+            parser.error(f"argument --zeta-k: {args.zeta_k} is not coprime to --zeta-order {args.zeta_order}")
+        if args.char.startswith("index:") and int(args.char[6:]) >= euler_phi(args.d):
+            parser.error(f"argument --char: modulus {args.d} has characters index:0..{euler_phi(args.d) - 1}")
     # Exact results may have more digits than Python's int-to-string limit
     # (3.10.7 and later) allows; lift it while the handler runs.  The flags
     # were parsed above, under the limit.
@@ -554,6 +544,13 @@ def main(argv=None) -> int:
     if digit_limit is not None:
         sys.set_int_max_str_digits(0)
     try:
+        if "zeta_k" in vars(args):
+            args.character = _resolve_character(args.char, args.d)
+        seconds = predicted_seconds(args)
+        if seconds > MAX_WORK_S:
+            raise UsageError(
+                f"this run is predicted to take {seconds:.3g} s, over the work budget MAX_WORK_S = {MAX_WORK_S:g} s"
+            )
         return args.handler(args)
     except (UsageError, OSError) as exc:  # OSError: a character or --output file
         print(f"error: {exc}", file=sys.stderr)

@@ -1,9 +1,11 @@
 """CLI contract: grammar, determinism, JSON round-trips, exit codes."""
 import hashlib
 import json
+import random
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -177,15 +179,19 @@ def test_values_beyond_double_range_exit_three(capsys, argv):
 
 @pytest.mark.parametrize("relation", ["thm3", "thm6"])
 def test_grid_q_beyond_double_range_exits_three(capsys, tmp_path, relation):
+    # One small point: around the default grid's other points, thm2 at this q
+    # takes 80 s, over the work budget.
     path = tmp_path / "grid.json"
-    path.write_text(json.dumps({"q": [str(10**400)]}))
+    path.write_text(json.dumps({"q": [str(10**400)], "moduli": [3], "zeta_orders": [1], "n_max": 1}))
     code, err = math_exit(capsys, "check", "--relation", relation, "--grid", f"file:{path}")
     assert code == 3 and "OutsideDoubleRange" in err
 
 
-def test_unknown_relation_is_usage_error(capsys):
-    code = cli.main(["check", "--relation", "nonsense"])
-    assert code == 2
+def test_unknown_relation_is_usage_error(capsys, monkeypatch):
+    # --relation is checked by argparse, before the grid file is read
+    monkeypatch.setattr(cli.checks, "grid_from_json", lambda doc: pytest.fail("the grid file was read"))
+    code, err = usage_exit(capsys, "check", "--relation", "nonsense", "--grid", "file:/nonexistent")
+    assert code == 2 and "--relation" in err and "thm2" in err and "cor2" in err
 
 
 def test_check_relation_pass(capsys):
@@ -259,8 +265,8 @@ def test_truncation_above_bound_is_rejected_before_summing(capsys, monkeypatch):
     monkeypatch.setattr(cli, "padic_truncation", lambda *args: pytest.fail("the sums were started"))
     code = cli.main(["integral", "--levels", "20", "--q", "4", "--p", "3", "--n", "2"])
     assert code == 2
-    assert str(cli.MAX_TRUNCATION_TERMS) in capsys.readouterr().err
-    # a large level count is bounded without computing p^levels in full
+    assert "MAX_WORK_S" in capsys.readouterr().err
+    # a large level count is priced without computing p^levels
     assert cli.main(["integral", "--levels", "1000000000", "--q", "4", "--p", "3", "--n", "2"]) == 2
 
 
@@ -269,7 +275,7 @@ def test_integral_p_outside_bounds_is_rejected_before_summing(capsys, monkeypatc
     # the last value used to run trial division for as long as the run lasted
     monkeypatch.setattr(cli, "padic_truncation", lambda *args: pytest.fail("the sums were started"))
     code, err = usage_exit(capsys, "integral", "--n", "1", "--q", "4", "--p", p, "--levels", "0")
-    assert code == 2 and "--p" in err and str(cli.MAX_TRUNCATION_TERMS) in err
+    assert code == 2 and "--p" in err and str(cli.MAX_PRIME) in err
 
 
 def test_integral_at_a_large_q_and_p_is_exact_and_quick(capsys):
@@ -288,24 +294,26 @@ def test_integral_at_a_large_q_and_p_is_exact_and_quick(capsys):
 def test_integral_p_bound_is_documented_in_help(capsys):
     with pytest.raises(SystemExit):
         cli.main(["integral", "--help"])
-    assert f"odd prime, at most {cli.MAX_TRUNCATION_TERMS}" in " ".join(capsys.readouterr().out.split())
+    assert f"odd prime, at most {cli.MAX_PRIME}" in " ".join(capsys.readouterr().out.split())
 
 
 @pytest.mark.parametrize("command, bound", [
-    ("lfun", "MAX_TERMS"), ("integral", "MAX_TRUNCATION_TERMS"),
+    ("lfun", "MAX_TERMS"), ("integral", "MAX_PRIME"), ("integral", "MAX_WORK_S"),
     ("twisted", "MAX_INDEX"), ("classic", "MAX_INDEX"), ("integral", "MAX_INDEX"),
-    ("twisted", "MAX_MODULUS"), ("twisted", "MAX_ZETA_ORDER"), ("twisted", "MAX_POINT_WORK"),
-    ("lfun", "MAX_MODULUS"), ("lfun", "MAX_ZETA_ORDER"), ("lfun", "MAX_POINT_WORK"),
-    ("check", "MAX_MODULUS"), ("check", "MAX_ZETA_ORDER"), ("check", "MAX_POINT_WORK"),
-    ("check", "MAX_INDEX"), ("check", "MAX_TRUNCATION_TERMS"), ("check", "MAX_COR2_TERMS"),
-    ("check", "MAX_RANDOM_TABLES"),
+    ("twisted", "MAX_MODULUS"), ("twisted", "MAX_ZETA_ORDER"), ("twisted", "MAX_WORK_S"),
+    ("lfun", "MAX_MODULUS"), ("lfun", "MAX_ZETA_ORDER"), ("lfun", "MAX_WORK_S"),
+    ("check", "MAX_MODULUS"), ("check", "MAX_ZETA_ORDER"), ("check", "MAX_WORK_S"),
+    ("check", "MAX_INDEX"), ("check", "MAX_RANDOM_TABLES"),
     ("chars", "MAX_CHARS_MODULUS"),
 ])
 def test_bounds_are_documented_in_help(capsys, command, bound):
     with pytest.raises(SystemExit) as excinfo:
         cli.main([command, "--help"])
     assert excinfo.value.code == 0
-    assert str(getattr(cli, bound)) in capsys.readouterr().out
+    out = " ".join(capsys.readouterr().out.split())
+    assert str(getattr(cli, bound)) in out
+    if bound == "MAX_WORK_S":
+        assert f"MAX_WORK_S = {cli.MAX_WORK_S} s" in out
 
 
 @pytest.mark.parametrize(
@@ -382,25 +390,33 @@ def test_zeta_order_above_bound_is_rejected_before_computing(capsys, monkeypatch
     assert code == 2 and "--zeta-order" in err and str(cli.MAX_ZETA_ORDER) in err
 
 
-@pytest.mark.parametrize("command, extra", [("twisted", ["--n", "0"]), ("lfun", ["--s", "2"])])
+@pytest.mark.parametrize("command, extra", [
+    # Q(zeta_3168), degree 960: one inverse there ran for minutes
+    ("twisted", ["--d", "97", "--char", "index:1", "--zeta-order", "99", "--n", "0"]),
+    # Q(zeta_7954), degree 3840: its power table alone holds 30.5M integers
+    ("lfun", ["--d", "83", "--char", "index:1", "--zeta-order", "97", "--s", "2"]),
+])
 def test_point_work_above_bound_is_rejected_before_any_field(capsys, monkeypatch, command, extra):
     from eulertwist import twisted
 
     monkeypatch.setattr(twisted, "cyclotomic_field", lambda order: pytest.fail("a field was built"))
-    # cycle length lcm(2, 91, 11) = 2002 times the degree phi(11) = 10
-    code = cli.main([command, "--q", "2", "--d", "91", "--zeta-order", "11", *extra])
+    code = cli.main([command, "--q", "2", *extra])
     assert code == 2
     err = capsys.readouterr().err
-    assert "2002" in err and str(cli.MAX_POINT_WORK) in err and "Traceback" not in err
+    assert "MAX_WORK_S" in err and "Traceback" not in err
 
 
 def test_point_work_counts_the_character_order(capsys, monkeypatch):
+    # Twist order 99 alone gives Q(zeta_99), degree 60; index:1 mod 97 has
+    # order 96 and lifts the point into Q(zeta_3168), degree 960.
+    argv = ["twisted", "--q", "2", "--d", "97", "--zeta-order", "99", "--n", "0"]
+    assert cli.main(argv) == 0
+    capsys.readouterr()
     from eulertwist import twisted
 
     monkeypatch.setattr(twisted, "cyclotomic_field", lambda order: pytest.fail("a field was built"))
-    # index:1 mod 97 has order 96: cycle 582 times the degree phi(96) = 32 of Q(zeta_96)
-    code = cli.main(["twisted", "--q", "2", "--d", "97", "--char", "index:1", "--zeta-order", "3", "--n", "0"])
-    assert code == 2 and str(cli.MAX_POINT_WORK) in capsys.readouterr().err
+    assert cli.main([*argv, "--char", "index:1"]) == 2
+    assert "MAX_WORK_S" in capsys.readouterr().err
 
 
 GRID_BOUND_CASES = [
@@ -408,7 +424,7 @@ GRID_BOUND_CASES = [
     ({"moduli": [3], "zeta_orders": [cli.MAX_ZETA_ORDER + 2]}, f"1..{cli.MAX_ZETA_ORDER}"),
     ({"moduli": [4], "zeta_orders": [1]}, "must be odd"),
     ({"moduli": [3], "zeta_orders": [2]}, "must be odd"),
-    ({"moduli": [91], "zeta_orders": [1, 11]}, f"exceeds {cli.MAX_POINT_WORK}"),  # 2002 * 10 at zeta order 11
+    ({"moduli": "35"}, "moduli takes a list, got '35'"),  # not moduli 3 and 5
     ({"n_max": -1}, "n_max must"),
     ({"n_max": cli.MAX_INDEX + 1}, "n_max must"),
     ({"padic_n_max": cli.MAX_INDEX + 1}, "padic_n_max must"),
@@ -416,8 +432,8 @@ GRID_BOUND_CASES = [
     ({"primes": [2]}, "primes must"),
     ({"primes": [101]}, "primes must"),
     ({"level_max": -1}, "level_max must"),
-    ({"primes": [5], "level_max": 9}, "p^level_max = 5^9"),
-    ({"primes": [97], "level_max": 2, "padic_n_max": 2}, "(padic_n_max + 1)"),
+    ({"primes": "53"}, "primes takes a list, got '53'"),  # not primes 5 and 3
+    ({"n_max": 2.9}, "n_max takes integers, got 2.9"),  # not n_max 2
     ({"moduli": []}, "moduli must"),
     ({"q": []}, "q must"),
     ({"zeta_orders": []}, "zeta_orders must"),
@@ -431,6 +447,11 @@ GRID_BOUND_CASES = [
     ({"q": ["2", "-1"]}, "q must avoid 0 and -1, got -1"),
     ({"zeta_orders": [1, 3, 3]}, "zeta_orders lists 3 more than once"),
     ({"primes": [3, 5, 3]}, "primes lists 3 more than once"),
+    ({"modulus": [97]}, "unknown key 'modulus'"),  # not the default moduli
+    ({"level_max": True}, "level_max takes integers, got True"),
+    ({"moduli": [3, False]}, "moduli takes integers, got False"),
+    ({"q": [2.5]}, "q takes integers or rational strings, got 2.5"),
+    ({"n_max": [2]}, "n_max takes integers, got [2]"),
 ]
 
 
@@ -447,7 +468,6 @@ def test_cor2_grid_at_the_walk_bound_is_accepted(capsys, monkeypatch, tmp_path):
     monkeypatch.setattr(cli.checks, "run_relation", lambda name, grid: cli.checks.CheckReport(name, ""))
     path = tmp_path / "grid.json"
     path.write_text(json.dumps({"primes": [97], "level_max": 2, "padic_n_max": 1}))
-    assert 2 * 2 * 97**2 <= cli.MAX_COR2_TERMS
     code, _ = run_cli(capsys, "check", "--relation", "cor2", "--grid", f"file:{path}")
     assert code == 0
 
@@ -476,10 +496,11 @@ def test_reach_grid_is_within_bounds(capsys, monkeypatch, tmp_path):
 
     monkeypatch.setattr(cli.checks, "run_relation", fake_run)
     path = tmp_path / "grid.json"
-    doc = {"n_max": 8, "moduli": [1, 3, 5, 7, 15], "zeta_orders": [1, 3, 9, 27], "q": ["2", "5/2"]}
-    path.write_text(json.dumps(doc))
-    code, _ = run_cli(capsys, "check", "--relation", "thm2", "--grid", f"file:{path}")
-    assert code == 0 and seen[0].zeta_orders == (1, 3, 9, 27)
+    for n_max in (8, 12):
+        doc = {"n_max": n_max, "moduli": [1, 3, 5, 7, 15], "zeta_orders": [1, 3, 9, 27], "q": ["2", "5/2"]}
+        path.write_text(json.dumps(doc))
+        code, _ = run_cli(capsys, "check", "--relation", "thm2", "--grid", f"file:{path}")
+        assert code == 0 and seen[-1].zeta_orders == (1, 3, 9, 27) and seen[-1].n_max == n_max
 
 
 def test_chars_modulus_above_bound_is_rejected_before_enumerating(capsys, monkeypatch):
@@ -504,3 +525,133 @@ def test_point_flag_usage_errors_exit_two(capsys, monkeypatch, flag, argv):
     monkeypatch.setattr(cli, "enumerate_characters", lambda d: pytest.fail("the enumeration was started"))
     code, err = usage_exit(capsys, "twisted", "--q", "2", "--n", "0", *argv)
     assert code == 2 and flag in err and "Traceback" not in err
+
+
+def grid_file(tmp_path, doc) -> str:
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps(doc))
+    return f"file:{path}"
+
+
+def no_work(monkeypatch):
+    """Make every computation an invocation could start fail the test."""
+    from eulertwist import twisted
+
+    def fail(*args):
+        pytest.fail("the computation was started")
+
+    monkeypatch.setattr(twisted, "cyclotomic_field", fail)
+    for name in ("twisted_values", "padic_truncation", "l_eval"):
+        monkeypatch.setattr(cli, name, fail)
+    monkeypatch.setattr(cli.checks, "run_relation", fail)
+
+
+OVER_BUDGET = [
+    # each of these ran from 8 s to past a 120 s timeout under the former bounds
+    ["twisted", "--q", "1001/997", "--d", "97", "--char", "quadratic", "--zeta-order", "7", "--n", "40"],
+    ["twisted", "--q", "5/2", "--d", "97", "--char", "quadratic", "--zeta-order", "7", "--n", "40"],
+    ["check", "--relation", "cor2", "--grid", {"primes": [97], "level_max": 0, "padic_n_max": 40}],
+    ["check", "--relation", "cor2", "--grid",
+     {"primes": [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47], "level_max": 1, "padic_n_max": 40}],
+    ["check", "--relation", "eq28-residual", "--grid",
+     {"moduli": [99], "q": [str(q) for q in range(2, 12)], "random_tables": 1000}],
+    ["integral", "--n", "40", "--q", "3000000000000000000000000000001", "--p", "3", "--levels", "9"],
+    ["integral", "--n", "40", "--q", f"10/{3**8000 + 1}", "--p", "3", "--levels", "2"],
+    ["check", "--relation", "thm2", "--grid", {"primes": [5], "level_max": 9}],  # cor2 would walk 5^9 terms
+]
+
+
+@pytest.mark.parametrize("argv", OVER_BUDGET, ids=[f"run{i}" for i in range(len(OVER_BUDGET))])
+def test_runs_over_the_work_budget_are_rejected_before_any_work(capsys, monkeypatch, tmp_path, argv):
+    argv = [grid_file(tmp_path, a) if isinstance(a, dict) else a for a in argv]
+    no_work(monkeypatch)
+    code = cli.main(argv)
+    err = capsys.readouterr().err
+    assert code == 2 and "work budget MAX_WORK_S" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["integral", "--n", "40", "--q", "19998", "--p", "19997", "--levels", "1"],
+    ["twisted", "--q", "2", "--d", "97", "--char", "quadratic", "--zeta-order", "7", "--n", "40"],
+    ["twisted", "--q", "2", "--d", "91", "--zeta-order", "11", "--n", "0"],
+    ["lfun", "--q", "2", "--d", "91", "--zeta-order", "11", "--s", "2"],
+    ["check", "--relation", "cor2", "--grid", {"primes": [17], "level_max": 2, "padic_n_max": 40}],
+    ["check", "--relation", "cor2", "--grid", {"primes": [11], "level_max": 3, "padic_n_max": 14}],
+    ["check", "--relation", "thm2", "--grid", "default"],
+])
+def test_runs_within_the_work_budget_are_admitted(tmp_path, argv):
+    parser = cli.build_parser()
+    args = parser.parse_args([grid_file(tmp_path, a) if isinstance(a, dict) else a for a in argv])
+    if "zeta_k" in vars(args):
+        args.character = cli._resolve_character(args.char, args.d)
+    assert 0 < cli.predicted_seconds(args) <= cli.MAX_WORK_S
+
+
+def test_prediction_never_falls_as_the_work_grows():
+    rng = random.Random(20260418)
+    parser = cli.build_parser()
+
+    def twisted_s(n, q, d, char, z):
+        args = parser.parse_args(["twisted", "--q", q, "--d", str(d), "--char", char, "--zeta-order", str(z),
+                                  "--n", str(n)])
+        args.character = cli._resolve_character(args.char, args.d)
+        return cli.predicted_seconds(args)
+
+    def integral_s(n, q, p, levels):
+        return cli.predicted_seconds(parser.parse_args(
+            ["integral", "--n", str(n), "--q", q, "--p", str(p), "--levels", str(levels)]))
+
+    for _ in range(200):
+        n, bits = rng.randint(0, 39), rng.randint(1, 400)
+        d, z = rng.choice([1, 3, 5, 15, 45, 91, 97, 99]), rng.choice([1, 3, 7, 9, 11, 27, 99])
+        char = rng.choice(["principal", "index:0"] + (["quadratic"] if d in (3, 5, 15, 91, 97) else []))
+        q = f"{rng.getrandbits(bits) | 1 << (bits - 1)}/{rng.randint(1, 3)}"
+        wider = f"{rng.getrandbits(bits + 5) | 1 << (bits + 4)}/3"
+        assert twisted_s(n + 1, q, d, char, z) >= twisted_s(n, q, d, char, z)
+        assert twisted_s(n, wider, d, char, z) >= twisted_s(n, q, d, char, z)
+        p, levels = rng.choice([3, 5, 7, 97, 19997]), rng.randint(0, 12)
+        padic_q = str(1 + p * rng.randint(1, 2**bits))
+        assert integral_s(n + 1, padic_q, p, levels) >= integral_s(n, padic_q, p, levels)
+        assert integral_s(n, padic_q, p, levels + 1) >= integral_s(n, padic_q, p, levels)
+        assert integral_s(n, str(1 + p * (2**(bits + 5) + 1)), p, levels) >= integral_s(n, padic_q, p, levels)
+        terms_h = rng.randint(1, 64)
+        assert cli._walk_s(p, levels, terms_h, range(n + 2)) >= cli._walk_s(p, levels, terms_h, range(n + 1))
+
+    for _ in range(40):
+        grid = cli.checks.Grid(
+            n_max=rng.randint(0, 12), moduli=tuple(rng.sample([1, 3, 5, 7, 15, 21, 45], 2)),
+            q_values=tuple(F(rng.randint(2, 50), rng.randint(1, 7)) for _ in range(2)),
+            zeta_orders=tuple(rng.sample([1, 3, 5, 9, 27], 2)), primes=tuple(rng.sample([3, 5, 7, 11, 13], 2)),
+            level_max=rng.randint(0, 3), padic_n_max=rng.randint(0, 12),
+        )
+        total = cli._grid_s(grid)
+        assert cli._grid_s(replace(grid, q_values=(*grid.q_values, F(rng.randint(51, 99), 2)))) >= total
+        assert cli._grid_s(replace(grid, moduli=(*grid.moduli, 99))) >= total
+        assert cli._grid_s(replace(grid, primes=(*grid.primes, 17))) >= total
+        assert cli._grid_s(replace(grid, padic_n_max=grid.padic_n_max + 1)) >= total
+
+
+CHAR_FILE_SHAPES = [
+    [3, 2, {"0": None, "1": 0, "2": 1}],  # a list, not an object
+    {"order": 2, "values": {"0": None, "1": 0, "2": 1}},  # no modulus
+    {"modulus": 3, "order": 2, "values": [None, 0, 1]},  # values as a list
+]
+
+
+@pytest.mark.parametrize("doc", CHAR_FILE_SHAPES, ids=["list", "no-modulus", "values-list"])
+def test_malformed_character_file_is_an_invalid_character(capsys, tmp_path, doc):
+    path = tmp_path / "chi.json"
+    path.write_text(json.dumps(doc))
+    code = cli.main(["twisted", "--q", "2", "--d", "3", "--char", f"file:{path}", "--n", "0"])
+    err = capsys.readouterr().err
+    assert code == 3 and "InvalidCharacter" in err and "Traceback" not in err
+
+
+def test_character_file_modulus_is_compared_before_the_table_is_checked(capsys, monkeypatch, tmp_path):
+    from eulertwist import characters
+
+    monkeypatch.setattr(characters, "character_from_table", lambda *args: pytest.fail("the table was checked"))
+    path = tmp_path / "chi.json"
+    path.write_text(json.dumps({"modulus": 4001, "order": 1, "values": {str(a): 0 for a in range(4001)}}))
+    code = cli.main(["twisted", "--q", "2", "--d", "3", "--char", f"file:{path}", "--n", "0"])
+    assert code == 3 and "modulus 4001, expected 3" in capsys.readouterr().err
