@@ -250,14 +250,18 @@ def _resolve_character(spec: str, modulus: int):
 #   series path        2e-5 P (n+1) + 2e-8 (n+1)^2 P^1.48 h^1.1   d 59, z 15, q 2, n 2: 0.121 -> 0.128;
 #                      D^0.31 + 3.3e-12 (n+1)^3 (P h)^2           d 97, z 3, q 1001/997, n 20: 3.30 -> 2.97;
 #                                                                 d 3, q 10^4299+7, n 5: 5.29 -> 5.61
-#   residue classes    phi(d) (inverse + 6e-6 (n+1)^2 + 4e-8      d 97, quadratic, z 7, q 2, n 40: 33 -> 54;
-#                      (n+1)^2 D'^2 + 2.8e-12 (n+1)^3 s^2 D'      d 27, q 10^4299+7, n 0: 7.46 -> 8.79
-#                      + 3e-10 (n+1)^-0.5 solve(n, s D') D^0.35)
+#   residue classes    inverse + 9e-6 (n+1)^2 + 2e-8 (n+1)^2 D'^2 d 97, quadratic, z 7, q 2, n 40: 1.24 -> 1.10;
+#     (one solve,      + 1e-12 (n+1)^3 s^2 D' + 5.7e-10           d 31, quadratic, q 2^40+1, n 40: 3.24 -> 1.85;
+#     d (n+1) weights, (n+1)^-0.5 solve(n, s D') D^0.35           d 27, q 10^4299+7, n 0: 1.29 -> 1.65;
+#     their (n+1)^2    + d (n+1) (1.3e-5 + 3.4e-13 s^2)           d 91, z 11, q 2, n 40: 3.07 -> 2.49;
+#     products)                                                   d 99, z 33, q 2, n 8: 0.0143 -> 0.0135
 #   float L-series     2.2e-6 (n+1) min(200000, (2n+56) / ln q)   d 45, z 3, q 1001/997, n 20: 1.11 -> 1.11
 #   p-adic walk        4.6e-12 (p^levels h)^2 per exponent        p 3, 9 levels, q 3*10^30+1, n 40: 18.3 -> 18.2;
 #                      (7.5e-13 at exponent 0)                    p 19991, 1 level, q 19991*10^30+1, n 0: 3.69 -> 3.89
+#     The 6x gap is printing, not the walk: CPython 3.11 writes an int in decimal in quadratic time, and at n 0
+#     each normalized partial has a one-bit numerator.  At p 3, 9 levels, q 3*10^30+1, `padic_truncation` takes
+#     3.0 s at n 0 and 3.3 s at n 5; at n 5 `TruncationReport.to_csv` adds 14.8 s for 1.8 M characters.
 #   integral's exact   7.3e-11 solve(n, h)                        n 40, q 10/(3^8000+1): 46 -> 46
-#   Eulerian A_0..A_n  2.3e-5 (n+1)^3, once per grid              n 40: 1.48 -> 1.59
 #   eq15 per q         A_0..A_8 at d = 1                          q (3^9000+1)/7: 0.70 -> 0.97
 #   eq22 per (d, z)    5e-4 (d + D)                               d 99, z 99: 0.071 -> 0.080
 #   eq28 per table     d (3.5e-5 (1 + log2(h) / 4) + 1.3e-13 s^2) d 99, q 2: 0.0035 -> 0.0035; q 3^800+1: 0.20 -> 0.22
@@ -284,11 +288,12 @@ def _point_parts(n: int, d: int, char_order: int, z: int, q) -> tuple:
     values = inverse + 2e-10 * coefficients + d * products + 1.4e-13 * (d + 10) * gcds
     series = 2e-5 * period * (n + 1) + 2e-8 * (n + 1) ** 2 * period**1.48 * h**1.1 * degree**0.31
     series += 3.3e-12 * (n + 1) ** 3 * (period * h) ** 2
-    per_class = inverse + 6e-6 * (n + 1) ** 2 + 3e-10 * coefficients / (n + 1) ** 0.5 + products + 2.8e-12 * gcds
+    residues = inverse + 9e-6 * (n + 1) ** 2 + 5.7e-10 * coefficients / (n + 1) ** 0.5 + products / 2 + 1e-12 * gcds
+    residues += d * (n + 1) * (1.3e-5 + 3.4e-13 * size**2)
     floats = 0.0
     if q > 1 and h < 1000:  # elsewhere the float sums stop at once
         floats = 2.2e-6 * (n + 1) * min(200_000, (2 * n + 56) / math.log(q))
-    return values, series, euler_phi(d) * per_class, floats
+    return values, series, residues, floats
 
 
 def _walk_s(p: int, levels: int, h: float, exponents) -> float:
@@ -300,7 +305,7 @@ def _walk_s(p: int, levels: int, h: float, exponents) -> float:
 def _grid_s(grid) -> float:
     """A grid's dearest relation, whatever relation runs: the dearest family of points one relation reads
     (configurations, cor3's at q = 1, eq15's q, eq22's (d, z), eq28's tables, cor2's primes), plus the
-    Eulerian polynomials and the fields."""
+    fields."""
     n, families = grid.n_max, [0.0] * 6
     orders = set()
     for d in grid.moduli:
@@ -321,8 +326,7 @@ def _grid_s(grid) -> float:
         values, series, _, _ = _point_parts(grid.padic_n_max, p, 2, 1, 1 + p)
         walk = _walk_s(p, grid.level_max, _height(1 + p), range(grid.padic_n_max + 1))
         families[5] += 2 * (1e-3 + walk + values + series)
-    eulerian = 2.3e-5 * (max(n, grid.padic_n_max, 8) + 1) ** 3
-    return eulerian + sum(map(_field_s, orders)) + max(families)
+    return sum(map(_field_s, orders)) + max(families)
 
 
 def predicted_seconds(args) -> float:

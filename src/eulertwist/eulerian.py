@@ -21,25 +21,20 @@ GF_AS_PRINTED = "as-printed"
 
 @lru_cache(maxsize=None)
 def eulerian_recurrence(n: int) -> Poly:
-    """A_n from the umbral recurrence; exact division by (t - 1) each step.
-
-    The defining relation sum_{k=0}^{n} C(n,k) A_k(t) (t-1)^(n-k) = t A_n(t)
-    is solved for A_n; the cache is write-once and safe to share.
+    """A_n from the umbral recurrence sum_{k=0}^{n} C(n,k) A_k(t) (t-1)^(n-k)
+    = t A_n(t) with (t - 1) cancelled: A_n = sum_{k<n} C(n,k) A_k(t)
+    (t-1)^(n-1-k), by Horner in (t - 1) on integer coefficients, with no
+    division.  The cache is write-once and safe to share.
     """
     if n < 0:
         raise ValueError("polynomial index must be >= 0")
     if n == 0:
         return Poly.one()
-    t_minus_1 = Poly.of(-1, 1)
-    acc = Poly.zero()
-    for k in range(n):
-        acc = acc + math.comb(n, k) * eulerian_recurrence(k) * t_minus_1 ** (n - k)
-    quotient, remainder = divmod(acc, t_minus_1)
-    if not remainder.is_zero():
-        raise InternalInconsistency(f"umbral recurrence not divisible by t-1 at n={n}")
-    if not quotient.is_integral():
-        raise InternalInconsistency(f"non-integer Eulerian coefficients at n={n}")
-    return quotient
+    acc = [1]  # constant term first; acc and A_k have degree k - 1 at step k
+    for k in range(1, n):  # acc <- acc t - acc + C(n,k) A_k
+        lower = [int(c) for c in eulerian_recurrence(k).coeffs] + [0]
+        acc = [a - b + math.comb(n, k) * c for a, b, c in zip([0, *acc], [*acc, 0], lower)]
+    return Poly.of(*acc)
 
 
 def descent_oracle(n: int) -> Poly:

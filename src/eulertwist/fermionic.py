@@ -114,31 +114,32 @@ def char_twist_integral(n: int, char: DirichletCharacter, zeta, q: Fraction):
 
 
 def residue_class_sums(n_max: int, chi, zeta, q: Fraction) -> list:
-    """sum_{a<d} (-1)^a q^-a chi(a) zeta^a I((a/d + x)^n zeta^(dx)) for
-    n = 0..n_max, each moment under the measure parameter q^-d: the
-    residue-class decomposition of I(zeta^x chi(x) x^n) without its factor
-    d^n/[d]_{-1/q}.  chi[a] = chi(a) for a < d, in the field of zeta; one
-    moment sequence is solved per residue class."""
+    """sum_{a<d} c_a I((a/d + x)^n zeta^(dx)), c_a = (-1)^a q^-a chi(a) zeta^a,
+    for n = 0..n_max under the measure parameter q^-d: I(zeta^x chi(x) x^n)
+    split into residue classes, without its factor d^n/[d]_{-1/q}; chi[a] =
+    chi(a) in the field of zeta.  By the binomial theorem this is sum_k C(n,k)
+    M_k P_(n-k): one sequence M_k = I(x^k zeta^(dx)), P_j = sum_a c_a (a/d)^j."""
     q = Fraction(q)
     d = len(chi)
     zeta_pows = _powers(zeta, d)
-    sums = [zeta_pows[0] * 0] * (n_max + 1)
+    moments = _moment_sequence(IntegralSpec(n=n_max, shift=0, twist=zeta_pows[d], ratio=q**-d))
+    weights = [zeta_pows[0] * 0] * (n_max + 1)
     for a in range(d):
         if _is_zero(chi[a]):
             continue
-        coeff = ((-1) ** a * q**-a) * (chi[a] * zeta_pows[a])
-        inner = _moment_sequence(
-            IntegralSpec(n=n_max, shift=Fraction(a, d), twist=zeta_pows[d], ratio=q**-d)
-        )
-        sums = [acc + coeff * moment for acc, moment in zip(sums, inner)]
-    return sums
+        term = ((-1) ** a * q**-a) * (chi[a] * zeta_pows[a])
+        for j in range(n_max + 1):
+            weights[j] = weights[j] + term
+            term = term * Fraction(a, d)
+    return [sum((math.comb(n, k) * moments[k] * weights[n - k] for k in range(1, n + 1)), moments[0] * weights[n])
+            for n in range(n_max + 1)]
 
 
 def distribution_identity_checks(n_max: int, chi, zeta, q: Fraction) -> list:
     """The two sides (lhs, rhs) of the multiplication identity for
-    n <= n_max: the moment I(zeta^x chi(x) x^n) and its residue-class
-    decomposition into d scaled poly_twist_integral values.  chi[a] = chi(a)
-    for a < d, in the field of zeta (see :func:`_aligned`)."""
+    n <= n_max: the moment I(zeta^x chi(x) x^n) from the d-step equation and
+    its residue-class decomposition (:func:`residue_class_sums`).  chi[a] =
+    chi(a) for a < d, in the field of zeta (see :func:`_aligned`)."""
     q = Fraction(q)
     d = len(chi)
     lhs = _char_moment_sequence(n_max, chi, zeta, q)

@@ -14,6 +14,7 @@ from eulertwist import (
     eulerian_recurrence,
     power_sum_rational,
 )
+from eulertwist.cli import MAX_INDEX
 from eulertwist.errors import OracleTooLarge, PoleAtOne
 from eulertwist.eulerian import GF_AS_PRINTED, periodic_power_sum, periodic_power_sums
 
@@ -46,6 +47,16 @@ def test_oracle_range_guard():
 @pytest.mark.parametrize("n", range(1, 9))
 def test_recurrence_matches_descent_statistics(n):
     assert eulerian_recurrence(n) == descent_oracle(n)
+
+
+@pytest.mark.parametrize("n", range(MAX_INDEX + 1))
+def test_recurrence_matches_explicit_formula(n):
+    # A(n, k) = sum_{j<=k} (-1)^j C(n+1, j) (k+1-j)^n, the number of
+    # permutations of n with k descents, for k = 0..n-1 (A_0 = 1).
+    explicit = [
+        sum((-1) ** j * math.comb(n + 1, j) * (k + 1 - j) ** n for j in range(k + 1)) for k in range(max(n, 1))
+    ]
+    assert eulerian_recurrence(n) == Poly.from_ints(*explicit)
 
 
 @pytest.mark.parametrize("n", range(1, 9))

@@ -10,9 +10,11 @@ from eulertwist import (
     PLUS_INFINITY,
     TwistedConfig,
     char_twist_integral,
+    checks,
     cyclotomic_field,
     distribution_identity_checks,
     eulerian_recurrence,
+    fermionic,
     padic_truncation,
     padic_valuation,
     poly_twist_integral,
@@ -26,8 +28,12 @@ from eulertwist.errors import NotPadicallyConvergent, SingularFunctionalEquation
 from eulertwist.fermionic import (
     IntegralSpec,
     _aligned,
+    _moment_sequence,
+    _powers,
     alternating_kernel_ratio_check,
+    residue_class_sums,
 )
+from eulertwist.series import _is_zero
 from eulertwist.twisted import alternating_char_sums, twisted_series_values
 
 
@@ -190,6 +196,48 @@ class TestDistributionIdentity:
         zeta = cyclotomic_field(3).zeta()
         for lhs, rhs in distribution_sides(4, quadratic_character(5), zeta, F(3)):
             assert lhs == rhs
+
+
+def per_class_residue_sums(n_max, chi, zeta, q):
+    """The residue-class sums one class at a time: one moment sequence per
+    class with chi(a) != 0, at shift a/d.  The oracle of the shared moment
+    sequence in `residue_class_sums`."""
+    q = F(q)
+    d = len(chi)
+    zeta_pows = _powers(zeta, d)
+    sums = [zeta_pows[0] * 0] * (n_max + 1)
+    for a in range(d):
+        if _is_zero(chi[a]):
+            continue
+        coeff = ((-1) ** a * q**-a) * (chi[a] * zeta_pows[a])
+        inner = _moment_sequence(IntegralSpec(n=n_max, shift=F(a, d), twist=zeta_pows[d], ratio=q**-d))
+        sums = [acc + coeff * moment for acc, moment in zip(sums, inner)]
+    return sums
+
+
+class TestResidueClassSums:
+    @pytest.mark.parametrize("d", [1, 3, 5, 7, 9, 15, 21])
+    def test_matches_one_sequence_per_class(self, d):
+        rng = random.Random(d)
+        for _, char in checks.grid_characters(d):
+            for order in (1, 3, 9):
+                exponent = rng.choice([k for k in range(order) if math.gcd(k, order) == 1])
+                zeta = 1 if order == 1 else cyclotomic_field(order).zeta_power(exponent)
+                chi, zeta = _aligned(char, zeta)
+                for q in (F(2), F(5, 2), F(-3, 7), F(1)):
+                    assert residue_class_sums(10, chi, zeta, q) == per_class_residue_sums(10, chi, zeta, q)
+
+    @pytest.mark.parametrize("d", [7, 15])
+    def test_one_moment_sequence_whatever_the_modulus(self, monkeypatch, d):
+        calls = []
+
+        def counted(spec):
+            calls.append(spec)
+            return _moment_sequence(spec)
+
+        monkeypatch.setattr(fermionic, "_moment_sequence", counted)
+        residue_class_sums(6, *_aligned(principal_character(d), cyclotomic_field(3).zeta()), F(5, 2))
+        assert len(calls) == 1
 
 
 def test_kernel_ratio_is_q_squared():

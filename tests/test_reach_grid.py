@@ -6,7 +6,13 @@ thm3 and thm6 are left out: they compare against double-precision
 L-series sums, which lose all accuracy at some of these points and so give
 false fails; they join this gate once the L-series carries a rounding
 bound.
+
+Each report is also pinned by the sha256 of its JSON, as the default-grid
+stdout is in test_relation_outputs.py: the default grid's moduli have at
+most four residue classes, so only this grid pins outputs at d = 7 and 15.
 """
+import hashlib
+import json
 from fractions import Fraction as F
 
 import pytest
@@ -18,15 +24,30 @@ REACH_GRID = checks.Grid(
 )
 
 
-@pytest.mark.parametrize("relation", [
-    "eq15", "thm2", "distribution", "thm1-residual", "thm5-residual", "cor2-residual", "cor3", "eq22",
-    "eq28-residual",
-])
+DIGESTS = {
+    "eq15": "9619df7a9288479d851829874c111479925477174bbe9502da25cca46b04053e",
+    "thm2": "1d7f6098e6ec75215e567582e0e2cf59089cfa61803c32d483305677bf1eed62",
+    "distribution": "cc3c6dcb29ea123e2dc994fc515df00b6a7b12efe38fd12afcfb4da61229e5cd",
+    "thm1-residual": "fd4a905bc84450e7af3ff44aa23f9e8afbbc4f94a1d6b9e8a3670787f5d16723",
+    "thm5-residual": "b495ee33066753fb72e98ff8572231367ffe57bd08d84b2df51292b529dc811b",
+    "cor2-residual": "446eb2c985f4688221ec351e815081beec1d828d4c13c461e20a3227f06f3f05",
+    "cor3": "471ec994d98fe8c7f20b7e230df858ce7439575f7174d354d465ca6a25bb3324",
+    "eq22": "9086276103393a19d5a19f51dc4ed4f8f8a01108b2960d1ee38f75f69fdcd5b9",
+    "eq28-residual": "60400d0dff8ad0381feb9509cf83ce04bacf0b5cdda94c66809ef058595d29bb",
+}
+
+
+def report_digest(report) -> str:
+    return hashlib.sha256(json.dumps(report.to_json()).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("relation", sorted(DIGESTS))
 def test_exact_relations_pass_on_the_reach_grid(relation):
     report = checks.run_relation(relation, REACH_GRID)
     counts = report.counts
     assert counts["fail"] == 0, [p for p in report.points if p.verdict == "fail"][:5]
     assert counts["pass"] > 0
+    assert report_digest(report) == DIGESTS[relation]
 
 
 # cor2 reads only the primes, level_max and padic_n_max of a grid; these go
@@ -35,5 +56,6 @@ COR2_REACH_GRID = checks.Grid(primes=(3, 5, 7, 11, 13), level_max=3, padic_n_max
 
 
 def test_cor2_passes_on_the_reach_primes():
-    counts = checks.run_relation("cor2-residual", COR2_REACH_GRID).counts
-    assert counts == {"pass": 5 * 2 * 13, "fail": 0, "skip": 0}
+    report = checks.run_relation("cor2-residual", COR2_REACH_GRID)
+    assert report.counts == {"pass": 5 * 2 * 13, "fail": 0, "skip": 0}
+    assert report_digest(report) == "d4f9b99bd6bd62847ff54f68c871bf266584096f4d7993c39f079b9f416dcaef"
