@@ -36,7 +36,7 @@ from .fermionic import (
 from .lfunction import LEvaluation, LParams, interpolation_checks, l_eval, series_partial_sum_checks
 from .polys import Poly
 from .rationals import PLUS_INFINITY, padic_valuation, q_bracket, q_bracket_neg
-from .series import TruncatedSeries, exp_linear, nth_taylor_coefficient
+from .series import TruncatedSeries, exp_sum, nth_taylor_coefficient
 from .twisted import (
     TwistedConfig,
     TwistedValue,

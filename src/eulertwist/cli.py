@@ -239,7 +239,7 @@ def _resolve_character(spec: str, modulus: int):
 
 # The cost model behind MAX_WORK_S, in seconds, fitted to in-process timings on a 2-vCPU VM with Python
 # 3.11.7.  h: log2 of q's larger part, at least 1; D: degree of the ambient field; D' = phi(z / gcd(z, d)):
-# that of zeta^d; P = lcm(2, d, z); s = d h: bits of q^d; solve(n, b) = (n+1)^2 ((n+1) b)^1.5.
+# that of zeta^d; P = lcm(d, z), the series path's odd period; s = d h: bits of q^d; solve(n, b) = (n+1)^2 ((n+1) b)^1.5.
 #   term               model                                      a measured point: measured -> model seconds
 #   field build        4.5e-6 order D                             order 990: 1.07 -> 1.07; 7954: 34 -> 137
 #   inverse of         5e-7 D^3 + 5e-12 D^4 s^2, 0 when D' = 1    order 198, d 29, q 98: 2.45 -> 2.49;
@@ -247,9 +247,9 @@ def _resolve_character(spec: str, modulus: int):
 #   A_0..A_n           inverse + 2e-10 solve(n, s D') D^0.35      d 97, quadratic, z 7, q 2, n 40: 1.90 -> 2.61;
 #                      + 4e-8 d (n+1)^2 D'^2                      d 31, quadratic, q 2^40+1, n 40: 4.86 -> 4.46;
 #                      + 1.4e-13 (d+10) (n+1)^3 s^2 D'            d 99, z 33, q 10^4299+7, n 0: 30.6 -> 31.5
-#   series path        2e-5 P (n+1) + 2e-8 (n+1)^2 P^1.48 h^1.1   d 59, z 15, q 2, n 2: 0.121 -> 0.128;
-#                      D^0.31 + 3.3e-12 (n+1)^3 (P h)^2           d 97, z 3, q 1001/997, n 20: 3.30 -> 2.97;
-#                                                                 d 3, q 10^4299+7, n 5: 5.29 -> 5.61
+#   series path        2e-5 P (n+1) + 2e-8 (n+1)^2 P^1.48 h^1.1   d 59, z 15, q 2, n 2: 0.050 -> 0.061;
+#                      D^0.31 + 3.3e-12 (n+1)^3 (P h)^2           d 97, z 3, q 1001/997, n 20: 1.02 -> 0.99;
+#                                                                 d 3, q 10^4299+7, n 5: 1.44 -> 1.45
 #   residue classes    inverse + 9e-6 (n+1)^2 + 2e-8 (n+1)^2 D'^2 d 97, quadratic, z 7, q 2, n 40: 1.24 -> 1.10;
 #     (one solve,      + 1e-12 (n+1)^3 s^2 D' + 5.7e-10           d 31, quadratic, q 2^40+1, n 40: 3.24 -> 1.85;
 #     d (n+1) weights, (n+1)^-0.5 solve(n, s D') D^0.35           d 27, q 10^4299+7, n 0: 1.29 -> 1.65;
@@ -280,7 +280,7 @@ def _field_s(order: int) -> float:
 def _point_parts(n: int, d: int, char_order: int, z: int, q) -> tuple:
     """(A_0..A_n, series path, residue classes, float L-series) at one point."""
     h, degree, zeta_d_degree = _height(q), euler_phi(math.lcm(z, char_order)), euler_phi(z // math.gcd(z, d))
-    size, period = d * h, math.lcm(2, d, z)
+    size, period = d * h, math.lcm(d, z)
     inverse = 0.0 if zeta_d_degree == 1 else 5e-7 * degree**3 + 5e-12 * degree**4 * size**2
     coefficients = (n + 1) ** 3.5 * (size * zeta_d_degree) ** 1.5 * degree**0.35  # solve(n, s D') D^0.35
     products = 4e-8 * (n + 1) ** 2 * zeta_d_degree**2

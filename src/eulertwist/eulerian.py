@@ -9,11 +9,13 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from fractions import Fraction
 from functools import lru_cache
 
 from .errors import InternalInconsistency, OracleTooLarge, PoleAtOne
 from .polys import Poly
+from .series import power_moments
 
 GF_RECURRENCE = "recurrence-consistent"
 GF_AS_PRINTED = "as-printed"
@@ -97,28 +99,17 @@ def periodic_power_sums(cycle, n_max: int, z) -> list:
 
     Regrouping m = l + j*P gives S_n = sum_k C(n,k) P^k T_k B_(n-k), with the
     tails T_k = :func:`power_sum_rational` (k, z^P) and the residue moments
-    B_i = sum_l c(l) z^l l^i each built once for all n.
+    B_i = sum_l c(l) z^l l^i (:func:`power_moments`) each built once for all n.
     """
     period = len(cycle)
     if period < 1:
         raise ValueError("need at least one coefficient")
     w = z**period
     tails = [power_sum_rational(k, w) for k in range(n_max + 1)]
-    moments = [None] * (n_max + 1)
-    z_power = z**0
-    for l, c in enumerate(cycle, start=1):
-        z_power = z_power * z
-        term = c * z_power
-        for i in range(n_max + 1):
-            moments[i] = term if moments[i] is None else moments[i] + term
-            term = term * l
-    sums = []
-    for n in range(n_max + 1):
-        acc = tails[0] * moments[n]
-        for k in range(1, n + 1):
-            acc = acc + (math.comb(n, k) * period**k * tails[k]) * moments[n - k]
-        sums.append(acc)
-    return sums
+    z_powers = itertools.accumulate([z] * period, operator.mul)
+    moments = power_moments(enumerate(map(operator.mul, cycle, z_powers), start=1), n_max)
+    return [sum(((math.comb(n, k) * period**k * tails[k]) * moments[n - k] for k in range(1, n + 1)),
+                tails[0] * moments[n]) for n in range(n_max + 1)]
 
 
 def periodic_power_sum(cycle, n: int, z):

@@ -16,7 +16,7 @@ from .characters import DirichletCharacter, principal_character
 from .cyclotomic import cyclotomic_field, lift_to_field
 from .errors import NotPadicallyConvergent, SingularFunctionalEquation
 from .rationals import format_rational, padic_valuation, q_bracket_neg
-from .series import _is_zero
+from .series import _is_zero, power_moments
 
 
 @dataclass(frozen=True)
@@ -87,14 +87,10 @@ def _char_moment_sequence(n: int, chi, zeta, q: Fraction) -> list:
     if _is_zero(pivot):
         raise SingularFunctionalEquation("twist^d + q^d vanishes")
     pivot_inv = pivot ** (-1)
-    two_q = 1 + q
+    kernel = [(l, ((1 + q) * (-1) ** l * q ** (d - 1 - l)) * (chi[l] * zeta_pows[l]))
+              for l in range(d) if not _is_zero(chi[l])]
     moments: list = []
-    for m in range(n + 1):
-        kernel = [
-            ((-1) ** l * q ** (d - 1 - l) * l**m) * (chi[l] * zeta_pows[l])
-            for l in range(d) if not _is_zero(chi[l])
-        ]
-        rhs = two_q * sum(kernel[1:], kernel[0]) if kernel else pivot * 0
+    for m, rhs in enumerate(power_moments(kernel, n)):
         if m:
             lower = sum((math.comb(m, k) * d ** (m - k) * moments[k] for k in range(1, m)), d**m * moments[0])
             rhs = rhs - zeta_pows[d] * lower
@@ -118,20 +114,16 @@ def residue_class_sums(n_max: int, chi, zeta, q: Fraction) -> list:
     for n = 0..n_max under the measure parameter q^-d: I(zeta^x chi(x) x^n)
     split into residue classes, without its factor d^n/[d]_{-1/q}; chi[a] =
     chi(a) in the field of zeta.  By the binomial theorem this is sum_k C(n,k)
-    M_k P_(n-k): one sequence M_k = I(x^k zeta^(dx)), P_j = sum_a c_a (a/d)^j."""
+    M_k P_(n-k): one sequence M_k = I(x^k zeta^(dx)), P_j = d^-j sum_a c_a a^j,
+    each zero P_j skipped (every j >= 1 at d = 1)."""
     q = Fraction(q)
     d = len(chi)
     zeta_pows = _powers(zeta, d)
     moments = _moment_sequence(IntegralSpec(n=n_max, shift=0, twist=zeta_pows[d], ratio=q**-d))
-    weights = [zeta_pows[0] * 0] * (n_max + 1)
-    for a in range(d):
-        if _is_zero(chi[a]):
-            continue
-        term = ((-1) ** a * q**-a) * (chi[a] * zeta_pows[a])
-        for j in range(n_max + 1):
-            weights[j] = weights[j] + term
-            term = term * Fraction(a, d)
-    return [sum((math.comb(n, k) * moments[k] * weights[n - k] for k in range(1, n + 1)), moments[0] * weights[n])
+    classes = power_moments([(a, ((-1) ** a * q**-a) * (chi[a] * zeta_pows[a]))
+                             for a in range(d) if not _is_zero(chi[a])], n_max)
+    weights = [(j, p * Fraction(1, d**j)) for j, p in enumerate(classes) if not _is_zero(p)]
+    return [sum((math.comb(n, j) * moments[n - j] * p for j, p in weights if j <= n), classes[0] * 0)
             for n in range(n_max + 1)]
 
 

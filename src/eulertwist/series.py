@@ -68,9 +68,6 @@ class TruncatedSeries:
                     out[i + j] = out[i + j] + a * b
         return TruncatedSeries(tuple(out))
 
-    def scale(self, factor) -> "TruncatedSeries":
-        return TruncatedSeries(tuple(factor * c for c in self.coeffs))
-
     def inverse(self) -> "TruncatedSeries":
         """Reciprocal series: b with self * b = 1 + O(t^order)."""
         a0 = self.coeffs[0]
@@ -101,16 +98,40 @@ class TruncatedSeries:
         return {"order": self.order, "coeffs": encoded}
 
 
-def exp_linear(c, order: int) -> TruncatedSeries:
-    """The series of exp(c*t): coefficients c^n / n!, exactly."""
-    if isinstance(c, int):
-        c = Fraction(c)
-    term = c**0
-    out = [term]
-    for n in range(1, order):
-        term = term * c / n
-        out.append(term)
-    return TruncatedSeries(tuple(out))
+def power_moments(terms, n_max: int) -> list:
+    """[sum w x^j for j = 0..n_max] over the (integer node x, weight w)
+    pairs of `terms`, with 0^0 = 1; zero weights are skipped and each weight
+    enters by integer scalings alone.  The sums start from the zero of the
+    first weight, or from the integer 0 when there are no terms.
+
+    >>> power_moments([(0, Fraction(5)), (2, Fraction(1, 2)), (3, Fraction(0))], 3)
+    [Fraction(11, 2), Fraction(1, 1), Fraction(2, 1), Fraction(4, 1)]
+    """
+    terms = list(terms)
+    sums = [_zero_like(terms[0][1]) if terms else 0] * (n_max + 1)
+    for x, w in terms:
+        if _is_zero(w):
+            continue
+        sums[0] = sums[0] + w
+        for j in range(1, n_max + 1 if x else 1):
+            w = w * x
+            sums[j] = sums[j] + w
+    return sums
+
+
+def exp_sum(terms, rate, order: int) -> TruncatedSeries:
+    """The series of sum w exp(x rate t) over the (integer node x, weight w)
+    pairs of `terms`: coefficient j is rate^j / j! times power moment j.
+
+    >>> exp_sum([(1, Fraction(1))], Fraction(1), 4).coeffs
+    (Fraction(1, 1), Fraction(1, 1), Fraction(1, 2), Fraction(1, 6))
+    """
+    if order < 1:
+        raise ValueError("series order must be >= 1")
+    rate = Fraction(rate)
+    return TruncatedSeries(tuple(
+        m * (rate**j / math.factorial(j)) for j, m in enumerate(power_moments(terms, order - 1))
+    ))
 
 
 def nth_taylor_coefficient(series: TruncatedSeries, n: int):

@@ -25,7 +25,7 @@ from .eulerian import periodic_power_sums
 from .fermionic import IntegralSpec, poly_twist_integral, residue_class_sums
 from .fermionic import _aligned, _char_moment_sequence, _moment_sequence
 from .rationals import q_bracket_neg
-from .series import TruncatedSeries, exp_linear, nth_taylor_coefficient
+from .series import TruncatedSeries, exp_sum, nth_taylor_coefficient
 
 
 @dataclass(frozen=True)
@@ -93,35 +93,29 @@ class TwistedValue:
 def twisted_gf(cfg: TwistedConfig, order: int) -> TruncatedSeries:
     """The generating function expanded to the requested order over the
     ambient field: (1+q) * sum_{l<d} (-1)^l q^(d-l+1) zeta^l chi(l)
-    exp(-l(1+q)t) divided by (zeta^d exp(-d(1+q)t) + q^d)."""
-    if order < 1:
-        raise ValueError("series order must be >= 1")
+    exp(-l(1+q)t) divided by (zeta^d exp(-d(1+q)t) + q^d).  Numerator and
+    denominator are each one exponential sum at rate -(1+q)
+    (:func:`exp_sum`), every weight formed once."""
     q, d, field = cfg.q, cfg.char.modulus, cfg.field
-    denom_const = cfg.zeta_pow(d) + field.from_rational(q**d)
-    if denom_const.is_zero():
+    denominator = exp_sum([(d, cfg.zeta_pow(d)), (0, field.from_rational(q**d))], -(1 + q), order)
+    if denominator.coeffs[0].is_zero():
         raise SingularFunctionalEquation("twist^d + q^d vanishes")
-    numerator = TruncatedSeries.constant(field.zero, order)
-    for l in range(d):
-        chi_l = cfg.char_value(l)
-        if chi_l.is_zero():
-            continue
-        scalar = ((-1) ** l * q ** (d - l + 1)) * (chi_l * cfg.zeta_pow(l))
-        numerator = numerator + exp_linear(-l * (1 + q), order).scale(scalar)
-    denominator = exp_linear(-d * (1 + q), order).scale(cfg.zeta_pow(d)) + TruncatedSeries.constant(
-        field.from_rational(q**d), order
-    )
-    return numerator.scale(field.from_rational(1 + q)) * denominator.inverse()
+    weights = [(l, ((1 + q) * (-1) ** l * q ** (d - l + 1)) * (chi * cfg.zeta_pow(l)))
+               for l, chi in enumerate(cfg.char_values) if not chi.is_zero()]
+    return exp_sum(weights, -(1 + q), order) * denominator.inverse()
 
 
 def alternating_char_sums(cfg: TwistedConfig, n_max: int) -> list:
     """Closed forms of sum_{m>=1} (-1)^m zeta^m chi(m) m^n (1/q)^m for
     n = 0..n_max, exact.
 
-    The coefficient is periodic with period lcm(2, d, twist order), so the
-    sums regroup into the rational power-sum closed forms."""
-    period = math.lcm(2, cfg.char.modulus, cfg.zeta_order)
-    cycle = [(-1) ** m * (cfg.char_value(m) * cfg.zeta_pow(m)) for m in range(1, period + 1)]
-    return periodic_power_sums(cycle, n_max, 1 / cfg.q)
+    With the sign folded into the ratio -1/q, the coefficient chi(m) zeta^m
+    has the period lcm(d, twist order), odd for odd d, and the sums regroup
+    into the rational power-sum closed forms; an odd period keeps
+    (-1/q)^period away from 1, so at q = 1 this is the Abel sum."""
+    period = math.lcm(cfg.char.modulus, cfg.zeta_order)
+    cycle = [cfg.char_value(m) * cfg.zeta_pow(m) for m in range(1, period + 1)]
+    return periodic_power_sums(cycle, n_max, -1 / cfg.q)
 
 
 def twisted_series_values(cfg: TwistedConfig, n_max: int) -> list[CyclotomicNumber]:
@@ -164,14 +158,9 @@ def euler_gf_consistency(d_fold: int, zeta_eff, order: int) -> tuple:
     if d_fold < 1 or d_fold % 2 == 0:
         raise ValueError("the fold count must be odd")
     one = zeta_eff**0
-    numerator = TruncatedSeries.constant(one * 0, order)
-    for l in range(d_fold):
-        scalar = zeta_eff**l if l % 2 == 0 else -(zeta_eff**l)
-        numerator = numerator + exp_linear(Fraction(l), order).scale(scalar)
-    folded_denom = exp_linear(Fraction(d_fold), order).scale(zeta_eff**d_fold) + TruncatedSeries.constant(one, order)
-    folded = numerator.scale(2 * one) * folded_denom.inverse()
-    direct_denom = exp_linear(Fraction(1), order).scale(zeta_eff) + TruncatedSeries.constant(one, order)
-    direct = TruncatedSeries.constant(2 * one, order) * direct_denom.inverse()
+    numerator = exp_sum([(l, 2 * (-1) ** l * zeta_eff**l) for l in range(d_fold)], 1, order)
+    folded = numerator * exp_sum([(d_fold, zeta_eff**d_fold), (0, one)], 1, order).inverse()
+    direct = TruncatedSeries.constant(2 * one, order) * exp_sum([(1, zeta_eff), (0, one)], 1, order).inverse()
     eulers = _moment_sequence(IntegralSpec(n=order - 1, shift=0, twist=zeta_eff, ratio=Fraction(1)))
     taylor = [nth_taylor_coefficient(direct, n) for n in range(order)]
     return (folded, direct), (taylor, eulers)

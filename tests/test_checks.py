@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from eulertwist import checks, fermionic, lfunction, twisted
+from eulertwist import checks, eulerian, fermionic, lfunction, series, twisted
 
 SMALL_GRID = checks.Grid(
     n_max=3, moduli=(3,), q_values=(F(2),), zeta_orders=(1, 3),
@@ -77,3 +77,27 @@ def test_a_bad_series_path_fails_only_the_relations_that_read_it(monkeypatch):
     for relation in ("thm1-residual", "thm5-residual", "thm6", "cor3"):
         report = checks.run_relation(relation, SMALL_GRID)
         assert report.counts["fail"] == 0 and report.counts["pass"] > 0
+
+
+def test_a_bad_power_moment_fails_every_relation_that_reads_one(monkeypatch):
+    """`series.power_moments` is shared field arithmetic, like the product of
+    two field elements: a fault in it fails points of thm2, thm3, thm6, cor2
+    and eq22, whose other sides (the float sums, the p-adic walk, the Euler
+    moments of the one-step solve) never read it, and thm2's two sides read
+    it with different weights.  distribution still passes, because both of
+    its sides read the same moments, just as they read the same field
+    arithmetic."""
+    real = series.power_moments
+
+    def doubled(terms, n_max):
+        out = real(terms, n_max)
+        if n_max >= 2:
+            out[2] = 2 * out[2]
+        return out
+
+    for module in (series, fermionic, eulerian):
+        monkeypatch.setattr(module, "power_moments", doubled)
+    grid = checks.default_grid()
+    for relation in ("thm2", "thm3", "thm6", "cor2-residual", "eq22"):
+        assert checks.run_relation(relation, grid).counts["fail"] > 0, relation
+    assert checks.run_relation("distribution", grid).passed

@@ -24,10 +24,12 @@ from eulertwist import (
     riemann_sums,
     twisted_values,
 )
+from eulertwist.cyclotomic import CyclotomicNumber
 from eulertwist.errors import NotPadicallyConvergent, SingularFunctionalEquation
 from eulertwist.fermionic import (
     IntegralSpec,
     _aligned,
+    _char_moment_sequence,
     _moment_sequence,
     _powers,
     alternating_kernel_ratio_check,
@@ -175,6 +177,27 @@ class TestCharTwistIntegral:
         lhs = char_twist_integral(1, principal_character(1), 1, q)
         assert lhs == F(-1, 3)
         assert lhs == poly_twist_integral(IntegralSpec(n=1, shift=0, twist=1, ratio=1 / q))
+
+    def test_each_kernel_weight_is_formed_once_per_call(self, monkeypatch):
+        # the weights chi(l) zeta^l q^(d-1-l) are field products formed once
+        # per call; each further n adds only the two of the triangular solve
+        # (zeta^d times the lower moments, and the product by the pivot inverse)
+        chi, zeta = _aligned(quadratic_character(15), cyclotomic_field(9).zeta())
+        real, products = CyclotomicNumber.__mul__, []
+
+        def counted(self, other):
+            if isinstance(other, CyclotomicNumber):
+                products.append(other)
+            return real(self, other)
+
+        monkeypatch.setattr(CyclotomicNumber, "__mul__", counted)
+
+        def count(n):
+            products.clear()
+            _char_moment_sequence(n, chi, zeta, F(5, 2))
+            return len(products)
+
+        assert count(20) - count(5) <= 2 * 15
 
     def test_singular_pivot(self):
         field = cyclotomic_field(1)

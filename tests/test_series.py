@@ -5,7 +5,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from eulertwist import TruncatedSeries, cyclotomic_field, exp_linear, nth_taylor_coefficient
+from eulertwist import TruncatedSeries, cyclotomic_field, exp_sum, nth_taylor_coefficient
+from eulertwist.series import power_moments
 from eulertwist.errors import NonUnitConstantTerm, OrderTooLow
 
 
@@ -48,19 +49,24 @@ def test_inverse_needs_unit_constant():
         TruncatedSeries.of([0, 1], order=3).inverse()
 
 
+def exp_of(c, order):
+    """The series of exp(c t), as the one-term exponential sum."""
+    return exp_sum([(1, 1)], c, order)
+
+
 def test_exp_of_zero():
-    assert exp_linear(F(0), 4) == TruncatedSeries.of([1, 0, 0, 0])
+    assert exp_of(F(0), 4) == TruncatedSeries.of([1, 0, 0, 0])
 
 
 def test_exp_of_one():
-    assert exp_linear(F(1), 4) == TruncatedSeries.of([1, 1, F(1, 2), F(1, 6)])
+    assert exp_of(F(1), 4) == TruncatedSeries.of([1, 1, F(1, 2), F(1, 6)])
 
 
 def test_exp_functional_equation():
     rng = random.Random(11)
     for _ in range(20):
         a = F(rng.randint(-6, 6), rng.randint(1, 5))
-        product = exp_linear(a, 8) * exp_linear(-a, 8)
+        product = exp_of(a, 8) * exp_of(-a, 8)
         assert product == TruncatedSeries.of([1] + [0] * 7)
 
 
@@ -69,12 +75,12 @@ def test_exp_sum_rule():
     for _ in range(20):
         a = F(rng.randint(-6, 6), rng.randint(1, 5))
         b = F(rng.randint(-6, 6), rng.randint(1, 5))
-        assert exp_linear(a + b, 7) == exp_linear(a, 7) * exp_linear(b, 7)
+        assert exp_of(a + b, 7) == exp_of(a, 7) * exp_of(b, 7)
 
 
 def test_taylor_coefficient_of_exponential():
     c = F(3, 2)
-    assert nth_taylor_coefficient(exp_linear(c, 5), 2) == c * c
+    assert nth_taylor_coefficient(exp_of(c, 5), 2) == c * c
 
 
 def test_taylor_coefficient_of_constant():
@@ -126,3 +132,47 @@ def test_binomial_convolution_of_taylor_coefficients():
 def test_series_json_wrapper():
     series = TruncatedSeries.of([1, F(-1, 2)], order=2)
     assert series.to_json() == {"order": 2, "coeffs": ["1/1", "-1/2"]}
+
+
+def random_terms(rng, field):
+    """Seeded (node, weight) pairs over Q (field None) or a cyclotomic field:
+    random nodes and weights, node 0, and a zero weight."""
+    def weight():
+        if field is None:
+            return F(rng.randint(-5, 5), rng.randint(1, 4))
+        return field.reduce([F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(field.degree)])
+
+    zero = F(0) if field is None else field.zero
+    terms = [(rng.randint(-3, 7), weight()) for _ in range(rng.randint(1, 5))]
+    terms += [(0, weight()), (rng.randint(1, 7), zero)]
+    rng.shuffle(terms)
+    return terms, zero
+
+
+@pytest.mark.parametrize("field_order", [None, 9])
+def test_power_moments_match_direct_powers(field_order):
+    field = None if field_order is None else cyclotomic_field(field_order)
+    rng = random.Random(31 if field is None else 32)
+    for _ in range(40):
+        terms, zero = random_terms(rng, field)
+        n_max = rng.randint(0, 8)
+        expected = [sum((w * x**j for x, w in terms), zero) for j in range(n_max + 1)]
+        assert power_moments(terms, n_max) == expected
+        muted = [(x, zero) for x, _ in terms]
+        assert power_moments(muted, n_max) == [zero] * (n_max + 1)
+    assert power_moments([], 3) == [0, 0, 0, 0]
+
+
+@pytest.mark.parametrize("field_order", [None, 9])
+def test_exp_sum_matches_direct_taylor_coefficients(field_order):
+    field = None if field_order is None else cyclotomic_field(field_order)
+    rng = random.Random(33 if field is None else 34)
+    for _ in range(40):
+        terms, zero = random_terms(rng, field)
+        rate, order = F(rng.randint(-5, 5), rng.randint(1, 4)), rng.randint(1, 8)
+        expected = tuple(
+            sum((w * ((x * rate) ** j / math.factorial(j)) for x, w in terms), zero) for j in range(order)
+        )
+        assert exp_sum(terms, rate, order).coeffs == expected
+        muted = [(x, zero) for x, _ in terms]
+        assert exp_sum(muted, rate, order) == TruncatedSeries((zero,) * order)

@@ -23,7 +23,8 @@ from eulertwist import (
     twisted_values,
     witt_residuals,
 )
-from eulertwist.errors import PoleAtOne, SingularFunctionalEquation
+from eulertwist.checks import grid_characters
+from eulertwist.errors import SingularFunctionalEquation
 from eulertwist.twisted import (
     alternating_char_sums,
     twisted_series_value,
@@ -70,12 +71,18 @@ class TestValueAnchors:
 
     def test_at_q_one_only_the_series_expansion_exists(self):
         # the generating function is defined at q = 1, where it is even in t
-        # for this character (so A_1 = 0); the closed-form series in 1/q has
-        # its pole there
+        # for this character (so A_1 = 0); the alternating series diverges
+        # there, and its closed form over the odd period lcm(d, twist order)
+        # has no pole at ratio -1, so it gives the Abel sum, which equals the
+        # generating-function values
         cfg = TwistedConfig.build(quadratic_character(3), 1, 0, F(1))
         assert twisted_value(cfg, 1).value == 0
-        with pytest.raises(PoleAtOne):
-            twisted_series_value(cfg, 1)
+        for d in (1, 3, 5, 7, 15):
+            for _, char in grid_characters(d):
+                for zeta_order in (1, 3, 9):
+                    cfg = TwistedConfig.build(char, zeta_order, 1 % zeta_order, F(1))
+                    values = [tv.value for tv in twisted_values(cfg, 8)]
+                    assert twisted_series_values(cfg, 8) == values, cfg.describe()
 
 
 class TestSeriesPath:
