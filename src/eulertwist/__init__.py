@@ -23,7 +23,7 @@ from .cyclotomic import (
     lift_to_field,
 )
 from .errors import MathError
-from .eulerian import descent_oracle, eulerian_gf_coefficients, eulerian_recurrence, power_sum_rational
+from .eulerian import descent_oracle, eulerian_at, eulerian_recurrence, power_sum_rational
 from .fermionic import (
     IntegralSpec,
     TruncationReport,
@@ -34,7 +34,6 @@ from .fermionic import (
     riemann_sums,
 )
 from .lfunction import LEvaluation, LParams, interpolation_checks, l_eval, series_partial_sum_checks
-from .polys import Poly
 from .rationals import PLUS_INFINITY, padic_valuation, q_bracket, q_bracket_neg
 from .series import TruncatedSeries, exp_sum, nth_taylor_coefficient
 from .twisted import (

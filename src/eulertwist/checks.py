@@ -20,7 +20,7 @@ from .characters import (
 )
 from .cyclotomic import cyclotomic_field
 from .errors import ResidualUndefined
-from .eulerian import eulerian_recurrence
+from .eulerian import eulerian_at
 from .ntheory import is_squarefree
 from .rationals import format_rational, padic_valuation, parse_rational
 
@@ -161,7 +161,7 @@ def run_eq15(grid: Grid) -> CheckReport:
             lhs = fermionic.poly_twist_integral(
                 fermionic.IntegralSpec(n=n, shift=0, twist=1, ratio=1 / q)
             )
-            rhs = Fraction(-1) ** n * eulerian_recurrence(n).evaluate(-q) / (1 + q) ** n
+            rhs = Fraction(-1) ** n * eulerian_at(n, -q) / (1 + q) ** n
             report.add(f"n={n} q={format_rational(q)}", lhs == rhs)
     return report.finalize()
 

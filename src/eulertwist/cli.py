@@ -239,9 +239,11 @@ def _resolve_character(spec: str, modulus: int):
 
 # The cost model behind MAX_WORK_S, in seconds, fitted to in-process timings on a 2-vCPU VM with Python
 # 3.11.7.  h: log2 of q's larger part, at least 1; D: degree of the ambient field; D' = phi(z / gcd(z, d)):
-# that of zeta^d; P = lcm(d, z), the series path's odd period; s = d h: bits of q^d; solve(n, b) = (n+1)^2 ((n+1) b)^1.5.
+# that of zeta^d; P = lcm(d, z), the series path's odd period; s = d h: bits of q^d, 1 at q = 1;
+# solve(n, b) = (n+1)^2 ((n+1) b)^1.5.
 #   term               model                                      a measured point: measured -> model seconds
-#   field build        4.5e-6 order D                             order 990: 1.07 -> 1.07; 7954: 34 -> 137
+#   field build        7e-8 order D (the power table)             order 990: 0.020 -> 0.017; 3168: 0.20 -> 0.21;
+#                                                                 7954: 1.65 -> 2.14
 #   inverse of         5e-7 D^3 + 5e-12 D^4 s^2, 0 when D' = 1    order 198, d 29, q 98: 2.45 -> 2.49;
 #     zeta^d + q^d                                                order 81, d 97, q 5/2: 0.53 -> 2.16
 #   A_0..A_n           inverse + 2e-10 solve(n, s D') D^0.35      d 97, quadratic, z 7, q 2, n 40: 1.90 -> 2.61;
@@ -254,8 +256,13 @@ def _resolve_character(spec: str, modulus: int):
 #     (one solve,      + 1e-12 (n+1)^3 s^2 D' + 5.7e-10           d 31, quadratic, q 2^40+1, n 40: 3.24 -> 1.85;
 #     d (n+1) weights, (n+1)^-0.5 solve(n, s D') D^0.35           d 27, q 10^4299+7, n 0: 1.29 -> 1.65;
 #     their (n+1)^2    + d (n+1) (1.3e-5 + 3.4e-13 s^2)           d 91, z 11, q 2, n 40: 3.07 -> 2.49;
-#     products)                                                   d 99, z 33, q 2, n 8: 0.0143 -> 0.0135
+#     products)                                                   d 99, z 33, q 2, n 8: 0.0143 -> 0.0135;
+#                                                                 d 97, quadratic, z 7, q 1, n 40: 0.050 -> 0.069
 #   float L-series     2.2e-6 (n+1) min(200000, (2n+56) / ln q)   d 45, z 3, q 1001/997, n 20: 1.11 -> 1.11
+#   lfun's float sum   8e-7 min(max-terms, M), M the stop index   q 100001/100000, s 0, d 1: 6.05 -> 6.37;
+#                      (_lfun_terms)                              d 3: 4.0 to 5.3 -> 6.37;
+#                                                                 q 10001/10000, s -30, d 1: 9.1 -> 7.72;
+#                                                                 q 10001/10000, s 3+4i, d 1: 0.91 -> 0.65
 #   p-adic walk        4.6e-12 (p^levels h)^2 per exponent        p 3, 9 levels, q 3*10^30+1, n 40: 18.3 -> 18.2;
 #                      (7.5e-13 at exponent 0)                    p 19991, 1 level, q 19991*10^30+1, n 0: 3.69 -> 3.89
 #     The 6x gap is printing, not the walk: CPython 3.11 writes an int in decimal in quadratic time, and at n 0
@@ -266,7 +273,7 @@ def _resolve_character(spec: str, modulus: int):
 #   eq22 per (d, z)    5e-4 (d + D)                               d 99, z 99: 0.071 -> 0.080
 #   eq28 per table     d (3.5e-5 (1 + log2(h) / 4) + 1.3e-13 s^2) d 99, q 2: 0.0035 -> 0.0035; q 3^800+1: 0.20 -> 0.22
 # Each point adds 1e-3.  A grid configuration costs A_0..A_n and the dearest of series path, residue classes and
-# float sums.
+# float sums.  An lfun run costs its field and its float sum.
 
 
 def _height(q) -> float:
@@ -274,13 +281,13 @@ def _height(q) -> float:
 
 
 def _field_s(order: int) -> float:
-    return 4.5e-6 * order * euler_phi(order)
+    return 7e-8 * order * euler_phi(order)
 
 
 def _point_parts(n: int, d: int, char_order: int, z: int, q) -> tuple:
     """(A_0..A_n, series path, residue classes, float L-series) at one point."""
     h, degree, zeta_d_degree = _height(q), euler_phi(math.lcm(z, char_order)), euler_phi(z // math.gcd(z, d))
-    size, period = d * h, math.lcm(d, z)
+    size, period = (1 if q == 1 else d * h), math.lcm(d, z)
     inverse = 0.0 if zeta_d_degree == 1 else 5e-7 * degree**3 + 5e-12 * degree**4 * size**2
     coefficients = (n + 1) ** 3.5 * (size * zeta_d_degree) ** 1.5 * degree**0.35  # solve(n, s D') D^0.35
     products = 4e-8 * (n + 1) ** 2 * zeta_d_degree**2
@@ -294,6 +301,28 @@ def _point_parts(n: int, d: int, char_order: int, z: int, q) -> tuple:
     if q > 1 and h < 1000:  # elsewhere the float sums stop at once
         floats = 2.2e-6 * (n + 1) * min(200_000, (2 * n + 56) / math.log(q))
     return values, series, residues, floats
+
+
+def _lfun_terms(s: complex, q, tol: float, max_terms: int) -> float:
+    """The index where `l_series_sum` stops, at most max_terms, estimated in O(1) after
+    `lfunction._stop_index`: 0 when the sum stops at once (q beyond a double, q <= 1 as a
+    double, or a stable index past max_terms)."""
+    try:
+        q = float(q)
+    except OverflowError:
+        return 0.0
+    if q <= 1:
+        return 0.0
+    ln_q = math.log(q)
+    peak = 2 * abs(s.real) / ln_q  # the stable index M solves M = peak ln M
+    if peak > max_terms:
+        return 0.0
+    stable = peak
+    for _ in range(4):  # fixed-point steps from below; each multiplies the gap by 1 / ln M
+        stable = peak * math.log(max(stable, math.e))
+    # the first M with tail bound q^(-M/2) / (1 - q^(-1/2)) below tol
+    below_tol = 2 * (math.log(tol) + math.log(-math.expm1(-ln_q / 2))) / -ln_q
+    return min(max_terms, max(1.0, stable, below_tol))
 
 
 def _walk_s(p: int, levels: int, h: float, exponents) -> float:
@@ -342,8 +371,8 @@ def predicted_seconds(args) -> float:
     char_order = args.character.value_order
     seconds = 1e-3 + _field_s(math.lcm(args.zeta_order, char_order))
     if args.command == "twisted":
-        seconds += _point_parts(max(args.n), args.d, char_order, args.zeta_order, args.q)[0]
-    return seconds
+        return seconds + _point_parts(max(args.n), args.d, char_order, args.zeta_order, args.q)[0]
+    return seconds + 8e-7 * _lfun_terms(args.s, args.q, args.tol, args.max_terms)
 
 
 def _emit(args, text: str) -> None:
@@ -356,7 +385,7 @@ def _emit(args, text: str) -> None:
 
 def _cmd_classic(args) -> int:
     poly = eulerian_recurrence(args.n)
-    doc = {"n": args.n, "coeffs": [format_rational(c) for c in poly.coeffs]}
+    doc = {"n": args.n, "coeffs": [format_rational(c) for c in poly]}
     status = 0
     if args.check_oracle:
         match = descent_oracle(args.n) == poly
@@ -439,7 +468,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     budget = (
         f"The run exits 2 before any field is built or any sum starts when it is predicted to take more than "
-        f"MAX_WORK_S = {MAX_WORK_S} s; the prediction sees n, d, the field degrees, the height of q and p^levels."
+        f"MAX_WORK_S = {MAX_WORK_S} s; the prediction sees n, d, the field degrees, the height of q, p^levels and "
+        f"lfun's series terms."
     )
     rational = _flag_type(parse_rational)
     index = _flag_type(_bounded_int(0, MAX_INDEX))

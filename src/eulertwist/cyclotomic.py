@@ -26,26 +26,38 @@ from functools import lru_cache
 
 from .errors import DivisionByZero, FieldMismatch, NotAPrimitiveEmbedding, OutsideDoubleRange
 from .ntheory import divisors, euler_phi, mobius
-from .polys import Poly
 from .rationals import format_rational, parse_rational
 
 
-def cyclotomic_polynomial(order: int) -> Poly:
-    """Phi_order via the Moebius product of (x^e - 1) factors, exact division."""
+def cyclotomic_polynomial(order: int) -> tuple[int, ...]:
+    """Phi_order as integer coefficients, constant term first.
+
+    For order > 1, Phi_order is the Moebius product of (1 - x^e)^mu(order/e)
+    over the divisors e, taken as a power series cut after degree
+    phi(order); the cut is exact because Phi_order has that degree.  Each
+    factor is one in-place pass: multiplying by 1 - x^e runs down, dividing
+    by it (multiplying by 1 + x^e + x^2e + ...) runs up.
+
+    >>> cyclotomic_polynomial(1), cyclotomic_polynomial(6)
+    ((-1, 1), (1, -1, 1))
+    >>> cyclotomic_polynomial(105)[7]
+    -2
+    """
     if order < 1:
         raise ValueError("cyclotomic polynomial order must be >= 1")
-    numerator = Poly.one()
-    denominator = Poly.one()
+    if order == 1:
+        return (-1, 1)
+    degree = euler_phi(order)
+    c = [1] + [0] * degree
     for e in divisors(order):
         mu = mobius(order // e)
-        factor = Poly.of(*([-1] + [0] * (e - 1) + [1]))  # x^e - 1
         if mu == 1:
-            numerator = numerator * factor
+            for i in range(degree, e - 1, -1):
+                c[i] -= c[i - e]
         elif mu == -1:
-            denominator = denominator * factor
-    phi = numerator.exact_div(denominator)
-    assert phi.is_integral() and phi.coeffs[-1] == 1
-    return phi
+            for i in range(e, degree + 1):
+                c[i] += c[i - e]
+    return tuple(c)
 
 
 class CyclotomicField:
@@ -56,22 +68,17 @@ class CyclotomicField:
 
     def __init__(self, order: int):
         self.order = order
-        self.minimal_polynomial = cyclotomic_polynomial(order)
+        self.minimal_polynomial = phi_coeffs = cyclotomic_polynomial(order)
         self.degree = euler_phi(order)
-        assert self.minimal_polynomial.degree == self.degree
-        # power_table[j] = coefficient vector of x^j mod Phi_N, as exact ints
-        top = max(2 * self.degree - 1, order)
-        phi_coeffs = [int(c) for c in self.minimal_polynomial.coeffs]
-        table = [[0] * self.degree for _ in range(top)]
-        table[0][0] = 1
-        for j in range(1, top):
-            shifted = [0] + table[j - 1][:]
-            lead = shifted[self.degree] if len(shifted) > self.degree else 0
+        assert len(phi_coeffs) == self.degree + 1 and phi_coeffs[-1] == 1
+        # power_table[j] = coefficient vector of x^j mod Phi_N, as exact ints:
+        # x times a row shifts it up and folds its top entry back through Phi_N.
+        row, self._power_table = (1,) + (0,) * (self.degree - 1), []
+        for _ in range(max(2 * self.degree - 1, order)):
+            self._power_table.append(row)
+            lead, row = row[-1], (0, *row[:-1])
             if lead:
-                for i in range(self.degree):
-                    shifted[i] -= lead * phi_coeffs[i]
-            table[j] = shifted[: self.degree]
-        self._power_table = [tuple(row) for row in table]
+                row = tuple(a - lead * c for a, c in zip(row, phi_coeffs))
         # The nonzero entries of x^j for j >= degree: the rows a vector's
         # high part is reduced through.
         self._high_rows = [

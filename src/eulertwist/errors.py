@@ -52,10 +52,6 @@ class OracleTooLarge(MathError):
     pass
 
 
-class InternalInconsistency(MathError):
-    """An identity that must hold by construction failed; never expected."""
-
-
 class SingularFunctionalEquation(MathError):
     pass
 

@@ -12,7 +12,6 @@ import pytest
 
 from eulertwist import cli
 from eulertwist.lfunction import LEvaluation
-from eulertwist.polys import Poly
 from eulertwist.rationals import parse_rational
 
 
@@ -35,7 +34,7 @@ def test_classic_oracle_flag(capsys):
 
 
 def test_classic_oracle_mismatch_exits_one(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "descent_oracle", lambda n: Poly.from_ints(9, 9))
+    monkeypatch.setattr(cli, "descent_oracle", lambda n: (9, 9))
     code, out = run_cli(capsys, "classic", "--n", "4", "--check-oracle")
     assert code == 1
     assert json.loads(out)["oracle_match"] is False
@@ -392,15 +391,15 @@ def test_zeta_order_above_bound_is_rejected_before_computing(capsys, monkeypatch
 
 @pytest.mark.parametrize("command, extra", [
     # Q(zeta_3168), degree 960: one inverse there ran for minutes
-    ("twisted", ["--d", "97", "--char", "index:1", "--zeta-order", "99", "--n", "0"]),
-    # Q(zeta_7954), degree 3840: its power table alone holds 30.5M integers
-    ("lfun", ["--d", "83", "--char", "index:1", "--zeta-order", "97", "--s", "2"]),
+    ("twisted", ["--q", "2", "--d", "97", "--char", "index:1", "--zeta-order", "99", "--n", "0"]),
+    # 7,967,461 float terms: 5.5 s
+    ("lfun", ["--q", "100001/100000", "--d", "3", "--s", "0", "--max-terms", "10000000"]),
 ])
 def test_point_work_above_bound_is_rejected_before_any_field(capsys, monkeypatch, command, extra):
     from eulertwist import twisted
 
     monkeypatch.setattr(twisted, "cyclotomic_field", lambda order: pytest.fail("a field was built"))
-    code = cli.main([command, "--q", "2", *extra])
+    code = cli.main([command, *extra])
     assert code == 2
     err = capsys.readouterr().err
     assert "MAX_WORK_S" in err and "Traceback" not in err
@@ -558,6 +557,8 @@ OVER_BUDGET = [
     ["integral", "--n", "40", "--q", "3000000000000000000000000000001", "--p", "3", "--levels", "9"],
     ["integral", "--n", "40", "--q", f"10/{3**8000 + 1}", "--p", "3", "--levels", "2"],
     ["check", "--relation", "thm2", "--grid", {"primes": [5], "level_max": 9}],  # cor2 would walk 5^9 terms
+    # 10^7 float terms in 7 s, then NotConverged
+    ["lfun", "--q", "1000001/1000000", "--d", "3", "--s", "0", "--max-terms", "10000000"],
 ]
 
 
@@ -575,6 +576,7 @@ def test_runs_over_the_work_budget_are_rejected_before_any_work(capsys, monkeypa
     ["twisted", "--q", "2", "--d", "97", "--char", "quadratic", "--zeta-order", "7", "--n", "40"],
     ["twisted", "--q", "2", "--d", "91", "--zeta-order", "11", "--n", "0"],
     ["lfun", "--q", "2", "--d", "91", "--zeta-order", "11", "--s", "2"],
+    ["lfun", "--q", "2", "--d", "83", "--char", "index:1", "--zeta-order", "97", "--s", "2"],  # Q(zeta_7954): 2 s
     ["check", "--relation", "cor2", "--grid", {"primes": [17], "level_max": 2, "padic_n_max": 40}],
     ["check", "--relation", "cor2", "--grid", {"primes": [11], "level_max": 3, "padic_n_max": 14}],
     ["check", "--relation", "thm2", "--grid", "default"],

@@ -1,10 +1,10 @@
-"""The integer-vector field arithmetic against a Fraction reference.
+"""The integer-vector field arithmetic against a sympy reference.
 
-The reference is the earlier rational implementation: a schoolbook product
-of Fraction coefficients reduced by polynomial division by Phi_N, and the
-extended Euclidean inverse over Fraction polynomials.  Results must agree
-coefficient for coefficient and stay in canonical form; the complex
-embedding must agree bit for bit with a Fraction Horner loop.
+The reference reduces, multiplies and inverts with sympy polynomials over
+QQ (``Poly.rem`` and ``Poly.invert`` modulo Phi_N), which share no code with
+the package.  Results must agree coefficient for coefficient and stay in
+canonical form; the complex embedding must agree bit for bit with a
+Fraction Horner loop.
 """
 import cmath
 import math
@@ -14,36 +14,36 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eulertwist import Poly, cyclotomic_field, cyclotomic_polynomial, embed_complex
+from eulertwist import cyclotomic_field, cyclotomic_polynomial, embed_complex
 from eulertwist.cyclotomic import CyclotomicNumber
 
+sympy = pytest.importorskip("sympy")
+X = sympy.Symbol("x")
 ORDERS = (9, 36, 54)
 
 
+def sym_poly(coeffs):
+    """A sympy polynomial over QQ from rationals, constant term first."""
+    return sympy.Poly([sympy.Rational(F(c).numerator, F(c).denominator) for c in reversed(coeffs)], X,
+                      domain=sympy.QQ)
+
+
+def field_coeffs(field, poly):
+    """A sympy polynomial of degree below the field's as Fractions, constant term first."""
+    coeffs = [F(int(c.p), int(c.q)) for c in reversed(poly.all_coeffs())]
+    return tuple(coeffs + [F(0)] * (field.degree - len(coeffs)))
+
+
 def ref_reduce(field, coeffs):
-    remainder = divmod(Poly.of(*coeffs), field.minimal_polynomial)[1]
-    return tuple(remainder.coefficient(i) for i in range(field.degree))
+    return field_coeffs(field, sym_poly(coeffs).rem(sym_poly(field.minimal_polynomial)))
 
 
 def ref_mul(field, a, b):
-    prod = [F(0)] * (2 * field.degree - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    prod[i + j] += x * y
-    return ref_reduce(field, prod)
+    return field_coeffs(field, (sym_poly(a) * sym_poly(b)).rem(sym_poly(field.minimal_polynomial)))
 
 
 def ref_inverse(field, a):
-    r0, r1 = field.minimal_polynomial, Poly.of(*a)
-    t0, t1 = Poly.zero(), Poly.one()
-    while r1.degree > 0:
-        q, r = divmod(r0, r1)
-        r0, r1 = r1, r
-        t0, t1 = t1, t0 - q * t1
-    inv = t1 * (1 / r1.coeffs[0])
-    return tuple(inv.coefficient(i) for i in range(field.degree))
+    return field_coeffs(field, sym_poly(a).invert(sym_poly(field.minimal_polynomial)))
 
 
 def ref_pow(field, a, n):
@@ -164,9 +164,20 @@ def test_embedding_matches_fraction_horner_bit_for_bit(pair, k_seed):
         assert bits(embed_complex(value, k)) == bits(ref_embed(field, coeffs, k))
 
 
-@pytest.mark.parametrize("n", range(1, 61))
+def sympy_cyclotomic(n):
+    return tuple(int(c) for c in reversed(sympy.Poly(sympy.cyclotomic_poly(n, X), X).all_coeffs()))
+
+
+@pytest.mark.parametrize("n", [*range(1, 61), 105, 385, 1155, 3168, 7954])
 def test_cyclotomic_polynomial_against_sympy(n):
-    sympy = pytest.importorskip("sympy")
-    x = sympy.Symbol("x")
-    expected = [int(c) for c in reversed(sympy.Poly(sympy.cyclotomic_poly(n, x), x).all_coeffs())]
-    assert cyclotomic_polynomial(n) == Poly.from_ints(*expected)
+    assert cyclotomic_polynomial(n) == sympy_cyclotomic(n)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(ORDERS), st.data())
+def test_reduction_matches_reference(order, data):
+    field = cyclotomic_field(order)
+    coeffs = data.draw(st.lists(rationals, min_size=1, max_size=2 * field.degree - 1))
+    reduced = field.reduce(coeffs)
+    assert reduced.coeffs == ref_reduce(field, coeffs)
+    assert_canonical(reduced)

@@ -1,10 +1,15 @@
 import doctest
 
-from eulertwist import polys, series
+from eulertwist import cyclotomic, eulerian, series
 
 
-def test_polys_doctests():
-    failures, _ = doctest.testmod(polys)
+def test_cyclotomic_doctests():
+    failures, _ = doctest.testmod(cyclotomic)
+    assert failures == 0
+
+
+def test_eulerian_doctests():
+    failures, _ = doctest.testmod(eulerian)
     assert failures == 0
 
 

@@ -1,40 +1,39 @@
 """Classical Eulerian polynomials: recurrence vs descent counting vs the
-generating function, plus the power-sum closed forms."""
+explicit formula, plus the power-sum closed forms."""
 import math
 from fractions import Fraction as F
 
 import pytest
 
 from eulertwist import (
-    Poly,
     TruncatedSeries,
     cyclotomic_field,
     descent_oracle,
-    eulerian_gf_coefficients,
+    eulerian_at,
     eulerian_recurrence,
     power_sum_rational,
 )
 from eulertwist.cli import MAX_INDEX
 from eulertwist.errors import OracleTooLarge, PoleAtOne
-from eulertwist.eulerian import GF_AS_PRINTED, periodic_power_sum, periodic_power_sums
+from eulertwist.eulerian import periodic_power_sum, periodic_power_sums
 
 
 def test_base_case():
-    assert eulerian_recurrence(0) == Poly.one()
+    assert eulerian_recurrence(0) == (1,)
 
 
 def test_degree_two():
-    assert eulerian_recurrence(2) == Poly.from_ints(1, 1)
+    assert eulerian_recurrence(2) == (1, 1)
 
 
 def test_degree_three_against_oracle():
-    assert eulerian_recurrence(3) == descent_oracle(3) == Poly.from_ints(1, 4, 1)
+    assert eulerian_recurrence(3) == descent_oracle(3) == (1, 4, 1)
 
 
 def test_oracle_small_cases():
-    assert descent_oracle(1) == Poly.one()
-    assert descent_oracle(2) == Poly.from_ints(1, 1)
-    assert descent_oracle(4) == Poly.from_ints(1, 11, 11, 1)
+    assert descent_oracle(1) == (1,)
+    assert descent_oracle(2) == (1, 1)
+    assert descent_oracle(4) == (1, 11, 11, 1)
 
 
 def test_oracle_range_guard():
@@ -56,43 +55,32 @@ def test_recurrence_matches_explicit_formula(n):
     explicit = [
         sum((-1) ** j * math.comb(n + 1, j) * (k + 1 - j) ** n for j in range(k + 1)) for k in range(max(n, 1))
     ]
-    assert eulerian_recurrence(n) == Poly.from_ints(*explicit)
+    assert eulerian_recurrence(n) == tuple(explicit)
 
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_coefficient_symmetry(n):
-    poly = eulerian_recurrence(n)
-    coeffs = list(poly.coeffs) + [F(0)] * (n - len(poly.coeffs))
-    assert coeffs == coeffs[::-1]
+    coeffs = eulerian_recurrence(n)
+    assert len(coeffs) == n and coeffs == coeffs[::-1]
 
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_value_at_one_is_factorial(n):
-    assert eulerian_recurrence(n).evaluate(F(1)) == math.factorial(n)
+    assert eulerian_at(n, F(1)) == math.factorial(n)
 
 
-class TestGeneratingFunction:
-    def test_default_matches_recurrence(self):
-        polys = eulerian_gf_coefficients(8)
-        for n, poly in enumerate(polys):
-            assert poly == eulerian_recurrence(n)
-
-    def test_as_printed_flips_sign(self):
-        flipped = eulerian_gf_coefficients(6, GF_AS_PRINTED)
-        for n, poly in enumerate(flipped):
-            assert poly == (-1) ** n * eulerian_recurrence(n)
-
-    def test_examples(self):
-        assert eulerian_gf_coefficients(1)[1] == Poly.one()
-        assert eulerian_gf_coefficients(1, GF_AS_PRINTED)[1] == Poly.from_ints(-1)
-        assert eulerian_gf_coefficients(0)[0] == Poly.one()
+@pytest.mark.parametrize("n", [0, 1, 2, 7, 20])
+def test_horner_value_matches_the_power_sum(n):
+    zeta = cyclotomic_field(9).zeta()
+    for x in (F(0), F(-5, 2), F(7, 3), zeta + F(1, 2)):
+        assert eulerian_at(n, x) == sum((c * x**k for k, c in enumerate(eulerian_recurrence(n))), 0 * x)
 
 
 @pytest.mark.parametrize("n", range(7))
 def test_worpitzky_expansion(n):
     # sum_m (m+1)^n t^m must agree with A_n(t)/(1-t)^(n+1) through t^30
     order = 31
-    a_series = TruncatedSeries.of(list(eulerian_recurrence(n).coeffs), order=order)
+    a_series = TruncatedSeries.of(list(eulerian_recurrence(n)), order=order)
     denominator = TruncatedSeries.of([1, -1], order=order)
     expansion = a_series
     for _ in range(n + 1):

@@ -13,7 +13,7 @@ from eulertwist import (
     checks,
     cyclotomic_field,
     distribution_identity_checks,
-    eulerian_recurrence,
+    eulerian_at,
     fermionic,
     padic_truncation,
     padic_valuation,
@@ -128,7 +128,7 @@ class TestPolyTwistIntegral:
     @pytest.mark.parametrize("n", range(9))
     def test_witt_identity_with_classical_polynomials(self, n, q):
         lhs = poly_twist_integral(IntegralSpec(n=n, shift=0, twist=1, ratio=1 / q))
-        rhs = F(-1) ** n * eulerian_recurrence(n).evaluate(-q) / (1 + q) ** n
+        rhs = F(-1) ** n * eulerian_at(n, -q) / (1 + q) ** n
         assert lhs == rhs
 
     def test_functional_equation_residual(self):

@@ -11,7 +11,7 @@ from eulertwist import (
     enumerate_characters,
     euler_gf_consistency,
     euler_reduction_checks,
-    eulerian_recurrence,
+    eulerian_at,
     galois_conjugate,
     multiplication_residuals,
     nth_taylor_coefficient,
@@ -123,7 +123,7 @@ def test_untwisted_values_reduce_to_classical(q):
     # modulus 1, twist 1: the value is q^2 times the classical polynomial at -q
     cfg = TwistedConfig.build(principal_character(1), 1, 0, q)
     for n, value in enumerate(twisted_values(cfg, 6)):
-        assert value.value == q**2 * eulerian_recurrence(n).evaluate(-q)
+        assert value.value == q**2 * eulerian_at(n, -q)
 
 
 class TestTwistedEuler:
