@@ -238,26 +238,42 @@ def _resolve_character(spec: str, modulus: int):
 
 
 # The cost model behind MAX_WORK_S, in seconds, fitted to in-process timings on a 2-vCPU VM with Python
-# 3.11.7.  h: log2 of q's larger part, at least 1; D: degree of the ambient field; D' = phi(z / gcd(z, d)):
-# that of zeta^d; P = lcm(d, z), the series path's odd period; s = d h: bits of q^d, 1 at q = 1;
-# solve(n, b) = (n+1)^2 ((n+1) b)^1.5.
+# 3.11.7.  h: log2 of q's larger part, at least 1 (l: the same, 0 at q = 1); D: degree of the ambient field;
+# m = z / gcd(z, d): the order of zeta^d, and D' = phi(m) its degree; P = lcm(d, z), the series path's odd
+# period; s = d h: bits of q^d, 1 at q = 1; solve(n, b) = (n+1)^2 ((n+1) b)^1.5.
 #   term               model                                      a measured point: measured -> model seconds
 #   field build        7e-8 order D (the power table)             order 990: 0.020 -> 0.017; 3168: 0.20 -> 0.21;
 #                                                                 7954: 1.65 -> 2.14
-#   inverse of         5e-7 D^3 + 5e-12 D^4 s^2, 0 when D' = 1    order 198, d 29, q 98: 2.45 -> 2.49;
-#     zeta^d + q^d                                                order 81, d 97, q 5/2: 0.53 -> 2.16
-#   A_0..A_n           inverse + 2e-10 solve(n, s D') D^0.35      d 97, quadratic, z 7, q 2, n 40: 1.90 -> 2.61;
-#                      + 4e-8 d (n+1)^2 D'^2                      d 31, quadratic, q 2^40+1, n 40: 4.86 -> 4.46;
-#                      + 1.4e-13 (d+10) (n+1)^3 s^2 D'            d 99, z 33, q 10^4299+7, n 0: 30.6 -> 31.5
-#   series path        2e-5 P (n+1) + 2e-8 (n+1)^2 P^1.48 h^1.1   d 59, z 15, q 2, n 2: 0.050 -> 0.061;
-#                      D^0.31 + 3.3e-12 (n+1)^3 (P h)^2           d 97, z 3, q 1001/997, n 20: 1.02 -> 0.99;
-#                                                                 d 3, q 10^4299+7, n 5: 1.44 -> 1.45
-#   residue classes    inverse + 9e-6 (n+1)^2 + 2e-8 (n+1)^2 D'^2 d 97, quadratic, z 7, q 2, n 40: 1.24 -> 1.10;
-#     (one solve,      + 1e-12 (n+1)^3 s^2 D' + 5.7e-10           d 31, quadratic, q 2^40+1, n 40: 3.24 -> 1.85;
-#     d (n+1) weights, (n+1)^-0.5 solve(n, s D') D^0.35           d 27, q 10^4299+7, n 0: 1.29 -> 1.65;
-#     their (n+1)^2    + d (n+1) (1.3e-5 + 3.4e-13 s^2)           d 91, z 11, q 2, n 40: 3.07 -> 2.49;
+#   inverse of         2e-8 m D + 7e-11 (m s)^2, 0 when D' = 1:   order 198, d 29, q 98: 0.016 -> 0.025;
+#     zeta^d + q^d     m power-table rows of its geometric        order 99, d 97, q 2: 0.0067 -> 0.0066;
+#                      series, then content gcds of m s bits      q 2^40+1: 7.37 -> 10.3;
+#                                                                 order 990, d 7, q 2^40+1: 0.121 -> 0.054;
+#                                                                 order 7954, d 83, q 2^40+1: 0.63 -> 7.27
+#   division           1e-11 n (n+3) D sqrt(D D') (s D')^1.58,    (see A_0..A_n)
+#                      0 when D' = 1: a product by that inverse
+#                      per A_k, D by about sqrt(D D') entries
+#                      of (k+1) s D' and s D' bits
+#   A_0..A_n           inverse + division                         d 97, index:1, z 99, q 2, n 0: 0.085 -> 0.023;
+#                      + 2e-10 solve(n, s D') D^0.35              n 1: 1.68 -> 8.26; n 4: 18.9 -> 57.9;
+#                      + 4e-8 d (n+1)^2 D'^2                      d 41, index:1, z 99, q 2, n 2: 5.04 -> 5.32;
+#                      + 1.4e-13 (d+10) (n+1)^3 s^2 D'            d 77, z 67, q 3855, n 1: 7.40 -> 6.73;
+#                                                                 d 29, quadratic, z 99, q 5/2, n 20: 22.4 -> 19.3;
+#                                                                 d 97, quadratic, z 7, q 2, n 40: 0.70 -> 2.63;
+#                                                                 d 31, quadratic, q 2^40+1, n 40: 1.79 -> 4.46;
+#                                                                 d 99, z 33, q 10^4299+7, n 0: 22.6 -> 31.5
+#   series path        2e-5 P (n+1) + 2e-8 (n+1)^2 P^1.48 h^1.1   d 59, z 15, q 2, n 2: 0.050 -> 0.067;
+#                      D^0.31 + 3.3e-12 (n+1)^3 (P h)^2           d 97, z 3, q 1001/997, n 20: 1.02 -> 1.00;
+#                      + 3e-10 (n+1) D P^2 l^1.1                  d 3, q 10^4299+7, n 5: 1.44 -> 1.45;
+#                                                                 d 99, z 97, q 2, n 0: 2.28 -> 2.91;
+#                                                                 d 91, z 93, q 4, n 1: 6.35 -> 6.27;
+#                                                                 d 75, z 97, q 566821, n 0: 49.3 -> 40.4
+#   residue classes    inverse + division + 9e-6 (n+1)^2          d 97, quadratic, z 7, q 2, n 40: 1.24 -> 1.12;
+#     (one solve,      + 2e-8 (n+1)^2 D'^2 + 1e-12 (n+1)^3 s^2 D' d 31, quadratic, q 2^40+1, n 40: 3.24 -> 1.85;
+#     d (n+1) weights, + 5.7e-10 (n+1)^-0.5 solve(n, s D') D^0.35 d 27, q 10^4299+7, n 0: 1.29 -> 1.65;
+#     their (n+1)^2    + d (n+1) (1.3e-5 + 3.4e-13 s^2)           d 91, z 11, q 2, n 40: 3.07 -> 2.57;
 #     products)                                                   d 99, z 33, q 2, n 8: 0.0143 -> 0.0135;
-#                                                                 d 97, quadratic, z 7, q 1, n 40: 0.050 -> 0.069
+#                                                                 d 97, quadratic, z 7, q 1, n 40: 0.050 -> 0.069;
+#                                                                 d 97, index:1, z 99, q 2, n 1: 0.38 -> 8.22
 #   float L-series     2.2e-6 (n+1) min(200000, (2n+56) / ln q)   d 45, z 3, q 1001/997, n 20: 1.11 -> 1.11
 #   lfun's float sum   8e-7 min(max-terms, M), M the stop index   q 100001/100000, s 0, d 1: 6.05 -> 6.37;
 #                      (_lfun_terms)                              d 3: 4.0 to 5.3 -> 6.37;
@@ -276,8 +292,12 @@ def _resolve_character(spec: str, modulus: int):
 # float sums.  An lfun run costs its field and its float sum.
 
 
+def _log_height(q) -> float:
+    return math.log2(max(abs(q.numerator), q.denominator))
+
+
 def _height(q) -> float:
-    return max(1.0, math.log2(max(abs(q.numerator), q.denominator)))
+    return max(1.0, _log_height(q))
 
 
 def _field_s(order: int) -> float:
@@ -286,16 +306,22 @@ def _field_s(order: int) -> float:
 
 def _point_parts(n: int, d: int, char_order: int, z: int, q) -> tuple:
     """(A_0..A_n, series path, residue classes, float L-series) at one point."""
-    h, degree, zeta_d_degree = _height(q), euler_phi(math.lcm(z, char_order)), euler_phi(z // math.gcd(z, d))
+    root_order = z // math.gcd(z, d)  # m, the order of zeta^d
+    h, degree, zeta_d_degree = _height(q), euler_phi(math.lcm(z, char_order)), euler_phi(root_order)
     size, period = (1 if q == 1 else d * h), math.lcm(d, z)
-    inverse = 0.0 if zeta_d_degree == 1 else 5e-7 * degree**3 + 5e-12 * degree**4 * size**2
+    inverse = division = 0.0
+    if zeta_d_degree > 1:
+        inverse = 2e-8 * root_order * degree + 7e-11 * (root_order * size) ** 2
+        division = 1e-11 * n * (n + 3) * degree * math.sqrt(degree * zeta_d_degree) * (size * zeta_d_degree) ** 1.58
     coefficients = (n + 1) ** 3.5 * (size * zeta_d_degree) ** 1.5 * degree**0.35  # solve(n, s D') D^0.35
     products = 4e-8 * (n + 1) ** 2 * zeta_d_degree**2
     gcds = (n + 1) ** 3 * size**2 * zeta_d_degree  # content gcds, quadratic in the bits, at large q
-    values = inverse + 2e-10 * coefficients + d * products + 1.4e-13 * (d + 10) * gcds
+    values = inverse + division + 2e-10 * coefficients + d * products + 1.4e-13 * (d + 10) * gcds
     series = 2e-5 * period * (n + 1) + 2e-8 * (n + 1) ** 2 * period**1.48 * h**1.1 * degree**0.31
     series += 3.3e-12 * (n + 1) ** 3 * (period * h) ** 2
-    residues = inverse + 9e-6 * (n + 1) ** 2 + 5.7e-10 * coefficients / (n + 1) ** 0.5 + products / 2 + 1e-12 * gcds
+    series += 3e-10 * (n + 1) * degree * period**2 * _log_height(q) ** 1.1
+    residues = inverse + division + 9e-6 * (n + 1) ** 2 + 5.7e-10 * coefficients / (n + 1) ** 0.5
+    residues += products / 2 + 1e-12 * gcds
     residues += d * (n + 1) * (1.3e-5 + 3.4e-13 * size**2)
     floats = 0.0
     if q > 1 and h < 1000:  # elsewhere the float sums stop at once

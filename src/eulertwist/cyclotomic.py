@@ -84,6 +84,7 @@ class CyclotomicField:
         self._high_rows = [
             tuple((i, c) for i, c in enumerate(row) if c) for row in self._power_table[self.degree :]
         ]
+        self._root_index = None  # row -> k for the rows of zeta^k, k < order; built on first lookup
 
     def _reduce_ints(self, vec: list[int], den: int) -> "CyclotomicNumber":
         """vec / den mod Phi_N for an integer vector of length <= table size."""
@@ -94,6 +95,48 @@ class CyclotomicField:
                 for i, r in row:
                     out[i] += c * r
         return CyclotomicNumber(self, out, den)
+
+    def binomial_inverse(self, c0, c1, k: int) -> "CyclotomicNumber":
+        """1 / (c0 + c1 zeta^k) for rationals c0, c1, where w = zeta^k has odd order m.
+
+        With w^m = 1, (c0 + c1 w) sum_(i<m) c0^(m-1-i) (-c1)^i w^i = c0^m - (-c1)^m,
+        so the inverse is m power-table rows scaled by integers, with no linear
+        algebra.  For odd m the right side vanishes only at c0 = -c1; for even m
+        it can vanish while c0 + c1 w does not (1 + i in Q(zeta_4)), so even m is
+        refused.
+
+        >>> field = cyclotomic_field(3)
+        >>> inv = field.binomial_inverse(2, 1, 1)
+        >>> inv.coeffs, inv * (2 + field.zeta()) == 1
+        ((Fraction(1, 3), Fraction(-1, 3)), True)
+        """
+        order = self.order
+        m = order // math.gcd(k, order)
+        if m % 2 == 0:
+            raise ValueError(f"zeta^{k} has even order {m}; the geometric series needs an odd order")
+        c0, c1 = Fraction(c0), Fraction(c1)
+        # Over the integers: c0 = a / (den0 den1) and -c1 = b / (den0 den1).
+        a, b = c0.numerator * c1.denominator, -c1.numerator * c0.denominator
+        norm = a**m - b**m
+        if norm == 0:
+            raise DivisionByZero(f"c0^{m} = (-c1)^{m}: no geometric-series inverse of c0 + c1 zeta^{k}")
+        a_powers = [1]
+        for _ in range(m - 1):
+            a_powers.append(a_powers[-1] * a)
+        vec = [0] * order
+        term, j = c0.denominator * c1.denominator, 0  # term = den0 den1 b^i; j = k i mod order
+        for a_power in reversed(a_powers):
+            vec[j] += a_power * term
+            term, j = term * b, (j + k) % order
+        return self._reduce_ints(vec, norm)
+
+    def root_exponent(self, a: "CyclotomicNumber") -> int | None:
+        """k with a = zeta^k, 0 <= k < order, or None when a is no power of zeta."""
+        if a.den != 1:
+            return None
+        if self._root_index is None:
+            self._root_index = {row: k for k, row in enumerate(self._power_table[: self.order])}
+        return self._root_index.get(a.num)
 
     def reduce(self, coeffs) -> "CyclotomicNumber":
         """Reduce a list of rationals of any length <= table size mod Phi_N."""
@@ -264,14 +307,20 @@ class CyclotomicNumber:
         return self.inverse() * other
 
     def __pow__(self, n: int) -> "CyclotomicNumber":
+        """Square and multiply from the lowest set bit of n, with no square
+        after the highest: x ** 1 is x and x ** -1 is one inverse."""
         if n < 0:
             return self.inverse() ** (-n)
-        result = self.field.one
+        if n == 0:
+            return self.field.one
         base = self
+        while not n & 1:
+            base, n = base * base, n >> 1
+        result, n = base, n >> 1
         while n:
+            base = base * base
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
         return result
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .characters import DirichletCharacter, principal_character
-from .cyclotomic import cyclotomic_field, lift_to_field
+from .cyclotomic import CyclotomicNumber, cyclotomic_field, lift_to_field
 from .errors import NotPadicallyConvergent, SingularFunctionalEquation
 from .rationals import format_rational, padic_valuation, q_bracket_neg
 from .series import _is_zero, power_moments
@@ -30,15 +30,27 @@ class IntegralSpec:
     ratio: Fraction
 
 
+def _pivot_inverse(c0, c1, twist):
+    """1/(c0 + c1 twist) for rationals c0, c1: by the geometric series
+    (``CyclotomicField.binomial_inverse``) when twist is a power of zeta of
+    odd order and c0 != -c1, by the general inverse for any other twist (a
+    rational, a root of unity of even order, any field element)."""
+    if isinstance(twist, CyclotomicNumber) and c0 != -c1:
+        field = twist.field
+        k = field.root_exponent(twist)
+        if k is not None and field.order // math.gcd(k, field.order) % 2:
+            return field.binomial_inverse(c0, c1, k)
+    return (Fraction(c0) + c1 * twist) ** -1
+
+
 def _moment_sequence(spec: IntegralSpec) -> list:
     ratio = Fraction(spec.ratio)
     if ratio == 0:
         raise ValueError("measure parameter must be nonzero")
     shift = Fraction(spec.shift) if isinstance(spec.shift, int) else spec.shift
-    pivot = 1 + ratio * spec.twist
-    if _is_zero(pivot):
+    if _is_zero(1 + ratio * spec.twist):
         raise SingularFunctionalEquation("1 + ratio*twist vanishes")
-    pivot_inv = pivot ** (-1)
+    pivot_inv = _pivot_inverse(1, ratio, spec.twist)
     moments = [(1 + ratio) * pivot_inv]
     for m in range(1, spec.n + 1):
         acc = sum((math.comb(m, k) * moments[k] for k in range(1, m)), moments[0])
@@ -83,10 +95,9 @@ def _char_moment_sequence(n: int, chi, zeta, q: Fraction) -> list:
         raise ValueError("q must avoid 0 and -1")
     d = len(chi)
     zeta_pows = _powers(zeta, d)
-    pivot = zeta_pows[d] + q**d
-    if _is_zero(pivot):
+    if _is_zero(zeta_pows[d] + q**d):
         raise SingularFunctionalEquation("twist^d + q^d vanishes")
-    pivot_inv = pivot ** (-1)
+    pivot_inv = _pivot_inverse(q**d, 1, zeta_pows[d])
     kernel = [(l, ((1 + q) * (-1) ** l * q ** (d - 1 - l)) * (chi[l] * zeta_pows[l]))
               for l in range(d) if not _is_zero(chi[l])]
     moments: list = []

@@ -4,6 +4,9 @@ Coefficients are stored in ordinary t^n normalization (NOT divided by n!);
 conversion to exponential-generating-function coefficients happens only in
 :func:`nth_taylor_coefficient`.  Coefficient types mix freely as long as
 they support field arithmetic: Fraction and CyclotomicNumber both do.
+Exponential sums come from one power-moment kernel (:func:`exp_sum`), and a
+sum over a two-term denominator unit * exp(node rate t) + c is divided out
+directly (:func:`exp_quotient`), with no series inverse or series product.
 
 >>> geometric = TruncatedSeries.of([1, -1], order=5).inverse()
 >>> geometric.coeffs == (1, 1, 1, 1, 1)
@@ -132,6 +135,34 @@ def exp_sum(terms, rate, order: int) -> TruncatedSeries:
     return TruncatedSeries(tuple(
         m * (rate**j / math.factorial(j)) for j, m in enumerate(power_moments(terms, order - 1))
     ))
+
+
+def exp_quotient(terms, rate, unit, node: int, pivot_inv, order: int) -> TruncatedSeries:
+    """The series of sum w exp(x rate t) / (unit exp(node rate t) + c) over the
+    (integer node x, weight w) pairs of `terms`, given pivot_inv = 1/(unit + c),
+    the inverse of the denominator's constant term.
+
+    Every later denominator coefficient is unit (node rate)^j / j!, so the
+    quotient is one triangular division,
+
+        F_n = (N_n - unit sum_(j=1..n) (node rate)^j / j! F_(n-j)) pivot_inv,
+
+    with rational scalings inside the sum and two field products per
+    coefficient.  N_n is the numerator's :func:`exp_sum`.
+
+    >>> exp_quotient([(0, Fraction(2))], 1, 1, 1, Fraction(1, 2), 4).coeffs  # 2 / (e^t + 1)
+    (Fraction(1, 1), Fraction(-1, 2), Fraction(0, 1), Fraction(1, 24))
+    """
+    numerator = exp_sum(terms, rate, order).coeffs
+    step = node * Fraction(rate)
+    scales = [step**j / math.factorial(j) for j in range(order)]
+    out = [numerator[0] * pivot_inv]
+    for n in range(1, order):
+        acc = out[n - 1] * scales[1]
+        for j in range(2, n + 1):
+            acc = acc + out[n - j] * scales[j]
+        out.append((numerator[n] - unit * acc) * pivot_inv)
+    return TruncatedSeries(tuple(out))
 
 
 def nth_taylor_coefficient(series: TruncatedSeries, n: int):

@@ -23,9 +23,9 @@ from .cyclotomic import (
 from .errors import ResidualUndefined, SingularFunctionalEquation
 from .eulerian import periodic_power_sums
 from .fermionic import IntegralSpec, poly_twist_integral, residue_class_sums
-from .fermionic import _aligned, _char_moment_sequence, _moment_sequence
+from .fermionic import _aligned, _char_moment_sequence, _moment_sequence, _pivot_inverse
 from .rationals import q_bracket_neg
-from .series import TruncatedSeries, exp_sum, nth_taylor_coefficient
+from .series import TruncatedSeries, exp_quotient, nth_taylor_coefficient
 
 
 @dataclass(frozen=True)
@@ -93,16 +93,15 @@ class TwistedValue:
 def twisted_gf(cfg: TwistedConfig, order: int) -> TruncatedSeries:
     """The generating function expanded to the requested order over the
     ambient field: (1+q) * sum_{l<d} (-1)^l q^(d-l+1) zeta^l chi(l)
-    exp(-l(1+q)t) divided by (zeta^d exp(-d(1+q)t) + q^d).  Numerator and
-    denominator are each one exponential sum at rate -(1+q)
-    (:func:`exp_sum`), every weight formed once."""
-    q, d, field = cfg.q, cfg.char.modulus, cfg.field
-    denominator = exp_sum([(d, cfg.zeta_pow(d)), (0, field.from_rational(q**d))], -(1 + q), order)
-    if denominator.coeffs[0].is_zero():
-        raise SingularFunctionalEquation("twist^d + q^d vanishes")
+    exp(-l(1+q)t) divided by (zeta^d exp(-d(1+q)t) + q^d).  The numerator is
+    one exponential sum at rate -(1+q), every weight formed once, and the
+    quotient is one triangular division (:func:`exp_quotient`): two field
+    products per coefficient, the pivot zeta^d + q^d inverted once by its
+    geometric series (``CyclotomicField.binomial_inverse``)."""
+    q, d, unit = cfg.q, cfg.char.modulus, cfg.zeta_pow(cfg.char.modulus)
     weights = [(l, ((1 + q) * (-1) ** l * q ** (d - l + 1)) * (chi * cfg.zeta_pow(l)))
                for l, chi in enumerate(cfg.char_values) if not chi.is_zero()]
-    return exp_sum(weights, -(1 + q), order) * denominator.inverse()
+    return exp_quotient(weights, -(1 + q), unit, d, _pivot_inverse(q**d, 1, unit), order)
 
 
 def alternating_char_sums(cfg: TwistedConfig, n_max: int) -> list:
@@ -154,14 +153,17 @@ def euler_gf_consistency(d_fold: int, zeta_eff, order: int) -> tuple:
     """Two pairs of sides: the d-fold twisted Euler generating function
     2 sum_{l<d} (-1)^l zeta^l e^(lt) / (zeta^d e^(dt) + 1) against its
     telescoped form 2/(zeta e^t + 1), and the Taylor coefficients of that
-    form against the integral moments, through order - 1."""
+    form against the integral moments, through order - 1.  Each quotient is
+    one triangular division (:func:`exp_quotient`), its pivot zeta^d + 1 or
+    zeta + 1 inverted by the geometric series where zeta is a root of unity
+    of odd order."""
     if d_fold < 1 or d_fold % 2 == 0:
         raise ValueError("the fold count must be odd")
-    one = zeta_eff**0
-    numerator = exp_sum([(l, 2 * (-1) ** l * zeta_eff**l) for l in range(d_fold)], 1, order)
-    folded = numerator * exp_sum([(d_fold, zeta_eff**d_fold), (0, one)], 1, order).inverse()
-    direct = TruncatedSeries.constant(2 * one, order) * exp_sum([(1, zeta_eff), (0, one)], 1, order).inverse()
     eulers = _moment_sequence(IntegralSpec(n=order - 1, shift=0, twist=zeta_eff, ratio=Fraction(1)))
+    unit = zeta_eff**d_fold
+    folded = exp_quotient([(l, 2 * (-1) ** l * zeta_eff**l) for l in range(d_fold)], 1,
+                          unit, d_fold, _pivot_inverse(1, 1, unit), order)
+    direct = exp_quotient([(0, 2 * zeta_eff**0)], 1, zeta_eff, 1, _pivot_inverse(1, 1, zeta_eff), order)
     taylor = [nth_taylor_coefficient(direct, n) for n in range(order)]
     return (folded, direct), (taylor, eulers)
 

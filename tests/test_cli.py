@@ -390,8 +390,8 @@ def test_zeta_order_above_bound_is_rejected_before_computing(capsys, monkeypatch
 
 
 @pytest.mark.parametrize("command, extra", [
-    # Q(zeta_3168), degree 960: one inverse there ran for minutes
-    ("twisted", ["--q", "2", "--d", "97", "--char", "index:1", "--zeta-order", "99", "--n", "0"]),
+    # Q(zeta_7954), degree 3840: A_0 and A_1 took 33 s after the field
+    ("twisted", ["--q", "2", "--d", "83", "--char", "index:1", "--zeta-order", "97", "--n", "1"]),
     # 7,967,461 float terms: 5.5 s
     ("lfun", ["--q", "100001/100000", "--d", "3", "--s", "0", "--max-terms", "10000000"]),
 ])
@@ -407,8 +407,9 @@ def test_point_work_above_bound_is_rejected_before_any_field(capsys, monkeypatch
 
 def test_point_work_counts_the_character_order(capsys, monkeypatch):
     # Twist order 99 alone gives Q(zeta_99), degree 60; index:1 mod 97 has
-    # order 96 and lifts the point into Q(zeta_3168), degree 960.
-    argv = ["twisted", "--q", "2", "--d", "97", "--zeta-order", "99", "--n", "0"]
+    # order 96 and lifts the point into Q(zeta_3168), degree 960, where
+    # A_0..A_2 take 6 s.
+    argv = ["twisted", "--q", "2", "--d", "97", "--zeta-order", "99", "--n", "2"]
     assert cli.main(argv) == 0
     capsys.readouterr()
     from eulertwist import twisted
@@ -577,6 +578,7 @@ def test_runs_over_the_work_budget_are_rejected_before_any_work(capsys, monkeypa
     ["twisted", "--q", "2", "--d", "91", "--zeta-order", "11", "--n", "0"],
     ["lfun", "--q", "2", "--d", "91", "--zeta-order", "11", "--s", "2"],
     ["lfun", "--q", "2", "--d", "83", "--char", "index:1", "--zeta-order", "97", "--s", "2"],  # Q(zeta_7954): 2 s
+    ["twisted", "--q", "2", "--d", "97", "--char", "index:1", "--zeta-order", "99", "--n", "0"],  # Q(zeta_3168): 0.3 s
     ["check", "--relation", "cor2", "--grid", {"primes": [17], "level_max": 2, "padic_n_max": 40}],
     ["check", "--relation", "cor2", "--grid", {"primes": [11], "level_max": 3, "padic_n_max": 14}],
     ["check", "--relation", "thm2", "--grid", "default"],

@@ -8,6 +8,7 @@ Fraction Horner loop.
 """
 import cmath
 import math
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 
 from eulertwist import cyclotomic_field, cyclotomic_polynomial, embed_complex
 from eulertwist.cyclotomic import CyclotomicNumber
+from eulertwist.errors import DivisionByZero
 
 sympy = pytest.importorskip("sympy")
 X = sympy.Symbol("x")
@@ -181,3 +183,68 @@ def test_reduction_matches_reference(order, data):
     reduced = field.reduce(coeffs)
     assert reduced.coeffs == ref_reduce(field, coeffs)
     assert_canonical(reduced)
+
+
+BINOMIAL_ORDERS = (1, 3, 9, 15, 45, 99, 105)
+
+
+@pytest.mark.parametrize("order", BINOMIAL_ORDERS)
+def test_binomial_inverse_matches_reference(order):
+    field = cyclotomic_field(order)
+    rng = random.Random(order)
+    exponents = [1, order - 1] + [rng.randrange(order) for _ in range(3)]
+    exponents += [k for k in range(1, order) if math.gcd(k, order) > 1][:2]  # zeta^k of order m < N
+    for k in exponents:
+        c0 = F(rng.randint(-30, 30), rng.randint(1, 20))
+        c1 = F(rng.choice([-1, 1]) * rng.randint(1, 30), rng.randint(1, 20))
+        if c0 == -c1:
+            continue
+        a = c0 + c1 * field.zeta_power(k)
+        inverse = field.binomial_inverse(c0, c1, k)
+        assert inverse.coeffs == ref_inverse(field, a.coeffs)
+        assert inverse == a.inverse()
+        assert a * inverse == 1
+        assert_canonical(inverse)
+
+
+def test_binomial_inverse_refuses_even_orders_and_a_vanishing_norm():
+    with pytest.raises(ValueError):
+        cyclotomic_field(4).binomial_inverse(1, 1, 1)  # 1 + i is a unit, but 1^4 = (-1)^4
+    with pytest.raises(ValueError):
+        cyclotomic_field(6).binomial_inverse(2, 1, 3)  # zeta_6^3 = -1 has order 2
+    with pytest.raises(DivisionByZero):
+        cyclotomic_field(9).binomial_inverse(F(2, 3), F(-2, 3), 3)
+    with pytest.raises(DivisionByZero):
+        cyclotomic_field(1).binomial_inverse(5, -5, 0)
+
+
+@pytest.mark.parametrize("order", (1, 3, 12, 15, 45))
+def test_root_exponent_finds_every_power_of_zeta_and_nothing_else(order):
+    field = cyclotomic_field(order)
+    assert [field.root_exponent(field.zeta_power(k)) for k in range(order)] == list(range(order))
+    for other in (field.zero, 2 * field.one, field.one + field.zeta(), field.zeta() / 3):
+        if other != field.one:
+            assert field.root_exponent(other) is None
+
+
+@settings(max_examples=30, deadline=None)
+@given(field_pairs(), st.integers(1, 40))
+def test_powers_use_one_product_per_square_and_set_bit(pair, exponent):
+    field, ra, _ = pair
+    a = field.reduce(list(ra))
+    if a.is_zero():
+        return
+    original, calls = CyclotomicNumber.__mul__, []
+
+    def counted(self, other):
+        calls.append(1)
+        return original(self, other)
+
+    CyclotomicNumber.__mul__ = counted
+    try:
+        power, inverse = a**exponent, a**-1
+    finally:
+        CyclotomicNumber.__mul__ = original
+    assert len(calls) == exponent.bit_length() - 1 + bin(exponent).count("1") - 1
+    assert power.coeffs == ref_pow(field, ra, exponent)
+    assert inverse == a.inverse()

@@ -148,6 +148,20 @@ class TestPolyTwistIntegral:
             ) + moments[n]
             assert plugged == (1 + ratio) * shift**n
 
+    @pytest.mark.parametrize("twist", ["i", "zeta3", "-zeta3", "1+zeta12", "zeta12^5"])
+    @pytest.mark.parametrize("ratio", [F(-1), F(2, 3)])
+    def test_functional_equation_residual_for_general_twists(self, twist, ratio):
+        # Odd-order roots take the geometric-series pivot inverse unless
+        # ratio = -1; even orders and non-roots take the general inverse.
+        field = cyclotomic_field(12)
+        twist = {"i": field.zeta_power(3), "zeta3": field.zeta_power(4), "-zeta3": -field.zeta_power(4),
+                 "1+zeta12": 1 + field.zeta(), "zeta12^5": field.zeta_power(5)}[twist]
+        shift = F(3, 4)
+        moments = [poly_twist_integral(IntegralSpec(n=k, shift=shift, twist=twist, ratio=ratio)) for k in range(6)]
+        for n in range(6):
+            plugged = ratio * twist * sum(math.comb(n, k) * moments[k] for k in range(n + 1)) + moments[n]
+            assert plugged == (1 + ratio) * shift**n
+
     def test_linearity_via_shifted_binomials(self):
         field = cyclotomic_field(3)
         twist = field.zeta()

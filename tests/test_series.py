@@ -6,7 +6,7 @@ from fractions import Fraction as F
 import pytest
 
 from eulertwist import TruncatedSeries, cyclotomic_field, exp_sum, nth_taylor_coefficient
-from eulertwist.series import power_moments
+from eulertwist.series import exp_quotient, power_moments
 from eulertwist.errors import NonUnitConstantTerm, OrderTooLow
 
 
@@ -176,3 +176,21 @@ def test_exp_sum_matches_direct_taylor_coefficients(field_order):
         assert exp_sum(terms, rate, order).coeffs == expected
         muted = [(x, zero) for x, _ in terms]
         assert exp_sum(muted, rate, order) == TruncatedSeries((zero,) * order)
+
+
+def test_quotient_matches_inverse_then_multiply():
+    rng = random.Random(16)
+    field = cyclotomic_field(9)
+    for _ in range(30):
+        rate = F(rng.randint(-5, 5) or 1, rng.randint(1, 4))
+        node = rng.randint(1, 7)
+        if rng.random() < 0.5:
+            unit, constant = F(rng.randint(1, 5), rng.randint(1, 5)), F(rng.randint(-5, 5), rng.randint(1, 5))
+        else:
+            unit, constant = field.zeta_power(rng.randrange(9)), field.from_rational(F(rng.randint(2, 9), 3))
+        if unit + constant == 0:
+            continue
+        terms = [(rng.randint(0, 8), unit * F(rng.randint(-9, 9), rng.randint(1, 9))) for _ in range(rng.randint(1, 4))]
+        order = rng.randint(1, 9)
+        expected = exp_sum(terms, rate, order) * exp_sum([(node, unit), (0, constant)], rate, order).inverse()
+        assert exp_quotient(terms, rate, unit, node, (unit + constant) ** -1, order) == expected

@@ -1,6 +1,7 @@
 """Twisted Eulerian values: both evaluation paths, the q^2 residuals against
 the integral world, twisted Euler polynomials, and the q = 1 reduction."""
 import dataclasses
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -10,6 +11,7 @@ from eulertwist import (
     cyclotomic_field,
     enumerate_characters,
     euler_gf_consistency,
+    exp_sum,
     euler_reduction_checks,
     eulerian_at,
     galois_conjugate,
@@ -36,6 +38,32 @@ def quadratic3_config(q=F(2)):
     return TwistedConfig.build(quadratic_character(3), 1, 0, q)
 
 
+def inverse_then_multiply_gf(cfg, order):
+    """The generating function as the numerator's series times the general
+    series inverse of the denominator's: the route before the triangular
+    division, kept as its oracle."""
+    q, d = cfg.q, cfg.char.modulus
+    denominator = exp_sum([(d, cfg.zeta_pow(d)), (0, cfg.field.from_rational(q**d))], -(1 + q), order)
+    weights = [(l, ((1 + q) * (-1) ** l * q ** (d - l + 1)) * (chi * cfg.zeta_pow(l)))
+               for l, chi in enumerate(cfg.char_values) if not chi.is_zero()]
+    return exp_sum(weights, -(1 + q), order) * denominator.inverse()
+
+
+def oracle_points():
+    """Seeded points: q = 1 and q < 0, d = 1, twist order 1, the order-4
+    character mod 5, and d = 97."""
+    rng = random.Random(16)
+    order4 = next(c for c in enumerate_characters(5) if c.value_order == 4)
+    chars = [principal_character(1), quadratic_character(3), order4, enumerate_characters(15)[3],
+             quadratic_character(97), principal_character(97)]
+    points = []
+    for char in chars:
+        for zeta_order in (1, 3, 7, 9):
+            q = rng.choice([F(1), F(-3, 7), F(-2), F(2), F(5, 2), F(1, 3)])
+            points.append((char, zeta_order, rng.randrange(1, zeta_order + 1) % zeta_order, q))
+    return points
+
+
 class TestGeneratingFunction:
     def test_constant_term_anchor(self):
         gf = twisted_gf(quadratic3_config(), 1)
@@ -53,6 +81,24 @@ class TestGeneratingFunction:
         )
         gf = twisted_gf(muted, 6)
         assert all(c.is_zero() for c in gf.coeffs)
+
+    @pytest.mark.parametrize("point", oracle_points(),
+                             ids=lambda p: f"d{p[0].modulus}-o{p[0].value_order}-z{p[1]}-q{p[3]}")
+    def test_division_matches_inverse_then_multiply(self, point):
+        cfg = TwistedConfig.build(*point)
+        order = 7 if cfg.char.modulus == 97 else 9
+        assert twisted_gf(cfg, order) == inverse_then_multiply_gf(cfg, order)
+
+    def test_no_general_inverse_for_an_odd_order_twist(self, monkeypatch):
+        from eulertwist.cyclotomic import CyclotomicNumber
+
+        order4 = next(c for c in enumerate_characters(5) if c.value_order == 4)
+        cfg = TwistedConfig.build(order4, 9, 2, F(5, 2))
+        monkeypatch.setattr(CyclotomicNumber, "inverse", lambda self: pytest.fail("a general inverse ran"))
+        twisted_gf(cfg, 6)
+        witt_residuals(cfg, 4)
+        multiplication_residuals(cfg, 4)
+        euler_gf_consistency(3, cyclotomic_field(9).zeta_power(2), 6)
 
     def test_singular_configuration_rejected(self):
         # zeta^d = -q^d needs an even-order twist, which build() refuses
@@ -156,6 +202,17 @@ class TestEulerGfConsistency:
     def test_fivefold_untwisted(self):
         (folded, direct), (taylor, moments) = euler_gf_consistency(5, 1, 10)
         assert folded == direct and taylor == moments
+
+    @pytest.mark.parametrize("d_fold, zeta", [(1, 1), (5, 1), (3, "zeta3"), (5, "zeta9^2"), (9, "zeta15")])
+    def test_quotients_match_inverse_then_multiply(self, d_fold, zeta):
+        if zeta != 1:
+            order, _, k = zeta[4:].partition("^")
+            zeta = cyclotomic_field(int(order)).zeta_power(int(k or 1))
+        one = zeta**0
+        numerator = exp_sum([(l, 2 * (-1) ** l * zeta**l) for l in range(d_fold)], 1, 8)
+        folded = numerator * exp_sum([(d_fold, zeta**d_fold), (0, one)], 1, 8).inverse()
+        direct = exp_sum([(0, 2 * one)], 1, 8) * exp_sum([(1, zeta), (0, one)], 1, 8).inverse()
+        assert euler_gf_consistency(d_fold, zeta, 8)[0] == (folded, direct)
 
     def test_even_fold_rejected(self):
         with pytest.raises(ValueError):
