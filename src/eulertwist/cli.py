@@ -13,6 +13,7 @@ bad value exits 2 with a usage message, never with a traceback.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import re
@@ -29,7 +30,7 @@ from .cyclotomic import embed_complex
 from .errors import MathError
 from .eulerian import descent_oracle, eulerian_recurrence
 from .fermionic import padic_truncation
-from .lfunction import LParams, l_eval
+from .lfunction import LParams, l_eval, stop_index
 from .ntheory import euler_phi, is_prime
 from .rationals import format_rational, parse_rational
 from .twisted import TwistedConfig, twisted_values
@@ -163,10 +164,10 @@ def _character_spec(text: str) -> str:
 
 
 def _tolerance(text: str) -> float:
-    """A finite float > 0: a tolerance that can be met."""
+    """A finite float >= sys.float_info.min: below it the tail bound underflows to 0 before it meets tol."""
     tol = float(text)
-    if not (math.isfinite(tol) and tol > 0):
-        raise ValueError("must be a finite number > 0")
+    if not (math.isfinite(tol) and tol >= sys.float_info.min):
+        raise ValueError(f"must be a finite number >= {sys.float_info.min!r}")
     return tol
 
 
@@ -274,11 +275,11 @@ def _resolve_character(spec: str, modulus: int):
 #     products)                                                   d 99, z 33, q 2, n 8: 0.0143 -> 0.0135;
 #                                                                 d 97, quadratic, z 7, q 1, n 40: 0.050 -> 0.069;
 #                                                                 d 97, index:1, z 99, q 2, n 1: 0.38 -> 8.22
-#   float L-series     2.2e-6 (n+1) min(200000, (2n+56) / ln q)   d 45, z 3, q 1001/997, n 20: 1.11 -> 1.11
-#   lfun's float sum   8e-7 min(max-terms, M), M the stop index   q 100001/100000, s 0, d 1: 6.05 -> 6.37;
-#                      (_lfun_terms)                              d 3: 4.0 to 5.3 -> 6.37;
-#                                                                 q 10001/10000, s -30, d 1: 9.1 -> 7.72;
-#                                                                 q 10001/10000, s 3+4i, d 1: 0.91 -> 0.65
+#   float sums         8e-7 per index up to the stop index        d 1, q 1001/997, n 20 (thm3): 0.78 -> 0.97;
+#     (thm3, thm6 at   (lfunction.stop_index) of each             d 45, z 3, q 1001/997, n 20 (thm3): 0.62 -> 0.97;
+#     s = 0..-n; lfun) l_series_sum call, at LParams' tol and     lfun q 100001/100000, s 0, d 1, 3: 4.68, 3.25 -> 6.37;
+#                      max_terms in a grid; 0 where it raises     q 10001/10000, s -30, d 1: 6.44 -> 7.72;
+#                      before its first term                      q 10001/10000, s 3+4i, d 1: 0.57 -> 0.65
 #   p-adic walk        4.6e-12 (p^levels h)^2 per exponent        p 3, 9 levels, q 3*10^30+1, n 40: 18.3 -> 18.2;
 #                      (7.5e-13 at exponent 0)                    p 19991, 1 level, q 19991*10^30+1, n 0: 3.69 -> 3.89
 #     The 6x gap is printing, not the walk: CPython 3.11 writes an int in decimal in quadratic time, and at n 0
@@ -305,7 +306,7 @@ def _field_s(order: int) -> float:
 
 
 def _point_parts(n: int, d: int, char_order: int, z: int, q) -> tuple:
-    """(A_0..A_n, series path, residue classes, float L-series) at one point."""
+    """(A_0..A_n, series path, residue classes) at one point."""
     root_order = z // math.gcd(z, d)  # m, the order of zeta^d
     h, degree, zeta_d_degree = _height(q), euler_phi(math.lcm(z, char_order)), euler_phi(root_order)
     size, period = (1 if q == 1 else d * h), math.lcm(d, z)
@@ -323,32 +324,16 @@ def _point_parts(n: int, d: int, char_order: int, z: int, q) -> tuple:
     residues = inverse + division + 9e-6 * (n + 1) ** 2 + 5.7e-10 * coefficients / (n + 1) ** 0.5
     residues += products / 2 + 1e-12 * gcds
     residues += d * (n + 1) * (1.3e-5 + 3.4e-13 * size**2)
-    floats = 0.0
-    if q > 1 and h < 1000:  # elsewhere the float sums stop at once
-        floats = 2.2e-6 * (n + 1) * min(200_000, (2 * n + 56) / math.log(q))
-    return values, series, residues, floats
+    return values, series, residues
 
 
-def _lfun_terms(s: complex, q, tol: float, max_terms: int) -> float:
-    """The index where `l_series_sum` stops, at most max_terms, estimated in O(1) after
-    `lfunction._stop_index`: 0 when the sum stops at once (q beyond a double, q <= 1 as a
-    double, or a stable index past max_terms)."""
-    try:
-        q = float(q)
-    except OverflowError:
-        return 0.0
-    if q <= 1:
-        return 0.0
-    ln_q = math.log(q)
-    peak = 2 * abs(s.real) / ln_q  # the stable index M solves M = peak ln M
-    if peak > max_terms:
-        return 0.0
-    stable = peak
-    for _ in range(4):  # fixed-point steps from below; each multiplies the gap by 1 / ln M
-        stable = peak * math.log(max(stable, math.e))
-    # the first M with tail bound q^(-M/2) / (1 - q^(-1/2)) below tol
-    below_tol = 2 * (math.log(tol) + math.log(-math.expm1(-ln_q / 2))) / -ln_q
-    return min(max_terms, max(1.0, stable, below_tol))
+def _float_sums_s(re_abs_values, q, tol: float, max_terms: int) -> float:
+    """`l_series_sum` at each |Re s|: 8e-7 s per term up to its stop index, none where it raises at once."""
+    seconds = 0.0
+    for re_abs in re_abs_values:
+        with contextlib.suppress(MathError):
+            seconds += 8e-7 * stop_index(re_abs, q, tol, max_terms)[0]
+    return seconds
 
 
 def _walk_s(p: int, levels: int, h: float, exponents) -> float:
@@ -362,15 +347,16 @@ def _grid_s(grid) -> float:
     (configurations, cor3's at q = 1, eq15's q, eq22's (d, z), eq28's tables, cor2's primes), plus the
     fields."""
     n, families = grid.n_max, [0.0] * 6
+    floats = {q: _float_sums_s(range(n + 1), q, LParams.tol, LParams.max_terms) for q in grid.q_values}
     orders = set()
     for d in grid.moduli:
         for _, char in checks.grid_characters(d):
             for z in grid.zeta_orders:
                 orders.add(math.lcm(z, char.value_order))
                 for q in grid.q_values:
-                    values, series, residues, floats = _point_parts(n, d, char.value_order, z, q)
-                    families[0] += 1e-3 + values + max(series, residues, floats)
-                values, _, residues, _ = _point_parts(n, d, char.value_order, z, 1)
+                    values, series, residues = _point_parts(n, d, char.value_order, z, q)
+                    families[0] += 1e-3 + values + max(series, residues, floats[q])
+                values, _, residues = _point_parts(n, d, char.value_order, z, 1)
                 families[1] += 1e-3 + values + residues
         families[2] += sum(5e-4 * (d + euler_phi(z)) for z in grid.zeta_orders)
         for q in grid.q_values:
@@ -378,7 +364,7 @@ def _grid_s(grid) -> float:
             families[3] += grid.random_tables * d * (3.5e-5 * (1 + math.log2(h) / 4) + 1.3e-13 * (d * h) ** 2)
     families[4] = sum(1e-3 + _point_parts(8, 1, 1, 1, q)[0] for q in grid.q_values)
     for p in grid.primes:
-        values, series, _, _ = _point_parts(grid.padic_n_max, p, 2, 1, 1 + p)
+        values, series, _ = _point_parts(grid.padic_n_max, p, 2, 1, 1 + p)
         walk = _walk_s(p, grid.level_max, _height(1 + p), range(grid.padic_n_max + 1))
         families[5] += 2 * (1e-3 + walk + values + series)
     return sum(map(_field_s, orders)) + max(families)
@@ -398,7 +384,7 @@ def predicted_seconds(args) -> float:
     seconds = 1e-3 + _field_s(math.lcm(args.zeta_order, char_order))
     if args.command == "twisted":
         return seconds + _point_parts(max(args.n), args.d, char_order, args.zeta_order, args.q)[0]
-    return seconds + 8e-7 * _lfun_terms(args.s, args.q, args.tol, args.max_terms)
+    return seconds + _float_sums_s([abs(args.s.real)], args.q, args.tol, args.max_terms)
 
 
 def _emit(args, text: str) -> None:
@@ -547,7 +533,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--s", type=_flag_type(_complex_point), required=True,
         help='complex point "RE" or "RE,IM", finite; either part may be negative',
     )
-    p.add_argument("--tol", type=_flag_type(_tolerance), default=1e-12, help="bound on the tail, a finite float > 0")
+    p.add_argument("--tol", type=_flag_type(_tolerance), default=1e-12, help=f"tail bound, >= {sys.float_info.min!r}")
     p.add_argument(
         "--max-terms", type=_flag_type(_bounded_int(1, MAX_TERMS)), default=200000,
         help=f"most series terms summed, 1..{MAX_TERMS}",

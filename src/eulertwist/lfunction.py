@@ -37,33 +37,18 @@ def l_prefactor(s: complex, q: float) -> complex:
     return q * cmath.exp((1 - s) * math.log(1 + q))
 
 
-def _stable_index(re_abs: float, ln_q: float, max_terms: int) -> int:
-    """Smallest M with m^re_abs <= q^(m/2) for every m >= M; NotConverged
-    when M would exceed max_terms, since no tail bound is checked before M."""
-    peak = 2 * re_abs / ln_q  # beyond this the majorant ratio is decreasing
-    if not peak <= max_terms:
-        raise NotConverged(f"tail bound not reached within {max_terms} terms")
-    m = max(1, math.ceil(peak))
-    while re_abs * math.log(m) > m * ln_q / 2:
-        m += 1
-        if m > max_terms:
-            raise NotConverged(f"tail bound not reached within {max_terms} terms")
-    return m
+# The config evaluated last, its coefficients and ln q; holding the config,
+# the identity test below matches no other object.  Callers scan s per config.
+_last_terms: tuple = (None, [], 0.0)
 
 
-# The config evaluated last and its coefficients.  The entry holds the
-# config, so the identity test below cannot match another object; callers
-# scan s on one config at a time.
-_last_coefficients: tuple = (None, [])
-
-
-def _coefficients(cfg: TwistedConfig) -> list:
-    """sign(m) chi(m) zeta^m for m mod lcm(2, d, twist order), embedded once
-    per config; None where chi(m) = 0, whose terms the series skips."""
-    global _last_coefficients
-    last, coefficients = _last_coefficients
+def _terms(cfg: TwistedConfig) -> tuple:
+    """(sign(m) chi(m) zeta^m embedded for m mod lcm(2, d, twist order), None
+    where chi(m) = 0 and the series skips the term; ln of q's double)."""
+    global _last_terms
+    last, coefficients, ln_q = _last_terms
     if last is cfg:
-        return coefficients
+        return coefficients, ln_q
     d, order = cfg.char.modulus, cfg.zeta_order
     chi = [embed_complex(cfg.char_value(a), 1) for a in range(d)]
     zeta = [embed_complex(cfg.zeta_pow(m), 1) for m in range(order)]
@@ -71,44 +56,72 @@ def _coefficients(cfg: TwistedConfig) -> list:
         (-1.0 if m % 2 else 1.0) * chi[m % d] * zeta[m % order] if chi[m % d] != 0 else None
         for m in range(math.lcm(2, d, order))
     ]
-    _last_coefficients = (cfg, coefficients)
-    return coefficients
+    _last_terms = (cfg, coefficients, math.log(float(cfg.q)))
+    return _last_terms[1:]
+
+
+def _first_failure(holds, lo: int, hi: int, guess: float) -> int:
+    """The first m >= lo where holds (true, then false) fails, hi + 1 if none up to hi; stepped to from guess."""
+    m = max(lo, math.ceil(min(guess, hi + 1))) if guess > lo else lo  # lo for a NaN guess
+    while m > lo and not holds(m - 1):
+        m -= 1
+    while m <= hi and holds(m):
+        m += 1
+    return m
+
+
+def stop_index(re_abs: float, q, tol: float, max_terms: int) -> tuple:
+    """(M, tail): where `l_series_sum` stops at |Re s| = re_abs and its tail
+    bound q^(-M/2) / (1 - q^(-1/2)) < tol, or (max_terms, None) when no
+    M <= max_terms has one.  It raises what the sum raises before its first
+    term: OutsideDoubleRange, OutsideConvergence for an exact q <= 1, and
+    NotConverged for a q > 1 that rounds to 1.0 or a stable index (the least
+    M with m^re_abs <= q^(m/2) for all m >= M) past max_terms.  Each index
+    steps from its closed form to the exact one on the sum's float tests.
+
+    >>> stop_index(0.0, 2, 1e-12, 200000)[0]
+    84
+    """
+    try:
+        q_float = float(q)
+    except OverflowError as exc:
+        raise OutsideDoubleRange("q exceeds double range") from exc
+    if q_float <= 1 and q <= 1:  # the exact test decides a q that rounds to 1.0
+        raise OutsideConvergence(f"series evaluation needs q > 1, got q={q}")
+    return _indices(re_abs, math.log(q_float), tol, max_terms)
 
 
 @lru_cache(maxsize=256)
-def _stop_index(re_abs: float, ln_q: float, tol: float, max_terms: int) -> tuple:
-    """(M, tail): the first M >= _stable_index whose tail bound is below tol,
-    and that bound; (max_terms, None) when no M <= max_terms has one."""
-    start = _stable_index(re_abs, ln_q, max_terms)
+def _indices(re_abs: float, ln_q: float, tol: float, max_terms: int) -> tuple:
+    peak = 2 * re_abs / ln_q if ln_q else math.inf  # ln_q is 0 where q > 1 rounds to 1.0
+    if not peak <= max_terms:
+        raise NotConverged(f"tail bound not reached within {max_terms} terms")
+    # Newton steps from above to the root M >= peak of M = peak ln M, if there is one
+    m = step = 2 * peak * math.log(peak) if peak > math.e else 0.0
+    while step >= 0.5:
+        step = (m - peak * math.log(m)) / (1 - peak / m)
+        m -= step
+    first = max(1, math.ceil(peak))
+    last = max(first, max_terms)
+    start = _first_failure(lambda m: re_abs * math.log(m) > m * ln_q / 2, first, last, m)
+    if start > last:
+        raise NotConverged(f"tail bound not reached within {max_terms} terms")
     tail_scale = 1.0 / (1.0 - math.exp(-ln_q / 2))
-    for m in range(start, max_terms + 1):
-        tail = math.exp(-m * ln_q / 2) * tail_scale
-        if tail < tol:
-            return m, tail
-    return max_terms, None
+    guess = 2 * (math.log(tail_scale) - math.log(tol)) / ln_q if tol > 0 else math.inf
+    m = _first_failure(lambda m: not math.exp(-m * ln_q / 2) * tail_scale < tol, start, max_terms, guess)
+    return (max_terms, None) if m > max_terms else (m, math.exp(-m * ln_q / 2) * tail_scale)
 
 
 def l_series_sum(params: LParams) -> LEvaluation:
-    """The bare alternating series, without the prefactor.
-
-    Only the terms depend on s.  The periodic coefficients are embedded once
-    per config object, and the stop index is found once per (|Re s|, q, tol,
-    max_terms); every call then sums terms 1..stop in order."""
-    cfg = params.cfg
-    try:
-        q = float(cfg.q)
-    except OverflowError as exc:
-        raise OutsideDoubleRange("q exceeds double range") from exc
-    if q <= 1:
-        raise OutsideConvergence(f"series evaluation needs q > 1, got q={cfg.q}")
-    ln_q = math.log(q)
-    coefficients = _coefficients(cfg)
-    cycle = len(coefficients)
+    """The bare alternating series, without the prefactor: terms 1..M in
+    order, M from `stop_index`, with the periodic coefficients and ln q
+    computed once per config object."""
     s = complex(params.s)
-    stop, tail = _stop_index(abs(s.real), ln_q, params.tol, params.max_terms)
+    stop, tail = stop_index(abs(s.real), params.cfg.q, params.tol, params.max_terms)
+    coefficients, ln_q = _terms(params.cfg)
+    cycle = len(coefficients)
     neg_s, log, exp = -s, math.log, cmath.exp
     total = 0j
-    m = 0
     try:
         for m in range(1, stop + 1):
             c = coefficients[m % cycle]

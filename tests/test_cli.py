@@ -186,6 +186,23 @@ def test_grid_q_beyond_double_range_exits_three(capsys, tmp_path, relation):
     assert code == 3 and "OutsideDoubleRange" in err
 
 
+# Above 1 exactly but 1.0 as a double, so no term of the series decays: the
+# sum is NotConverged, not OutsideConvergence, and the work model of check
+# prices it without dividing by ln q = 0.
+Q_ROUNDING_TO_ONE = "10000000000000000001/10000000000000000000"
+
+
+@pytest.mark.parametrize("argv", [
+    ["lfun", "--q", Q_ROUNDING_TO_ONE, "--d", "1", "--s", "2"],
+    ["check", "--relation", "thm6", "--grid",
+     {"q": [Q_ROUNDING_TO_ONE], "moduli": [3], "zeta_orders": [1], "n_max": 1}],
+])
+def test_q_above_one_that_rounds_to_one_is_not_converged(capsys, tmp_path, argv):
+    argv = [grid_file(tmp_path, a) if isinstance(a, dict) else a for a in argv]
+    code, err = math_exit(capsys, *argv)
+    assert code == 3 and "NotConverged: tail bound not reached within 200000 terms" in err
+
+
 def test_unknown_relation_is_usage_error(capsys, monkeypatch):
     # --relation is checked by argparse, before the grid file is read
     monkeypatch.setattr(cli.checks, "grid_from_json", lambda doc: pytest.fail("the grid file was read"))
@@ -350,7 +367,7 @@ def test_index_outside_bounds_is_rejected_before_computing(capsys, monkeypatch, 
     assert code == 2 and "--n" in err
 
 
-@pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
+@pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf", "5e-324", "1e-320"])
 def test_unmeetable_tolerance_is_rejected_before_summing(capsys, monkeypatch, tol):
     monkeypatch.setattr(cli, "l_eval", lambda params: pytest.fail("the series was started"))
     code, err = usage_exit(capsys, "lfun", "--q", "2", "--d", "3", "--s", "1", "--tol", tol)

@@ -1,6 +1,6 @@
 import doctest
 
-from eulertwist import cyclotomic, eulerian, series
+from eulertwist import cyclotomic, eulerian, lfunction, series
 
 
 def test_cyclotomic_doctests():
@@ -15,4 +15,9 @@ def test_eulerian_doctests():
 
 def test_series_doctests():
     failures, _ = doctest.testmod(series)
+    assert failures == 0
+
+
+def test_lfunction_doctests():
+    failures, _ = doctest.testmod(lfunction)
     assert failures == 0

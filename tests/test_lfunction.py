@@ -17,7 +17,7 @@ from eulertwist import (
     quadratic_character,
     series_partial_sum_checks,
 )
-from eulertwist.errors import MathError, NotConverged, OutsideConvergence, ResidualUndefined
+from eulertwist.errors import MathError, NotConverged, OutsideConvergence, OutsideDoubleRange, ResidualUndefined
 from eulertwist import lfunction
 from eulertwist.cyclotomic import embed_complex
 from eulertwist.lfunction import LParams, l_prefactor, l_series_sum
@@ -254,3 +254,126 @@ class TestCoefficientReuse:
             for c in (first, second):
                 params = LParams(s=complex(0.5, j), cfg=c)
                 assert outcome(l_eval, params) == outcome(reference_eval, params)
+
+
+def looped_stable_index(re_abs: float, ln_q: float, max_terms: int) -> int:
+    """The stable index by a loop over m, one log per step: an oracle for the closed form."""
+    peak = 2 * re_abs / ln_q
+    if not peak <= max_terms:
+        raise NotConverged(f"tail bound not reached within {max_terms} terms")
+    m = max(1, math.ceil(peak))
+    while re_abs * math.log(m) > m * ln_q / 2:
+        m += 1
+        if m > max_terms:
+            raise NotConverged(f"tail bound not reached within {max_terms} terms")
+    return m
+
+
+def looped_stop_index(re_abs: float, q, tol: float, max_terms: int) -> tuple:
+    """The stop index by a loop over m, one exp per step, after the q checks
+    the sum makes first: an oracle for the closed form."""
+    try:
+        q_float = float(q)
+    except OverflowError as exc:
+        raise OutsideDoubleRange("q exceeds double range") from exc
+    if q_float <= 1:
+        raise OutsideConvergence(f"series evaluation needs q > 1, got q={q}")
+    ln_q = math.log(q_float)
+    start = looped_stable_index(re_abs, ln_q, max_terms)
+    tail_scale = 1.0 / (1.0 - math.exp(-ln_q / 2))
+    for m in range(start, max_terms + 1):
+        tail = math.exp(-m * ln_q / 2) * tail_scale
+        if tail < tol:
+            return m, tail
+    return max_terms, None
+
+
+def index_outcome(fn, *args) -> tuple:
+    try:
+        m, tail = fn(*args)
+    except MathError as exc:
+        return type(exc).__name__, str(exc)
+    return m, repr(tail)
+
+
+def uncached_stop_index(*args) -> tuple:
+    lfunction._indices.cache_clear()
+    return lfunction.stop_index(*args)
+
+
+class TestStopIndexClosedForm:
+    """`stop_index` starts from closed forms and steps to the index; a loop
+    over every m gives the same index, tail bound and error."""
+
+    @staticmethod
+    def draw(rng: random.Random, max_terms: int = 0) -> tuple:
+        if rng.random() < 0.5:
+            q = 1 + F(rng.randint(1, 50), rng.choice((1000, 10**4, 10**5)))  # (1, 1.05]
+        else:
+            q = 1 + F(rng.randint(1, 400), 100)
+        ln_q = math.log(float(q))
+        kind = rng.random()
+        if kind < 0.3:
+            peak = rng.uniform(0, math.e)
+        elif kind < 0.5:
+            peak = math.e * (1 + rng.choice((1e-16, 1e-12, 1e-8, 1e-4, 1e-2)) * rng.random())
+        else:
+            peak = math.exp(rng.uniform(1, 6))
+        re_abs = peak * ln_q / 2
+        max_terms = max_terms or rng.choice((1, 5, 40, 300, 200000))
+        tol = 10.0 ** -rng.uniform(0, 300)
+        if max_terms == 200000:
+            # a tol at, just beside or near the tail bound of an index up to
+            # 3000, so the looped oracle stays short
+            target = round(math.exp(rng.uniform(0, 8)))
+            tail = math.exp(-target * ln_q / 2) / (1.0 - math.exp(-ln_q / 2))
+            tail = rng.choice((tail, math.nextafter(tail, 0), math.nextafter(tail, 1), tail * rng.uniform(0.5, 2)))
+            tol = tail if tail > 0 else tol
+        return re_abs, q, tol, max_terms
+
+    def test_random_draws(self):
+        rng = random.Random(20261018)
+        for _ in range(20000):
+            args = self.draw(rng)
+            assert index_outcome(uncached_stop_index, *args) == index_outcome(looped_stop_index, *args), args
+
+    def test_max_terms_at_the_index(self):
+        rng = random.Random(17)
+        for _ in range(500):
+            re_abs, q, tol, _ = self.draw(rng, 200000)
+            found = index_outcome(uncached_stop_index, re_abs, q, tol, 200000)
+            if isinstance(found[0], str):
+                continue
+            for max_terms in (found[0], found[0] - 1):
+                args = (re_abs, q, tol, max(max_terms, 1))
+                assert index_outcome(uncached_stop_index, *args) == index_outcome(looped_stop_index, *args), args
+
+    @pytest.mark.parametrize("q, s, max_terms", [(F(100001, 100000), 0.0, 10**7), (F(10001, 10000), 30.0, 10**7)])
+    def test_no_loop_over_the_terms(self, q, s, max_terms):
+        # a loop over m takes seconds here: 7,967,461 and 9,649,962 steps
+        start = time.perf_counter()
+        for _ in range(10):
+            m, tail = uncached_stop_index(s, q, 1e-12, max_terms)
+        assert (time.perf_counter() - start) / 10 < 1e-3
+        assert tail < 1e-12 and m > 10**6
+
+    def test_terms_are_the_stop_index(self):
+        cfg = quadratic3_config(F(11, 10))
+        result = l_series_sum(LParams(s=complex(-3, 5), cfg=cfg))
+        assert (result.terms_used, result.tail_bound) == lfunction.stop_index(3.0, F(11, 10), 1e-12, 200000)
+
+    def test_q_above_one_that_rounds_to_one(self):
+        q = F(10**19 + 1, 10**19)
+        assert q > 1 and float(q) == 1.0
+        params = LParams(s=2 + 0j, cfg=quadratic3_config(q))
+        assert outcome(l_series_sum, params) == ("NotConverged", "tail bound not reached within 200000 terms")
+
+    @pytest.mark.parametrize("q, error", [
+        (F(10**400), "OutsideDoubleRange"), (F(-(10**400)), "OutsideDoubleRange"),
+        (F(10**19 - 1, 10**19), "OutsideConvergence"), (F(1), "OutsideConvergence"),
+        (F(-3, 7), "OutsideConvergence"), (F(1, 10**400), "OutsideConvergence"),
+    ])
+    def test_q_outside_the_series(self, q, error):
+        got = index_outcome(lfunction.stop_index, 1.0, q, 1e-12, 200000)
+        assert got[0] == error
+        assert got == index_outcome(looped_stop_index, 1.0, q, 1e-12, 200000)
