@@ -211,10 +211,6 @@ def _path_sides(cfg, n_max: int) -> list:
     return [(tv.value, b) for tv, b in zip(values, twisted.twisted_series_values(cfg, n_max))]
 
 
-def _distribution_sides(cfg, n_max: int) -> list:
-    return fermionic.distribution_identity_checks(n_max, cfg.char_values, cfg.zeta, cfg.q)
-
-
 def run_thm2(grid: Grid) -> CheckReport:
     """Generating-function coefficients against the closed-form series path."""
     return _config_report(grid, "thm2", _path_sides, _equal)
@@ -232,7 +228,7 @@ def run_thm6(grid: Grid) -> CheckReport:
 
 def run_distribution(grid: Grid) -> CheckReport:
     """Residue-class decomposition of the character moment, exact."""
-    return _config_report(grid, "distribution", _distribution_sides, _equal)
+    return _config_report(grid, "distribution", fermionic.distribution_identity_checks, _equal)
 
 
 def run_thm1_residual(grid: Grid) -> CheckReport:

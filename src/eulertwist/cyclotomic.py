@@ -120,12 +120,12 @@ class CyclotomicField:
         norm = a**m - b**m
         if norm == 0:
             raise DivisionByZero(f"c0^{m} = (-c1)^{m}: no geometric-series inverse of c0 + c1 zeta^{k}")
-        a_powers = [1]
+        powers_of_a = [1]
         for _ in range(m - 1):
-            a_powers.append(a_powers[-1] * a)
+            powers_of_a.append(powers_of_a[-1] * a)
         vec = [0] * order
         term, j = c0.denominator * c1.denominator, 0  # term = den0 den1 b^i; j = k i mod order
-        for a_power in reversed(a_powers):
+        for a_power in reversed(powers_of_a):
             vec[j] += a_power * term
             term, j = term * b, (j + k) % order
         return self._reduce_ints(vec, norm)

@@ -82,8 +82,8 @@ def periodic_power_sums(cycle, n_max: int, z) -> list:
         raise ValueError("need at least one coefficient")
     w = z**period
     tails = [power_sum_rational(k, w) for k in range(n_max + 1)]
-    z_powers = itertools.accumulate([z] * period, operator.mul)
-    moments = power_moments(enumerate(map(operator.mul, cycle, z_powers), start=1), n_max)
+    powers_of_z = itertools.accumulate([z] * period, operator.mul)
+    moments = power_moments(enumerate(map(operator.mul, cycle, powers_of_z), start=1), n_max)
     return [sum(((math.comb(n, k) * period**k * tails[k]) * moments[n - k] for k in range(1, n + 1)),
                 tails[0] * moments[n]) for n in range(n_max + 1)]
 

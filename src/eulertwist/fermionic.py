@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .characters import DirichletCharacter, principal_character
-from .cyclotomic import CyclotomicNumber, cyclotomic_field, lift_to_field
+from .cyclotomic import CyclotomicNumber
 from .errors import NotPadicallyConvergent, SingularFunctionalEquation
 from .rationals import format_rational, padic_valuation, q_bracket_neg
 from .series import _is_zero, power_moments
@@ -65,51 +65,24 @@ def poly_twist_integral(spec: IntegralSpec):
     return _moment_sequence(spec)[spec.n]
 
 
-def _aligned(char: DirichletCharacter, zeta):
-    """Lift character values and the twist into one common field.
-
-    Returns (chi_values, zeta) where chi_values[a] is chi(a).  Everything
-    stays rational when the character is rational-valued and the twist is 1.
-    """
-    if isinstance(zeta, (int, Fraction)):
-        if char.is_rational_valued:
-            return [char.rational_value(a) for a in range(char.modulus)], Fraction(zeta)
-        zeta = cyclotomic_field(char.value_order).from_rational(zeta)
-    field = cyclotomic_field(math.lcm(zeta.field.order, char.value_order))
-    return [lift_to_field(char.value(a), field) for a in range(char.modulus)], lift_to_field(zeta, field)
-
-
-def _powers(x, k: int) -> list:
-    """[x^0, x^1, ..., x^k]."""
-    out = [x**0]
-    for _ in range(k):
-        out.append(out[-1] * x)
-    return out
-
-
-def _char_moment_sequence(n: int, chi, zeta, q: Fraction) -> list:
-    """I(zeta^x chi(x) x^m) for m = 0..n; chi[a] = chi(a) for a < d, in the
-    field of zeta (see :func:`_aligned`)."""
-    q = Fraction(q)
-    if q in (0, -1):
-        raise ValueError("q must avoid 0 and -1")
-    d = len(chi)
-    zeta_pows = _powers(zeta, d)
-    if _is_zero(zeta_pows[d] + q**d):
-        raise SingularFunctionalEquation("twist^d + q^d vanishes")
-    pivot_inv = _pivot_inverse(q**d, 1, zeta_pows[d])
-    kernel = [(l, ((1 + q) * (-1) ** l * q ** (d - 1 - l)) * (chi[l] * zeta_pows[l]))
-              for l in range(d) if not _is_zero(chi[l])]
+def _char_moment_sequence(n: int, cfg) -> list:
+    """I(zeta^x chi(x) x^m) for m = 0..n at the parameter point cfg (a
+    :class:`~eulertwist.twisted.TwistedConfig`), in its ambient field."""
+    q, d = cfg.q, cfg.char.modulus
+    unit = cfg.zeta_pow(d)
+    pivot_inv = _pivot_inverse(q**d, 1, unit)
+    kernel = [(l, ((1 + q) * (-1) ** l * q ** (d - 1 - l)) * w)
+              for l in range(d) if (w := cfg.twisted_char(l)) is not None]
     moments: list = []
     for m, rhs in enumerate(power_moments(kernel, n)):
         if m:
             lower = sum((math.comb(m, k) * d ** (m - k) * moments[k] for k in range(1, m)), d**m * moments[0])
-            rhs = rhs - zeta_pows[d] * lower
+            rhs = rhs - unit * lower
         moments.append(rhs * pivot_inv)
     return moments
 
 
-def char_twist_integral(n: int, char: DirichletCharacter, zeta, q: Fraction):
+def char_twist_integral(n: int, cfg):
     """I(zeta^x chi(x) x^n) from the d-step functional equation
 
         zeta^d sum_k C(n,k) d^(n-k) I_k + q^d I_n
@@ -117,38 +90,33 @@ def char_twist_integral(n: int, char: DirichletCharacter, zeta, q: Fraction):
 
     solved upward in n.  The alternating kernel exponent d-1-l is the one
     obtained by iterating the one-step equation d times."""
-    return _char_moment_sequence(n, *_aligned(char, zeta), q)[n]
+    return _char_moment_sequence(n, cfg)[n]
 
 
-def residue_class_sums(n_max: int, chi, zeta, q: Fraction) -> list:
+def residue_class_sums(n_max: int, cfg) -> list:
     """sum_{a<d} c_a I((a/d + x)^n zeta^(dx)), c_a = (-1)^a q^-a chi(a) zeta^a,
     for n = 0..n_max under the measure parameter q^-d: I(zeta^x chi(x) x^n)
-    split into residue classes, without its factor d^n/[d]_{-1/q}; chi[a] =
-    chi(a) in the field of zeta.  By the binomial theorem this is sum_k C(n,k)
-    M_k P_(n-k): one sequence M_k = I(x^k zeta^(dx)), P_j = d^-j sum_a c_a a^j,
-    each zero P_j skipped (every j >= 1 at d = 1)."""
-    q = Fraction(q)
-    d = len(chi)
-    zeta_pows = _powers(zeta, d)
-    moments = _moment_sequence(IntegralSpec(n=n_max, shift=0, twist=zeta_pows[d], ratio=q**-d))
-    classes = power_moments([(a, ((-1) ** a * q**-a) * (chi[a] * zeta_pows[a]))
-                             for a in range(d) if not _is_zero(chi[a])], n_max)
+    split into residue classes, without its factor d^n/[d]_{-1/q}.  By the
+    binomial theorem this is sum_k C(n,k) M_k P_(n-k): one sequence
+    M_k = I(x^k zeta^(dx)), P_j = d^-j sum_a c_a a^j, each zero P_j skipped
+    (every j >= 1 at d = 1)."""
+    q, d = cfg.q, cfg.char.modulus
+    moments = _moment_sequence(IntegralSpec(n=n_max, shift=0, twist=cfg.zeta_pow(d), ratio=q**-d))
+    classes = power_moments([(a, ((-1) ** a * q**-a) * w)
+                             for a in range(d) if (w := cfg.twisted_char(a)) is not None], n_max)
     weights = [(j, p * Fraction(1, d**j)) for j, p in enumerate(classes) if not _is_zero(p)]
     return [sum((math.comb(n, j) * moments[n - j] * p for j, p in weights if j <= n), classes[0] * 0)
             for n in range(n_max + 1)]
 
 
-def distribution_identity_checks(n_max: int, chi, zeta, q: Fraction) -> list:
+def distribution_identity_checks(cfg, n_max: int) -> list:
     """The two sides (lhs, rhs) of the multiplication identity for
     n <= n_max: the moment I(zeta^x chi(x) x^n) from the d-step equation and
-    its residue-class decomposition (:func:`residue_class_sums`).  chi[a] =
-    chi(a) for a < d, in the field of zeta (see :func:`_aligned`)."""
-    q = Fraction(q)
-    d = len(chi)
-    lhs = _char_moment_sequence(n_max, chi, zeta, q)
-    sums = residue_class_sums(n_max, chi, zeta, q)
-    bracket = q_bracket_neg(d, 1 / q)
-    return [(lhs[n], Fraction(d**n) / bracket * acc) for n, acc in enumerate(sums)]
+    its residue-class decomposition (:func:`residue_class_sums`)."""
+    d = cfg.char.modulus
+    bracket = q_bracket_neg(d, 1 / cfg.q)
+    lhs = _char_moment_sequence(n_max, cfg)
+    return [(lhs[n], Fraction(d**n) / bracket * acc) for n, acc in enumerate(residue_class_sums(n_max, cfg))]
 
 
 def alternating_kernel_ratio_check(d: int, values, q: Fraction) -> tuple:
@@ -267,10 +235,12 @@ def padic_truncation(
     alternating bracket of p^N, with the p-adic valuation of S_N - exact;
     char None weighs every x by 1, as the character mod 1 does.  The walk
     sums x^n alone, not the lower exponents :func:`riemann_sums` returns."""
+    from .twisted import TwistedConfig
+
     char = principal_character(1) if char is None else char
     q = Fraction(q)
     sums = _walk([n], q, p, max_level, char)[0]
-    exact = char_twist_integral(n, char, 1, q)
+    exact = char_twist_integral(n, TwistedConfig.build(char, 1, 0, q)).coeffs[0]  # degree 1: chi rational, twist 1
     levels = []
     for level, total in enumerate(sums):
         partial = total / q_bracket_neg(p**level, 1 / q)

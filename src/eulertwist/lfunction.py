@@ -115,9 +115,12 @@ def _indices(re_abs: float, ln_q: float, tol: float, max_terms: int) -> tuple:
 def l_series_sum(params: LParams) -> LEvaluation:
     """The bare alternating series, without the prefactor: terms 1..M in
     order, M from `stop_index`, with the periodic coefficients and ln q
-    computed once per config object."""
+    computed once per config object; NotConverged before the first term
+    where no M <= max_terms meets the tolerance."""
     s = complex(params.s)
     stop, tail = stop_index(abs(s.real), params.cfg.q, params.tol, params.max_terms)
+    if tail is None:
+        raise NotConverged(f"tail bound not reached within {params.max_terms} terms")
     coefficients, ln_q = _terms(params.cfg)
     cycle = len(coefficients)
     neg_s, log, exp = -s, math.log, cmath.exp
@@ -129,8 +132,6 @@ def l_series_sum(params: LParams) -> LEvaluation:
                 total += c * exp(neg_s * log(m) - m * ln_q)
     except OverflowError as exc:
         raise NotConverged(f"term {m} overflows double precision") from exc
-    if tail is None:
-        raise NotConverged(f"tail bound not reached within {params.max_terms} terms")
     return LEvaluation(value=total, terms_used=stop, tail_bound=tail)
 
 

@@ -15,31 +15,37 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .characters import DirichletCharacter
-from .cyclotomic import (
-    CyclotomicField,
-    CyclotomicNumber,
-    cyclotomic_field,
-)
-from .errors import ResidualUndefined, SingularFunctionalEquation
+from .cyclotomic import CyclotomicField, CyclotomicNumber, cyclotomic_field
+from .errors import ResidualUndefined
 from .eulerian import periodic_power_sums
 from .fermionic import IntegralSpec, poly_twist_integral, residue_class_sums
-from .fermionic import _aligned, _char_moment_sequence, _moment_sequence, _pivot_inverse
+from .fermionic import _char_moment_sequence, _moment_sequence, _pivot_inverse
 from .rationals import q_bracket_neg
 from .series import TruncatedSeries, exp_quotient, nth_taylor_coefficient
 
 
 @dataclass(frozen=True)
 class TwistedConfig:
-    """One parameter point: character, twist zeta of odd order, rational q,
-    all realized inside the ambient field Q(zeta_lcm(order, value order))."""
+    """One parameter point: character chi mod d, twist zeta of odd order z,
+    rational q, all inside the ambient field Q(zeta_N), N = lcm(z, value
+    order M).  chi(m) = zeta_N^(e_m N/M) and zeta^m = zeta_N^(k m N/z), so
+    chi(m), zeta^m and chi(m) zeta^m are each one power-table row, read by
+    exponent with no lift and no field product.
+
+    >>> from eulertwist.characters import enumerate_characters
+    >>> order4 = next(c for c in enumerate_characters(5) if c.value_order == 4)
+    >>> cfg = TwistedConfig.build(order4, 3, 1, 2)
+    >>> cfg.twisted_char(2) == cfg.char_value(2) * cfg.zeta_pow(2)
+    True
+    >>> cfg.twisted_char(5) is None
+    True
+    """
 
     char: DirichletCharacter
     zeta_order: int
     zeta_exponent: int
     q: Fraction
     field: CyclotomicField
-    zeta: CyclotomicNumber
-    char_values: tuple  # chi(a) lifted to the ambient field, indexed by residue
 
     @staticmethod
     def build(
@@ -50,24 +56,26 @@ class TwistedConfig:
             raise ValueError("q must avoid 0 and -1")
         if zeta_order < 1 or zeta_order % 2 == 0:
             raise ValueError("twist order must be odd and positive")
-        ambient = math.lcm(zeta_order, char.value_order)
-        field = cyclotomic_field(ambient)
-        zeta = field.zeta_power((zeta_exponent % zeta_order) * (ambient // zeta_order))
-        values = tuple(_aligned(char, zeta)[0])
-        cfg = TwistedConfig(
-            char=char, zeta_order=zeta_order, zeta_exponent=zeta_exponent % zeta_order,
-            q=q, field=field, zeta=zeta, char_values=values,
-        )
-        if (cfg.zeta_pow(char.modulus) + field.from_rational(q**char.modulus)).is_zero():
-            raise SingularFunctionalEquation("twist^d + q^d vanishes")
-        return cfg
+        field = cyclotomic_field(math.lcm(zeta_order, char.value_order))
+        return TwistedConfig(char, zeta_order, zeta_exponent % zeta_order, q, field)
+
+    def _exponents(self, m: int) -> tuple:
+        """(exponent of chi(m) or None, exponent of zeta^m), both in zeta_N."""
+        e, order = self.char.exponent(m), self.field.order
+        twist = self.zeta_exponent * (order // self.zeta_order) * m
+        return (None if e is None else e * (order // self.char.value_order)), twist
 
     def zeta_pow(self, m: int) -> CyclotomicNumber:
-        base = (self.zeta_exponent % self.zeta_order) * (self.field.order // self.zeta_order)
-        return self.field.zeta_power(base * (m % self.zeta_order))
+        return self.field.zeta_power(self._exponents(m)[1])
 
     def char_value(self, m: int) -> CyclotomicNumber:
-        return self.char_values[m % self.char.modulus]
+        e = self._exponents(m)[0]
+        return self.field.zero if e is None else self.field.zeta_power(e)
+
+    def twisted_char(self, m: int) -> CyclotomicNumber | None:
+        """chi(m) zeta^m, or None where chi(m) = 0."""
+        e, twist = self._exponents(m)
+        return None if e is None else self.field.zeta_power(e + twist)
 
     def conjugate(self) -> "TwistedConfig":
         return TwistedConfig.build(
@@ -99,8 +107,8 @@ def twisted_gf(cfg: TwistedConfig, order: int) -> TruncatedSeries:
     products per coefficient, the pivot zeta^d + q^d inverted once by its
     geometric series (``CyclotomicField.binomial_inverse``)."""
     q, d, unit = cfg.q, cfg.char.modulus, cfg.zeta_pow(cfg.char.modulus)
-    weights = [(l, ((1 + q) * (-1) ** l * q ** (d - l + 1)) * (chi * cfg.zeta_pow(l)))
-               for l, chi in enumerate(cfg.char_values) if not chi.is_zero()]
+    weights = [(l, ((1 + q) * (-1) ** l * q ** (d - l + 1)) * w)
+               for l in range(d) if (w := cfg.twisted_char(l)) is not None]
     return exp_quotient(weights, -(1 + q), unit, d, _pivot_inverse(q**d, 1, unit), order)
 
 
@@ -113,7 +121,7 @@ def alternating_char_sums(cfg: TwistedConfig, n_max: int) -> list:
     into the rational power-sum closed forms; an odd period keeps
     (-1/q)^period away from 1, so at q = 1 this is the Abel sum."""
     period = math.lcm(cfg.char.modulus, cfg.zeta_order)
-    cycle = [cfg.char_value(m) * cfg.zeta_pow(m) for m in range(1, period + 1)]
+    cycle = [cfg.field.zero if w is None else w for w in map(cfg.twisted_char, range(1, period + 1))]
     return periodic_power_sums(cycle, n_max, -1 / cfg.q)
 
 
@@ -172,7 +180,7 @@ def witt_residuals(cfg: TwistedConfig, n_max: int) -> list:
     """The two sides (lhs, rhs) of A_n = q^2 (-1)^n (1+q)^n I(zeta^x chi(x) x^n)
     for n <= n_max; q^2 is the gap between the d-l+1 kernel and the iterated
     d-1-l kernel.  Where the moment vanishes the entry is a ResidualUndefined."""
-    moments = _char_moment_sequence(n_max, cfg.char_values, cfg.zeta, cfg.q)
+    moments = _char_moment_sequence(n_max, cfg)
     out = []
     for n, (tv, integral) in enumerate(zip(twisted_values(cfg, n_max), moments)):
         rhs = ((-1) ** n * (1 + cfg.q) ** n) * integral
@@ -190,7 +198,7 @@ def multiplication_residuals(cfg: TwistedConfig, n_max: int) -> list:
     decomposition.  Where the decomposition sum vanishes the entry is a
     ResidualUndefined."""
     q, d = cfg.q, cfg.char.modulus
-    sums = residue_class_sums(n_max, cfg.char_values, cfg.zeta, q)
+    sums = residue_class_sums(n_max, cfg)
     out = []
     for n, (tv, acc) in enumerate(zip(twisted_values(cfg, n_max), sums)):
         if acc.is_zero():
@@ -208,7 +216,7 @@ def euler_reduction_checks(cfg: TwistedConfig, n_max: int) -> list:
     if cfg.q != 1:
         raise ValueError("the reduction to twisted Euler values holds at q = 1")
     d = cfg.char.modulus
-    sums = residue_class_sums(n_max, cfg.char_values, cfg.zeta, cfg.q)
+    sums = residue_class_sums(n_max, cfg)
     return [
         (tv.value, Fraction(-2 * d) ** n * acc)
         for n, (tv, acc) in enumerate(zip(twisted_values(cfg, n_max), sums))

@@ -122,7 +122,7 @@ def test_criterion_4_interpolation():
 def test_criterion_5_distribution_identity():
     ok = True
     for cfg in config_grid(5):
-        for lhs, rhs in distribution_identity_checks(5, cfg.char_values, cfg.zeta, cfg.q):
+        for lhs, rhs in distribution_identity_checks(cfg, 5):
             ok = ok and lhs == rhs
     report(5, "residue-class decomposition, exact", ok)
 

@@ -28,7 +28,7 @@ CASES = {
     "thm2": (checks, "_path_sides", lhs_off_by_one),
     "thm3": (lfunction, "series_partial_sum_checks", lhs_off_by_one),
     "thm6": (lfunction, "interpolation_checks", lhs_off_by_one),
-    "distribution": (checks, "_distribution_sides", lhs_off_by_one),
+    "distribution": (fermionic, "distribution_identity_checks", lhs_off_by_one),
     "thm1-residual": (twisted, "witt_residuals", lhs_off_by_one),
     "thm5-residual": (twisted, "multiplication_residuals", lhs_off_by_one),
     "cor3": (twisted, "euler_reduction_checks", lhs_off_by_one),

@@ -1,6 +1,6 @@
 import doctest
 
-from eulertwist import cyclotomic, eulerian, lfunction, series
+from eulertwist import cyclotomic, eulerian, lfunction, series, twisted
 
 
 def test_cyclotomic_doctests():
@@ -21,3 +21,8 @@ def test_series_doctests():
 def test_lfunction_doctests():
     failures, _ = doctest.testmod(lfunction)
     assert failures == 0
+
+
+def test_twisted_doctests():
+    failures, tried = doctest.testmod(twisted)
+    assert failures == 0 and tried > 0

@@ -28,19 +28,16 @@ from eulertwist.cyclotomic import CyclotomicNumber
 from eulertwist.errors import NotPadicallyConvergent, SingularFunctionalEquation
 from eulertwist.fermionic import (
     IntegralSpec,
-    _aligned,
     _char_moment_sequence,
     _moment_sequence,
-    _powers,
     alternating_kernel_ratio_check,
     residue_class_sums,
 )
-from eulertwist.series import _is_zero
 from eulertwist.twisted import alternating_char_sums, twisted_series_values
 
 
-def distribution_sides(n_max, char, zeta, q):
-    return distribution_identity_checks(n_max, *_aligned(char, zeta), q)
+def distribution_sides(n_max, char, zeta_order, zeta_exponent, q):
+    return distribution_identity_checks(TwistedConfig.build(char, zeta_order, zeta_exponent, q), n_max)
 
 
 def kernel_limit(char, q, n):
@@ -178,25 +175,30 @@ class TestPolyTwistIntegral:
             assert direct == expanded
 
 
+def untwisted_integral(n, char, q):
+    return char_twist_integral(n, TwistedConfig.build(char, 1, 0, q))
+
+
 class TestCharTwistIntegral:
     def test_quadratic_anchor(self):
-        assert char_twist_integral(0, quadratic_character(3), 1, F(2)) == -1
+        assert untwisted_integral(0, quadratic_character(3), F(2)) == -1
 
     def test_trivial_character(self):
         for q in (F(2), F(3), F(7, 2)):
-            assert char_twist_integral(0, principal_character(1), 1, q) == 1
+            assert untwisted_integral(0, principal_character(1), q) == 1
 
     def test_reduces_to_poly_integral_at_modulus_one(self):
         q = F(2)
-        lhs = char_twist_integral(1, principal_character(1), 1, q)
+        lhs = untwisted_integral(1, principal_character(1), q)
         assert lhs == F(-1, 3)
         assert lhs == poly_twist_integral(IntegralSpec(n=1, shift=0, twist=1, ratio=1 / q))
 
     def test_each_kernel_weight_is_formed_once_per_call(self, monkeypatch):
-        # the weights chi(l) zeta^l q^(d-1-l) are field products formed once
-        # per call; each further n adds only the two of the triangular solve
-        # (zeta^d times the lower moments, and the product by the pivot inverse)
-        chi, zeta = _aligned(quadratic_character(15), cyclotomic_field(9).zeta())
+        # every weight chi(l) zeta^l is a power-table row scaled by a
+        # rational, so the only field products are those of the triangular
+        # division: one by the pivot inverse for each of the n + 1
+        # coefficients, and one by zeta^d for each after the first, 2n + 1
+        # in all; the series path reads its cycle the same way and forms none
         real, products = CyclotomicNumber.__mul__, []
 
         def counted(self, other):
@@ -206,48 +208,46 @@ class TestCharTwistIntegral:
 
         monkeypatch.setattr(CyclotomicNumber, "__mul__", counted)
 
-        def count(n):
+        def count(route, *args):
             products.clear()
-            _char_moment_sequence(n, chi, zeta, F(5, 2))
+            route(*args)
             return len(products)
 
-        assert count(20) - count(5) <= 2 * 15
-
-    def test_singular_pivot(self):
-        field = cyclotomic_field(1)
-        with pytest.raises(SingularFunctionalEquation):
-            char_twist_integral(0, principal_character(1), field.from_rational(F(-2)), F(2))
+        for char, zeta_order in ((quadratic_character(15), 9), (quadratic_character(97), 7)):
+            cfg = TwistedConfig.build(char, zeta_order, 1, F(5, 2))
+            for n in (0, 5, 20):
+                assert count(_char_moment_sequence, n, cfg) == 2 * n + 1
+                assert count(twisted_values, cfg, n) == 2 * n + 1
+            assert count(twisted_series_values, cfg, 8) == 0
 
 
 class TestDistributionIdentity:
     def test_anchor(self):
-        lhs, rhs = distribution_sides(0, quadratic_character(3), 1, F(2))[0]
+        lhs, rhs = distribution_sides(0, quadratic_character(3), 1, 0, F(2))[0]
         assert lhs == -1
         assert lhs == rhs
 
     def test_modulus_one_is_structural(self):
-        for lhs, rhs in distribution_sides(3, principal_character(1), 1, F(3)):
+        for lhs, rhs in distribution_sides(3, principal_character(1), 1, 0, F(3)):
             assert lhs == rhs
 
     def test_cyclotomic_point(self):
-        zeta = cyclotomic_field(3).zeta()
-        for lhs, rhs in distribution_sides(4, quadratic_character(5), zeta, F(3)):
+        for lhs, rhs in distribution_sides(4, quadratic_character(5), 3, 1, F(3)):
             assert lhs == rhs
 
 
-def per_class_residue_sums(n_max, chi, zeta, q):
+def per_class_residue_sums(n_max, cfg):
     """The residue-class sums one class at a time: one moment sequence per
     class with chi(a) != 0, at shift a/d.  The oracle of the shared moment
     sequence in `residue_class_sums`."""
-    q = F(q)
-    d = len(chi)
-    zeta_pows = _powers(zeta, d)
-    sums = [zeta_pows[0] * 0] * (n_max + 1)
+    q, d = cfg.q, cfg.char.modulus
+    sums = [cfg.field.zero] * (n_max + 1)
     for a in range(d):
-        if _is_zero(chi[a]):
+        chi = cfg.char_value(a)
+        if chi.is_zero():
             continue
-        coeff = ((-1) ** a * q**-a) * (chi[a] * zeta_pows[a])
-        inner = _moment_sequence(IntegralSpec(n=n_max, shift=F(a, d), twist=zeta_pows[d], ratio=q**-d))
+        coeff = ((-1) ** a * q**-a) * (chi * cfg.zeta_pow(a))
+        inner = _moment_sequence(IntegralSpec(n=n_max, shift=F(a, d), twist=cfg.zeta_pow(d), ratio=q**-d))
         sums = [acc + coeff * moment for acc, moment in zip(sums, inner)]
     return sums
 
@@ -259,10 +259,9 @@ class TestResidueClassSums:
         for _, char in checks.grid_characters(d):
             for order in (1, 3, 9):
                 exponent = rng.choice([k for k in range(order) if math.gcd(k, order) == 1])
-                zeta = 1 if order == 1 else cyclotomic_field(order).zeta_power(exponent)
-                chi, zeta = _aligned(char, zeta)
                 for q in (F(2), F(5, 2), F(-3, 7), F(1)):
-                    assert residue_class_sums(10, chi, zeta, q) == per_class_residue_sums(10, chi, zeta, q)
+                    cfg = TwistedConfig.build(char, order, exponent, q)
+                    assert residue_class_sums(10, cfg) == per_class_residue_sums(10, cfg)
 
     @pytest.mark.parametrize("d", [7, 15])
     def test_one_moment_sequence_whatever_the_modulus(self, monkeypatch, d):
@@ -273,7 +272,7 @@ class TestResidueClassSums:
             return _moment_sequence(spec)
 
         monkeypatch.setattr(fermionic, "_moment_sequence", counted)
-        residue_class_sums(6, *_aligned(principal_character(d), cyclotomic_field(3).zeta()), F(5, 2))
+        residue_class_sums(6, TwistedConfig.build(principal_character(d), 3, 1, F(5, 2)))
         assert len(calls) == 1
 
 

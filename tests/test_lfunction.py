@@ -27,6 +27,11 @@ def quadratic3_config(q=F(2)):
     return TwistedConfig.build(quadratic_character(3), 1, 0, q)
 
 
+def muted_config(cfg):
+    """cfg with a character whose every value is 0."""
+    return dataclasses.replace(cfg, char=dataclasses.replace(cfg.char, exponents=(None,) * cfg.char.modulus))
+
+
 class TestEvaluation:
     def test_anchor_values(self):
         cfg = quadratic3_config()
@@ -50,6 +55,14 @@ class TestEvaluation:
     def test_max_terms_guard(self):
         with pytest.raises(NotConverged):
             l_eval(LParams(s=0j, cfg=quadratic3_config(), tol=1e-12, max_terms=5))
+
+    @pytest.mark.parametrize("q, max_terms", [(F(2), 50), (F(1000001, 1000000), 200000)])
+    def test_unreachable_tail_bound_raises_before_any_term(self, monkeypatch, q, max_terms):
+        # at s = 0 the tail bound 1e-12 needs 84 terms at q = 2 and about
+        # 8.4e7 at q = 1 + 1e-6; with fewer allowed, nothing is summed
+        monkeypatch.setattr(lfunction, "_terms", lambda cfg: pytest.fail("a term was evaluated"))
+        with pytest.raises(NotConverged):
+            l_series_sum(LParams(s=0j, cfg=quadratic3_config(q), max_terms=max_terms))
 
     @pytest.mark.parametrize("q, s", [(F(2), 1e300), (F(2), -1e5), (F(2), -200.0), (F(100), -200.0)])
     def test_unbounded_work_is_not_converged_quickly(self, q, s):
@@ -115,12 +128,8 @@ class TestSeriesPartialSums:
         assert abs(exact - (-2.0 / 9.0)) < 1e-12
 
     def test_zero_character_sums_to_zero(self):
-        import dataclasses
-
         cfg = quadratic3_config()
-        muted = dataclasses.replace(
-            cfg, char_values=tuple(cfg.field.zero for _ in cfg.char_values)
-        )
+        muted = muted_config(cfg)
         numeric, exact = series_partial_sum_checks(muted, 2)[2]
         assert abs(numeric - exact) <= 1e-10
         assert numeric == 0
@@ -240,7 +249,7 @@ class TestCoefficientReuse:
 
     def test_alternating_configs(self):
         cfg = TwistedConfig.build(quadratic_character(5), 3, 1, F(2))
-        muted = dataclasses.replace(cfg, char_values=tuple(cfg.field.zero for _ in cfg.char_values))
+        muted = muted_config(cfg)
         other = TwistedConfig.build(quadratic_character(7), 9, 4, F(11, 10))
         for j in range(6):
             for c in (cfg, muted, other):

@@ -1,6 +1,7 @@
 """Twisted Eulerian values: both evaluation paths, the q^2 residuals against
 the integral world, twisted Euler polynomials, and the q = 1 reduction."""
 import dataclasses
+import math
 import random
 from fractions import Fraction as F
 
@@ -15,6 +16,7 @@ from eulertwist import (
     euler_reduction_checks,
     eulerian_at,
     galois_conjugate,
+    lift_to_field,
     multiplication_residuals,
     nth_taylor_coefficient,
     principal_character,
@@ -38,15 +40,56 @@ def quadratic3_config(q=F(2)):
     return TwistedConfig.build(quadratic_character(3), 1, 0, q)
 
 
+def muted_config(cfg):
+    """cfg with a character whose every value is 0."""
+    return dataclasses.replace(cfg, char=dataclasses.replace(cfg.char, exponents=(None,) * cfg.char.modulus))
+
+
 def inverse_then_multiply_gf(cfg, order):
     """The generating function as the numerator's series times the general
     series inverse of the denominator's: the route before the triangular
     division, kept as its oracle."""
     q, d = cfg.q, cfg.char.modulus
     denominator = exp_sum([(d, cfg.zeta_pow(d)), (0, cfg.field.from_rational(q**d))], -(1 + q), order)
-    weights = [(l, ((1 + q) * (-1) ** l * q ** (d - l + 1)) * (chi * cfg.zeta_pow(l)))
-               for l, chi in enumerate(cfg.char_values) if not chi.is_zero()]
+    weights = [(l, ((1 + q) * (-1) ** l * q ** (d - l + 1)) * (cfg.char_value(l) * cfg.zeta_pow(l)))
+               for l in range(d) if not cfg.char_value(l).is_zero()]
     return exp_sum(weights, -(1 + q), order) * denominator.inverse()
+
+
+def aligned(char, zeta):
+    """(chi_values, zeta) lifted into Q(zeta_lcm(twist order, value order)),
+    chi_values[a] = chi(a): the route before the config's power-table
+    lookups, kept as their oracle."""
+    field = cyclotomic_field(math.lcm(zeta.field.order, char.value_order))
+    return [lift_to_field(char.value(a), field) for a in range(char.modulus)], lift_to_field(zeta, field)
+
+
+def powers(x, k):
+    """[x^0, x^1, ..., x^k], one product each."""
+    out = [x**0]
+    for _ in range(k):
+        out.append(out[-1] * x)
+    return out
+
+
+def lookup_points():
+    """Seeded points over a pool of characters (principal and quadratic for
+    d in 1, 3, 5, 15, 97, and the order-4 character mod 5): each character
+    at each twist order 1, 3, 9, 99, and each exponent coprime to a twist
+    order at least once."""
+    rng = random.Random(18)
+    pool = [principal_character(d) for d in (1, 3, 5, 15, 97)]
+    pool += [quadratic_character(d) for d in (3, 5, 15, 97)]
+    pool.append(next(c for c in enumerate_characters(5) if c.value_order == 4))
+    small = [c for c in pool if c.modulus <= 15]
+    points = []
+    for zeta_order in (1, 3, 9, 99):
+        units = [k for k in range(zeta_order) if math.gcd(k, zeta_order) == 1]
+        rng.shuffle(units)
+        chars = pool + [rng.choice(small) for _ in units[len(pool):]]
+        for i, char in enumerate(chars):
+            points.append((char, zeta_order, units[i % len(units)], rng.choice([F(1), F(-3, 7), F(2), F(5, 2)])))
+    return points
 
 
 def oracle_points():
@@ -64,6 +107,21 @@ def oracle_points():
     return points
 
 
+@pytest.mark.parametrize("point", lookup_points(),
+                         ids=lambda p: f"d{p[0].modulus}-o{p[0].value_order}-z{p[1]}^{p[2]}")
+def test_lookups_equal_lift_and_multiply(point):
+    # canonical forms: equal elements have the same num and den
+    cfg = TwistedConfig.build(*point)
+    char, zeta_order, k, _ = point
+    chi, zeta = aligned(char, cyclotomic_field(zeta_order).zeta_power(k))
+    zeta_pows = powers(zeta, zeta_order)
+    for m in range(math.lcm(2, char.modulus, zeta_order)):
+        lifted, twist = chi[m % char.modulus], zeta_pows[m % zeta_order]
+        product = lifted * twist
+        assert cfg.char_value(m) == lifted and cfg.zeta_pow(m) == twist
+        assert cfg.twisted_char(m) == (None if product.is_zero() else product)
+
+
 class TestGeneratingFunction:
     def test_constant_term_anchor(self):
         gf = twisted_gf(quadratic3_config(), 1)
@@ -76,9 +134,7 @@ class TestGeneratingFunction:
 
     def test_all_zero_character_gives_zero_series(self):
         cfg = quadratic3_config()
-        muted = dataclasses.replace(
-            cfg, char_values=tuple(cfg.field.zero for _ in cfg.char_values)
-        )
+        muted = muted_config(cfg)
         gf = twisted_gf(muted, 6)
         assert all(c.is_zero() for c in gf.coeffs)
 
@@ -144,9 +200,7 @@ class TestSeriesPath:
 
     def test_zero_character_sums_to_zero(self):
         cfg = quadratic3_config()
-        muted = dataclasses.replace(
-            cfg, char_values=tuple(cfg.field.zero for _ in cfg.char_values)
-        )
+        muted = muted_config(cfg)
         assert twisted_series_value(muted, 3).is_zero()
 
     def test_modulus_one_includes_index_zero_correction(self):
