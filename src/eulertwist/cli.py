@@ -275,11 +275,13 @@ def _resolve_character(spec: str, modulus: int):
 #     products)                                                   d 99, z 33, q 2, n 8: 0.0143 -> 0.0135;
 #                                                                 d 97, quadratic, z 7, q 1, n 40: 0.050 -> 0.069;
 #                                                                 d 97, index:1, z 99, q 2, n 1: 0.38 -> 8.22
-#   float sums         8e-7 per index up to the stop index        d 1, q 1001/997, n 20 (thm3): 0.78 -> 0.97;
-#     (thm3, thm6 at   (lfunction.stop_index) of each             d 45, z 3, q 1001/997, n 20 (thm3): 0.62 -> 0.97;
-#     s = 0..-n; lfun) l_series_sum call, at LParams' tol and     lfun q 100001/100000, s 0, d 1, 3: 4.68, 3.25 -> 6.37;
-#                      max_terms in a grid; 0 where it raises     q 10001/10000, s -30, d 1: 6.44 -> 7.72;
-#                      before its first term                      q 10001/10000, s 3+4i, d 1: 0.57 -> 0.65
+#   float sums         6.5e-7 per summed term: the phi(d)/d of    d 1, q 1001/997, n 20 (thm3): 0.56 -> 0.79;
+#     (thm3, thm6 at   the indices up to the stop index           d 45, z 3, q 1001/997, n 20 (thm3): 0.39 -> 0.42;
+#     s = 0..-n; lfun) (lfunction.stop_index) of each             lfun q 100001/100000, s 0, d 1: 4.5-5.0 -> 5.18;
+#                      l_series_sum call with chi(m) != 0, at     d 3: 3.0-3.5 -> 3.45;
+#                      LParams' tol and max_terms in a grid; 0    q 10001/10000, s -30, d 1: 5.3-6.2 -> 6.27;
+#                      where it raises before its first term,     q 10001/10000, s 3+4i, d 1: 0.40-0.62 -> 0.53
+#                      as where no stop index meets tol
 #   p-adic walk        4.6e-12 (p^levels h)^2 per exponent        p 3, 9 levels, q 3*10^30+1, n 40: 18.3 -> 18.2;
 #                      (7.5e-13 at exponent 0)                    p 19991, 1 level, q 19991*10^30+1, n 0: 3.69 -> 3.89
 #     The 6x gap is printing, not the walk: CPython 3.11 writes an int in decimal in quadratic time, and at n 0
@@ -327,12 +329,14 @@ def _point_parts(n: int, d: int, char_order: int, z: int, q) -> tuple:
     return values, series, residues
 
 
-def _float_sums_s(re_abs_values, q, tol: float, max_terms: int) -> float:
-    """`l_series_sum` at each |Re s|: 8e-7 s per term up to its stop index, none where it raises at once."""
+def _float_sums_s(re_abs_values, d: int, q, tol: float, max_terms: int) -> float:
+    """`l_series_sum` at each |Re s|: 6.5e-7 s per summed term, the phi(d)/d of the indices up to its stop
+    index where chi(m) != 0; none where it raises at once, also where no stop index meets tol."""
     seconds = 0.0
     for re_abs in re_abs_values:
         with contextlib.suppress(MathError):
-            seconds += 8e-7 * stop_index(re_abs, q, tol, max_terms)[0]
+            stop, tail = stop_index(re_abs, q, tol, max_terms)
+            seconds += 0.0 if tail is None else 6.5e-7 * stop * euler_phi(d) / d
     return seconds
 
 
@@ -347,7 +351,8 @@ def _grid_s(grid) -> float:
     (configurations, cor3's at q = 1, eq15's q, eq22's (d, z), eq28's tables, cor2's primes), plus the
     fields."""
     n, families = grid.n_max, [0.0] * 6
-    floats = {q: _float_sums_s(range(n + 1), q, LParams.tol, LParams.max_terms) for q in grid.q_values}
+    floats = {(d, q): _float_sums_s(range(n + 1), d, q, LParams.tol, LParams.max_terms)
+              for d in grid.moduli for q in grid.q_values}
     orders = set()
     for d in grid.moduli:
         for _, char in checks.grid_characters(d):
@@ -355,7 +360,7 @@ def _grid_s(grid) -> float:
                 orders.add(math.lcm(z, char.value_order))
                 for q in grid.q_values:
                     values, series, residues = _point_parts(n, d, char.value_order, z, q)
-                    families[0] += 1e-3 + values + max(series, residues, floats[q])
+                    families[0] += 1e-3 + values + max(series, residues, floats[d, q])
                 values, _, residues = _point_parts(n, d, char.value_order, z, 1)
                 families[1] += 1e-3 + values + residues
         families[2] += sum(5e-4 * (d + euler_phi(z)) for z in grid.zeta_orders)
@@ -384,7 +389,7 @@ def predicted_seconds(args) -> float:
     seconds = 1e-3 + _field_s(math.lcm(args.zeta_order, char_order))
     if args.command == "twisted":
         return seconds + _point_parts(max(args.n), args.d, char_order, args.zeta_order, args.q)[0]
-    return seconds + _float_sums_s([abs(args.s.real)], args.q, args.tol, args.max_terms)
+    return seconds + _float_sums_s([abs(args.s.real)], args.d, args.q, args.tol, args.max_terms)
 
 
 def _emit(args, text: str) -> None:

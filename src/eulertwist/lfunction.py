@@ -4,6 +4,11 @@ interpolation of the exact twisted Eulerian values at negative integers.
 The series q/(1+q)^(s-1) * sum_{m>=1} (-1)^m chi(m) zeta^m / (q^m m^s)
 converges geometrically for rational q > 1; truncation is controlled by an
 explicit majorant, never by eyeballing successive terms.
+
+What a term holds apart from s is kept per config, in one summand table: the
+periodic coefficients and, for each m with chi(m) != 0 up to a fixed cap,
+ln m and m ln q.  A scan over s at one config then costs one exp and two
+products per term, with the same bits as summing each term afresh.
 """
 from __future__ import annotations
 
@@ -37,27 +42,46 @@ def l_prefactor(s: complex, q: float) -> complex:
     return q * cmath.exp((1 - s) * math.log(1 + q))
 
 
-# The config evaluated last, its coefficients and ln q; holding the config,
-# the identity test below matches no other object.  Callers scan s per config.
-_last_terms: tuple = (None, [], 0.0)
+class _Summands:
+    """One config's series data, none of it depending on s: q's double and its
+    ln; sign(m) chi(m) zeta^m embedded for m mod lcm(2, d, twist order),
+    None where chi(m) = 0 and the series skips the term; and the rows
+    (m, c_m, ln m, m ln q), as four parallel lists, of every m <= reach with
+    chi(m) != 0.  reach is the largest stop summed so far, capped at
+    _ROW_CAP; past it, terms are summed as they are met and not kept."""
+
+    __slots__ = ("cfg", "q", "ln_q", "coefficients", "reach", "ms", "cs", "lms", "mqs")
+
+    def __init__(self, cfg: TwistedConfig):
+        d, order = cfg.char.modulus, cfg.zeta_order
+        chi = [embed_complex(cfg.char_value(a), 1) for a in range(d)]
+        zeta = [embed_complex(cfg.zeta_pow(m), 1) for m in range(order)]
+        self.cfg, self.q = cfg, float(cfg.q)
+        self.ln_q = math.log(self.q)
+        self.coefficients = [
+            (-1.0 if m % 2 else 1.0) * chi[m % d] * zeta[m % order] if chi[m % d] != 0 else None
+            for m in range(math.lcm(2, d, order))
+        ]
+        self.reach, self.ms, self.cs, self.lms, self.mqs = 0, [], [], [], []
 
 
-def _terms(cfg: TwistedConfig) -> tuple:
-    """(sign(m) chi(m) zeta^m embedded for m mod lcm(2, d, twist order), None
-    where chi(m) = 0 and the series skips the term; ln of q's double)."""
-    global _last_terms
-    last, coefficients, ln_q = _last_terms
-    if last is cfg:
-        return coefficients, ln_q
-    d, order = cfg.char.modulus, cfg.zeta_order
-    chi = [embed_complex(cfg.char_value(a), 1) for a in range(d)]
-    zeta = [embed_complex(cfg.zeta_pow(m), 1) for m in range(order)]
-    coefficients = [
-        (-1.0 if m % 2 else 1.0) * chi[m % d] * zeta[m % order] if chi[m % d] != 0 else None
-        for m in range(math.lcm(2, d, order))
-    ]
-    _last_terms = (cfg, coefficients, math.log(float(cfg.q)))
-    return _last_terms[1:]
+# Rows are kept for m up to this cap, so a held table stays under about 2 MB.
+_ROW_CAP = 2**14
+
+# The table of the config summed last; holding the config, the identity test
+# below matches no other object.  Callers scan s per config.
+_held: _Summands | None = None
+
+
+def _ln_q(q) -> float:
+    """ln of q's double, after the checks the sum makes before its first term."""
+    try:
+        q_float = float(q)
+    except OverflowError as exc:
+        raise OutsideDoubleRange("q exceeds double range") from exc
+    if q_float <= 1 and q <= 1:  # the exact test decides a q that rounds to 1.0
+        raise OutsideConvergence(f"series evaluation needs q > 1, got q={q}")
+    return math.log(q_float)
 
 
 def _first_failure(holds, lo: int, hi: int, guess: float) -> int:
@@ -82,13 +106,7 @@ def stop_index(re_abs: float, q, tol: float, max_terms: int) -> tuple:
     >>> stop_index(0.0, 2, 1e-12, 200000)[0]
     84
     """
-    try:
-        q_float = float(q)
-    except OverflowError as exc:
-        raise OutsideDoubleRange("q exceeds double range") from exc
-    if q_float <= 1 and q <= 1:  # the exact test decides a q that rounds to 1.0
-        raise OutsideConvergence(f"series evaluation needs q > 1, got q={q}")
-    return _indices(re_abs, math.log(q_float), tol, max_terms)
+    return _indices(re_abs, _ln_q(q), tol, max_terms)
 
 
 @lru_cache(maxsize=256)
@@ -114,32 +132,56 @@ def _indices(re_abs: float, ln_q: float, tol: float, max_terms: int) -> tuple:
 
 def l_series_sum(params: LParams) -> LEvaluation:
     """The bare alternating series, without the prefactor: terms 1..M in
-    order, M from `stop_index`, with the periodic coefficients and ln q
-    computed once per config object; NotConverged before the first term
-    where no M <= max_terms meets the tolerance."""
-    s = complex(params.s)
-    stop, tail = stop_index(abs(s.real), params.cfg.q, params.tol, params.max_terms)
+    order, M from `stop_index`; NotConverged before the first term where no
+    M <= max_terms meets the tolerance.  The config's table is built once per
+    config object, and a term whose row it holds costs one exp and two
+    products; the first pass over a new m computes its row, sums the term and
+    keeps the row."""
+    global _held
+    s, cfg = complex(params.s), params.cfg
+    held = _held if _held is not None and _held.cfg is cfg else None
+    stop, tail = _indices(abs(s.real), held.ln_q if held else _ln_q(cfg.q), params.tol, params.max_terms)
     if tail is None:
         raise NotConverged(f"tail bound not reached within {params.max_terms} terms")
-    coefficients, ln_q = _terms(params.cfg)
-    cycle = len(coefficients)
-    neg_s, log, exp = -s, math.log, cmath.exp
+    if held is None:
+        held = _held = _Summands(cfg)
+    neg_s, exp = -s, cmath.exp
     total = 0j
+    m = reach = held.reach
     try:
-        for m in range(1, stop + 1):
-            c = coefficients[m % cycle]
-            if c is not None:
-                total += c * exp(neg_s * log(m) - m * ln_q)
+        for m, c, lm, mq in zip(held.ms, held.cs, held.lms, held.mqs):
+            if m > stop:
+                break
+            total += c * exp(neg_s * lm - mq)
+        else:  # every held row is summed; the m in (reach, stop] are new
+            coefficients, ln_q, log, cap = held.coefficients, held.ln_q, math.log, _ROW_CAP
+            cycle = len(coefficients)
+            ms, cs, lms, mqs = held.ms, held.cs, held.lms, held.mqs
+            for m in range(reach + 1, min(stop, cap) + 1):
+                c = coefficients[m % cycle]
+                if c is not None:
+                    lm, mq = log(m), m * ln_q
+                    ms.append(m)
+                    cs.append(c)
+                    lms.append(lm)
+                    mqs.append(mq)
+                    total += c * exp(neg_s * lm - mq)
+            for m in range(cap + 1, stop + 1):  # past the cap: streamed, not kept
+                c = coefficients[m % cycle]
+                if c is not None:
+                    total += c * exp(neg_s * log(m) - m * ln_q)
     except OverflowError as exc:
         raise NotConverged(f"term {m} overflows double precision") from exc
+    finally:  # a row is kept before its term is summed, so an overflow leaves it held
+        held.reach = max(reach, min(m, _ROW_CAP))
     return LEvaluation(value=total, terms_used=stop, tail_bound=tail)
 
 
 def l_eval(params: LParams) -> LEvaluation:
     """Full L-value: prefactor times the truncated series."""
     inner = l_series_sum(params)
-    try:
-        value = l_prefactor(complex(params.s), float(params.cfg.q)) * inner.value
+    try:  # q's double, held for the config just summed
+        value = l_prefactor(complex(params.s), _held.q) * inner.value
     except OverflowError as exc:
         raise NotConverged("non-finite value") from exc
     if not (math.isfinite(value.real) and math.isfinite(value.imag)):

@@ -409,8 +409,8 @@ def test_zeta_order_above_bound_is_rejected_before_computing(capsys, monkeypatch
 @pytest.mark.parametrize("command, extra", [
     # Q(zeta_7954), degree 3840: A_0 and A_1 took 33 s after the field
     ("twisted", ["--q", "2", "--d", "83", "--char", "index:1", "--zeta-order", "97", "--n", "1"]),
-    # 7,967,461 float terms: 5.5 s
-    ("lfun", ["--q", "100001/100000", "--d", "3", "--s", "0", "--max-terms", "10000000"]),
+    # 9,649,962 float terms, all summed at d = 1: 5.3 to 6.2 s
+    ("lfun", ["--q", "10001/10000", "--d", "1", "--s", "-30", "--max-terms", "10000000"]),
 ])
 def test_point_work_above_bound_is_rejected_before_any_field(capsys, monkeypatch, command, extra):
     from eulertwist import twisted
@@ -575,8 +575,8 @@ OVER_BUDGET = [
     ["integral", "--n", "40", "--q", "3000000000000000000000000000001", "--p", "3", "--levels", "9"],
     ["integral", "--n", "40", "--q", f"10/{3**8000 + 1}", "--p", "3", "--levels", "2"],
     ["check", "--relation", "thm2", "--grid", {"primes": [5], "level_max": 9}],  # cor2 would walk 5^9 terms
-    # 10^7 float terms in 7 s, then NotConverged
-    ["lfun", "--q", "1000001/1000000", "--d", "3", "--s", "0", "--max-terms", "10000000"],
+    # 9,649,962 float terms, all summed at d = 1: 5.3 to 6.2 s
+    ["lfun", "--q", "10001/10000", "--d", "1", "--s", "-30", "--max-terms", "10000000"],
 ]
 
 
@@ -587,6 +587,19 @@ def test_runs_over_the_work_budget_are_rejected_before_any_work(capsys, monkeypa
     code = cli.main(argv)
     err = capsys.readouterr().err
     assert code == 2 and "work budget MAX_WORK_S" in err and "Traceback" not in err
+
+
+def test_unreachable_tail_bound_is_priced_as_no_sum(capsys):
+    # no index up to 10^7 meets the tolerance, so the sum raises before its
+    # first term: nothing is priced for it and the run exits 3 at once
+    argv = ["lfun", "--q", "1000001/1000000", "--d", "3", "--s", "0", "--max-terms", "10000000"]
+    args = cli.build_parser().parse_args(argv)
+    args.character = cli._resolve_character(args.char, args.d)
+    assert cli.predicted_seconds(args) < 0.01
+    start = time.perf_counter()
+    assert cli.main(argv) == 3
+    assert time.perf_counter() - start < 1.0
+    assert "tail bound not reached within 10000000 terms" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [

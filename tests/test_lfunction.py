@@ -60,7 +60,7 @@ class TestEvaluation:
     def test_unreachable_tail_bound_raises_before_any_term(self, monkeypatch, q, max_terms):
         # at s = 0 the tail bound 1e-12 needs 84 terms at q = 2 and about
         # 8.4e7 at q = 1 + 1e-6; with fewer allowed, nothing is summed
-        monkeypatch.setattr(lfunction, "_terms", lambda cfg: pytest.fail("a term was evaluated"))
+        monkeypatch.setattr(lfunction, "_Summands", lambda cfg: pytest.fail("a term was evaluated"))
         with pytest.raises(NotConverged):
             l_series_sum(LParams(s=0j, cfg=quadratic3_config(q), max_terms=max_terms))
 
@@ -236,6 +236,108 @@ class TestSameBitsAsThePerTermLoop:
         got = outcome(l_series_sum, params)
         assert got[0] == "NotConverged" and "overflows double precision" in got[1]
         assert got == outcome(reference_series_sum, params)
+
+    def test_two_configs_interleaved(self):
+        first = TwistedConfig.build(quadratic_character(7), 9, 2, F(6, 5))
+        second = TwistedConfig.build(enumerate_characters(5)[1], 3, 1, F(11, 10))
+        for j in range(8):
+            for cfg in (first, second):
+                params = LParams(s=complex(4 - j, 5 * j - 20), cfg=cfg)
+                assert outcome(l_series_sum, params) == outcome(reference_series_sum, params)
+                assert outcome(l_eval, params) == outcome(reference_eval, params)
+
+    def test_stops_that_shrink_then_grow(self):
+        cfg = TwistedConfig.build(quadratic_character(5), 3, 1, F(6, 5))
+        stops = []
+        for re_s, tol in ((8, 1e-12), (2, 1e-6), (0, 1e-3), (-3, 1e-12), (12, 1e-14), (1, 1e-9), (20, 1e-12)):
+            params = LParams(s=complex(re_s, 7), cfg=cfg, tol=tol)
+            stops.append(outcome(l_series_sum, params)[1])
+            assert outcome(l_series_sum, params) == outcome(reference_series_sum, params)
+            assert outcome(l_eval, params) == outcome(reference_eval, params)
+        assert stops[1] < stops[0] and stops[2] < stops[1] and stops[4] > stops[0] and stops[6] > stops[4]
+
+    def test_vertical_lines(self):
+        # the access pattern of a scan over s: 180 points on each of four lines
+        cfg = TwistedConfig.build(enumerate_characters(7)[2], 9, 4, F(6, 5))
+        for sigma in (8.0, -2.0, 3.25, 0.5):
+            for j in range(180):
+                params = LParams(s=complex(sigma, -40 + 80 * j / 179), cfg=cfg)
+                assert outcome(l_eval, params) == outcome(reference_eval, params)
+
+    def test_sums_past_the_row_cap(self, monkeypatch):
+        monkeypatch.setattr(lfunction, "_ROW_CAP", 40)
+        cfg = TwistedConfig.build(quadratic_character(3), 3, 2, F(3, 2))
+        for re_s, tol in ((0, 1e-3), (0, 1e-12), (6, 1e-12), (1, 1e-6), (0, 1e-12), (-4, 1e-14)):
+            params = LParams(s=complex(re_s, 3), cfg=cfg, tol=tol)
+            assert outcome(l_series_sum, params) == outcome(reference_series_sum, params)
+            assert outcome(l_eval, params) == outcome(reference_eval, params)
+
+    @pytest.mark.parametrize("cap, first", [(2**14, 100 + 0j), (2**14, -171 + 0j), (8, 100 + 0j)])
+    def test_overflow_in_held_new_and_streamed_rows(self, monkeypatch, cap, first):
+        # s = 100 holds every row up to its stop, past the terms that overflow
+        # at s = -200 and -171; s = -171 first overflows while it meets new m;
+        # with the cap at 8 those terms are streamed
+        monkeypatch.setattr(lfunction, "_ROW_CAP", cap)
+        cfg = quadratic3_config()
+        for s in (first, -200 + 0j, complex(-160, 25), -171 + 0j, 2 + 0j, -171 + 0j, 100 + 0j, 3j):
+            params = LParams(s=s, cfg=cfg)
+            assert outcome(l_series_sum, params) == outcome(reference_series_sum, params)
+        assert lfunction._held.cfg is cfg and lfunction._held.ms[-1] <= cap
+
+
+class TestSummandTable:
+    """The held table's work, counted by calls to ln, and its size."""
+
+    @staticmethod
+    def count_logs(monkeypatch) -> list:
+        calls = []
+        real = math.log
+        monkeypatch.setattr(lfunction.math, "log", lambda x: calls.append(x) or real(x))
+        return calls
+
+    @staticmethod
+    def summed(cfg, lo: int, hi: int) -> list:
+        return [m for m in range(lo + 1, hi + 1) if cfg.twisted_char(m) is not None]
+
+    def test_ln_m_only_for_new_m(self, monkeypatch):
+        cfg = TwistedConfig.build(quadratic_character(5), 3, 1, F(6, 5))
+        small, large = LParams(s=complex(2, 1), cfg=cfg), LParams(s=complex(8, -3), cfg=cfg)
+        first = l_eval(small)
+        for s in (complex(2, 9), complex(0.5, -4), complex(-1, 2)):  # stops no larger
+            lfunction.stop_index(abs(s.real), cfg.q, 1e-12, 200000)  # the stop index is cached, not counted
+            calls = self.count_logs(monkeypatch)
+            assert l_series_sum(LParams(s=s, cfg=cfg)).terms_used <= first.terms_used
+            assert calls == []
+            monkeypatch.undo()
+        lfunction.stop_index(8.0, cfg.q, 1e-12, 200000)
+        calls = self.count_logs(monkeypatch)
+        stop = l_series_sum(large).terms_used
+        assert stop > first.terms_used
+        assert calls == self.summed(cfg, first.terms_used, stop)
+
+    def test_rows_never_exceed_the_cap(self, monkeypatch):
+        monkeypatch.setattr(lfunction, "_ROW_CAP", 50)
+        cfg = quadratic3_config(F(3, 2))
+        stop = l_series_sum(LParams(s=1j, cfg=cfg)).terms_used
+        held = lfunction._held
+        assert stop > 50 and held.reach == 50
+        assert held.ms == self.summed(cfg, 0, 50)
+        assert len(held.cs) == len(held.lms) == len(held.mqs) == len(held.ms)
+        calls = self.count_logs(monkeypatch)
+        l_series_sum(LParams(s=2j, cfg=cfg))
+        assert calls == self.summed(cfg, 50, stop)  # past the cap each sum streams its terms
+        assert held.ms == self.summed(cfg, 0, 50)
+
+    def test_a_new_config_releases_the_old_rows(self):
+        import sys
+
+        l_series_sum(LParams(s=1j, cfg=quadratic3_config(F(3, 2))))
+        old = lfunction._held
+        assert old.ms
+        cfg = quadratic3_config(F(5, 2))
+        l_series_sum(LParams(s=1j, cfg=cfg))
+        assert lfunction._held.cfg is cfg
+        assert sys.getrefcount(old) == 2  # this name and the call's argument
 
 
 class TestCoefficientReuse:
