@@ -251,51 +251,25 @@ class CyclotomicNumber:
     __rmul__ = __mul__
 
     def inverse(self) -> "CyclotomicNumber":
-        """Multiplicative inverse: solve (multiplication by num) x = 1 over
-        the integers by fraction-free (Bareiss) elimination."""
+        """Multiplicative inverse by the norm: for b = num (over denominator
+        1), b times rest = prod_(k != 1) sigma_k(b) over the units k mod N is
+        the rational integer N(b) (Washington, *Introduction to Cyclotomic
+        Fields*, ch. 2), so 1/a = rest * den / N(b).  The conjugates come in
+        pairs sigma_k, sigma_(N-k), so rest is sigma_(N-1)(b) times the
+        product of sigma_k(b sigma_(N-1)(b)) over the units 1 < k < N/2."""
         if self.is_zero():
             raise DivisionByZero("inverse of zero in a cyclotomic field")
         field, num, den = self.field, self.num, self.den
-        n = field.degree
+        order = field.order
         if not any(num[1:]):
             return field.from_rational(Fraction(den, num[0]))
-        # Column j of the matrix is num * x^j mod Phi_N; each row ends with
-        # its coefficient of the right-hand side 1.
-        columns = [list(num)]
-        for _ in range(n - 1):
-            last = columns[-1]
-            lead = last[-1]
-            column = [0] + last[:-1]
-            if lead:
-                for i, r in field._high_rows[0]:
-                    column[i] += lead * r
-            columns.append(column)
-        rows = [[*row, 0] for row in zip(*columns)]
-        rows[0][n] = 1
-        # Entries left of the diagonal are never read again, so they are
-        # not cleared.
-        previous = 1
-        for k in range(n):
-            if rows[k][k] == 0:
-                swap = next(r for r in range(k + 1, n) if rows[r][k])
-                rows[k], rows[swap] = rows[swap], rows[k]
-            pivot = rows[k][k]
-            tail = rows[k][k + 1 :]
-            for row in rows[k + 1 :]:
-                factor = row[k]
-                row[k + 1 :] = [
-                    (pivot * x - factor * y) // previous for x, y in zip(row[k + 1 :], tail)
-                ]
-            previous = pivot
-        # rows is now upper triangular with rows[n-1][n-1] = +-det; back
-        # substitution yields det * x, every division exact.
-        det = rows[n - 1][n - 1]
-        x = [0] * n
-        for i in range(n - 1, -1, -1):
-            row = rows[i]
-            acc = det * row[n] - sum([a * b for a, b in zip(row[i + 1 : n], x[i + 1 :])])
-            x[i] = acc // row[i]
-        return CyclotomicNumber(field, [c * den for c in x], det)
+        b = _make(field, num, 1)
+        rest = _substitute(b, field, order - 1)
+        real = b * rest
+        for k in range(2, (order + 1) // 2):
+            if math.gcd(k, order) == 1:
+                rest = rest * _substitute(real, field, k)
+        return rest * Fraction(den, (b * rest).num[0])
 
     def __truediv__(self, other) -> "CyclotomicNumber":
         other = self._coerce(other)

@@ -4,7 +4,8 @@ The reference reduces, multiplies and inverts with sympy polynomials over
 QQ (``Poly.rem`` and ``Poly.invert`` modulo Phi_N), which share no code with
 the package.  Results must agree coefficient for coefficient and stay in
 canonical form; the complex embedding must agree bit for bit with a
-Fraction Horner loop.
+Fraction Horner loop.  The inverse by the norm is also checked against a
+fraction-free (Bareiss) linear solve, which needs no sympy.
 """
 import cmath
 import math
@@ -19,8 +20,12 @@ from eulertwist import cyclotomic_field, cyclotomic_polynomial, embed_complex
 from eulertwist.cyclotomic import CyclotomicNumber
 from eulertwist.errors import DivisionByZero
 
-sympy = pytest.importorskip("sympy")
-X = sympy.Symbol("x")
+try:
+    import sympy
+except ImportError:  # the sympy references skip; the Bareiss oracle runs without it
+    sympy = None
+needs_sympy = pytest.mark.skipif(sympy is None, reason="sympy is not installed")
+X = sympy.Symbol("x") if sympy else None
 ORDERS = (9, 36, 54)
 
 
@@ -102,6 +107,7 @@ def field_pairs(draw):
     return field, draw(elements(field)), draw(elements(field))
 
 
+@needs_sympy
 @settings(max_examples=60, deadline=None)
 @given(field_pairs(), rationals, st.integers(-40, 40))
 def test_ring_operations_match_reference(pair, scalar, integer):
@@ -125,6 +131,7 @@ def test_ring_operations_match_reference(pair, scalar, integer):
         assert_canonical(got)
 
 
+@needs_sympy
 @settings(max_examples=40, deadline=None)
 @given(field_pairs(), st.integers(-3, 4))
 def test_inverse_and_powers_match_reference(pair, exponent):
@@ -170,11 +177,13 @@ def sympy_cyclotomic(n):
     return tuple(int(c) for c in reversed(sympy.Poly(sympy.cyclotomic_poly(n, X), X).all_coeffs()))
 
 
+@needs_sympy
 @pytest.mark.parametrize("n", [*range(1, 61), 105, 385, 1155, 3168, 7954])
 def test_cyclotomic_polynomial_against_sympy(n):
     assert cyclotomic_polynomial(n) == sympy_cyclotomic(n)
 
 
+@needs_sympy
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from(ORDERS), st.data())
 def test_reduction_matches_reference(order, data):
@@ -188,6 +197,7 @@ def test_reduction_matches_reference(order, data):
 BINOMIAL_ORDERS = (1, 3, 9, 15, 45, 99, 105)
 
 
+@needs_sympy
 @pytest.mark.parametrize("order", BINOMIAL_ORDERS)
 def test_binomial_inverse_matches_reference(order):
     field = cyclotomic_field(order)
@@ -227,24 +237,110 @@ def test_root_exponent_finds_every_power_of_zeta_and_nothing_else(order):
             assert field.root_exponent(other) is None
 
 
+@needs_sympy
 @settings(max_examples=30, deadline=None)
 @given(field_pairs(), st.integers(1, 40))
 def test_powers_use_one_product_per_square_and_set_bit(pair, exponent):
+    """Only the products __pow__ forms itself are counted: inside the window
+    the inverse of a is the one computed before it."""
     field, ra, _ = pair
     a = field.reduce(list(ra))
     if a.is_zero():
         return
-    original, calls = CyclotomicNumber.__mul__, []
+    inverse = a.inverse()
+    original_mul, original_inverse, calls = CyclotomicNumber.__mul__, CyclotomicNumber.inverse, []
 
     def counted(self, other):
         calls.append(1)
-        return original(self, other)
+        return original_mul(self, other)
 
-    CyclotomicNumber.__mul__ = counted
+    def known_inverse(self):
+        assert self is a
+        return inverse
+
+    CyclotomicNumber.__mul__, CyclotomicNumber.inverse = counted, known_inverse
     try:
-        power, inverse = a**exponent, a**-1
+        power, inverse_power = a**exponent, a**-1
     finally:
-        CyclotomicNumber.__mul__ = original
+        CyclotomicNumber.__mul__, CyclotomicNumber.inverse = original_mul, original_inverse
     assert len(calls) == exponent.bit_length() - 1 + bin(exponent).count("1") - 1
     assert power.coeffs == ref_pow(field, ra, exponent)
-    assert inverse == a.inverse()
+    assert inverse_power == inverse
+
+
+def bareiss_inverse(a):
+    """Multiplicative inverse: solve (multiplication by num) x = 1 over
+    the integers by fraction-free (Bareiss) elimination."""
+    if a.is_zero():
+        raise DivisionByZero("inverse of zero in a cyclotomic field")
+    field, num, den = a.field, a.num, a.den
+    n = field.degree
+    if not any(num[1:]):
+        return field.from_rational(F(den, num[0]))
+    # Column j of the matrix is num * x^j mod Phi_N; each row ends with
+    # its coefficient of the right-hand side 1.
+    columns = [list(num)]
+    for _ in range(n - 1):
+        last = columns[-1]
+        lead = last[-1]
+        column = [0] + last[:-1]
+        if lead:
+            for i, r in field._high_rows[0]:
+                column[i] += lead * r
+        columns.append(column)
+    rows = [[*row, 0] for row in zip(*columns)]
+    rows[0][n] = 1
+    # Entries left of the diagonal are never read again, so they are
+    # not cleared.
+    previous = 1
+    for k in range(n):
+        if rows[k][k] == 0:
+            swap = next(r for r in range(k + 1, n) if rows[r][k])
+            rows[k], rows[swap] = rows[swap], rows[k]
+        pivot = rows[k][k]
+        tail = rows[k][k + 1 :]
+        for row in rows[k + 1 :]:
+            factor = row[k]
+            row[k + 1 :] = [
+                (pivot * x - factor * y) // previous for x, y in zip(row[k + 1 :], tail)
+            ]
+        previous = pivot
+    # rows is now upper triangular with rows[n-1][n-1] = +-det; back
+    # substitution yields det * x, every division exact.
+    det = rows[n - 1][n - 1]
+    x = [0] * n
+    for i in range(n - 1, -1, -1):
+        row = rows[i]
+        acc = det * row[n] - sum([a * b for a, b in zip(row[i + 1 : n], x[i + 1 :])])
+        x[i] = acc // row[i]
+    return CyclotomicNumber(field, [c * den for c in x], det)
+
+
+def seeded_elements(field, rng):
+    """Dense and sparse nonzero numerators over denominators 1..20, units
+    and binomials c0 + c1 zeta^k among them."""
+    n = field.degree
+    dense = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(2)]
+    wide = [rng.randint(-2**20, 2**20) for _ in range(n)]
+    sparse = []
+    for size in (1, 2, 3):
+        vec = [0] * n
+        for i in rng.sample(range(n), min(size, n)):
+            vec[i] = rng.choice([-1, 1]) * rng.randint(1, 9)
+        sparse.append(vec)
+    unit = [1] + [0] * (n - 1)
+    if n > 1:
+        unit[1] = 1  # 1 + zeta
+    for num in (*dense, wide, *sparse, unit):
+        yield CyclotomicNumber(field, num, rng.randint(1, 20))
+
+
+@pytest.mark.parametrize("order", [*range(1, 61), 63, 75, 81, 90, 99])
+def test_inverse_by_the_norm_matches_bareiss(order):
+    field = cyclotomic_field(order)
+    for a in seeded_elements(field, random.Random(order)):
+        inverse, expected = a.inverse(), bareiss_inverse(a)
+        assert inverse == expected
+        assert (inverse.num, inverse.den) == (expected.num, expected.den)
+        assert a * inverse == 1
+        assert_canonical(inverse)
