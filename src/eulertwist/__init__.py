@@ -24,15 +24,7 @@ from .cyclotomic import (
 )
 from .errors import MathError
 from .eulerian import descent_oracle, eulerian_at, eulerian_recurrence, power_sum_rational
-from .fermionic import (
-    IntegralSpec,
-    TruncationReport,
-    char_twist_integral,
-    distribution_identity_checks,
-    padic_truncation,
-    poly_twist_integral,
-    riemann_sums,
-)
+from .fermionic import TruncationReport, distribution_identity_checks, padic_truncation, riemann_sums
 from .lfunction import LEvaluation, LParams, interpolation_checks, l_eval, series_partial_sum_checks
 from .rationals import PLUS_INFINITY, padic_valuation, q_bracket, q_bracket_neg
 from .series import TruncatedSeries, exp_sum, nth_taylor_coefficient
@@ -42,7 +34,6 @@ from .twisted import (
     euler_gf_consistency,
     euler_reduction_checks,
     multiplication_residuals,
-    twisted_euler,
     twisted_gf,
     twisted_value,
     twisted_values,

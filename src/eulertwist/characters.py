@@ -203,6 +203,9 @@ def enumerate_characters(modulus: int) -> list[DirichletCharacter]:
     return out
 
 
+_FILE_SHAPE = 'a character file holds {"modulus": d, "order": M, "values": {"a": exponent or null}}'
+
+
 def character_from_json(doc: dict, modulus: int | None = None) -> DirichletCharacter:
     """The character of a to_json document; InvalidCharacter for a document
     of another shape, and for one whose modulus is not `modulus` (when
@@ -212,14 +215,18 @@ def character_from_json(doc: dict, modulus: int | None = None) -> DirichletChara
         order = int(doc["order"])
         table = {int(a): (None if e is None else int(e)) for a, e in doc["values"].items()}
     except (TypeError, KeyError, AttributeError, ValueError) as exc:
-        raise InvalidCharacter(
-            'a character file holds {"modulus": d, "order": M, "values": {"a": exponent or null}}'
-        ) from exc
+        raise InvalidCharacter(_FILE_SHAPE) from exc
     if modulus is not None and read != modulus:
         raise InvalidCharacter(f"character file has modulus {read}, expected {modulus}")
     return character_from_table(read, order, table)
 
 
 def load_character_file(path: str, modulus: int | None = None) -> DirichletCharacter:
-    with open(path, "r", encoding="utf-8") as fh:
-        return character_from_json(json.load(fh), modulus)
+    """The character of a to_json file; InvalidCharacter for a file that is
+    not UTF-8 JSON, as for a document of another shape."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise InvalidCharacter(_FILE_SHAPE) from exc
+    return character_from_json(doc, modulus)

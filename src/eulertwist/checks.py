@@ -158,7 +158,7 @@ def run_eq15(grid: Grid) -> CheckReport:
     moment sequence I(x^n), n <= 8, per q."""
     report = CheckReport("eq15", grid.describe())
     for q in grid.q_values:
-        moments = fermionic._moment_sequence(fermionic.IntegralSpec(n=8, shift=0, twist=1, ratio=1 / q))
+        moments = fermionic._moment_sequence(8, 1 / q)
         for n, lhs in enumerate(moments):
             rhs = Fraction(-1) ** n * eulerian_at(n, -q) / (1 + q) ** n
             report.add(f"n={n} q={format_rational(q)}", lhs == rhs)

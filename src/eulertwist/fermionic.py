@@ -19,17 +19,6 @@ from .rationals import format_rational, padic_valuation, q_bracket_neg
 from .series import _is_zero, power_moments
 
 
-@dataclass(frozen=True)
-class IntegralSpec:
-    """Moment of degree n of the integrand twist^x * (x + shift)^n against
-    the alternating measure with parameter `ratio` (the r in mu_{-r})."""
-
-    n: int
-    shift: object  # field element; u^0 = 1 by convention, including u = 0
-    twist: object  # root of unity (field element)
-    ratio: Fraction
-
-
 def _pivot_inverse(c0, c1, twist):
     """1/(c0 + c1 twist) for rationals c0, c1: by the geometric series
     (``CyclotomicField.binomial_inverse``) when twist is a power of zeta of
@@ -43,54 +32,58 @@ def _pivot_inverse(c0, c1, twist):
     return (Fraction(c0) + c1 * twist) ** -1
 
 
-def _moment_sequence(spec: IntegralSpec) -> list:
-    ratio = Fraction(spec.ratio)
+def _binomial_solve(rhs: list, unit, step: int, pivot_inv) -> list:
+    """x_0 .. x_n of unit sum_{k<=m} C(m,k) step^(m-k) x_k + c x_m = rhs_m,
+    solved upward in m with pivot_inv = 1/(unit + c): per m one
+    integer-scaled sum of the lower x_k, one product by unit and one by
+    pivot_inv."""
+    out: list = []
+    for m, value in enumerate(rhs):
+        if m:
+            lower = sum((math.comb(m, k) * step ** (m - k) * out[k] for k in range(1, m)), step**m * out[0])
+            value = value - unit * lower
+        out.append(value * pivot_inv)
+    return out
+
+
+def _moment_sequence(n: int, ratio, twist=1, shift=0) -> list:
+    """I(twist^x (x+shift)^m) for m = 0..n under mu_(-ratio), from the
+    one-step equation on f(x) = twist^x (x+shift)^m, exact in whatever field
+    the inputs live in (shift^0 = 1, also at shift = 0).  Under mu_(-1) the
+    moments of x^m are the Euler numbers E_m(0):
+
+    >>> [str(x) for x in _moment_sequence(5, 1)]
+    ['1', '-1/2', '0', '1/4', '0', '-1/2']
+    """
+    ratio = Fraction(ratio)
     if ratio == 0:
         raise ValueError("measure parameter must be nonzero")
-    shift = Fraction(spec.shift) if isinstance(spec.shift, int) else spec.shift
-    if _is_zero(1 + ratio * spec.twist):
+    if _is_zero(1 + ratio * twist):
         raise SingularFunctionalEquation("1 + ratio*twist vanishes")
-    pivot_inv = _pivot_inverse(1, ratio, spec.twist)
-    moments = [(1 + ratio) * pivot_inv]
-    for m in range(1, spec.n + 1):
-        acc = sum((math.comb(m, k) * moments[k] for k in range(1, m)), moments[0])
-        rhs = (1 + ratio) * shift**m - ratio * spec.twist * acc
-        moments.append(rhs * pivot_inv)
-    return moments
-
-
-def poly_twist_integral(spec: IntegralSpec):
-    """I(twist^x (x+shift)^n), the unique solution of the functional-equation
-    triangular system; exact in whatever field the inputs live in."""
-    return _moment_sequence(spec)[spec.n]
+    rhs = [(1 + ratio) * shift**m for m in range(n + 1)]
+    return _binomial_solve(rhs, ratio * twist, 1, _pivot_inverse(1, ratio, twist))
 
 
 def _char_moment_sequence(n: int, cfg) -> list:
     """I(zeta^x chi(x) x^m) for m = 0..n at the parameter point cfg (a
-    :class:`~eulertwist.twisted.TwistedConfig`), in its ambient field."""
+    :class:`~eulertwist.twisted.TwistedConfig`), in its ambient field, from
+    the d-step functional equation
+
+        zeta^d sum_k C(m,k) d^(m-k) I_k + q^d I_m
+            = (1+q) sum_{l<d} (-1)^l q^(d-1-l) zeta^l chi(l) l^m,
+
+    solved upward in m.  The alternating kernel exponent d-1-l is the one
+    obtained by iterating the one-step equation d times.
+
+    >>> from eulertwist import TwistedConfig, quadratic_character
+    >>> _char_moment_sequence(0, TwistedConfig.build(quadratic_character(3), 1, 0, 2))[0] == -1
+    True
+    """
     q, d = cfg.q, cfg.char.modulus
     unit = cfg.zeta_pow(d)
-    pivot_inv = _pivot_inverse(q**d, 1, unit)
     kernel = [(l, ((1 + q) * (-1) ** l * q ** (d - 1 - l)) * w)
               for l in range(d) if (w := cfg.twisted_char(l)) is not None]
-    moments: list = []
-    for m, rhs in enumerate(power_moments(kernel, n)):
-        if m:
-            lower = sum((math.comb(m, k) * d ** (m - k) * moments[k] for k in range(1, m)), d**m * moments[0])
-            rhs = rhs - unit * lower
-        moments.append(rhs * pivot_inv)
-    return moments
-
-
-def char_twist_integral(n: int, cfg):
-    """I(zeta^x chi(x) x^n) from the d-step functional equation
-
-        zeta^d sum_k C(n,k) d^(n-k) I_k + q^d I_n
-            = (1+q) sum_{l<d} (-1)^l q^(d-1-l) zeta^l chi(l) l^n,
-
-    solved upward in n.  The alternating kernel exponent d-1-l is the one
-    obtained by iterating the one-step equation d times."""
-    return _char_moment_sequence(n, cfg)[n]
+    return _binomial_solve(power_moments(kernel, n), unit, d, _pivot_inverse(q**d, 1, unit))
 
 
 def residue_class_sums(n_max: int, cfg) -> list:
@@ -101,7 +94,7 @@ def residue_class_sums(n_max: int, cfg) -> list:
     M_k = I(x^k zeta^(dx)), P_j = d^-j sum_a c_a a^j, each zero P_j skipped
     (every j >= 1 at d = 1)."""
     q, d = cfg.q, cfg.char.modulus
-    moments = _moment_sequence(IntegralSpec(n=n_max, shift=0, twist=cfg.zeta_pow(d), ratio=q**-d))
+    moments = _moment_sequence(n_max, q**-d, cfg.zeta_pow(d))
     classes = power_moments([(a, ((-1) ** a * q**-a) * w)
                              for a in range(d) if (w := cfg.twisted_char(a)) is not None], n_max)
     weights = [(j, p * Fraction(1, d**j)) for j, p in enumerate(classes) if not _is_zero(p)]
@@ -240,7 +233,7 @@ def padic_truncation(
     char = principal_character(1) if char is None else char
     q = Fraction(q)
     sums = _walk([n], q, p, max_level, char)[0]
-    exact = char_twist_integral(n, TwistedConfig.build(char, 1, 0, q)).coeffs[0]  # degree 1: chi rational, twist 1
+    exact = _char_moment_sequence(n, TwistedConfig.build(char, 1, 0, q))[n].coeffs[0]  # degree 1: chi rational, twist 1
     levels = []
     for level, total in enumerate(sums):
         partial = total / q_bracket_neg(p**level, 1 / q)

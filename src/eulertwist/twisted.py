@@ -18,8 +18,7 @@ from .characters import DirichletCharacter
 from .cyclotomic import CyclotomicField, CyclotomicNumber, cyclotomic_field
 from .errors import ResidualUndefined
 from .eulerian import periodic_power_sums
-from .fermionic import IntegralSpec, poly_twist_integral, residue_class_sums
-from .fermionic import _char_moment_sequence, _moment_sequence, _pivot_inverse
+from .fermionic import _char_moment_sequence, _moment_sequence, _pivot_inverse, residue_class_sums
 from .rationals import q_bracket_neg
 from .series import TruncatedSeries, exp_quotient, nth_taylor_coefficient
 
@@ -151,12 +150,6 @@ def twisted_value(cfg: TwistedConfig, n: int) -> TwistedValue:
     return twisted_values(cfg, n)[n]
 
 
-def twisted_euler(n: int, zeta_eff, shift):
-    """The twisted Euler polynomial value E_n(shift) for twist zeta_eff:
-    the alternating integral moment at measure parameter 1."""
-    return poly_twist_integral(IntegralSpec(n=n, shift=shift, twist=zeta_eff, ratio=Fraction(1)))
-
-
 def euler_gf_consistency(d_fold: int, zeta_eff, order: int) -> tuple:
     """Two pairs of sides: the d-fold twisted Euler generating function
     2 sum_{l<d} (-1)^l zeta^l e^(lt) / (zeta^d e^(dt) + 1) against its
@@ -167,7 +160,7 @@ def euler_gf_consistency(d_fold: int, zeta_eff, order: int) -> tuple:
     of odd order."""
     if d_fold < 1 or d_fold % 2 == 0:
         raise ValueError("the fold count must be odd")
-    eulers = _moment_sequence(IntegralSpec(n=order - 1, shift=0, twist=zeta_eff, ratio=Fraction(1)))
+    eulers = _moment_sequence(order - 1, 1, zeta_eff)
     unit = zeta_eff**d_fold
     folded = exp_quotient([(l, 2 * (-1) ** l * zeta_eff**l) for l in range(d_fold)], 1,
                           unit, d_fold, _pivot_inverse(1, 1, unit), order)

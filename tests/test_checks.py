@@ -104,12 +104,39 @@ def test_a_bad_power_moment_fails_every_relation_that_reads_one(monkeypatch):
     assert checks.run_relation("distribution", grid).passed
 
 
+def test_a_bad_moment_solve_fails_every_relation_that_reads_one(monkeypatch):
+    """`fermionic._binomial_solve` is the one triangular solve behind both
+    functional equations: a fault in it fails points of eq15, thm1, thm5,
+    cor3 and eq22, whose other sides (the classical polynomials, A_n from the
+    generating function, the telescoped Euler series) never read it.  thm2,
+    thm3, thm6, cor2 and eq28 read no moment and still pass.  distribution
+    reads the solve on both sides, the d-step moments against the one-step
+    moments of its residue classes, and still fails, at every n >= 2: its
+    left side reads the doubled entry only at n = 2, its right side carries
+    M_2 into every n >= 2 through the binomial sum over classes."""
+    real = fermionic._binomial_solve
+
+    def doubled(*args):
+        out = real(*args)
+        if len(out) > 2:
+            out[2] = 2 * out[2]
+        return out
+
+    monkeypatch.setattr(fermionic, "_binomial_solve", doubled)
+    grid = checks.default_grid()
+    for relation in ("eq15", "thm1-residual", "thm5-residual", "cor3", "eq22"):
+        assert checks.run_relation(relation, grid).counts["fail"] > 0, relation
+    for relation in ("thm2", "thm3", "thm6", "cor2-residual", "eq28-residual"):
+        assert checks.run_relation(relation, grid).passed, relation
+    assert checks.run_relation("distribution", grid).counts["fail"] > 0
+
+
 def test_eq15_solves_one_moment_sequence_per_q(monkeypatch):
     real, ratios = fermionic._moment_sequence, []
 
-    def counted(spec):
-        ratios.append(spec.ratio)
-        return real(spec)
+    def counted(n, ratio, *args):
+        ratios.append(ratio)
+        return real(n, ratio, *args)
 
     monkeypatch.setattr(fermionic, "_moment_sequence", counted)
     grid = checks.default_grid()

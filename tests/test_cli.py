@@ -666,19 +666,21 @@ def test_prediction_never_falls_as_the_work_grows():
 
 
 CHAR_FILE_SHAPES = [
-    [3, 2, {"0": None, "1": 0, "2": 1}],  # a list, not an object
-    {"order": 2, "values": {"0": None, "1": 0, "2": 1}},  # no modulus
-    {"modulus": 3, "order": 2, "values": [None, 0, 1]},  # values as a list
+    json.dumps([3, 2, {"0": None, "1": 0, "2": 1}]).encode(),  # a list, not an object
+    json.dumps({"order": 2, "values": {"0": None, "1": 0, "2": 1}}).encode(),  # no modulus
+    json.dumps({"modulus": 3, "order": 2, "values": [None, 0, 1]}).encode(),  # values as a list
+    b"[1,2",  # not JSON
+    b"\xff\xfe[1, 2]",  # not UTF-8
 ]
 
 
-@pytest.mark.parametrize("doc", CHAR_FILE_SHAPES, ids=["list", "no-modulus", "values-list"])
-def test_malformed_character_file_is_an_invalid_character(capsys, tmp_path, doc):
+@pytest.mark.parametrize("text", CHAR_FILE_SHAPES, ids=["list", "no-modulus", "values-list", "not-json", "not-utf8"])
+def test_malformed_character_file_is_an_invalid_character(capsys, tmp_path, text):
     path = tmp_path / "chi.json"
-    path.write_text(json.dumps(doc))
+    path.write_bytes(text)
     code = cli.main(["twisted", "--q", "2", "--d", "3", "--char", f"file:{path}", "--n", "0"])
     err = capsys.readouterr().err
-    assert code == 3 and "InvalidCharacter" in err and "Traceback" not in err
+    assert code == 3 and "InvalidCharacter: a character file holds" in err and "Traceback" not in err
 
 
 def test_character_file_modulus_is_compared_before_the_table_is_checked(capsys, monkeypatch, tmp_path):

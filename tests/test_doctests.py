@@ -1,6 +1,6 @@
 import doctest
 
-from eulertwist import cyclotomic, eulerian, lfunction, series, twisted
+from eulertwist import cyclotomic, eulerian, fermionic, lfunction, series, twisted
 
 
 def test_cyclotomic_doctests():
@@ -11,6 +11,11 @@ def test_cyclotomic_doctests():
 def test_eulerian_doctests():
     failures, _ = doctest.testmod(eulerian)
     assert failures == 0
+
+
+def test_fermionic_doctests():
+    failures, tried = doctest.testmod(fermionic)
+    assert failures == 0 and tried > 0
 
 
 def test_series_doctests():

@@ -9,7 +9,6 @@ import pytest
 from eulertwist import (
     PLUS_INFINITY,
     TwistedConfig,
-    char_twist_integral,
     checks,
     cyclotomic_field,
     distribution_identity_checks,
@@ -17,7 +16,6 @@ from eulertwist import (
     fermionic,
     padic_truncation,
     padic_valuation,
-    poly_twist_integral,
     principal_character,
     q_bracket_neg,
     quadratic_character,
@@ -27,7 +25,6 @@ from eulertwist import (
 from eulertwist.cyclotomic import CyclotomicNumber
 from eulertwist.errors import NotPadicallyConvergent, SingularFunctionalEquation
 from eulertwist.fermionic import (
-    IntegralSpec,
     _char_moment_sequence,
     _moment_sequence,
     alternating_kernel_ratio_check,
@@ -104,27 +101,24 @@ def walk_valuations(char, q, p, max_level, n):
 class TestPolyTwistIntegral:
     def test_zeroth_moment_is_one(self):
         for ratio in (F(1, 2), F(3), F(2, 7)):
-            spec = IntegralSpec(n=0, shift=F(5, 3), twist=1, ratio=ratio)
-            assert poly_twist_integral(spec) == 1
+            assert _moment_sequence(0, ratio, 1, F(5, 3))[0] == 1
 
     def test_first_moment(self):
         q = F(2)
-        spec = IntegralSpec(n=1, shift=0, twist=1, ratio=1 / q)
-        assert poly_twist_integral(spec) == F(-1, 3)  # -1/(1+q)
+        assert _moment_sequence(1, 1 / q, 1, 0)[1] == F(-1, 3)  # -1/(1+q)
 
     def test_second_moment(self):
         q = F(2)
-        spec = IntegralSpec(n=2, shift=0, twist=1, ratio=1 / q)
-        assert poly_twist_integral(spec) == (1 - q) / (1 + q) ** 2
+        assert _moment_sequence(2, 1 / q, 1, 0)[2] == (1 - q) / (1 + q) ** 2
 
     def test_singular_pivot(self):
         with pytest.raises(SingularFunctionalEquation):
-            poly_twist_integral(IntegralSpec(n=1, shift=0, twist=F(-1), ratio=F(1)))
+            _moment_sequence(1, F(1), F(-1), 0)
 
     @pytest.mark.parametrize("q", [F(2), F(3), F(5, 2)])
     @pytest.mark.parametrize("n", range(9))
     def test_witt_identity_with_classical_polynomials(self, n, q):
-        lhs = poly_twist_integral(IntegralSpec(n=n, shift=0, twist=1, ratio=1 / q))
+        lhs = _moment_sequence(n, 1 / q, 1, 0)[n]
         rhs = F(-1) ** n * eulerian_at(n, -q) / (1 + q) ** n
         assert lhs == rhs
 
@@ -137,7 +131,7 @@ class TestPolyTwistIntegral:
             ratio = F(rng.randint(1, 6), rng.randint(1, 6))
             twist = field.zeta_power(rng.randint(0, 2))
             moments = [
-                poly_twist_integral(IntegralSpec(n=k, shift=shift, twist=twist, ratio=ratio))
+                _moment_sequence(k, ratio, twist, shift)[k]
                 for k in range(n + 1)
             ]
             plugged = ratio * twist * sum(
@@ -154,7 +148,7 @@ class TestPolyTwistIntegral:
         twist = {"i": field.zeta_power(3), "zeta3": field.zeta_power(4), "-zeta3": -field.zeta_power(4),
                  "1+zeta12": 1 + field.zeta(), "zeta12^5": field.zeta_power(5)}[twist]
         shift = F(3, 4)
-        moments = [poly_twist_integral(IntegralSpec(n=k, shift=shift, twist=twist, ratio=ratio)) for k in range(6)]
+        moments = [_moment_sequence(k, ratio, twist, shift)[k] for k in range(6)]
         for n in range(6):
             plugged = ratio * twist * sum(math.comb(n, k) * moments[k] for k in range(n + 1)) + moments[n]
             assert plugged == (1 + ratio) * shift**n
@@ -165,18 +159,18 @@ class TestPolyTwistIntegral:
         ratio = F(2, 3)
         shift = F(3, 4)
         for n in range(6):
-            direct = poly_twist_integral(IntegralSpec(n=n, shift=shift, twist=twist, ratio=ratio))
+            direct = _moment_sequence(n, ratio, twist, shift)[n]
             expanded = sum(
                 math.comb(n, k)
                 * shift ** (n - k)
-                * poly_twist_integral(IntegralSpec(n=k, shift=0, twist=twist, ratio=ratio))
+                * _moment_sequence(k, ratio, twist, 0)[k]
                 for k in range(n + 1)
             )
             assert direct == expanded
 
 
 def untwisted_integral(n, char, q):
-    return char_twist_integral(n, TwistedConfig.build(char, 1, 0, q))
+    return _char_moment_sequence(n, TwistedConfig.build(char, 1, 0, q))[n]
 
 
 class TestCharTwistIntegral:
@@ -191,7 +185,7 @@ class TestCharTwistIntegral:
         q = F(2)
         lhs = untwisted_integral(1, principal_character(1), q)
         assert lhs == F(-1, 3)
-        assert lhs == poly_twist_integral(IntegralSpec(n=1, shift=0, twist=1, ratio=1 / q))
+        assert lhs == _moment_sequence(1, 1 / q, 1, 0)[1]
 
     def test_each_kernel_weight_is_formed_once_per_call(self, monkeypatch):
         # every weight chi(l) zeta^l is a power-table row scaled by a
@@ -247,7 +241,7 @@ def per_class_residue_sums(n_max, cfg):
         if chi.is_zero():
             continue
         coeff = ((-1) ** a * q**-a) * (chi * cfg.zeta_pow(a))
-        inner = _moment_sequence(IntegralSpec(n=n_max, shift=F(a, d), twist=cfg.zeta_pow(d), ratio=q**-d))
+        inner = _moment_sequence(n_max, q**-d, cfg.zeta_pow(d), F(a, d))
         sums = [acc + coeff * moment for acc, moment in zip(sums, inner)]
     return sums
 
@@ -267,9 +261,9 @@ class TestResidueClassSums:
     def test_one_moment_sequence_whatever_the_modulus(self, monkeypatch, d):
         calls = []
 
-        def counted(spec):
-            calls.append(spec)
-            return _moment_sequence(spec)
+        def counted(*args):
+            calls.append(args)
+            return _moment_sequence(*args)
 
         monkeypatch.setattr(fermionic, "_moment_sequence", counted)
         residue_class_sums(6, TwistedConfig.build(principal_character(d), 3, 1, F(5, 2)))

@@ -21,7 +21,6 @@ from eulertwist import (
     nth_taylor_coefficient,
     principal_character,
     quadratic_character,
-    twisted_euler,
     twisted_gf,
     twisted_value,
     twisted_values,
@@ -29,6 +28,7 @@ from eulertwist import (
 )
 from eulertwist.checks import grid_characters
 from eulertwist.errors import SingularFunctionalEquation
+from eulertwist.fermionic import _moment_sequence
 from eulertwist.twisted import (
     alternating_char_sums,
     twisted_series_value,
@@ -229,17 +229,17 @@ def test_untwisted_values_reduce_to_classical(q):
 class TestTwistedEuler:
     def test_zeroth_value(self):
         zeta = cyclotomic_field(3).zeta()
-        assert twisted_euler(0, zeta, F(7)) == 2 * (1 + zeta) ** (-1)
+        assert _moment_sequence(0, 1, zeta, F(7))[0] == 2 * (1 + zeta) ** (-1)
 
     def test_classical_zeroth(self):
-        assert twisted_euler(0, 1, 0) == 1
+        assert _moment_sequence(0, 1, 1, 0)[0] == 1
 
     def test_classical_first(self):
-        assert twisted_euler(1, 1, 0) == F(-1, 2)
+        assert _moment_sequence(1, 1, 1, 0)[1] == F(-1, 2)
 
     def test_singular_twist(self):
         with pytest.raises(SingularFunctionalEquation):
-            twisted_euler(1, F(-1), 0)
+            _moment_sequence(1, 1, F(-1), 0)
 
 
 class TestEulerGfConsistency:
