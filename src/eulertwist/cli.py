@@ -262,12 +262,17 @@ def _resolve_character(spec: str, modulus: int):
 #                                                                 d 97, quadratic, z 7, q 2, n 40: 0.70 -> 2.63;
 #                                                                 d 31, quadratic, q 2^40+1, n 40: 1.79 -> 4.46;
 #                                                                 d 99, z 33, q 10^4299+7, n 0: 22.6 -> 31.5
-#   series path        2e-5 P (n+1) + 2e-8 (n+1)^2 P^1.48 h^1.1   d 59, z 15, q 2, n 2: 0.050 -> 0.067;
-#                      D^0.31 + 3.3e-12 (n+1)^3 (P h)^2           d 97, z 3, q 1001/997, n 20: 1.02 -> 1.00;
-#                      + 3e-10 (n+1) D P^2 l^1.1                  d 3, q 10^4299+7, n 5: 1.44 -> 1.45;
-#                                                                 d 99, z 97, q 2, n 0: 2.28 -> 2.91;
-#                                                                 d 91, z 93, q 4, n 1: 6.35 -> 6.27;
-#                                                                 d 75, z 97, q 566821, n 0: 49.3 -> 40.4
+#   series path        the smaller of two fits.  Integer kernel   principal chi, so D = phi(z):
+#                      (power_moments): 1.6e-6 P (n+1)            d 59, z 15, q 2, n 2: 0.003 -> 0.0045;
+#                      + 1e-6 (n+1)^2 D + (n+1) (P h)^2 (6.3e-13  d 97, z 3, q 1001/997, n 20: 0.58 -> 0.37;
+#                      D + (n+1)^2 (3.5e-12 + 5.7e-13 D)), the    d 3, q 10^4299+7, n 5: 1.10 -> 1.45;
+#                      content gcds on D entries of about         d 99, z 97, q 2, n 0: 0.069 -> 0.026;
+#                      (n+1) P h bits.  The cap, fitted to the    d 91, z 93, q 4, n 1: 0.18 -> 0.14;
+#                      weight-by-weight sums it replaced:         d 75, z 97, q 566821, n 0: 1.38 -> 2.31
+#                      2e-5 P (n+1) + 2e-8 (n+1)^2 P^1.48 h^1.1   (the cap: 0.067, 1.00, 1.45, 2.91, 6.27, 40.4).
+#                      D^0.31 + 3.3e-12 (n+1)^3 (P h)^2           The cap admits every grid the old price did;
+#                      + 3e-10 (n+1) D P^2 l^1.1                  at n >= 8 with D > 1 and tall q both fits fall
+#                                                                 short by up to 3x.
 #   residue classes    inverse + division + 9e-6 (n+1)^2          d 97, quadratic, z 7, q 2, n 40: 1.24 -> 1.12;
 #     (one solve,      + 2e-8 (n+1)^2 D'^2 + 1e-12 (n+1)^3 s^2 D' d 31, quadratic, q 2^40+1, n 40: 3.24 -> 1.85;
 #     d (n+1) weights, + 5.7e-10 (n+1)^-0.5 solve(n, s D') D^0.35 d 27, q 10^4299+7, n 0: 1.29 -> 1.65;
@@ -288,7 +293,7 @@ def _resolve_character(spec: str, modulus: int):
 #     each normalized partial has a one-bit numerator.  At p 3, 9 levels, q 3*10^30+1, `padic_truncation` takes
 #     3.0 s at n 0 and 3.3 s at n 5; at n 5 `TruncationReport.to_csv` adds 14.8 s for 1.8 M characters.
 #   integral's exact   7.3e-11 solve(n, h)                        n 40, q 10/(3^8000+1): 46 -> 46
-#   eq15 per q         A_0..A_8 at d = 1                          q (3^9000+1)/7: 0.70 -> 0.97
+#   eq15 per q         integral's exact term at n = 8             q (3^9000+1)/7: 0.22 -> 0.27
 #   eq22 per (d, z)    5e-4 (d + D)                               d 99, z 99: 0.071 -> 0.080
 #   eq28 per table     d (3.5e-5 (1 + log2(h) / 4) + 1.3e-13 s^2) d 99, q 2: 0.0035 -> 0.0035; q 3^800+1: 0.20 -> 0.22
 # Each point adds 1e-3.  A grid configuration costs A_0..A_n and the dearest of series path, residue classes and
@@ -320,9 +325,12 @@ def _point_parts(n: int, d: int, char_order: int, z: int, q) -> tuple:
     products = 4e-8 * (n + 1) ** 2 * zeta_d_degree**2
     gcds = (n + 1) ** 3 * size**2 * zeta_d_degree  # content gcds, quadratic in the bits, at large q
     values = inverse + division + 2e-10 * coefficients + d * products + 1.4e-13 * (d + 10) * gcds
-    series = 2e-5 * period * (n + 1) + 2e-8 * (n + 1) ** 2 * period**1.48 * h**1.1 * degree**0.31
-    series += 3.3e-12 * (n + 1) ** 3 * (period * h) ** 2
-    series += 3e-10 * (n + 1) * degree * period**2 * _log_height(q) ** 1.1
+    # the series path: the integer kernel's fit, capped by the weight-by-weight fit (see the table above)
+    kernel = 1.6e-6 * period * (n + 1) + 1e-6 * (n + 1) ** 2 * degree
+    kernel += (n + 1) * (period * h) ** 2 * (6.3e-13 * degree + (n + 1) ** 2 * (3.5e-12 + 5.7e-13 * degree))
+    weights = 2e-5 * period * (n + 1) + 2e-8 * (n + 1) ** 2 * period**1.48 * h**1.1 * degree**0.31
+    weights += 3.3e-12 * (n + 1) ** 3 * (period * h) ** 2 + 3e-10 * (n + 1) * degree * period**2 * _log_height(q) ** 1.1
+    series = min(kernel, weights)
     residues = inverse + division + 9e-6 * (n + 1) ** 2 + 5.7e-10 * coefficients / (n + 1) ** 0.5
     residues += products / 2 + 1e-12 * gcds
     residues += d * (n + 1) * (1.3e-5 + 3.4e-13 * size**2)
@@ -346,6 +354,11 @@ def _walk_s(p: int, levels: int, h: float, exponents) -> float:
     return per_exponent * math.exp(2 * (min(levels * math.log(p), 100.0) + math.log(h)))
 
 
+def _exact_moments_s(n: int, h: float) -> float:
+    """The moments I(x^0) .. I(x^n) of one one-step solve at a rational ratio of height h."""
+    return 7.3e-11 * (n + 1) ** 3.5 * h**1.5
+
+
 def _grid_s(grid) -> float:
     """A grid's dearest relation, whatever relation runs: the dearest family of points one relation reads
     (configurations, cor3's at q = 1, eq15's q, eq22's (d, z), eq28's tables, cor2's primes), plus the
@@ -367,7 +380,7 @@ def _grid_s(grid) -> float:
         for q in grid.q_values:
             h = _height(q)
             families[3] += grid.random_tables * d * (3.5e-5 * (1 + math.log2(h) / 4) + 1.3e-13 * (d * h) ** 2)
-    families[4] = sum(1e-3 + _point_parts(8, 1, 1, 1, q)[0] for q in grid.q_values)
+    families[4] = sum(1e-3 + _exact_moments_s(8, _height(q)) for q in grid.q_values)
     for p in grid.primes:
         values, series, _ = _point_parts(grid.padic_n_max, p, 2, 1, 1 + p)
         walk = _walk_s(p, grid.level_max, _height(1 + p), range(grid.padic_n_max + 1))
@@ -382,7 +395,7 @@ def predicted_seconds(args) -> float:
         return _grid_s(args.grid)
     if args.command == "integral":
         h = _height(args.q)
-        return 1e-3 + _walk_s(args.p, args.levels, h, [args.n]) + 7.3e-11 * (args.n + 1) ** 3.5 * h**1.5
+        return 1e-3 + _walk_s(args.p, args.levels, h, [args.n]) + _exact_moments_s(args.n, h)
     if args.command not in ("twisted", "lfun"):
         return 0.0
     char_order = args.character.value_order

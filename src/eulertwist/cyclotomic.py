@@ -87,7 +87,10 @@ class CyclotomicField:
         self._root_index = None  # row -> k for the rows of zeta^k, k < order; built on first lookup
 
     def _reduce_ints(self, vec: list[int], den: int) -> "CyclotomicNumber":
-        """vec / den mod Phi_N for an integer vector of length <= table size."""
+        """vec / den mod Phi_N for an integer vector of length <= table size.
+        The power-moment kernel (``series.power_moments``) passes vectors of
+        length N, one slot per exponent of zeta_N, so a table trimmed below N
+        rows must still reduce every exponent up to N - 1."""
         n = self.degree
         out = vec[:n] + [0] * (n - len(vec))
         for c, row in zip(vec[n:], self._high_rows):

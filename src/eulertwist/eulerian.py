@@ -8,11 +8,12 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
+from fractions import Fraction
 from functools import lru_cache, reduce
 
+from .cyclotomic import CyclotomicNumber, cyclotomic_field
 from .errors import OracleTooLarge, PoleAtOne
-from .series import power_moments
+from .series import linear_combination, power_moments
 
 
 @lru_cache(maxsize=None)
@@ -69,25 +70,40 @@ def power_sum_rational(j: int, w):
     return w * eulerian_at(j, w) * inv ** (j + 1)
 
 
-def periodic_power_sums(cycle, n_max: int, z) -> list:
-    """Exact values S_n of sum_{m>=1} c(m) m^n z^m for n = 0..n_max, for a
-    periodic coefficient sequence; cycle[i] = c(i+1) for one full period P.
+def periodic_power_sums(field, terms, period: int, n_max: int, z) -> list:
+    """Exact values S_n of sum_{m>=1} c(m) m^n z^m for n = 0..n_max and a
+    rational z, for a coefficient sequence of period P in `field` =
+    Q(zeta_N): c(m) for 1 <= m <= P is the sum of r zeta_N^e over the
+    (m, rational r, exponent e) triples of `terms`.
 
     Regrouping m = l + j*P gives S_n = sum_k C(n,k) P^k T_k B_(n-k), with the
     tails T_k = :func:`power_sum_rational` (k, z^P) and the residue moments
-    B_i = sum_l c(l) z^l l^i (:func:`power_moments`) each built once for all n.
+    B_i = sum_l c(l) z^l l^i each built once for all n.  With z = u/v, v^P B_i
+    are the :func:`~eulertwist.series.power_moments` of the integer-scaled
+    weights r u^l v^(P-l), so no weight carries a power of v of its own, and
+    each S_n is one :func:`~eulertwist.series.linear_combination`.
     """
-    period = len(cycle)
     if period < 1:
         raise ValueError("need at least one coefficient")
-    w = z**period
-    tails = [power_sum_rational(k, w) for k in range(n_max + 1)]
-    powers_of_z = itertools.accumulate([z] * period, operator.mul)
-    moments = power_moments(enumerate(map(operator.mul, cycle, powers_of_z), start=1), n_max)
-    return [sum(((math.comb(n, k) * period**k * tails[k]) * moments[n - k] for k in range(1, n + 1)),
-                tails[0] * moments[n]) for n in range(n_max + 1)]
+    z = Fraction(z)
+    u, v, w = z.numerator, z.denominator, z**period
+    tails = [power_sum_rational(k, w) * Fraction(period**k, w.denominator) for k in range(n_max + 1)]
+    scaled, scale, at = [], w.denominator, 0  # scale = u^at v^(P-at)
+    for m, r, e in sorted(terms):
+        if not 1 <= m <= period:
+            raise ValueError(f"node {m} lies outside the period 1..{period}")
+        while at < m:
+            scale, at = scale // v * u, at + 1
+        scaled.append((m, r * scale, e))
+    moments = power_moments(field, scaled, n_max)
+    return [linear_combination([math.comb(n, k) * tails[k] for k in range(n + 1)], moments[n::-1])
+            for n in range(n_max + 1)]
 
 
 def periodic_power_sum(cycle, n: int, z):
-    """S_n alone; see :func:`periodic_power_sums`."""
-    return periodic_power_sums(cycle, n, z)[n]
+    """S_n alone, for one period `cycle` (cycle[i] = c(i+1)) of rationals or
+    elements of one cyclotomic field, each entering by its power-basis
+    coefficients; see :func:`periodic_power_sums`."""
+    field = next((c.field for c in cycle if isinstance(c, CyclotomicNumber)), cyclotomic_field(1))
+    terms = [(m, r, e) for m, c in enumerate(cycle, 1) for e, r in enumerate(getattr(c, "coeffs", (c,)))]
+    return periodic_power_sums(field, terms, len(cycle), n, z)[n]

@@ -16,7 +16,7 @@ from .characters import DirichletCharacter, principal_character
 from .cyclotomic import CyclotomicNumber
 from .errors import NotPadicallyConvergent, SingularFunctionalEquation
 from .rationals import format_rational, padic_valuation, q_bracket_neg
-from .series import _is_zero, power_moments
+from .series import _is_zero, linear_combination, power_moments
 
 
 def _pivot_inverse(c0, c1, twist):
@@ -35,13 +35,12 @@ def _pivot_inverse(c0, c1, twist):
 def _binomial_solve(rhs: list, unit, step: int, pivot_inv) -> list:
     """x_0 .. x_n of unit sum_{k<=m} C(m,k) step^(m-k) x_k + c x_m = rhs_m,
     solved upward in m with pivot_inv = 1/(unit + c): per m one
-    integer-scaled sum of the lower x_k, one product by unit and one by
-    pivot_inv."""
+    :func:`~eulertwist.series.linear_combination` of the lower x_k (one
+    content gcd), one product by unit and one by pivot_inv."""
     out: list = []
     for m, value in enumerate(rhs):
         if m:
-            lower = sum((math.comb(m, k) * step ** (m - k) * out[k] for k in range(1, m)), step**m * out[0])
-            value = value - unit * lower
+            value = value - unit * linear_combination([math.comb(m, k) * step ** (m - k) for k in range(m)], out)
         out.append(value * pivot_inv)
     return out
 
@@ -81,9 +80,8 @@ def _char_moment_sequence(n: int, cfg) -> list:
     """
     q, d = cfg.q, cfg.char.modulus
     unit = cfg.zeta_pow(d)
-    kernel = [(l, ((1 + q) * (-1) ** l * q ** (d - 1 - l)) * w)
-              for l in range(d) if (w := cfg.twisted_char(l)) is not None]
-    return _binomial_solve(power_moments(kernel, n), unit, d, _pivot_inverse(q**d, 1, unit))
+    kernel = [(l, (1 + q) * (-1) ** l * q ** (d - 1 - l), e) for l, e in cfg.twisted_exponents(range(d))]
+    return _binomial_solve(power_moments(cfg.field, kernel, n), unit, d, _pivot_inverse(q**d, 1, unit))
 
 
 def residue_class_sums(n_max: int, cfg) -> list:
@@ -95,8 +93,7 @@ def residue_class_sums(n_max: int, cfg) -> list:
     (every j >= 1 at d = 1)."""
     q, d = cfg.q, cfg.char.modulus
     moments = _moment_sequence(n_max, q**-d, cfg.zeta_pow(d))
-    classes = power_moments([(a, ((-1) ** a * q**-a) * w)
-                             for a in range(d) if (w := cfg.twisted_char(a)) is not None], n_max)
+    classes = power_moments(cfg.field, [(a, (-1) ** a * q**-a, e) for a, e in cfg.twisted_exponents(range(d))], n_max)
     weights = [(j, p * Fraction(1, d**j)) for j, p in enumerate(classes) if not _is_zero(p)]
     return [sum((math.comb(n, j) * moments[n - j] * p for j, p in weights if j <= n), classes[0] * 0)
             for n in range(n_max + 1)]

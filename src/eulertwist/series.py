@@ -4,9 +4,14 @@ Coefficients are stored in ordinary t^n normalization (NOT divided by n!);
 conversion to exponential-generating-function coefficients happens only in
 :func:`nth_taylor_coefficient`.  Coefficient types mix freely as long as
 they support field arithmetic: Fraction and CyclotomicNumber both do.
-Exponential sums come from one power-moment kernel (:func:`exp_sum`), and a
-sum over a two-term denominator unit * exp(node rate t) + c is divided out
-directly (:func:`exp_quotient`), with no series inverse or series product.
+A power moment sum r x^j zeta_N^e is taken over (integer node x, rational r,
+exponent e) triples in integers, one vector per moment reduced once mod Phi_N
+(:func:`power_moments`), so no field element is formed per weight.
+Exponential sums read it (:func:`exp_sum`), and a sum over a two-term
+denominator unit * exp(node rate t) + c is divided out directly
+(:func:`exp_quotient`), with no series inverse or series product.  A rational
+combination of field elements is one integer vector over one common
+denominator with one content gcd (:func:`linear_combination`).
 
 >>> geometric = TruncatedSeries.of([1, -1], order=5).inverse()
 >>> geometric.coeffs == (1, 1, 1, 1, 1)
@@ -18,6 +23,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .cyclotomic import CyclotomicNumber
 from .errors import NonUnitConstantTerm, OrderTooLow
 
 
@@ -101,66 +107,95 @@ class TruncatedSeries:
         return {"order": self.order, "coeffs": encoded}
 
 
-def power_moments(terms, n_max: int) -> list:
-    """[sum w x^j for j = 0..n_max] over the (integer node x, weight w)
-    pairs of `terms`, with 0^0 = 1; zero weights are skipped and each weight
-    enters by integer scalings alone.  The sums start from the zero of the
-    first weight, or from the integer 0 when there are no terms.
+def power_moments(field, terms, n_max: int) -> list:
+    """[sum r x^j zeta_N^e for j = 0..n_max] in `field` = Q(zeta_N) over the
+    (integer node x, rational r, exponent e) triples of `terms`, 0^0 = 1.
+    Every r is scaled to one common denominator, and moment j adds r x^j
+    into slot e mod N of one integer vector, reduced mod Phi_N once with one
+    content gcd: no field element is formed per term.
 
-    >>> power_moments([(0, Fraction(5)), (2, Fraction(1, 2)), (3, Fraction(0))], 3)
-    [Fraction(11, 2), Fraction(1, 1), Fraction(2, 1), Fraction(4, 1)]
+    >>> from eulertwist.cyclotomic import cyclotomic_field
+    >>> [str(m.coeffs[0]) for m in power_moments(cyclotomic_field(1), [(0, 5, 0), (2, Fraction(1, 2), 7)], 3)]
+    ['11/2', '1', '2', '4']
     """
-    terms = list(terms)
-    sums = [_zero_like(terms[0][1]) if terms else 0] * (n_max + 1)
-    for x, w in terms:
-        if _is_zero(w):
-            continue
-        sums[0] = sums[0] + w
-        for j in range(1, n_max + 1 if x else 1):
-            w = w * x
-            sums[j] = sums[j] + w
-    return sums
+    rows = [(x, Fraction(r), e % field.order) for x, r, e in terms if r]
+    den = math.lcm(*{r.denominator for _, r, _ in rows})
+    rows = [(x, r.numerator * (den // r.denominator), e) for x, r, e in rows]
+    moments = []
+    for _ in range(n_max + 1):
+        vec = [0] * field.order
+        for _, a, e in rows:
+            vec[e] += a
+        moments.append(field._reduce_ints(vec, den))
+        rows = [(x, a * x, e) for x, a, e in rows if x]
+    return moments
 
 
-def exp_sum(terms, rate, order: int) -> TruncatedSeries:
-    """The series of sum w exp(x rate t) over the (integer node x, weight w)
-    pairs of `terms`: coefficient j is rate^j / j! times power moment j.
+def linear_combination(scales, values):
+    """sum s v over rational scales s and values v that are all rationals or
+    all elements of one cyclotomic field, over one common denominator with
+    one content gcd.
 
-    >>> exp_sum([(1, Fraction(1))], Fraction(1), 4).coeffs
-    (Fraction(1, 1), Fraction(1, 1), Fraction(1, 2), Fraction(1, 6))
+    >>> linear_combination([2, Fraction(1, 3)], [Fraction(1, 4), Fraction(3, 2)])
+    Fraction(1, 1)
+    """
+    pairs = [(Fraction(s), v) for s, v in zip(scales, values) if s]
+    if not isinstance(values[0], CyclotomicNumber):
+        den = math.lcm(*(s.denominator * v.denominator for s, v in pairs))
+        return Fraction(sum(s.numerator * v.numerator * (den // (s.denominator * v.denominator)) for s, v in pairs),
+                        den)
+    den = math.lcm(*(s.denominator * v.den for s, v in pairs))
+    vec = [0] * values[0].field.degree
+    for s, v in pairs:
+        k = s.numerator * (den // (s.denominator * v.den))
+        for i, c in enumerate(v.num):
+            vec[i] += k * c
+    return CyclotomicNumber(values[0].field, vec, den)
+
+
+def exp_sum(field, terms, rate, order: int) -> TruncatedSeries:
+    """The series of sum r zeta_N^e exp(x rate t) over the (integer node x,
+    rational r, exponent e) triples of `terms`, in `field` = Q(zeta_N):
+    coefficient j is rate^j / j! times power moment j.
+
+    >>> from eulertwist.cyclotomic import cyclotomic_field
+    >>> [str(c.coeffs[0]) for c in exp_sum(cyclotomic_field(1), [(1, 1, 0)], 1, 4).coeffs]
+    ['1', '1', '1/2', '1/6']
     """
     if order < 1:
         raise ValueError("series order must be >= 1")
     rate = Fraction(rate)
     return TruncatedSeries(tuple(
-        m * (rate**j / math.factorial(j)) for j, m in enumerate(power_moments(terms, order - 1))
+        m * (rate**j / math.factorial(j)) for j, m in enumerate(power_moments(field, terms, order - 1))
     ))
 
 
-def exp_quotient(terms, rate, unit, node: int, pivot_inv, order: int) -> TruncatedSeries:
-    """The series of sum w exp(x rate t) / (unit exp(node rate t) + c) over the
-    (integer node x, weight w) pairs of `terms`, given pivot_inv = 1/(unit + c),
-    the inverse of the denominator's constant term.
+def exp_quotient(field, terms, rate, unit, node: int, pivot_inv, order: int) -> TruncatedSeries:
+    """The series of sum r zeta_N^e exp(x rate t) / (unit exp(node rate t) + c)
+    over the (integer node x, rational r, exponent e) triples of `terms`, in
+    `field` = Q(zeta_N), given pivot_inv = 1/(unit + c), the inverse of the
+    denominator's constant term.
 
     Every later denominator coefficient is unit (node rate)^j / j!, so the
     quotient is one triangular division,
 
         F_n = (N_n - unit sum_(j=1..n) (node rate)^j / j! F_(n-j)) pivot_inv,
 
-    with rational scalings inside the sum and two field products per
-    coefficient.  N_n is the numerator's :func:`exp_sum`.
+    with the inner sum one :func:`linear_combination` (one content gcd) and
+    two field products per coefficient.  N_n is the numerator's
+    :func:`exp_sum`.
 
-    >>> exp_quotient([(0, Fraction(2))], 1, 1, 1, Fraction(1, 2), 4).coeffs  # 2 / (e^t + 1)
-    (Fraction(1, 1), Fraction(-1, 2), Fraction(0, 1), Fraction(1, 24))
+    >>> from eulertwist.cyclotomic import cyclotomic_field
+    >>> quotient = exp_quotient(cyclotomic_field(1), [(0, 2, 0)], 1, 1, 1, Fraction(1, 2), 4)  # 2 / (e^t + 1)
+    >>> [str(c.coeffs[0]) for c in quotient.coeffs]
+    ['1', '-1/2', '0', '1/24']
     """
-    numerator = exp_sum(terms, rate, order).coeffs
+    numerator = exp_sum(field, terms, rate, order).coeffs
     step = node * Fraction(rate)
     scales = [step**j / math.factorial(j) for j in range(order)]
     out = [numerator[0] * pivot_inv]
     for n in range(1, order):
-        acc = out[n - 1] * scales[1]
-        for j in range(2, n + 1):
-            acc = acc + out[n - j] * scales[j]
+        acc = linear_combination(scales[1 : n + 1], out[::-1])
         out.append((numerator[n] - unit * acc) * pivot_inv)
     return TruncatedSeries(tuple(out))
 

@@ -28,16 +28,17 @@ class TwistedConfig:
     """One parameter point: character chi mod d, twist zeta of odd order z,
     rational q, all inside the ambient field Q(zeta_N), N = lcm(z, value
     order M).  chi(m) = zeta_N^(e_m N/M) and zeta^m = zeta_N^(k m N/z), so
-    chi(m), zeta^m and chi(m) zeta^m are each one power-table row, read by
-    exponent with no lift and no field product.
+    chi(m) and zeta^m are each one power-table row, read by exponent with no
+    lift and no field product, and every exact route reads chi(m) zeta^m as
+    its exponent alone (:meth:`twisted_exponents`), in the (node, rational,
+    exponent) triples of :func:`~eulertwist.series.power_moments`.
 
     >>> from eulertwist.characters import enumerate_characters
     >>> order4 = next(c for c in enumerate_characters(5) if c.value_order == 4)
     >>> cfg = TwistedConfig.build(order4, 3, 1, 2)
-    >>> cfg.twisted_char(2) == cfg.char_value(2) * cfg.zeta_pow(2)
-    True
-    >>> cfg.twisted_char(5) is None
-    True
+    >>> pairs = cfg.twisted_exponents(range(4, 7))  # chi(5) = 0
+    >>> [(m, cfg.field.zeta_power(e) == cfg.char_value(m) * cfg.zeta_pow(m)) for m, e in pairs]
+    [(4, True), (6, True)]
     """
 
     char: DirichletCharacter
@@ -71,10 +72,10 @@ class TwistedConfig:
         e = self._exponents(m)[0]
         return self.field.zero if e is None else self.field.zeta_power(e)
 
-    def twisted_char(self, m: int) -> CyclotomicNumber | None:
-        """chi(m) zeta^m, or None where chi(m) = 0."""
-        e, twist = self._exponents(m)
-        return None if e is None else self.field.zeta_power(e + twist)
+    def twisted_exponents(self, ms) -> list[tuple[int, int]]:
+        """(m, exponent of chi(m) zeta^m in zeta_N) for the m of `ms` with
+        chi(m) != 0."""
+        return [(m, e + twist) for m in ms for e, twist in [self._exponents(m)] if e is not None]
 
     def conjugate(self) -> "TwistedConfig":
         return TwistedConfig.build(
@@ -104,11 +105,12 @@ def twisted_gf(cfg: TwistedConfig, order: int) -> TruncatedSeries:
     one exponential sum at rate -(1+q), every weight formed once, and the
     quotient is one triangular division (:func:`exp_quotient`): two field
     products per coefficient, the pivot zeta^d + q^d inverted once by its
-    geometric series (``CyclotomicField.binomial_inverse``)."""
+    geometric series (``CyclotomicField.binomial_inverse``).  Each weight
+    enters as a (node, rational, exponent) triple, never as a field
+    element."""
     q, d, unit = cfg.q, cfg.char.modulus, cfg.zeta_pow(cfg.char.modulus)
-    weights = [(l, ((1 + q) * (-1) ** l * q ** (d - l + 1)) * w)
-               for l in range(d) if (w := cfg.twisted_char(l)) is not None]
-    return exp_quotient(weights, -(1 + q), unit, d, _pivot_inverse(q**d, 1, unit), order)
+    terms = [(l, (1 + q) * (-1) ** l * q ** (d - l + 1), e) for l, e in cfg.twisted_exponents(range(d))]
+    return exp_quotient(cfg.field, terms, -(1 + q), unit, d, _pivot_inverse(q**d, 1, unit), order)
 
 
 def alternating_char_sums(cfg: TwistedConfig, n_max: int) -> list:
@@ -120,8 +122,8 @@ def alternating_char_sums(cfg: TwistedConfig, n_max: int) -> list:
     into the rational power-sum closed forms; an odd period keeps
     (-1/q)^period away from 1, so at q = 1 this is the Abel sum."""
     period = math.lcm(cfg.char.modulus, cfg.zeta_order)
-    cycle = [cfg.field.zero if w is None else w for w in map(cfg.twisted_char, range(1, period + 1))]
-    return periodic_power_sums(cycle, n_max, -1 / cfg.q)
+    terms = [(m, 1, e) for m, e in cfg.twisted_exponents(range(1, period + 1))]
+    return periodic_power_sums(cfg.field, terms, period, n_max, -1 / cfg.q)
 
 
 def twisted_series_values(cfg: TwistedConfig, n_max: int) -> list[CyclotomicNumber]:
@@ -156,15 +158,22 @@ def euler_gf_consistency(d_fold: int, zeta_eff, order: int) -> tuple:
     telescoped form 2/(zeta e^t + 1), and the Taylor coefficients of that
     form against the integral moments, through order - 1.  Each quotient is
     one triangular division (:func:`exp_quotient`), its pivot zeta^d + 1 or
-    zeta + 1 inverted by the geometric series where zeta is a root of unity
-    of odd order."""
+    zeta + 1 inverted by the geometric series where zeta has odd order.
+    zeta is a power zeta_N^k of its field's root of unity (or the rational
+    1), so zeta^l is the exponent k l."""
     if d_fold < 1 or d_fold % 2 == 0:
         raise ValueError("the fold count must be odd")
+    if not isinstance(zeta_eff, CyclotomicNumber):
+        zeta_eff = cyclotomic_field(1).from_rational(zeta_eff)
+    field = zeta_eff.field
+    k = field.root_exponent(zeta_eff)
+    if k is None:
+        raise ValueError("the twist must be a root of unity of its field")
     eulers = _moment_sequence(order - 1, 1, zeta_eff)
-    unit = zeta_eff**d_fold
-    folded = exp_quotient([(l, 2 * (-1) ** l * zeta_eff**l) for l in range(d_fold)], 1,
+    unit = field.zeta_power(k * d_fold)
+    folded = exp_quotient(field, [(l, 2 * (-1) ** l, k * l) for l in range(d_fold)], 1,
                           unit, d_fold, _pivot_inverse(1, 1, unit), order)
-    direct = exp_quotient([(0, 2 * zeta_eff**0)], 1, zeta_eff, 1, _pivot_inverse(1, 1, zeta_eff), order)
+    direct = exp_quotient(field, [(0, 2, 0)], 1, zeta_eff, 1, _pivot_inverse(1, 1, zeta_eff), order)
     taylor = [nth_taylor_coefficient(direct, n) for n in range(order)]
     return (folded, direct), (taylor, eulers)
 

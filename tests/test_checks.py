@@ -4,7 +4,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from eulertwist import checks, cli, eulerian, fermionic, lfunction, series, twisted
+import eulertwist as et
+from eulertwist import checks, cli, fermionic, lfunction, series, twisted
 from eulertwist.cyclotomic import CyclotomicNumber
 
 SMALL_GRID = checks.Grid(
@@ -81,22 +82,25 @@ def test_a_bad_series_path_fails_only_the_relations_that_read_it(monkeypatch):
 
 
 def test_a_bad_power_moment_fails_every_relation_that_reads_one(monkeypatch):
-    """`series.power_moments` is shared field arithmetic, like the product of
-    two field elements: a fault in it fails points of thm2, thm3, thm6, cor2
-    and eq22, whose other sides (the float sums, the p-adic walk, the Euler
+    """`series.power_moments`, the integer kernel over (node, rational,
+    exponent) triples, is shared field arithmetic, like the product of two
+    field elements: a fault in it fails points of thm2, thm3, thm6, cor2 and
+    eq22, whose other sides (the float sums, the p-adic walk, the Euler
     moments of the one-step solve) never read it, and thm2's two sides read
     it with different weights.  distribution still passes, because both of
     its sides read the same moments, just as they read the same field
     arithmetic."""
     real = series.power_moments
 
-    def doubled(terms, n_max):
-        out = real(terms, n_max)
+    def doubled(field, terms, n_max):
+        out = real(field, terms, n_max)
         if n_max >= 2:
             out[2] = 2 * out[2]
         return out
 
-    for module in (series, fermionic, eulerian):
+    bound = [module for module in vars(et).values() if getattr(module, "power_moments", None) is real]
+    assert {module.__name__.rpartition(".")[2] for module in bound} >= {"series", "fermionic", "eulerian"}
+    for module in bound:
         monkeypatch.setattr(module, "power_moments", doubled)
     grid = checks.default_grid()
     for relation in ("thm2", "thm3", "thm6", "cor2-residual", "eq22"):

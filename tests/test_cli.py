@@ -568,8 +568,9 @@ OVER_BUDGET = [
     ["twisted", "--q", "1001/997", "--d", "97", "--char", "quadratic", "--zeta-order", "7", "--n", "40"],
     ["twisted", "--q", "5/2", "--d", "97", "--char", "quadratic", "--zeta-order", "7", "--n", "40"],
     ["check", "--relation", "cor2", "--grid", {"primes": [89, 97], "level_max": 0, "padic_n_max": 40}],
+    # 10 s (primes 3..47 at the same levels now take 2.2 s and are admitted)
     ["check", "--relation", "cor2", "--grid",
-     {"primes": [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47], "level_max": 1, "padic_n_max": 40}],
+     {"primes": [53, 59, 61, 67, 71, 73, 79, 83, 89, 97], "level_max": 1, "padic_n_max": 40}],
     ["check", "--relation", "eq28-residual", "--grid",
      {"moduli": [99], "q": [str(q) for q in range(2, 12)], "random_tables": 1000}],
     ["integral", "--n", "40", "--q", "3000000000000000000000000000001", "--p", "3", "--levels", "9"],

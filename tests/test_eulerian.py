@@ -114,15 +114,21 @@ class TestPowerSums:
         bound = F(2) ** (-K + math.ceil(j * math.log2(K)) + 4)
         assert abs(tail) < bound
 
+    def test_periodic_sum_refuses_a_node_outside_the_period(self):
+        with pytest.raises(ValueError):
+            periodic_power_sums(cyclotomic_field(1), [(1, 1, 0), (3, 1, 0)], 2, 0, F(1, 3))
+
     def test_periodic_sum_against_partial_sums(self):
-        field = cyclotomic_field(9)
-        inputs = [  # (cycle, zero, n_max): a rational cycle, a generic cyclotomic one
-            ([F(1), F(-2), F(0), F(3, 2), F(1), F(-1)], F(0), 3),
-            ([(-1) ** m * field.zeta_power(2 * m) + F(m, 7) for m in range(1, 19)], field.zero, 6),
+        rational, field = cyclotomic_field(1), cyclotomic_field(9)
+        rational_cycle = [F(1), F(-2), F(0), F(3, 2), F(1), F(-1)]
+        inputs = [  # (field, triples, cycle, zero, n_max): a rational cycle, a generic cyclotomic one
+            (rational, [(m, c, 0) for m, c in enumerate(rational_cycle, 1)], rational_cycle, F(0), 3),
+            (field, [t for m in range(1, 19) for t in ((m, (-1) ** m, 2 * m), (m, F(m, 7), 0))],
+             [(-1) ** m * field.zeta_power(2 * m) + F(m, 7) for m in range(1, 19)], field.zero, 6),
         ]
         z = F(1, 3)
-        for cycle, zero, n_max in inputs:
-            sums = periodic_power_sums(cycle, n_max, z)
+        for ambient, terms, cycle, zero, n_max in inputs:
+            sums = periodic_power_sums(ambient, terms, len(cycle), n_max, z)
             assert len(sums) == n_max + 1
             for n in range(n_max + 1):
                 closed = periodic_power_sum(cycle, n, z)

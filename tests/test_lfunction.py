@@ -297,7 +297,7 @@ class TestSummandTable:
 
     @staticmethod
     def summed(cfg, lo: int, hi: int) -> list:
-        return [m for m in range(lo + 1, hi + 1) if cfg.twisted_char(m) is not None]
+        return [m for m, _ in cfg.twisted_exponents(range(lo + 1, hi + 1))]
 
     def test_ln_m_only_for_new_m(self, monkeypatch):
         cfg = TwistedConfig.build(quadratic_character(5), 3, 1, F(6, 5))

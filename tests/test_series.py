@@ -5,8 +5,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from eulertwist import TruncatedSeries, cyclotomic_field, exp_sum, nth_taylor_coefficient
-from eulertwist.series import exp_quotient, power_moments
+from eulertwist import CyclotomicNumber, TruncatedSeries, cyclotomic_field, exp_sum, nth_taylor_coefficient
+from eulertwist.series import exp_quotient, linear_combination, power_moments
 from eulertwist.errors import NonUnitConstantTerm, OrderTooLow
 
 
@@ -50,8 +50,8 @@ def test_inverse_needs_unit_constant():
 
 
 def exp_of(c, order):
-    """The series of exp(c t), as the one-term exponential sum."""
-    return exp_sum([(1, 1)], c, order)
+    """The series of exp(c t), as the one-term exponential sum over Q."""
+    return exp_sum(cyclotomic_field(1), [(1, 1, 0)], c, order)
 
 
 def test_exp_of_zero():
@@ -134,63 +134,158 @@ def test_series_json_wrapper():
     assert series.to_json() == {"order": 2, "coeffs": ["1/1", "-1/2"]}
 
 
-def random_terms(rng, field):
-    """Seeded (node, weight) pairs over Q (field None) or a cyclotomic field:
-    random nodes and weights, node 0, and a zero weight."""
-    def weight():
-        if field is None:
-            return F(rng.randint(-5, 5), rng.randint(1, 4))
-        return field.reduce([F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(field.degree)])
+def oracle_power_moments(terms, n_max: int) -> list:
+    """[sum w x^j for j = 0..n_max] over (integer node x, weight w) pairs,
+    0^0 = 1, one field product and one addition per weight and j: the
+    generic kernel that the integer kernel replaced, kept as its oracle."""
+    terms = list(terms)
+    sums = [terms[0][1] * 0 if terms else 0] * (n_max + 1)
+    for x, w in terms:
+        if w == 0:
+            continue
+        sums[0] = sums[0] + w
+        for j in range(1, n_max + 1 if x else 1):
+            w = w * x
+            sums[j] = sums[j] + w
+    return sums
 
-    zero = F(0) if field is None else field.zero
-    terms = [(rng.randint(-3, 7), weight()) for _ in range(rng.randint(1, 5))]
-    terms += [(0, weight()), (rng.randint(1, 7), zero)]
+
+def random_triples(rng, field):
+    """Seeded (node, rational, exponent) triples in Q(zeta_N): random nodes,
+    exponents below, at and past 2D - 1 and past N, node 0 and a repeated
+    node, and a zero rational."""
+    order, degree = field.order, field.degree
+    exponents = [0, degree - 1, 2 * degree - 1, 2 * degree, order, order + 1, 3 * order + 2]
+
+    def triple(x):
+        e = rng.choice(exponents) if rng.random() < 0.5 else rng.randrange(-order, 3 * order)
+        return x, F(rng.randint(-6, 6), rng.randint(1, 6)), e
+
+    terms = [triple(rng.randint(-3, 7)) for _ in range(rng.randint(1, 6))]
+    terms += [triple(0), triple(terms[0][0]), (rng.randint(1, 7), F(0), rng.randrange(order))]
     rng.shuffle(terms)
-    return terms, zero
+    return terms
+
+
+def as_pairs(field, terms):
+    """The (node, field weight r zeta^e) pairs of the triples."""
+    return [(x, field.zeta_power(e) * r) for x, r, e in terms]
+
+
+FIELD_ORDERS = [1, 3, 9, 15, 45, 99]
 
 
 @pytest.mark.parametrize("field_order", [None, 9])
 def test_power_moments_match_direct_powers(field_order):
-    field = None if field_order is None else cyclotomic_field(field_order)
-    rng = random.Random(31 if field is None else 32)
+    field = cyclotomic_field(1 if field_order is None else field_order)  # None: over Q
+    rng = random.Random(31 if field_order is None else 32)
     for _ in range(40):
-        terms, zero = random_terms(rng, field)
+        terms = random_triples(rng, field)
         n_max = rng.randint(0, 8)
-        expected = [sum((w * x**j for x, w in terms), zero) for j in range(n_max + 1)]
-        assert power_moments(terms, n_max) == expected
-        muted = [(x, zero) for x, _ in terms]
-        assert power_moments(muted, n_max) == [zero] * (n_max + 1)
-    assert power_moments([], 3) == [0, 0, 0, 0]
+        expected = [sum((w * x**j for x, w in as_pairs(field, terms)), field.zero) for j in range(n_max + 1)]
+        assert power_moments(field, terms, n_max) == expected
+
+
+@pytest.mark.parametrize("field_order", FIELD_ORDERS)
+def test_power_moments_match_the_field_oracle(field_order):
+    # canonical forms: equal elements have the same num and den
+    field = cyclotomic_field(field_order)
+    rng = random.Random(31 + field_order)
+    for _ in range(15):
+        terms = random_triples(rng, field)
+        n_max = rng.randint(0, 8)
+        got = power_moments(field, terms, n_max)
+        want = oracle_power_moments(as_pairs(field, terms), n_max)
+        assert [(m.num, m.den) for m in got] == [(m.num, m.den) for m in want]
+        muted = [(x, 0, e) for x, _, e in terms]
+        assert power_moments(field, muted, n_max) == [field.zero] * (n_max + 1)
+    zero = field.zero
+    assert [(m.num, m.den) for m in power_moments(field, [], 3)] == [(zero.num, zero.den)] * 4
+
+
+def test_one_kernel_call_reduces_once_per_moment(monkeypatch):
+    """One reduction mod Phi_N per moment and no field addition or product:
+    the weights stay integers until each moment is reduced."""
+    field = cyclotomic_field(45)
+    calls = []
+    real = type(field)._reduce_ints
+
+    def counted(self, vec, den):
+        calls.append(len(vec))
+        return real(self, vec, den)
+
+    def refused(*args):
+        raise AssertionError("a field operation per weight")
+
+    monkeypatch.setattr(type(field), "_reduce_ints", counted)
+    monkeypatch.setattr(CyclotomicNumber, "__add__", refused)
+    monkeypatch.setattr(CyclotomicNumber, "__mul__", refused)
+    terms = random_triples(random.Random(7), field)
+    n_max = 6
+    power_moments(field, terms, n_max)
+    assert calls == [field.order] * (n_max + 1)
+
+
+@pytest.mark.parametrize("field_order", [None, *FIELD_ORDERS])
+def test_linear_combination_matches_the_sum_of_products(field_order):
+    field = None if field_order is None else cyclotomic_field(field_order)
+    rng = random.Random(41 if field is None else 41 + field_order)
+
+    def value():
+        if field is None:
+            return F(rng.randint(-9, 9), rng.randint(1, 9))
+        return field.reduce([F(rng.randint(-4, 4), rng.randint(1, 4)) for _ in range(field.degree)])
+
+    for _ in range(30):
+        size = rng.randint(1, 6)
+        scales = [F(rng.randint(-5, 5), rng.randint(1, 6)) for _ in range(size)]
+        values = [value() for _ in range(size)]
+        if rng.random() < 0.3:
+            scales[0] = 0
+        if rng.random() < 0.3:
+            values[-1] = values[-1] * 0
+        got = linear_combination(scales, values)
+        want = sum((s * v for s, v in zip(scales, values)), values[0] * 0)
+        assert type(got) is type(want)
+        if field is None:
+            assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
+        else:
+            assert (got.num, got.den) == (want.num, want.den)
 
 
 @pytest.mark.parametrize("field_order", [None, 9])
 def test_exp_sum_matches_direct_taylor_coefficients(field_order):
-    field = None if field_order is None else cyclotomic_field(field_order)
-    rng = random.Random(33 if field is None else 34)
+    field = cyclotomic_field(1 if field_order is None else field_order)  # None: over Q
+    rng = random.Random(33 if field_order is None else 34)
     for _ in range(40):
-        terms, zero = random_terms(rng, field)
+        terms = random_triples(rng, field)
         rate, order = F(rng.randint(-5, 5), rng.randint(1, 4)), rng.randint(1, 8)
         expected = tuple(
-            sum((w * ((x * rate) ** j / math.factorial(j)) for x, w in terms), zero) for j in range(order)
+            sum((w * ((x * rate) ** j / math.factorial(j)) for x, w in as_pairs(field, terms)), field.zero)
+            for j in range(order)
         )
-        assert exp_sum(terms, rate, order).coeffs == expected
-        muted = [(x, zero) for x, _ in terms]
-        assert exp_sum(muted, rate, order) == TruncatedSeries((zero,) * order)
+        assert exp_sum(field, terms, rate, order).coeffs == expected
+        muted = [(x, 0, e) for x, _, e in terms]
+        assert exp_sum(field, muted, rate, order) == TruncatedSeries((field.zero,) * order)
 
 
 def test_quotient_matches_inverse_then_multiply():
     rng = random.Random(16)
-    field = cyclotomic_field(9)
     for _ in range(30):
+        field = cyclotomic_field(rng.choice([1, 9]))
         rate = F(rng.randint(-5, 5) or 1, rng.randint(1, 4))
         node = rng.randint(1, 7)
-        if rng.random() < 0.5:
-            unit, constant = F(rng.randint(1, 5), rng.randint(1, 5)), F(rng.randint(-5, 5), rng.randint(1, 5))
+        if field.order == 1:
+            unit = field.from_rational(F(rng.randint(1, 5), rng.randint(1, 5)))
+            constant = F(rng.randint(-5, 5), rng.randint(1, 5))
         else:
-            unit, constant = field.zeta_power(rng.randrange(9)), field.from_rational(F(rng.randint(2, 9), 3))
+            unit, constant = field.zeta_power(rng.randrange(9)), F(rng.randint(2, 9), 3)
         if unit + constant == 0:
             continue
-        terms = [(rng.randint(0, 8), unit * F(rng.randint(-9, 9), rng.randint(1, 9))) for _ in range(rng.randint(1, 4))]
+        terms = [(rng.randint(0, 8), F(rng.randint(-9, 9), rng.randint(1, 9)), rng.randrange(2 * field.order))
+                 for _ in range(rng.randint(1, 4))]
         order = rng.randint(1, 9)
-        expected = exp_sum(terms, rate, order) * exp_sum([(node, unit), (0, constant)], rate, order).inverse()
-        assert exp_quotient(terms, rate, unit, node, (unit + constant) ** -1, order) == expected
+        denominator = TruncatedSeries.of([unit * ((node * rate) ** j / math.factorial(j)) for j in range(order)])
+        denominator = denominator + TruncatedSeries.constant(field.from_rational(constant), order)
+        expected = exp_sum(field, terms, rate, order) * denominator.inverse()
+        assert exp_quotient(field, terms, rate, unit, node, (unit + constant) ** -1, order) == expected

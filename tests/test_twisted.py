@@ -48,12 +48,13 @@ def muted_config(cfg):
 def inverse_then_multiply_gf(cfg, order):
     """The generating function as the numerator's series times the general
     series inverse of the denominator's: the route before the triangular
-    division, kept as its oracle."""
-    q, d = cfg.q, cfg.char.modulus
-    denominator = exp_sum([(d, cfg.zeta_pow(d)), (0, cfg.field.from_rational(q**d))], -(1 + q), order)
-    weights = [(l, ((1 + q) * (-1) ** l * q ** (d - l + 1)) * (cfg.char_value(l) * cfg.zeta_pow(l)))
+    division, kept as its oracle.  Each exponent of chi(l) zeta^l is looked
+    up from the product of the two lookups, not from `twisted_exponents`."""
+    q, d, field = cfg.q, cfg.char.modulus, cfg.field
+    denominator = exp_sum(field, [(d, 1, field.root_exponent(cfg.zeta_pow(d))), (0, q**d, 0)], -(1 + q), order)
+    weights = [(l, (1 + q) * (-1) ** l * q ** (d - l + 1), field.root_exponent(cfg.char_value(l) * cfg.zeta_pow(l)))
                for l in range(d) if not cfg.char_value(l).is_zero()]
-    return exp_sum(weights, -(1 + q), order) * denominator.inverse()
+    return exp_sum(field, weights, -(1 + q), order) * denominator.inverse()
 
 
 def aligned(char, zeta):
@@ -115,11 +116,14 @@ def test_lookups_equal_lift_and_multiply(point):
     char, zeta_order, k, _ = point
     chi, zeta = aligned(char, cyclotomic_field(zeta_order).zeta_power(k))
     zeta_pows = powers(zeta, zeta_order)
-    for m in range(math.lcm(2, char.modulus, zeta_order)):
+    stop = math.lcm(2, char.modulus, zeta_order)
+    exponents = dict(cfg.twisted_exponents(range(stop)))
+    for m in range(stop):
         lifted, twist = chi[m % char.modulus], zeta_pows[m % zeta_order]
         product = lifted * twist
         assert cfg.char_value(m) == lifted and cfg.zeta_pow(m) == twist
-        assert cfg.twisted_char(m) == (None if product.is_zero() else product)
+        twisted = cfg.field.zeta_power(exponents[m]) if m in exponents else None
+        assert twisted == (None if product.is_zero() else product)
 
 
 class TestGeneratingFunction:
@@ -259,13 +263,14 @@ class TestEulerGfConsistency:
 
     @pytest.mark.parametrize("d_fold, zeta", [(1, 1), (5, 1), (3, "zeta3"), (5, "zeta9^2"), (9, "zeta15")])
     def test_quotients_match_inverse_then_multiply(self, d_fold, zeta):
+        field, k = cyclotomic_field(1), 0
         if zeta != 1:
             order, _, k = zeta[4:].partition("^")
-            zeta = cyclotomic_field(int(order)).zeta_power(int(k or 1))
-        one = zeta**0
-        numerator = exp_sum([(l, 2 * (-1) ** l * zeta**l) for l in range(d_fold)], 1, 8)
-        folded = numerator * exp_sum([(d_fold, zeta**d_fold), (0, one)], 1, 8).inverse()
-        direct = exp_sum([(0, 2 * one)], 1, 8) * exp_sum([(1, zeta), (0, one)], 1, 8).inverse()
+            field, k = cyclotomic_field(int(order)), int(k or 1)
+            zeta = field.zeta_power(k)
+        numerator = exp_sum(field, [(l, 2 * (-1) ** l, k * l) for l in range(d_fold)], 1, 8)
+        folded = numerator * exp_sum(field, [(d_fold, 1, k * d_fold), (0, 1, 0)], 1, 8).inverse()
+        direct = exp_sum(field, [(0, 2, 0)], 1, 8) * exp_sum(field, [(1, 1, k), (0, 1, 0)], 1, 8).inverse()
         assert euler_gf_consistency(d_fold, zeta, 8)[0] == (folded, direct)
 
     def test_even_fold_rejected(self):
