@@ -287,11 +287,15 @@ def _resolve_character(spec: str, modulus: int):
 #                      LParams' tol and max_terms in a grid; 0    q 10001/10000, s -30, d 1: 5.3-6.2 -> 6.27;
 #                      where it raises before its first term,     q 10001/10000, s 3+4i, d 1: 0.40-0.62 -> 0.53
 #                      as where no stop index meets tol
-#   p-adic walk        4.6e-12 (p^levels h)^2 per exponent        p 3, 9 levels, q 3*10^30+1, n 40: 18.3 -> 18.2;
-#                      (7.5e-13 at exponent 0)                    p 19991, 1 level, q 19991*10^30+1, n 0: 3.69 -> 3.89
-#     The 6x gap is printing, not the walk: CPython 3.11 writes an int in decimal in quadratic time, and at n 0
-#     each normalized partial has a one-bit numerator.  At p 3, 9 levels, q 3*10^30+1, `padic_truncation` takes
-#     3.0 s at n 0 and 3.3 s at n 5; at n 5 `TruncationReport.to_csv` adds 14.8 s for 1.8 M characters.
+#   p-adic walk        4.6e-12 (p^levels h)^2 per exponent        p 3, 9 levels, q 3*10^30+1, n 40: 1.4-2.0 -> 18.2;
+#                      (7.5e-13 at exponent 0), fitted to the     n 0: 0.6-1.0 -> 2.98;
+#                      walk that folded one piece at a time,      p 19991, 1 level, q 19991*10^30+1, n 0: 0.8-1.1
+#                      quadratic in the bits; the balanced        -> 3.89; n 40: 1.6-1.9 -> 23.9;
+#                      merge costs 3-15x less; the price          p 7, 6 levels, q 8, n 6: 0.10-0.12 -> 0.57;
+#                      is kept, so it admits the same runs        p 19997, 1 level, q 19998, n 40: 0.10-0.14 -> 0.38
+#     Measured: `padic_truncation` and `TruncationReport.to_csv` in process.  Printing is no longer the gap:
+#     `format_rational` writes long ints by divide and conquer, so at p 3, 9 levels, q 3*10^30+1, n 5 `to_csv` takes
+#     0.6-0.7 s for 1.8 M characters (15.6 s by str()) and `padic_truncation` 0.7 s (3.0 s with one fold per piece).
 #   integral's exact   7.3e-11 solve(n, h)                        n 40, q 10/(3^8000+1): 46 -> 46
 #   eq15 per q         integral's exact term at n = 8             q (3^9000+1)/7: 0.22 -> 0.27
 #   eq22 per (d, z)    5e-4 (d + D)                               d 99, z 99: 0.071 -> 0.080

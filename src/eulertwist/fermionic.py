@@ -9,13 +9,16 @@ that these solutions really are the limits they claim to be.
 from __future__ import annotations
 
 import math
+import operator
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate, repeat
 
 from .characters import DirichletCharacter, principal_character
 from .cyclotomic import CyclotomicNumber
 from .errors import NotPadicallyConvergent, SingularFunctionalEquation
-from .rationals import format_rational, padic_valuation, q_bracket_neg
+from .rationals import format_rational, int_valuation, padic_valuation, q_bracket_neg
 from .series import _is_zero, linear_combination, power_moments
 
 
@@ -159,63 +162,107 @@ def _check_padic_regime(q: Fraction, p: int, char: DirichletCharacter) -> None:
         )
 
 
-# Terms of the walk summed in small integers before one fold into the
-# growing accumulators; a checkpoint p^N always ends a piece.
-_PIECE = 64
+def _piece_length(p: int) -> int:
+    """K, the walk's longest piece: the power of p nearest 64 on a log scale, or 64 where that power
+    exceeds 256 (p > 256), so no piece holds more than 256 terms."""
+    length = p ** max(1, round(math.log(64, p)))
+    return length if length <= 256 else 64
 
 
 def _walk(
     exponents: list[int], q: Fraction, p: int, max_level: int, char: DirichletCharacter
-) -> list[list[Fraction]]:
-    """U_N = sum_{0 <= x < p^N} (-1/q)^x chi(x) x^m for each m of
-    `exponents` (ascending) and N = 0..max_level, in one pass over
-    x < p^max_level.
+) -> list[list[int]]:
+    """A_N = sum_{0 <= x < p^N} chi(x) x^m (-v)^x u^(p^N - 1 - x) = u^(p^N - 1) U_N, with q = u/v and
+    U_N = sum_{x < p^N} (-1/q)^x chi(x) x^m, for each m of `exponents` (ascending) and N = 0..max_level:
+    one literal integer sum over x < p^max_level, in aligned pieces, one cached table, balanced merge.
 
-    With q = u/v the pass stays in integers: acc_m = u^x times the prefix
-    sum up to x, so U_N is acc_m / u^x at x = p^N - 1.  The pass goes in
-    pieces [a, b): piece_m = sum chi(x) x^m (-v)^(x-a) u^(b-1-x) is a sum
-    of small integers, and acc_m <- acc_m u^(b-a) + (-v)^a piece_m folds
-    it in, with the same integer totals as one term at a time."""
+    Level N >= 1 adds the x in [p^(N-1), p^N), cut into pieces [a, a+k) of at most K terms
+    (:func:`_piece_length`); once p^(N-1) >= K every piece starts at a multiple of K, so of the character
+    period d when d | K.  A piece sums to
+    S_m = sum chi(x) x^m (-v)^(x-a) u^(a+k-1-x) = sum_j C(m,j) a^(m-j) B_j, where
+    B_j = sum_{i<k} chi(a+i) i^j (-v)^i u^(k-1-i) depends only on (a mod d, k): one table per such key,
+    read by every piece that shares it, while a piece whose key occurs once is summed directly.  The
+    pieces of a level merge in a balanced tree, S = S_left u^(len right) + (-v)^(len left) S_right, and
+    each level folds into the running totals once."""
     q = Fraction(q)
     _check_padic_regime(q, p, char)
-    u, v = q.numerator, q.denominator
-    chi = [int(char.rational_value(a)) for a in range(char.modulus)]
-    acc = [0] * len(exponents)
-    sums: list[list[Fraction]] = [[] for _ in exponents]
-    shapes: dict[int, tuple] = {}  # length k -> ([(-v)^i u^(k-1-i)], u^k, (-v)^k)
-    start, lead = 0, 1  # the first x of the next piece; (-v)^start
-    for level in range(max_level + 1):
-        end = p**level
-        while start < end:
-            stop = min(start + _PIECE, end)
-            k = stop - start
-            if k not in shapes:
-                shapes[k] = ([(-v) ** i * u ** (k - 1 - i) for i in range(k)], u**k, (-v) ** k)
-            weights, fold, step = shapes[k]
-            signs = [chi[x % char.modulus] for x in range(start, stop)]
-            xs = [x for x, c in zip(range(start, stop), signs) if c]
-            terms = [c * weight for c, weight in zip(signs, weights) if c]
-            done = 0  # terms hold chi(x) (-v)^(x-start) u^(stop-1-x) x^done
-            for j, m in enumerate(exponents):
-                if m != done:
-                    terms = [t * x ** (m - done) for t, x in zip(terms, xs)]
-                    done = m
-                acc[j] = acc[j] * fold + lead * sum(terms)
-            lead *= step
-            start = stop
-        scale = u ** (end - 1)
-        for row, total in zip(sums, acc):
-            row.append(Fraction(total, scale))
-    return sums
+    u, v, d = q.numerator, q.denominator, char.modulus
+    chi = [int(char.rational_value(a)) for a in range(d)]
+    span = _piece_length(p)
+    levels = [(p**level // p, p**level) for level in range(max_level + 1)]  # [0, 1), then [p^(N-1), p^N)
+    cuts = [[(a, min(a + span, end) - a) for a in range(start, end, span)] for start, end in levels]
+    longest = max((k for pieces in cuts for _, k in pieces), default=0)
+    # u^i and (-v)^i for i < longest, the weights (-v)^i u^(k-1-i) of every piece
+    rising, falling = (list(accumulate(repeat(base, longest - 1), operator.mul, initial=1)) for base in (u, -v))
+    uses = Counter((a % d, k) for pieces in cuts for a, k in pieces)
+    top, tables = max(exponents, default=0), {}
+
+    def power_sums(a: int, k: int, origin: int, powers) -> list[int]:
+        """sum_{i<k} chi(a+i) (origin+i)^m (-v)^i u^(k-1-i) for each m of powers (ascending)."""
+        signs = [chi[x % d] for x in range(a, a + k)]
+        xs = [origin + i for i, c in enumerate(signs) if c]
+        terms = [c * w * r for c, w, r in zip(signs, falling, reversed(rising[:k])) if c]
+        out, done = [], 0  # terms hold chi(a+i) (-v)^i u^(k-1-i) (origin+i)^done
+        for m in powers:
+            if m != done:
+                terms = [t * x ** (m - done) for t, x in zip(terms, xs)]
+                done = m
+            out.append(sum(terms))
+        return out
+
+    def piece(a: int, k: int) -> list[int]:
+        key = (a % d, k)
+        if uses[key] == 1:
+            return power_sums(a, k, a, exponents)
+        if key not in tables:  # C(m,j) B_j for j = 0..m, per exponent m
+            table = power_sums(a, k, 0, range(top + 1))
+            tables[key] = [[math.comb(m, j) * table[j] for j in range(m + 1)] for m in exponents]
+        out = []
+        for row in tables[key]:
+            total = 0
+            for term in row:  # Horner in a
+                total = total * a + term
+            out.append(total)
+        return out
+
+    shifts: dict[int, tuple[int, int]] = {}
+
+    def shift(k: int) -> tuple[int, int]:
+        """(u^k, (-v)^k), each formed once."""
+        if k not in shifts:
+            shifts[k] = u**k, (-v) ** k
+        return shifts[k]
+
+    def merge(left, right=None):
+        if right is None:
+            return left
+        (sums_l, k_l), (sums_r, k_r) = left, right
+        lift, lead = shift(k_r)[0], shift(k_l)[1]
+        return [s * lift + lead * t for s, t in zip(sums_l, sums_r)], k_l + k_r
+
+    totals, per_level = [0] * len(exponents), []
+    for (start, end), pieces in zip(levels, cuts):
+        parts = [(piece(a, k), k) for a, k in pieces]
+        while len(parts) > 1:
+            parts = [merge(*parts[i : i + 2]) for i in range(0, len(parts), 2)]
+        [(sums, length)] = parts
+        lift, lead = u**length, (-v) ** start
+        totals = [t * lift + lead * s for t, s in zip(totals, sums)]
+        per_level.append(totals)
+    return [list(row) for row in zip(*per_level)] if per_level else [[] for _ in exponents]
 
 
 def riemann_sums(
     n_max: int, q: Fraction, p: int, max_level: int, char: DirichletCharacter
 ) -> list[list[Fraction]]:
     """sums[n][N] = U_N = sum_{0 <= x < p^N} (-1/q)^x chi(x) x^n for
-    n = 0..n_max and N = 0..max_level, in one integer pass over
-    x < p^max_level that is folded in pieces (see :func:`_walk`)."""
-    return _walk(list(range(n_max + 1)), q, p, max_level, char)
+    n = 0..n_max and N = 0..max_level: the integer totals of one walk over
+    x < p^max_level (aligned pieces, one cached table, balanced merge; see
+    :func:`_walk`), each over u^(p^N - 1) for q = u/v."""
+    u = Fraction(q).numerator
+    scales = [u ** (p**level - 1) for level in range(max_level + 1)]
+    return [[Fraction(total, scale) for total, scale in zip(row, scales)]
+            for row in _walk(list(range(n_max + 1)), q, p, max_level, char)]
 
 
 def padic_truncation(
@@ -224,15 +271,21 @@ def padic_truncation(
     """Alternating Riemann sums S_N over 0 <= x < p^N, normalized by the
     alternating bracket of p^N, with the p-adic valuation of S_N - exact;
     char None weighs every x by 1, as the character mod 1 does.  The walk
-    sums x^n alone, not the lower exponents :func:`riemann_sums` returns."""
+    sums x^n alone, not the lower exponents :func:`riemann_sums` returns.
+    With q = u/v and P = p^N, S_N = A_N (u+v) / (u^P - (-v)^P) for the
+    walk's integer total A_N, one Fraction per level."""
     from .twisted import TwistedConfig
 
     char = principal_character(1) if char is None else char
     q = Fraction(q)
-    sums = _walk([n], q, p, max_level, char)[0]
+    totals = _walk([n], q, p, max_level, char)[0]
     exact = _char_moment_sequence(n, TwistedConfig.build(char, 1, 0, q))[n].coeffs[0]  # degree 1: chi rational, twist 1
+    u, v = q.numerator, q.denominator
     levels = []
-    for level, total in enumerate(sums):
-        partial = total / q_bracket_neg(p**level, 1 / q)
-        levels.append(TruncationLevel(level, partial, padic_valuation(partial - exact, p)))
+    for level, total in enumerate(totals):
+        count = p**level
+        partial = Fraction(total * (u + v), u**count - (-v) ** count)
+        gap = partial.numerator * exact.denominator - exact.numerator * partial.denominator
+        valuation = int_valuation(gap, p) - int_valuation(partial.denominator * exact.denominator, p)
+        levels.append(TruncationLevel(level, partial, valuation))
     return TruncationReport(p=p, exact=exact, levels=tuple(levels))

@@ -1,6 +1,7 @@
 """Rationals, q-brackets, valuations, and cyclotomic field arithmetic."""
 import math
 import random
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -27,7 +28,7 @@ from eulertwist.errors import (
     PoleAtMinusOne,
 )
 from eulertwist.ntheory import euler_phi
-from eulertwist.rationals import format_rational, parse_rational
+from eulertwist.rationals import DECIMAL_CUTOFF_BITS, decimal_string, format_rational, parse_rational
 
 
 def random_element(field, rng):
@@ -196,6 +197,24 @@ class TestSerialization:
         assert parse_rational("-4/1") == F(-4)
         assert parse_rational("5/2") == F(5, 2)
         assert parse_rational("7") == F(7)
+
+    def test_decimal_string_matches_str_on_each_side_of_the_cutoff(self):
+        # str() of these ints needs the digit limit lifted; decimal_string does not read it above the cutoff
+        rng = random.Random(23)
+        limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+        if limit is not None:
+            sys.set_int_max_str_digits(0)
+        try:
+            for bits in (1, 64, DECIMAL_CUTOFF_BITS - 1, DECIMAL_CUTOFF_BITS, DECIMAL_CUTOFF_BITS + 1,
+                         2 * DECIMAL_CUTOFF_BITS + 1):
+                for n in (rng.getrandbits(bits) | 1 << (bits - 1), 10 ** (bits * 3 // 10), 2**bits - 1):
+                    text = str(n)
+                    assert decimal_string(n) == text and decimal_string(-n) == "-" + text
+                    assert format_rational(F(-1, n)) == f"-1/{text}"
+            assert decimal_string(0) == "0"
+        finally:
+            if limit is not None:
+                sys.set_int_max_str_digits(limit)
 
     def test_cyclotomic_round_trip(self):
         field = cyclotomic_field(5)

@@ -12,6 +12,7 @@ from eulertwist import (
     checks,
     cyclotomic_field,
     distribution_identity_checks,
+    enumerate_characters,
     eulerian_at,
     fermionic,
     padic_truncation,
@@ -78,8 +79,10 @@ def one_term_walk(n_max, q, p, max_level, char):
     return sums
 
 
-# Below, at and across the piece size of the walk: p^N runs past 64 at
-# N = 4 for p = 3, N = 3 for p = 5 and N = 3 for p = 7.
+# The walk cuts level N >= 1, [p^(N-1), p^N), into pieces of at most
+# K = 81, 125 and 49 terms for p = 3, 5 and 7, so a level is one piece up to
+# N = 4, 3 and 2 and several from N = 5, 4 and 3 on: each top below reaches
+# two levels of several pieces.
 WALK_TOP_LEVEL = {3: 7, 5: 5, 7: 4}
 WALK_POINTS = [
     (F(4, 7), 3), (F(4), 3), (F(-2), 3),
@@ -90,6 +93,15 @@ WALK_POINTS = [
 
 def walk_characters(p):
     return [principal_character(1), principal_character(p), quadratic_character(p)]
+
+
+def piece_starts(p, level):
+    """The first x of each piece of a level N >= 1, [p^(N-1), p^N), K terms apart."""
+    return range(p ** (level - 1), p**level, fermionic._piece_length(p))
+
+
+def rational_characters(d):
+    return [char for char in enumerate_characters(d) if char.is_rational_valued]
 
 
 def walk_valuations(char, q, p, max_level, n):
@@ -359,6 +371,35 @@ class TestPadicTruncation:
                 partials = [lv.partial for lv in padic_truncation(n, q, p, top, char=char).levels]
                 assert partials == [
                     total / q_bracket_neg(p**level, 1 / q) for level, total in enumerate(oracle[n])
+                ]
+
+    @pytest.mark.parametrize("d, top", [(9, 6), (243, 7)])
+    def test_walk_at_a_character_modulus_of_a_power_of_p(self, d, top):
+        # d = 9: the one-piece levels start at 1, 3 and 0 mod 9; d = 243 > K = 81:
+        # the pieces of one level start at 0, 81 and 162 mod 243, one table each
+        levels = range(1, top + 1)
+        assert len({a % d for level in levels for a in piece_starts(3, level)}) >= 3
+        for char in rational_characters(d):
+            for q in (F(4), F(-2), F(4, 7)):
+                assert riemann_sums(4, q, 3, top, char) == one_term_walk(4, q, 3, top, char)
+
+    @pytest.mark.parametrize("p, top", [(67, 2), (263, 1)])
+    def test_walk_at_a_prime_above_64(self, p, top):
+        # K = 67 at p = 67 (level 2: 66 pieces, merged 66 -> 33 -> 17 -> ...); no power of 263 is near 64,
+        # so K = 64 and level 1 is 4 pieces of 64 and one of 6, an odd count, each at its own residue mod 263
+        # (the characters mod 263 share no table; the one mod 1 shares one among the pieces of 64)
+        assert len(piece_starts(p, top)) % 2 == (p == 263)
+        for char in walk_characters(p):
+            for q in (F(p + 1), F(1 - p), F(p + 2, 2)):
+                assert riemann_sums(4, q, p, top, char) == one_term_walk(4, q, p, top, char)
+
+    @pytest.mark.parametrize("q, p", WALK_POINTS)
+    def test_truncation_valuations_are_those_of_partial_minus_exact(self, q, p):
+        for char in walk_characters(p):
+            for n in (0, 3):
+                report = padic_truncation(n, q, p, WALK_TOP_LEVEL[p], char=char)
+                assert [lv.valuation for lv in report.levels] == [
+                    padic_valuation(lv.partial - report.exact, p) for lv in report.levels
                 ]
 
     def test_index_zero_term_of_modulus_one_is_one(self):
