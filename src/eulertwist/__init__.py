@@ -24,20 +24,10 @@ from .cyclotomic import (
 )
 from .errors import MathError
 from .eulerian import descent_oracle, eulerian_at, eulerian_recurrence, power_sum_rational
-from .fermionic import TruncationReport, distribution_identity_checks, padic_truncation, riemann_sums
-from .lfunction import LEvaluation, LParams, interpolation_checks, l_eval, series_partial_sum_checks
+from .fermionic import TruncationReport, padic_truncation, riemann_sums
+from .lfunction import LEvaluation, LParams, l_eval
 from .rationals import PLUS_INFINITY, padic_valuation, q_bracket, q_bracket_neg
 from .series import TruncatedSeries, exp_sum, nth_taylor_coefficient
-from .twisted import (
-    TwistedConfig,
-    TwistedValue,
-    euler_gf_consistency,
-    euler_reduction_checks,
-    multiplication_residuals,
-    twisted_gf,
-    twisted_value,
-    twisted_values,
-    witt_residuals,
-)
+from .twisted import TwistedConfig, TwistedValue, twisted_gf, twisted_value, twisted_values
 
 __version__ = "0.1.0"

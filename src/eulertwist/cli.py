@@ -5,8 +5,9 @@ an exact code path; floats appear only in the L-series subcommand and the
 complex embeddings, and are always printed with 17 significant digits.
 Identical invocations produce byte-identical output.
 
-Exit codes: 0 success, 1 a check failed, 2 usage error, 3 violated
-mathematical precondition (the error class name is printed to stderr).
+Exit codes: 0 success, 1 a check failed or checked nothing (no point
+passed), 2 usage error, 3 violated mathematical precondition (the error
+class name is printed to stderr).
 Every flag value is parsed and bounded before any computation starts, so a
 bad value exits 2 with a usage message, never with a traceback.
 """

@@ -70,7 +70,3 @@ class OutsideConvergence(MathError):
 
 class OutsideDoubleRange(MathError):
     """An exact value too large for a double, where a float is needed."""
-
-
-class ResidualUndefined(MathError):
-    pass

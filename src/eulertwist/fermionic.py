@@ -4,7 +4,9 @@ The engine never touches a limit directly: the one-step functional equation
 ratio*I(f(x+1)) + I(f(x)) = (1+ratio)*f(0) closes into a triangular linear
 system on the moment family I(twist^x (x+shift)^n), which is solved upward
 in n.  Truncated alternating Riemann sums with valuation diagnostics verify
-that these solutions really are the limits they claim to be.
+that these solutions really are the limits they claim to be.  The module
+computes quantities only; the relations that compare them are stated in
+:mod:`eulertwist.checks`.
 """
 from __future__ import annotations
 
@@ -88,38 +90,21 @@ def _char_moment_sequence(n: int, cfg) -> list:
 
 
 def residue_class_sums(n_max: int, cfg) -> list:
-    """sum_{a<d} c_a I((a/d + x)^n zeta^(dx)), c_a = (-1)^a q^-a chi(a) zeta^a,
-    for n = 0..n_max under the measure parameter q^-d: I(zeta^x chi(x) x^n)
-    split into residue classes, without its factor d^n/[d]_{-1/q}.  By the
-    binomial theorem this is sum_k C(n,k) M_k P_(n-k): one sequence
-    M_k = I(x^k zeta^(dx)), P_j = d^-j sum_a c_a a^j, each zero P_j skipped
+    """I(zeta^x chi(x) x^n) for n = 0..n_max, split into residue classes:
+    d^n/[d]_{-1/q} sum_{a<d} c_a I((a/d + x)^n zeta^(dx)) under the measure
+    parameter q^-d, c_a = (-1)^a q^-a chi(a) zeta^a.  By the binomial theorem,
+    d^n (a/d + x)^n = sum_j C(n,j) a^j d^(n-j) x^(n-j), so this is
+    [d]_{-1/q}^-1 sum_j C(n,j) d^(n-j) M_(n-j) S_j: one sequence
+    M_k = I(x^k zeta^(dx)), S_j = sum_a c_a a^j, each zero S_j skipped
     (every j >= 1 at d = 1)."""
     q, d = cfg.q, cfg.char.modulus
     moments = _moment_sequence(n_max, q**-d, cfg.zeta_pow(d))
     classes = power_moments(cfg.field, [(a, (-1) ** a * q**-a, e) for a, e in cfg.twisted_exponents(range(d))], n_max)
-    weights = [(j, p * Fraction(1, d**j)) for j, p in enumerate(classes) if not _is_zero(p)]
-    return [sum((math.comb(n, j) * moments[n - j] * p for j, p in weights if j <= n), classes[0] * 0)
+    weights = [(j, s) for j, s in enumerate(classes) if not _is_zero(s)]
+    scale = 1 / q_bracket_neg(d, 1 / q)
+    return [scale * sum((math.comb(n, j) * d ** (n - j) * moments[n - j] * s for j, s in weights if j <= n),
+                        classes[0] * 0)
             for n in range(n_max + 1)]
-
-
-def distribution_identity_checks(cfg, n_max: int) -> list:
-    """The two sides (lhs, rhs) of the multiplication identity for
-    n <= n_max: the moment I(zeta^x chi(x) x^n) from the d-step equation and
-    its residue-class decomposition (:func:`residue_class_sums`)."""
-    d = cfg.char.modulus
-    bracket = q_bracket_neg(d, 1 / cfg.q)
-    lhs = _char_moment_sequence(n_max, cfg)
-    return [(lhs[n], Fraction(d**n) / bracket * acc) for n, acc in enumerate(residue_class_sums(n_max, cfg))]
-
-
-def alternating_kernel_ratio_check(d: int, values, q: Fraction) -> tuple:
-    """The two sides of the finite-sum identity: the kernel with exponent
-    d-l+1 is exactly q^2 times the kernel with exponent d-1-l, for an
-    arbitrary value table."""
-    q = Fraction(q)
-    lhs = sum((-1) ** l * q ** (d - l + 1) * v for l, v in enumerate(values[:d]))
-    rhs = q**2 * sum((-1) ** l * q ** (d - 1 - l) * v for l, v in enumerate(values[:d]))
-    return lhs, rhs
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
-"""Complex evaluation of the alternating twisted L-series and its
-interpolation of the exact twisted Eulerian values at negative integers.
+"""Complex evaluation of the alternating twisted L-series, which interpolates
+the exact twisted Eulerian values at negative integers (Theorem 6, stated
+with the other relations in :mod:`eulertwist.checks`).
 
 The series q/(1+q)^(s-1) * sum_{m>=1} (-1)^m chi(m) zeta^m / (q^m m^s)
 converges geometrically for rational q > 1; truncation is controlled by an
@@ -18,8 +19,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .cyclotomic import embed_complex
-from .errors import NotConverged, OutsideConvergence, OutsideDoubleRange, ResidualUndefined
-from .twisted import TwistedConfig, alternating_char_sums, twisted_values
+from .errors import NotConverged, OutsideConvergence, OutsideDoubleRange
+from .twisted import TwistedConfig
 
 
 @dataclass(frozen=True)
@@ -187,30 +188,3 @@ def l_eval(params: LParams) -> LEvaluation:
     if not (math.isfinite(value.real) and math.isfinite(value.imag)):
         raise NotConverged("non-finite value")
     return LEvaluation(value=value, terms_used=inner.terms_used, tail_bound=inner.tail_bound)
-
-
-def interpolation_checks(cfg: TwistedConfig, n_max: int) -> list:
-    """The two sides (L(-n), (-1)^n A_n embedded) for n = 0..n_max; the
-    exact values are the generating-function coefficients of one
-    twisted_values call, and the series path is not built.
-
-    For modulus 1 the series misses the index-0 summand of the generating
-    function, which only contributes at n = 0; that entry is a
-    ResidualUndefined.
-    """
-    out = []
-    for n, tv in enumerate(twisted_values(cfg, n_max)):
-        if n == 0 and cfg.char.modulus == 1:
-            out.append(ResidualUndefined("series misses the index-0 term at modulus 1"))
-            continue
-        exact = (-1) ** n * embed_complex(tv.value, 1)
-        out.append((l_eval(LParams(s=complex(-n), cfg=cfg)).value, exact))
-    return out
-
-
-def series_partial_sum_checks(cfg: TwistedConfig, n_max: int) -> list:
-    """The two sides (numeric, exact) for n = 0..n_max: numeric partial sums
-    of sum (-1)^m zeta^m chi(m) m^n / q^m, and the embedded exact closed form
-    of the same series."""
-    numerics = [l_series_sum(LParams(s=complex(-n), cfg=cfg)).value for n in range(n_max + 1)]
-    return [(v, embed_complex(e, 1)) for v, e in zip(numerics, alternating_char_sums(cfg, n_max))]

@@ -4,9 +4,9 @@ Everything here evaluates the family A_n attached to a character chi mod d,
 a root-of-unity twist, and a rational q.  The values are the Taylor
 coefficients of the generating function (kernel exponent d-l+1); the
 regrouped alternating series in closed form is an independent second route
-(Theorem 2), read beside them only by the thm2 and cor2 checks.  The links
-back to the integral world hold up to the constant factor q^2, which the
-checks test exactly by one product, never assume.
+(Theorem 2).  Both are quantities only: every relation that reads them,
+against each other or against the integral world, is stated in
+:mod:`eulertwist.checks`.
 """
 from __future__ import annotations
 
@@ -16,10 +16,8 @@ from fractions import Fraction
 
 from .characters import DirichletCharacter
 from .cyclotomic import CyclotomicField, CyclotomicNumber, cyclotomic_field
-from .errors import ResidualUndefined
 from .eulerian import periodic_power_sums
-from .fermionic import _char_moment_sequence, _moment_sequence, _pivot_inverse, residue_class_sums
-from .rationals import q_bracket_neg
+from .fermionic import _pivot_inverse
 from .series import TruncatedSeries, exp_quotient, nth_taylor_coefficient
 
 
@@ -150,76 +148,3 @@ def twisted_values(cfg: TwistedConfig, n_max: int) -> list[TwistedValue]:
 
 def twisted_value(cfg: TwistedConfig, n: int) -> TwistedValue:
     return twisted_values(cfg, n)[n]
-
-
-def euler_gf_consistency(d_fold: int, zeta_eff, order: int) -> tuple:
-    """Two pairs of sides: the d-fold twisted Euler generating function
-    2 sum_{l<d} (-1)^l zeta^l e^(lt) / (zeta^d e^(dt) + 1) against its
-    telescoped form 2/(zeta e^t + 1), and the Taylor coefficients of that
-    form against the integral moments, through order - 1.  Each quotient is
-    one triangular division (:func:`exp_quotient`), its pivot zeta^d + 1 or
-    zeta + 1 inverted by the geometric series where zeta has odd order.
-    zeta is a power zeta_N^k of its field's root of unity (or the rational
-    1), so zeta^l is the exponent k l."""
-    if d_fold < 1 or d_fold % 2 == 0:
-        raise ValueError("the fold count must be odd")
-    if not isinstance(zeta_eff, CyclotomicNumber):
-        zeta_eff = cyclotomic_field(1).from_rational(zeta_eff)
-    field = zeta_eff.field
-    k = field.root_exponent(zeta_eff)
-    if k is None:
-        raise ValueError("the twist must be a root of unity of its field")
-    eulers = _moment_sequence(order - 1, 1, zeta_eff)
-    unit = field.zeta_power(k * d_fold)
-    folded = exp_quotient(field, [(l, 2 * (-1) ** l, k * l) for l in range(d_fold)], 1,
-                          unit, d_fold, _pivot_inverse(1, 1, unit), order)
-    direct = exp_quotient(field, [(0, 2, 0)], 1, zeta_eff, 1, _pivot_inverse(1, 1, zeta_eff), order)
-    taylor = [nth_taylor_coefficient(direct, n) for n in range(order)]
-    return (folded, direct), (taylor, eulers)
-
-
-def witt_residuals(cfg: TwistedConfig, n_max: int) -> list:
-    """The two sides (lhs, rhs) of A_n = q^2 (-1)^n (1+q)^n I(zeta^x chi(x) x^n)
-    for n <= n_max; q^2 is the gap between the d-l+1 kernel and the iterated
-    d-1-l kernel.  Where the moment vanishes the entry is a ResidualUndefined."""
-    moments = _char_moment_sequence(n_max, cfg)
-    out = []
-    for n, (tv, integral) in enumerate(zip(twisted_values(cfg, n_max), moments)):
-        rhs = ((-1) ** n * (1 + cfg.q) ** n) * integral
-        if rhs.is_zero():
-            out.append(ResidualUndefined(f"integral moment vanishes at n={n}"))
-        else:
-            out.append((tv.value, rhs))
-    return out
-
-
-def multiplication_residuals(cfg: TwistedConfig, n_max: int) -> list:
-    """The two sides of (-1)^n A_n = q^2 (1+q)^n d^n/[d]_alt * sum_a (-1)^a
-    chi(a) zeta^a q^-a I((a/d + x)^n zeta^(dx)) for n <= n_max, one (lhs,
-    rhs) pair per n: again the constant q^2, through the residue-class
-    decomposition.  Where the decomposition sum vanishes the entry is a
-    ResidualUndefined."""
-    q, d = cfg.q, cfg.char.modulus
-    sums = residue_class_sums(n_max, cfg)
-    out = []
-    for n, (tv, acc) in enumerate(zip(twisted_values(cfg, n_max), sums)):
-        if acc.is_zero():
-            out.append(ResidualUndefined(f"decomposition sum vanishes at n={n}"))
-        else:
-            out.append(((-1) ** n * tv.value, (1 + q) ** n * d**n / q_bracket_neg(d, 1 / q) * acc))
-    return out
-
-
-def euler_reduction_checks(cfg: TwistedConfig, n_max: int) -> list:
-    """The two sides of the q = 1 multiplication identity, one (lhs, rhs)
-    pair per n <= n_max: A_n at -1 and (-2d)^n sum_a (-1)^a chi(a) zeta^a
-    E_n(a/d) with twist zeta^d; the twisted Euler values E_n are the moments
-    at measure parameter 1."""
-    if cfg.q != 1:
-        raise ValueError("the reduction to twisted Euler values holds at q = 1")
-    d = cfg.char.modulus
-    sums = residue_class_sums(n_max, cfg)
-    return [
-        (tv.value, Fraction(-2 * d) ** n * acc)
-        for n, (tv, acc) in enumerate(zip(twisted_values(cfg, n_max), sums))
-    ]

@@ -12,16 +12,12 @@ from fractions import Fraction as F
 
 from eulertwist import (
     TwistedConfig,
+    checks,
     cli,
     descent_oracle,
-    distribution_identity_checks,
     enumerate_characters,
-    euler_gf_consistency,
-    euler_reduction_checks,
     eulerian_at,
     eulerian_recurrence,
-    interpolation_checks,
-    multiplication_residuals,
     nth_taylor_coefficient,
     padic_truncation,
     padic_valuation,
@@ -30,15 +26,10 @@ from eulertwist import (
     riemann_sums,
     twisted_gf,
     twisted_values,
-    witt_residuals,
 )
 from eulertwist.checks import RELATIONS, grid_characters
 from eulertwist.cyclotomic import cyclotomic_field
-from eulertwist.errors import ResidualUndefined
-from eulertwist.fermionic import (
-    _moment_sequence,
-    alternating_kernel_ratio_check,
-)
+from eulertwist.fermionic import _moment_sequence
 from eulertwist.ntheory import euler_phi
 from eulertwist.twisted import twisted_series_values
 
@@ -102,7 +93,7 @@ def test_criterion_4_interpolation():
     anchor_cfg = TwistedConfig.build(quadratic_character(3), 1, 0, F(2))
     anchors = [v.value for v in twisted_values(anchor_cfg, 2)]
     ok = ok and anchors == [-4, 12, -12]
-    for l_value, exact in interpolation_checks(anchor_cfg, 2):
+    for l_value, exact in checks._thm6_sides(anchor_cfg, 2):
         ok = ok and abs(l_value - exact) <= 1e-9 * (1 + abs(exact))
     for d in (3, 5):
         for char_name, char in grid_characters(d):
@@ -110,7 +101,7 @@ def test_criterion_4_interpolation():
                 k = 1 if zeta_order > 1 else 0
                 for q in (F(2), F(3)):
                     cfg = TwistedConfig.build(char, zeta_order, k, q)
-                    for l_value, exact in interpolation_checks(cfg, 5):
+                    for l_value, exact in checks._thm6_sides(cfg, 5):
                         ok = ok and abs(l_value - exact) <= 1e-9 * (1 + abs(exact))
     elapsed = time.monotonic() - start
     report(4, "L-series interpolates the exact values at -n", ok and elapsed < 30,
@@ -120,7 +111,7 @@ def test_criterion_4_interpolation():
 def test_criterion_5_distribution_identity():
     ok = True
     for cfg in config_grid(5):
-        for lhs, rhs in distribution_identity_checks(cfg, 5):
+        for lhs, rhs in checks._distribution_sides(cfg, 5):
             ok = ok and lhs == rhs
     report(5, "residue-class decomposition, exact", ok)
 
@@ -130,34 +121,29 @@ def test_criterion_6_normalization_residuals():
     skipped = 0
     for cfg in config_grid(5):
         expected = cfg.q ** 2
-        for rho1, rho5 in zip(witt_residuals(cfg, 5), multiplication_residuals(cfg, 5)):
-            if isinstance(rho1, ResidualUndefined) or isinstance(rho5, ResidualUndefined):
+        for (lhs1, rhs1), (lhs5, rhs5) in zip(checks._thm1_sides(cfg, 5), checks._thm5_sides(cfg, 5)):
+            if rhs1.is_zero() or rhs5.is_zero():
                 skipped += 1
                 continue
-            (lhs1, rhs1), (lhs5, rhs5) = rho1, rho5
             ok = ok and lhs1 == expected * rhs1 and lhs5 == expected * rhs5
-    import random
-
-    rng = random.Random(99)
-    for d in (1, 3, 5):
-        for q in Q_GRID:
-            for _ in range(10):
-                values = [F(rng.randint(-20, 20), rng.randint(1, 12)) for _ in range(d)]
-                lhs, rhs = alternating_kernel_ratio_check(d, values, q)
-                ok = ok and lhs == rhs
+    # the kernel ratio on 10 random tables per (d, q)
+    tables = checks.run_relation(
+        "eq28-residual", checks.Grid(moduli=(1, 3, 5), q_values=Q_GRID, random_tables=10, seed=99))
+    ok = ok and tables.passed and tables.counts["pass"] == 3 * len(Q_GRID) * 10
     report(6, "kernel normalization residual equals q^2 everywhere", ok,
            f"{skipped} skipped")
 
 
 def test_criterion_7_reduction_at_q_one():
-    lhs, rhs = euler_reduction_checks(TwistedConfig.build(quadratic_character(3), 1, 0, F(1)), 0)[0]
+    # Theorem 5's sides at q = 1: (-1)^n A_n against 2^n d^n sum_a (-1)^a chi(a) zeta^a E_n(a/d)
+    lhs, rhs = checks._thm5_sides(TwistedConfig.build(quadratic_character(3), 1, 0, F(1)), 0)[0]
     ok = lhs == -2 and rhs == -2
     for d in (3, 5):
         for char_name, char in grid_characters(d):
             for zeta_order in (1, 3):
                 k = 1 if zeta_order > 1 else 0
                 cfg = TwistedConfig.build(char, zeta_order, k, F(1))
-                for lhs, rhs in euler_reduction_checks(cfg, 5):
+                for lhs, rhs in checks._thm5_sides(cfg, 5):
                     ok = ok and lhs == rhs
     report(7, "exact reduction to twisted Euler values at q = 1", ok)
 
@@ -196,12 +182,9 @@ def test_criterion_8_padic_convergence():
 
 def test_criterion_9_twisted_euler_generating_function():
     ok = True
-    for d in (1, 3, 5):
-        for zeta_order in (1, 3, 9):
-            k = 1 if zeta_order > 1 else 0
-            zeta = cyclotomic_field(zeta_order).zeta_power(k)
-            (folded, direct), (taylor, moments) = euler_gf_consistency(d, zeta, 12)
-            ok = ok and folded == direct and taylor == moments
+    # d in (1, 3, 5), zeta of order 1, 3, 9 at exponent 1; a point passes when both pairs agree
+    folds = checks.run_relation("eq22", checks.Grid(moduli=(1, 3, 5), zeta_orders=(1, 3, 9), zeta_exponent=1))
+    ok = ok and folds.passed and folds.counts["pass"] == 9
     ok = ok and _moment_sequence(0, 1, 1, 0)[0] == 1
     ok = ok and _moment_sequence(1, 1, 1, 0)[1] == F(-1, 2)
     report(9, "folded Euler generating function telescopes, exact", ok)

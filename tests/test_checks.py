@@ -1,11 +1,12 @@
 """The checks driver can fail: one side off at one n fails exactly the
 points at that n, and every other point still passes."""
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
 
 import eulertwist as et
-from eulertwist import checks, cli, fermionic, lfunction, series, twisted
+from eulertwist import checks, cli, fermionic, series, twisted
 from eulertwist.cyclotomic import CyclotomicNumber
 
 SMALL_GRID = checks.Grid(
@@ -28,12 +29,13 @@ def lhs_off_by_one(sides):
 # relation -> (namespace, attribute, wrapper): what reads the patched side
 CASES = {
     "thm2": (checks, "_path_sides", lhs_off_by_one),
-    "thm3": (lfunction, "series_partial_sum_checks", lhs_off_by_one),
-    "thm6": (lfunction, "interpolation_checks", lhs_off_by_one),
-    "distribution": (fermionic, "distribution_identity_checks", lhs_off_by_one),
-    "thm1-residual": (twisted, "witt_residuals", lhs_off_by_one),
-    "thm5-residual": (twisted, "multiplication_residuals", lhs_off_by_one),
-    "cor3": (twisted, "euler_reduction_checks", lhs_off_by_one),
+    "thm3": (checks, "_thm3_sides", lhs_off_by_one),
+    "thm6": (checks, "_thm6_sides", lhs_off_by_one),
+    "distribution": (checks, "_distribution_sides", lhs_off_by_one),
+    "thm1-residual": (checks, "_thm1_sides", lhs_off_by_one),
+    "thm5-residual": (checks, "_thm5_sides", lhs_off_by_one),
+    # cor3 is Theorem 5 at q = 1.
+    "cor3": (checks, "_thm5_sides", lhs_off_by_one),
     # cor2 reads A_n from both paths; the generating-function side sets its kernel ratio.
     "cor2-residual": (checks, "_path_sides", lhs_off_by_one),
 }
@@ -63,6 +65,31 @@ def test_one_bad_walk_sum_fails_exactly_its_cor2_points(monkeypatch):
 
     monkeypatch.setattr(fermionic, "riemann_sums", shifted)
     assert_fails_exactly_bad_n(checks.run_relation("cor2-residual", SMALL_GRID))
+
+
+def test_a_bad_residue_class_sum_fails_only_the_relations_that_read_it(monkeypatch):
+    """`fermionic.residue_class_sums` holds the residue-class decomposition,
+    its factor d^n/[d]_{-1/q} included, for distribution, thm5 and cor3:
+    one entry off fails exactly that entry's points of each, and cor3 gives
+    thm5's verdict at q = 1 wherever thm5 does not skip."""
+    real = fermionic.residue_class_sums
+
+    def shifted(n_max, cfg):
+        out = real(n_max, cfg)
+        out[BAD_N] = out[BAD_N] + 1
+        return out
+
+    monkeypatch.setattr(fermionic, "residue_class_sums", shifted)
+    for relation in ("distribution", "thm5-residual", "cor3"):
+        assert_fails_exactly_bad_n(checks.run_relation(relation, SMALL_GRID))
+    for relation in ("thm1-residual", "thm2", "thm3", "thm6", "eq15", "eq22", "eq28-residual", "cor2-residual"):
+        assert checks.run_relation(relation, SMALL_GRID).passed, relation
+    thm5 = checks.run_relation("thm5-residual", replace(SMALL_GRID, q_values=(F(1),))).points
+    cor3 = {p.key: p.verdict for p in checks.run_relation("cor3", SMALL_GRID).points}
+    assert {p.key for p in thm5 if p.verdict == "fail"} == {p.key for p in thm5 if p.key.endswith(f" n={BAD_N}")}
+    checked = [p for p in thm5 if p.verdict != "skip"]
+    assert checked and len(checked) < len(thm5)  # A_1 = 0 at q = 1 for the quadratic character mod 3
+    assert all(cor3[p.key.replace(" q=1/1", "")] == p.verdict for p in checked)
 
 
 def test_a_bad_series_path_fails_only_the_relations_that_read_it(monkeypatch):

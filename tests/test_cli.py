@@ -224,6 +224,15 @@ def test_check_relation_alias(capsys):
     assert json.loads(out)["relation"] == "eq15"
 
 
+def test_check_that_checks_nothing_exits_one(capsys, tmp_path):
+    # thm6 skips n = 0 at modulus 1, the only point of this grid
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps({"moduli": [1], "zeta_orders": [1], "q": ["2"], "n_max": 0}))
+    code, out = run_cli(capsys, "check", "--relation", "thm6", "--grid", f"file:{path}")
+    assert code == 1
+    assert json.loads(out)["summary"] == {"pass": 0, "fail": 0, "skip": 1}
+
+
 def test_check_grid_file(capsys, tmp_path):
     path = tmp_path / "grid.json"
     path.write_text(json.dumps({"n_max": 2, "moduli": [1, 3], "q": ["2"], "zeta_orders": [1]}))
@@ -481,8 +490,15 @@ def test_grid_file_outside_bounds_is_rejected_before_checking(capsys, monkeypatc
     assert code == 2 and "--grid" in err and message in " ".join(err.split()) and "Traceback" not in err
 
 
+def passing_report(name):
+    """A stand-in report: one point, passed."""
+    report = cli.checks.CheckReport(name, "")
+    report.add("stub", True)
+    return report
+
+
 def test_cor2_grid_at_the_walk_bound_is_accepted(capsys, monkeypatch, tmp_path):
-    monkeypatch.setattr(cli.checks, "run_relation", lambda name, grid: cli.checks.CheckReport(name, ""))
+    monkeypatch.setattr(cli.checks, "run_relation", lambda name, grid: passing_report(name))
     path = tmp_path / "grid.json"
     path.write_text(json.dumps({"primes": [97], "level_max": 2, "padic_n_max": 1}))
     code, _ = run_cli(capsys, "check", "--relation", "cor2", "--grid", f"file:{path}")
@@ -509,7 +525,7 @@ def test_reach_grid_is_within_bounds(capsys, monkeypatch, tmp_path):
 
     def fake_run(name, grid):
         seen.append(grid)
-        return cli.checks.CheckReport(name, "")
+        return passing_report(name)
 
     monkeypatch.setattr(cli.checks, "run_relation", fake_run)
     path = tmp_path / "grid.json"

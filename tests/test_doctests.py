@@ -1,6 +1,11 @@
 import doctest
 
-from eulertwist import cyclotomic, eulerian, fermionic, lfunction, series, twisted
+from eulertwist import checks, cyclotomic, eulerian, fermionic, lfunction, series, twisted
+
+
+def test_checks_doctests():
+    failures, tried = doctest.testmod(checks)
+    assert failures == 0 and tried > 0
 
 
 def test_cyclotomic_doctests():

@@ -11,7 +11,6 @@ from eulertwist import (
     TwistedConfig,
     checks,
     cyclotomic_field,
-    distribution_identity_checks,
     enumerate_characters,
     eulerian_at,
     fermionic,
@@ -25,17 +24,12 @@ from eulertwist import (
 )
 from eulertwist.cyclotomic import CyclotomicNumber
 from eulertwist.errors import NotPadicallyConvergent, SingularFunctionalEquation
-from eulertwist.fermionic import (
-    _char_moment_sequence,
-    _moment_sequence,
-    alternating_kernel_ratio_check,
-    residue_class_sums,
-)
+from eulertwist.fermionic import _char_moment_sequence, _moment_sequence, residue_class_sums
 from eulertwist.twisted import alternating_char_sums, twisted_series_values
 
 
 def distribution_sides(n_max, char, zeta_order, zeta_exponent, q):
-    return distribution_identity_checks(TwistedConfig.build(char, zeta_order, zeta_exponent, q), n_max)
+    return checks._distribution_sides(TwistedConfig.build(char, zeta_order, zeta_exponent, q), n_max)
 
 
 def kernel_limit(char, q, n):
@@ -243,9 +237,10 @@ class TestDistributionIdentity:
 
 
 def per_class_residue_sums(n_max, cfg):
-    """The residue-class sums one class at a time: one moment sequence per
-    class with chi(a) != 0, at shift a/d.  The oracle of the shared moment
-    sequence in `residue_class_sums`."""
+    """The residue-class decomposition one class at a time: one moment
+    sequence per class with chi(a) != 0, at shift a/d, the sum over classes
+    times d^n/[d]_{-1/q}.  The oracle of the shared moment sequence in
+    `residue_class_sums`."""
     q, d = cfg.q, cfg.char.modulus
     sums = [cfg.field.zero] * (n_max + 1)
     for a in range(d):
@@ -255,7 +250,7 @@ def per_class_residue_sums(n_max, cfg):
         coeff = ((-1) ** a * q**-a) * (chi * cfg.zeta_pow(a))
         inner = _moment_sequence(n_max, q**-d, cfg.zeta_pow(d), F(a, d))
         sums = [acc + coeff * moment for acc, moment in zip(sums, inner)]
-    return sums
+    return [F(d**n) / q_bracket_neg(d, 1 / q) * acc for n, acc in enumerate(sums)]
 
 
 class TestResidueClassSums:
@@ -283,13 +278,10 @@ class TestResidueClassSums:
 
 
 def test_kernel_ratio_is_q_squared():
-    rng = random.Random(17)
-    for d in (1, 3, 5):
-        for q in (F(2), F(3), F(5, 2)):
-            for _ in range(5):
-                values = [F(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(d)]
-                lhs, rhs = alternating_kernel_ratio_check(d, values, q)
-                assert lhs == rhs
+    # eq28 draws 5 tables per (d, q) from the seed, in this loop order
+    grid = checks.Grid(moduli=(1, 3, 5), q_values=(F(2), F(3), F(5, 2)), random_tables=5, seed=17)
+    report = checks.run_relation("eq28-residual", grid)
+    assert [p.verdict for p in report.points] == ["pass"] * 45
 
 
 class TestPadicTruncation:

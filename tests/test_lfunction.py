@@ -10,14 +10,13 @@ import pytest
 
 from eulertwist import (
     TwistedConfig,
+    checks,
     enumerate_characters,
-    interpolation_checks,
     l_eval,
     principal_character,
     quadratic_character,
-    series_partial_sum_checks,
 )
-from eulertwist.errors import MathError, NotConverged, OutsideConvergence, OutsideDoubleRange, ResidualUndefined
+from eulertwist.errors import MathError, NotConverged, OutsideConvergence, OutsideDoubleRange
 from eulertwist import lfunction
 from eulertwist.cyclotomic import embed_complex
 from eulertwist.lfunction import LParams, l_prefactor, l_series_sum
@@ -100,37 +99,37 @@ class TestEvaluation:
 class TestInterpolation:
     @pytest.mark.parametrize("n", range(3))
     def test_anchor_points(self, n):
-        l_value, exact = interpolation_checks(quadratic3_config(), n)[n]
+        l_value, exact = checks._thm6_sides(quadratic3_config(), n)[n]
         assert abs(l_value - exact) <= 1e-9 * (1 + abs(exact))
 
     def test_modulus_one_needs_positive_index(self):
         cfg = TwistedConfig.build(principal_character(1), 1, 0, F(2))
-        sides = interpolation_checks(cfg, 1)
-        assert isinstance(sides[0], ResidualUndefined)
+        sides = checks._thm6_sides(cfg, 1)
+        assert sides[0] == "series misses the index-0 term at modulus 1"
         l_value, exact = sides[1]
         assert abs(l_value - exact) <= 1e-9 * (1 + abs(exact))
 
     def test_nontrivial_twist(self):
         cfg = TwistedConfig.build(quadratic_character(5), 3, 1, F(3))
-        for l_value, exact in interpolation_checks(cfg, 3):
+        for l_value, exact in checks._thm6_sides(cfg, 3):
             assert abs(l_value - exact) <= 1e-9 * (1 + abs(exact))
 
 
 class TestSeriesPartialSums:
     def test_linear_moment(self):
-        numeric, exact = series_partial_sum_checks(quadratic3_config(), 1)[1]
+        numeric, exact = checks._thm3_sides(quadratic3_config(), 1)[1]
         assert abs(numeric - exact) <= 1e-10
         assert abs(exact - (-2.0 / 3.0)) < 1e-12
 
     def test_quadratic_moment(self):
-        numeric, exact = series_partial_sum_checks(quadratic3_config(), 2)[2]
+        numeric, exact = checks._thm3_sides(quadratic3_config(), 2)[2]
         assert abs(numeric - exact) <= 1e-10
         assert abs(exact - (-2.0 / 9.0)) < 1e-12
 
     def test_zero_character_sums_to_zero(self):
         cfg = quadratic3_config()
         muted = muted_config(cfg)
-        numeric, exact = series_partial_sum_checks(muted, 2)[2]
+        numeric, exact = checks._thm3_sides(muted, 2)[2]
         assert abs(numeric - exact) <= 1e-10
         assert numeric == 0
         assert exact == 0

@@ -9,26 +9,24 @@ import pytest
 
 from eulertwist import (
     TwistedConfig,
+    checks,
     cyclotomic_field,
     enumerate_characters,
-    euler_gf_consistency,
     exp_sum,
-    euler_reduction_checks,
     eulerian_at,
     galois_conjugate,
     lift_to_field,
-    multiplication_residuals,
     nth_taylor_coefficient,
     principal_character,
     quadratic_character,
     twisted_gf,
     twisted_value,
     twisted_values,
-    witt_residuals,
 )
 from eulertwist.checks import grid_characters
 from eulertwist.errors import SingularFunctionalEquation
 from eulertwist.fermionic import _moment_sequence
+from eulertwist.series import exp_quotient
 from eulertwist.twisted import (
     alternating_char_sums,
     twisted_series_value,
@@ -156,9 +154,9 @@ class TestGeneratingFunction:
         cfg = TwistedConfig.build(order4, 9, 2, F(5, 2))
         monkeypatch.setattr(CyclotomicNumber, "inverse", lambda self: pytest.fail("a general inverse ran"))
         twisted_gf(cfg, 6)
-        witt_residuals(cfg, 4)
-        multiplication_residuals(cfg, 4)
-        euler_gf_consistency(3, cyclotomic_field(9).zeta_power(2), 6)
+        checks._thm1_sides(cfg, 4)
+        checks._thm5_sides(cfg, 4)
+        eq22_report(3, 9, 2)
 
     def test_singular_configuration_rejected(self):
         # zeta^d = -q^d needs an even-order twist, which build() refuses
@@ -246,58 +244,70 @@ class TestTwistedEuler:
             _moment_sequence(1, 1, F(-1), 0)
 
 
+def eq22_report(d_fold, zeta_order, k=1):
+    """eq22 at one fold count and one twist zeta_(zeta_order)^k."""
+    grid = checks.Grid(moduli=(d_fold,), zeta_orders=(zeta_order,), zeta_exponent=k)
+    return checks.run_relation("eq22", grid)
+
+
 class TestEulerGfConsistency:
-    # Two pairs of sides: folded against telescoped series, and Taylor
-    # coefficients against integral moments.
+    # Two pairs of sides, through t^11: folded against telescoped series, and
+    # Taylor coefficients against integral moments; a point passes when both
+    # pairs agree.
     def test_single_fold_is_structural(self):
-        (folded, direct), (taylor, moments) = euler_gf_consistency(1, cyclotomic_field(3).zeta(), 8)
-        assert folded == direct and taylor == moments
+        assert eq22_report(1, 3).passed
 
     def test_threefold_telescoping(self):
-        (folded, direct), (taylor, moments) = euler_gf_consistency(3, cyclotomic_field(3).zeta(), 10)
-        assert folded == direct and taylor == moments
+        assert eq22_report(3, 3).passed
 
     def test_fivefold_untwisted(self):
-        (folded, direct), (taylor, moments) = euler_gf_consistency(5, 1, 10)
-        assert folded == direct and taylor == moments
+        assert eq22_report(5, 1).passed
 
     @pytest.mark.parametrize("d_fold, zeta", [(1, 1), (5, 1), (3, "zeta3"), (5, "zeta9^2"), (9, "zeta15")])
-    def test_quotients_match_inverse_then_multiply(self, d_fold, zeta):
+    def test_quotients_match_inverse_then_multiply(self, monkeypatch, d_fold, zeta):
         field, k = cyclotomic_field(1), 0
         if zeta != 1:
             order, _, k = zeta[4:].partition("^")
             field, k = cyclotomic_field(int(order)), int(k or 1)
-            zeta = field.zeta_power(k)
-        numerator = exp_sum(field, [(l, 2 * (-1) ** l, k * l) for l in range(d_fold)], 1, 8)
-        folded = numerator * exp_sum(field, [(d_fold, 1, k * d_fold), (0, 1, 0)], 1, 8).inverse()
-        direct = exp_sum(field, [(0, 2, 0)], 1, 8) * exp_sum(field, [(1, 1, k), (0, 1, 0)], 1, 8).inverse()
-        assert euler_gf_consistency(d_fold, zeta, 8)[0] == (folded, direct)
+        quotients = []
+
+        def recorded(*args):
+            quotients.append(exp_quotient(*args))
+            return quotients[-1]
+
+        monkeypatch.setattr(checks, "exp_quotient", recorded)
+        assert eq22_report(d_fold, field.order, k).passed
+        numerator = exp_sum(field, [(l, 2 * (-1) ** l, k * l) for l in range(d_fold)], 1, 12)
+        folded = numerator * exp_sum(field, [(d_fold, 1, k * d_fold), (0, 1, 0)], 1, 12).inverse()
+        direct = exp_sum(field, [(0, 2, 0)], 1, 12) * exp_sum(field, [(1, 1, k), (0, 1, 0)], 1, 12).inverse()
+        assert quotients == [folded, direct]
 
     def test_even_fold_rejected(self):
         with pytest.raises(ValueError):
-            euler_gf_consistency(2, 1, 5)
+            checks.run_relation("eq22", checks.Grid(moduli=(2,)))
 
 
 class TestResiduals:
-    # Each residual entry is the pair (lhs, rhs) of lhs = q^2 * rhs.
+    # Each entry of Theorem 1's and Theorem 5's sides is the pair (lhs, rhs)
+    # of lhs = q^2 * rhs.
     def test_witt_anchor(self):
-        lhs, rhs = witt_residuals(quadratic3_config(), 0)[0]
+        lhs, rhs = checks._thm1_sides(quadratic3_config(), 0)[0]
         assert not rhs.is_zero() and lhs == 4 * rhs
 
     def test_witt_modulus_one(self):
         cfg = TwistedConfig.build(principal_character(1), 1, 0, F(2))
-        lhs, rhs = witt_residuals(cfg, 0)[0]
+        lhs, rhs = checks._thm1_sides(cfg, 0)[0]
         assert not rhs.is_zero() and lhs == 4 * rhs
 
     def test_residual_is_one_at_q_one(self):
         cfg = TwistedConfig.build(quadratic_character(3), 1, 0, F(1))
-        for lhs, rhs in (witt_residuals(cfg, 2)[2], multiplication_residuals(cfg, 2)[2]):
+        for lhs, rhs in (checks._thm1_sides(cfg, 2)[2], checks._thm5_sides(cfg, 2)[2]):
             assert not rhs.is_zero() and lhs == 1 * rhs
 
     @pytest.mark.parametrize("q", [F(2), F(5, 2)])
     def test_residuals_agree_and_equal_q_squared(self, q):
         cfg = TwistedConfig.build(quadratic_character(5), 3, 1, q)
-        pairs = zip(witt_residuals(cfg, 3), multiplication_residuals(cfg, 3))
+        pairs = zip(checks._thm1_sides(cfg, 3), checks._thm5_sides(cfg, 3))
         for n, ((lhs1, rhs1), (lhs5, rhs5)) in enumerate(pairs):
             assert lhs1 == (-1) ** n * lhs5  # both are A_n, up to the sign (-1)^n
             assert not rhs1.is_zero() and lhs1 == q**2 * rhs1
@@ -316,7 +326,7 @@ class TestResiduals:
             return real_inverse(self)
 
         monkeypatch.setattr(CyclotomicNumber, "inverse", counted_inverse)
-        for residuals in (witt_residuals, multiplication_residuals):
+        for residuals in (checks._thm1_sides, checks._thm5_sides):
             counts = []
             for n_max in (2, 8):
                 calls.clear()
@@ -326,21 +336,23 @@ class TestResiduals:
 
 
 class TestQOneReduction:
+    # Corollary 3 is Theorem 5 at q = 1: (-1)^n A_n against
+    # 2^n d^n sum_a (-1)^a chi(a) zeta^a E_n(a/d), E_n with twist zeta^d.
     def test_anchor_both_sides_minus_two(self):
         cfg = TwistedConfig.build(quadratic_character(3), 1, 0, F(1))
-        lhs, rhs = euler_reduction_checks(cfg, 0)[0]
+        lhs, rhs = checks._thm5_sides(cfg, 0)[0]
         assert lhs == -2
         assert rhs == -2
         assert lhs == rhs
 
     def test_principal_mod_three(self):
         cfg = TwistedConfig.build(principal_character(3), 1, 0, F(1))
-        lhs, rhs = euler_reduction_checks(cfg, 0)[0]
+        lhs, rhs = checks._thm5_sides(cfg, 0)[0]
         assert lhs == rhs
 
     def test_cyclotomic_grid(self):
         cfg = TwistedConfig.build(quadratic_character(5), 3, 1, F(1))
-        for lhs, rhs in euler_reduction_checks(cfg, 4):
+        for lhs, rhs in checks._thm5_sides(cfg, 4):
             assert lhs == rhs
 
 
@@ -361,7 +373,7 @@ class TestOneComputationPerPoint:
     def test_builds_each_point_once(self, monkeypatch, relation):
         from collections import Counter
 
-        from eulertwist import checks, eulerian, twisted
+        from eulertwist import eulerian, twisted
 
         grid = dataclasses.replace(
             checks.default_grid(), moduli=(5,), zeta_orders=(3,), q_values=(F(5, 2),)
@@ -388,8 +400,8 @@ class TestOneComputationPerPoint:
 
     def test_sequences_match_per_n_reads(self):
         cfg = TwistedConfig.build(quadratic_character(5), 3, 1, F(5, 2))
-        rho1 = witt_residuals(cfg, 4)
-        rho5 = multiplication_residuals(cfg, 4)
+        rho1 = checks._thm1_sides(cfg, 4)
+        rho5 = checks._thm5_sides(cfg, 4)
         series = twisted_series_values(cfg, 4)
         for n in range(5):
             (lhs1, rhs1), (lhs5, rhs5) = rho1[n], rho5[n]
