@@ -26,7 +26,7 @@ from .errors import MathError
 from .eulerian import descent_oracle, eulerian_at, eulerian_recurrence, power_sum_rational
 from .fermionic import TruncationReport, padic_truncation, riemann_sums
 from .lfunction import LEvaluation, LParams, l_eval
-from .rationals import PLUS_INFINITY, padic_valuation, q_bracket, q_bracket_neg
+from .rationals import PLUS_INFINITY, padic_valuation, q_bracket_neg
 from .series import TruncatedSeries, exp_sum, nth_taylor_coefficient
 from .twisted import TwistedConfig, TwistedValue, twisted_gf, twisted_value, twisted_values
 

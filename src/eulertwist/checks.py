@@ -21,6 +21,7 @@ from .characters import (
     quadratic_character,
 )
 from .cyclotomic import cyclotomic_field, embed_complex
+from .errors import NotConverged, OutsideConvergence, OutsideDoubleRange
 from .eulerian import eulerian_at
 from .ntheory import is_squarefree
 from .rationals import format_rational, padic_valuation, parse_rational
@@ -227,11 +228,21 @@ def _thm1_sides(cfg, n_max: int) -> list:
             for n, (tv, integral) in enumerate(zip(twisted.twisted_values(cfg, n_max), moments))]
 
 
+def _at_negative_integer(evaluate, cfg, n: int):
+    """evaluate(LParams(s = -n)).value, or "ClassName: message" when the
+    L-series cannot be evaluated there and the point is skipped."""
+    try:
+        return evaluate(lfunction.LParams(s=complex(-n), cfg=cfg)).value
+    except (NotConverged, OutsideConvergence, OutsideDoubleRange) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
 def _thm3_sides(cfg, n_max: int) -> list:
     """Numeric partial sums of sum (-1)^m zeta^m chi(m) m^n / q^m beside the
     embedded exact closed form of the same series."""
-    numerics = [lfunction.l_series_sum(lfunction.LParams(s=complex(-n), cfg=cfg)).value for n in range(n_max + 1)]
-    return [(v, embed_complex(e, 1)) for v, e in zip(numerics, twisted.alternating_char_sums(cfg, n_max))]
+    numerics = [_at_negative_integer(lfunction.l_series_sum, cfg, n) for n in range(n_max + 1)]
+    return [v if isinstance(v, str) else (v, embed_complex(e, 1))
+            for v, e in zip(numerics, twisted.alternating_char_sums(cfg, n_max))]
 
 
 def _thm5_sides(cfg, n_max: int) -> list:
@@ -254,8 +265,8 @@ def _thm6_sides(cfg, n_max: int) -> list:
         if n == 0 and cfg.char.modulus == 1:
             out.append("series misses the index-0 term at modulus 1")
         else:
-            exact = (-1) ** n * embed_complex(tv.value, 1)
-            out.append((lfunction.l_eval(lfunction.LParams(s=complex(-n), cfg=cfg)).value, exact))
+            value = _at_negative_integer(lfunction.l_eval, cfg, n)
+            out.append(value if isinstance(value, str) else (value, (-1) ** n * embed_complex(tv.value, 1)))
     return out
 
 
@@ -269,36 +280,6 @@ def _distribution_sides(cfg, n_max: int) -> list:
     [True, True]
     """
     return list(zip(fermionic._char_moment_sequence(n_max, cfg), fermionic.residue_class_sums(n_max, cfg)))
-
-
-def run_thm2(grid: Grid) -> CheckReport:
-    """Generating-function coefficients against the closed-form series path."""
-    return _config_report(grid, "thm2", _path_sides, _equal)
-
-
-def run_thm3(grid: Grid) -> CheckReport:
-    """Numeric partial sums of the alternating series against the exact value."""
-    return _config_report(grid, "thm3", _thm3_sides, _absolute_gap)
-
-
-def run_thm6(grid: Grid) -> CheckReport:
-    """Interpolation of the exact values by the L-series at negative integers."""
-    return _config_report(grid, "thm6", _thm6_sides, _relative_gap)
-
-
-def run_distribution(grid: Grid) -> CheckReport:
-    """Residue-class decomposition of the character moment, exact."""
-    return _config_report(grid, "distribution", _distribution_sides, _equal)
-
-
-def run_thm1_residual(grid: Grid) -> CheckReport:
-    return _config_report(grid, "thm1-residual", _skip_vanishing(_thm1_sides, "integral moment"),
-                          _equal_up_to_q_squared)
-
-
-def run_thm5_residual(grid: Grid) -> CheckReport:
-    return _config_report(grid, "thm5-residual", _skip_vanishing(_thm5_sides, "decomposition sum"),
-                          _equal_up_to_q_squared)
 
 
 def run_cor2_residual(grid: Grid) -> CheckReport:
@@ -326,11 +307,6 @@ def run_cor2_residual(grid: Grid) -> CheckReport:
     return report.finalize()
 
 
-def run_cor3(grid: Grid) -> CheckReport:
-    """Corollary 3: Theorem 5's sides at q = 1, exact, no point skipped."""
-    return _config_report(grid, "cor3", _thm5_sides, _equal, fixed_q=Fraction(1))
-
-
 def run_eq22(grid: Grid) -> CheckReport:
     """Telescoping of the folded twisted Euler generating function: per odd
     fold count d, 2 sum_{l<d} (-1)^l zeta^l e^(lt) / (zeta^d e^(dt) + 1)
@@ -347,10 +323,10 @@ def run_eq22(grid: Grid) -> CheckReport:
         for zeta_order in grid.zeta_orders:
             k = grid.zeta_exponent % zeta_order if zeta_order > 1 else 0
             field = cyclotomic_field(zeta_order)
-            zeta, unit = field.zeta_power(k), field.zeta_power(k * d)
+            zeta = field.zeta_power(k)
             folded = exp_quotient(field, [(l, 2 * (-1) ** l, k * l) for l in range(d)], 1,
-                                  unit, d, fermionic._pivot_inverse(1, 1, unit), order)
-            direct = exp_quotient(field, [(0, 2, 0)], 1, zeta, 1, fermionic._pivot_inverse(1, 1, zeta), order)
+                                  field.zeta_power(k * d), d, field.binomial_inverse(1, 1, k * d), order)
+            direct = exp_quotient(field, [(0, 2, 0)], 1, zeta, 1, field.binomial_inverse(1, 1, k), order)
             taylor = [nth_taylor_coefficient(direct, n) for n in range(order)]
             series_equal = folded == direct
             moments_equal = taylor == fermionic._moment_sequence(order - 1, 1, zeta)
@@ -379,16 +355,21 @@ def run_eq28_residual(grid: Grid) -> CheckReport:
     return report.finalize()
 
 
+# A config relation is one _config_report row.  Each row reads its sides
+# function by name when it runs, so a sides function patched on this module
+# is the one that runs.
 RELATIONS = {
     "eq15": run_eq15,
-    "thm2": run_thm2,
-    "thm3": run_thm3,
-    "thm6": run_thm6,
-    "distribution": run_distribution,
-    "thm1-residual": run_thm1_residual,
-    "thm5-residual": run_thm5_residual,
+    "thm2": lambda grid: _config_report(grid, "thm2", _path_sides, _equal),
+    "thm3": lambda grid: _config_report(grid, "thm3", _thm3_sides, _absolute_gap),
+    "thm6": lambda grid: _config_report(grid, "thm6", _thm6_sides, _relative_gap),
+    "distribution": lambda grid: _config_report(grid, "distribution", _distribution_sides, _equal),
+    "thm1-residual": lambda grid: _config_report(
+        grid, "thm1-residual", _skip_vanishing(_thm1_sides, "integral moment"), _equal_up_to_q_squared),
+    "thm5-residual": lambda grid: _config_report(
+        grid, "thm5-residual", _skip_vanishing(_thm5_sides, "decomposition sum"), _equal_up_to_q_squared),
     "cor2-residual": run_cor2_residual,
-    "cor3": run_cor3,
+    "cor3": lambda grid: _config_report(grid, "cor3", _thm5_sides, _equal, fixed_q=Fraction(1)),
     "eq22": run_eq22,
     "eq28-residual": run_eq28_residual,
 }

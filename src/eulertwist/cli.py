@@ -7,7 +7,8 @@ Identical invocations produce byte-identical output.
 
 Exit codes: 0 success, 1 a check failed or checked nothing (no point
 passed), 2 usage error, 3 violated mathematical precondition (the error
-class name is printed to stderr).
+class name is printed to stderr).  A check does not exit 3 for a point its
+L-series cannot evaluate: thm3 and thm6 skip that point with the reason.
 Every flag value is parsed and bounded before any computation starts, so a
 bad value exits 2 with a usage message, never with a traceback.
 """
@@ -606,12 +607,6 @@ def main(argv=None) -> int:
             parser.error(f"argument --zeta-k: {args.zeta_k} is not coprime to --zeta-order {args.zeta_order}")
         if args.char.startswith("index:") and int(args.char[6:]) >= euler_phi(args.d):
             parser.error(f"argument --char: modulus {args.d} has characters index:0..{euler_phi(args.d) - 1}")
-    # Exact results may have more digits than Python's int-to-string limit
-    # (3.10.7 and later) allows; lift it while the handler runs.  The flags
-    # were parsed above, under the limit.
-    digit_limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
-    if digit_limit is not None:
-        sys.set_int_max_str_digits(0)
     try:
         if "zeta_k" in vars(args):
             args.character = _resolve_character(args.char, args.d)
@@ -627,9 +622,6 @@ def main(argv=None) -> int:
     except (MathError, ValueError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
-    finally:
-        if digit_limit is not None:
-            sys.set_int_max_str_digits(digit_limit)
 
 
 if __name__ == "__main__":

@@ -26,7 +26,7 @@ from functools import lru_cache
 
 from .errors import DivisionByZero, FieldMismatch, NotAPrimitiveEmbedding, OutsideDoubleRange
 from .ntheory import divisors, euler_phi, mobius
-from .rationals import format_rational, parse_rational
+from .rationals import format_rational
 
 
 def cyclotomic_polynomial(order: int) -> tuple[int, ...]:
@@ -354,14 +354,6 @@ def _sum(field: CyclotomicField, a: tuple, da: int, b: tuple, db: int, sign: int
         if h != 1:
             return _make(field, tuple([c // h for c in num]), den // h)
     return _make(field, tuple(num), den)
-
-
-def cyclotomic_from_json(doc: dict) -> CyclotomicNumber:
-    field = cyclotomic_field(int(doc["order"]))
-    coeffs = [parse_rational(c) for c in doc["coeffs"]]
-    if len(coeffs) != field.degree:
-        raise ValueError(f"expected {field.degree} coefficients for order {field.order}")
-    return field.reduce(coeffs)
 
 
 def embed_complex(a: CyclotomicNumber, k: int = 1) -> complex:

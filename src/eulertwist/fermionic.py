@@ -22,13 +22,16 @@ from .cyclotomic import CyclotomicNumber
 from .errors import NotPadicallyConvergent, SingularFunctionalEquation
 from .rationals import format_rational, int_valuation, padic_valuation, q_bracket_neg
 from .series import _is_zero, linear_combination, power_moments
+from .twisted import TwistedConfig
 
 
 def _pivot_inverse(c0, c1, twist):
-    """1/(c0 + c1 twist) for rationals c0, c1: by the geometric series
+    """1/(c0 + c1 twist) for rationals c0, c1 and the general twist of
+    :func:`_moment_sequence`: by the geometric series
     (``CyclotomicField.binomial_inverse``) when twist is a power of zeta of
     odd order and c0 != -c1, by the general inverse for any other twist (a
-    rational, a root of unity of even order, any field element)."""
+    rational, a root of unity of even order, any field element).  Callers
+    that hold the exponent of their twist call ``binomial_inverse`` directly."""
     if isinstance(twist, CyclotomicNumber) and c0 != -c1:
         field = twist.field
         k = field.root_exponent(twist)
@@ -83,10 +86,10 @@ def _char_moment_sequence(n: int, cfg) -> list:
     >>> _char_moment_sequence(0, TwistedConfig.build(quadratic_character(3), 1, 0, 2))[0] == -1
     True
     """
-    q, d = cfg.q, cfg.char.modulus
-    unit = cfg.zeta_pow(d)
+    q, d, field = cfg.q, cfg.char.modulus, cfg.field
+    k = cfg.twist_exponent(d)
     kernel = [(l, (1 + q) * (-1) ** l * q ** (d - 1 - l), e) for l, e in cfg.twisted_exponents(range(d))]
-    return _binomial_solve(power_moments(cfg.field, kernel, n), unit, d, _pivot_inverse(q**d, 1, unit))
+    return _binomial_solve(power_moments(field, kernel, n), field.zeta_power(k), d, field.binomial_inverse(q**d, 1, k))
 
 
 def residue_class_sums(n_max: int, cfg) -> list:
@@ -259,8 +262,6 @@ def padic_truncation(
     sums x^n alone, not the lower exponents :func:`riemann_sums` returns.
     With q = u/v and P = p^N, S_N = A_N (u+v) / (u^P - (-v)^P) for the
     walk's integer total A_N, one Fraction per level."""
-    from .twisted import TwistedConfig
-
     char = principal_character(1) if char is None else char
     q = Fraction(q)
     totals = _walk([n], q, p, max_level, char)[0]

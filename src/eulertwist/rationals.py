@@ -1,4 +1,4 @@
-"""Exact rational scalars: parsing, q-brackets, and p-adic valuations.
+"""Exact rational scalars: parsing, the alternating q-bracket, and p-adic valuations.
 
 Rationals are plain :class:`fractions.Fraction` values, which already keep
 the lowest-terms / positive-denominator normal form we rely on for exact
@@ -34,17 +34,22 @@ def format_rational(x: Fraction | int) -> str:
 # CPython 3.11 writes an int in decimal in time quadratic in its length (3.12 hands long ones to
 # _pylong.int_to_decimal_string).  Above DECIMAL_CUTOFF_BITS, decimal_string splits the int in binary
 # and rejoins the halves in the decimal module, whose products are subquadratic; the two ways meet
-# near 40 k bits (2-vCPU VM, Python 3.11.7: 1.7 s -> 0.12 s at 10^6 bits).  Below it, str().
+# near 40 k bits (2-vCPU VM, Python 3.11.7: 1.7 s -> 0.12 s at 10^6 bits).  Below it, str(), unless
+# n has more digits than the interpreter's int-to-string limit (4300 by default, 3.10.7 and later) allows.
 DECIMAL_CUTOFF_BITS = 50_000
 _DECIMAL_LEAF_BITS = 1024
 
 
 def decimal_string(n: int) -> str:
-    """str(n), the same characters, by divide and conquer above DECIMAL_CUTOFF_BITS bits:
-    n = high 2^h + low with h half the bit length, each half converted the same way down to
-    leaves of at most 1024 bits, and every power 2^h formed once, all in exact decimal arithmetic."""
+    """str(n), the same characters, whatever the interpreter's digit limit: by divide and conquer
+    above DECIMAL_CUTOFF_BITS bits and wherever str() refuses n for that limit, n = high 2^h + low
+    with h half the bit length, each half converted the same way down to leaves of at most 1024
+    bits, and every power 2^h formed once, all in exact decimal arithmetic."""
     if n.bit_length() <= DECIMAL_CUTOFF_BITS:
-        return str(n)
+        try:
+            return str(n)
+        except ValueError:  # more digits than the interpreter's limit
+            pass
     powers: dict[int, decimal.Decimal] = {}
 
     def two_to(bits: int) -> decimal.Decimal:
@@ -66,16 +71,6 @@ def decimal_string(n: int) -> str:
         ctx.traps[decimal.Inexact] = True
         text = str(convert(abs(n), n.bit_length()))
     return "-" + text if n < 0 else text
-
-
-def q_bracket(x: int, q: Fraction) -> Fraction:
-    """The q-analogue (1 - q^x)/(1 - q) of x, with the q -> 1 limit x."""
-    if x < 0:
-        raise ValueError("q_bracket expects x >= 0")
-    q = Fraction(q)
-    if q == 1:
-        return Fraction(x)
-    return (1 - q**x) / (1 - q)
 
 
 def q_bracket_neg(x: int, q: Fraction) -> Fraction:

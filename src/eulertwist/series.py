@@ -44,25 +44,9 @@ class TruncatedSeries:
             raise ValueError("a truncated series needs at least one coefficient")
         return TruncatedSeries(tuple(vals))
 
-    @staticmethod
-    def constant(value, order: int) -> "TruncatedSeries":
-        zero = _zero_like(value)
-        return TruncatedSeries.of([value] + [zero] * (order - 1))
-
     @property
     def order(self) -> int:
         return len(self.coeffs)
-
-    def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        n = min(self.order, other.order)
-        return TruncatedSeries(tuple(self.coeffs[i] + other.coeffs[i] for i in range(n)))
-
-    def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        n = min(self.order, other.order)
-        return TruncatedSeries(tuple(self.coeffs[i] - other.coeffs[i] for i in range(n)))
-
-    def __neg__(self) -> "TruncatedSeries":
-        return TruncatedSeries(tuple(-c for c in self.coeffs))
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         n = min(self.order, other.order)
@@ -91,20 +75,6 @@ class TruncatedSeries:
                 acc = term if acc is None else acc + term
             out.append(-inv0 * acc)
         return TruncatedSeries(tuple(out))
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, TruncatedSeries) and self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
-
-    def to_json(self) -> dict:
-        from .rationals import format_rational
-
-        encoded = [
-            c.to_json() if hasattr(c, "to_json") else format_rational(c) for c in self.coeffs
-        ]
-        return {"order": self.order, "coeffs": encoded}
 
 
 def power_moments(field, terms, n_max: int) -> list:

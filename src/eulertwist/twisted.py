@@ -17,7 +17,6 @@ from fractions import Fraction
 from .characters import DirichletCharacter
 from .cyclotomic import CyclotomicField, CyclotomicNumber, cyclotomic_field
 from .eulerian import periodic_power_sums
-from .fermionic import _pivot_inverse
 from .series import TruncatedSeries, exp_quotient, nth_taylor_coefficient
 
 
@@ -57,14 +56,17 @@ class TwistedConfig:
         field = cyclotomic_field(math.lcm(zeta_order, char.value_order))
         return TwistedConfig(char, zeta_order, zeta_exponent % zeta_order, q, field)
 
+    def twist_exponent(self, m: int) -> int:
+        """The exponent of zeta^m in zeta_N."""
+        return self.zeta_exponent * (self.field.order // self.zeta_order) * m
+
     def _exponents(self, m: int) -> tuple:
         """(exponent of chi(m) or None, exponent of zeta^m), both in zeta_N."""
-        e, order = self.char.exponent(m), self.field.order
-        twist = self.zeta_exponent * (order // self.zeta_order) * m
-        return (None if e is None else e * (order // self.char.value_order)), twist
+        e = self.char.exponent(m)
+        return (None if e is None else e * (self.field.order // self.char.value_order)), self.twist_exponent(m)
 
     def zeta_pow(self, m: int) -> CyclotomicNumber:
-        return self.field.zeta_power(self._exponents(m)[1])
+        return self.field.zeta_power(self.twist_exponent(m))
 
     def char_value(self, m: int) -> CyclotomicNumber:
         e = self._exponents(m)[0]
@@ -106,9 +108,10 @@ def twisted_gf(cfg: TwistedConfig, order: int) -> TruncatedSeries:
     geometric series (``CyclotomicField.binomial_inverse``).  Each weight
     enters as a (node, rational, exponent) triple, never as a field
     element."""
-    q, d, unit = cfg.q, cfg.char.modulus, cfg.zeta_pow(cfg.char.modulus)
+    q, d, field = cfg.q, cfg.char.modulus, cfg.field
+    k = cfg.twist_exponent(d)
     terms = [(l, (1 + q) * (-1) ** l * q ** (d - l + 1), e) for l, e in cfg.twisted_exponents(range(d))]
-    return exp_quotient(cfg.field, terms, -(1 + q), unit, d, _pivot_inverse(q**d, 1, unit), order)
+    return exp_quotient(field, terms, -(1 + q), field.zeta_power(k), d, field.binomial_inverse(q**d, 1, k), order)
 
 
 def alternating_char_sums(cfg: TwistedConfig, n_max: int) -> list:

@@ -176,14 +176,22 @@ def test_values_beyond_double_range_exit_three(capsys, argv):
     assert code == 3 and "OutsideDoubleRange" in err
 
 
+def skipped_check(capsys, relation, grid, reason):
+    """The check exits 1, every point a skip whose detail names `reason`."""
+    code, out = run_cli(capsys, "check", "--relation", relation, "--grid", grid)
+    points = json.loads(out)["points"]
+    assert code == 1 and points
+    assert all(p["verdict"] == "skip" and reason in p["detail"] for p in points), points
+
+
 @pytest.mark.parametrize("relation", ["thm3", "thm6"])
 def test_grid_q_beyond_double_range_exits_three(capsys, tmp_path, relation):
-    # One small point: around the default grid's other points, thm2 at this q
-    # takes 80 s, over the work budget.
-    path = tmp_path / "grid.json"
-    path.write_text(json.dumps({"q": [str(10**400)], "moduli": [3], "zeta_orders": [1], "n_max": 1}))
-    code, err = math_exit(capsys, "check", "--relation", relation, "--grid", f"file:{path}")
-    assert code == 3 and "OutsideDoubleRange" in err
+    # lfun at this q exits 3 (test_values_beyond_double_range_exit_three);
+    # a check skips each such point with its reason instead, and exits 1
+    # because no point passes.  One small point: around the default grid's
+    # other points, thm2 at this q takes 80 s, over the work budget.
+    grid = grid_file(tmp_path, {"q": [str(10**400)], "moduli": [3], "zeta_orders": [1], "n_max": 1})
+    skipped_check(capsys, relation, grid, "OutsideDoubleRange: q exceeds double range")
 
 
 # Above 1 exactly but 1.0 as a double, so no term of the series decays: the
@@ -198,9 +206,27 @@ Q_ROUNDING_TO_ONE = "10000000000000000001/10000000000000000000"
      {"q": [Q_ROUNDING_TO_ONE], "moduli": [3], "zeta_orders": [1], "n_max": 1}],
 ])
 def test_q_above_one_that_rounds_to_one_is_not_converged(capsys, tmp_path, argv):
-    argv = [grid_file(tmp_path, a) if isinstance(a, dict) else a for a in argv]
-    code, err = math_exit(capsys, *argv)
-    assert code == 3 and "NotConverged: tail bound not reached within 200000 terms" in err
+    reason = "NotConverged: tail bound not reached within 200000 terms"
+    if argv[0] == "check":  # each point is skipped with the reason lfun exits 3 with
+        skipped_check(capsys, argv[2], grid_file(tmp_path, argv[-1]), reason)
+    else:
+        code, err = math_exit(capsys, *argv)
+        assert code == 3 and reason in err
+
+
+def test_thm3_and_thm6_skip_the_points_the_l_series_cannot_reach(capsys, tmp_path):
+    # q = 1/2 lies outside the series' region of convergence; the q = 2 points still get verdicts.
+    grid = grid_file(tmp_path, {"n_max": 3, "moduli": [1, 3], "q": ["1/2", "2"], "zeta_orders": [1]})
+    for relation, passed, skipped in (("thm3", 12, 12), ("thm6", 11, 13)):
+        code, out = run_cli(capsys, "check", "--relation", relation, "--grid", grid)
+        doc = json.loads(out)
+        assert code == 0 and doc["summary"] == {"pass": passed, "fail": 0, "skip": skipped}, relation
+        half = [p for p in doc["points"] if " q=1/2 " in p["point"]]
+        modulus_one = "series misses the index-0 term at modulus 1"  # thm6's skip at d = 1, n = 0, any q
+        assert len(half) == 12 and all(
+            p["verdict"] == "skip" and (p["detail"].startswith("OutsideConvergence: ") or p["detail"] == modulus_one)
+            for p in half
+        ), relation
 
 
 def test_unknown_relation_is_usage_error(capsys, monkeypatch):
@@ -688,10 +714,12 @@ CHAR_FILE_SHAPES = [
     json.dumps({"modulus": 3, "order": 2, "values": [None, 0, 1]}).encode(),  # values as a list
     b"[1,2",  # not JSON
     b"\xff\xfe[1, 2]",  # not UTF-8
+    b'{"modulus": 1' + b"0" * 5000 + b', "order": 1, "values": {}}',  # an int over the default digit limit
 ]
 
 
-@pytest.mark.parametrize("text", CHAR_FILE_SHAPES, ids=["list", "no-modulus", "values-list", "not-json", "not-utf8"])
+@pytest.mark.parametrize("text", CHAR_FILE_SHAPES,
+                         ids=["list", "no-modulus", "values-list", "not-json", "not-utf8", "long-int"])
 def test_malformed_character_file_is_an_invalid_character(capsys, tmp_path, text):
     path = tmp_path / "chi.json"
     path.write_bytes(text)
