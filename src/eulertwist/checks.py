@@ -145,16 +145,15 @@ class CheckReport:
 
 
 def _configs(grid: Grid, fixed_q: Fraction | None = None):
-    """Every grid configuration with its point key; a fixed q replaces the
-    grid's q values and stays out of the key."""
+    """Every grid configuration as an unbuilt point (key, char, zeta_order,
+    k, q); a fixed q replaces the grid's q values and stays out of the key."""
     for d in grid.moduli:
         for char_name, char in grid_characters(d):
             for zeta_order in grid.zeta_orders:
-                k = grid.zeta_exponent % zeta_order if zeta_order > 1 else 0
+                k = grid.zeta_exponent % zeta_order
                 key = f"d={d} char={char_name} zeta={zeta_order}^{k}"
                 for q in grid.q_values if fixed_q is None else (fixed_q,):
-                    cfg = twisted.TwistedConfig.build(char, zeta_order, k, q)
-                    yield (key if fixed_q is not None else f"{key} q={format_rational(q)}"), cfg
+                    yield (key if fixed_q is not None else f"{key} q={format_rational(q)}"), char, zeta_order, k, q
 
 
 def run_eq15(grid: Grid) -> CheckReport:
@@ -180,7 +179,8 @@ def _config_report(grid: Grid, name: str, sides, decide, fixed_q: Fraction | Non
     (lhs, rhs) pair per n, or the reason string of a skipped point, and
     decide(cfg, lhs, rhs) gives (ok, detail)."""
     report = CheckReport(name, grid.describe())
-    for key, cfg in _configs(grid, fixed_q):
+    for key, *config in _configs(grid, fixed_q):
+        cfg = twisted.TwistedConfig.build(*config)
         for n, pair in enumerate(sides(cfg, grid.n_max)):
             point = f"{key} n={n}"
             if isinstance(pair, str):
@@ -321,7 +321,7 @@ def run_eq22(grid: Grid) -> CheckReport:
         if d < 1 or d % 2 == 0:
             raise ValueError("the fold count must be odd")
         for zeta_order in grid.zeta_orders:
-            k = grid.zeta_exponent % zeta_order if zeta_order > 1 else 0
+            k = grid.zeta_exponent % zeta_order
             field = cyclotomic_field(zeta_order)
             zeta = field.zeta_power(k)
             folded = exp_quotient(field, [(l, 2 * (-1) ** l, k * l) for l in range(d)], 1,
@@ -378,7 +378,5 @@ ALIASES = {"witt": "eq15", "cor2": "cor2-residual"}
 
 
 def run_relation(name: str, grid: Grid) -> CheckReport:
-    canonical = ALIASES.get(name, name)
-    if canonical not in RELATIONS:
-        raise KeyError(name)
-    return RELATIONS[canonical](grid)
+    """The relation a token or alias names, run on the grid; KeyError names an unknown token."""
+    return RELATIONS[ALIASES.get(name, name)](grid)

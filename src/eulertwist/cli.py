@@ -302,8 +302,8 @@ def _resolve_character(spec: str, modulus: int):
 #   eq15 per q         integral's exact term at n = 8             q (3^9000+1)/7: 0.22 -> 0.27
 #   eq22 per (d, z)    5e-4 (d + D)                               d 99, z 99: 0.071 -> 0.080
 #   eq28 per table     d (3.5e-5 (1 + log2(h) / 4) + 1.3e-13 s^2) d 99, q 2: 0.0035 -> 0.0035; q 3^800+1: 0.20 -> 0.22
-# Each point adds 1e-3.  A grid configuration costs A_0..A_n and the dearest of series path, residue classes and
-# float sums.  An lfun run costs its field and its float sum.
+# Each point adds 1e-3.  A check costs the relation that runs (RELATION_PRICES), a configuration A_0..A_n and the
+# dearest of series path, residue classes and float sums.  An lfun run costs its field and its float sum.
 
 
 def _log_height(q) -> float:
@@ -343,7 +343,7 @@ def _point_parts(n: int, d: int, char_order: int, z: int, q) -> tuple:
     return values, series, residues
 
 
-def _float_sums_s(re_abs_values, d: int, q, tol: float, max_terms: int) -> float:
+def _float_sums_s(re_abs_values, d: int, q, tol: float = LParams.tol, max_terms: int = LParams.max_terms) -> float:
     """`l_series_sum` at each |Re s|: 6.5e-7 s per summed term, the phi(d)/d of the indices up to its stop
     index where chi(m) != 0; none where it raises at once, also where no stop index meets tol."""
     seconds = 0.0
@@ -365,40 +365,40 @@ def _exact_moments_s(n: int, h: float) -> float:
     return 7.3e-11 * (n + 1) ** 3.5 * h**1.5
 
 
-def _grid_s(grid) -> float:
-    """A grid's dearest relation, whatever relation runs: the dearest family of points one relation reads
-    (configurations, cor3's at q = 1, eq15's q, eq22's (d, z), eq28's tables, cor2's primes), plus the
-    fields."""
-    n, families = grid.n_max, [0.0] * 6
-    floats = {(d, q): _float_sums_s(range(n + 1), d, q, LParams.tol, LParams.max_terms)
-              for d in grid.moduli for q in grid.q_values}
-    orders = set()
-    for d in grid.moduli:
-        for _, char in checks.grid_characters(d):
-            for z in grid.zeta_orders:
-                orders.add(math.lcm(z, char.value_order))
-                for q in grid.q_values:
-                    values, series, residues = _point_parts(n, d, char.value_order, z, q)
-                    families[0] += 1e-3 + values + max(series, residues, floats[d, q])
-                values, _, residues = _point_parts(n, d, char.value_order, z, 1)
-                families[1] += 1e-3 + values + residues
-        families[2] += sum(5e-4 * (d + euler_phi(z)) for z in grid.zeta_orders)
-        for q in grid.q_values:
-            h = _height(q)
-            families[3] += grid.random_tables * d * (3.5e-5 * (1 + math.log2(h) / 4) + 1.3e-13 * (d * h) ** 2)
-    families[4] = sum(1e-3 + _exact_moments_s(8, _height(q)) for q in grid.q_values)
-    for p in grid.primes:
-        values, series, _ = _point_parts(grid.padic_n_max, p, 2, 1, 1 + p)
-        walk = _walk_s(p, grid.level_max, _height(1 + p), range(grid.padic_n_max + 1))
-        families[5] += 2 * (1e-3 + walk + values + series)
-    return sum(map(_field_s, orders)) + max(families)
+def _configs_s(grid, fixed_q=None) -> float:
+    """Each point of `checks._configs` at 1e-3 + A_0..A_n + the dearest of its series path, residue classes and
+    float sums, or at cor3's fixed q + its residue classes; plus the fields the points build."""
+    seconds, orders = 0.0, set()
+    for _, char, z, _, q in checks._configs(grid, fixed_q):
+        orders.add(math.lcm(z, char.value_order))
+        values, series, residues = _point_parts(grid.n_max, char.modulus, char.value_order, z, q)
+        if fixed_q is None:
+            residues = max(series, residues, _float_sums_s(range(grid.n_max + 1), char.modulus, q))
+        seconds += 1e-3 + values + residues
+    return seconds + sum(map(_field_s, orders))
+
+
+RELATION_PRICES = {
+    **dict.fromkeys(("thm2", "thm3", "thm6", "distribution", "thm1-residual", "thm5-residual"), _configs_s),
+    "cor3": lambda grid: _configs_s(grid, fixed_q=1),
+    "eq15": lambda grid: sum(1e-3 + _exact_moments_s(8, _height(q)) for q in grid.q_values),
+    "eq22": lambda grid: sum(sum(5e-4 * (d + euler_phi(z)) for z in grid.zeta_orders) for d in grid.moduli)
+        + sum(map(_field_s, set(grid.zeta_orders))),
+    "eq28-residual": lambda grid: sum(
+        grid.random_tables * d * (3.5e-5 * (1 + math.log2(_height(q)) / 4) + 1.3e-13 * (d * _height(q)) ** 2)
+        for d in grid.moduli for q in grid.q_values),
+    # two characters per prime at q = 1 + p
+    "cor2-residual": lambda grid: sum(
+        2 * (1e-3 + _walk_s(p, grid.level_max, _height(1 + p), range(grid.padic_n_max + 1)) + values + series)
+        for p in grid.primes for values, series, _ in [_point_parts(grid.padic_n_max, p, 2, 1, 1 + p)]),
+}
 
 
 def predicted_seconds(args) -> float:
     """The predicted run time of a twisted, lfun, integral or check invocation from its parsed flags, checked
     against MAX_WORK_S before any field is built or any sum starts; 0 for classic and chars (bounded otherwise)."""
     if args.command == "check":
-        return _grid_s(args.grid)
+        return RELATION_PRICES[checks.ALIASES.get(args.relation, args.relation)](args.grid)
     if args.command == "integral":
         h = _height(args.q)
         return 1e-3 + _walk_s(args.p, args.levels, h, [args.n]) + _exact_moments_s(args.n, h)
@@ -579,7 +579,7 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"default|file:PATH; a file's lists are nonempty and repeat no entry; q avoids 0 and -1; moduli "
         f"and twist orders are odd, at most {MAX_MODULUS} and {MAX_ZETA_ORDER}; zeta_exponent is coprime to each "
         f"twist order; n_max and padic_n_max lie in 0..{MAX_INDEX}; primes are odd primes at most {MAX_MODULUS}; "
-        f"level_max >= 0; random_tables lies in 1..{MAX_RANDOM_TABLES}; every point is priced, whatever the relation",
+        f"level_max >= 0; random_tables lies in 1..{MAX_RANDOM_TABLES}; the points the relation reads are priced",
     )
     p.add_argument("--output")
     p.set_defaults(handler=_cmd_check)

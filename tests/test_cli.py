@@ -1,17 +1,21 @@
 """CLI contract: grammar, determinism, JSON round-trips, exit codes."""
 import hashlib
 import json
+import math
 import random
 import subprocess
 import sys
 import time
 from dataclasses import replace
 from fractions import Fraction as F
+from types import SimpleNamespace
 
 import pytest
 
-from eulertwist import cli
-from eulertwist.lfunction import LEvaluation
+from eulertwist import checks, cli
+from eulertwist.cli import _exact_moments_s, _field_s, _float_sums_s, _height, _point_parts, _walk_s
+from eulertwist.lfunction import LEvaluation, LParams
+from eulertwist.ntheory import euler_phi
 from eulertwist.rationals import parse_rational
 
 
@@ -617,7 +621,7 @@ OVER_BUDGET = [
      {"moduli": [99], "q": [str(q) for q in range(2, 12)], "random_tables": 1000}],
     ["integral", "--n", "40", "--q", "3000000000000000000000000000001", "--p", "3", "--levels", "9"],
     ["integral", "--n", "40", "--q", f"10/{3**8000 + 1}", "--p", "3", "--levels", "2"],
-    ["check", "--relation", "thm2", "--grid", {"primes": [5], "level_max": 9}],  # cor2 would walk 5^9 terms
+    ["check", "--relation", "cor2", "--grid", {"primes": [5], "level_max": 9}],  # a walk over 5^9 terms
     # 9,649,962 float terms, all summed at d = 1: 5.3 to 6.2 s
     ["lfun", "--q", "10001/10000", "--d", "1", "--s", "-30", "--max-terms", "10000000"],
 ]
@@ -655,6 +659,7 @@ def test_unreachable_tail_bound_is_priced_as_no_sum(capsys):
     ["check", "--relation", "cor2", "--grid", {"primes": [17], "level_max": 2, "padic_n_max": 40}],
     ["check", "--relation", "cor2", "--grid", {"primes": [11], "level_max": 3, "padic_n_max": 14}],
     ["check", "--relation", "thm2", "--grid", "default"],
+    ["check", "--relation", "thm2", "--grid", {"primes": [5], "level_max": 9}],  # thm2 reads no prime
 ])
 def test_runs_within_the_work_budget_are_admitted(tmp_path, argv):
     parser = cli.build_parser()
@@ -695,17 +700,84 @@ def test_prediction_never_falls_as_the_work_grows():
         assert cli._walk_s(p, levels, terms_h, range(n + 2)) >= cli._walk_s(p, levels, terms_h, range(n + 1))
 
     for _ in range(40):
-        grid = cli.checks.Grid(
-            n_max=rng.randint(0, 12), moduli=tuple(rng.sample([1, 3, 5, 7, 15, 21, 45], 2)),
-            q_values=tuple(F(rng.randint(2, 50), rng.randint(1, 7)) for _ in range(2)),
-            zeta_orders=tuple(rng.sample([1, 3, 5, 9, 27], 2)), primes=tuple(rng.sample([3, 5, 7, 11, 13], 2)),
-            level_max=rng.randint(0, 3), padic_n_max=rng.randint(0, 12),
-        )
-        total = cli._grid_s(grid)
-        assert cli._grid_s(replace(grid, q_values=(*grid.q_values, F(rng.randint(51, 99), 2)))) >= total
-        assert cli._grid_s(replace(grid, moduli=(*grid.moduli, 99))) >= total
-        assert cli._grid_s(replace(grid, primes=(*grid.primes, 17))) >= total
-        assert cli._grid_s(replace(grid, padic_n_max=grid.padic_n_max + 1)) >= total
+        grid, wider = draw_grid(rng), F(rng.randint(51, 99), 2)
+        # each distinct price once: the configuration relations share one
+        for price, token in {price: token for token, price in cli.RELATION_PRICES.items()}.items():
+            total = price(grid)
+            assert price(replace(grid, q_values=(*grid.q_values, wider))) >= total, token
+            assert price(replace(grid, moduli=(*grid.moduli, 99))) >= total, token
+            assert price(replace(grid, primes=(*grid.primes, 17))) >= total, token
+            assert price(replace(grid, padic_n_max=grid.padic_n_max + 1)) >= total, token
+
+
+def draw_grid(rng):
+    """A small grid with every key a relation reads drawn at random."""
+    return cli.checks.Grid(
+        n_max=rng.randint(0, 12), moduli=tuple(rng.sample([1, 3, 5, 7, 15, 21, 45], 2)),
+        q_values=tuple(F(rng.randint(2, 50), rng.randint(1, 7)) for _ in range(2)),
+        zeta_orders=tuple(rng.sample([1, 3, 5, 9, 27], 2)), primes=tuple(rng.sample([3, 5, 7, 11, 13], 2)),
+        level_max=rng.randint(0, 3), padic_n_max=rng.randint(0, 12),
+    )
+
+
+def whole_grid_s(grid) -> float:
+    """The former price of every check, kept as the oracle of the per-relation prices: the grid's dearest family
+    of points, whatever relation runs, plus every field a configuration builds."""
+    n, families = grid.n_max, [0.0] * 6
+    floats = {(d, q): _float_sums_s(range(n + 1), d, q, LParams.tol, LParams.max_terms)
+              for d in grid.moduli for q in grid.q_values}
+    orders = set()
+    for d in grid.moduli:
+        for _, char in checks.grid_characters(d):
+            for z in grid.zeta_orders:
+                orders.add(math.lcm(z, char.value_order))
+                for q in grid.q_values:
+                    values, series, residues = _point_parts(n, d, char.value_order, z, q)
+                    families[0] += 1e-3 + values + max(series, residues, floats[d, q])
+                values, _, residues = _point_parts(n, d, char.value_order, z, 1)
+                families[1] += 1e-3 + values + residues
+        families[2] += sum(5e-4 * (d + euler_phi(z)) for z in grid.zeta_orders)
+        for q in grid.q_values:
+            h = _height(q)
+            families[3] += grid.random_tables * d * (3.5e-5 * (1 + math.log2(h) / 4) + 1.3e-13 * (d * h) ** 2)
+    families[4] = sum(1e-3 + _exact_moments_s(8, _height(q)) for q in grid.q_values)
+    for p in grid.primes:
+        values, series, _ = _point_parts(grid.padic_n_max, p, 2, 1, 1 + p)
+        walk = _walk_s(p, grid.level_max, _height(1 + p), range(grid.padic_n_max + 1))
+        families[5] += 2 * (1e-3 + walk + values + series)
+    return sum(map(_field_s, orders)) + max(families)
+
+
+def test_every_relation_is_priced():
+    assert set(cli.RELATION_PRICES) == set(checks.RELATIONS)
+
+
+def test_no_run_the_whole_grid_price_admitted_is_refused():
+    rng = random.Random(20261019)
+    for _ in range(300):
+        grid = draw_grid(rng)
+        whole = whole_grid_s(grid)
+        for token in (*checks.RELATIONS, *checks.ALIASES):
+            price = cli.predicted_seconds(SimpleNamespace(command="check", relation=token, grid=grid))
+            assert 0 < price <= whole, (token, grid)
+
+
+ROADMAP_GRID = {"n_max": 30, "moduli": [1, 3, 5, 7, 15, 21, 33, 35, 45], "zeta_orders": [1, 3, 9, 27],
+                "q": ["2", "5/2", "1001/997"]}
+
+
+def test_a_relation_is_priced_by_the_points_it_reads(capsys, monkeypatch, tmp_path):
+    # the whole grid prices 369 s; each of these relations runs in at most 0.11 s and passes
+    grid = grid_file(tmp_path, ROADMAP_GRID)
+    for relation in ("eq15", "eq22", "eq28-residual", "cor2-residual"):
+        assert cli.main(["check", "--relation", relation, "--grid", grid]) == 0, relation
+    capsys.readouterr()
+    # cor3 runs in 1.2 s; it is priced only
+    args = cli.build_parser().parse_args(["check", "--relation", "cor3", "--grid", grid])
+    assert 0 < cli.predicted_seconds(args) <= cli.MAX_WORK_S
+    no_work(monkeypatch)
+    assert cli.main(["check", "--relation", "thm2", "--grid", grid]) == 2
+    assert "work budget MAX_WORK_S" in capsys.readouterr().err
 
 
 CHAR_FILE_SHAPES = [
