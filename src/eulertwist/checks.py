@@ -5,6 +5,19 @@ This module states every relation's two sides; the modules it reads
 registered relation runs one identity over every applicable grid point and
 reports a per-point verdict; a report passes iff no point fails and at least
 one passes.  The registry names are the stable CLI tokens.
+
+The config relations read three quantities through one process-wide memo,
+:func:`_memo`: A_n (`twisted.twisted_values`), the d-step moments
+(`fermionic._char_moment_sequence`) and the residue-class sums
+(`fermionic.residue_class_sums`).  thm6, thm1 and thm5 reuse the A_n of
+thm2, thm1 the moments of distribution, and thm5 its residue sums.  The key
+is the function as read from its module at the call, with its arguments,
+so a quantity patched on its module misses the memo.  Each result is held
+as a tuple, which no caller can mutate, and at most MEMO_ENTRIES of them
+are held.  A read returns only the result of the route it names, so no
+relation ever compares a route with itself.  Nothing else is held: the
+series path, the alternating sums and the L-values are computed on every
+read.
 """
 from __future__ import annotations
 
@@ -12,6 +25,7 @@ import math
 import random
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
+from functools import lru_cache
 
 from . import fermionic, lfunction, twisted
 from .characters import (
@@ -144,6 +158,16 @@ class CheckReport:
         }
 
 
+# One reach-grid sweep holds about 320 entries.
+MEMO_ENTRIES = 512
+
+
+@lru_cache(maxsize=MEMO_ENTRIES)
+def _memo(quantity, *args) -> tuple:
+    """quantity(*args) as a tuple, computed once per equal key while held."""
+    return tuple(quantity(*args))
+
+
 def _configs(grid: Grid, fixed_q: Fraction | None = None):
     """Every grid configuration as an unbuilt point (key, char, zeta_order,
     k, q); a fixed q replaces the grid's q values and stays out of the key."""
@@ -216,16 +240,16 @@ def _relative_gap(cfg, lhs, rhs) -> tuple:
 
 def _path_sides(cfg, n_max: int) -> list:
     """Theorem 2: generating-function coefficients beside the closed-form series path."""
-    values = twisted.twisted_values(cfg, n_max)
+    values = _memo(twisted.twisted_values, cfg, n_max)
     return [(tv.value, b) for tv, b in zip(values, twisted.twisted_series_values(cfg, n_max))]
 
 
 def _thm1_sides(cfg, n_max: int) -> list:
     """Theorem 1: A_n = q^2 (-1)^n (1+q)^n I(zeta^x chi(x) x^n); q^2 is the
     gap between the d-l+1 kernel and the iterated d-1-l kernel."""
-    moments = fermionic._char_moment_sequence(n_max, cfg)
+    moments = _memo(fermionic._char_moment_sequence, n_max, cfg)
     return [(tv.value, ((-1) ** n * (1 + cfg.q) ** n) * integral)
-            for n, (tv, integral) in enumerate(zip(twisted.twisted_values(cfg, n_max), moments))]
+            for n, (tv, integral) in enumerate(zip(_memo(twisted.twisted_values, cfg, n_max), moments))]
 
 
 def _at_negative_integer(evaluate, cfg, n: int):
@@ -251,9 +275,9 @@ def _thm5_sides(cfg, n_max: int) -> list:
     q^2 = 1 and [d]_{-1} = 1, so this is Corollary 3: A_n = (-2d)^n
     sum_a (-1)^a chi(a) zeta^a E_n(a/d), E_n the twisted Euler values of
     twist zeta^d."""
-    sums = fermionic.residue_class_sums(n_max, cfg)
+    sums = _memo(fermionic.residue_class_sums, n_max, cfg)
     return [((-1) ** n * tv.value, (1 + cfg.q) ** n * integral)
-            for n, (tv, integral) in enumerate(zip(twisted.twisted_values(cfg, n_max), sums))]
+            for n, (tv, integral) in enumerate(zip(_memo(twisted.twisted_values, cfg, n_max), sums))]
 
 
 def _thm6_sides(cfg, n_max: int) -> list:
@@ -261,7 +285,7 @@ def _thm6_sides(cfg, n_max: int) -> list:
     For modulus 1 the series misses the index-0 summand of the generating
     function, which only contributes at n = 0; that point is skipped."""
     out = []
-    for n, tv in enumerate(twisted.twisted_values(cfg, n_max)):
+    for n, tv in enumerate(_memo(twisted.twisted_values, cfg, n_max)):
         if n == 0 and cfg.char.modulus == 1:
             out.append("series misses the index-0 term at modulus 1")
         else:
@@ -279,7 +303,8 @@ def _distribution_sides(cfg, n_max: int) -> list:
     >>> [lhs == rhs for lhs, rhs in pairs]
     [True, True]
     """
-    return list(zip(fermionic._char_moment_sequence(n_max, cfg), fermionic.residue_class_sums(n_max, cfg)))
+    return list(zip(_memo(fermionic._char_moment_sequence, n_max, cfg),
+                    _memo(fermionic.residue_class_sums, n_max, cfg)))
 
 
 def run_cor2_residual(grid: Grid) -> CheckReport:

@@ -398,7 +398,8 @@ def predicted_seconds(args) -> float:
     """The predicted run time of a twisted, lfun, integral or check invocation from its parsed flags, checked
     against MAX_WORK_S before any field is built or any sum starts; 0 for classic and chars (bounded otherwise)."""
     if args.command == "check":
-        return RELATION_PRICES[checks.ALIASES.get(args.relation, args.relation)](args.grid)
+        tokens = checks.RELATIONS if args.relation == "all" else [checks.ALIASES.get(args.relation, args.relation)]
+        return sum(RELATION_PRICES[token](args.grid) for token in tokens)
     if args.command == "integral":
         h = _height(args.q)
         return 1e-3 + _walk_s(args.p, args.levels, h, [args.n]) + _exact_moments_s(args.n, h)
@@ -490,9 +491,10 @@ def _cmd_chars(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    report = checks.run_relation(args.relation, args.grid)
-    _emit(args, _dumps(report.to_json()) + "\n")
-    return 0 if report.passed else 1
+    tokens = checks.RELATIONS if args.relation == "all" else [args.relation]
+    reports = [checks.run_relation(token, args.grid) for token in tokens]
+    _emit(args, "".join(_dumps(report.to_json()) + "\n" for report in reports))
+    return 0 if all(report.passed for report in reports) else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -572,8 +574,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output")
     p.set_defaults(handler=_cmd_chars)
 
-    p = sub.add_parser("check", help="run one relation check over a grid", epilog=budget)
-    p.add_argument("--relation", required=True, choices=(*checks.RELATIONS, *checks.ALIASES))
+    p = sub.add_parser("check", help="run one relation check, or all of them, over a grid", epilog=budget)
+    p.add_argument(
+        "--relation", required=True, choices=(*checks.RELATIONS, *checks.ALIASES, "all"),
+        help="a relation token or alias, or all: every relation in turn, one report each, priced as their sum",
+    )
     p.add_argument(
         "--grid", type=_flag_type(_grid), default="default",
         help=f"default|file:PATH; a file's lists are nonempty and repeat no entry; q avoids 0 and -1; moduli "

@@ -181,8 +181,8 @@ def l_series_sum(params: LParams) -> LEvaluation:
 def l_eval(params: LParams) -> LEvaluation:
     """Full L-value: prefactor times the truncated series."""
     inner = l_series_sum(params)
-    try:  # q's double, held for the config just summed
-        value = l_prefactor(complex(params.s), _held.q) * inner.value
+    try:  # q's double from this config, never from the table another sum left held
+        value = l_prefactor(complex(params.s), float(params.cfg.q)) * inner.value
     except OverflowError as exc:
         raise NotConverged("non-finite value") from exc
     if not (math.isfinite(value.real) and math.isfinite(value.imag)):

@@ -240,6 +240,39 @@ def test_unknown_relation_is_usage_error(capsys, monkeypatch):
     assert code == 2 and "--relation" in err and "thm2" in err and "cor2" in err
 
 
+def test_unknown_relation_lists_all(capsys):
+    code, err = usage_exit(capsys, "check", "--relation", "every")
+    assert code == 2 and "'all'" in err
+
+
+def test_all_exits_one_when_one_report_fails(capsys, monkeypatch):
+    def run(name, grid):
+        report = passing_report(name)
+        if name == "thm5-residual":
+            report.add("bad", False)
+        return report
+
+    monkeypatch.setattr(cli.checks, "run_relation", run)
+    code, out = run_cli(capsys, "check", "--relation", "all")
+    docs = [json.loads(line) for line in out.splitlines()]
+    assert code == 1 and [doc["relation"] for doc in docs] == list(checks.RELATIONS)
+    assert [doc["summary"]["fail"] for doc in docs] == [token == "thm5-residual" for token in checks.RELATIONS]
+
+
+def test_all_is_priced_as_the_sum_of_the_relations(capsys, monkeypatch):
+    def price(relation):
+        return cli.predicted_seconds(SimpleNamespace(command="check", relation=relation, grid=checks.default_grid()))
+
+    assert price("all") == pytest.approx(sum(price(token) for token in checks.RELATIONS))
+    # each relation alone is admitted, their sum is not
+    for token in checks.RELATIONS:
+        monkeypatch.setitem(cli.RELATION_PRICES, token, lambda grid: cli.MAX_WORK_S / 10)
+    assert all(price(token) <= cli.MAX_WORK_S for token in checks.RELATIONS)
+    no_work(monkeypatch)
+    assert cli.main(["check", "--relation", "all"]) == 2
+    assert "work budget MAX_WORK_S" in capsys.readouterr().err
+
+
 def test_check_relation_pass(capsys):
     code, out = run_cli(capsys, "check", "--relation", "eq28-residual")
     assert code == 0

@@ -338,6 +338,16 @@ class TestSummandTable:
         assert lfunction._held.cfg is cfg
         assert sys.getrefcount(old) == 2  # this name and the call's argument
 
+    def test_the_prefactor_reads_q_from_its_own_config(self, monkeypatch):
+        """A wrapper of l_series_sum that returns without building a table leaves
+        another config's table held; l_eval's prefactor still reads its own q."""
+        s, held_cfg, cfg = complex(-2, 1), quadratic3_config(F(3, 2)), quadratic3_config(F(5, 2))
+        inner = l_series_sum(LParams(s=s, cfg=cfg))
+        l_series_sum(LParams(s=s, cfg=held_cfg))
+        monkeypatch.setattr(lfunction, "l_series_sum", lambda params: inner)
+        assert lfunction._held.cfg is held_cfg
+        assert l_eval(LParams(s=s, cfg=cfg)).value == l_prefactor(s, float(cfg.q)) * inner.value
+
 
 class TestCoefficientReuse:
     def test_one_embedding_of_chi_and_zeta_per_config(self, monkeypatch):

@@ -3,7 +3,9 @@ for every relation, pinned by its full sha256.
 
 The package is exact, so a change to one output byte is a bug, never noise;
 a refactor or speedup that is meant to keep the output must keep these
-digests.  Each relation runs in process through `cli.main`.
+digests.  Each relation runs in process through `cli.main`, and so does
+`check --relation all`, whose stdout is the eleven outputs in `RELATIONS`
+order.
 """
 import hashlib
 
@@ -37,3 +39,10 @@ def test_default_grid_output_is_unchanged(capsys, relation):
     out = capsys.readouterr().out
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == DIGESTS[relation]
+
+
+def test_all_prints_every_relation_in_order(capsys):
+    code = cli.main(["check", "--relation", "all"])
+    lines = capsys.readouterr().out.splitlines(keepends=True)
+    assert code == 0
+    assert [hashlib.sha256(line.encode()).hexdigest() for line in lines] == [DIGESTS[r] for r in RELATIONS]

@@ -366,6 +366,8 @@ def test_galois_equivariance():
 
 
 class TestOneComputationPerPoint:
+    GRID = dataclasses.replace(checks.default_grid(), moduli=(5,), zeta_orders=(3,), q_values=(F(5, 2),))
+
     # These relations read A_n from the generating function alone: one
     # twisted_gf per configuration, and the series path, whose closed form
     # builds the tails power_sum_rational, is never built.
@@ -375,9 +377,6 @@ class TestOneComputationPerPoint:
 
         from eulertwist import eulerian, twisted
 
-        grid = dataclasses.replace(
-            checks.default_grid(), moduli=(5,), zeta_orders=(3,), q_values=(F(5, 2),)
-        )
         gf_builds = Counter()
         tail_calls = []
         real_gf, real_tail = twisted.twisted_gf, eulerian.power_sum_rational
@@ -392,11 +391,52 @@ class TestOneComputationPerPoint:
 
         monkeypatch.setattr(twisted, "twisted_gf", counted_gf)
         monkeypatch.setattr(eulerian, "power_sum_rational", counted_tail)
-        report = checks.run_relation(relation, grid)
+        report = checks.run_relation(relation, self.GRID)
         assert report.passed
         configs = len(checks.grid_characters(5))
         assert len(gf_builds) == configs and set(gf_builds.values()) == {1}
         assert tail_calls == []
+
+    SHARING = ("thm2", "thm6", "distribution", "thm1-residual", "thm5-residual")
+
+    def test_relations_share_each_quantity(self, monkeypatch):
+        """In one process, the relations that read A_n, the d-step moments or
+        the residue-class sums compute each once per configuration."""
+        from collections import Counter
+
+        from eulertwist import fermionic, twisted
+
+        calls = Counter()
+
+        def counted(module, name, cfg_at):
+            real = getattr(module, name)
+
+            def wrapper(*args):
+                calls[name, args[cfg_at].describe()] += 1
+                return real(*args)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(twisted, "twisted_gf", 0)
+        counted(fermionic, "_char_moment_sequence", 1)
+        counted(fermionic, "residue_class_sums", 1)
+        for relation in self.SHARING:
+            assert checks.run_relation(relation, self.GRID).passed, relation
+        configs = len(checks.grid_characters(5))
+        for name in ("twisted_gf", "_char_moment_sequence", "residue_class_sums"):
+            assert sorted(n for (quantity, _), n in calls.items() if quantity == name) == [1] * configs, name
+
+    def test_a_held_quantity_is_a_tuple_and_a_patched_one_misses(self, monkeypatch):
+        from eulertwist import twisted
+
+        assert checks.run_relation("thm2", self.GRID).passed
+        cfg = TwistedConfig.build(quadratic_character(5), 3, 1, F(5, 2))
+        held = checks._memo(twisted.twisted_values, cfg, self.GRID.n_max)
+        assert type(held) is tuple and held is checks._memo(twisted.twisted_values, cfg, self.GRID.n_max)
+        real, calls = twisted.twisted_values, []
+        monkeypatch.setattr(twisted, "twisted_values", lambda *args: calls.append(args) or real(*args))
+        assert checks.run_relation("thm6", self.GRID).passed
+        assert len(calls) == len(checks.grid_characters(5))
 
     def test_sequences_match_per_n_reads(self):
         cfg = TwistedConfig.build(quadratic_character(5), 3, 1, F(5, 2))
