@@ -348,13 +348,12 @@ def run_eq22(grid: Grid) -> CheckReport:
         for zeta_order in grid.zeta_orders:
             k = grid.zeta_exponent % zeta_order
             field = cyclotomic_field(zeta_order)
-            zeta = field.zeta_power(k)
             folded = exp_quotient(field, [(l, 2 * (-1) ** l, k * l) for l in range(d)], 1,
                                   field.zeta_power(k * d), d, field.binomial_inverse(1, 1, k * d), order)
-            direct = exp_quotient(field, [(0, 2, 0)], 1, zeta, 1, field.binomial_inverse(1, 1, k), order)
+            direct = exp_quotient(field, [(0, 2, 0)], 1, field.zeta_power(k), 1, field.binomial_inverse(1, 1, k), order)
             taylor = [nth_taylor_coefficient(direct, n) for n in range(order)]
             series_equal = folded == direct
-            moments_equal = taylor == fermionic._moment_sequence(order - 1, 1, zeta)
+            moments_equal = taylor == fermionic._moment_sequence(order - 1, 1, field, k)
             report.add(
                 f"d_fold={d} zeta={zeta_order}^{k}",
                 series_equal and moments_equal,

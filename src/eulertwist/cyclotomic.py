@@ -84,7 +84,6 @@ class CyclotomicField:
         self._high_rows = [
             tuple((i, c) for i, c in enumerate(row) if c) for row in self._power_table[self.degree :]
         ]
-        self._root_index = None  # row -> k for the rows of zeta^k, k < order; built on first lookup
 
     def _reduce_ints(self, vec: list[int], den: int) -> "CyclotomicNumber":
         """vec / den mod Phi_N for an integer vector of length <= table size.
@@ -132,14 +131,6 @@ class CyclotomicField:
             vec[j] += a_power * term
             term, j = term * b, (j + k) % order
         return self._reduce_ints(vec, norm)
-
-    def root_exponent(self, a: "CyclotomicNumber") -> int | None:
-        """k with a = zeta^k, 0 <= k < order, or None when a is no power of zeta."""
-        if a.den != 1:
-            return None
-        if self._root_index is None:
-            self._root_index = {row: k for k, row in enumerate(self._power_table[: self.order])}
-        return self._root_index.get(a.num)
 
     def reduce(self, coeffs) -> "CyclotomicNumber":
         """Reduce a list of rationals of any length <= table size mod Phi_N."""

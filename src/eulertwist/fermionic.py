@@ -2,11 +2,11 @@
 
 The engine never touches a limit directly: the one-step functional equation
 ratio*I(f(x+1)) + I(f(x)) = (1+ratio)*f(0) closes into a triangular linear
-system on the moment family I(twist^x (x+shift)^n), which is solved upward
-in n.  Truncated alternating Riemann sums with valuation diagnostics verify
-that these solutions really are the limits they claim to be.  The module
-computes quantities only; the relations that compare them are stated in
-:mod:`eulertwist.checks`.
+system on the moment family I(zeta^(kx) (x+shift)^n), its twist named by the
+exponent k, which is solved upward in n.  Truncated alternating Riemann sums
+with valuation diagnostics verify that these solutions really are the limits
+they claim to be.  The module computes quantities only; the relations that
+compare them are stated in :mod:`eulertwist.checks`.
 """
 from __future__ import annotations
 
@@ -18,33 +18,19 @@ from fractions import Fraction
 from itertools import accumulate, repeat
 
 from .characters import DirichletCharacter, principal_character
-from .cyclotomic import CyclotomicNumber
 from .errors import NotPadicallyConvergent, SingularFunctionalEquation
+from .ntheory import is_prime
 from .rationals import format_rational, int_valuation, padic_valuation, q_bracket_neg
-from .series import _is_zero, linear_combination, power_moments
+from .series import linear_combination, power_moments
 from .twisted import TwistedConfig
-
-
-def _pivot_inverse(c0, c1, twist):
-    """1/(c0 + c1 twist) for rationals c0, c1 and the general twist of
-    :func:`_moment_sequence`: by the geometric series
-    (``CyclotomicField.binomial_inverse``) when twist is a power of zeta of
-    odd order and c0 != -c1, by the general inverse for any other twist (a
-    rational, a root of unity of even order, any field element).  Callers
-    that hold the exponent of their twist call ``binomial_inverse`` directly."""
-    if isinstance(twist, CyclotomicNumber) and c0 != -c1:
-        field = twist.field
-        k = field.root_exponent(twist)
-        if k is not None and field.order // math.gcd(k, field.order) % 2:
-            return field.binomial_inverse(c0, c1, k)
-    return (Fraction(c0) + c1 * twist) ** -1
 
 
 def _binomial_solve(rhs: list, unit, step: int, pivot_inv) -> list:
     """x_0 .. x_n of unit sum_{k<=m} C(m,k) step^(m-k) x_k + c x_m = rhs_m,
     solved upward in m with pivot_inv = 1/(unit + c): per m one
     :func:`~eulertwist.series.linear_combination` of the lower x_k (one
-    content gcd), one product by unit and one by pivot_inv."""
+    content gcd), one product by unit and one by pivot_inv.  In a field both
+    callers (step 1 and step d) invert their pivot by ``binomial_inverse``."""
     out: list = []
     for m, value in enumerate(rhs):
         if m:
@@ -53,22 +39,29 @@ def _binomial_solve(rhs: list, unit, step: int, pivot_inv) -> list:
     return out
 
 
-def _moment_sequence(n: int, ratio, twist=1, shift=0) -> list:
-    """I(twist^x (x+shift)^m) for m = 0..n under mu_(-ratio), from the
-    one-step equation on f(x) = twist^x (x+shift)^m, exact in whatever field
-    the inputs live in (shift^0 = 1, also at shift = 0).  Under mu_(-1) the
-    moments of x^m are the Euler numbers E_m(0):
+def _moment_sequence(n: int, ratio, field=None, k: int = 0, shift=0) -> list:
+    """I(zeta_N^(kx) (x+shift)^m) for m = 0..n under mu_(-ratio), from the
+    one-step equation on f(x) = zeta_N^(kx) (x+shift)^m (shift^0 = 1, also
+    at shift = 0): in Q at twist 1 without a field, else in field = Q(zeta_N)
+    at zeta_N^k of odd order, the pivot 1 + ratio zeta_N^k inverted by its
+    geometric series.  Under mu_(-1) the moments of x^m are E_m(0):
 
     >>> [str(x) for x in _moment_sequence(5, 1)]
     ['1', '-1/2', '0', '1/4', '0', '-1/2']
+
+    Ratio -1 at twist 1 raises SingularFunctionalEquation; with zeta_N^k != 1
+    it raises the geometric series' DivisionByZero (c0 = -c1).  No program
+    path passes ratio -1: q = -1 is refused everywhere.
     """
     ratio = Fraction(ratio)
     if ratio == 0:
         raise ValueError("measure parameter must be nonzero")
-    if _is_zero(1 + ratio * twist):
+    if ratio == -1 and (field is None or k % field.order == 0):
         raise SingularFunctionalEquation("1 + ratio*twist vanishes")
     rhs = [(1 + ratio) * shift**m for m in range(n + 1)]
-    return _binomial_solve(rhs, ratio * twist, 1, _pivot_inverse(1, ratio, twist))
+    if field is None:
+        return _binomial_solve(rhs, ratio, 1, 1 / (1 + ratio))
+    return _binomial_solve(rhs, ratio * field.zeta_power(k), 1, field.binomial_inverse(1, ratio, k))
 
 
 def _char_moment_sequence(n: int, cfg) -> list:
@@ -101,9 +94,9 @@ def residue_class_sums(n_max: int, cfg) -> list:
     M_k = I(x^k zeta^(dx)), S_j = sum_a c_a a^j, each zero S_j skipped
     (every j >= 1 at d = 1)."""
     q, d = cfg.q, cfg.char.modulus
-    moments = _moment_sequence(n_max, q**-d, cfg.zeta_pow(d))
+    moments = _moment_sequence(n_max, q**-d, cfg.field, cfg.twist_exponent(d))
     classes = power_moments(cfg.field, [(a, (-1) ** a * q**-a, e) for a, e in cfg.twisted_exponents(range(d))], n_max)
-    weights = [(j, s) for j, s in enumerate(classes) if not _is_zero(s)]
+    weights = [(j, s) for j, s in enumerate(classes) if s]
     scale = 1 / q_bracket_neg(d, 1 / q)
     return [scale * sum((math.comb(n, j) * d ** (n - j) * moments[n - j] * s for j, s in weights if j <= n),
                         classes[0] * 0)
@@ -132,8 +125,6 @@ class TruncationReport:
 
 
 def _check_padic_regime(q: Fraction, p: int, char: DirichletCharacter) -> None:
-    from .ntheory import is_prime
-
     if p == 2 or not is_prime(p):
         raise ValueError(f"p must be an odd prime, got {p}")
     if padic_valuation(q - 1, p) < 1 or padic_valuation(q, p) != 0:

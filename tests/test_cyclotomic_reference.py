@@ -228,15 +228,6 @@ def test_binomial_inverse_refuses_even_orders_and_a_vanishing_norm():
         cyclotomic_field(1).binomial_inverse(5, -5, 0)
 
 
-@pytest.mark.parametrize("order", (1, 3, 12, 15, 45))
-def test_root_exponent_finds_every_power_of_zeta_and_nothing_else(order):
-    field = cyclotomic_field(order)
-    assert [field.root_exponent(field.zeta_power(k)) for k in range(order)] == list(range(order))
-    for other in (field.zero, 2 * field.one, field.one + field.zeta(), field.zeta() / 3):
-        if other != field.one:
-            assert field.root_exponent(other) is None
-
-
 @needs_sympy
 @settings(max_examples=30, deadline=None)
 @given(field_pairs(), st.integers(1, 40))

@@ -9,13 +9,13 @@ def test_checks_doctests():
 
 
 def test_cyclotomic_doctests():
-    failures, _ = doctest.testmod(cyclotomic)
-    assert failures == 0
+    failures, tried = doctest.testmod(cyclotomic)
+    assert failures == 0 and tried > 0
 
 
 def test_eulerian_doctests():
-    failures, _ = doctest.testmod(eulerian)
-    assert failures == 0
+    failures, tried = doctest.testmod(eulerian)
+    assert failures == 0 and tried > 0
 
 
 def test_fermionic_doctests():
@@ -24,8 +24,8 @@ def test_fermionic_doctests():
 
 
 def test_series_doctests():
-    failures, _ = doctest.testmod(series)
-    assert failures == 0
+    failures, tried = doctest.testmod(series)
+    assert failures == 0 and tried > 0
 
 
 def test_lfunction_doctests():

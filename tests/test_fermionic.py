@@ -23,7 +23,7 @@ from eulertwist import (
     twisted_values,
 )
 from eulertwist.cyclotomic import CyclotomicNumber
-from eulertwist.errors import NotPadicallyConvergent, SingularFunctionalEquation
+from eulertwist.errors import DivisionByZero, NotPadicallyConvergent, SingularFunctionalEquation
 from eulertwist.fermionic import _char_moment_sequence, _moment_sequence, residue_class_sums
 from eulertwist.twisted import alternating_char_sums, twisted_series_values
 
@@ -107,24 +107,33 @@ def walk_valuations(char, q, p, max_level, n):
 class TestPolyTwistIntegral:
     def test_zeroth_moment_is_one(self):
         for ratio in (F(1, 2), F(3), F(2, 7)):
-            assert _moment_sequence(0, ratio, 1, F(5, 3))[0] == 1
+            assert _moment_sequence(0, ratio, shift=F(5, 3))[0] == 1
 
     def test_first_moment(self):
         q = F(2)
-        assert _moment_sequence(1, 1 / q, 1, 0)[1] == F(-1, 3)  # -1/(1+q)
+        assert _moment_sequence(1, 1 / q)[1] == F(-1, 3)  # -1/(1+q)
 
     def test_second_moment(self):
         q = F(2)
-        assert _moment_sequence(2, 1 / q, 1, 0)[2] == (1 - q) / (1 + q) ** 2
+        assert _moment_sequence(2, 1 / q)[2] == (1 - q) / (1 + q) ** 2
 
     def test_singular_pivot(self):
+        # 1 + ratio twist vanishes at twist 1, in Q or in a field; at any
+        # other power of zeta the geometric series refuses c0 = -c1
+        field = cyclotomic_field(9)
         with pytest.raises(SingularFunctionalEquation):
-            _moment_sequence(1, F(1), F(-1), 0)
+            _moment_sequence(1, F(-1))
+        for k in (0, 9):
+            with pytest.raises(SingularFunctionalEquation):
+                _moment_sequence(1, F(-1), field, k)
+        for k in (1, 3, 8):
+            with pytest.raises(DivisionByZero):
+                _moment_sequence(1, F(-1), field, k)
 
     @pytest.mark.parametrize("q", [F(2), F(3), F(5, 2)])
     @pytest.mark.parametrize("n", range(9))
     def test_witt_identity_with_classical_polynomials(self, n, q):
-        lhs = _moment_sequence(n, 1 / q, 1, 0)[n]
+        lhs = _moment_sequence(n, 1 / q)[n]
         rhs = F(-1) ** n * eulerian_at(n, -q) / (1 + q) ** n
         assert lhs == rhs
 
@@ -135,9 +144,10 @@ class TestPolyTwistIntegral:
             n = rng.randint(0, 5)
             shift = F(rng.randint(-4, 4), rng.randint(1, 5))
             ratio = F(rng.randint(1, 6), rng.randint(1, 6))
-            twist = field.zeta_power(rng.randint(0, 2))
+            exponent = rng.randint(0, 2)
+            twist = field.zeta_power(exponent)
             moments = [
-                _moment_sequence(k, ratio, twist, shift)[k]
+                _moment_sequence(k, ratio, field, exponent, shift)[k]
                 for k in range(n + 1)
             ]
             plugged = ratio * twist * sum(
@@ -145,31 +155,25 @@ class TestPolyTwistIntegral:
             ) + moments[n]
             assert plugged == (1 + ratio) * shift**n
 
-    @pytest.mark.parametrize("twist", ["i", "zeta3", "-zeta3", "1+zeta12", "zeta12^5"])
-    @pytest.mark.parametrize("ratio", [F(-1), F(2, 3)])
-    def test_functional_equation_residual_for_general_twists(self, twist, ratio):
-        # Odd-order roots take the geometric-series pivot inverse unless
-        # ratio = -1; even orders and non-roots take the general inverse.
-        field = cyclotomic_field(12)
-        twist = {"i": field.zeta_power(3), "zeta3": field.zeta_power(4), "-zeta3": -field.zeta_power(4),
-                 "1+zeta12": 1 + field.zeta(), "zeta12^5": field.zeta_power(5)}[twist]
-        shift = F(3, 4)
-        moments = [_moment_sequence(k, ratio, twist, shift)[k] for k in range(6)]
+    def test_functional_equation_residual_for_general_twists(self):
+        # zeta_12^4 = zeta_3: an odd-order twist in a field of even order
+        field, ratio, shift = cyclotomic_field(12), F(2, 3), F(3, 4)
+        twist = field.zeta_power(4)
+        moments = [_moment_sequence(k, ratio, field, 4, shift)[k] for k in range(6)]
         for n in range(6):
             plugged = ratio * twist * sum(math.comb(n, k) * moments[k] for k in range(n + 1)) + moments[n]
             assert plugged == (1 + ratio) * shift**n
 
     def test_linearity_via_shifted_binomials(self):
         field = cyclotomic_field(3)
-        twist = field.zeta()
         ratio = F(2, 3)
         shift = F(3, 4)
         for n in range(6):
-            direct = _moment_sequence(n, ratio, twist, shift)[n]
+            direct = _moment_sequence(n, ratio, field, 1, shift)[n]
             expanded = sum(
                 math.comb(n, k)
                 * shift ** (n - k)
-                * _moment_sequence(k, ratio, twist, 0)[k]
+                * _moment_sequence(k, ratio, field, 1)[k]
                 for k in range(n + 1)
             )
             assert direct == expanded
@@ -191,7 +195,16 @@ class TestCharTwistIntegral:
         q = F(2)
         lhs = untwisted_integral(1, principal_character(1), q)
         assert lhs == F(-1, 3)
-        assert lhs == _moment_sequence(1, 1 / q, 1, 0)[1]
+        assert lhs == _moment_sequence(1, 1 / q)[1]
+        # at d = 1 the d-step equation is q times the one-step equation at
+        # ratio 1/q, so the two entry points of _binomial_solve agree exactly
+        for order in (1, 3, 5, 9):
+            for k in (k for k in range(order) if math.gcd(k, order) == 1):
+                for q in (F(2), F(5, 2), F(-3, 7)):
+                    cfg = TwistedConfig.build(principal_character(1), order, k, q)
+                    for n in range(7):
+                        one_step = _moment_sequence(n, 1 / q, cfg.field, cfg.twist_exponent(1))
+                        assert one_step == _char_moment_sequence(n, cfg)
 
     def test_each_kernel_weight_is_formed_once_per_call(self, monkeypatch):
         # every weight chi(l) zeta^l is a power-table row scaled by a
@@ -248,7 +261,7 @@ def per_class_residue_sums(n_max, cfg):
         if chi.is_zero():
             continue
         coeff = ((-1) ** a * q**-a) * (chi * cfg.zeta_pow(a))
-        inner = _moment_sequence(n_max, q**-d, cfg.zeta_pow(d), F(a, d))
+        inner = _moment_sequence(n_max, q**-d, cfg.field, cfg.twist_exponent(d), F(a, d))
         sums = [acc + coeff * moment for acc, moment in zip(sums, inner)]
     return [F(d**n) / q_bracket_neg(d, 1 / q) * acc for n, acc in enumerate(sums)]
 
