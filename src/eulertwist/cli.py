@@ -245,10 +245,10 @@ def _resolve_character(spec: str, modulus: int):
 # m = z / gcd(z, d): the order of zeta^d, and D' = phi(m) its degree; P = lcm(d, z), the series path's odd
 # period; s = d h: bits of q^d, 1 at q = 1; solve(n, b) = (n+1)^2 ((n+1) b)^1.5.
 #   term               model                                      a measured point: measured -> model seconds
-#   field build        7e-8 order D (the power table)             order 990: 0.020 -> 0.017; 3168: 0.20 -> 0.21;
-#                                                                 7954: 1.65 -> 2.14
+#   field build        7e-8 order D (the sparse rows x^j mod      order 990: 0.005 -> 0.017; 3168: 0.006 -> 0.21;
+#                      Phi_N, D <= j < max(2D - 1, N))            7954: 0.12 -> 2.14; 6270: 1.7 -> 0.63
 #   inverse of         2e-8 m D + 7e-11 (m s)^2, 0 when D' = 1:   order 198, d 29, q 98: 0.016 -> 0.025;
-#     zeta^d + q^d     m power-table rows of its geometric        order 99, d 97, q 2: 0.0067 -> 0.0066;
+#     zeta^d + q^d     m rows x^(k i) mod Phi_N of its geometric  order 99, d 97, q 2: 0.0067 -> 0.0066;
 #                      series, then content gcds of m s bits      q 2^40+1: 7.37 -> 10.3;
 #                                                                 order 990, d 7, q 2^40+1: 0.121 -> 0.054;
 #                                                                 order 7954, d 83, q 2^40+1: 0.63 -> 7.27

@@ -61,7 +61,7 @@ def cyclotomic_polynomial(order: int) -> tuple[int, ...]:
 
 
 class CyclotomicField:
-    """Q(zeta_N) with a precomputed reduction table for powers of zeta.
+    """Q(zeta_N) with one table of x^j mod Phi_N, held as sparse rows.
 
     Instances are interned by order; get them through :func:`cyclotomic_field`.
     """
@@ -69,27 +69,25 @@ class CyclotomicField:
     def __init__(self, order: int):
         self.order = order
         self.minimal_polynomial = phi_coeffs = cyclotomic_polynomial(order)
-        self.degree = euler_phi(order)
-        assert len(phi_coeffs) == self.degree + 1 and phi_coeffs[-1] == 1
-        # power_table[j] = coefficient vector of x^j mod Phi_N, as exact ints:
-        # x times a row shifts it up and folds its top entry back through Phi_N.
-        row, self._power_table = (1,) + (0,) * (self.degree - 1), []
-        for _ in range(max(2 * self.degree - 1, order)):
-            self._power_table.append(row)
-            lead, row = row[-1], (0, *row[:-1])
-            if lead:
-                row = tuple(a - lead * c for a, c in zip(row, phi_coeffs))
-        # The nonzero entries of x^j for j >= degree: the rows a vector's
-        # high part is reduced through.
-        self._high_rows = [
-            tuple((i, c) for i, c in enumerate(row) if c) for row in self._power_table[self.degree :]
-        ]
+        n = self.degree = euler_phi(order)
+        assert len(phi_coeffs) == n + 1 and phi_coeffs[-1] == 1
+        # _high_rows[j - D] = the nonzero (index, int) entries of x^j mod Phi_N, D <= j < max(2D - 1, N): x times
+        # a row shifts its entries up one place and folds the top one back through x^D = -(Phi_N - x^D), row 0.
+        row, self._high_rows = tuple((i, -c) for i, c in enumerate(phi_coeffs[:-1]) if c), []
+        for _ in range(max(2 * n - 1, order) - n):
+            self._high_rows.append(row)
+            *low, (i, lead) = row
+            if i < n - 1:
+                row = tuple([(i + 1, c) for i, c in row])
+            else:
+                acc = {i: lead * c for i, c in self._high_rows[0]}
+                for i, c in low:
+                    acc[i + 1] = acc.get(i + 1, 0) + c
+                row = tuple(sorted((i, c) for i, c in acc.items() if c))
 
     def _reduce_ints(self, vec: list[int], den: int) -> "CyclotomicNumber":
-        """vec / den mod Phi_N for an integer vector of length <= table size.
-        The power-moment kernel (``series.power_moments``) passes vectors of
-        length N, one slot per exponent of zeta_N, so a table trimmed below N
-        rows must still reduce every exponent up to N - 1."""
+        """vec / den mod Phi_N for an integer vector of length <= max(2D - 1, N), entry j >= D folded in
+        through row j - D; ``series.power_moments`` passes length N, one slot per exponent of zeta_N."""
         n = self.degree
         out = vec[:n] + [0] * (n - len(vec))
         for c, row in zip(vec[n:], self._high_rows):
@@ -101,11 +99,10 @@ class CyclotomicField:
     def binomial_inverse(self, c0, c1, k: int) -> "CyclotomicNumber":
         """1 / (c0 + c1 zeta^k) for rationals c0, c1, where w = zeta^k has odd order m.
 
-        With w^m = 1, (c0 + c1 w) sum_(i<m) c0^(m-1-i) (-c1)^i w^i = c0^m - (-c1)^m,
-        so the inverse is m power-table rows scaled by integers, with no linear
-        algebra.  For odd m the right side vanishes only at c0 = -c1; for even m
-        it can vanish while c0 + c1 w does not (1 + i in Q(zeta_4)), so even m is
-        refused.
+        With w^m = 1, (c0 + c1 w) sum_(i<m) c0^(m-1-i) (-c1)^i w^i = c0^m - (-c1)^m, so the
+        inverse is m rows x^(k i) mod Phi_N scaled by integers, with no linear algebra.  For odd m
+        the right side vanishes only at c0 = -c1; for even m it can vanish while c0 + c1 w does
+        not (1 + i in Q(zeta_4)), so even m is refused.
 
         >>> field = cyclotomic_field(3)
         >>> inv = field.binomial_inverse(2, 1, 1)
@@ -133,9 +130,9 @@ class CyclotomicField:
         return self._reduce_ints(vec, norm)
 
     def reduce(self, coeffs) -> "CyclotomicNumber":
-        """Reduce a list of rationals of any length <= table size mod Phi_N."""
-        if len(coeffs) > len(self._power_table):
-            raise ValueError(f"at most {len(self._power_table)} coefficients reduce in order {self.order}")
+        """Reduce a list of rationals of length <= max(2D - 1, N), the rows' reach, mod Phi_N."""
+        if len(coeffs) > (size := self.degree + len(self._high_rows)):
+            raise ValueError(f"at most {size} coefficients reduce in order {self.order}")
         fracs = [Fraction(c) for c in coeffs]
         den = math.lcm(*(c.denominator for c in fracs))
         return self._reduce_ints([c.numerator * (den // c.denominator) for c in fracs], den)
@@ -145,7 +142,10 @@ class CyclotomicField:
         return _make(self, (value.numerator,) + (0,) * (self.degree - 1), value.denominator)
 
     def zeta_power(self, exponent: int) -> "CyclotomicNumber":
-        return _make(self, self._power_table[exponent % self.order], 1)
+        j, num = exponent % self.order, [0] * self.degree
+        for i, c in self._high_rows[j - self.degree] if j >= self.degree else [(j, 1)]:
+            num[i] = c
+        return _make(self, tuple(num), 1)
 
     def zeta(self) -> "CyclotomicNumber":
         return self.zeta_power(1)

@@ -25,7 +25,7 @@ class TwistedConfig:
     """One parameter point: character chi mod d, twist zeta of odd order z,
     rational q, all inside the ambient field Q(zeta_N), N = lcm(z, value
     order M).  chi(m) = zeta_N^(e_m N/M) and zeta^m = zeta_N^(k m N/z), so
-    chi(m) and zeta^m are each one power-table row, read by exponent with no
+    chi(m) and zeta^m are each one power of zeta_N, read by exponent with no
     lift and no field product, and every exact route reads chi(m) zeta^m as
     its exponent alone (:meth:`twisted_exponents`), in the (node, rational,
     exponent) triples of :func:`~eulertwist.series.power_moments`.

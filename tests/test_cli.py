@@ -687,7 +687,7 @@ def test_unreachable_tail_bound_is_priced_as_no_sum(capsys):
     ["twisted", "--q", "2", "--d", "97", "--char", "quadratic", "--zeta-order", "7", "--n", "40"],
     ["twisted", "--q", "2", "--d", "91", "--zeta-order", "11", "--n", "0"],
     ["lfun", "--q", "2", "--d", "91", "--zeta-order", "11", "--s", "2"],
-    ["lfun", "--q", "2", "--d", "83", "--char", "index:1", "--zeta-order", "97", "--s", "2"],  # Q(zeta_7954): 2 s
+    ["lfun", "--q", "2", "--d", "83", "--char", "index:1", "--zeta-order", "97", "--s", "2"],  # Q(zeta_7954): 0.3 s
     ["twisted", "--q", "2", "--d", "97", "--char", "index:1", "--zeta-order", "99", "--n", "0"],  # Q(zeta_3168): 0.3 s
     ["check", "--relation", "cor2", "--grid", {"primes": [17], "level_max": 2, "padic_n_max": 40}],
     ["check", "--relation", "cor2", "--grid", {"primes": [11], "level_max": 3, "padic_n_max": 14}],

@@ -22,6 +22,8 @@ from eulertwist.errors import DivisionByZero
 
 try:
     import sympy
+    from sympy.polys.densearith import dup_rem
+    from sympy.polys.domains import ZZ
 except ImportError:  # the sympy references skip; the Bareiss oracle runs without it
     sympy = None
 needs_sympy = pytest.mark.skipif(sympy is None, reason="sympy is not installed")
@@ -192,6 +194,42 @@ def test_reduction_matches_reference(order, data):
     reduced = field.reduce(coeffs)
     assert reduced.coeffs == ref_reduce(field, coeffs)
     assert_canonical(reduced)
+
+
+# D = 1 (1, 2), prime N (5, 97), 2D - 1 > N (9, 27, 99), 2D - 1 < N (105, 385)
+# and even N (12, 36, 90): the table holds rows D..max(2D - 1, N) - 1.
+ROW_ORDERS = (1, 2, 5, 97, 9, 27, 99, 105, 385, 12, 36, 90)
+
+
+@needs_sympy
+@pytest.mark.parametrize("order", ROW_ORDERS)
+def test_every_power_of_zeta_matches_reference(order):
+    # rem(x^e, Phi_N) for each e < N, where e >= D reads held row e - D;
+    # then e = N and N + 1 from x^N itself, and e = -1 as x^(N - 1).  sympy's
+    # dense remainder over ZZ is exact since Phi_N is monic.
+    field = cyclotomic_field(order)
+    phi = [ZZ(c) for c in reversed(field.minimal_polynomial)]
+
+    def ref_power(e):
+        rem = [int(c) for c in reversed(dup_rem([ZZ(1)] + [ZZ(0)] * e, phi, ZZ))]
+        return tuple(F(c) for c in rem + [0] * (field.degree - len(rem)))
+
+    for e in [*range(order), order, order + 1]:
+        assert field.zeta_power(e).coeffs == ref_power(e), e
+    assert field.zeta_power(-1).coeffs == ref_power(order - 1)
+
+
+@needs_sympy
+@pytest.mark.parametrize("order", ROW_ORDERS)
+def test_reduce_takes_exactly_the_table_size(order):
+    # max(2D - 1, N) coefficients reach every held row; one more is refused.
+    field = cyclotomic_field(order)
+    rng = random.Random(order)
+    size = max(2 * field.degree - 1, order)
+    coeffs = [F(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(size)]
+    assert field.reduce(coeffs).coeffs == ref_reduce(field, coeffs)
+    with pytest.raises(ValueError, match=f"at most {size} coefficients"):
+        field.reduce(coeffs + [0])
 
 
 BINOMIAL_ORDERS = (1, 3, 9, 15, 45, 99, 105)

@@ -1,6 +1,8 @@
 """Rationals, the alternating q-bracket, valuations, and cyclotomic field arithmetic."""
+import json
 import math
 import random
+import subprocess
 import sys
 from fractions import Fraction as F
 
@@ -103,6 +105,25 @@ class TestFieldArithmetic:
         a = 1 + 2 * z3
         b = lift_to_field(a, f9)
         assert lift_to_field(a * a, f9) == b * b
+
+    def test_corner_field_builds_in_under_a_second_and_100_mb(self):
+        # Q(zeta_7954), degree 3840, is the work budget's field corner; a fresh
+        # interpreter, so neither the field cache nor an earlier test's
+        # allocations hide the build's own time and peak RSS (ru_maxrss is in
+        # kB, in bytes on macOS).
+        script = (
+            "import json, resource, sys, time\n"
+            "from eulertwist.cyclotomic import CyclotomicField\n"
+            "start = time.perf_counter()\n"
+            "CyclotomicField(7954)\n"
+            "peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "print(json.dumps([time.perf_counter() - start, peak // (1024 if sys.platform == 'darwin' else 1)]))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              check=True, timeout=60)
+        seconds, peak_kb = json.loads(proc.stdout)
+        assert seconds < 1.0
+        assert peak_kb < 100 * 1024
 
 
 class TestComplexEmbedding:

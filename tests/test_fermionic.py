@@ -207,7 +207,7 @@ class TestCharTwistIntegral:
                         assert one_step == _char_moment_sequence(n, cfg)
 
     def test_each_kernel_weight_is_formed_once_per_call(self, monkeypatch):
-        # every weight chi(l) zeta^l is a power-table row scaled by a
+        # every weight chi(l) zeta^l is a power of zeta_N scaled by a
         # rational, so the only field products are those of the triangular
         # division: one by the pivot inverse for each of the n + 1
         # coefficients, and one by zeta^d for each after the first, 2n + 1

@@ -58,8 +58,8 @@ def inverse_then_multiply_gf(cfg, order):
 
 def aligned(char, zeta):
     """(chi_values, zeta) lifted into Q(zeta_lcm(twist order, value order)),
-    chi_values[a] = chi(a): the route before the config's power-table
-    lookups, kept as their oracle."""
+    chi_values[a] = chi(a): the route before the config's lookups by
+    exponent, kept as their oracle."""
     field = cyclotomic_field(math.lcm(zeta.field.order, char.value_order))
     return [lift_to_field(char.value(a), field) for a in range(char.modulus)], lift_to_field(zeta, field)
 
