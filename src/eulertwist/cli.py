@@ -256,14 +256,14 @@ def _resolve_character(spec: str, modulus: int):
 #                      0 when D' = 1: a product by that inverse
 #                      per A_k, D by about sqrt(D D') entries
 #                      of (k+1) s D' and s D' bits
-#   A_0..A_n           inverse + division                         d 97, index:1, z 99, q 2, n 0: 0.085 -> 0.023;
-#                      + 2e-10 solve(n, s D') D^0.35              n 1: 1.68 -> 8.26; n 4: 18.9 -> 57.9;
-#                      + 4e-8 d (n+1)^2 D'^2                      d 41, index:1, z 99, q 2, n 2: 5.04 -> 5.32;
-#                      + 1.4e-13 (d+10) (n+1)^3 s^2 D'            d 77, z 67, q 3855, n 1: 7.40 -> 6.73;
-#                                                                 d 29, quadratic, z 99, q 5/2, n 20: 22.4 -> 19.3;
-#                                                                 d 97, quadratic, z 7, q 2, n 40: 0.70 -> 2.63;
-#                                                                 d 31, quadratic, q 2^40+1, n 40: 1.79 -> 4.46;
-#                                                                 d 99, z 33, q 10^4299+7, n 0: 22.6 -> 31.5
+#   A_0..A_n           inverse + division                         d 97, index:1, z 99, q 2, n 0: 0.045 -> 0.023;
+#                      + 2e-10 solve(n, s D') D^0.35              n 1: 1.32 -> 8.26; n 4: 15.4 -> 57.9;
+#                      + 4e-8 d (n+1)^2 D'^2                      d 41, index:1, z 99, q 2, n 2: 4.75 -> 5.32;
+#                      + 1.4e-13 (d+10) (n+1)^3 s^2 D'            d 77, z 67, q 3855, n 1: 7.56 -> 6.73;
+#                                                                 d 29, quadratic, z 99, q 5/2, n 20: 22.5 -> 19.3;
+#                                                                 d 97, quadratic, z 7, q 2, n 40: 0.79 -> 2.63;
+#                                                                 d 31, quadratic, q 2^40+1, n 40: 1.76 -> 4.46;
+#                                                                 d 99, z 33, q 10^4299+7, n 0: 27.4 -> 31.5
 #   series path        the smaller of two fits.  Integer kernel   principal chi, so D = phi(z):
 #                      (power_moments): 1.6e-6 P (n+1)            d 59, z 15, q 2, n 2: 0.003 -> 0.0045;
 #                      + 1e-6 (n+1)^2 D + (n+1) (P h)^2 (6.3e-13  d 97, z 3, q 1001/997, n 20: 0.58 -> 0.37;

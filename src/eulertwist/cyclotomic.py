@@ -85,16 +85,31 @@ class CyclotomicField:
                     acc[i + 1] = acc.get(i + 1, 0) + c
                 row = tuple(sorted((i, c) for i, c in acc.items() if c))
 
-    def _reduce_ints(self, vec: list[int], den: int) -> "CyclotomicNumber":
-        """vec / den mod Phi_N for an integer vector of length <= max(2D - 1, N), entry j >= D folded in
-        through row j - D; ``series.power_moments`` passes length N, one slot per exponent of zeta_N."""
+    def _fold(self, vec: list[int]) -> list[int]:
+        """vec mod Phi_N as D ints, for an integer vector of length <= max(2D - 1, N), entry j >= D folded
+        in through row j - D; ``series.power_moments`` passes length N, one slot per exponent of zeta_N."""
         n = self.degree
         out = vec[:n] + [0] * (n - len(vec))
         for c, row in zip(vec[n:], self._high_rows):
             if c:
                 for i, r in row:
                     out[i] += c * r
-        return CyclotomicNumber(self, out, den)
+        return out
+
+    def _reduce_ints(self, vec: list[int], den: int) -> "CyclotomicNumber":
+        """vec / den mod Phi_N, in canonical form (see :meth:`_fold`)."""
+        return CyclotomicNumber(self, self._fold(vec), den)
+
+    def _mul_ints(self, a, b) -> list[int]:
+        """a b mod Phi_N for two integer vectors of length D, as D ints with no content divided out: the
+        one field product, read by ``CyclotomicNumber.__mul__`` and ``series.divide_step``."""
+        right = [(j, y) for j, y in enumerate(b) if y]
+        prod = [0] * (2 * self.degree - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in right:
+                    prod[i + j] += x * y
+        return self._fold(prod)
 
     def binomial_inverse(self, c0, c1, k: int) -> "CyclotomicNumber":
         """1 / (c0 + c1 zeta^k) for rationals c0, c1, where w = zeta^k has odd order m.
@@ -234,13 +249,7 @@ class CyclotomicNumber:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        right = [(j, b) for j, b in enumerate(other.num) if b]
-        prod = [0] * (2 * self.field.degree - 1)
-        for i, a in enumerate(self.num):
-            if a:
-                for j, b in right:
-                    prod[i + j] += a * b
-        return self.field._reduce_ints(prod, self.den * other.den)
+        return CyclotomicNumber(self.field, self.field._mul_ints(self.num, other.num), self.den * other.den)
 
     __rmul__ = __mul__
 

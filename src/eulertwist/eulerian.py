@@ -13,7 +13,7 @@ from functools import lru_cache, reduce
 
 from .cyclotomic import CyclotomicNumber, cyclotomic_field
 from .errors import OracleTooLarge, PoleAtOne
-from .series import linear_combination, power_moments
+from .series import integer_combination, power_moments
 
 
 @lru_cache(maxsize=None)
@@ -81,7 +81,8 @@ def periodic_power_sums(field, terms, period: int, n_max: int, z) -> list:
     B_i = sum_l c(l) z^l l^i each built once for all n.  With z = u/v, v^P B_i
     are the :func:`~eulertwist.series.power_moments` of the integer-scaled
     weights r u^l v^(P-l), so no weight carries a power of v of its own, and
-    each S_n is one :func:`~eulertwist.series.linear_combination`.
+    each S_n is one :func:`~eulertwist.series.integer_combination` with one
+    content gcd.
     """
     if period < 1:
         raise ValueError("need at least one coefficient")
@@ -96,8 +97,11 @@ def periodic_power_sums(field, terms, period: int, n_max: int, z) -> list:
             scale, at = scale // v * u, at + 1
         scaled.append((m, r * scale, e))
     moments = power_moments(field, scaled, n_max)
-    return [linear_combination([math.comb(n, k) * tails[k] for k in range(n + 1)], moments[n::-1])
-            for n in range(n_max + 1)]
+    sums = []
+    for n in range(n_max + 1):
+        scales = [(math.comb(n, k) * t.numerator, t.denominator) for k, t in enumerate(tails[: n + 1])]
+        sums.append(CyclotomicNumber(field, *integer_combination(scales, moments[n::-1])))
+    return sums
 
 
 def periodic_power_sum(cycle, n: int, z):

@@ -18,33 +18,36 @@ from fractions import Fraction
 from itertools import accumulate, repeat
 
 from .characters import DirichletCharacter, principal_character
+from .cyclotomic import cyclotomic_field
 from .errors import NotPadicallyConvergent, SingularFunctionalEquation
 from .ntheory import is_prime
 from .rationals import format_rational, int_valuation, padic_valuation, q_bracket_neg
-from .series import linear_combination, power_moments
+from .series import divide_step, power_moments
 from .twisted import TwistedConfig
 
 
 def _binomial_solve(rhs: list, unit, step: int, pivot_inv) -> list:
-    """x_0 .. x_n of unit sum_{k<=m} C(m,k) step^(m-k) x_k + c x_m = rhs_m,
-    solved upward in m with pivot_inv = 1/(unit + c): per m one
-    :func:`~eulertwist.series.linear_combination` of the lower x_k (one
-    content gcd), one product by unit and one by pivot_inv.  In a field both
-    callers (step 1 and step d) invert their pivot by ``binomial_inverse``."""
+    """x_0 .. x_n of unit sum_{k<=m} C(m,k) step^(m-k) x_k + c x_m = rhs_m in
+    a cyclotomic field, solved upward in m with pivot_inv = 1/(unit + c):
+    per m one :func:`~eulertwist.series.divide_step` on integer vectors, its
+    scales C(m,k) step^(m-k) integers, with content gcds after the inner sum
+    of the lower x_k, after the subtraction from rhs_m and after the product
+    by pivot_inv.  Both callers (step 1 and step d) invert their pivot by
+    ``binomial_inverse``."""
     out: list = []
     for m, value in enumerate(rhs):
-        if m:
-            value = value - unit * linear_combination([math.comb(m, k) * step ** (m - k) for k in range(m)], out)
-        out.append(value * pivot_inv)
+        scales = [(math.comb(m, k) * step ** (m - k), 1) for k in range(m)]
+        out.append(divide_step((value.num, value.den), scales, out, unit, pivot_inv))
     return out
 
 
 def _moment_sequence(n: int, ratio, field=None, k: int = 0, shift=0) -> list:
     """I(zeta_N^(kx) (x+shift)^m) for m = 0..n under mu_(-ratio), from the
     one-step equation on f(x) = zeta_N^(kx) (x+shift)^m (shift^0 = 1, also
-    at shift = 0): in Q at twist 1 without a field, else in field = Q(zeta_N)
-    at zeta_N^k of odd order, the pivot 1 + ratio zeta_N^k inverted by its
-    geometric series.  Under mu_(-1) the moments of x^m are E_m(0):
+    at shift = 0): as Fractions at twist 1 without a field, else in
+    field = Q(zeta_N) at zeta_N^k of odd order, the pivot 1 + ratio zeta_N^k
+    inverted by its geometric series.  Under mu_(-1) the moments of x^m are
+    E_m(0):
 
     >>> [str(x) for x in _moment_sequence(5, 1)]
     ['1', '-1/2', '0', '1/4', '0', '-1/2']
@@ -53,15 +56,16 @@ def _moment_sequence(n: int, ratio, field=None, k: int = 0, shift=0) -> list:
     it raises the geometric series' DivisionByZero (c0 = -c1).  No program
     path passes ratio -1: q = -1 is refused everywhere.
     """
-    ratio = Fraction(ratio)
+    ratio, rational = Fraction(ratio), field is None
     if ratio == 0:
         raise ValueError("measure parameter must be nonzero")
-    if ratio == -1 and (field is None or k % field.order == 0):
+    if rational:
+        field = cyclotomic_field(1)
+    if ratio == -1 and k % field.order == 0:
         raise SingularFunctionalEquation("1 + ratio*twist vanishes")
-    rhs = [(1 + ratio) * shift**m for m in range(n + 1)]
-    if field is None:
-        return _binomial_solve(rhs, ratio, 1, 1 / (1 + ratio))
-    return _binomial_solve(rhs, ratio * field.zeta_power(k), 1, field.binomial_inverse(1, ratio, k))
+    rhs = [field.from_rational((1 + ratio) * shift**m) for m in range(n + 1)]
+    out = _binomial_solve(rhs, ratio * field.zeta_power(k), 1, field.binomial_inverse(1, ratio, k))
+    return [x.coeffs[0] for x in out] if rational else out
 
 
 def _char_moment_sequence(n: int, cfg) -> list:
@@ -150,10 +154,11 @@ def _piece_length(p: int) -> int:
 
 def _walk(
     exponents: list[int], q: Fraction, p: int, max_level: int, char: DirichletCharacter
-) -> list[list[int]]:
+) -> tuple[list[list[int]], list[int]]:
     """A_N = sum_{0 <= x < p^N} chi(x) x^m (-v)^x u^(p^N - 1 - x) = u^(p^N - 1) U_N, with q = u/v and
     U_N = sum_{x < p^N} (-1/q)^x chi(x) x^m, for each m of `exponents` (ascending) and N = 0..max_level:
     one literal integer sum over x < p^max_level, in aligned pieces, one cached table, balanced merge.
+    Returns the rows of A_N, one per exponent, and u^(p^N) for N = 0..max_level.
 
     Level N >= 1 adds the x in [p^(N-1), p^N), cut into pieces [a, a+k) of at most K terms
     (:func:`_piece_length`); once p^(N-1) >= K every piece starts at a multiple of K, so of the character
@@ -162,7 +167,8 @@ def _walk(
     B_j = sum_{i<k} chi(a+i) i^j (-v)^i u^(k-1-i) depends only on (a mod d, k): one table per such key,
     read by every piece that shares it, while a piece whose key occurs once is summed directly.  The
     pieces of a level merge in a balanced tree, S = S_left u^(len right) + (-v)^(len left) S_right, and
-    each level folds into the running totals once."""
+    each level folds into the running totals once, through u^(p^N - p^(N-1)) = (u^(p^(N-1)))^(p-1); that
+    power times u^(p^(N-1)) is u^(p^N), so no power of u is raised from scratch past level 0."""
     q = Fraction(q)
     _check_padic_regime(q, p, char)
     u, v, d = q.numerator, q.denominator, char.modulus
@@ -219,16 +225,19 @@ def _walk(
         lift, lead = shift(k_r)[0], shift(k_l)[1]
         return [s * lift + lead * t for s, t in zip(sums_l, sums_r)], k_l + k_r
 
-    totals, per_level = [0] * len(exponents), []
+    totals, per_level, rises = [0] * len(exponents), [], [1]
     for (start, end), pieces in zip(levels, cuts):
         parts = [(piece(a, k), k) for a, k in pieces]
         while len(parts) > 1:
             parts = [merge(*parts[i : i + 2]) for i in range(0, len(parts), 2)]
-        [(sums, length)] = parts
-        lift, lead = u**length, (-v) ** start
+        [(sums, _)] = parts
+        # the level's length is p^N - p^(N-1), or 1 at level 0
+        lift, lead = rises[-1] ** (p - 1) if start else u, (-v) ** start
         totals = [t * lift + lead * s for t, s in zip(totals, sums)]
         per_level.append(totals)
-    return [list(row) for row in zip(*per_level)] if per_level else [[] for _ in exponents]
+        rises.append(rises[-1] * lift)
+    rows = [list(row) for row in zip(*per_level)] if per_level else [[] for _ in exponents]
+    return rows, rises[1:]
 
 
 def riemann_sums(
@@ -237,11 +246,11 @@ def riemann_sums(
     """sums[n][N] = U_N = sum_{0 <= x < p^N} (-1/q)^x chi(x) x^n for
     n = 0..n_max and N = 0..max_level: the integer totals of one walk over
     x < p^max_level (aligned pieces, one cached table, balanced merge; see
-    :func:`_walk`), each over u^(p^N - 1) for q = u/v."""
+    :func:`_walk`), each over u^(p^N - 1) = u^(p^N) / u for q = u/v."""
     u = Fraction(q).numerator
-    scales = [u ** (p**level - 1) for level in range(max_level + 1)]
-    return [[Fraction(total, scale) for total, scale in zip(row, scales)]
-            for row in _walk(list(range(n_max + 1)), q, p, max_level, char)]
+    rows, rises = _walk(list(range(n_max + 1)), q, p, max_level, char)
+    scales = [rise // u for rise in rises]
+    return [[Fraction(total, scale) for total, scale in zip(row, scales)] for row in rows]
 
 
 def padic_truncation(
@@ -252,16 +261,15 @@ def padic_truncation(
     char None weighs every x by 1, as the character mod 1 does.  The walk
     sums x^n alone, not the lower exponents :func:`riemann_sums` returns.
     With q = u/v and P = p^N, S_N = A_N (u+v) / (u^P - (-v)^P) for the
-    walk's integer total A_N, one Fraction per level."""
+    walk's integer total A_N and its u^P, one Fraction per level."""
     char = principal_character(1) if char is None else char
     q = Fraction(q)
-    totals = _walk([n], q, p, max_level, char)[0]
+    [totals], rises = _walk([n], q, p, max_level, char)
     exact = _char_moment_sequence(n, TwistedConfig.build(char, 1, 0, q))[n].coeffs[0]  # degree 1: chi rational, twist 1
     u, v = q.numerator, q.denominator
     levels = []
-    for level, total in enumerate(totals):
-        count = p**level
-        partial = Fraction(total * (u + v), u**count - (-v) ** count)
+    for level, (total, rise) in enumerate(zip(totals, rises)):
+        partial = Fraction(total * (u + v), rise - (-v) ** p**level)
         gap = partial.numerator * exact.denominator - exact.numerator * partial.denominator
         valuation = int_valuation(gap, p) - int_valuation(partial.denominator * exact.denominator, p)
         levels.append(TruncationLevel(level, partial, valuation))

@@ -4,14 +4,26 @@ Coefficients are stored in ordinary t^n normalization (NOT divided by n!);
 conversion to exponential-generating-function coefficients happens only in
 :func:`nth_taylor_coefficient`.  Coefficient types mix freely as long as
 they support field arithmetic: Fraction and CyclotomicNumber both do.
-A power moment sum r x^j zeta_N^e is taken over (integer node x, rational r,
-exponent e) triples in integers, one vector per moment reduced once mod Phi_N
-(:func:`power_moments`), so no field element is formed per weight.
-Exponential sums read it (:func:`exp_sum`), and a sum over a two-term
-denominator unit * exp(node rate t) + c is divided out directly
-(:func:`exp_quotient`), with no series inverse or series product.  A rational
-combination of field elements is one integer vector over one common
-denominator with one content gcd (:func:`linear_combination`).
+
+The exponential sums and quotients behind every A_n run on the integer
+layout num / den of :mod:`eulertwist.cyclotomic`, not on Fractions or one
+canonical field element per intermediate:
+
+* a power moment sum r x^j zeta_N^e over (integer node x, rational r,
+  exponent e) triples is one integer vector per moment, reduced once mod
+  Phi_N (:func:`power_moments`);
+* the scales x^j / j! are integer pairs, formed once per call
+  (:func:`exp_scales`);
+* a rational combination of field elements is one integer vector over one
+  common denominator (:func:`integer_combination`);
+* one step of a triangular division, (rhs - unit * inner sum) * pivot_inv,
+  stays in integers until its result is wrapped (:func:`divide_step`),
+  with a content gcd after the inner sum, after the subtraction and after
+  the product by pivot_inv.
+
+:func:`exp_quotient` divides an exponential sum by a two-term denominator
+unit * exp(node rate t) + c with these steps, with no series inverse or
+series product, and ``fermionic._binomial_solve`` takes the same step.
 
 >>> geometric = TruncatedSeries.of([1, -1], order=5).inverse()
 >>> geometric.coeffs == (1, 1, 1, 1, 1)
@@ -20,6 +32,7 @@ True
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -88,7 +101,7 @@ def power_moments(field, terms, n_max: int) -> list:
     >>> [str(m.coeffs[0]) for m in power_moments(cyclotomic_field(1), [(0, 5, 0), (2, Fraction(1, 2), 7)], 3)]
     ['11/2', '1', '2', '4']
     """
-    rows = [(x, Fraction(r), e % field.order) for x, r, e in terms if r]
+    rows = [(x, r, e % field.order) for x, r, e in terms if r]
     den = math.lcm(*{r.denominator for _, r, _ in rows})
     rows = [(x, r.numerator * (den // r.denominator), e) for x, r, e in rows]
     moments = []
@@ -101,26 +114,70 @@ def power_moments(field, terms, n_max: int) -> list:
     return moments
 
 
-def linear_combination(scales, values):
-    """sum s v over rational scales s and values v that are all rationals or
-    all elements of one cyclotomic field, over one common denominator with
-    one content gcd.
+def integer_combination(scales, values) -> tuple[list[int], int]:
+    """sum (a/b) v over integer pairs (a, b), b > 0, and elements v of one
+    cyclotomic field, as one integer vector over one common denominator,
+    its content not divided out.
 
-    >>> linear_combination([2, Fraction(1, 3)], [Fraction(1, 4), Fraction(3, 2)])
-    Fraction(1, 1)
+    >>> from eulertwist.cyclotomic import cyclotomic_field
+    >>> half, third = (cyclotomic_field(1).from_rational(Fraction(1, k)) for k in (2, 3))
+    >>> integer_combination([(2, 1), (3, 4)], [half, third])  # 2/2 + 3/12 = 15/12, content 3 kept
+    ([15], 12)
     """
-    pairs = [(Fraction(s), v) for s, v in zip(scales, values) if s]
-    if not isinstance(values[0], CyclotomicNumber):
-        den = math.lcm(*(s.denominator * v.denominator for s, v in pairs))
-        return Fraction(sum(s.numerator * v.numerator * (den // (s.denominator * v.denominator)) for s, v in pairs),
-                        den)
-    den = math.lcm(*(s.denominator * v.den for s, v in pairs))
-    vec = [0] * values[0].field.degree
-    for s, v in pairs:
-        k = s.numerator * (den // (s.denominator * v.den))
-        for i, c in enumerate(v.num):
-            vec[i] += k * c
-    return CyclotomicNumber(values[0].field, vec, den)
+    dens = [b * v.den for (_, b), v in zip(scales, values)]
+    den = math.lcm(*dens)
+    ks = [a * (den // b) for (a, _), b in zip(scales, dens)]
+    return [sum(map(operator.mul, ks, column)) for column in zip(*(v.num for v in values))], den
+
+
+def divide_step(rhs: tuple, scales, lower, unit, pivot_inv) -> CyclotomicNumber:
+    """(rhs - unit sum_j s_j lower_j) pivot_inv, for rhs an integer pair
+    (vector, denominator), integer-pair scales s_j matched to field elements
+    lower_j, and field elements unit and pivot_inv: one step of a triangular
+    division.  The inner sum is one :func:`integer_combination`; the
+    products by unit and pivot_inv are raw integer products reduced mod
+    Phi_N (``CyclotomicField._mul_ints``), and the subtraction is taken on
+    the vectors.  The content gcd is taken after the inner sum, after the
+    subtraction and in the final wrap; a product by a root of unity keeps
+    the content, so it needs none.
+
+    >>> from eulertwist.cyclotomic import cyclotomic_field
+    >>> one = cyclotomic_field(1).one
+    >>> divide_step(([3], 1), [(1, 2)], [one], one, one * Fraction(1, 5))  # (3 - 1/2) / 5
+    CyclotomicNumber(order=1, coeffs=(Fraction(1, 2),))
+    """
+    num, den = rhs
+    field = pivot_inv.field
+    if scales:
+        acc, acc_den = integer_combination(scales, lower)
+        g = math.gcd(acc_den, *acc)
+        if g != 1:
+            acc, acc_den = [c // g for c in acc], acc_den // g
+        acc, acc_den = field._mul_ints(unit.num, acc), acc_den * unit.den
+        common = math.lcm(den, acc_den)
+        ma, mb = common // den, common // acc_den
+        num, den = [x * ma - y * mb for x, y in zip(num, acc)], common
+        g = math.gcd(den, *num)
+        if g != 1:
+            num, den = [c // g for c in num], den // g
+    return CyclotomicNumber(field, field._mul_ints(num, pivot_inv.num), den * pivot_inv.den)
+
+
+def exp_scales(x, order: int) -> list[tuple[int, int]]:
+    """x^j / j! for j < order and a rational x, as reduced integer pairs
+    (numerator, denominator).
+
+    >>> exp_scales(Fraction(-2, 3), 4)
+    [(1, 1), (-2, 3), (2, 9), (-4, 81)]
+    """
+    p, q = x.numerator, x.denominator
+    out = [(1, 1)]
+    for j in range(1, order):
+        a, b = out[-1]
+        a, b = a * p, b * q * j
+        g = math.gcd(a, b)
+        out.append((a // g, b // g))
+    return out
 
 
 def exp_sum(field, terms, rate, order: int) -> TruncatedSeries:
@@ -134,39 +191,43 @@ def exp_sum(field, terms, rate, order: int) -> TruncatedSeries:
     """
     if order < 1:
         raise ValueError("series order must be >= 1")
-    rate = Fraction(rate)
-    return TruncatedSeries(tuple(
-        m * (rate**j / math.factorial(j)) for j, m in enumerate(power_moments(field, terms, order - 1))
-    ))
+    moments = power_moments(field, terms, order - 1)
+    return TruncatedSeries(tuple(m * Fraction(a, b) for m, (a, b) in zip(moments, exp_scales(rate, order))))
 
 
-def exp_quotient(field, terms, rate, unit, node: int, pivot_inv, order: int) -> TruncatedSeries:
-    """The series of sum r zeta_N^e exp(x rate t) / (unit exp(node rate t) + c)
+def exp_quotient(field, terms, rate, unit, node: int, pivot_inv, order: int, scale=1) -> TruncatedSeries:
+    """The series of scale * sum r zeta_N^e exp(x rate t) / (unit exp(node rate t) + c)
     over the (integer node x, rational r, exponent e) triples of `terms`, in
-    `field` = Q(zeta_N), given pivot_inv = 1/(unit + c), the inverse of the
-    denominator's constant term.
+    `field` = Q(zeta_N), for a rational scale, given field elements unit and
+    pivot_inv = 1/(unit + c), the inverse of the denominator's constant term.
 
     Every later denominator coefficient is unit (node rate)^j / j!, so the
     quotient is one triangular division,
 
         F_n = (N_n - unit sum_(j=1..n) (node rate)^j / j! F_(n-j)) pivot_inv,
 
-    with the inner sum one :func:`linear_combination` (one content gcd) and
-    two field products per coefficient.  N_n is the numerator's
-    :func:`exp_sum`.
+    N_n = scale rate^n / n! M_n for the power moments M_n of `terms`.  Formed
+    once per call: the moments (one :func:`power_moments` call) and the
+    scales (node rate)^j / j! and scale rate^j / j! as integer pairs
+    (:func:`exp_scales`).  Each F_n is then one :func:`divide_step` on
+    integer vectors: N_n is the integer vector of M_n times one integer over
+    one denominator, and the content gcd is taken after the inner sum, after
+    the subtraction and after the product by pivot_inv.
 
     >>> from eulertwist.cyclotomic import cyclotomic_field
-    >>> quotient = exp_quotient(cyclotomic_field(1), [(0, 2, 0)], 1, 1, 1, Fraction(1, 2), 4)  # 2 / (e^t + 1)
+    >>> field = cyclotomic_field(1)  # 2 / (e^t + 1):
+    >>> quotient = exp_quotient(field, [(0, 2, 0)], 1, field.one, 1, field.from_rational(Fraction(1, 2)), 4)
     >>> [str(c.coeffs[0]) for c in quotient.coeffs]
     ['1', '-1/2', '0', '1/24']
     """
-    numerator = exp_sum(field, terms, rate, order).coeffs
-    step = node * Fraction(rate)
-    scales = [step**j / math.factorial(j) for j in range(order)]
-    out = [numerator[0] * pivot_inv]
-    for n in range(1, order):
-        acc = linear_combination(scales[1 : n + 1], out[::-1])
-        out.append((numerator[n] - unit * acc) * pivot_inv)
+    if order < 1:
+        raise ValueError("series order must be >= 1")
+    steps = exp_scales(node * rate, order)
+    rates = [(a * scale.numerator, b * scale.denominator) for a, b in exp_scales(rate, order)]
+    out: list = []
+    for m, (a, b) in zip(power_moments(field, terms, order - 1), rates):
+        out.append(divide_step(([c * a for c in m.num], m.den * b), steps[1 : len(out) + 1], out[::-1], unit,
+                               pivot_inv))
     return TruncatedSeries(tuple(out))
 
 

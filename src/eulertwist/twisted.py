@@ -101,17 +101,21 @@ class TwistedValue:
 def twisted_gf(cfg: TwistedConfig, order: int) -> TruncatedSeries:
     """The generating function expanded to the requested order over the
     ambient field: (1+q) * sum_{l<d} (-1)^l q^(d-l+1) zeta^l chi(l)
-    exp(-l(1+q)t) divided by (zeta^d exp(-d(1+q)t) + q^d).  The numerator is
-    one exponential sum at rate -(1+q), every weight formed once, and the
-    quotient is one triangular division (:func:`exp_quotient`): two field
-    products per coefficient, the pivot zeta^d + q^d inverted once by its
-    geometric series (``CyclotomicField.binomial_inverse``).  Each weight
-    enters as a (node, rational, exponent) triple, never as a field
-    element."""
+    exp(-l(1+q)t) divided by (zeta^d exp(-d(1+q)t) + q^d).  With q = u/v,
+    (1+q) q^(d-l+1) = (u+v) u^(d-l+1) v^l / v^(d+2): each weight enters the
+    numerator's exponential sum at rate -(1+q) as the integer
+    (-1)^l u^(d-l+1) v^l in a (node, integer, exponent) triple, never as a
+    Fraction or a field element, and the rational (u+v) / v^(d+2) is folded
+    back in once per coefficient, with rate^n / n!.  The quotient is one
+    triangular division on integer vectors (:func:`exp_quotient`), its pivot
+    zeta^d + q^d inverted once by its geometric series
+    (``CyclotomicField.binomial_inverse``)."""
     q, d, field = cfg.q, cfg.char.modulus, cfg.field
+    u, v = q.numerator, q.denominator
     k = cfg.twist_exponent(d)
-    terms = [(l, (1 + q) * (-1) ** l * q ** (d - l + 1), e) for l, e in cfg.twisted_exponents(range(d))]
-    return exp_quotient(field, terms, -(1 + q), field.zeta_power(k), d, field.binomial_inverse(q**d, 1, k), order)
+    terms = [(l, (-1) ** l * u ** (d - l + 1) * v**l, e) for l, e in cfg.twisted_exponents(range(d))]
+    return exp_quotient(field, terms, -(1 + q), field.zeta_power(k), d, field.binomial_inverse(q**d, 1, k), order,
+                        Fraction(u + v, v ** (d + 2)))
 
 
 def alternating_char_sums(cfg: TwistedConfig, n_max: int) -> list:

@@ -22,7 +22,7 @@ from eulertwist import (
     riemann_sums,
     twisted_values,
 )
-from eulertwist.cyclotomic import CyclotomicNumber
+from eulertwist.cyclotomic import CyclotomicField
 from eulertwist.errors import DivisionByZero, NotPadicallyConvergent, SingularFunctionalEquation
 from eulertwist.fermionic import _char_moment_sequence, _moment_sequence, residue_class_sums
 from eulertwist.twisted import alternating_char_sums, twisted_series_values
@@ -211,15 +211,16 @@ class TestCharTwistIntegral:
         # rational, so the only field products are those of the triangular
         # division: one by the pivot inverse for each of the n + 1
         # coefficients, and one by zeta^d for each after the first, 2n + 1
-        # in all; the series path reads its cycle the same way and forms none
-        real, products = CyclotomicNumber.__mul__, []
+        # in all; the series path reads its cycle the same way and forms none.
+        # Every field product, CyclotomicNumber.__mul__ included, is one
+        # CyclotomicField._mul_ints call.
+        real, products = CyclotomicField._mul_ints, []
 
-        def counted(self, other):
-            if isinstance(other, CyclotomicNumber):
-                products.append(other)
-            return real(self, other)
+        def counted(self, a, b):
+            products.append(b)
+            return real(self, a, b)
 
-        monkeypatch.setattr(CyclotomicNumber, "__mul__", counted)
+        monkeypatch.setattr(CyclotomicField, "_mul_ints", counted)
 
         def count(route, *args):
             products.clear()

@@ -6,7 +6,7 @@ from fractions import Fraction as F
 import pytest
 
 from eulertwist import CyclotomicNumber, TruncatedSeries, cyclotomic_field, exp_sum, nth_taylor_coefficient
-from eulertwist.series import exp_quotient, linear_combination, power_moments
+from eulertwist.series import divide_step, exp_quotient, integer_combination, power_moments
 from eulertwist.errors import NonUnitConstantTerm, OrderTooLow
 
 
@@ -221,13 +221,52 @@ def test_one_kernel_call_reduces_once_per_moment(monkeypatch):
     assert calls == [field.order] * (n_max + 1)
 
 
+def linear_combination(scales, values):
+    """sum s v over rational scales s and values v that are all rationals or
+    all elements of one cyclotomic field, over one common denominator with
+    one content gcd: the inner sum of the triangular divisions before they
+    ran on integer vectors, kept as an oracle."""
+    pairs = [(F(s), v) for s, v in zip(scales, values) if s]
+    if not isinstance(values[0], CyclotomicNumber):
+        den = math.lcm(*(s.denominator * v.denominator for s, v in pairs))
+        return F(sum(s.numerator * v.numerator * (den // (s.denominator * v.denominator)) for s, v in pairs), den)
+    den = math.lcm(*(s.denominator * v.den for s, v in pairs))
+    vec = [0] * values[0].field.degree
+    for s, v in pairs:
+        k = s.numerator * (den // (s.denominator * v.den))
+        for i, c in enumerate(v.num):
+            vec[i] += k * c
+    return CyclotomicNumber(values[0].field, vec, den)
+
+
+def oracle_exp_quotient(field, terms, rate, unit, node, pivot_inv, order) -> list:
+    """The triangular division F_n = (N_n - unit sum_j (node rate)^j / j!
+    F_(n-j)) pivot_inv with Fraction scales and one canonical field element
+    per intermediate: each numerator coefficient one product of a power
+    moment by rate^n / n!, each inner sum one :func:`linear_combination`,
+    then a field product by unit, a field subtraction and a field product by
+    pivot_inv.  The form that ``series.exp_quotient`` replaced, kept as its
+    oracle."""
+    rate = F(rate)
+    numerator = [m * (rate**j / math.factorial(j)) for j, m in enumerate(power_moments(field, terms, order - 1))]
+    step = node * rate
+    scales = [step**j / math.factorial(j) for j in range(order)]
+    out = [numerator[0] * pivot_inv]
+    for n in range(1, order):
+        acc = linear_combination(scales[1 : n + 1], out[::-1])
+        out.append((numerator[n] - unit * acc) * pivot_inv)
+    return out
+
+
 @pytest.mark.parametrize("field_order", [None, *FIELD_ORDERS])
 def test_linear_combination_matches_the_sum_of_products(field_order):
-    field = None if field_order is None else cyclotomic_field(field_order)
-    rng = random.Random(41 if field is None else 41 + field_order)
+    """The oracle and ``integer_combination`` (over Q as Q(zeta_1)), each
+    against the plain sum of products."""
+    field = cyclotomic_field(1 if field_order is None else field_order)
+    rng = random.Random(41 if field_order is None else 41 + field_order)
 
     def value():
-        if field is None:
+        if field_order is None:
             return F(rng.randint(-9, 9), rng.randint(1, 9))
         return field.reduce([F(rng.randint(-4, 4), rng.randint(1, 4)) for _ in range(field.degree)])
 
@@ -242,10 +281,72 @@ def test_linear_combination_matches_the_sum_of_products(field_order):
         got = linear_combination(scales, values)
         want = sum((s * v for s, v in zip(scales, values)), values[0] * 0)
         assert type(got) is type(want)
-        if field is None:
+        if field_order is None:
             assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
+            values, want = [field.from_rational(v) for v in values], field.from_rational(want)
         else:
             assert (got.num, got.den) == (want.num, want.den)
+        pairs = [(s.numerator, s.denominator) for s in scales]
+        assert CyclotomicNumber(field, *integer_combination(pairs, values)) == want
+
+
+def test_divide_step_matches_field_arithmetic():
+    """One step against (rhs - unit sum s_j lower_j) pivot_inv in field
+    arithmetic, for units that are roots of unity (dense rows included) and
+    rational multiples of them, and for no lower terms."""
+    rng = random.Random(17)
+    for field_order in FIELD_ORDERS:
+        field = cyclotomic_field(field_order)
+
+        def element():
+            return field.reduce([F(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(field.degree)])
+
+        for _ in range(6):
+            size = rng.randint(0, 5)
+            scales = [(rng.randint(-20, 20) or 1, rng.randint(1, 12)) for _ in range(size)]
+            lower, rhs = [element() for _ in range(size)], element()
+            unit = field.zeta_power(rng.randrange(field.order)) * F(rng.choice([1, 1, -3, 5]), rng.choice([1, 2]))
+            pivot_inv = element() or field.one
+            acc = sum((v * F(a, b) for (a, b), v in zip(scales, lower)), field.zero)
+            want = (rhs - unit * acc) * pivot_inv
+            got = divide_step((list(rhs.num), rhs.den), scales, lower, unit, pivot_inv)
+            assert (got.num, got.den) == (want.num, want.den)
+
+
+# (field order, twist exponents k); every k with k mod N >= D makes zeta^k a dense row of x^k mod Phi_N
+QUOTIENT_FIELDS = [(1, [0]), (3, [1, 2]), (9, [1, 4, 7, 8]), (15, [2, 8, 14]), (21, [5, 13, 20]), (99, [7, 61, 98])]
+QUOTIENT_QS = [F(2), F(5, 2), F(-3, 7), F(2, 3), F(2**40 + 1)]
+
+
+@pytest.mark.parametrize("field_order, exponents", QUOTIENT_FIELDS)
+def test_exp_quotient_matches_the_fraction_oracle(field_order, exponents):
+    """The integer pipeline against the Fraction-scale oracle, num and den
+    identical at every coefficient: the generating function's quotient, its
+    weights (1+q)(-1)^l q^(d-l+1) as integers (-1)^l u^(d-l+1) v^l with
+    (u+v)/v^(d+2) folded back in, at d <= 15 and n <= 12 over every q of
+    QUOTIENT_QS, and eq22's fold at rate 1."""
+    field = cyclotomic_field(field_order)
+    rng = random.Random(f"exp-quotient:{field_order}")
+    for q in QUOTIENT_QS:
+        u, v = q.numerator, q.denominator
+        for k in exponents:
+            # the degree-60 field costs most, above all at the tall q: smaller d and n there
+            d = rng.randint(1, 15) if field.degree < 60 else 1 if u > 2**40 else rng.randint(1, 5)
+            n = rng.randint(0, 12) if field.degree < 60 else rng.randint(0, 2 if u > 2**40 else 4)
+            exps = [rng.randrange(3 * field.order) for _ in range(d)]
+            kept = [l for l in range(d) if rng.random() < 0.8]
+            rational = [(l, (1 + q) * (-1) ** l * q ** (d - l + 1), exps[l]) for l in kept]
+            integer = [(l, (-1) ** l * u ** (d - l + 1) * v**l, exps[l]) for l in kept]
+            unit, pivot_inv = field.zeta_power(k), field.binomial_inverse(q**d, 1, k)
+            want = oracle_exp_quotient(field, rational, -(1 + q), unit, d, pivot_inv, n + 1)
+            got = exp_quotient(field, integer, -(1 + q), unit, d, pivot_inv, n + 1, F(u + v, v ** (d + 2))).coeffs
+            assert [(c.num, c.den) for c in got] == [(c.num, c.den) for c in want], (q, k, d, n)
+        d_fold = rng.choice([1, 3, 5, 7, 9, 11, 13, 15])
+        for k in exponents:
+            args = (field, [(l, 2 * (-1) ** l, k * l) for l in range(d_fold)], 1, field.zeta_power(k * d_fold), d_fold,
+                    field.binomial_inverse(1, 1, k * d_fold), 12)
+            got, want = exp_quotient(*args).coeffs, oracle_exp_quotient(*args)
+            assert [(c.num, c.den) for c in got] == [(c.num, c.den) for c in want], ("eq22", k, d_fold)
 
 
 @pytest.mark.parametrize("field_order", [None, 9])
