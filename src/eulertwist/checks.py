@@ -4,7 +4,9 @@ This module states every relation's two sides; the modules it reads
 (`twisted`, `fermionic`, `lfunction`) export quantities only.  Each
 registered relation runs one identity over every applicable grid point and
 reports a per-point verdict; a report passes iff no point fails and at least
-one passes.  The registry names are the stable CLI tokens.
+one passes.  A route that gives other than the grid's count of n or levels
+raises ValueError, so no relation passes on fewer points.  The registry
+names are the stable CLI tokens.
 
 The config relations read three quantities through one process-wide memo,
 :func:`_memo`: A_n (`twisted.twisted_values`), the d-step moments
@@ -23,7 +25,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
@@ -38,7 +40,7 @@ from .cyclotomic import cyclotomic_field, embed_complex
 from .errors import NotConverged, OutsideConvergence, OutsideDoubleRange
 from .eulerian import eulerian_at
 from .ntheory import is_squarefree
-from .rationals import format_rational, padic_valuation, parse_rational
+from .rationals import format_rational, padic_valuation
 from .series import exp_quotient, nth_taylor_coefficient
 
 
@@ -64,40 +66,6 @@ class Grid:
 
 def default_grid() -> Grid:
     return Grid()
-
-
-def _json_int(key: str, value) -> int:
-    if type(value) is not int:  # bool is an int subclass, and a float would be truncated
-        raise ValueError(f"{key} takes integers, got {value!r}")
-    return value
-
-
-def _json_rational(key: str, value) -> Fraction:
-    if type(value) not in (int, str):
-        raise ValueError(f"{key} takes integers or rational strings, got {value!r}")
-    return parse_rational(str(value))
-
-
-def grid_from_json(doc: dict) -> Grid:
-    """A grid from a JSON document: keys are the Grid field names, except "q"
-    for q_values (integers or rational strings); absent keys keep their
-    defaults.  A ValueError names the key of an unknown key, a list where a
-    number belongs or the reverse, and a non-integer number."""
-    keys = {"q" if f.name == "q_values" else f.name: f for f in fields(Grid)}
-    unknown = [key for key in doc if key not in keys]
-    if unknown:
-        raise ValueError(f"unknown key {unknown[0]!r}; the keys are {', '.join(keys)}")
-    kwargs = {}
-    for key, value in doc.items():
-        f = keys[key]
-        parse = _json_rational if key == "q" else _json_int
-        if not isinstance(f.default, tuple):
-            kwargs[f.name] = parse(key, value)
-        elif isinstance(value, list):
-            kwargs[f.name] = tuple(parse(key, x) for x in value)
-        else:
-            raise ValueError(f"{key} takes a list, got {value!r}")
-    return Grid(**kwargs)
 
 
 def grid_characters(d: int) -> list[tuple[str, DirichletCharacter]]:
@@ -205,7 +173,10 @@ def _config_report(grid: Grid, name: str, sides, decide, fixed_q: Fraction | Non
     report = CheckReport(name, grid.describe())
     for key, *config in _configs(grid, fixed_q):
         cfg = twisted.TwistedConfig.build(*config)
-        for n, pair in enumerate(sides(cfg, grid.n_max)):
+        pairs = sides(cfg, grid.n_max)
+        if len(pairs) != grid.n_max + 1:
+            raise ValueError(f"{name} at {key}: {len(pairs)} sides for n = 0..{grid.n_max}")
+        for n, pair in enumerate(pairs):
             point = f"{key} n={n}"
             if isinstance(pair, str):
                 report.skip(point, pair)
@@ -241,7 +212,7 @@ def _relative_gap(cfg, lhs, rhs) -> tuple:
 def _path_sides(cfg, n_max: int) -> list:
     """Theorem 2: generating-function coefficients beside the closed-form series path."""
     values = _memo(twisted.twisted_values, cfg, n_max)
-    return [(tv.value, b) for tv, b in zip(values, twisted.twisted_series_values(cfg, n_max))]
+    return [(tv.value, b) for tv, b in zip(values, twisted.twisted_series_values(cfg, n_max), strict=True)]
 
 
 def _thm1_sides(cfg, n_max: int) -> list:
@@ -249,7 +220,7 @@ def _thm1_sides(cfg, n_max: int) -> list:
     gap between the d-l+1 kernel and the iterated d-1-l kernel."""
     moments = _memo(fermionic._char_moment_sequence, n_max, cfg)
     return [(tv.value, ((-1) ** n * (1 + cfg.q) ** n) * integral)
-            for n, (tv, integral) in enumerate(zip(_memo(twisted.twisted_values, cfg, n_max), moments))]
+            for n, (tv, integral) in enumerate(zip(_memo(twisted.twisted_values, cfg, n_max), moments, strict=True))]
 
 
 def _at_negative_integer(evaluate, cfg, n: int):
@@ -266,7 +237,7 @@ def _thm3_sides(cfg, n_max: int) -> list:
     embedded exact closed form of the same series."""
     numerics = [_at_negative_integer(lfunction.l_series_sum, cfg, n) for n in range(n_max + 1)]
     return [v if isinstance(v, str) else (v, embed_complex(e, 1))
-            for v, e in zip(numerics, twisted.alternating_char_sums(cfg, n_max))]
+            for v, e in zip(numerics, twisted.alternating_char_sums(cfg, n_max), strict=True)]
 
 
 def _thm5_sides(cfg, n_max: int) -> list:
@@ -277,7 +248,7 @@ def _thm5_sides(cfg, n_max: int) -> list:
     twist zeta^d."""
     sums = _memo(fermionic.residue_class_sums, n_max, cfg)
     return [((-1) ** n * tv.value, (1 + cfg.q) ** n * integral)
-            for n, (tv, integral) in enumerate(zip(_memo(twisted.twisted_values, cfg, n_max), sums))]
+            for n, (tv, integral) in enumerate(zip(_memo(twisted.twisted_values, cfg, n_max), sums, strict=True))]
 
 
 def _thm6_sides(cfg, n_max: int) -> list:
@@ -304,7 +275,7 @@ def _distribution_sides(cfg, n_max: int) -> list:
     [True, True]
     """
     return list(zip(_memo(fermionic._char_moment_sequence, n_max, cfg),
-                    _memo(fermionic.residue_class_sums, n_max, cfg)))
+                    _memo(fermionic.residue_class_sums, n_max, cfg), strict=True))
 
 
 def run_cor2_residual(grid: Grid) -> CheckReport:
@@ -319,12 +290,12 @@ def run_cor2_residual(grid: Grid) -> CheckReport:
                                 ("quadratic", quadratic_character(p))):
             sums = fermionic.riemann_sums(grid.padic_n_max, q, p, grid.level_max, char)
             sides = _path_sides(twisted.TwistedConfig.build(char, 1, 0, q), grid.padic_n_max)
-            for n, (row, (gf, series)) in enumerate(zip(sums, sides)):
+            for n, (row, (gf, series)) in enumerate(zip(sums, sides, strict=True)):
                 # A_n is rational here: the twist is 1 and chi takes values in {0, 1, -1}.
                 scale = 2 * (-1) ** n / (q * (1 + q) ** (n + 1))
                 limit = scale * series.coeffs[0]
                 vals = [padic_valuation(total - limit, p) for total in row]
-                growth = all(v >= level for level, v in enumerate(vals))
+                growth = all(v >= level for level, v in zip(range(grid.level_max + 1), vals, strict=True))
                 kernel_limit = q**2 * scale * gf.coeffs[0]
                 ratio = None if limit == 0 else kernel_limit / limit
                 detail = f"valuations={['inf' if v == math.inf else v for v in vals]} ratio={ratio}"

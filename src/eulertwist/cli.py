@@ -87,15 +87,14 @@ def _dumps(doc) -> str:
 
 
 def _flag_type(parse):
-    """An argparse ``type=``: parse's ValueError or ZeroDivisionError becomes
-    a usage error (exit 2) naming the flag."""
+    """An argparse ``type=``: parse's ValueError becomes a usage error (exit 2)
+    naming the flag."""
 
     def convert(text: str):
         try:
             return parse(text)
-        except (ValueError, ZeroDivisionError) as exc:
-            reason = "zero denominator" if isinstance(exc, ZeroDivisionError) else exc
-            raise argparse.ArgumentTypeError(f"invalid value {text!r}: {reason}") from None
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"invalid value {text!r}: {exc}") from None
 
     return convert
 
@@ -184,10 +183,35 @@ def _complex_point(text: str) -> complex:
     return s
 
 
+def _grid_q(value):
+    """A grid file's q, from an int or a string as --q reads it, avoiding 0 and -1, where the
+    generating function and the alternating measure are not defined."""
+    q = parse_rational(str(value))
+    if q in (0, -1):
+        raise ValueError(f"must avoid 0 and -1, got {q}")
+    return q
+
+
+# One row per grid-file key: the Grid field it sets, whether it holds a list, and the parse and
+# bound of one value, those of the flag that takes the same value where there is one.
+GRID_KEYS = {
+    "n_max": ("n_max", False, _bounded_int(0, MAX_INDEX)),
+    "moduli": ("moduli", True, _odd_int(MAX_MODULUS)),
+    "q": ("q_values", True, _grid_q),
+    "zeta_orders": ("zeta_orders", True, _odd_int(MAX_ZETA_ORDER)),
+    "zeta_exponent": ("zeta_exponent", False, int),
+    "primes": ("primes", True, _odd_prime(MAX_MODULUS)),
+    "level_max": ("level_max", False, _bounded_int(0)),
+    "padic_n_max": ("padic_n_max", False, _bounded_int(0, MAX_INDEX)),
+    "random_tables": ("random_tables", False, _bounded_int(1, MAX_RANDOM_TABLES)),
+    "seed": ("seed", False, int),
+}
+
+
 def _grid(spec: str):
-    """A check grid: "default" or "file:PATH" holding a JSON grid, with the
-    bounds of its lists, moduli, twist orders, indices, primes and tables,
-    each naming its key as the file does; the work budget comes later."""
+    """A check grid: "default", or "file:PATH" holding one JSON object of GRID_KEYS keys, each
+    optional, bounded as the --grid help says (a bool or a float is refused, a list is nonempty and
+    repeats no entry, and every message starts with its key).  The work budget comes later."""
     if spec == "default":
         return checks.default_grid()
     if not spec.startswith("file:"):
@@ -197,36 +221,36 @@ def _grid(spec: str):
             doc = json.load(fh)
     except OSError as exc:
         raise ValueError(exc.strerror or str(exc)) from None
+    except RecursionError:  # json.load recurses once per nested array or object
+        raise ValueError("the JSON nests too deeply") from None
     if not isinstance(doc, dict):
         raise ValueError("a grid file holds one JSON object")
-    grid = checks.grid_from_json(doc)
-    for key, values in (("moduli", grid.moduli), ("q", grid.q_values),
-                        ("zeta_orders", grid.zeta_orders), ("primes", grid.primes)):
-        if not values:
+    fields = {}
+    for key, value in doc.items():
+        if key not in GRID_KEYS:
+            raise ValueError(f"unknown key {key!r}; the keys are {', '.join(GRID_KEYS)}")
+        name, is_list, parse = GRID_KEYS[key]
+        if is_list and not isinstance(value, list):
+            raise ValueError(f"{key} takes a list, got {value!r}")
+        if is_list and not value:
             raise ValueError(f"{key} must be nonempty")
-        repeated = next((v for i, v in enumerate(values) if v in values[:i]), None)
-        if repeated is not None:
-            raise ValueError(f"{key} lists {repeated} more than once")
-    for q in grid.q_values:
-        if q in (0, -1):
-            raise ValueError(f"q must avoid 0 and -1, got {q}")
-    for key, value, lo, hi in (("n_max", grid.n_max, 0, MAX_INDEX), ("padic_n_max", grid.padic_n_max, 0, MAX_INDEX),
-                               ("random_tables", grid.random_tables, 1, MAX_RANDOM_TABLES)):
-        if not lo <= value <= hi:
-            raise ValueError(f"{key} must be in {lo}..{hi}, got {value}")
-    for d in grid.moduli:
-        _odd_int(MAX_MODULUS)(d)
+        kinds, what = ((int, str), "integers or rational strings") if key == "q" else ((int,), "integers")
+        parsed = {}  # ordered as the file, with a set's membership test
+        for item in value if is_list else [value]:
+            if type(item) not in kinds:  # bool is an int subclass, and a float would be truncated
+                raise ValueError(f"{key} takes {what}, got {item!r}")
+            try:
+                x = parse(item)
+            except ValueError as exc:
+                raise ValueError(f"{key} {exc}") from None
+            if x in parsed:
+                raise ValueError(f"{key} lists {x} more than once")
+            parsed[x] = None
+        fields[name] = tuple(parsed) if is_list else x
+    grid = checks.Grid(**fields)
     for zeta_order in grid.zeta_orders:
-        _odd_int(MAX_ZETA_ORDER)(zeta_order)
         if math.gcd(grid.zeta_exponent, zeta_order) != 1:
             raise ValueError(f"zeta_exponent {grid.zeta_exponent} is not coprime to twist order {zeta_order}")
-    if grid.level_max < 0:
-        raise ValueError(f"level_max must be >= 0, got {grid.level_max}")
-    for p in grid.primes:
-        try:
-            _odd_prime(MAX_MODULUS)(p)
-        except ValueError as exc:
-            raise ValueError(f"primes {exc}, got {p}") from None
     return grid
 
 
@@ -581,10 +605,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--grid", type=_flag_type(_grid), default="default",
-        help=f"default|file:PATH; a file's lists are nonempty and repeat no entry; q avoids 0 and -1; moduli "
-        f"and twist orders are odd, at most {MAX_MODULUS} and {MAX_ZETA_ORDER}; zeta_exponent is coprime to each "
-        f"twist order; n_max and padic_n_max lie in 0..{MAX_INDEX}; primes are odd primes at most {MAX_MODULUS}; "
-        f"level_max >= 0; random_tables lies in 1..{MAX_RANDOM_TABLES}; the points the relation reads are priced",
+        help=f"default|file:PATH, a JSON object of these keys, each optional: n_max and padic_n_max, integers in "
+        f"0..{MAX_INDEX}; moduli, odd integers in 1..{MAX_MODULUS}; q, integers or rational strings, neither 0 nor -1; "
+        f"zeta_orders, odd integers in 1..{MAX_ZETA_ORDER}; zeta_exponent, an integer coprime to each twist order; "
+        f"primes, odd primes at most {MAX_MODULUS}; level_max, an integer >= 0; random_tables, an integer in "
+        f"1..{MAX_RANDOM_TABLES}; seed, an integer. Lists are nonempty and repeat no entry, and every message starts "
+        f"with its key; the points the relation reads are priced",
     )
     p.add_argument("--output")
     p.set_defaults(handler=_cmd_check)

@@ -18,12 +18,13 @@ PLUS_INFINITY = math.inf
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse "a/b" or a bare integer string into an exact Fraction."""
-    text = text.strip()
-    if "/" in text:
-        num, _, den = text.partition("/")
-        return Fraction(int(num), int(den))
-    return Fraction(int(text))
+    """Parse "a/b" or a bare integer string into an exact Fraction; any text that is neither,
+    a zero denominator included, raises ValueError."""
+    num, slash, den = text.strip().partition("/")
+    den = int(den) if slash else 1
+    if den == 0:
+        raise ValueError("has a zero denominator")
+    return Fraction(int(num), den)
 
 
 def format_rational(x: Fraction | int) -> str:

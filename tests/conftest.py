@@ -1,7 +1,9 @@
 """Shared fixtures for the test suite."""
+import json
+
 import pytest
 
-from eulertwist import checks
+from eulertwist import checks, cli
 
 
 @pytest.fixture(autouse=True)
@@ -9,3 +11,20 @@ def fresh_memo():
     """Each test starts from an empty quantity memo, so a test that patches a
     lower layer sees its patch and no patched value outlives its test."""
     checks._memo.cache_clear()
+
+
+@pytest.fixture
+def grid_spec(tmp_path):
+    """A function that writes a Grid as a grid file, one entry per row of
+    cli.GRID_KEYS, and returns its --grid value."""
+
+    def write(grid) -> str:
+        doc = {}
+        for key, (name, is_list, _) in cli.GRID_KEYS.items():
+            value = getattr(grid, name)
+            doc[key] = [str(v) if key == "q" else v for v in value] if is_list else value
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps(doc))
+        return f"file:{path}"
+
+    return write

@@ -108,6 +108,18 @@ def test_a_bad_series_path_fails_only_the_relations_that_read_it(monkeypatch):
         assert report.counts["fail"] == 0 and report.counts["pass"] > 0
 
 
+@pytest.mark.parametrize("relation, namespace, attribute, shorten", [
+    ("thm2", twisted, "twisted_series_values", lambda values: values[:-1]),  # one n fewer on one side
+    ("thm6", twisted, "twisted_values", lambda values: values[:-1]),  # one n fewer on the only exact side
+    ("cor2-residual", fermionic, "riemann_sums", lambda rows: [row[:-1] for row in rows]),  # one level fewer
+], ids=["thm2", "thm6", "cor2-residual"])
+def test_a_short_route_exits_3_and_never_passes(capsys, monkeypatch, relation, namespace, attribute, shorten):
+    real = getattr(namespace, attribute)
+    monkeypatch.setattr(namespace, attribute, lambda *args: shorten(real(*args)))
+    assert cli.main(["check", "--relation", relation]) == 3
+    assert capsys.readouterr().err.startswith("error: ValueError: ")
+
+
 def test_a_bad_power_moment_fails_every_relation_that_reads_one(monkeypatch):
     """`series.power_moments`, the integer kernel over (node, rational,
     exponent) triples, is shared field arithmetic, like the product of two

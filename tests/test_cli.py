@@ -6,7 +6,7 @@ import random
 import subprocess
 import sys
 import time
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction as F
 from types import SimpleNamespace
 
@@ -235,7 +235,7 @@ def test_thm3_and_thm6_skip_the_points_the_l_series_cannot_reach(capsys, tmp_pat
 
 def test_unknown_relation_is_usage_error(capsys, monkeypatch):
     # --relation is checked by argparse, before the grid file is read
-    monkeypatch.setattr(cli.checks, "grid_from_json", lambda doc: pytest.fail("the grid file was read"))
+    monkeypatch.setattr(cli, "_grid", lambda spec: pytest.fail("the grid file was read"))
     code, err = usage_exit(capsys, "check", "--relation", "nonsense", "--grid", "file:/nonexistent")
     assert code == 2 and "--relation" in err and "thm2" in err and "cor2" in err
 
@@ -541,6 +541,12 @@ GRID_BOUND_CASES = [
     ({"moduli": [3, False]}, "moduli takes integers, got False"),
     ({"q": [2.5]}, "q takes integers or rational strings, got 2.5"),
     ({"n_max": [2]}, "n_max takes integers, got [2]"),
+    # each message starts with its key
+    ({"moduli": [cli.MAX_MODULUS + 2], "zeta_orders": [1]}, f"moduli must be odd and in 1..{cli.MAX_MODULUS}"),
+    ({"moduli": [3], "zeta_orders": [4]}, f"zeta_orders must be odd and in 1..{cli.MAX_ZETA_ORDER}"),
+    ({"q": ["abc"]}, "q invalid literal for int()"),
+    ({"q": ["1/0"]}, "q has a zero denominator"),
+    ({"q": ["2", "7" * 5000]}, "q Exceeds the limit"),  # the interpreter's int-to-string digit limit
 ]
 
 
@@ -551,6 +557,18 @@ def test_grid_file_outside_bounds_is_rejected_before_checking(capsys, monkeypatc
     path.write_text(json.dumps(doc))
     code, err = usage_exit(capsys, "check", "--relation", "thm2", "--grid", f"file:{path}")
     assert code == 2 and "--grid" in err and message in " ".join(err.split()) and "Traceback" not in err
+
+
+def test_deeply_nested_grid_file_is_usage_error(capsys, tmp_path):
+    path = tmp_path / "grid.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    code, err = usage_exit(capsys, "check", "--relation", "thm2", "--grid", f"file:{path}")
+    assert code == 2 and "nests too deeply" in err
+
+
+def test_every_grid_field_has_one_key():
+    rows = [(name, is_list) for name, is_list, _ in cli.GRID_KEYS.values()]
+    assert sorted(rows) == sorted((f.name, isinstance(f.default, tuple)) for f in fields(checks.Grid))
 
 
 def passing_report(name):

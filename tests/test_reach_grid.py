@@ -10,6 +10,8 @@ bound.
 Each report is also pinned by the sha256 of its JSON, as the default-grid
 stdout is in test_relation_outputs.py: the default grid's moduli have at
 most four residue classes, so only this grid pins outputs at d = 7 and 15.
+The same grid written as a grid file gives the same reports through
+`cli.main`.
 """
 import hashlib
 import json
@@ -17,7 +19,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from eulertwist import checks
+from eulertwist import checks, cli
 
 REACH_GRID = checks.Grid(
     n_max=12, moduli=(1, 3, 5, 7, 15), zeta_orders=(1, 3, 9, 27), q_values=(F(2), F(5, 2))
@@ -53,9 +55,19 @@ def test_exact_relations_pass_on_the_reach_grid(relation):
 # cor2 reads only the primes, level_max and padic_n_max of a grid; these go
 # past the default grid's primes (3, 5) and padic_n_max 4.
 COR2_REACH_GRID = checks.Grid(primes=(3, 5, 7, 11, 13), level_max=3, padic_n_max=12)
+COR2_DIGEST = "d4f9b99bd6bd62847ff54f68c871bf266584096f4d7993c39f079b9f416dcaef"
 
 
 def test_cor2_passes_on_the_reach_primes():
     report = checks.run_relation("cor2-residual", COR2_REACH_GRID)
     assert report.counts == {"pass": 5 * 2 * 13, "fail": 0, "skip": 0}
-    assert report_digest(report) == "d4f9b99bd6bd62847ff54f68c871bf266584096f4d7993c39f079b9f416dcaef"
+    assert report_digest(report) == COR2_DIGEST
+
+
+@pytest.mark.parametrize("grid, digests", [(REACH_GRID, DIGESTS), (COR2_REACH_GRID, {"cor2-residual": COR2_DIGEST})])
+def test_reach_grid_file_gives_the_pinned_digests(capsys, grid_spec, grid, digests):
+    spec = grid_spec(grid)
+    for relation, digest in digests.items():
+        assert cli.main(["check", "--relation", relation, "--grid", spec]) == 0, relation
+        doc = json.loads(capsys.readouterr().out)
+        assert hashlib.sha256(json.dumps(doc).encode()).hexdigest() == digest, relation

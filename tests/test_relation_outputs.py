@@ -5,13 +5,13 @@ The package is exact, so a change to one output byte is a bug, never noise;
 a refactor or speedup that is meant to keep the output must keep these
 digests.  Each relation runs in process through `cli.main`, and so does
 `check --relation all`, whose stdout is the eleven outputs in `RELATIONS`
-order.
+order, and the default grid written as a grid file gives the same stdout.
 """
 import hashlib
 
 import pytest
 
-from eulertwist import cli
+from eulertwist import checks, cli
 from eulertwist.checks import RELATIONS
 
 DIGESTS = {
@@ -43,6 +43,13 @@ def test_default_grid_output_is_unchanged(capsys, relation):
 
 def test_all_prints_every_relation_in_order(capsys):
     code = cli.main(["check", "--relation", "all"])
+    lines = capsys.readouterr().out.splitlines(keepends=True)
+    assert code == 0
+    assert [hashlib.sha256(line.encode()).hexdigest() for line in lines] == [DIGESTS[r] for r in RELATIONS]
+
+
+def test_default_grid_file_gives_the_pinned_outputs(capsys, grid_spec):
+    code = cli.main(["check", "--relation", "all", "--grid", grid_spec(checks.default_grid())])
     lines = capsys.readouterr().out.splitlines(keepends=True)
     assert code == 0
     assert [hashlib.sha256(line.encode()).hexdigest() for line in lines] == [DIGESTS[r] for r in RELATIONS]
