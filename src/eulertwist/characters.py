@@ -223,11 +223,12 @@ def character_from_json(doc: dict, modulus: int | None = None) -> DirichletChara
 
 def load_character_file(path: str, modulus: int | None = None) -> DirichletCharacter:
     """The character of a to_json file; InvalidCharacter for a file that is
-    not UTF-8 JSON or holds an int over the interpreter's digit limit, as for
-    a document of another shape.  Each of these raises a ValueError."""
+    not UTF-8 JSON, holds an int over the interpreter's digit limit or nests
+    too deeply for json.load, as for a document of another shape.  The first
+    two raise a ValueError, the last a RecursionError."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise InvalidCharacter(_FILE_SHAPE) from exc
     return character_from_json(doc, modulus)

@@ -56,18 +56,28 @@ def descent_oracle(n: int) -> tuple[int, ...]:
     return tuple(counts)
 
 
-def power_sum_rational(j: int, w):
-    """Closed form of sum_{k>=0} k^j w^k: 1/(1-w) for j = 0 and
-    w A_j(w)/(1-w)^(j+1) for j >= 1; any field element w != 1."""
+def power_sum_rational(j: int, w) -> Fraction:
+    """Closed form of sum_{k>=0} k^j w^k at a rational w = a/b != 1: b/(b-a)
+    for j = 0 and w A_j(w)/(1-w)^(j+1) = a b sum_i e_i a^i b^(j-1-i) / (b-a)^(j+1)
+    for j >= 1, with A_j = sum_i e_i t^i from :func:`eulerian_recurrence`: the
+    numerator by Horner's rule in a on integers, then one Fraction, one gcd.
+
+    >>> [str(power_sum_rational(j, Fraction(1, 2))) for j in range(4)]
+    ['2', '2', '6', '26']
+    """
     if j < 0:
         raise ValueError("exponent must be >= 0")
+    w = Fraction(w)
     if w == 1:
         raise PoleAtOne("power sum diverges at w = 1")
-    one = w**0
-    inv = (one - w) ** (-1)
+    a, b = w.numerator, w.denominator
     if j == 0:
-        return inv
-    return w * eulerian_at(j, w) * inv ** (j + 1)
+        return Fraction(b, b - a)
+    total, scale = 0, 1  # scale = b^(j-1-i) at coefficient e_i
+    for e in reversed(eulerian_recurrence(j)):
+        total = total * a + e * scale
+        scale *= b
+    return Fraction(a * b * total, (b - a) ** (j + 1))
 
 
 def periodic_power_sums(field, terms, period: int, n_max: int, z) -> list:
@@ -82,13 +92,15 @@ def periodic_power_sums(field, terms, period: int, n_max: int, z) -> list:
     are the :func:`~eulertwist.series.power_moments` of the integer-scaled
     weights r u^l v^(P-l), so no weight carries a power of v of its own, and
     each S_n is one :func:`~eulertwist.series.integer_combination` with one
-    content gcd.
+    content gcd.  The tails P^k T_k / v^P enter over the common denominator
+    |v^P - u^P|^(n+1), which each of them divides: each is lifted to it
+    once by exact divisions, then by one product with |v^P - u^P| per step
+    in n, so no S_n divides its denominator by a tail's.
     """
     if period < 1:
         raise ValueError("need at least one coefficient")
     z = Fraction(z)
     u, v, w = z.numerator, z.denominator, z**period
-    tails = [power_sum_rational(k, w) * Fraction(period**k, w.denominator) for k in range(n_max + 1)]
     scaled, scale, at = [], w.denominator, 0  # scale = u^at v^(P-at)
     for m, r, e in sorted(terms):
         if not 1 <= m <= period:
@@ -97,10 +109,14 @@ def periodic_power_sums(field, terms, period: int, n_max: int, z) -> list:
             scale, at = scale // v * u, at + 1
         scaled.append((m, r * scale, e))
     moments = power_moments(field, scaled, n_max)
-    sums = []
+    step = abs(w.denominator - w.numerator)
+    sums, den, lifted = [], 1, []  # den = |v^P - u^P|^(n+1); lifted[k] = den P^k T_k / v^P
     for n in range(n_max + 1):
-        scales = [(math.comb(n, k) * t.numerator, t.denominator) for k, t in enumerate(tails[: n + 1])]
-        sums.append(CyclotomicNumber(field, *integer_combination(scales, moments[n::-1])))
+        tail = power_sum_rational(n, w)  # its numerator keeps the factor v^P: v^P and v^P - u^P are coprime
+        den *= step
+        lifted = [c * step for c in lifted] + [tail.numerator // w.denominator * period**n * (den // tail.denominator)]
+        num, scale = integer_combination([(math.comb(n, k) * c, 1) for k, c in enumerate(lifted)], moments[n::-1])
+        sums.append(CyclotomicNumber(field, num, scale * den))
     return sums
 
 

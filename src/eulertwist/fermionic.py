@@ -20,6 +20,7 @@ from itertools import accumulate, repeat
 from .characters import DirichletCharacter, principal_character
 from .cyclotomic import cyclotomic_field
 from .errors import NotPadicallyConvergent, SingularFunctionalEquation
+from .eulerian import periodic_power_sums
 from .ntheory import is_prime
 from .rationals import format_rational, int_valuation, padic_valuation, q_bracket_neg
 from .series import divide_step, power_moments
@@ -158,7 +159,9 @@ def _walk(
     """A_N = sum_{0 <= x < p^N} chi(x) x^m (-v)^x u^(p^N - 1 - x) = u^(p^N - 1) U_N, with q = u/v and
     U_N = sum_{x < p^N} (-1/q)^x chi(x) x^m, for each m of `exponents` (ascending) and N = 0..max_level:
     one literal integer sum over x < p^max_level, in aligned pieces, one cached table, balanced merge.
-    Returns the rows of A_N, one per exponent, and u^(p^N) for N = 0..max_level.
+    Returns the rows of A_N, one per exponent, and u^(p^N) for N = 0..max_level.  q is a Fraction whose
+    regime the caller has checked (:func:`_check_padic_regime`).  :func:`riemann_sums` reads every level
+    from the walk; :func:`padic_truncation` only the levels with p^N <= d, and the closed form past them.
 
     Level N >= 1 adds the x in [p^(N-1), p^N), cut into pieces [a, a+k) of at most K terms
     (:func:`_piece_length`); once p^(N-1) >= K every piece starts at a multiple of K, so of the character
@@ -169,8 +172,6 @@ def _walk(
     pieces of a level merge in a balanced tree, S = S_left u^(len right) + (-v)^(len left) S_right, and
     each level folds into the running totals once, through u^(p^N - p^(N-1)) = (u^(p^(N-1)))^(p-1); that
     power times u^(p^(N-1)) is u^(p^N), so no power of u is raised from scratch past level 0."""
-    q = Fraction(q)
-    _check_padic_regime(q, p, char)
     u, v, d = q.numerator, q.denominator, char.modulus
     chi = [int(char.rational_value(a)) for a in range(d)]
     span = _piece_length(p)
@@ -247,10 +248,38 @@ def riemann_sums(
     n = 0..n_max and N = 0..max_level: the integer totals of one walk over
     x < p^max_level (aligned pieces, one cached table, balanced merge; see
     :func:`_walk`), each over u^(p^N - 1) = u^(p^N) / u for q = u/v."""
-    u = Fraction(q).numerator
+    q = Fraction(q)
+    _check_padic_regime(q, p, char)
     rows, rises = _walk(list(range(n_max + 1)), q, p, max_level, char)
-    scales = [rise // u for rise in rises]
+    scales = [rise // q.numerator for rise in rises]
     return [[Fraction(total, scale) for total, scale in zip(row, scales)] for row in rows]
+
+
+def _closed_form_levels(n: int, q: Fraction, p: int, levels: range, char: DirichletCharacter, rise: int):
+    """S_N for each N of `levels` (p^N a multiple of the period d), from one period's Eulerian power sums
+    T_j = sum_{x>=0} chi(x) x^j w^x, w = -1/q: regrouping x = y + P past P = p^N,
+    U_N = T_n - w^P sum_j C(n,j) P^(n-j) T_j.  With q = u/v, t_j = den T_j integers over one common den,
+    U = u^P, V = (-v)^P and R_P = sum_j C(n,j) P^(n-j) t_j (Horner in P),
+    S_N = (u+v)(t_n U - R_P V) / (u den (U - V)): one Fraction per level.  The T_j for j >= 0 are
+    :func:`~eulertwist.eulerian.periodic_power_sums` over m = 1..d, plus chi(0) at j = 0; `rise` is
+    u^(p^(N-1)) for the first N, and each level raises U and V from the last by one p-th power."""
+    d = char.modulus
+    chi = [int(char.rational_value(m)) for m in range(d)]
+    terms = [(m, chi[m % d], 0) for m in range(1, d + 1) if chi[m % d]]
+    sums = periodic_power_sums(cyclotomic_field(1), terms, d, n, -1 / q)
+    den = math.lcm(*(t.den for t in sums))
+    weights = [math.comb(n, j) * t.num[0] * (den // t.den) for j, t in enumerate(sums)]  # C(n,j) t_j
+    weights[0] += chi[0] * den
+    u, v = q.numerator, q.denominator
+    big_u, big_v = rise, (-v) ** (p ** levels.start // p)
+    out = []
+    for level in levels:
+        big_u, big_v, size = big_u**p, big_v**p, p**level
+        tail = 0
+        for weight in weights:  # R_P by Horner in P
+            tail = tail * size + weight
+        out.append(Fraction((u + v) * (weights[n] * big_u - tail * big_v), u * den * (big_u - big_v)))
+    return out
 
 
 def padic_truncation(
@@ -258,18 +287,26 @@ def padic_truncation(
 ) -> TruncationReport:
     """Alternating Riemann sums S_N over 0 <= x < p^N, normalized by the
     alternating bracket of p^N, with the p-adic valuation of S_N - exact;
-    char None weighs every x by 1, as the character mod 1 does.  The walk
-    sums x^n alone, not the lower exponents :func:`riemann_sums` returns.
-    With q = u/v and P = p^N, S_N = A_N (u+v) / (u^P - (-v)^P) for the
-    walk's integer total A_N and its u^P, one Fraction per level."""
+    char None weighs every x by 1, as the character mod 1 does.  With
+    q = u/v and P = p^N, the levels with P <= d (the character's period)
+    come from the walk, for the one exponent n, as one Fraction
+    A_N (u+v) / (u^P - (-v)^P) each; every later level is one Fraction from
+    one period's Eulerian power sums (:func:`_closed_form_levels`).  The
+    exact value comes from the d-step functional equation, which shares no
+    formula with either."""
     char = principal_character(1) if char is None else char
     q = Fraction(q)
-    [totals], rises = _walk([n], q, p, max_level, char)
-    exact = _char_moment_sequence(n, TwistedConfig.build(char, 1, 0, q))[n].coeffs[0]  # degree 1: chi rational, twist 1
+    _check_padic_regime(q, p, char)
+    period = int_valuation(char.modulus, p)  # p^period = d
+    [totals], rises = _walk([n], q, p, min(max_level, period), char)
     u, v = q.numerator, q.denominator
+    partials = [Fraction(total * (u + v), rise - (-v) ** p**level)
+                for level, (total, rise) in enumerate(zip(totals, rises))]
+    if max_level > period:
+        partials += _closed_form_levels(n, q, p, range(period + 1, max_level + 1), char, rises[-1])
+    exact = _char_moment_sequence(n, TwistedConfig.build(char, 1, 0, q))[n].coeffs[0]  # degree 1: chi rational, twist 1
     levels = []
-    for level, (total, rise) in enumerate(zip(totals, rises)):
-        partial = Fraction(total * (u + v), rise - (-v) ** p**level)
+    for level, partial in enumerate(partials):
         gap = partial.numerator * exact.denominator - exact.numerator * partial.denominator
         valuation = int_valuation(gap, p) - int_valuation(partial.denominator * exact.denominator, p)
         levels.append(TruncationLevel(level, partial, valuation))

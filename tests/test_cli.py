@@ -838,11 +838,12 @@ CHAR_FILE_SHAPES = [
     b"[1,2",  # not JSON
     b"\xff\xfe[1, 2]",  # not UTF-8
     b'{"modulus": 1' + b"0" * 5000 + b', "order": 1, "values": {}}',  # an int over the default digit limit
+    b"[" * 100_000 + b"]" * 100_000,  # nested too deeply for json.load
 ]
 
 
 @pytest.mark.parametrize("text", CHAR_FILE_SHAPES,
-                         ids=["list", "no-modulus", "values-list", "not-json", "not-utf8", "long-int"])
+                         ids=["list", "no-modulus", "values-list", "not-json", "not-utf8", "long-int", "deep"])
 def test_malformed_character_file_is_an_invalid_character(capsys, tmp_path, text):
     path = tmp_path / "chi.json"
     path.write_bytes(text)

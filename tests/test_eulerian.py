@@ -89,6 +89,13 @@ def test_worpitzky_expansion(n):
     assert expansion == expected
 
 
+def horner_power_sum(j, w):
+    """sum_{k>=0} k^j w^k as 1/(1-w) for j = 0 and w A_j(w) (1-w)^-(j+1) for j >= 1, Horner in Fractions:
+    the oracle of the integer form of `power_sum_rational`."""
+    inv = (1 - w) ** -1
+    return inv if j == 0 else w * eulerian_at(j, w) * inv ** (j + 1)
+
+
 class TestPowerSums:
     def test_geometric(self):
         assert power_sum_rational(0, F(1, 2)) == 2
@@ -102,6 +109,17 @@ class TestPowerSums:
     def test_pole_at_one(self):
         with pytest.raises(PoleAtOne):
             power_sum_rational(3, F(1))
+
+    @pytest.mark.parametrize("w", [F(1, 2), F(-3, 7), F(5, 3), F(-1, 4) ** 5, F(-1, 3 * 10**30 + 1)])
+    def test_integer_form_equals_the_horner_oracle(self, w):
+        for j in range(13):
+            assert power_sum_rational(j, w) == horner_power_sum(j, w)
+
+    def test_refusals(self):
+        with pytest.raises(ValueError):
+            power_sum_rational(-1, F(1, 2))
+        with pytest.raises(PoleAtOne):
+            power_sum_rational(0, 1)
 
     @pytest.mark.parametrize("j", range(7))
     def test_tail_against_partial_sums(self, j):
@@ -117,6 +135,20 @@ class TestPowerSums:
     def test_periodic_sum_refuses_a_node_outside_the_period(self):
         with pytest.raises(ValueError):
             periodic_power_sums(cyclotomic_field(1), [(1, 1, 0), (3, 1, 0)], 2, 0, F(1, 3))
+
+    @pytest.mark.parametrize("z", [F(1, 3), F(-1, 4), F(7, 2), F(-5, 3), F(-1, 3 * 10**30 + 1)])
+    def test_periodic_sums_equal_fraction_tails_times_literal_moments(self, z):
+        # S_n = sum_k C(n,k) P^k T_k B_(n-k) with the Horner-oracle tails T_k at z^P and the residue
+        # moments B_i = sum_l c(l) z^l l^i summed term by term: no common denominator, no power_moments
+        field = cyclotomic_field(9)
+        terms = [(m, F((-1) ** m * m, 7), 2 * m) for m in range(1, 10)] + [(3, F(2), 0), (5, F(-1), 4)]
+        period, n_max = 9, 6
+        tails = [horner_power_sum(k, z**period) * period**k for k in range(n_max + 1)]
+        moments = [sum((field.zeta_power(e) * (r * z**m * m**i) for m, r, e in terms), field.zero)
+                   for i in range(n_max + 1)]
+        sums = periodic_power_sums(field, terms, period, n_max, z)
+        for n in range(n_max + 1):
+            assert sums[n] == sum((moments[n - k] * (math.comb(n, k) * tails[k]) for k in range(n + 1)), field.zero)
 
     def test_periodic_sum_against_partial_sums(self):
         rational, field = cyclotomic_field(1), cyclotomic_field(9)

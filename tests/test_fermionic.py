@@ -98,6 +98,32 @@ def rational_characters(d):
     return [char for char in enumerate_characters(d) if char.is_rational_valued]
 
 
+def literal_partials(n, q, p, max_level, char):
+    """S_N for N = 0..max_level, one Fraction term at a time: the prefix sum of
+    chi(x) x^n (-1/q)^x over x < p^N, over the alternating bracket of p^N.  The
+    oracle of `padic_truncation`, whose levels past the period use a closed form."""
+    total, out, end = F(0), [], 1
+    for x in range(p**max_level if max_level >= 0 else 0):
+        total += (char.rational_value(x) if char else 1) * F(x) ** n * (F(-1) / q) ** x
+        if x + 1 == end:
+            out.append(total / q_bracket_neg(end, 1 / q))
+            end *= p
+    return out
+
+
+# (q, p) with |q - 1|_p < 1: q = 1 + p, and -2, 4/7, 6/11 and -6 at the one prime each suits
+CLOSED_FORM_POINTS = [
+    (F(4), 3), (F(-2), 3), (F(4, 7), 3), (F(6), 5), (F(6, 11), 5), (F(8), 7), (F(-6), 7),
+]
+
+
+def closed_form_characters(p):
+    """The trivial character, the principal and quadratic ones mod p and, at p = 3, the principal one mod 9,
+    each with a top level two past its period: levels below, at and past p^N = d."""
+    chars = [(None, 2), (principal_character(p), 3), (quadratic_character(p), 3)]
+    return chars + [(principal_character(9), 4)] * (p == 3)
+
+
 def walk_valuations(char, q, p, max_level, n):
     """v_p(U_N - limit) for N = 0..max_level."""
     limit = series_limit(char, q, n)
@@ -407,6 +433,44 @@ class TestPadicTruncation:
                 assert [lv.valuation for lv in report.levels] == [
                     padic_valuation(lv.partial - report.exact, p) for lv in report.levels
                 ]
+
+    @pytest.mark.parametrize("q, p", CLOSED_FORM_POINTS)
+    def test_partials_equal_a_literal_sum_below_at_and_past_the_period(self, q, p):
+        for char, top in closed_form_characters(p):
+            for n in (0, 1, 4):
+                partials = [lv.partial for lv in padic_truncation(n, q, p, top, char=char).levels]
+                assert partials == literal_partials(n, q, p, top, char)
+
+    @pytest.mark.parametrize("q, p", CLOSED_FORM_POINTS)
+    def test_walk_is_never_asked_past_the_period(self, monkeypatch, q, p):
+        asked = []
+        real = fermionic._walk
+
+        def recorded(exponents, q, p, max_level, char):
+            asked.append(max_level)
+            return real(exponents, q, p, max_level, char)
+
+        monkeypatch.setattr(fermionic, "_walk", recorded)
+        for char, top in closed_form_characters(p):
+            period = 0 if char is None else round(math.log(char.modulus, p))  # p^period = d
+            for max_level in range(-1, top + 1):
+                asked.clear()
+                padic_truncation(2, q, p, max_level, char=char)
+                assert asked == [min(max_level, period)]
+
+    @pytest.mark.parametrize("q, p", [(F(4), 3), (F(6, 11), 5), (F(-6), 7)])
+    def test_partials_do_not_read_the_exact_value(self, monkeypatch, q, p):
+        cases = [(char, top, n) for char, top in closed_form_characters(p) for n in (0, 3)]
+        before = [padic_truncation(n, q, p, top, char=char) for char, top, n in cases]
+        real = fermionic._char_moment_sequence
+        monkeypatch.setattr(fermionic, "_char_moment_sequence", lambda n, cfg: [x + 1 for x in real(n, cfg)])
+        for (char, top, n), old in zip(cases, before):
+            new = padic_truncation(n, q, p, top, char=char)
+            assert new.exact == old.exact + 1
+            assert [lv.partial for lv in new.levels] == [lv.partial for lv in old.levels]
+            valuations = [padic_valuation(lv.partial - new.exact, p) for lv in new.levels]
+            assert [lv.valuation for lv in new.levels] == valuations
+            assert valuations != [lv.valuation for lv in old.levels]
 
     def test_index_zero_term_of_modulus_one_is_one(self):
         # 0^0 = 1: at d = 1 and n = 0 the x = 0 term is chi(0) = 1.
