@@ -153,25 +153,24 @@ def _piece_length(p: int) -> int:
     return length if length <= 256 else 64
 
 
-def _walk(
-    exponents: list[int], q: Fraction, p: int, max_level: int, char: DirichletCharacter
-) -> tuple[list[list[int]], list[int]]:
-    """A_N = sum_{0 <= x < p^N} chi(x) x^m (-v)^x u^(p^N - 1 - x) = u^(p^N - 1) U_N, with q = u/v and
-    U_N = sum_{x < p^N} (-1/q)^x chi(x) x^m, for each m of `exponents` (ascending) and N = 0..max_level:
-    one literal integer sum over x < p^max_level, in aligned pieces, one cached table, balanced merge.
-    Returns the rows of A_N, one per exponent, and u^(p^N) for N = 0..max_level.  q is a Fraction whose
-    regime the caller has checked (:func:`_check_padic_regime`).  :func:`riemann_sums` reads every level
-    from the walk; :func:`padic_truncation` only the levels with p^N <= d, and the closed form past them.
+def riemann_sums(
+    n_max: int, q: Fraction, p: int, max_level: int, char: DirichletCharacter
+) -> list[list[Fraction]]:
+    """sums[n][N] = U_N = sum_{0 <= x < p^N} (-1/q)^x chi(x) x^n = A_N / u^(p^N - 1) for n = 0..n_max,
+    N = 0..max_level and q = u/v, from the integers A_N = sum_{x < p^N} chi(x) x^n (-v)^x u^(p^N - 1 - x)
+    of one walk over x < p^max_level in aligned pieces, one cached table, balanced merge.
 
     Level N >= 1 adds the x in [p^(N-1), p^N), cut into pieces [a, a+k) of at most K terms
     (:func:`_piece_length`); once p^(N-1) >= K every piece starts at a multiple of K, so of the character
     period d when d | K.  A piece sums to
-    S_m = sum chi(x) x^m (-v)^(x-a) u^(a+k-1-x) = sum_j C(m,j) a^(m-j) B_j, where
+    S_n = sum chi(x) x^n (-v)^(x-a) u^(a+k-1-x) = sum_j C(n,j) a^(n-j) B_j, where
     B_j = sum_{i<k} chi(a+i) i^j (-v)^i u^(k-1-i) depends only on (a mod d, k): one table per such key,
     read by every piece that shares it, while a piece whose key occurs once is summed directly.  The
     pieces of a level merge in a balanced tree, S = S_left u^(len right) + (-v)^(len left) S_right, and
     each level folds into the running totals once, through u^(p^N - p^(N-1)) = (u^(p^(N-1)))^(p-1); that
     power times u^(p^(N-1)) is u^(p^N), so no power of u is raised from scratch past level 0."""
+    q = Fraction(q)
+    _check_padic_regime(q, p, char)
     u, v, d = q.numerator, q.denominator, char.modulus
     chi = [int(char.rational_value(a)) for a in range(d)]
     span = _piece_length(p)
@@ -181,28 +180,26 @@ def _walk(
     # u^i and (-v)^i for i < longest, the weights (-v)^i u^(k-1-i) of every piece
     rising, falling = (list(accumulate(repeat(base, longest - 1), operator.mul, initial=1)) for base in (u, -v))
     uses = Counter((a % d, k) for pieces in cuts for a, k in pieces)
-    top, tables = max(exponents, default=0), {}
+    tables = {}
 
-    def power_sums(a: int, k: int, origin: int, powers) -> list[int]:
-        """sum_{i<k} chi(a+i) (origin+i)^m (-v)^i u^(k-1-i) for each m of powers (ascending)."""
+    def power_sums(a: int, k: int, origin: int) -> list[int]:
+        """sum_{i<k} chi(a+i) (origin+i)^n (-v)^i u^(k-1-i) for n = 0..n_max."""
         signs = [chi[x % d] for x in range(a, a + k)]
         xs = [origin + i for i, c in enumerate(signs) if c]
         terms = [c * w * r for c, w, r in zip(signs, falling, reversed(rising[:k])) if c]
-        out, done = [], 0  # terms hold chi(a+i) (-v)^i u^(k-1-i) (origin+i)^done
-        for m in powers:
-            if m != done:
-                terms = [t * x ** (m - done) for t, x in zip(terms, xs)]
-                done = m
+        out = [sum(terms)]
+        for _ in range(n_max):
+            terms = [t * x for t, x in zip(terms, xs)]
             out.append(sum(terms))
         return out
 
     def piece(a: int, k: int) -> list[int]:
         key = (a % d, k)
         if uses[key] == 1:
-            return power_sums(a, k, a, exponents)
-        if key not in tables:  # C(m,j) B_j for j = 0..m, per exponent m
-            table = power_sums(a, k, 0, range(top + 1))
-            tables[key] = [[math.comb(m, j) * table[j] for j in range(m + 1)] for m in exponents]
+            return power_sums(a, k, a)
+        if key not in tables:  # C(n,j) B_j for j = 0..n, per exponent n
+            table = power_sums(a, k, 0)
+            tables[key] = [[math.comb(n, j) * table[j] for j in range(n + 1)] for n in range(n_max + 1)]
         out = []
         for row in tables[key]:
             total = 0
@@ -226,84 +223,61 @@ def _walk(
         lift, lead = shift(k_r)[0], shift(k_l)[1]
         return [s * lift + lead * t for s, t in zip(sums_l, sums_r)], k_l + k_r
 
-    totals, per_level, rises = [0] * len(exponents), [], [1]
+    totals, rise, rows = [0] * (n_max + 1), 1, [[] for _ in range(n_max + 1)]
     for (start, end), pieces in zip(levels, cuts):
         parts = [(piece(a, k), k) for a, k in pieces]
         while len(parts) > 1:
             parts = [merge(*parts[i : i + 2]) for i in range(0, len(parts), 2)]
         [(sums, _)] = parts
         # the level's length is p^N - p^(N-1), or 1 at level 0
-        lift, lead = rises[-1] ** (p - 1) if start else u, (-v) ** start
+        lift, lead = rise ** (p - 1) if start else u, (-v) ** start
         totals = [t * lift + lead * s for t, s in zip(totals, sums)]
-        per_level.append(totals)
-        rises.append(rises[-1] * lift)
-    rows = [list(row) for row in zip(*per_level)] if per_level else [[] for _ in exponents]
-    return rows, rises[1:]
-
-
-def riemann_sums(
-    n_max: int, q: Fraction, p: int, max_level: int, char: DirichletCharacter
-) -> list[list[Fraction]]:
-    """sums[n][N] = U_N = sum_{0 <= x < p^N} (-1/q)^x chi(x) x^n for
-    n = 0..n_max and N = 0..max_level: the integer totals of one walk over
-    x < p^max_level (aligned pieces, one cached table, balanced merge; see
-    :func:`_walk`), each over u^(p^N - 1) = u^(p^N) / u for q = u/v."""
-    q = Fraction(q)
-    _check_padic_regime(q, p, char)
-    rows, rises = _walk(list(range(n_max + 1)), q, p, max_level, char)
-    scales = [rise // q.numerator for rise in rises]
-    return [[Fraction(total, scale) for total, scale in zip(row, scales)] for row in rows]
-
-
-def _closed_form_levels(n: int, q: Fraction, p: int, levels: range, char: DirichletCharacter, rise: int):
-    """S_N for each N of `levels` (p^N a multiple of the period d), from one period's Eulerian power sums
-    T_j = sum_{x>=0} chi(x) x^j w^x, w = -1/q: regrouping x = y + P past P = p^N,
-    U_N = T_n - w^P sum_j C(n,j) P^(n-j) T_j.  With q = u/v, t_j = den T_j integers over one common den,
-    U = u^P, V = (-v)^P and R_P = sum_j C(n,j) P^(n-j) t_j (Horner in P),
-    S_N = (u+v)(t_n U - R_P V) / (u den (U - V)): one Fraction per level.  The T_j for j >= 0 are
-    :func:`~eulertwist.eulerian.periodic_power_sums` over m = 1..d, plus chi(0) at j = 0; `rise` is
-    u^(p^(N-1)) for the first N, and each level raises U and V from the last by one p-th power."""
-    d = char.modulus
-    chi = [int(char.rational_value(m)) for m in range(d)]
-    terms = [(m, chi[m % d], 0) for m in range(1, d + 1) if chi[m % d]]
-    sums = periodic_power_sums(cyclotomic_field(1), terms, d, n, -1 / q)
-    den = math.lcm(*(t.den for t in sums))
-    weights = [math.comb(n, j) * t.num[0] * (den // t.den) for j, t in enumerate(sums)]  # C(n,j) t_j
-    weights[0] += chi[0] * den
-    u, v = q.numerator, q.denominator
-    big_u, big_v = rise, (-v) ** (p ** levels.start // p)
-    out = []
-    for level in levels:
-        big_u, big_v, size = big_u**p, big_v**p, p**level
-        tail = 0
-        for weight in weights:  # R_P by Horner in P
-            tail = tail * size + weight
-        out.append(Fraction((u + v) * (weights[n] * big_u - tail * big_v), u * den * (big_u - big_v)))
-    return out
+        rise *= lift  # u^(p^N)
+        scale = rise // u
+        for row, total in zip(rows, totals):
+            row.append(Fraction(total, scale))
+    return rows
 
 
 def padic_truncation(
     n: int, q: Fraction, p: int, max_level: int, char: DirichletCharacter | None = None
 ) -> TruncationReport:
-    """Alternating Riemann sums S_N over 0 <= x < p^N, normalized by the
-    alternating bracket of p^N, with the p-adic valuation of S_N - exact;
-    char None weighs every x by 1, as the character mod 1 does.  With
-    q = u/v and P = p^N, the levels with P <= d (the character's period)
-    come from the walk, for the one exponent n, as one Fraction
-    A_N (u+v) / (u^P - (-v)^P) each; every later level is one Fraction from
-    one period's Eulerian power sums (:func:`_closed_form_levels`).  The
-    exact value comes from the d-step functional equation, which shares no
-    formula with either."""
+    """Alternating Riemann sums S_N over 0 <= x < p^N, normalized by the alternating bracket of p^N, with
+    the p-adic valuation of S_N - exact; char None weighs every x by 1, as the character mod 1 does.
+    With q = u/v, P = p^N, U = u^P and V = (-v)^P (each raised by one p-th power per level), every level is
+    one Fraction S_N = (u+v) A_N / (scale (U - V)).  While P <= d, the character's period,
+    A_N = sum_{x<P} chi(x) x^n (-v)^x u^(P-1-x) by Horner in u, and scale = 1.  Past it, regrouping
+    x = y + P in one period's Eulerian power sums T_j = t_j/den = sum_{x>=0} chi(x) x^j (-1/q)^x (one
+    :func:`~eulertwist.eulerian.periodic_power_sums` call before the loop, plus chi(0) at j = 0) gives
+    A_N = t_n U - R_P V, R_P = sum_j C(n,j) P^(n-j) t_j by Horner in P, and scale = u den.  The exact
+    value comes from the d-step functional equation, which shares no formula with either."""
     char = principal_character(1) if char is None else char
     q = Fraction(q)
     _check_padic_regime(q, p, char)
     period = int_valuation(char.modulus, p)  # p^period = d
-    [totals], rises = _walk([n], q, p, min(max_level, period), char)
-    u, v = q.numerator, q.denominator
-    partials = [Fraction(total * (u + v), rise - (-v) ** p**level)
-                for level, (total, rise) in enumerate(zip(totals, rises))]
+    d, u, v = char.modulus, q.numerator, q.denominator
+    chi = [int(char.rational_value(m)) for m in range(d)]
     if max_level > period:
-        partials += _closed_form_levels(n, q, p, range(period + 1, max_level + 1), char, rises[-1])
+        terms = [(m, chi[m % d], 0) for m in range(1, d + 1) if chi[m % d]]
+        sums = periodic_power_sums(cyclotomic_field(1), terms, d, n, -1 / q)
+        den = math.lcm(*(t.den for t in sums))
+        weights = [math.comb(n, j) * t.num[0] * (den // t.den) for j, t in enumerate(sums)]  # C(n,j) t_j
+        weights[0] += chi[0] * den
+    partials, big_u, big_v = [], u, -v
+    for level in range(max_level + 1):
+        size = p**level
+        if level:
+            big_u, big_v = big_u**p, big_v**p
+        if level <= period:
+            total, scale = 0, 1
+            for x in range(size):  # Horner in u
+                total = total * u + chi[x] * x**n * (-v) ** x
+        else:
+            tail = 0
+            for weight in weights:  # R_P by Horner in P
+                tail = tail * size + weight
+            total, scale = weights[n] * big_u - tail * big_v, u * den
+        partials.append(Fraction((u + v) * total, scale * (big_u - big_v)))
     exact = _char_moment_sequence(n, TwistedConfig.build(char, 1, 0, q))[n].coeffs[0]  # degree 1: chi rational, twist 1
     levels = []
     for level, partial in enumerate(partials):

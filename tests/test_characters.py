@@ -1,5 +1,8 @@
 """Dirichlet character construction, enumeration, values, and file I/O."""
+import contextlib
+import itertools
 import json
+import math
 import random
 
 import pytest
@@ -38,6 +41,19 @@ class TestFromTable:
         with pytest.raises(InvalidCharacter) as excinfo:
             character_from_table(9, 2, table)
         assert excinfo.value.pair is not None
+
+    @pytest.mark.parametrize("d", [3, 5, 7, 9])
+    def test_accepted_tables_are_exactly_the_enumerated_characters(self, d):
+        # every table with chi(1) = 1 and 0 at the non-units, the other units at any exponent mod M
+        units = [a for a in range(2, d) if math.gcd(a, d) == 1]
+        for order in (1, 2, 3, 6):
+            accepted = []
+            for values in itertools.product(range(order), repeat=len(units)):
+                table = {**dict.fromkeys(range(d)), 1: 0, **dict(zip(units, values))}
+                with contextlib.suppress(InvalidCharacter):
+                    accepted.append(character_from_table(d, order, table))
+            assert len(set(accepted)) == len(accepted)
+            assert set(accepted) == {char for char in enumerate_characters(d) if order % char.value_order == 0}
 
 
 class TestQuadratic:

@@ -118,10 +118,11 @@ CLOSED_FORM_POINTS = [
 
 
 def closed_form_characters(p):
-    """The trivial character, the principal and quadratic ones mod p and, at p = 3, the principal one mod 9,
-    each with a top level two past its period: levels below, at and past p^N = d."""
+    """The trivial character, the principal and quadratic ones mod p and, at p = 3, the principal one mod 9
+    and both rational ones mod 27, each with a top level two past its period: levels below, at and past
+    p^N = d."""
     chars = [(None, 2), (principal_character(p), 3), (quadratic_character(p), 3)]
-    return chars + [(principal_character(9), 4)] * (p == 3)
+    return chars + ([(principal_character(9), 4)] + [(char, 5) for char in rational_characters(27)]) * (p == 3)
 
 
 def walk_valuations(char, q, p, max_level, n):
@@ -442,21 +443,21 @@ class TestPadicTruncation:
                 assert partials == literal_partials(n, q, p, top, char)
 
     @pytest.mark.parametrize("q, p", CLOSED_FORM_POINTS)
-    def test_walk_is_never_asked_past_the_period(self, monkeypatch, q, p):
-        asked = []
-        real = fermionic._walk
+    def test_power_sums_are_read_once_past_the_period_and_never_up_to_it(self, monkeypatch, q, p):
+        calls = []
+        real = fermionic.periodic_power_sums
 
-        def recorded(exponents, q, p, max_level, char):
-            asked.append(max_level)
-            return real(exponents, q, p, max_level, char)
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
 
-        monkeypatch.setattr(fermionic, "_walk", recorded)
+        monkeypatch.setattr(fermionic, "periodic_power_sums", counted)
         for char, top in closed_form_characters(p):
             period = 0 if char is None else round(math.log(char.modulus, p))  # p^period = d
             for max_level in range(-1, top + 1):
-                asked.clear()
+                calls.clear()
                 padic_truncation(2, q, p, max_level, char=char)
-                assert asked == [min(max_level, period)]
+                assert len(calls) == (max_level > period)
 
     @pytest.mark.parametrize("q, p", [(F(4), 3), (F(6, 11), 5), (F(-6), 7)])
     def test_partials_do_not_read_the_exact_value(self, monkeypatch, q, p):
