@@ -311,7 +311,7 @@ def _resolve_character(spec: str, modulus: int):
 #     s = 0..-n; lfun) (lfunction.stop_index) of each             lfun q 100001/100000, s 0, d 1: 4.5-5.0 -> 5.18;
 #                      l_series_sum call with chi(m) != 0, at     d 3: 3.0-3.5 -> 3.45;
 #                      LParams' tol and max_terms in a grid; 0    q 10001/10000, s -30, d 1: 5.3-6.2 -> 6.27;
-#                      where it raises before its first term,     q 10001/10000, s 3+4i, d 1: 0.40-0.62 -> 0.53
+#                      where it raises before its first term,     q 10001/10000, s 3+4i, d 1: 0.02-0.04 -> 0.031
 #                      as where no stop index meets tol
 #   p-adic walk        4.6e-12 (p^levels h)^2 per exponent        p 3, 9 levels, q 3*10^30+1, n 40: 1.4-2.0 -> 18.2;
 #                      (7.5e-13 at exponent 0), fitted to the     n 0: 0.6-1.0 -> 2.98;
@@ -367,13 +367,13 @@ def _point_parts(n: int, d: int, char_order: int, z: int, q) -> tuple:
     return values, series, residues
 
 
-def _float_sums_s(re_abs_values, d: int, q, tol: float = LParams.tol, max_terms: int = LParams.max_terms) -> float:
-    """`l_series_sum` at each |Re s|: 6.5e-7 s per summed term, the phi(d)/d of the indices up to its stop
-    index where chi(m) != 0; none where it raises at once, also where no stop index meets tol."""
+def _float_sums_s(sigmas, d: int, q, tol: float = LParams.tol, max_terms: int = LParams.max_terms) -> float:
+    """`l_series_sum` at each Re s in sigmas: 6.5e-7 s per summed term, the phi(d)/d of the indices up to its
+    stop index where chi(m) != 0; none where it raises at once, also where no stop index meets tol."""
     seconds = 0.0
-    for re_abs in re_abs_values:
+    for sigma in sigmas:
         with contextlib.suppress(MathError):
-            stop, tail = stop_index(re_abs, q, tol, max_terms)
+            stop, tail = stop_index(sigma, q, tol, max_terms)
             seconds += 0.0 if tail is None else 6.5e-7 * stop * euler_phi(d) / d
     return seconds
 
@@ -397,7 +397,7 @@ def _configs_s(grid, fixed_q=None) -> float:
         orders.add(math.lcm(z, char.value_order))
         values, series, residues = _point_parts(grid.n_max, char.modulus, char.value_order, z, q)
         if fixed_q is None:
-            residues = max(series, residues, _float_sums_s(range(grid.n_max + 1), char.modulus, q))
+            residues = max(series, residues, _float_sums_s(range(0, -grid.n_max - 1, -1), char.modulus, q))
         seconds += 1e-3 + values + residues
     return seconds + sum(map(_field_s, orders))
 
@@ -433,7 +433,7 @@ def predicted_seconds(args) -> float:
     seconds = 1e-3 + _field_s(math.lcm(args.zeta_order, char_order))
     if args.command == "twisted":
         return seconds + _point_parts(max(args.n), args.d, char_order, args.zeta_order, args.q)[0]
-    return seconds + _float_sums_s([abs(args.s.real)], args.d, args.q, args.tol, args.max_terms)
+    return seconds + _float_sums_s([args.s.real], args.d, args.q, args.tol, args.max_terms)
 
 
 def _emit(args, text: str) -> None:

@@ -4,7 +4,11 @@ with the other relations in :mod:`eulertwist.checks`).
 
 The series q/(1+q)^(s-1) * sum_{m>=1} (-1)^m chi(m) zeta^m / (q^m m^s)
 converges geometrically for rational q > 1; truncation is controlled by an
-explicit majorant, never by eyeballing successive terms.
+explicit majorant, never by eyeballing successive terms.  Its terms are at
+most m^(-sigma) q^(-m), sigma = Re s: at sigma <= 0 half of q's decay
+absorbs the growth of m^(-sigma) and the tail is bounded by q^(-M/2); at
+sigma > 0 the terms only shrink, and the tail past M is bounded by its
+first term over 1 - 1/q.
 
 What a term holds apart from s is kept per config, in one summand table: the
 periodic coefficients and, for each m with chi(m) != 0 up to a fixed cap,
@@ -95,23 +99,30 @@ def _first_failure(holds, lo: int, hi: int, guess: float) -> int:
     return m
 
 
-def stop_index(re_abs: float, q, tol: float, max_terms: int) -> tuple:
-    """(M, tail): where `l_series_sum` stops at |Re s| = re_abs and its tail
-    bound q^(-M/2) / (1 - q^(-1/2)) < tol, or (max_terms, None) when no
-    M <= max_terms has one.  It raises what the sum raises before its first
-    term: OutsideDoubleRange, OutsideConvergence for an exact q <= 1, and
-    NotConverged for a q > 1 that rounds to 1.0 or a stable index (the least
-    M with m^re_abs <= q^(m/2) for all m >= M) past max_terms.  Each index
-    steps from its closed form to the exact one on the sum's float tests.
+def stop_index(sigma: float, q, tol: float, max_terms: int) -> tuple:
+    """(M, tail): where `l_series_sum` stops at Re s = sigma and its tail
+    bound, or (max_terms, None) when no M <= max_terms has one below tol.
+    At sigma <= 0 the bound is q^(-M/2) / (1 - q^(-1/2)) from the stable
+    index on (the least M with m^(-sigma) <= q^(m/2) for all m >= M); at
+    sigma > 0 it is (M+1)^(-sigma) q^(-(M+1)) / (1 - 1/q), M >= 1.  It raises
+    what the sum raises before its first term: OutsideDoubleRange,
+    OutsideConvergence for an exact q <= 1, and NotConverged for a q > 1
+    that rounds to 1.0 or a stable index past max_terms.  Each index steps
+    from a closed form to the exact one on the sum's float tests.
 
     >>> stop_index(0.0, 2, 1e-12, 200000)[0]
     84
+    >>> stop_index(8.0, 2, 1e-12, 200000)[0] < stop_index(-8.0, 2, 1e-12, 200000)[0]
+    True
     """
-    return _indices(re_abs, _ln_q(q), tol, max_terms)
+    return _indices(sigma, _ln_q(q), tol, max_terms)
 
 
 @lru_cache(maxsize=256)
-def _indices(re_abs: float, ln_q: float, tol: float, max_terms: int) -> tuple:
+def _indices(sigma: float, ln_q: float, tol: float, max_terms: int) -> tuple:
+    if 0 < sigma < math.inf:
+        return _decayed_indices(sigma, ln_q, tol, max_terms)
+    re_abs = abs(sigma)  # an infinite or NaN sigma comes here and raises below
     peak = 2 * re_abs / ln_q if ln_q else math.inf  # ln_q is 0 where q > 1 rounds to 1.0
     if not peak <= max_terms:
         raise NotConverged(f"tail bound not reached within {max_terms} terms")
@@ -131,6 +142,30 @@ def _indices(re_abs: float, ln_q: float, tol: float, max_terms: int) -> tuple:
     return (max_terms, None) if m > max_terms else (m, math.exp(-m * ln_q / 2) * tail_scale)
 
 
+def _decayed_indices(sigma: float, ln_q: float, tol: float, max_terms: int) -> tuple:
+    """`_indices` at sigma > 0.  The tail bound is taken as one exp of a sum
+    of logs, so neither (M+1)^(-sigma) nor q^(-(M+1)) underflows alone."""
+    if not ln_q:
+        raise NotConverged(f"tail bound not reached within {max_terms} terms")
+    log_scale = -math.log(-math.expm1(-ln_q))  # ln(1 / (1 - 1/q))
+
+    def tail(m: int) -> float:
+        return math.exp(log_scale - sigma * math.log(m + 1) - (m + 1) * ln_q)
+
+    # the stop is about the root x = M + 1 of sigma ln x + x ln q = c.  In ln x
+    # the left side is convex, so Newton steps from the root at sigma = 0,
+    # which lies above, descend to it without passing it
+    c = log_scale - math.log(tol) if tol > 0 else math.inf
+    x = c / ln_q
+    step = x if 1 < x < math.inf else 0.0
+    while step >= 0.5:
+        y = math.log(x)
+        step = x - math.exp(y - (sigma * y + x * ln_q - c) / (sigma + x * ln_q))
+        x -= step
+    m = _first_failure(lambda m: not tail(m) < tol, 1, max_terms, x - 1)
+    return (max_terms, None) if m > max_terms else (m, tail(m))
+
+
 def l_series_sum(params: LParams) -> LEvaluation:
     """The bare alternating series, without the prefactor: terms 1..M in
     order, M from `stop_index`; NotConverged before the first term where no
@@ -141,7 +176,7 @@ def l_series_sum(params: LParams) -> LEvaluation:
     global _held
     s, cfg = complex(params.s), params.cfg
     held = _held if _held is not None and _held.cfg is cfg else None
-    stop, tail = _indices(abs(s.real), held.ln_q if held else _ln_q(cfg.q), params.tol, params.max_terms)
+    stop, tail = _indices(s.real, held.ln_q if held else _ln_q(cfg.q), params.tol, params.max_terms)
     if tail is None:
         raise NotConverged(f"tail bound not reached within {params.max_terms} terms")
     if held is None:

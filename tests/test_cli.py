@@ -157,12 +157,20 @@ def test_math_precondition_exit_code(capsys):
     assert "NotSquarefree" in err
 
 
-@pytest.mark.parametrize("s", ["1e300", "-200"])
+@pytest.mark.parametrize("s", ["-200"])
 def test_lfun_beyond_double_precision_exits_three(s):
     argv = [sys.executable, "-m", "eulertwist", "lfun", "--q", "2", "--d", "3", "--s", s]
     proc = subprocess.run(argv, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 3
     assert "NotConverged" in proc.stderr and "Traceback" not in proc.stderr
+
+
+def test_lfun_at_a_huge_positive_re_s_sums_one_term():
+    # every term past m = 1 is below 2^-1e300, and the prefactor 2 * 3^(1 - 1e300) rounds to 0
+    argv = [sys.executable, "-m", "eulertwist", "lfun", "--q", "2", "--d", "3", "--s", "1e300"]
+    proc = subprocess.run(argv, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert json.loads(proc.stdout) == {"s": [1e300, 0], "value": [0, 0], "terms": 1, "tail_bound": 0}
 
 
 def math_exit(capsys, *argv):
@@ -775,7 +783,7 @@ def whole_grid_s(grid) -> float:
     """The former price of every check, kept as the oracle of the per-relation prices: the grid's dearest family
     of points, whatever relation runs, plus every field a configuration builds."""
     n, families = grid.n_max, [0.0] * 6
-    floats = {(d, q): _float_sums_s(range(n + 1), d, q, LParams.tol, LParams.max_terms)
+    floats = {(d, q): _float_sums_s(range(0, -n - 1, -1), d, q, LParams.tol, LParams.max_terms)
               for d in grid.moduli for q in grid.q_values}
     orders = set()
     for d in grid.moduli:
@@ -797,6 +805,50 @@ def whole_grid_s(grid) -> float:
         walk = _walk_s(p, grid.level_max, _height(1 + p), range(grid.padic_n_max + 1))
         families[5] += 2 * (1e-3 + walk + values + series)
     return sum(map(_field_s, orders)) + max(families)
+
+
+# every relation's price on the default grid, the reach grid of test_reach_grid.py and its cor2 grid; thm3 and thm6
+# sum at s = 0, -1, ..., -n, so a stop rule that reads the sign of Re s leaves these prices as they were
+PRICED_GRIDS = {
+    "default": checks.default_grid(),
+    "reach": checks.Grid(n_max=12, moduli=(1, 3, 5, 7, 15), zeta_orders=(1, 3, 9, 27), q_values=(F(2), F(5, 2))),
+    "cor2-reach": checks.Grid(primes=(3, 5, 7, 11, 13), level_max=3, padic_n_max=12),
+}
+CONFIG_RELATIONS = ("thm2", "thm3", "thm6", "distribution", "thm1-residual", "thm5-residual")
+PINNED_PRICES = {
+    "default": {**dict.fromkeys(CONFIG_RELATIONS, 0.09263956549198217),
+                "cor3": 0.03020159302561054, "eq15": 0.003001043082684374, "eq22": 0.027004270000000004,
+                "eq28-residual": 0.0054651611117050485, "cor2-residual": 0.004352124797792007},
+    "reach": {**dict.fromkeys(CONFIG_RELATIONS, 0.8587479640079752),
+              "cor3": 0.24407114987729603, "eq15": 0.0020007245161650328, "eq22": 0.12953829,
+              "eq28-residual": 0.012498298301438514, "cor2-residual": 0.004352124797792007},
+    "cor2-reach": {**dict.fromkeys(CONFIG_RELATIONS, 0.09263956549198217),
+                   "cor3": 0.03020159302561054, "eq15": 0.003001043082684374, "eq22": 0.027004270000000004,
+                   "eq28-residual": 0.0054651611117050485, "cor2-residual": 0.026878597316621414},
+}
+
+
+@pytest.mark.parametrize("name", sorted(PRICED_GRIDS))
+def test_grid_prices_are_pinned(name):
+    grid = PRICED_GRIDS[name]
+    assert {token: price(grid) for token, price in cli.RELATION_PRICES.items()} == PINNED_PRICES[name]
+
+
+def test_float_sums_are_priced_at_the_signed_re_s(monkeypatch):
+    parser, priced = cli.build_parser(), []
+
+    def lfun_s(s):
+        args = parser.parse_args(["lfun", "--q", "11/10", "--d", "3", "--s", s])
+        args.character = cli._resolve_character(args.char, args.d)
+        return cli.predicted_seconds(args)
+
+    # at Re s = 8 the sum stops at 29 terms, at Re s = -8 at 1189, as both did before the sign was read
+    assert lfun_s("8") < lfun_s("-8") == 0.0015153033333333336
+    real = cli._float_sums_s
+    monkeypatch.setattr(cli, "_float_sums_s", lambda sigmas, *rest: real(priced.append(list(sigmas)) or sigmas, *rest))
+    grid = PRICED_GRIDS["reach"]
+    cli.RELATION_PRICES["thm3"](grid)
+    assert priced and all(sigmas == [-n for n in range(grid.n_max + 1)] for sigmas in priced)
 
 
 def test_every_relation_is_priced():

@@ -63,15 +63,23 @@ class TestEvaluation:
         with pytest.raises(NotConverged):
             l_series_sum(LParams(s=0j, cfg=quadratic3_config(q), max_terms=max_terms))
 
-    @pytest.mark.parametrize("q, s", [(F(2), 1e300), (F(2), -1e5), (F(2), -200.0), (F(100), -200.0)])
+    @pytest.mark.parametrize("q, s", [(F(2), -1e5), (F(2), -200.0), (F(100), -200.0)])
     def test_unbounded_work_is_not_converged_quickly(self, q, s):
-        # 1e300 and -1e5 need more than max_terms terms before any tail bound
-        # is checked; at -200 a term (q = 2) or the prefactor (q = 100)
+        # -1e5 needs more than max_terms terms before any tail bound is
+        # checked; at -200 a term (q = 2) or the prefactor (q = 100)
         # overflows double precision.
         start = time.monotonic()
         with pytest.raises(NotConverged):
             l_eval(LParams(s=complex(s), cfg=quadratic3_config(q)))
         assert time.monotonic() - start < 1.0
+
+    def test_huge_positive_re_s_sums_one_term_quickly(self):
+        # past m = 1 every term is below 2^-1e300, so one term meets the
+        # tail bound; the prefactor 2 * 3^(1 - 1e300) rounds to 0
+        start = time.monotonic()
+        result = l_eval(LParams(s=1e300 + 0j, cfg=quadratic3_config()))
+        assert time.monotonic() - start < 1.0
+        assert (result.value, result.terms_used, result.tail_bound) == (0j, 1, 0.0)
 
     def test_prefactor_factorization_is_exact(self):
         params = LParams(s=complex(-1.5, 0.25), cfg=quadratic3_config())
@@ -135,10 +143,21 @@ class TestSeriesPartialSums:
         assert exact == 0
 
 
+def oracle_tail(sigma: float, ln_q: float):
+    """The tail bound after term m at Re s = sigma, as a function of m:
+    q^(-m/2) / (1 - q^(-1/2)) at sigma <= 0 (from the stable index on), and
+    (m+1)^(-sigma) q^(-(m+1)) / (1 - 1/q) at finite sigma > 0, taken in logs."""
+    if 0 < sigma < math.inf:
+        log_scale = -math.log(-math.expm1(-ln_q))
+        return lambda m: math.exp(log_scale - sigma * math.log(m + 1) - (m + 1) * ln_q)
+    tail_scale = 1.0 / (1.0 - math.exp(-ln_q / 2))
+    return lambda m: math.exp(-m * ln_q / 2) * tail_scale
+
+
 def reference_series_sum(params: LParams) -> lfunction.LEvaluation:
     """The series as one per-term loop that embeds chi and zeta on every call
-    and tests the tail bound after every term past the stable index: the
-    plain form that l_series_sum must reproduce bit for bit."""
+    and tests the tail bound after every term, past the stable index at
+    Re s <= 0: the plain form that l_series_sum must reproduce bit for bit."""
     cfg = params.cfg
     q = float(cfg.q)
     if q <= 1:
@@ -147,15 +166,17 @@ def reference_series_sum(params: LParams) -> lfunction.LEvaluation:
     chi = [embed_complex(cfg.char_value(a), 1) for a in range(cfg.char.modulus)]
     zeta = [embed_complex(cfg.zeta_pow(m), 1) for m in range(cfg.zeta_order)]
     s = complex(params.s)
-    re_abs = abs(s.real)
-    if not 2 * re_abs / ln_q <= params.max_terms:
-        raise NotConverged(f"tail bound not reached within {params.max_terms} terms")
-    start = max(1, math.ceil(2 * re_abs / ln_q))
-    while re_abs * math.log(start) > start * ln_q / 2:
-        start += 1
-        if start > params.max_terms:
+    start = 1
+    if not 0 < s.real < math.inf:
+        re_abs = abs(s.real)
+        if not 2 * re_abs / ln_q <= params.max_terms:
             raise NotConverged(f"tail bound not reached within {params.max_terms} terms")
-    tail_scale = 1.0 / (1.0 - math.exp(-ln_q / 2))
+        start = max(1, math.ceil(2 * re_abs / ln_q))
+        while re_abs * math.log(start) > start * ln_q / 2:
+            start += 1
+            if start > params.max_terms:
+                raise NotConverged(f"tail bound not reached within {params.max_terms} terms")
+    tail_of = oracle_tail(s.real, ln_q)
     total = 0j
     m = 0
     try:
@@ -169,7 +190,7 @@ def reference_series_sum(params: LParams) -> lfunction.LEvaluation:
                 magnitude = cmath.exp(-s * math.log(m) - m * ln_q)
                 total += sign * chi_m * zeta[m % cfg.zeta_order] * magnitude
             if m >= start:
-                tail = math.exp(-m * ln_q / 2) * tail_scale
+                tail = tail_of(m)
                 if tail < params.tol:
                     return lfunction.LEvaluation(value=total, terms_used=m, tail_bound=tail)
     except OverflowError as exc:
@@ -221,7 +242,9 @@ class TestSameBitsAsThePerTermLoop:
         assert outcome(l_series_sum, params)[0] == "OutsideConvergence"
         assert outcome(l_series_sum, params) == outcome(reference_series_sum, params)
 
-    @pytest.mark.parametrize("s, max_terms", [(0j, 5), (1 + 0j, 40), (1e300 + 0j, 200000), (-1e5 + 0j, 200000)])
+    @pytest.mark.parametrize("s, max_terms", [
+        (0j, 5), (1 + 0j, 30), (-1e300 + 0j, 200000), (-1e5 + 0j, 200000), (complex(math.inf, 0), 200000),
+    ])
     def test_max_terms_message(self, s, max_terms):
         params = LParams(s=s, cfg=quadratic3_config(), max_terms=max_terms)
         expected = ("NotConverged", f"tail bound not reached within {max_terms} terms")
@@ -248,7 +271,8 @@ class TestSameBitsAsThePerTermLoop:
     def test_stops_that_shrink_then_grow(self):
         cfg = TwistedConfig.build(quadratic_character(5), 3, 1, F(6, 5))
         stops = []
-        for re_s, tol in ((8, 1e-12), (2, 1e-6), (0, 1e-3), (-3, 1e-12), (12, 1e-14), (1, 1e-9), (20, 1e-12)):
+        shrink_then_grow = ((-8, 1e-12), (0, 1e-3), (2, 1e-6), (-3, 1e-12), (-12, 1e-14), (1, 1e-9), (-20, 1e-12))
+        for re_s, tol in (*shrink_then_grow, (8, 1e-12)):
             params = LParams(s=complex(re_s, 7), cfg=cfg, tol=tol)
             stops.append(outcome(l_series_sum, params)[1])
             assert outcome(l_series_sum, params) == outcome(reference_series_sum, params)
@@ -271,9 +295,9 @@ class TestSameBitsAsThePerTermLoop:
             assert outcome(l_series_sum, params) == outcome(reference_series_sum, params)
             assert outcome(l_eval, params) == outcome(reference_eval, params)
 
-    @pytest.mark.parametrize("cap, first", [(2**14, 100 + 0j), (2**14, -171 + 0j), (8, 100 + 0j)])
+    @pytest.mark.parametrize("cap, first", [(2**14, -100 + 0j), (2**14, -171 + 0j), (8, -100 + 0j)])
     def test_overflow_in_held_new_and_streamed_rows(self, monkeypatch, cap, first):
-        # s = 100 holds every row up to its stop, past the terms that overflow
+        # s = -100 holds every row up to its stop, past the terms that overflow
         # at s = -200 and -171; s = -171 first overflows while it meets new m;
         # with the cap at 8 those terms are streamed
         monkeypatch.setattr(lfunction, "_ROW_CAP", cap)
@@ -300,15 +324,15 @@ class TestSummandTable:
 
     def test_ln_m_only_for_new_m(self, monkeypatch):
         cfg = TwistedConfig.build(quadratic_character(5), 3, 1, F(6, 5))
-        small, large = LParams(s=complex(2, 1), cfg=cfg), LParams(s=complex(8, -3), cfg=cfg)
+        small, large = LParams(s=complex(-2, 1), cfg=cfg), LParams(s=complex(-8, -3), cfg=cfg)
         first = l_eval(small)
-        for s in (complex(2, 9), complex(0.5, -4), complex(-1, 2)):  # stops no larger
-            lfunction.stop_index(abs(s.real), cfg.q, 1e-12, 200000)  # the stop index is cached, not counted
+        for s in (complex(-2, 9), complex(0.5, -4), complex(-1, 2), complex(8, 3)):  # stops no larger
+            lfunction.stop_index(s.real, cfg.q, 1e-12, 200000)  # the stop index is cached, not counted
             calls = self.count_logs(monkeypatch)
             assert l_series_sum(LParams(s=s, cfg=cfg)).terms_used <= first.terms_used
             assert calls == []
             monkeypatch.undo()
-        lfunction.stop_index(8.0, cfg.q, 1e-12, 200000)
+        lfunction.stop_index(-8.0, cfg.q, 1e-12, 200000)
         calls = self.count_logs(monkeypatch)
         stop = l_series_sum(large).terms_used
         assert stop > first.terms_used
@@ -389,9 +413,9 @@ def looped_stable_index(re_abs: float, ln_q: float, max_terms: int) -> int:
     return m
 
 
-def looped_stop_index(re_abs: float, q, tol: float, max_terms: int) -> tuple:
-    """The stop index by a loop over m, one exp per step, after the q checks
-    the sum makes first: an oracle for the closed form."""
+def looped_stop_index(sigma: float, q, tol: float, max_terms: int) -> tuple:
+    """The stop index at Re s = sigma by a loop over m, one exp per step,
+    after the q checks the sum makes first: an oracle for the closed form."""
     try:
         q_float = float(q)
     except OverflowError as exc:
@@ -399,10 +423,10 @@ def looped_stop_index(re_abs: float, q, tol: float, max_terms: int) -> tuple:
     if q_float <= 1:
         raise OutsideConvergence(f"series evaluation needs q > 1, got q={q}")
     ln_q = math.log(q_float)
-    start = looped_stable_index(re_abs, ln_q, max_terms)
-    tail_scale = 1.0 / (1.0 - math.exp(-ln_q / 2))
+    start = 1 if 0 < sigma < math.inf else looped_stable_index(abs(sigma), ln_q, max_terms)
+    tail_of = oracle_tail(sigma, ln_q)
     for m in range(start, max_terms + 1):
-        tail = math.exp(-m * ln_q / 2) * tail_scale
+        tail = tail_of(m)
         if tail < tol:
             return m, tail
     return max_terms, None
@@ -423,7 +447,8 @@ def uncached_stop_index(*args) -> tuple:
 
 class TestStopIndexClosedForm:
     """`stop_index` starts from closed forms and steps to the index; a loop
-    over every m gives the same index, tail bound and error."""
+    over every m gives the same index, tail bound and error, on either side
+    of Re s = 0."""
 
     @staticmethod
     def draw(rng: random.Random, max_terms: int = 0) -> tuple:
@@ -440,16 +465,18 @@ class TestStopIndexClosedForm:
         else:
             peak = math.exp(rng.uniform(1, 6))
         re_abs = peak * ln_q / 2
+        # Re s = -re_abs, or a Re s > 0 of the same size or at an extreme
+        sigma = -re_abs if rng.random() < 0.5 else rng.choice((re_abs, re_abs, re_abs, 1e-9, 1e3, 1e300))
         max_terms = max_terms or rng.choice((1, 5, 40, 300, 200000))
         tol = 10.0 ** -rng.uniform(0, 300)
         if max_terms == 200000:
             # a tol at, just beside or near the tail bound of an index up to
             # 3000, so the looped oracle stays short
             target = round(math.exp(rng.uniform(0, 8)))
-            tail = math.exp(-target * ln_q / 2) / (1.0 - math.exp(-ln_q / 2))
+            tail = oracle_tail(sigma, ln_q)(target)
             tail = rng.choice((tail, math.nextafter(tail, 0), math.nextafter(tail, 1), tail * rng.uniform(0.5, 2)))
             tol = tail if tail > 0 else tol
-        return re_abs, q, tol, max_terms
+        return sigma, q, tol, max_terms
 
     def test_random_draws(self):
         rng = random.Random(20261018)
@@ -460,27 +487,32 @@ class TestStopIndexClosedForm:
     def test_max_terms_at_the_index(self):
         rng = random.Random(17)
         for _ in range(500):
-            re_abs, q, tol, _ = self.draw(rng, 200000)
-            found = index_outcome(uncached_stop_index, re_abs, q, tol, 200000)
+            sigma, q, tol, _ = self.draw(rng, 200000)
+            found = index_outcome(uncached_stop_index, sigma, q, tol, 200000)
             if isinstance(found[0], str):
                 continue
             for max_terms in (found[0], found[0] - 1):
-                args = (re_abs, q, tol, max(max_terms, 1))
+                args = (sigma, q, tol, max(max_terms, 1))
                 assert index_outcome(uncached_stop_index, *args) == index_outcome(looped_stop_index, *args), args
 
-    @pytest.mark.parametrize("q, s, max_terms", [(F(100001, 100000), 0.0, 10**7), (F(10001, 10000), 30.0, 10**7)])
-    def test_no_loop_over_the_terms(self, q, s, max_terms):
-        # a loop over m takes seconds here: 7,967,461 and 9,649,962 steps
+    @pytest.mark.parametrize("q, sigma, stop", [
+        (F(100001, 100000), 0.0, 7967461), (F(10001, 10000), -30.0, 9649962),
+        (F(100001, 100000), 1e-9, 3914415), (F(10001, 10000), 1.0, 244362), (F(10001, 10000), 30.0, 3),
+    ])
+    def test_no_loop_over_the_terms(self, q, sigma, stop):
+        # a loop over m takes seconds at the first four; at the last the
+        # stop of the Re s = 0 bound lies about 368,000 terms above it
         start = time.perf_counter()
         for _ in range(10):
-            m, tail = uncached_stop_index(s, q, 1e-12, max_terms)
+            m, tail = uncached_stop_index(sigma, q, 1e-12, 10**7)
         assert (time.perf_counter() - start) / 10 < 1e-3
-        assert tail < 1e-12 and m > 10**6
+        assert tail < 1e-12 and m == stop
 
-    def test_terms_are_the_stop_index(self):
+    @pytest.mark.parametrize("s", [complex(-3, 5), complex(8, 1)])
+    def test_terms_are_the_stop_index(self, s):
         cfg = quadratic3_config(F(11, 10))
-        result = l_series_sum(LParams(s=complex(-3, 5), cfg=cfg))
-        assert (result.terms_used, result.tail_bound) == lfunction.stop_index(3.0, F(11, 10), 1e-12, 200000)
+        result = l_series_sum(LParams(s=s, cfg=cfg))
+        assert (result.terms_used, result.tail_bound) == lfunction.stop_index(s.real, F(11, 10), 1e-12, 200000)
 
     def test_q_above_one_that_rounds_to_one(self):
         q = F(10**19 + 1, 10**19)
@@ -497,3 +529,24 @@ class TestStopIndexClosedForm:
         got = index_outcome(lfunction.stop_index, 1.0, q, 1e-12, 200000)
         assert got[0] == error
         assert got == index_outcome(looped_stop_index, 1.0, q, 1e-12, 200000)
+
+
+@pytest.mark.parametrize("q", [F(101, 100), F(11, 10), F(3, 2), F(5)])
+def test_the_tail_bound_holds_at_positive_re_s(q):
+    """At Re s > 0 the terms after the stop M, summed at 40 digits from M + 1
+    to 3M + 200 in absolute value, stay within the reported tail bound."""
+    mpmath = pytest.importorskip("mpmath")
+    rng = random.Random(f"tail {q}")
+    with mpmath.workdps(40):
+        q_mp = mpmath.mpf(q.numerator) / q.denominator
+        for sigma in (1e-9, 20.0, *(rng.choice((20 * rng.random(), 10 ** rng.uniform(-6, 1.3))) for _ in range(10))):
+            d, order = rng.choice(range(1, 16, 2)), rng.choice((1, 3, 9))
+            k = rng.choice([k for k in range(order) if math.gcd(k, order) == 1] or [0])
+            cfg = TwistedConfig.build(rng.choice(enumerate_characters(d)), order, k, q)
+            result = l_series_sum(LParams(s=complex(sigma, rng.uniform(-40, 40)), cfg=cfg))
+            stop, neg_sigma = result.terms_used, -mpmath.mpf(sigma)
+            rest = mpmath.fsum(
+                mpmath.exp(neg_sigma * mpmath.log(m)) * q_mp ** -m
+                for m in range(stop + 1, 3 * stop + 201) if cfg.char.exponents[m % d] is not None
+            )
+            assert rest <= result.tail_bound, (cfg.describe(), sigma, stop)

@@ -52,6 +52,16 @@ def test_l_eval_meets_the_lerch_oracle_at_seeded_points():
     assert rejected == []
 
 
+@pytest.mark.parametrize("d, index, order, k, s", [
+    (3, 1, 3, 1, complex(8, 1)), (7, 2, 9, 4, complex(0.25, -33)), (15, 5, 1, 0, complex(3, 17)),
+])
+def test_l_eval_meets_the_lerch_oracle_at_positive_re_s_near_q_one(d, index, order, k, s):
+    """At q = 11/10 the sum stops where (M+1)^(-Re s) q^(-(M+1)) / (1 - 1/q)
+    meets the tolerance, far before q^(-M/2) does."""
+    cfg = TwistedConfig.build(enumerate_characters(d)[index], order, k, F(11, 10))
+    assert not oracles().lseries_rejects(record(cfg, s))
+
+
 @pytest.mark.xfail(strict=True, reason="CHANGES.md:3: the double-precision sum loses 12 digits here, "
                    "with tail_bound 2.1e-111; certified L-values (ROADMAP item 1) remove this mark")
 def test_l_eval_meets_the_lerch_oracle_where_the_terms_reach_1e64():
