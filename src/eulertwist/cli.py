@@ -458,7 +458,7 @@ def _cmd_classic(args) -> int:
 
 
 def _cmd_twisted(args) -> int:
-    cfg = TwistedConfig.build(args.character, args.zeta_order, args.zeta_k % args.zeta_order, args.q)
+    cfg = TwistedConfig.build(args.character, args.zeta_order, args.zeta_k, args.q)
     indices = args.n
     values = twisted_values(cfg, max(indices))
     rows = []
@@ -467,7 +467,7 @@ def _cmd_twisted(args) -> int:
         emb = embed_complex(val, 1)
         rows.append({"n": n, "cyclotomic": val.to_json(), "complex": [emb.real, emb.imag]})
     params = {"q": format_rational(args.q), "d": args.d, "char": args.char, "zeta_order": args.zeta_order,
-              "zeta_k": args.zeta_k % args.zeta_order, "ambient_order": cfg.field.order}
+              "zeta_k": cfg.zeta_exponent, "ambient_order": cfg.field.order}
     doc = {"params": params, "values": rows}
     if args.format == "json":
         _emit(args, _dumps(doc) + "\n")
@@ -498,7 +498,7 @@ def _cmd_integral(args) -> int:
 
 
 def _cmd_lfun(args) -> int:
-    cfg = TwistedConfig.build(args.character, args.zeta_order, args.zeta_k % args.zeta_order, args.q)
+    cfg = TwistedConfig.build(args.character, args.zeta_order, args.zeta_k, args.q)
     s = args.s
     result = l_eval(LParams(s=s, cfg=cfg, tol=args.tol, max_terms=args.max_terms))
     doc = {"s": [s.real, s.imag], "value": [result.value.real, result.value.imag],

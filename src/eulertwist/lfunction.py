@@ -10,10 +10,13 @@ absorbs the growth of m^(-sigma) and the tail is bounded by q^(-M/2); at
 sigma > 0 the terms only shrink, and the tail past M is bounded by its
 first term over 1 - 1/q.
 
-What a term holds apart from s is kept per config, in one summand table: the
-periodic coefficients and, for each m with chi(m) != 0 up to a fixed cap,
-ln m and m ln q.  A scan over s at one config then costs one exp and two
-products per term, with the same bits as summing each term afresh.
+The stop index is the first m where the tail bound falls below the
+tolerance, found by bisection on that float test; at sigma <= 0 the search
+starts at the stable index, found the same way.  What a term holds apart
+from s is kept per config, in one summand table: the periodic coefficients
+and, for each m with chi(m) != 0 up to a fixed cap, one row (m, c_m, ln m,
+m ln q).  A scan over s at one config then costs one exp and two products
+per term, with the same bits as summing each term afresh.
 """
 from __future__ import annotations
 
@@ -48,29 +51,29 @@ def l_prefactor(s: complex, q: float) -> complex:
 
 
 class _Summands:
-    """One config's series data, none of it depending on s: q's double and its
-    ln; sign(m) chi(m) zeta^m embedded for m mod lcm(2, d, twist order),
-    None where chi(m) = 0 and the series skips the term; and the rows
-    (m, c_m, ln m, m ln q), as four parallel lists, of every m <= reach with
-    chi(m) != 0.  reach is the largest stop summed so far, capped at
-    _ROW_CAP; past it, terms are summed as they are met and not kept."""
+    """One config's series data, none of it depending on s: the ln of q's
+    double; sign(m) chi(m) zeta^m embedded for m mod lcm(2, d, twist order),
+    None where chi(m) = 0 and the series skips the term; and one row
+    (m, c_m, ln m, m ln q) for every m <= reach with chi(m) != 0.  reach is
+    the largest stop summed so far, capped at _ROW_CAP; past it, terms are
+    summed as they are met and not kept."""
 
-    __slots__ = ("cfg", "q", "ln_q", "coefficients", "reach", "ms", "cs", "lms", "mqs")
+    __slots__ = ("cfg", "ln_q", "coefficients", "reach", "rows")
 
     def __init__(self, cfg: TwistedConfig):
         d, order = cfg.char.modulus, cfg.zeta_order
         chi = [embed_complex(cfg.char_value(a), 1) for a in range(d)]
         zeta = [embed_complex(cfg.zeta_pow(m), 1) for m in range(order)]
-        self.cfg, self.q = cfg, float(cfg.q)
-        self.ln_q = math.log(self.q)
+        self.cfg, self.ln_q = cfg, math.log(float(cfg.q))
         self.coefficients = [
             (-1.0 if m % 2 else 1.0) * chi[m % d] * zeta[m % order] if chi[m % d] != 0 else None
             for m in range(math.lcm(2, d, order))
         ]
-        self.reach, self.ms, self.cs, self.lms, self.mqs = 0, [], [], [], []
+        self.reach, self.rows = 0, []
 
 
-# Rows are kept for m up to this cap, so a held table stays under about 2 MB.
+# Rows are kept for m up to this cap.  At d = 1, where every m has a row, a
+# held table takes 2.5 MB (tracemalloc, Python 3.11).
 _ROW_CAP = 2**14
 
 # The table of the config summed last; holding the config, the identity test
@@ -89,14 +92,17 @@ def _ln_q(q) -> float:
     return math.log(q_float)
 
 
-def _first_failure(holds, lo: int, hi: int, guess: float) -> int:
-    """The first m >= lo where holds (true, then false) fails, hi + 1 if none up to hi; stepped to from guess."""
-    m = max(lo, math.ceil(min(guess, hi + 1))) if guess > lo else lo  # lo for a NaN guess
-    while m > lo and not holds(m - 1):
-        m -= 1
-    while m <= hi and holds(m):
-        m += 1
-    return m
+def _first_failure(holds, lo: int, hi: int) -> int:
+    """The first m in [lo, hi] where holds (true, then false) fails, hi + 1 if
+    none does, lo if lo > hi; by bisection, in O(log2(hi - lo)) tests."""
+    hi += 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if holds(mid):
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo
 
 
 def stop_index(sigma: float, q, tol: float, max_terms: int) -> tuple:
@@ -107,8 +113,8 @@ def stop_index(sigma: float, q, tol: float, max_terms: int) -> tuple:
     sigma > 0 it is (M+1)^(-sigma) q^(-(M+1)) / (1 - 1/q), M >= 1.  It raises
     what the sum raises before its first term: OutsideDoubleRange,
     OutsideConvergence for an exact q <= 1, and NotConverged for a q > 1
-    that rounds to 1.0 or a stable index past max_terms.  Each index steps
-    from a closed form to the exact one on the sum's float tests.
+    that rounds to 1.0 or a stable index past max_terms.  Each index is found
+    by bisection on the sum's own float test, which fails from some m on.
 
     >>> stop_index(0.0, 2, 1e-12, 200000)[0]
     84
@@ -120,49 +126,31 @@ def stop_index(sigma: float, q, tol: float, max_terms: int) -> tuple:
 
 @lru_cache(maxsize=256)
 def _indices(sigma: float, ln_q: float, tol: float, max_terms: int) -> tuple:
+    if not ln_q:  # q > 1 rounds to 1.0
+        raise NotConverged(f"tail bound not reached within {max_terms} terms")
     if 0 < sigma < math.inf:
-        return _decayed_indices(sigma, ln_q, tol, max_terms)
-    re_abs = abs(sigma)  # an infinite or NaN sigma comes here and raises below
-    peak = 2 * re_abs / ln_q if ln_q else math.inf  # ln_q is 0 where q > 1 rounds to 1.0
-    if not peak <= max_terms:
-        raise NotConverged(f"tail bound not reached within {max_terms} terms")
-    # Newton steps from above to the root M >= peak of M = peak ln M, if there is one
-    m = step = 2 * peak * math.log(peak) if peak > math.e else 0.0
-    while step >= 0.5:
-        step = (m - peak * math.log(m)) / (1 - peak / m)
-        m -= step
-    first = max(1, math.ceil(peak))
-    last = max(first, max_terms)
-    start = _first_failure(lambda m: re_abs * math.log(m) > m * ln_q / 2, first, last, m)
-    if start > last:
-        raise NotConverged(f"tail bound not reached within {max_terms} terms")
-    tail_scale = 1.0 / (1.0 - math.exp(-ln_q / 2))
-    guess = 2 * (math.log(tail_scale) - math.log(tol)) / ln_q if tol > 0 else math.inf
-    m = _first_failure(lambda m: not math.exp(-m * ln_q / 2) * tail_scale < tol, start, max_terms, guess)
-    return (max_terms, None) if m > max_terms else (m, math.exp(-m * ln_q / 2) * tail_scale)
+        log_scale = -math.log(-math.expm1(-ln_q))  # ln(1 / (1 - 1/q))
 
+        def tail(m: int) -> float:  # one exp of a sum of logs, so no factor underflows alone
+            return math.exp(log_scale - sigma * math.log(m + 1) - (m + 1) * ln_q)
 
-def _decayed_indices(sigma: float, ln_q: float, tol: float, max_terms: int) -> tuple:
-    """`_indices` at sigma > 0.  The tail bound is taken as one exp of a sum
-    of logs, so neither (M+1)^(-sigma) nor q^(-(M+1)) underflows alone."""
-    if not ln_q:
-        raise NotConverged(f"tail bound not reached within {max_terms} terms")
-    log_scale = -math.log(-math.expm1(-ln_q))  # ln(1 / (1 - 1/q))
+        start = 1
+    else:
+        re_abs = abs(sigma)  # an infinite or NaN sigma comes here and raises below
+        peak = 2 * re_abs / ln_q  # re_abs ln m - m ln q / 2 falls from here on
+        if not peak <= max_terms:
+            raise NotConverged(f"tail bound not reached within {max_terms} terms")
+        first = max(1, math.ceil(peak))
+        last = max(first, max_terms)
+        start = _first_failure(lambda m: re_abs * math.log(m) > m * ln_q / 2, first, last)
+        if start > last:
+            raise NotConverged(f"tail bound not reached within {max_terms} terms")
+        tail_scale = 1.0 / (1.0 - math.exp(-ln_q / 2))
 
-    def tail(m: int) -> float:
-        return math.exp(log_scale - sigma * math.log(m + 1) - (m + 1) * ln_q)
+        def tail(m: int) -> float:
+            return math.exp(-m * ln_q / 2) * tail_scale
 
-    # the stop is about the root x = M + 1 of sigma ln x + x ln q = c.  In ln x
-    # the left side is convex, so Newton steps from the root at sigma = 0,
-    # which lies above, descend to it without passing it
-    c = log_scale - math.log(tol) if tol > 0 else math.inf
-    x = c / ln_q
-    step = x if 1 < x < math.inf else 0.0
-    while step >= 0.5:
-        y = math.log(x)
-        step = x - math.exp(y - (sigma * y + x * ln_q - c) / (sigma + x * ln_q))
-        x -= step
-    m = _first_failure(lambda m: not tail(m) < tol, 1, max_terms, x - 1)
+    m = _first_failure(lambda m: not tail(m) < tol, start, max_terms)
     return (max_terms, None) if m > max_terms else (m, tail(m))
 
 
@@ -170,9 +158,8 @@ def l_series_sum(params: LParams) -> LEvaluation:
     """The bare alternating series, without the prefactor: terms 1..M in
     order, M from `stop_index`; NotConverged before the first term where no
     M <= max_terms meets the tolerance.  The config's table is built once per
-    config object, and a term whose row it holds costs one exp and two
-    products; the first pass over a new m computes its row, sums the term and
-    keeps the row."""
+    config object and extended to min(M, _ROW_CAP) before the sum, so a held
+    term costs one exp and two products; terms past the cap are streamed."""
     global _held
     s, cfg = complex(params.s), params.cfg
     held = _held if _held is not None and _held.cfg is cfg else None
@@ -181,35 +168,27 @@ def l_series_sum(params: LParams) -> LEvaluation:
         raise NotConverged(f"tail bound not reached within {params.max_terms} terms")
     if held is None:
         held = _held = _Summands(cfg)
+    coefficients, ln_q, log, cap = held.coefficients, held.ln_q, math.log, _ROW_CAP
+    cycle = len(coefficients)
+    reach = min(stop, cap)
+    for m in range(held.reach + 1, reach + 1):
+        c = coefficients[m % cycle]
+        if c is not None:
+            held.rows.append((m, c, log(m), m * ln_q))
+    held.reach = max(held.reach, reach)
     neg_s, exp = -s, cmath.exp
     total = 0j
-    m = reach = held.reach
     try:
-        for m, c, lm, mq in zip(held.ms, held.cs, held.lms, held.mqs):
+        for m, c, lm, mq in held.rows:
             if m > stop:
                 break
             total += c * exp(neg_s * lm - mq)
-        else:  # every held row is summed; the m in (reach, stop] are new
-            coefficients, ln_q, log, cap = held.coefficients, held.ln_q, math.log, _ROW_CAP
-            cycle = len(coefficients)
-            ms, cs, lms, mqs = held.ms, held.cs, held.lms, held.mqs
-            for m in range(reach + 1, min(stop, cap) + 1):
-                c = coefficients[m % cycle]
-                if c is not None:
-                    lm, mq = log(m), m * ln_q
-                    ms.append(m)
-                    cs.append(c)
-                    lms.append(lm)
-                    mqs.append(mq)
-                    total += c * exp(neg_s * lm - mq)
-            for m in range(cap + 1, stop + 1):  # past the cap: streamed, not kept
-                c = coefficients[m % cycle]
-                if c is not None:
-                    total += c * exp(neg_s * log(m) - m * ln_q)
+        for m in range(cap + 1, stop + 1):  # past the cap: streamed, not kept
+            c = coefficients[m % cycle]
+            if c is not None:
+                total += c * exp(neg_s * log(m) - m * ln_q)
     except OverflowError as exc:
         raise NotConverged(f"term {m} overflows double precision") from exc
-    finally:  # a row is kept before its term is summed, so an overflow leaves it held
-        held.reach = max(reach, min(m, _ROW_CAP))
     return LEvaluation(value=total, terms_used=stop, tail_bound=tail)
 
 

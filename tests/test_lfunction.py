@@ -305,7 +305,7 @@ class TestSameBitsAsThePerTermLoop:
         for s in (first, -200 + 0j, complex(-160, 25), -171 + 0j, 2 + 0j, -171 + 0j, 100 + 0j, 3j):
             params = LParams(s=s, cfg=cfg)
             assert outcome(l_series_sum, params) == outcome(reference_series_sum, params)
-        assert lfunction._held.cfg is cfg and lfunction._held.ms[-1] <= cap
+        assert lfunction._held.cfg is cfg and lfunction._held.rows[-1][0] <= cap
 
 
 class TestSummandTable:
@@ -344,19 +344,20 @@ class TestSummandTable:
         stop = l_series_sum(LParams(s=1j, cfg=cfg)).terms_used
         held = lfunction._held
         assert stop > 50 and held.reach == 50
-        assert held.ms == self.summed(cfg, 0, 50)
-        assert len(held.cs) == len(held.lms) == len(held.mqs) == len(held.ms)
+        cycle = len(held.coefficients)
+        rows = [(m, held.coefficients[m % cycle], math.log(m), m * held.ln_q) for m in self.summed(cfg, 0, 50)]
+        assert held.rows == rows
         calls = self.count_logs(monkeypatch)
         l_series_sum(LParams(s=2j, cfg=cfg))
         assert calls == self.summed(cfg, 50, stop)  # past the cap each sum streams its terms
-        assert held.ms == self.summed(cfg, 0, 50)
+        assert [row[0] for row in held.rows] == self.summed(cfg, 0, 50)
 
     def test_a_new_config_releases_the_old_rows(self):
         import sys
 
         l_series_sum(LParams(s=1j, cfg=quadratic3_config(F(3, 2))))
         old = lfunction._held
-        assert old.ms
+        assert old.rows
         cfg = quadratic3_config(F(5, 2))
         l_series_sum(LParams(s=1j, cfg=cfg))
         assert lfunction._held.cfg is cfg
@@ -446,9 +447,9 @@ def uncached_stop_index(*args) -> tuple:
 
 
 class TestStopIndexClosedForm:
-    """`stop_index` starts from closed forms and steps to the index; a loop
-    over every m gives the same index, tail bound and error, on either side
-    of Re s = 0."""
+    """`stop_index` finds each index by bisection on the sum's float tests; a
+    loop over every m gives the same index, tail bound and error, on either
+    side of Re s = 0."""
 
     @staticmethod
     def draw(rng: random.Random, max_terms: int = 0) -> tuple:
@@ -529,6 +530,76 @@ class TestStopIndexClosedForm:
         got = index_outcome(lfunction.stop_index, 1.0, q, 1e-12, 200000)
         assert got[0] == error
         assert got == index_outcome(looped_stop_index, 1.0, q, 1e-12, 200000)
+
+
+class TestFirstFailure:
+    """The bisection behind both stop-index searches: against a scan over m,
+    its count of exp and log calls, and the edges of the index it finds."""
+
+    @staticmethod
+    def scanned(holds, lo: int, hi: int) -> int:
+        m = lo
+        while m <= hi and holds(m):
+            m += 1
+        return m
+
+    def test_random_monotone_predicates(self):
+        rng = random.Random(20261019)
+        for _ in range(3000):
+            lo = rng.randint(-20, 60)
+            hi = lo + rng.randint(-3, 80)
+            threshold = rng.randint(lo - 5, max(lo, hi) + 5)  # holds below it, fails from it on
+            tested = []
+
+            def holds(m):
+                tested.append(m)
+                return m < threshold
+
+            expected = self.scanned(lambda m: m < threshold, lo, hi)
+            assert lfunction._first_failure(holds, lo, hi) == expected, (lo, hi, threshold)
+            assert all(lo <= m <= hi for m in tested)
+            assert len(tested) <= math.ceil(math.log2(max(hi - lo + 2, 1)))
+
+    @pytest.mark.parametrize("lo, hi", [(5, 4), (5, -10), (0, -1)])
+    def test_an_empty_range_returns_lo(self, lo, hi):
+        assert lfunction._first_failure(lambda m: pytest.fail("no index to test"), lo, hi) == lo
+
+    @pytest.mark.parametrize("lo, hi", [(1, 1), (1, 2), (3, 10**7), (-4, 17)])
+    def test_all_true_and_all_false(self, lo, hi):
+        assert lfunction._first_failure(lambda m: True, lo, hi) == hi + 1
+        assert lfunction._first_failure(lambda m: False, lo, hi) == lo
+
+    @pytest.mark.parametrize("q, sigma", [
+        (F(100001, 100000), 0.0), (F(10001, 10000), -30.0), (F(100001, 100000), 1e-9),
+        (F(10001, 10000), 1.0), (F(10001, 10000), 30.0), (F(3, 2), -1e3), (F(2), 1e300),
+    ])
+    def test_exp_and_log_calls_grow_as_log_max_terms(self, monkeypatch, q, sigma):
+        # each bisection tests at most ceil(log2(max_terms + 1)) indices, with
+        # one or two calls per test, so the whole stop_index stays under
+        # 3 log2(max_terms) calls; a loop over m would make millions
+        max_terms, calls = 10**7, []
+        for name in ("exp", "log"):
+            real = getattr(math, name)
+            monkeypatch.setattr(lfunction.math, name, lambda x, real=real: calls.append(x) or real(x))
+        m, tail = uncached_stop_index(sigma, q, 1e-12, max_terms)
+        monkeypatch.undo()
+        assert tail < 1e-12 and len(calls) <= 3 * math.log2(max_terms)
+
+    @pytest.mark.parametrize("sigma, q, tol, max_terms", [
+        (1749.2075907989747, F(2500000000000001, 2500000000000000), 1e-12, 2),
+        (1e300, F(250000000000001, 250000000000000), 9.381442602128551e-135, 186555),
+        (1e300, F(2000000000000001, 2000000000000000), 2.0, 87),
+    ])
+    def test_large_re_s_at_q_just_above_one(self, sigma, q, tol, max_terms):
+        # ln q is under 1e-14 and the first tail bound underflows to 0.0, so
+        # the stop is m = 1, found without a test outside 1..max_terms
+        got = index_outcome(uncached_stop_index, sigma, q, tol, max_terms)
+        assert got == index_outcome(looped_stop_index, sigma, q, tol, max_terms) == (1, "0.0")
+
+    @pytest.mark.parametrize("sigma", [0.0, -0.0, 1.0])
+    def test_no_terms_allowed(self, sigma):
+        got = index_outcome(uncached_stop_index, sigma, F(2), 1e-12, 0)
+        assert got == index_outcome(looped_stop_index, sigma, F(2), 1e-12, 0) == (0, "None")
 
 
 @pytest.mark.parametrize("q", [F(101, 100), F(11, 10), F(3, 2), F(5)])
