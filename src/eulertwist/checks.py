@@ -4,22 +4,31 @@ This module states every relation's two sides; the modules it reads
 (`twisted`, `fermionic`, `lfunction`) export quantities only.  Each
 registered relation runs one identity over every applicable grid point and
 reports a per-point verdict; a report passes iff no point fails and at least
-one passes.  A route that gives other than the grid's count of n or levels
-raises ValueError, so no relation passes on fewer points.  The registry
-names are the stable CLI tokens.
+one passes.  Routes that give other than the grid's count of n or levels,
+or two routes of different lengths, fail every point of their
+configuration, so no relation passes on fewer points.  The registry names
+are the stable CLI tokens.
 
-The config relations read three quantities through one process-wide memo,
-:func:`_memo`: A_n (`twisted.twisted_values`), the d-step moments
-(`fermionic._char_moment_sequence`) and the residue-class sums
-(`fermionic.residue_class_sums`).  thm6, thm1 and thm5 reuse the A_n of
-thm2, thm1 the moments of distribution, and thm5 its residue sums.  The key
-is the function as read from its module at the call, with its arguments,
-so a quantity patched on its module misses the memo.  Each result is held
-as a tuple, which no caller can mutate, and at most MEMO_ENTRIES of them
-are held.  A read returns only the result of the route it names, so no
-relation ever compares a route with itself.  Nothing else is held: the
-series path, the alternating sums and the L-values are computed on every
-read.
+Every quantity that two relations read at one point is read through one
+process-wide memo, :func:`_memo`, once per configuration and n_max:
+
+* A_n (`twisted.twisted_values`): thm2, thm1, thm5, thm6, cor2 and cor3;
+* the alternating sums (`twisted.alternating_char_sums`): thm2's and
+  cor2's series path and thm3's exact side;
+* the L-series sums at s = 0, -1, ..., -n_max (`lfunction.l_series_sums`):
+  thm3 as they are, thm6 through `lfunction.with_prefactor`, the step
+  `l_eval` itself takes;
+* the d-step moments (`fermionic._char_moment_sequence`): distribution and
+  thm1;
+* the residue-class sums (`fermionic.residue_class_sums`): distribution,
+  thm5 and cor3;
+
+and eq22 holds its twist-only quotient and moments per (field, k) across
+the fold counts.  The key is the function as read from its module at the
+call, with its arguments, so a quantity patched on its module misses the
+memo.  Each result is held as a tuple, which no caller can mutate, and at
+most MEMO_ENTRIES of them are held.  A read returns only the result of the
+route it names, so no relation ever compares a route with itself.
 """
 from __future__ import annotations
 
@@ -27,7 +36,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from . import fermionic, lfunction, twisted
 from .characters import (
@@ -41,7 +50,7 @@ from .errors import NotConverged, OutsideConvergence, OutsideDoubleRange
 from .eulerian import eulerian_at
 from .ntheory import is_squarefree
 from .rationals import format_rational, padic_valuation
-from .series import exp_quotient, nth_taylor_coefficient
+from .series import TruncatedSeries, exp_quotient, nth_taylor_coefficient
 
 
 @dataclass(frozen=True)
@@ -126,8 +135,9 @@ class CheckReport:
         }
 
 
-# One reach-grid sweep holds about 320 entries.
-MEMO_ENTRIES = 512
+# One `all` sweep of the reach grid at n_max 12 holds 496 entries (5.2 MB
+# by tracemalloc), the default grid 320.
+MEMO_ENTRIES = 768
 
 
 @lru_cache(maxsize=MEMO_ENTRIES)
@@ -166,17 +176,35 @@ PARTIAL_SUM_TOL = 1e-10
 INTERPOLATION_TOL = 1e-9
 
 
+class _ShortRoute(Exception):
+    """Two routes of one configuration gave sequences of different lengths:
+    a fault of the program, not of its input, so each point of that
+    configuration fails."""
+
+
+def _zip(*routes):
+    """zip over routes of one length; _ShortRoute, naming the lengths, where they differ."""
+    lengths = [len(route) for route in routes]
+    if len(set(lengths)) > 1:
+        raise _ShortRoute(f"short route: lengths {' and '.join(map(str, lengths))}")
+    return zip(*routes)
+
+
 def _config_report(grid: Grid, name: str, sides, decide, fixed_q: Fraction | None = None) -> CheckReport:
     """One verdict per configuration and n: sides(cfg, n_max) gives an
     (lhs, rhs) pair per n, or the reason string of a skipped point, and
-    decide(cfg, lhs, rhs) gives (ok, detail)."""
+    decide(cfg, lhs, rhs) gives (ok, detail).  A configuration whose sides
+    are not n_max + 1, or whose routes differ in length, fails at every n."""
     report = CheckReport(name, grid.describe())
     for key, *config in _configs(grid, fixed_q):
         cfg = twisted.TwistedConfig.build(*config)
-        pairs = sides(cfg, grid.n_max)
-        if len(pairs) != grid.n_max + 1:
-            raise ValueError(f"{name} at {key}: {len(pairs)} sides for n = 0..{grid.n_max}")
-        for n, pair in enumerate(pairs):
+        try:
+            pairs = list(_zip(range(grid.n_max + 1), sides(cfg, grid.n_max)))
+        except _ShortRoute as exc:
+            for n in range(grid.n_max + 1):
+                report.add(f"{key} n={n}", False, str(exc))
+            continue
+        for n, pair in pairs:
             point = f"{key} n={n}"
             if isinstance(pair, str):
                 report.skip(point, pair)
@@ -211,8 +239,8 @@ def _relative_gap(cfg, lhs, rhs) -> tuple:
 
 def _path_sides(cfg, n_max: int) -> list:
     """Theorem 2: generating-function coefficients beside the closed-form series path."""
-    values = _memo(twisted.twisted_values, cfg, n_max)
-    return [(tv.value, b) for tv, b in zip(values, twisted.twisted_series_values(cfg, n_max), strict=True)]
+    series = twisted.series_from_sums(cfg, _memo(twisted.alternating_char_sums, cfg, n_max))
+    return [(tv.value, b) for tv, b in _zip(_memo(twisted.twisted_values, cfg, n_max), series)]
 
 
 def _thm1_sides(cfg, n_max: int) -> list:
@@ -220,24 +248,27 @@ def _thm1_sides(cfg, n_max: int) -> list:
     gap between the d-l+1 kernel and the iterated d-1-l kernel."""
     moments = _memo(fermionic._char_moment_sequence, n_max, cfg)
     return [(tv.value, ((-1) ** n * (1 + cfg.q) ** n) * integral)
-            for n, (tv, integral) in enumerate(zip(_memo(twisted.twisted_values, cfg, n_max), moments, strict=True))]
+            for n, (tv, integral) in enumerate(_zip(_memo(twisted.twisted_values, cfg, n_max), moments))]
 
 
-def _at_negative_integer(evaluate, cfg, n: int):
-    """evaluate(LParams(s = -n)).value, or "ClassName: message" when the
-    L-series cannot be evaluated there and the point is skipped."""
-    try:
-        return evaluate(lfunction.LParams(s=complex(-n), cfg=cfg)).value
-    except (NotConverged, OutsideConvergence, OutsideDoubleRange) as exc:
-        return f"{type(exc).__name__}: {exc}"
+def _evaluated(held, step=None):
+    """The value of a held L-series sum, through step when given, or
+    "ClassName: message" where the sum or the step raised and the point is
+    skipped."""
+    if isinstance(held, lfunction.LEvaluation):
+        try:
+            return (held if step is None else step(held)).value
+        except (NotConverged, OutsideConvergence, OutsideDoubleRange) as exc:
+            held = exc
+    return f"{type(held).__name__}: {held}"
 
 
 def _thm3_sides(cfg, n_max: int) -> list:
     """Numeric partial sums of sum (-1)^m zeta^m chi(m) m^n / q^m beside the
     embedded exact closed form of the same series."""
-    numerics = [_at_negative_integer(lfunction.l_series_sum, cfg, n) for n in range(n_max + 1)]
+    numerics = [_evaluated(held) for held in _memo(lfunction.l_series_sums, cfg, n_max)]
     return [v if isinstance(v, str) else (v, embed_complex(e, 1))
-            for v, e in zip(numerics, twisted.alternating_char_sums(cfg, n_max), strict=True)]
+            for v, e in _zip(numerics, _memo(twisted.alternating_char_sums, cfg, n_max))]
 
 
 def _thm5_sides(cfg, n_max: int) -> list:
@@ -248,19 +279,21 @@ def _thm5_sides(cfg, n_max: int) -> list:
     twist zeta^d."""
     sums = _memo(fermionic.residue_class_sums, n_max, cfg)
     return [((-1) ** n * tv.value, (1 + cfg.q) ** n * integral)
-            for n, (tv, integral) in enumerate(zip(_memo(twisted.twisted_values, cfg, n_max), sums, strict=True))]
+            for n, (tv, integral) in enumerate(_zip(_memo(twisted.twisted_values, cfg, n_max), sums))]
 
 
 def _thm6_sides(cfg, n_max: int) -> list:
-    """L(-n) beside (-1)^n A_n embedded, A_n from the generating function.
-    For modulus 1 the series misses the index-0 summand of the generating
-    function, which only contributes at n = 0; that point is skipped."""
+    """L(-n), the held sum times l_eval's prefactor, beside (-1)^n A_n
+    embedded, A_n from the generating function.  For modulus 1 the series
+    misses the index-0 summand of the generating function, which only
+    contributes at n = 0; that point is skipped."""
     out = []
-    for n, tv in enumerate(_memo(twisted.twisted_values, cfg, n_max)):
+    sums, values = _memo(lfunction.l_series_sums, cfg, n_max), _memo(twisted.twisted_values, cfg, n_max)
+    for n, (held, tv) in enumerate(_zip(sums, values)):
         if n == 0 and cfg.char.modulus == 1:
             out.append("series misses the index-0 term at modulus 1")
         else:
-            value = _at_negative_integer(lfunction.l_eval, cfg, n)
+            value = _evaluated(held, partial(lfunction.with_prefactor, complex(-n), cfg.q))
             out.append(value if isinstance(value, str) else (value, (-1) ** n * embed_complex(tv.value, 1)))
     return out
 
@@ -274,8 +307,8 @@ def _distribution_sides(cfg, n_max: int) -> list:
     >>> [lhs == rhs for lhs, rhs in pairs]
     [True, True]
     """
-    return list(zip(_memo(fermionic._char_moment_sequence, n_max, cfg),
-                    _memo(fermionic.residue_class_sums, n_max, cfg), strict=True))
+    return list(_zip(_memo(fermionic._char_moment_sequence, n_max, cfg),
+                     _memo(fermionic.residue_class_sums, n_max, cfg)))
 
 
 def run_cor2_residual(grid: Grid) -> CheckReport:
@@ -289,18 +322,30 @@ def run_cor2_residual(grid: Grid) -> CheckReport:
         for char_name, char in (("principal", principal_character(p)),
                                 ("quadratic", quadratic_character(p))):
             sums = fermionic.riemann_sums(grid.padic_n_max, q, p, grid.level_max, char)
-            sides = _path_sides(twisted.TwistedConfig.build(char, 1, 0, q), grid.padic_n_max)
-            for n, (row, (gf, series)) in enumerate(zip(sums, sides, strict=True)):
-                # A_n is rational here: the twist is 1 and chi takes values in {0, 1, -1}.
-                scale = 2 * (-1) ** n / (q * (1 + q) ** (n + 1))
-                limit = scale * series.coeffs[0]
-                vals = [padic_valuation(total - limit, p) for total in row]
-                growth = all(v >= level for level, v in zip(range(grid.level_max + 1), vals, strict=True))
-                kernel_limit = q**2 * scale * gf.coeffs[0]
-                ratio = None if limit == 0 else kernel_limit / limit
-                detail = f"valuations={['inf' if v == math.inf else v for v in vals]} ratio={ratio}"
-                report.add(f"p={p} char={char_name} n={n}", growth and kernel_limit == q**2 * limit, detail)
+            verdicts = []
+            try:
+                sides = _path_sides(twisted.TwistedConfig.build(char, 1, 0, q), grid.padic_n_max)
+                for n, (row, (gf, series)) in enumerate(_zip(sums, sides)):
+                    # A_n is rational here: the twist is 1 and chi takes values in {0, 1, -1}.
+                    scale = 2 * (-1) ** n / (q * (1 + q) ** (n + 1))
+                    limit = scale * series.coeffs[0]
+                    vals = [padic_valuation(total - limit, p) for total in row]
+                    growth = all(v >= level for level, v in _zip(range(grid.level_max + 1), vals))
+                    kernel_limit = q**2 * scale * gf.coeffs[0]
+                    ratio = None if limit == 0 else kernel_limit / limit
+                    detail = f"valuations={['inf' if v == math.inf else v for v in vals]} ratio={ratio}"
+                    verdicts.append((growth and kernel_limit == q**2 * limit, detail))
+            except _ShortRoute as exc:  # each n of this character fails
+                verdicts = [(False, str(exc))] * (grid.padic_n_max + 1)
+            for n, (ok, detail) in enumerate(verdicts):
+                report.add(f"p={p} char={char_name} n={n}", ok, detail)
     return report.finalize()
+
+
+def _twist_quotient(field, k: int, order: int) -> tuple:
+    """The coefficients of 2/(zeta^k e^t + 1) in `field` = Q(zeta_z) below
+    the order, zeta = zeta_z^k: the quotient every fold of eq22 telescopes to."""
+    return exp_quotient(field, [(0, 2, 0)], 1, field.zeta_power(k), 1, field.binomial_inverse(1, 1, k), order).coeffs
 
 
 def run_eq22(grid: Grid) -> CheckReport:
@@ -310,7 +355,8 @@ def run_eq22(grid: Grid) -> CheckReport:
     against the integral moments I(zeta^x x^n), through order 11.  Each
     quotient is one triangular division, zeta^l read as the exponent k l of
     zeta = zeta_z^k, its pivot zeta^d + 1 or zeta + 1 inverted by the
-    geometric series."""
+    geometric series.  The direct quotient and the moments depend on the
+    twist alone, so they are held per (field, k) across the fold counts."""
     report = CheckReport("eq22", grid.describe())
     order = 12
     for d in grid.moduli:
@@ -321,10 +367,10 @@ def run_eq22(grid: Grid) -> CheckReport:
             field = cyclotomic_field(zeta_order)
             folded = exp_quotient(field, [(l, 2 * (-1) ** l, k * l) for l in range(d)], 1,
                                   field.zeta_power(k * d), d, field.binomial_inverse(1, 1, k * d), order)
-            direct = exp_quotient(field, [(0, 2, 0)], 1, field.zeta_power(k), 1, field.binomial_inverse(1, 1, k), order)
-            taylor = [nth_taylor_coefficient(direct, n) for n in range(order)]
+            direct = TruncatedSeries(_memo(_twist_quotient, field, k, order))
+            taylor = tuple(nth_taylor_coefficient(direct, n) for n in range(order))
             series_equal = folded == direct
-            moments_equal = taylor == fermionic._moment_sequence(order - 1, 1, field, k)
+            moments_equal = taylor == _memo(fermionic._moment_sequence, order - 1, 1, field, k)
             report.add(
                 f"d_fold={d} zeta={zeta_order}^{k}",
                 series_equal and moments_equal,

@@ -18,7 +18,7 @@ from fractions import Fraction
 from itertools import accumulate, repeat
 
 from .characters import DirichletCharacter, principal_character
-from .cyclotomic import cyclotomic_field
+from .cyclotomic import CyclotomicNumber, cyclotomic_field
 from .errors import NotPadicallyConvergent, SingularFunctionalEquation
 from .eulerian import periodic_power_sums
 from .ntheory import is_prime
@@ -97,15 +97,29 @@ def residue_class_sums(n_max: int, cfg) -> list:
     d^n (a/d + x)^n = sum_j C(n,j) a^j d^(n-j) x^(n-j), so this is
     [d]_{-1/q}^-1 sum_j C(n,j) d^(n-j) M_(n-j) S_j: one sequence
     M_k = I(x^k zeta^(dx)), S_j = sum_a c_a a^j, each zero S_j skipped
-    (every j >= 1 at d = 1)."""
-    q, d = cfg.q, cfg.char.modulus
-    moments = _moment_sequence(n_max, q**-d, cfg.field, cfg.twist_exponent(d))
-    classes = power_moments(cfg.field, [(a, (-1) ** a * q**-a, e) for a, e in cfg.twisted_exponents(range(d))], n_max)
-    weights = [(j, s) for j, s in enumerate(classes) if s]
+    (every j >= 1 at d = 1).  Each n is one integer convolution: the raw
+    products M_(n-j) S_j (``CyclotomicField._mul_ints``) over the lcm of the
+    denominators of M_0..M_n times that of the S_j, scaled by integers,
+    summed and wrapped once, with no field element formed per term."""
+    q, d, field = cfg.q, cfg.char.modulus, cfg.field
+    moments = _moment_sequence(n_max, q**-d, field, cfg.twist_exponent(d))
+    classes = power_moments(field, [(a, (-1) ** a * q**-a, e) for a, e in cfg.twisted_exponents(range(d))], n_max)
+    class_den = math.lcm(*(s.den for s in classes))
+    weights = [(j, [c * (class_den // s.den) for c in s.num]) for j, s in enumerate(classes) if s]
     scale = 1 / q_bracket_neg(d, 1 / q)
-    return [scale * sum((math.comb(n, j) * d ** (n - j) * moments[n - j] * s for j, s in weights if j <= n),
-                        classes[0] * 0)
-            for n in range(n_max + 1)]
+    out, moment_den = [], 1
+    for n in range(n_max + 1):
+        moment_den = math.lcm(moment_den, moments[n].den)
+        total = [0] * field.degree
+        for j, s in weights:
+            if j > n:
+                break
+            moment = moments[n - j]
+            c = math.comb(n, j) * d ** (n - j) * (moment_den // moment.den)
+            total = [x + c * y for x, y in zip(total, field._mul_ints(moment.num, s))]
+        out.append(CyclotomicNumber(field, [x * scale.numerator for x in total],
+                                    moment_den * class_den * scale.denominator))
+    return out
 
 
 @dataclass(frozen=True)

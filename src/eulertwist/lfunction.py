@@ -17,6 +17,10 @@ from s is kept per config, in one summand table: the periodic coefficients
 and, for each m with chi(m) != 0 up to a fixed cap, one row (m, c_m, ln m,
 m ln q).  A scan over s at one config then costs one exp and two products
 per term, with the same bits as summing each term afresh.
+
+`l_series_sums` gives the bare sums at s = 0, -1, ..., -n_max, the
+sequence thm3 and thm6 hold, and `with_prefactor` is the one step from a
+bare sum to the L-value, taken by `l_eval` and by thm6.
 """
 from __future__ import annotations
 
@@ -192,13 +196,33 @@ def l_series_sum(params: LParams) -> LEvaluation:
     return LEvaluation(value=total, terms_used=stop, tail_bound=tail)
 
 
-def l_eval(params: LParams) -> LEvaluation:
-    """Full L-value: prefactor times the truncated series."""
-    inner = l_series_sum(params)
-    try:  # q's double from this config, never from the table another sum left held
-        value = l_prefactor(complex(params.s), float(params.cfg.q)) * inner.value
+def l_series_sums(cfg: TwistedConfig, n_max: int) -> list:
+    """`l_series_sum` at s = 0, -1, ..., -n_max, at LParams' default tol and
+    max_terms: per n its LEvaluation, or the NotConverged,
+    OutsideConvergence or OutsideDoubleRange it raised, rebuilt from its
+    class and message so that holding it holds no traceback."""
+    out = []
+    for n in range(n_max + 1):
+        try:
+            out.append(l_series_sum(LParams(s=complex(-n), cfg=cfg)))
+        except (NotConverged, OutsideConvergence, OutsideDoubleRange) as exc:
+            out.append(type(exc)(*exc.args))
+    return out
+
+
+def with_prefactor(s: complex, q, inner: LEvaluation) -> LEvaluation:
+    """The L-value at s from the bare sum `inner`: `l_prefactor` at q's
+    double times its value; NotConverged where that is not finite."""
+    try:
+        value = l_prefactor(complex(s), float(q)) * inner.value
     except OverflowError as exc:
         raise NotConverged("non-finite value") from exc
     if not (math.isfinite(value.real) and math.isfinite(value.imag)):
         raise NotConverged("non-finite value")
     return LEvaluation(value=value, terms_used=inner.terms_used, tail_bound=inner.tail_bound)
+
+
+def l_eval(params: LParams) -> LEvaluation:
+    """Full L-value: prefactor times the truncated series, q's double from
+    this config, never from the table another sum left held."""
+    return with_prefactor(params.s, params.cfg.q, l_series_sum(params))

@@ -132,11 +132,16 @@ def alternating_char_sums(cfg: TwistedConfig, n_max: int) -> list:
 
 
 def twisted_series_values(cfg: TwistedConfig, n_max: int) -> list[CyclotomicNumber]:
-    """A_0 .. A_{n_max} through the alternating series: (-1)^n q (1+q)^(n+1)
-    times the closed-form sum, plus the index-0 summand q(1+q) chi(0), which
-    survives only at n = 0 (and is nonzero only for modulus 1)."""
+    """A_0 .. A_{n_max} through the alternating series (:func:`series_from_sums`)."""
+    return series_from_sums(cfg, alternating_char_sums(cfg, n_max))
+
+
+def series_from_sums(cfg: TwistedConfig, sums) -> list[CyclotomicNumber]:
+    """A_n from the closed-form sums of :func:`alternating_char_sums`:
+    (-1)^n q (1+q)^(n+1) times the sum, plus the index-0 summand
+    q(1+q) chi(0), which survives only at n = 0 (and is nonzero only for
+    modulus 1)."""
     q = cfg.q
-    sums = alternating_char_sums(cfg, n_max)
     out = [((-1) ** n * q * (1 + q) ** (n + 1)) * alt for n, alt in enumerate(sums)]
     out[0] = out[0] + (q * (1 + q)) * cfg.char_value(0)
     return out

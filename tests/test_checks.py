@@ -1,12 +1,14 @@
 """The checks driver can fail: one side off at one n fails exactly the
 points at that n, and every other point still passes."""
+import json
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
 
 import eulertwist as et
-from eulertwist import checks, cli, fermionic, series, twisted
+from eulertwist import checks, cli, fermionic, lfunction, series, twisted
 from eulertwist.cyclotomic import CyclotomicNumber
 
 SMALL_GRID = checks.Grid(
@@ -93,14 +95,16 @@ def test_a_bad_residue_class_sum_fails_only_the_relations_that_read_it(monkeypat
 
 
 def test_a_bad_series_path_fails_only_the_relations_that_read_it(monkeypatch):
-    real = twisted.twisted_series_values
+    """thm2 and cor2 read the series path as `twisted.series_from_sums` of
+    the held alternating sums."""
+    real = twisted.series_from_sums
 
-    def shifted(cfg, n_max):
-        out = real(cfg, n_max)
+    def shifted(cfg, sums):
+        out = real(cfg, sums)
         out[BAD_N] = out[BAD_N] + 1
         return out
 
-    monkeypatch.setattr(twisted, "twisted_series_values", shifted)
+    monkeypatch.setattr(twisted, "series_from_sums", shifted)
     for relation in ("thm2", "cor2-residual"):
         assert_fails_exactly_bad_n(checks.run_relation(relation, SMALL_GRID))
     for relation in ("thm1-residual", "thm5-residual", "thm6", "cor3"):
@@ -108,16 +112,39 @@ def test_a_bad_series_path_fails_only_the_relations_that_read_it(monkeypatch):
         assert report.counts["fail"] == 0 and report.counts["pass"] > 0
 
 
-@pytest.mark.parametrize("relation, namespace, attribute, shorten", [
-    ("thm2", twisted, "twisted_series_values", lambda values: values[:-1]),  # one n fewer on one side
-    ("thm6", twisted, "twisted_values", lambda values: values[:-1]),  # one n fewer on the only exact side
-    ("cor2-residual", fermionic, "riemann_sums", lambda rows: [row[:-1] for row in rows]),  # one level fewer
+@pytest.mark.parametrize("relation, namespace, attribute, shorten, lengths", [
+    ("thm2", twisted, "series_from_sums", lambda values: values[:-1], "6 and 5"),  # one n fewer on one side
+    ("thm6", twisted, "twisted_values", lambda values: values[:-1], "6 and 5"),  # one n fewer on the only exact side
+    ("cor2-residual", fermionic, "riemann_sums", lambda rows: [row[:-1] for row in rows], "5 and 4"),  # one level fewer
 ], ids=["thm2", "thm6", "cor2-residual"])
-def test_a_short_route_exits_3_and_never_passes(capsys, monkeypatch, relation, namespace, attribute, shorten):
+def test_a_short_route_fails_its_points_and_exits_1(capsys, monkeypatch, relation, namespace, attribute, shorten,
+                                                     lengths):
+    """A short route is a fault of the program, not of its input: every
+    point of each configuration it reaches fails with a detail naming the
+    two lengths, the check exits 1, and no point passes on fewer n or
+    levels."""
     real = getattr(namespace, attribute)
     monkeypatch.setattr(namespace, attribute, lambda *args: shorten(real(*args)))
-    assert cli.main(["check", "--relation", relation]) == 3
-    assert capsys.readouterr().err.startswith("error: ValueError: ")
+    assert cli.main(["check", "--relation", relation]) == 1
+    out, err = capsys.readouterr()
+    doc = json.loads(out)
+    grid = checks.default_grid()
+    per_config = (grid.padic_n_max if relation == "cor2-residual" else grid.n_max) + 1
+    assert err == "" and len(doc["points"]) % per_config == 0
+    assert doc["summary"] == {"pass": 0, "fail": len(doc["points"]), "skip": 0}
+    assert {p["detail"] for p in doc["points"]} == {f"short route: lengths {lengths}"}
+
+
+def test_a_genuine_value_error_still_exits_3(capsys, monkeypatch):
+    """eq22 refuses an even fold count, a fault of the input and not a short
+    route: it raises ValueError, and `main` exits 3.  No grid file can hold
+    one, so the default grid is patched."""
+    even = replace(checks.default_grid(), moduli=(2,))
+    with pytest.raises(ValueError, match="the fold count must be odd"):
+        checks.run_relation("eq22", even)
+    monkeypatch.setattr(checks, "default_grid", lambda: even)
+    assert cli.main(["check", "--relation", "eq22"]) == 3
+    assert capsys.readouterr().err == "error: ValueError: the fold count must be odd\n"
 
 
 def test_a_bad_power_moment_fails_every_relation_that_reads_one(monkeypatch):
@@ -172,6 +199,57 @@ def test_a_bad_moment_solve_fails_every_relation_that_reads_one(monkeypatch):
     for relation in ("thm2", "thm3", "thm6", "cor2-residual", "eq28-residual"):
         assert checks.run_relation(relation, grid).passed, relation
     assert checks.run_relation("distribution", grid).counts["fail"] > 0
+
+
+def test_one_bad_held_l_series_sum_fails_exactly_its_points_in_thm3_and_thm6(monkeypatch):
+    """thm3 reads the held sums at s = -n as they are and thm6 through the
+    prefactor: one held value off at one n fails exactly that n in both."""
+    real = lfunction.l_series_sums
+
+    def shifted(cfg, n_max):
+        out = real(cfg, n_max)
+        out[BAD_N] = replace(out[BAD_N], value=out[BAD_N].value + 1)
+        return out
+
+    monkeypatch.setattr(lfunction, "l_series_sums", shifted)
+    for relation in ("thm3", "thm6"):
+        assert_fails_exactly_bad_n(checks.run_relation(relation, SMALL_GRID))
+
+
+def test_thm2_thm3_and_thm6_compute_each_shared_sum_once(monkeypatch):
+    """Run in `RELATIONS` order, thm2, thm3 and thm6 compute the alternating
+    sums once per configuration and sum the L-series once per configuration
+    and n."""
+    sums, series = Counter(), Counter()
+    real_sums, real_series = twisted.alternating_char_sums, lfunction.l_series_sum
+
+    def counted_sums(cfg, n_max):
+        sums[cfg] += 1
+        return real_sums(cfg, n_max)
+
+    def counted_series(params):
+        series[params.cfg, params.s] += 1
+        return real_series(params)
+
+    monkeypatch.setattr(twisted, "alternating_char_sums", counted_sums)
+    monkeypatch.setattr(lfunction, "l_series_sum", counted_series)
+    grid = checks.default_grid()
+    for relation in [r for r in checks.RELATIONS if r in ("thm2", "thm3", "thm6")]:
+        assert checks.run_relation(relation, grid).passed, relation
+    configs = {twisted.TwistedConfig.build(*config) for _, *config in checks._configs(grid)}
+    assert len(configs) == 54
+    assert sums == Counter(configs)
+    assert series == Counter((cfg, complex(-n)) for cfg in configs for n in range(grid.n_max + 1))
+
+
+def test_eq22_holds_its_twist_only_quantities_across_fold_counts(monkeypatch):
+    quotients, moments = [], []
+    real_quotient, real_moments = checks._twist_quotient, fermionic._moment_sequence
+    monkeypatch.setattr(checks, "_twist_quotient", lambda *args: quotients.append(args) or real_quotient(*args))
+    monkeypatch.setattr(fermionic, "_moment_sequence", lambda *args: moments.append(args) or real_moments(*args))
+    grid = checks.default_grid()
+    assert checks.run_relation("eq22", grid).passed
+    assert len(quotients) == len(moments) == len(grid.zeta_orders) < len(grid.zeta_orders) * len(grid.moduli)
 
 
 def test_eq15_solves_one_moment_sequence_per_q(monkeypatch):

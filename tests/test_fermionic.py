@@ -22,9 +22,10 @@ from eulertwist import (
     riemann_sums,
     twisted_values,
 )
-from eulertwist.cyclotomic import CyclotomicField
+from eulertwist.cyclotomic import CyclotomicField, CyclotomicNumber
 from eulertwist.errors import DivisionByZero, NotPadicallyConvergent, SingularFunctionalEquation
 from eulertwist.fermionic import _char_moment_sequence, _moment_sequence, residue_class_sums
+from eulertwist.series import power_moments
 from eulertwist.twisted import alternating_char_sums, twisted_series_values
 
 
@@ -294,7 +295,57 @@ def per_class_residue_sums(n_max, cfg):
     return [F(d**n) / q_bracket_neg(d, 1 / q) * acc for n, acc in enumerate(sums)]
 
 
+def field_product_residue_sums(n_max, cfg):
+    """The binomial sum over classes with one field product and one canonical
+    add per term: [d]_{-1/q}^-1 sum_j C(n,j) d^(n-j) M_(n-j) S_j, each term a
+    CyclotomicNumber.  The oracle of the integer convolution in
+    `residue_class_sums`, which reads the same M_k and S_j."""
+    q, d = cfg.q, cfg.char.modulus
+    moments = _moment_sequence(n_max, q**-d, cfg.field, cfg.twist_exponent(d))
+    classes = power_moments(cfg.field, [(a, (-1) ** a * q**-a, e) for a, e in cfg.twisted_exponents(range(d))], n_max)
+    weights = [(j, s) for j, s in enumerate(classes) if s]
+    scale = 1 / q_bracket_neg(d, 1 / q)
+    return [scale * sum((math.comb(n, j) * d ** (n - j) * moments[n - j] * s for j, s in weights if j <= n),
+                        classes[0] * 0)
+            for n in range(n_max + 1)]
+
+
 class TestResidueClassSums:
+    def test_matches_the_field_product_sum_on_the_reach_grid(self):
+        """All 120 reach-grid configurations, the q = 1 ones of cor3
+        included, at n_max 12."""
+        grid = checks.Grid(n_max=12, moduli=(1, 3, 5, 7, 15), zeta_orders=(1, 3, 9, 27), q_values=(F(2), F(5, 2)))
+        configs = [config for fixed_q in (None, F(1)) for _, *config in checks._configs(grid, fixed_q)]
+        assert len(configs) == 120
+        for config in configs:
+            cfg = TwistedConfig.build(*config)
+            assert residue_class_sums(12, cfg) == field_product_residue_sums(12, cfg), cfg.describe()
+
+    @pytest.mark.parametrize("d", [91, 95, 97])
+    def test_matches_the_field_product_sum_at_many_classes(self, d):
+        cfg = TwistedConfig.build(quadratic_character(d), 1, 0, F(5, 2))
+        assert residue_class_sums(30, cfg) == field_product_residue_sums(30, cfg)
+
+    def test_no_field_element_per_term(self, monkeypatch):
+        """The convolution forms one CyclotomicNumber per n, past the moment
+        solve and the class weights, and no field product or sum."""
+        cfg = TwistedConfig.build(quadratic_character(15), 9, 1, F(5, 2))
+        moments = _moment_sequence(12, cfg.q**-15, cfg.field, cfg.twist_exponent(15))
+        monkeypatch.setattr(fermionic, "_moment_sequence", lambda *args: moments)
+        built = []
+        real_init = CyclotomicNumber.__init__
+
+        def counted(self, *args):
+            built.append(args)
+            real_init(self, *args)
+
+        monkeypatch.setattr(CyclotomicNumber, "__init__", counted)
+        monkeypatch.setattr(CyclotomicNumber, "__mul__", lambda *args: pytest.fail("a field product"))
+        monkeypatch.setattr(CyclotomicNumber, "__add__", lambda *args: pytest.fail("a field sum"))
+        sums = residue_class_sums(12, cfg)
+        assert len(sums) == 13
+        assert len(built) == 13 + 13  # one per n, and the 13 class weights of power_moments
+
     @pytest.mark.parametrize("d", [1, 3, 5, 7, 9, 15, 21])
     def test_matches_one_sequence_per_class(self, d):
         rng = random.Random(d)

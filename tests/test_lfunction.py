@@ -123,6 +123,36 @@ class TestInterpolation:
             assert abs(l_value - exact) <= 1e-9 * (1 + abs(exact))
 
 
+class TestSumsAtNegativeIntegers:
+    """`l_series_sums`, the sequence thm3 and thm6 hold, is `l_series_sum`
+    at s = 0, -1, ..., -n_max, and `with_prefactor` is the step of `l_eval`."""
+
+    def test_each_entry_is_the_sum_at_minus_n(self):
+        cfg = TwistedConfig.build(quadratic_character(5), 3, 1, F(5, 2))
+        for n, held in enumerate(lfunction.l_series_sums(cfg, 6)):
+            params = LParams(s=complex(-n), cfg=cfg)
+            assert held == l_series_sum(params)
+            assert lfunction.with_prefactor(complex(-n), cfg.q, held) == l_eval(params)
+
+    @pytest.mark.parametrize("q, n_max, error", [
+        (F(1), 3, OutsideConvergence), (F(10**400), 2, OutsideDoubleRange), (F(10001, 10000), 3, NotConverged),
+    ])
+    def test_an_error_is_held_with_its_message_and_no_traceback(self, q, n_max, error):
+        cfg = quadratic3_config(q)
+        held = lfunction.l_series_sums(cfg, n_max)
+        assert len(held) == n_max + 1
+        for n, exc in enumerate(held):
+            assert type(exc) is error and exc.__traceback__ is None and exc.__cause__ is None
+            with pytest.raises(error) as raised:
+                l_series_sum(LParams(s=complex(-n), cfg=cfg))
+            assert str(exc) == str(raised.value)
+
+    def test_a_non_finite_value_is_not_converged(self):
+        inner = lfunction.LEvaluation(value=1e308 + 0j, terms_used=1, tail_bound=0.0)
+        with pytest.raises(NotConverged, match="non-finite value"):
+            lfunction.with_prefactor(-600 + 0j, F(2), inner)
+
+
 class TestSeriesPartialSums:
     def test_linear_moment(self):
         numeric, exact = checks._thm3_sides(quadratic3_config(), 1)[1]
@@ -402,7 +432,7 @@ class TestCoefficientReuse:
 
 
 def looped_stable_index(re_abs: float, ln_q: float, max_terms: int) -> int:
-    """The stable index by a loop over m, one log per step: an oracle for the closed form."""
+    """The stable index by a loop over m, one log per step: an oracle for the bisection in `_indices`."""
     peak = 2 * re_abs / ln_q
     if not peak <= max_terms:
         raise NotConverged(f"tail bound not reached within {max_terms} terms")
@@ -416,7 +446,8 @@ def looped_stable_index(re_abs: float, ln_q: float, max_terms: int) -> int:
 
 def looped_stop_index(sigma: float, q, tol: float, max_terms: int) -> tuple:
     """The stop index at Re s = sigma by a loop over m, one exp per step,
-    after the q checks the sum makes first: an oracle for the closed form."""
+    after the q checks the sum makes first: an oracle for the bisection in
+    `stop_index`."""
     try:
         q_float = float(q)
     except OverflowError as exc:

@@ -11,7 +11,8 @@ Each report is also pinned by the sha256 of its JSON, as the default-grid
 stdout is in test_relation_outputs.py: the default grid's moduli have at
 most four residue classes, so only this grid pins outputs at d = 7 and 15.
 The same grid written as a grid file gives the same reports through
-`cli.main`.
+`cli.main`.  thm3 and thm6 read the L-series sums that one of them holds:
+their reports are the same alone and after the relations before them.
 """
 import hashlib
 import json
@@ -71,3 +72,23 @@ def test_reach_grid_file_gives_the_pinned_digests(capsys, grid_spec, grid, diges
         assert cli.main(["check", "--relation", relation, "--grid", spec]) == 0, relation
         doc = json.loads(capsys.readouterr().out)
         assert hashlib.sha256(json.dumps(doc).encode()).hexdigest() == digest, relation
+
+
+# thm3 and thm6 skip and fail points here (ROADMAP item 1): q near 1 and n up to 26 at modulus 1.
+FOUND_GRID = checks.Grid(n_max=26, moduli=(1,), q_values=(F(10001, 10000), F(158, 56)), zeta_orders=(5,))
+
+
+@pytest.mark.parametrize("grid", [REACH_GRID, FOUND_GRID], ids=["reach", "found"])
+def test_thm3_and_thm6_alone_equal_thm3_and_thm6_after_the_relations_before_them(grid):
+    alone = {}
+    for relation in ("thm3", "thm6"):
+        checks._memo.cache_clear()
+        alone[relation] = checks.run_relation(relation, grid).to_json()
+    checks._memo.cache_clear()
+    after = {}
+    for relation in list(checks.RELATIONS)[: list(checks.RELATIONS).index("thm6") + 1]:
+        after[relation] = checks.run_relation(relation, grid).to_json()
+    assert json.dumps(alone["thm3"]) == json.dumps(after["thm3"])
+    assert json.dumps(alone["thm6"]) == json.dumps(after["thm6"])
+    if grid is FOUND_GRID:
+        assert all(alone[r]["summary"]["skip"] and alone[r]["summary"]["fail"] for r in alone)
