@@ -27,7 +27,7 @@ from .eulerian import descent_oracle, eulerian_at, eulerian_recurrence, power_su
 from .fermionic import TruncationReport, padic_truncation, riemann_sums
 from .lfunction import LEvaluation, LParams, l_eval
 from .rationals import PLUS_INFINITY, padic_valuation, q_bracket_neg
-from .series import TruncatedSeries, exp_sum, nth_taylor_coefficient
+from .series import TruncatedSeries, nth_taylor_coefficient
 from .twisted import TwistedConfig, TwistedValue, twisted_gf, twisted_value, twisted_values
 
 __version__ = "0.1.0"

@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cyclotomic import CyclotomicNumber, cyclotomic_field
 from .errors import InvalidCharacter, NotSquarefree
 from .ntheory import euler_phi, factorize, is_squarefree, jacobi_symbol, primitive_root
 
@@ -28,14 +27,6 @@ class DirichletCharacter:
     def exponent(self, m: int):
         return self.exponents[m % self.modulus]
 
-    def value(self, m: int) -> CyclotomicNumber:
-        """chi(m) as an exact element of Q(zeta_M); zero for non-units."""
-        field = cyclotomic_field(self.value_order)
-        e = self.exponent(m)
-        if e is None:
-            return field.zero
-        return field.zeta_power(e)
-
     def rational_value(self, m: int) -> Fraction:
         """chi(m) in {0, 1, -1}; only for characters of value order <= 2."""
         if self.value_order > 2:
@@ -48,29 +39,6 @@ class DirichletCharacter:
     @property
     def is_rational_valued(self) -> bool:
         return self.value_order <= 2
-
-    @property
-    def is_principal(self) -> bool:
-        return self.value_order == 1
-
-    def conjugate(self) -> "DirichletCharacter":
-        exps = tuple(
-            None if e is None else (-e) % self.value_order for e in self.exponents
-        )
-        return DirichletCharacter(self.modulus, self.value_order, exps)
-
-    def __mul__(self, other: "DirichletCharacter") -> "DirichletCharacter":
-        if self.modulus != other.modulus:
-            raise ValueError("character product needs equal moduli")
-        m = math.lcm(self.value_order, other.value_order)
-        exps = []
-        for ea, eb in zip(self.exponents, other.exponents):
-            if ea is None or eb is None:
-                exps.append(None)
-            else:
-                exps.append((ea * (m // self.value_order) + eb * (m // other.value_order)) % m)
-        order, canon = _canonical_exponents(m, tuple(exps))
-        return DirichletCharacter(self.modulus, order, canon)
 
     def to_json(self) -> dict:
         return {

@@ -33,7 +33,7 @@ from .errors import MathError
 from .eulerian import descent_oracle, eulerian_recurrence
 from .fermionic import padic_truncation
 from .lfunction import LParams, l_eval, stop_index
-from .ntheory import euler_phi, is_prime
+from .ntheory import euler_phi, is_prime, is_squarefree
 from .rationals import format_rational, parse_rational
 from .twisted import TwistedConfig, twisted_values
 
@@ -183,9 +183,9 @@ def _complex_point(text: str) -> complex:
     return s
 
 
-def _grid_q(value):
-    """A grid file's q, from an int or a string as --q reads it, avoiding 0 and -1, where the
-    generating function and the alternating measure are not defined."""
+def _point_q(value):
+    """The q of a parameter point, twisted and lfun's --q or a grid file's, from a string or an int,
+    avoiding 0 and -1, where the generating function and the alternating measure are not defined."""
     q = parse_rational(str(value))
     if q in (0, -1):
         raise ValueError(f"must avoid 0 and -1, got {q}")
@@ -197,7 +197,7 @@ def _grid_q(value):
 GRID_KEYS = {
     "n_max": ("n_max", False, _bounded_int(0, MAX_INDEX)),
     "moduli": ("moduli", True, _odd_int(MAX_MODULUS)),
-    "q": ("q_values", True, _grid_q),
+    "q": ("q_values", True, _point_q),
     "zeta_orders": ("zeta_orders", True, _odd_int(MAX_ZETA_ORDER)),
     "zeta_exponent": ("zeta_exponent", False, int),
     "primes": ("primes", True, _odd_prime(MAX_MODULUS)),
@@ -533,17 +533,18 @@ def build_parser() -> argparse.ArgumentParser:
         f"MAX_WORK_S = {MAX_WORK_S} s; the prediction sees n, d, the field degrees, the height of q, p^levels and "
         f"lfun's series terms."
     )
-    rational = _flag_type(parse_rational)
     index = _flag_type(_bounded_int(0, MAX_INDEX))
 
     point = argparse.ArgumentParser(add_help=False)
-    point.add_argument("--q", type=rational, required=True, help='rational, e.g. "2" or "5/2"')
+    point.add_argument(
+        "--q", type=_flag_type(_point_q), required=True, help='rational, e.g. "2" or "5/2"; neither 0 nor -1'
+    )
     point.add_argument(
         "--d", type=_flag_type(_odd_int(MAX_MODULUS)), required=True, help=f"character modulus, odd, 1..{MAX_MODULUS}"
     )
     point.add_argument(
         "--char", type=_flag_type(_character_spec), default="principal",
-        help="principal|quadratic|index:I|file:PATH; I < phi(d)",
+        help="principal|quadratic|index:I|file:PATH; quadratic needs a squarefree d >= 3, I < phi(d)",
     )
     point.add_argument(
         "--zeta-order", type=_flag_type(_odd_int(MAX_ZETA_ORDER)), default=1,
@@ -568,7 +569,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("integral", help="alternating Riemann-sum truncation report", epilog=budget)
     p.add_argument("--n", type=index, required=True, help=f"moment index, 0..{MAX_INDEX}")
-    p.add_argument("--q", type=rational, required=True)
+    p.add_argument("--q", type=_flag_type(parse_rational), required=True)
     p.add_argument("--p", type=_flag_type(_odd_prime(MAX_PRIME)), required=True, help=f"odd prime, at most {MAX_PRIME}")
     p.add_argument(
         "--levels", type=_flag_type(_bounded_int(0)), default=5,
@@ -636,6 +637,8 @@ def main(argv=None) -> int:
     if "zeta_k" in vars(args):  # the point-flag checks that read two flags
         if math.gcd(args.zeta_k, args.zeta_order) != 1:
             parser.error(f"argument --zeta-k: {args.zeta_k} is not coprime to --zeta-order {args.zeta_order}")
+        if args.char == "quadratic" and (args.d == 1 or not is_squarefree(args.d)):
+            parser.error(f"argument --char: quadratic needs a squarefree --d of at least 3, got {args.d}")
         if args.char.startswith("index:") and int(args.char[6:]) >= euler_phi(args.d):
             parser.error(f"argument --char: modulus {args.d} has characters index:0..{euler_phi(args.d) - 1}")
     try:

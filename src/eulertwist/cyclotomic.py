@@ -121,7 +121,7 @@ class CyclotomicField:
 
         >>> field = cyclotomic_field(3)
         >>> inv = field.binomial_inverse(2, 1, 1)
-        >>> inv.coeffs, inv * (2 + field.zeta()) == 1
+        >>> inv.coeffs, inv * (2 + field.zeta_power(1)) == 1
         ((Fraction(1, 3), Fraction(-1, 3)), True)
         """
         order = self.order
@@ -162,16 +162,9 @@ class CyclotomicField:
             num[i] = c
         return _make(self, tuple(num), 1)
 
-    def zeta(self) -> "CyclotomicNumber":
-        return self.zeta_power(1)
-
     @property
     def zero(self) -> "CyclotomicNumber":
         return self.from_rational(0)
-
-    @property
-    def one(self) -> "CyclotomicNumber":
-        return self.from_rational(1)
 
     def __repr__(self) -> str:
         return f"CyclotomicField({self.order})"
@@ -273,33 +266,6 @@ class CyclotomicNumber:
             if math.gcd(k, order) == 1:
                 rest = rest * _substitute(real, field, k)
         return rest * Fraction(den, (b * rest).num[0])
-
-    def __truediv__(self, other) -> "CyclotomicNumber":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self * other.inverse()
-
-    def __rtruediv__(self, other) -> "CyclotomicNumber":
-        return self.inverse() * other
-
-    def __pow__(self, n: int) -> "CyclotomicNumber":
-        """Square and multiply from the lowest set bit of n, with no square
-        after the highest: x ** 1 is x and x ** -1 is one inverse."""
-        if n < 0:
-            return self.inverse() ** (-n)
-        if n == 0:
-            return self.field.one
-        base = self
-        while not n & 1:
-            base, n = base * base, n >> 1
-        result, n = base, n >> 1
-        while n:
-            base = base * base
-            if n & 1:
-                result = result * base
-            n >>= 1
-        return result
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):

@@ -2,8 +2,8 @@
 
 The engine never touches a limit directly: the one-step functional equation
 ratio*I(f(x+1)) + I(f(x)) = (1+ratio)*f(0) closes into a triangular linear
-system on the moment family I(zeta^(kx) (x+shift)^n), its twist named by the
-exponent k, which is solved upward in n.  Truncated alternating Riemann sums
+system on the moment family I(zeta^(kx) x^n), its twist named by the exponent
+k, which is solved upward in n.  Truncated alternating Riemann sums
 with valuation diagnostics verify that these solutions really are the limits
 they claim to be.  The module computes quantities only; the relations that
 compare them are stated in :mod:`eulertwist.checks`.
@@ -42,13 +42,13 @@ def _binomial_solve(rhs: list, unit, step: int, pivot_inv) -> list:
     return out
 
 
-def _moment_sequence(n: int, ratio, field=None, k: int = 0, shift=0) -> list:
-    """I(zeta_N^(kx) (x+shift)^m) for m = 0..n under mu_(-ratio), from the
-    one-step equation on f(x) = zeta_N^(kx) (x+shift)^m (shift^0 = 1, also
-    at shift = 0): as Fractions at twist 1 without a field, else in
-    field = Q(zeta_N) at zeta_N^k of odd order, the pivot 1 + ratio zeta_N^k
-    inverted by its geometric series.  Under mu_(-1) the moments of x^m are
-    E_m(0):
+def _moment_sequence(n: int, ratio, field=None, k: int = 0) -> list:
+    """I(zeta_N^(kx) x^m) for m = 0..n under mu_(-ratio), from the one-step
+    equation on f(x) = zeta_N^(kx) x^m, whose right side (1+ratio) f(0) is
+    1 + ratio at m = 0 and 0 after it: as Fractions at twist 1 without a
+    field, else in field = Q(zeta_N) at zeta_N^k of odd order, the pivot
+    1 + ratio zeta_N^k inverted by its geometric series.  Under mu_(-1) the
+    moments of x^m are E_m(0):
 
     >>> [str(x) for x in _moment_sequence(5, 1)]
     ['1', '-1/2', '0', '1/4', '0', '-1/2']
@@ -64,7 +64,7 @@ def _moment_sequence(n: int, ratio, field=None, k: int = 0, shift=0) -> list:
         field = cyclotomic_field(1)
     if ratio == -1 and k % field.order == 0:
         raise SingularFunctionalEquation("1 + ratio*twist vanishes")
-    rhs = [field.from_rational((1 + ratio) * shift**m) for m in range(n + 1)]
+    rhs = [field.from_rational(1 + ratio)] + [field.zero] * n
     out = _binomial_solve(rhs, ratio * field.zeta_power(k), 1, field.binomial_inverse(1, ratio, k))
     return [x.coeffs[0] for x in out] if rational else out
 

@@ -77,20 +77,6 @@ class TwistedConfig:
         chi(m) != 0."""
         return [(m, e + twist) for m in ms for e, twist in [self._exponents(m)] if e is not None]
 
-    def conjugate(self) -> "TwistedConfig":
-        return TwistedConfig.build(
-            self.char.conjugate(),
-            self.zeta_order,
-            (-self.zeta_exponent) % self.zeta_order,
-            self.q,
-        )
-
-    def describe(self) -> str:
-        return (
-            f"d={self.char.modulus} chi_order={self.char.value_order} "
-            f"zeta={self.zeta_order}^{self.zeta_exponent} q={self.q}"
-        )
-
 
 @dataclass(frozen=True)
 class TwistedValue:

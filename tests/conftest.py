@@ -1,5 +1,7 @@
-"""Shared fixtures for the test suite."""
+"""Shared fixtures for the test suite, and the call recorder."""
+import contextlib
 import json
+import sys
 
 import pytest
 
@@ -28,3 +30,23 @@ def grid_spec(tmp_path):
         return f"file:{path}"
 
     return write
+
+
+@contextlib.contextmanager
+def recording():
+    """The code objects of every Python function called inside the block, as
+    one set, recorded by sys.setprofile: a call event per call, and per
+    resumption of a generator.  A function whose call an lru_cache answers
+    runs no code, so it is not recorded."""
+    called = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            called.add(frame.f_code)
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        yield called
+    finally:
+        sys.setprofile(previous)

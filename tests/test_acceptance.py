@@ -28,7 +28,6 @@ from eulertwist import (
     twisted_values,
 )
 from eulertwist.checks import RELATIONS, grid_characters
-from eulertwist.cyclotomic import cyclotomic_field
 from eulertwist.fermionic import _moment_sequence
 from eulertwist.ntheory import euler_phi
 from eulertwist.twisted import twisted_series_values
@@ -172,8 +171,8 @@ def test_criterion_8_padic_convergence():
                 vals = [padic_valuation(total - limit, p) for total in sums]
                 ok = ok and all(v >= level for level, v in enumerate(vals))
                 # the d-l+1 kernel's limit, read from A_n, over the true limit
-                kernel_limit = 2 * q * (-1) ** n * values[n].value / (1 + q) ** (n + 1)
-                ratio = None if limit == 0 else kernel_limit / limit
+                kernel_limit = 2 * q * (-1) ** n * values[n].value * (1 / (1 + q) ** (n + 1))
+                ratio = None if limit == 0 else kernel_limit * (1 / limit)
                 ok = ok and (ratio is None or ratio == q ** 2)
     elapsed = time.monotonic() - start
     report(8, "alternating sums converge with valuation >= level", ok and elapsed < 60,
@@ -196,11 +195,11 @@ def test_criterion_10_characters():
         chars = enumerate_characters(d)
         ok = ok and len(chars) == euler_phi(d)
         for char in chars:
-            field = cyclotomic_field(char.value_order)
-            total = field.zero
+            cfg = TwistedConfig.build(char, 1, 0, 1)
+            total = cfg.field.zero
             for a in range(d):
-                total = total + char.value(a)
-            if char.is_principal:
+                total = total + cfg.char_value(a)
+            if char.value_order == 1:
                 ok = ok and total == euler_phi(d)
             else:
                 ok = ok and total.is_zero()
@@ -229,9 +228,9 @@ def test_criterion_11_cli_contract(capsys, tmp_path):
     in_memory = [list(v.value.coeffs) for v in twisted_values(cfg, 4)]
     ok = ok and reparsed == in_memory  # exact JSON round-trip
 
-    code = cli.main(["twisted", "--q", "2", "--d", "9", "--char", "quadratic", "--n", "0"])
+    code = cli.main(["integral", "--n", "1", "--q", "2", "--p", "3"])
     capsys.readouterr()
-    ok = ok and code == 3  # violated precondition maps to exit 3
+    ok = ok and code == 3  # violated precondition (q - 1 not divisible by p) maps to exit 3
 
     for relation in RELATIONS:
         code = cli.main(["check", "--relation", relation])

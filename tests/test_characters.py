@@ -8,8 +8,8 @@ import random
 import pytest
 
 from eulertwist import (
+    TwistedConfig,
     character_from_table,
-    cyclotomic_field,
     enumerate_characters,
     principal_character,
     quadratic_character,
@@ -27,7 +27,7 @@ class TestFromTable:
 
     def test_principal_mod_three(self):
         char = character_from_table(3, 2, {0: None, 1: 0, 2: 0})
-        assert char.is_principal
+        assert char == principal_character(3)
         assert char.value_order == 1  # canonicalized to the exact image order
 
     def test_unit_mapped_to_zero_rejected(self):
@@ -81,19 +81,25 @@ class TestEnumeration:
 
     def test_trivial_modulus(self):
         (char,) = enumerate_characters(1)
-        assert char.value(0) == 1
-        assert char.value(12345) == 1
+        assert char.value_order == 1
+        assert char.exponent(0) == 0
+        assert char.exponent(12345) == 0
 
     def test_first_is_principal(self):
-        assert enumerate_characters(15)[0].is_principal
+        assert enumerate_characters(15)[0] == principal_character(15)
 
     @pytest.mark.parametrize("d", [5, 9, 15])
     def test_closure_under_products(self, d):
+        # the product's table adds the exponents in the lcm of the value orders
         chars = enumerate_characters(d)
         pool = set(chars)
         for a in chars:
             for b in chars:
-                assert a * b in pool
+                order = math.lcm(a.value_order, b.value_order)
+                sa, sb = order // a.value_order, order // b.value_order
+                table = {m: None if ea is None else (ea * sa + eb * sb) % order
+                         for m, (ea, eb) in enumerate(zip(a.exponents, b.exponents))}
+                assert character_from_table(d, order, table) in pool
 
     def test_quadratic_appears_in_enumeration(self):
         assert quadratic_character(15) in set(enumerate_characters(15))
@@ -106,37 +112,33 @@ class TestValues:
     def test_zero_on_multiples(self):
         char = quadratic_character(5)
         for k in range(1, 6):
-            assert char.value(5 * k).is_zero()
+            assert char.exponent(5 * k) is None
 
     def test_one_at_one(self):
         for d in (1, 3, 9):
             chars = enumerate_characters(d)
             for char in chars:
-                assert char.value(1) == 1
+                assert char.exponent(1) == 0
 
     def test_periodicity(self):
         rng = random.Random(5)
         for char in enumerate_characters(9):
             for _ in range(100):
                 m = rng.randint(0, 10**6)
-                assert char.value(m) == char.value(m + 9)
+                assert char.exponent(m) == char.exponent(m + 9)
 
     def test_orthogonality(self):
+        # chi(a) through the lift every route reads, at twist 1
         for d in (3, 5, 9, 15):
             for char in enumerate_characters(d):
-                field = cyclotomic_field(char.value_order)
-                total = field.zero
+                cfg = TwistedConfig.build(char, 1, 0, 1)
+                total = cfg.field.zero
                 for a in range(d):
-                    total = total + char.value(a)
-                if char.is_principal:
+                    total = total + cfg.char_value(a)
+                if char.value_order == 1:
                     assert total == euler_phi(d)
                 else:
                     assert total.is_zero()
-
-    def test_conjugate_inverts_values(self):
-        char = enumerate_characters(5)[1]
-        conj = char.conjugate()
-        assert (char * conj).is_principal
 
 
 class TestJson:

@@ -10,6 +10,7 @@ import pytest
 import eulertwist as et
 from eulertwist import checks, cli, fermionic, lfunction, series, twisted
 from eulertwist.cyclotomic import CyclotomicNumber
+from test_reachability import exit_code, program_runs
 
 SMALL_GRID = checks.Grid(
     n_max=3, moduli=(3,), q_values=(F(2),), zeta_orders=(1, 3),
@@ -265,30 +266,15 @@ def test_eq15_solves_one_moment_sequence_per_q(monkeypatch):
     assert ratios == [1 / q for q in grid.q_values]
 
 
-# CLI runs that read the field arithmetic: a twist of order 9 beside an order-4
-# character (the field Q(zeta_36)), q = 1, and the p-adic walks at p = 3 and 5.
-CLI_SAMPLES = [
-    ["twisted", "--q", "2", "--d", "5", "--char", "index:1", "--zeta-order", "9", "--n", "0..6"],
-    ["twisted", "--q", "1", "--d", "15", "--char", "quadratic", "--zeta-order", "3", "--n", "0..4"],
-    ["twisted", "--q", "-3/7", "--d", "7", "--char", "index:2", "--zeta-order", "5", "--zeta-k", "2", "--n", "3"],
-    ["integral", "--n", "4", "--q", "4", "--p", "3", "--levels", "3"],
-    ["integral", "--n", "2", "--q", "6", "--p", "5", "--levels", "2", "--format", "json"],
-    ["lfun", "--q", "2", "--d", "5", "--char", "index:1", "--zeta-order", "9", "--s", "0.5,3"],
-    ["lfun", "--q", "5/2", "--d", "15", "--char", "quadratic", "--s=-2"],
-]
-
-
-def test_no_program_path_reaches_the_general_field_inverse(monkeypatch):
+def test_no_program_path_reaches_the_general_field_inverse(monkeypatch, tmp_path):
     """Every pivot the program inverts is a binomial c0 + c1 zeta^k with zeta^k
-    of odd order, inverted by its geometric series; the general
-    `CyclotomicNumber.inverse` serves only the field API (/ and ** -1)."""
+    of odd order, inverted by its geometric series: no run of the
+    reachability gate's list reaches the general `CyclotomicNumber.inverse`,
+    which serves the tests and the benchmark's `cyclotomic.inverse` span."""
 
     def refused(self):
         raise AssertionError(f"general inverse of {self!r}")
 
     monkeypatch.setattr(CyclotomicNumber, "inverse", refused)
-    grid = checks.default_grid()
-    for relation in checks.RELATIONS:
-        assert checks.run_relation(relation, grid).passed, relation
-    for argv in CLI_SAMPLES:
-        assert cli.main(argv) == 0, argv
+    for argv, code in program_runs(tmp_path):
+        assert exit_code(argv) == code, argv

@@ -151,10 +151,10 @@ def test_usage_error_exit_code():
 
 
 def test_math_precondition_exit_code(capsys):
-    code = cli.main(["twisted", "--q", "2", "--d", "9", "--char", "quadratic", "--n", "0"])
-    assert code == 3  # 9 is not squarefree
+    code = cli.main(["integral", "--n", "1", "--q", "2", "--p", "3"])
+    assert code == 3  # q - 1 is not divisible by 3
     err = capsys.readouterr().err
-    assert "NotSquarefree" in err
+    assert "NotPadicallyConvergent" in err
 
 
 @pytest.mark.parametrize("s", ["-200"])

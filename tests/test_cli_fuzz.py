@@ -16,7 +16,7 @@ from eulertwist import cli
 
 # (valid, invalid) choices per kind of flag value
 RATIONALS = (("2", "5/2", "-3/7", "1/2", "1", "11/10", "-2"), ("0", "-1", "1/0", "abc", "", "2.5", "-1e9"))
-MODULI = (("1", "3", "5", "7", "15"), ("-3", "0", "2", "9", "x", "", "1.5"))
+MODULI = (("1", "3", "5", "7", "9", "15"), ("-3", "0", "2", "x", "", "1.5"))
 SMALL_INTS = (("0", "1", "2", "3", "4"), ("-1", "-3", "x", "", "1.5"))
 INDEX_LISTS = (("0", "3", "0..3", "0,2", "1..2"), ("3..1", "-1", "-2..1", "0..", "a", "", "1,,2"))
 CHARS = (("principal", "quadratic", "index:0", "index:1"), ("index:99", "index:x", "file:/nonexistent", "bogus"))
@@ -128,6 +128,22 @@ def test_check_exits_with_documented_codes(grid_specs, data):
     # the default grid takes seconds per relation; draw only the fast one there
     relation = "eq28-residual" if spec == "default" else data.draw(st.sampled_from(RELATIONS))
     assert_documented_exit(["check", "--relation", relation, "--grid", spec])
+
+
+# The point flags' limits that a grid file's keys set too: a usage error naming the flag, as in the file.
+SEAMS = [
+    (["--q", "0", "--d", "5"], "argument --q"),
+    (["--q", "-1", "--d", "5"], "argument --q"),
+    (["--q", "2", "--d", "1", "--char", "quadratic"], "argument --char"),
+    (["--q", "2", "--d", "9", "--char", "quadratic"], "argument --char"),
+]
+
+
+@pytest.mark.parametrize("command, tail", [("twisted", ["--n", "1"]), ("lfun", ["--s", "2"])])
+@pytest.mark.parametrize("flags, named", SEAMS)
+def test_point_limits_are_usage_errors(command, tail, flags, named):
+    code, err = run([command, *flags, *tail])
+    assert code == 2 and named in err, (code, err)
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)

@@ -55,15 +55,6 @@ def ref_inverse(field, a):
     return field_coeffs(field, sym_poly(a).invert(sym_poly(field.minimal_polynomial)))
 
 
-def ref_pow(field, a, n):
-    if n < 0:
-        a, n = ref_inverse(field, a), -n
-    result = (F(1),) + (F(0),) * (field.degree - 1)
-    for _ in range(n):
-        result = ref_mul(field, result, a)
-    return result
-
-
 def ref_embed(field, a, k):
     root = cmath.exp(2j * cmath.pi * k / field.order)
     value = 0j
@@ -135,8 +126,8 @@ def test_ring_operations_match_reference(pair, scalar, integer):
 
 @needs_sympy
 @settings(max_examples=40, deadline=None)
-@given(field_pairs(), st.integers(-3, 4))
-def test_inverse_and_powers_match_reference(pair, exponent):
+@given(field_pairs())
+def test_inverse_matches_reference(pair):
     field, ra, _ = pair
     a = field.reduce(list(ra))
     if a.is_zero():
@@ -144,9 +135,6 @@ def test_inverse_and_powers_match_reference(pair, exponent):
     inverse = a.inverse()
     assert inverse.coeffs == ref_inverse(field, ra)
     assert_canonical(inverse)
-    power = a**exponent
-    assert power.coeffs == ref_pow(field, ra, exponent)
-    assert_canonical(power)
 
 
 @settings(max_examples=40, deadline=None)
@@ -267,36 +255,6 @@ def test_binomial_inverse_refuses_even_orders_and_a_vanishing_norm():
 
 
 @needs_sympy
-@settings(max_examples=30, deadline=None)
-@given(field_pairs(), st.integers(1, 40))
-def test_powers_use_one_product_per_square_and_set_bit(pair, exponent):
-    """Only the products __pow__ forms itself are counted: inside the window
-    the inverse of a is the one computed before it."""
-    field, ra, _ = pair
-    a = field.reduce(list(ra))
-    if a.is_zero():
-        return
-    inverse = a.inverse()
-    original_mul, original_inverse, calls = CyclotomicNumber.__mul__, CyclotomicNumber.inverse, []
-
-    def counted(self, other):
-        calls.append(1)
-        return original_mul(self, other)
-
-    def known_inverse(self):
-        assert self is a
-        return inverse
-
-    CyclotomicNumber.__mul__, CyclotomicNumber.inverse = counted, known_inverse
-    try:
-        power, inverse_power = a**exponent, a**-1
-    finally:
-        CyclotomicNumber.__mul__, CyclotomicNumber.inverse = original_mul, original_inverse
-    assert len(calls) == exponent.bit_length() - 1 + bin(exponent).count("1") - 1
-    assert power.coeffs == ref_pow(field, ra, exponent)
-    assert inverse_power == inverse
-
-
 def bareiss_inverse(a):
     """Multiplicative inverse: solve (multiplication by num) x = 1 over
     the integers by fraction-free (Bareiss) elimination."""

@@ -71,21 +71,25 @@ def test_value_at_one_is_factorial(n):
 
 @pytest.mark.parametrize("n", [0, 1, 2, 7, 20])
 def test_horner_value_matches_the_power_sum(n):
-    zeta = cyclotomic_field(9).zeta()
+    zeta = cyclotomic_field(9).zeta_power(1)
     for x in (F(0), F(-5, 2), F(7, 3), zeta + F(1, 2)):
-        assert eulerian_at(n, x) == sum((c * x**k for k, c in enumerate(eulerian_recurrence(n))), 0 * x)
+        powers = [x * 0 + 1]  # x^k, one product each
+        for _ in eulerian_recurrence(n)[1:]:
+            powers.append(powers[-1] * x)
+        assert eulerian_at(n, x) == sum((c * p for c, p in zip(eulerian_recurrence(n), powers)), 0 * x)
 
 
 @pytest.mark.parametrize("n", range(7))
 def test_worpitzky_expansion(n):
     # sum_m (m+1)^n t^m must agree with A_n(t)/(1-t)^(n+1) through t^30
     order = 31
-    a_series = TruncatedSeries.of(list(eulerian_recurrence(n)), order=order)
-    denominator = TruncatedSeries.of([1, -1], order=order)
+    coeffs = eulerian_recurrence(n)
+    a_series = TruncatedSeries(coeffs + (0,) * (order - len(coeffs)))
+    denominator = TruncatedSeries((1, -1) + (0,) * (order - 2))
     expansion = a_series
     for _ in range(n + 1):
         expansion = expansion * denominator.inverse()
-    expected = TruncatedSeries.of([F((m + 1) ** n) for m in range(order)])
+    expected = TruncatedSeries(tuple((m + 1) ** n for m in range(order)))
     assert expansion == expected
 
 

@@ -37,7 +37,7 @@ def kernel_limit(char, q, n):
     """The limit of the unnormalized sums under the d-l+1 kernel, read from
     A_n at twist 1: 2 q (-1)^n A_n / (1+q)^(n+1)."""
     a_n = twisted_values(TwistedConfig.build(char, 1, 0, q), n)[n].value
-    return 2 * q * (-1) ** n * a_n / (1 + q) ** (n + 1)
+    return 2 * q * (-1) ** n * a_n * (1 / (1 + q) ** (n + 1))
 
 
 def series_limit(char, q, n):
@@ -135,7 +135,7 @@ def walk_valuations(char, q, p, max_level, n):
 class TestPolyTwistIntegral:
     def test_zeroth_moment_is_one(self):
         for ratio in (F(1, 2), F(3), F(2, 7)):
-            assert _moment_sequence(0, ratio, shift=F(5, 3))[0] == 1
+            assert _moment_sequence(0, ratio)[0] == 1
 
     def test_first_moment(self):
         q = F(2)
@@ -170,41 +170,26 @@ class TestPolyTwistIntegral:
         field = cyclotomic_field(3)
         for _ in range(20):
             n = rng.randint(0, 5)
-            shift = F(rng.randint(-4, 4), rng.randint(1, 5))
             ratio = F(rng.randint(1, 6), rng.randint(1, 6))
             exponent = rng.randint(0, 2)
             twist = field.zeta_power(exponent)
             moments = [
-                _moment_sequence(k, ratio, field, exponent, shift)[k]
+                _moment_sequence(k, ratio, field, exponent)[k]
                 for k in range(n + 1)
             ]
             plugged = ratio * twist * sum(
                 math.comb(n, k) * moments[k] for k in range(n + 1)
             ) + moments[n]
-            assert plugged == (1 + ratio) * shift**n
+            assert plugged == (1 + ratio if n == 0 else 0)
 
     def test_functional_equation_residual_for_general_twists(self):
         # zeta_12^4 = zeta_3: an odd-order twist in a field of even order
-        field, ratio, shift = cyclotomic_field(12), F(2, 3), F(3, 4)
+        field, ratio = cyclotomic_field(12), F(2, 3)
         twist = field.zeta_power(4)
-        moments = [_moment_sequence(k, ratio, field, 4, shift)[k] for k in range(6)]
+        moments = [_moment_sequence(k, ratio, field, 4)[k] for k in range(6)]
         for n in range(6):
             plugged = ratio * twist * sum(math.comb(n, k) * moments[k] for k in range(n + 1)) + moments[n]
-            assert plugged == (1 + ratio) * shift**n
-
-    def test_linearity_via_shifted_binomials(self):
-        field = cyclotomic_field(3)
-        ratio = F(2, 3)
-        shift = F(3, 4)
-        for n in range(6):
-            direct = _moment_sequence(n, ratio, field, 1, shift)[n]
-            expanded = sum(
-                math.comb(n, k)
-                * shift ** (n - k)
-                * _moment_sequence(k, ratio, field, 1)[k]
-                for k in range(n + 1)
-            )
-            assert direct == expanded
+            assert plugged == (1 + ratio if n == 0 else 0)
 
 
 def untwisted_integral(n, char, q):
@@ -278,6 +263,13 @@ class TestDistributionIdentity:
             assert lhs == rhs
 
 
+def shifted_moments(n, ratio, field, k, shift):
+    """I(zeta_N^(kx) (x+shift)^m) for m = 0..n under mu_(-ratio): the one-step
+    equation's triangular solve at the right side (1+ratio) shift^m."""
+    rhs = [field.from_rational((1 + ratio) * shift**m) for m in range(n + 1)]
+    return fermionic._binomial_solve(rhs, ratio * field.zeta_power(k), 1, field.binomial_inverse(1, ratio, k))
+
+
 def per_class_residue_sums(n_max, cfg):
     """The residue-class decomposition one class at a time: one moment
     sequence per class with chi(a) != 0, at shift a/d, the sum over classes
@@ -290,7 +282,7 @@ def per_class_residue_sums(n_max, cfg):
         if chi.is_zero():
             continue
         coeff = ((-1) ** a * q**-a) * (chi * cfg.zeta_pow(a))
-        inner = _moment_sequence(n_max, q**-d, cfg.field, cfg.twist_exponent(d), F(a, d))
+        inner = shifted_moments(n_max, q**-d, cfg.field, cfg.twist_exponent(d), F(a, d))
         sums = [acc + coeff * moment for acc, moment in zip(sums, inner)]
     return [F(d**n) / q_bracket_neg(d, 1 / q) * acc for n, acc in enumerate(sums)]
 
@@ -319,7 +311,7 @@ class TestResidueClassSums:
         assert len(configs) == 120
         for config in configs:
             cfg = TwistedConfig.build(*config)
-            assert residue_class_sums(12, cfg) == field_product_residue_sums(12, cfg), cfg.describe()
+            assert residue_class_sums(12, cfg) == field_product_residue_sums(12, cfg), cfg
 
     @pytest.mark.parametrize("d", [91, 95, 97])
     def test_matches_the_field_product_sum_at_many_classes(self, d):
@@ -551,14 +543,14 @@ class TestSeriesLimit:
     def test_quadratic_anchor(self):
         assert series_value(quadratic_character(3), F(4), 0) == F(-4, 13)
         limit = series_limit(quadratic_character(3), F(4), 0)
-        assert kernel_limit(quadratic_character(3), F(4), 0) / limit == 16
+        assert kernel_limit(quadratic_character(3), F(4), 0) * (1 / limit) == 16
         for level, valuation in enumerate(walk_valuations(quadratic_character(3), F(4), 3, 4, 0)):
             assert valuation >= level
 
     @pytest.mark.parametrize("n", range(4))
     def test_ratio_constant_in_n(self, n):
         limit = series_limit(quadratic_character(3), F(4), n)
-        assert kernel_limit(quadratic_character(3), F(4), n) / limit == F(4) ** 2
+        assert kernel_limit(quadratic_character(3), F(4), n) * (1 / limit) == F(4) ** 2
 
     def test_modulus_one_limit_includes_index_zero_term(self):
         char = principal_character(1)

@@ -100,7 +100,8 @@ class TestEvaluation:
         cfg = TwistedConfig.build(quadratic_character(5), 3, 1, F(2))
         s = complex(1.5, 0.7)
         direct = l_eval(LParams(s=s, cfg=cfg))
-        mirrored = l_eval(LParams(s=s.conjugate(), cfg=cfg.conjugate()))
+        mirrored_cfg = TwistedConfig.build(quadratic_character(5), 3, 2, F(2))  # chi real: only zeta^1 -> zeta^2
+        mirrored = l_eval(LParams(s=s.conjugate(), cfg=mirrored_cfg))
         assert abs(mirrored.value - direct.value.conjugate()) < 1e-12
 
 
@@ -651,4 +652,4 @@ def test_the_tail_bound_holds_at_positive_re_s(q):
                 mpmath.exp(neg_sigma * mpmath.log(m)) * q_mp ** -m
                 for m in range(stop + 1, 3 * stop + 201) if cfg.char.exponents[m % d] is not None
             )
-            assert rest <= result.tail_bound, (cfg.describe(), sigma, stop)
+            assert rest <= result.tail_bound, (cfg, sigma, stop)
