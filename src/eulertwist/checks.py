@@ -16,8 +16,8 @@ process-wide memo, :func:`_memo`, once per configuration and n_max:
 * the alternating sums (`twisted.alternating_char_sums`): thm2's and
   cor2's series path and thm3's exact side;
 * the L-series sums at s = 0, -1, ..., -n_max (`lfunction.l_series_sums`):
-  thm3 as they are, thm6 through `lfunction.with_prefactor`, the step
-  `l_eval` itself takes;
+  thm3 as they are, thm6 through `lfunction.with_prefactor`, the
+  `l_prefactor` formula `l_eval` itself applies;
 * the d-step moments (`fermionic._char_moment_sequence`): distribution and
   thm1;
 * the residue-class sums (`fermionic.residue_class_sums`): distribution,
@@ -77,16 +77,19 @@ def default_grid() -> Grid:
     return Grid()
 
 
-def grid_characters(d: int) -> list[tuple[str, DirichletCharacter]]:
+@lru_cache(maxsize=None)
+def grid_characters(d: int) -> tuple[tuple[str, DirichletCharacter], ...]:
     """The characters a grid exercises per modulus: the principal one, the
-    quadratic one where it exists, and one order-4 character for d = 5."""
+    quadratic one where it exists, and one order-4 character for d = 5;
+    held per modulus, so each sweep over the configurations enumerates the
+    characters mod 5 once."""
     out = [("principal", principal_character(d))]
     if d >= 3 and is_squarefree(d):
         out.append(("quadratic", quadratic_character(d)))
     if d == 5:
         order4 = next(c for c in enumerate_characters(5) if c.value_order == 4)
         out.append(("order4", order4))
-    return out
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -224,7 +227,12 @@ def _equal(cfg, lhs, rhs) -> tuple:
 
 
 def _equal_up_to_q_squared(cfg, lhs, rhs) -> tuple:
-    return lhs == cfg.q**2 * rhs, "expected q^2"
+    """lhs == q^2 rhs, q = u/v, for canonical num/den: the same field and
+    lhs.num[i] rhs.den v^2 == u^2 rhs.num[i] lhs.den at every i, without
+    forming q^2 rhs."""
+    u, v = cfg.q.numerator, cfg.q.denominator
+    left, right = rhs.den * v * v, u * u * lhs.den
+    return lhs.field is rhs.field and all(a * left == right * b for a, b in zip(lhs.num, rhs.num)), "expected q^2"
 
 
 def _absolute_gap(cfg, lhs, rhs) -> tuple:

@@ -13,14 +13,17 @@ first term over 1 - 1/q.
 The stop index is the first m where the tail bound falls below the
 tolerance, found by bisection on that float test; at sigma <= 0 the search
 starts at the stable index, found the same way.  What a term holds apart
-from s is kept per config, in one summand table: the periodic coefficients
-and, for each m with chi(m) != 0 up to a fixed cap, one row (m, c_m, ln m,
-m ln q).  A scan over s at one config then costs one exp and two products
-per term, with the same bits as summing each term afresh.
+from s is kept per config, in one summand table: q's double, ln q and
+ln(1+q), the periodic coefficients and, for each m with chi(m) != 0 up to a
+fixed cap, one row (m, c_m, ln m, m ln q).  A scan over s at one config then
+costs one exp and two products per term, with the same bits as summing each
+term afresh, and one exp for the prefactor.
 
-`l_series_sums` gives the bare sums at s = 0, -1, ..., -n_max, the
-sequence thm3 and thm6 hold, and `with_prefactor` is the one step from a
-bare sum to the L-value, taken by `l_eval` and by thm6.
+A result is an `LEvaluation`, a named tuple (value, terms_used,
+tail_bound).  `l_series_sums` gives the bare sums at s = 0, -1, ..., -n_max,
+the sequence thm3 and thm6 hold.  `l_prefactor` is the one formula from a
+bare sum to the L-value: `l_eval` applies it from the held floats of its
+config, and `with_prefactor`, thm6's step, from q's double.
 """
 from __future__ import annotations
 
@@ -28,6 +31,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .cyclotomic import embed_complex
 from .errors import NotConverged, OutsideConvergence, OutsideDoubleRange
@@ -42,33 +46,34 @@ class LParams:
     max_terms: int = 200000
 
 
-@dataclass(frozen=True)
-class LEvaluation:
+class LEvaluation(NamedTuple):
     value: complex
     terms_used: int
     tail_bound: float
 
 
-def l_prefactor(s: complex, q: float) -> complex:
-    """q * (1+q)^(1-s) on the principal branch of log(1+q), 1+q > 0."""
-    return q * cmath.exp((1 - s) * math.log(1 + q))
+def l_prefactor(s: complex, q: float, ln_1q: float) -> complex:
+    """q * (1+q)^(1-s) from q's double and ln_1q = ln(1+q), the principal
+    branch, 1+q > 0."""
+    return q * cmath.exp((1 - s) * ln_1q)
 
 
 class _Summands:
-    """One config's series data, none of it depending on s: the ln of q's
-    double; sign(m) chi(m) zeta^m embedded for m mod lcm(2, d, twist order),
-    None where chi(m) = 0 and the series skips the term; and one row
-    (m, c_m, ln m, m ln q) for every m <= reach with chi(m) != 0.  reach is
-    the largest stop summed so far, capped at _ROW_CAP; past it, terms are
-    summed as they are met and not kept."""
+    """One config's series data, none of it depending on s: q's double, its
+    ln and ln(1+q); sign(m) chi(m) zeta^m embedded for m mod lcm(2, d,
+    twist order), None where chi(m) = 0 and the series skips the term; and
+    one row (m, c_m, ln m, m ln q) for every m <= reach with chi(m) != 0.
+    reach is the largest stop summed so far, capped at _ROW_CAP; past it,
+    terms are summed as they are met and not kept."""
 
-    __slots__ = ("cfg", "ln_q", "coefficients", "reach", "rows")
+    __slots__ = ("cfg", "q", "ln_q", "ln_1q", "coefficients", "reach", "rows")
 
     def __init__(self, cfg: TwistedConfig):
         d, order = cfg.char.modulus, cfg.zeta_order
         chi = [embed_complex(cfg.char_value(a), 1) for a in range(d)]
         zeta = [embed_complex(cfg.zeta_pow(m), 1) for m in range(order)]
-        self.cfg, self.ln_q = cfg, math.log(float(cfg.q))
+        self.cfg, self.q = cfg, float(cfg.q)
+        self.ln_q, self.ln_1q = math.log(self.q), math.log(1 + self.q)
         self.coefficients = [
             (-1.0 if m % 2 else 1.0) * chi[m % d] * zeta[m % order] if chi[m % d] != 0 else None
             for m in range(math.lcm(2, d, order))
@@ -175,11 +180,12 @@ def l_series_sum(params: LParams) -> LEvaluation:
     coefficients, ln_q, log, cap = held.coefficients, held.ln_q, math.log, _ROW_CAP
     cycle = len(coefficients)
     reach = min(stop, cap)
-    for m in range(held.reach + 1, reach + 1):
-        c = coefficients[m % cycle]
-        if c is not None:
-            held.rows.append((m, c, log(m), m * ln_q))
-    held.reach = max(held.reach, reach)
+    if reach > held.reach:
+        for m in range(held.reach + 1, reach + 1):
+            c = coefficients[m % cycle]
+            if c is not None:
+                held.rows.append((m, c, log(m), m * ln_q))
+        held.reach = reach
     neg_s, exp = -s, cmath.exp
     total = 0j
     try:
@@ -187,13 +193,14 @@ def l_series_sum(params: LParams) -> LEvaluation:
             if m > stop:
                 break
             total += c * exp(neg_s * lm - mq)
-        for m in range(cap + 1, stop + 1):  # past the cap: streamed, not kept
-            c = coefficients[m % cycle]
-            if c is not None:
-                total += c * exp(neg_s * log(m) - m * ln_q)
+        if stop > cap:  # past the cap: streamed, not kept
+            for m in range(cap + 1, stop + 1):
+                c = coefficients[m % cycle]
+                if c is not None:
+                    total += c * exp(neg_s * log(m) - m * ln_q)
     except OverflowError as exc:
         raise NotConverged(f"term {m} overflows double precision") from exc
-    return LEvaluation(value=total, terms_used=stop, tail_bound=tail)
+    return LEvaluation(total, stop, tail)
 
 
 def l_series_sums(cfg: TwistedConfig, n_max: int) -> list:
@@ -213,16 +220,30 @@ def l_series_sums(cfg: TwistedConfig, n_max: int) -> list:
 def with_prefactor(s: complex, q, inner: LEvaluation) -> LEvaluation:
     """The L-value at s from the bare sum `inner`: `l_prefactor` at q's
     double times its value; NotConverged where that is not finite."""
-    try:
-        value = l_prefactor(complex(s), float(q)) * inner.value
-    except OverflowError as exc:
-        raise NotConverged("non-finite value") from exc
-    if not (math.isfinite(value.real) and math.isfinite(value.imag)):
-        raise NotConverged("non-finite value")
-    return LEvaluation(value=value, terms_used=inner.terms_used, tail_bound=inner.tail_bound)
+    return _prefactored(complex(s), q, None, inner)
 
 
 def l_eval(params: LParams) -> LEvaluation:
-    """Full L-value: prefactor times the truncated series, q's double from
-    this config, never from the table another sum left held."""
-    return with_prefactor(params.s, params.cfg.q, l_series_sum(params))
+    """Full L-value: prefactor times the truncated series, q's double and
+    ln(1+q) read from the table the sum left held when it is this config's,
+    computed from this config's q otherwise, never from another config's."""
+    inner = l_series_sum(params)
+    held = _held if _held is not None and _held.cfg is params.cfg else None
+    return _prefactored(complex(params.s), params.cfg.q, held, inner)
+
+
+def _prefactored(s: complex, q, held: _Summands | None, inner: LEvaluation) -> LEvaluation:
+    """inner's value times `l_prefactor` at s, from held's floats when given
+    (held is q's config's table) and from q's double otherwise."""
+    try:
+        if held is None:
+            q = float(q)
+            ln_1q = math.log(1 + q)
+        else:
+            q, ln_1q = held.q, held.ln_1q
+        value = l_prefactor(s, q, ln_1q) * inner.value
+    except OverflowError as exc:
+        raise NotConverged("non-finite value") from exc
+    if not cmath.isfinite(value):
+        raise NotConverged("non-finite value")
+    return LEvaluation(value, inner.terms_used, inner.tail_bound)

@@ -1,6 +1,7 @@
 """The checks driver can fail: one side off at one n fails exactly the
 points at that n, and every other point still passes."""
 import json
+import random
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction as F
@@ -9,7 +10,7 @@ import pytest
 
 import eulertwist as et
 from eulertwist import checks, cli, fermionic, lfunction, series, twisted
-from eulertwist.cyclotomic import CyclotomicNumber
+from eulertwist.cyclotomic import CyclotomicNumber, cyclotomic_field
 from test_reachability import exit_code, program_runs
 
 SMALL_GRID = checks.Grid(
@@ -209,7 +210,7 @@ def test_one_bad_held_l_series_sum_fails_exactly_its_points_in_thm3_and_thm6(mon
 
     def shifted(cfg, n_max):
         out = real(cfg, n_max)
-        out[BAD_N] = replace(out[BAD_N], value=out[BAD_N].value + 1)
+        out[BAD_N] = out[BAD_N]._replace(value=out[BAD_N].value + 1)
         return out
 
     monkeypatch.setattr(lfunction, "l_series_sums", shifted)
@@ -241,6 +242,40 @@ def test_thm2_thm3_and_thm6_compute_each_shared_sum_once(monkeypatch):
     assert len(configs) == 54
     assert sums == Counter(configs)
     assert series == Counter((cfg, complex(-n)) for cfg in configs for n in range(grid.n_max + 1))
+
+
+def test_a_sweep_enumerates_the_characters_of_each_modulus_at_most_once(capsys, monkeypatch):
+    """grid_characters holds its tuple per modulus: `check --relation all`
+    on the default grid enumerates the characters mod 5 once, not once per
+    pass over the configurations."""
+    real, calls = checks.enumerate_characters, Counter()
+    monkeypatch.setattr(checks, "enumerate_characters", lambda d: calls.update([d]) or real(d))
+    checks.grid_characters.cache_clear()
+    assert cli.main(["check", "--relation", "all"]) == 0
+    capsys.readouterr()
+    assert calls == Counter({5: 1})
+    assert checks.grid_characters(5) is checks.grid_characters(5)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_equal_up_to_q_squared_decides_as_the_product(seed):
+    """The cross-multiplied test gives the verdict of lhs == q^2 rhs with
+    the product formed, on equal, nearly equal and other-field pairs."""
+    rng = random.Random(seed)
+    for _ in range(40):
+        order = rng.choice((1, 3, 4, 9))
+        field = cyclotomic_field(order)
+        q = F(rng.choice((-1, 1)) * rng.randint(1, 30), rng.randint(1, 30))
+        if q == -1:
+            continue
+        cfg = twisted.TwistedConfig.build(et.principal_character(1), 1, 0, q)
+        rhs = field.reduce([F(rng.randint(-50, 50), rng.randint(1, 20)) for _ in range(field.degree)])
+        product = q**2 * rhs
+        nudged = product + field.reduce([F(rng.choice((0, 1)), rng.randint(1, 9)) for _ in range(field.degree)])
+        # the product's coefficients in another field of the same degree
+        other = CyclotomicNumber(cyclotomic_field({1: 2, 3: 4, 4: 3, 9: 7}[order]), product.num, product.den)
+        for lhs in (product, nudged, rhs, other):
+            assert checks._equal_up_to_q_squared(cfg, lhs, rhs) == (lhs == product, "expected q^2")
 
 
 def test_eq22_holds_its_twist_only_quantities_across_fold_counts(monkeypatch):

@@ -85,7 +85,7 @@ class TestEvaluation:
         params = LParams(s=complex(-1.5, 0.25), cfg=quadratic3_config())
         inner = l_series_sum(params)
         combined = l_eval(params)
-        assert combined.value == l_prefactor(params.s, 2.0) * inner.value
+        assert combined.value == l_prefactor(params.s, 2.0, math.log(1 + 2.0)) * inner.value
         assert combined.terms_used == inner.terms_used
 
     def test_monotone_truncation(self):
@@ -93,7 +93,7 @@ class TestEvaluation:
         loose = l_eval(LParams(s=-2 + 0j, cfg=cfg, tol=1e-6))
         tight = l_eval(LParams(s=-2 + 0j, cfg=cfg, tol=1e-13))
         assert abs(loose.value - tight.value) <= loose.tail_bound * abs(
-            l_prefactor(-2 + 0j, 2.0)
+            l_prefactor(-2 + 0j, 2.0, math.log(1 + 2.0))
         )
 
     def test_conjugate_symmetry(self):
@@ -237,9 +237,14 @@ def outcome(fn, params) -> tuple:
     return repr(r.value), r.terms_used, repr(r.tail_bound)
 
 
+def reference_prefactor(s: complex, q: float) -> complex:
+    """q * (1+q)^(1-s), spelled out apart from l_prefactor."""
+    return q * cmath.exp((1 - s) * math.log(1 + q))
+
+
 def reference_eval(params: LParams) -> lfunction.LEvaluation:
     inner = reference_series_sum(params)
-    value = l_prefactor(complex(params.s), float(params.cfg.q)) * inner.value
+    value = reference_prefactor(complex(params.s), float(params.cfg.q)) * inner.value
     return lfunction.LEvaluation(value=value, terms_used=inner.terms_used, tail_bound=inner.tail_bound)
 
 
@@ -402,7 +407,50 @@ class TestSummandTable:
         l_series_sum(LParams(s=s, cfg=held_cfg))
         monkeypatch.setattr(lfunction, "l_series_sum", lambda params: inner)
         assert lfunction._held.cfg is held_cfg
-        assert l_eval(LParams(s=s, cfg=cfg)).value == l_prefactor(s, float(cfg.q)) * inner.value
+        assert l_eval(LParams(s=s, cfg=cfg)).value == reference_prefactor(s, float(cfg.q)) * inner.value
+
+    def test_l_eval_sums_through_the_module_attribute_once_per_call(self, monkeypatch):
+        """perfbench's span and term hook wrap `lfunction.l_series_sum`; l_eval
+        calls it by that name, once per call, raising or not."""
+        real, calls = lfunction.l_series_sum, []
+        monkeypatch.setattr(lfunction, "l_series_sum", lambda params: calls.append(params) or real(params))
+        cfg = TwistedConfig.build(quadratic_character(5), 3, 1, F(6, 5))
+        points = [LParams(s=complex(sigma, t), cfg=cfg) for sigma in (8.0, 0.5, -2.0) for t in (-3.0, 0.0, 11.0)]
+        for params in points:
+            l_eval(params)
+        unreachable = LParams(s=-1e5 + 0j, cfg=cfg)
+        with pytest.raises(NotConverged):
+            l_eval(unreachable)
+        assert calls == points + [unreachable]
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_the_held_prefactor_has_the_bits_of_with_prefactor(self, seed):
+        """From the held q and ln(1+q), l_eval gives every bit and every error
+        of `with_prefactor`, which computes them from q."""
+        rng = random.Random(seed)
+        for _ in range(12):
+            cfg = random_config(rng)
+            for _ in range(6):
+                params = LParams(s=complex(rng.uniform(-30, 8), rng.uniform(-40, 40)), cfg=cfg)
+                try:
+                    inner = l_series_sum(params)
+                except MathError:
+                    continue
+                step = lfunction.with_prefactor
+                assert outcome(l_eval, params) == outcome(lambda p: step(p.s, p.cfg.q, inner), params)
+                assert lfunction._held.cfg is cfg
+
+    def test_only_the_prefactor_overflows(self):
+        """At q = 10^10, s = -31 the bare sum is about -1e-10 and (1+q)^32 is
+        past the double range: both steps raise the same NotConverged."""
+        params = LParams(s=-31 + 0j, cfg=quadratic3_config(F(10**10)))
+        inner = l_series_sum(params)
+        assert cmath.isfinite(inner.value) and 0 < abs(inner.value) < 1e-9
+        with pytest.raises(NotConverged, match="^non-finite value$"):
+            l_eval(params)
+        assert lfunction._held.cfg is params.cfg
+        with pytest.raises(NotConverged, match="^non-finite value$"):
+            lfunction.with_prefactor(params.s, params.cfg.q, inner)
 
 
 class TestCoefficientReuse:
