@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InvalidCharacter, NotSquarefree
-from .ntheory import euler_phi, factorize, is_squarefree, jacobi_symbol, primitive_root
+from .ntheory import euler_phi, factorize, is_squarefree, primitive_root
 
 
 @dataclass(frozen=True)
@@ -56,8 +56,6 @@ def _canonical_exponents(order: int, exps: tuple) -> tuple[int, tuple]:
     for e in exps:
         if e is not None:
             g = math.gcd(g, e)
-    if g == 0:
-        g = 1
     return order // g, tuple(None if e is None else e // g for e in exps)
 
 
@@ -111,28 +109,11 @@ def principal_character(modulus: int) -> DirichletCharacter:
     return DirichletCharacter(modulus, 1, exps)
 
 
-def quadratic_character(modulus: int) -> DirichletCharacter:
-    """The Jacobi-symbol character a -> (a|d); needs odd squarefree d >= 3."""
-    if modulus < 3 or modulus % 2 == 0:
-        raise ValueError("quadratic character needs odd modulus >= 3")
-    if not is_squarefree(modulus):
-        raise NotSquarefree(f"{modulus} is not squarefree")
-    exps = []
-    for a in range(modulus):
-        s = jacobi_symbol(a, modulus)
-        exps.append(None if s == 0 else (0 if s == 1 else 1))
-    return DirichletCharacter(modulus, 2, tuple(exps))
-
-
-def enumerate_characters(modulus: int) -> list[DirichletCharacter]:
-    """All phi(d) characters mod d, ordered lexicographically by the exponent
-    tuple of their values on fixed generators of the prime-power factors."""
-    if modulus < 1 or modulus % 2 == 0:
-        raise ValueError("modulus must be odd and positive")
-    if modulus > 10**4:
-        raise ValueError("enumeration supported for moduli up to 10^4")
-    if modulus == 1:
-        return [DirichletCharacter(1, 1, (0,))]
+def _characters(modulus: int):
+    """The prime-power factors (p^e, phi(p^e)) of the modulus, ascending, and
+    build(ks): the character sending the smallest generator g of each factor's
+    unit group to zeta_phi(p^e)^k, so a unit a to the product over the factors
+    of zeta_phi(p^e)^(k log_g(a mod p^e)), in canonical form."""
     factors = sorted((p**e, euler_phi(p**e)) for p, e in factorize(modulus).items())
     logs = []
     for pk, nk in factors:
@@ -144,8 +125,8 @@ def enumerate_characters(modulus: int) -> list[DirichletCharacter]:
             r = (r * g) % pk
         logs.append(table)
     group_exponent = math.lcm(*(nk for _, nk in factors))
-    out = []
-    for ks in itertools.product(*(range(nk) for _, nk in factors)):
+
+    def build(ks) -> DirichletCharacter:
         exps = []
         for a in range(modulus):
             if math.gcd(a, modulus) > 1:
@@ -156,8 +137,33 @@ def enumerate_characters(modulus: int) -> list[DirichletCharacter]:
                 e += k * (group_exponent // nk) * table[a % pk]
             exps.append(e % group_exponent)
         order, canon = _canonical_exponents(group_exponent, tuple(exps))
-        out.append(DirichletCharacter(modulus, order, canon))
-    return out
+        return DirichletCharacter(modulus, order, canon)
+
+    return factors, build
+
+
+def quadratic_character(modulus: int) -> DirichletCharacter:
+    """The Jacobi-symbol character a -> (a|d); needs odd squarefree d >= 3.
+
+    With g a generator mod a prime p, (a|p) = (-1)^log_g(a), the index
+    character k = (p - 1)/2; (a|d) is the product of (a|p) over the p | d."""
+    if modulus < 3 or modulus % 2 == 0:
+        raise ValueError("quadratic character needs odd modulus >= 3")
+    if not is_squarefree(modulus):
+        raise NotSquarefree(f"{modulus} is not squarefree")
+    factors, build = _characters(modulus)
+    return build([nk // 2 for _, nk in factors])
+
+
+def enumerate_characters(modulus: int) -> list[DirichletCharacter]:
+    """All phi(d) characters mod d, ordered lexicographically by the exponent
+    tuple of their values on fixed generators of the prime-power factors."""
+    if modulus < 1 or modulus % 2 == 0:
+        raise ValueError("modulus must be odd and positive")
+    if modulus > 10**4:
+        raise ValueError("enumeration supported for moduli up to 10^4")
+    factors, build = _characters(modulus)
+    return [build(ks) for ks in itertools.product(*(range(nk) for _, nk in factors))]
 
 
 _FILE_SHAPE = 'a character file holds {"modulus": d, "order": M, "values": {"a": exponent or null}}'

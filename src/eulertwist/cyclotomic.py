@@ -20,12 +20,13 @@ send it to exp(2*pi*i*k/N).
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from fractions import Fraction
 from functools import lru_cache
 
 from .errors import DivisionByZero, FieldMismatch, NotAPrimitiveEmbedding, OutsideDoubleRange
-from .ntheory import divisors, euler_phi, mobius
+from .ntheory import euler_phi, factorize
 from .rationals import format_rational
 
 
@@ -34,9 +35,11 @@ def cyclotomic_polynomial(order: int) -> tuple[int, ...]:
 
     For order > 1, Phi_order is the Moebius product of (1 - x^e)^mu(order/e)
     over the divisors e, taken as a power series cut after degree
-    phi(order); the cut is exact because Phi_order has that degree.  Each
-    factor is one in-place pass: multiplying by 1 - x^e runs down, dividing
-    by it (multiplying by 1 + x^e + x^2e + ...) runs up.
+    phi(order); the cut is exact because Phi_order has that degree.  Only
+    squarefree order/e count: e = order/prod(S) for a set S of order's
+    primes, with mu(order/e) = (-1)^|S|.  Each factor is one in-place pass:
+    multiplying by 1 - x^e runs down, dividing by it (multiplying by
+    1 + x^e + x^2e + ...) runs up.
 
     >>> cyclotomic_polynomial(1), cyclotomic_polynomial(6)
     ((-1, 1), (1, -1, 1))
@@ -47,16 +50,17 @@ def cyclotomic_polynomial(order: int) -> tuple[int, ...]:
         raise ValueError("cyclotomic polynomial order must be >= 1")
     if order == 1:
         return (-1, 1)
-    degree = euler_phi(order)
+    degree, primes = euler_phi(order), list(factorize(order))
     c = [1] + [0] * degree
-    for e in divisors(order):
-        mu = mobius(order // e)
-        if mu == 1:
-            for i in range(degree, e - 1, -1):
-                c[i] -= c[i - e]
-        elif mu == -1:
-            for i in range(e, degree + 1):
-                c[i] += c[i - e]
+    for size in range(len(primes) + 1):
+        for subset in itertools.combinations(primes, size):
+            e = order // math.prod(subset)
+            if size % 2 == 0:
+                for i in range(degree, e - 1, -1):
+                    c[i] -= c[i - e]
+            else:
+                for i in range(e, degree + 1):
+                    c[i] += c[i - e]
     return tuple(c)
 
 
@@ -143,14 +147,6 @@ class CyclotomicField:
             vec[j] += a_power * term
             term, j = term * b, (j + k) % order
         return self._reduce_ints(vec, norm)
-
-    def reduce(self, coeffs) -> "CyclotomicNumber":
-        """Reduce a list of rationals of length <= max(2D - 1, N), the rows' reach, mod Phi_N."""
-        if len(coeffs) > (size := self.degree + len(self._high_rows)):
-            raise ValueError(f"at most {size} coefficients reduce in order {self.order}")
-        fracs = [Fraction(c) for c in coeffs]
-        den = math.lcm(*(c.denominator for c in fracs))
-        return self._reduce_ints([c.numerator * (den // c.denominator) for c in fracs], den)
 
     def from_rational(self, value) -> "CyclotomicNumber":
         value = Fraction(value)

@@ -1,4 +1,4 @@
-"""Small integer number-theory helpers: factorization, totients, Jacobi symbols.
+"""Small integer number-theory helpers, all read from one factorization.
 
 Everything here is exact integer arithmetic sized for moduli up to a few
 thousand; no probabilistic shortcuts.
@@ -25,14 +25,7 @@ def factorize(n: int) -> dict[int, int]:
 
 
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1 if d == 2 else 2
-    return True
+    return n >= 2 and factorize(n) == {n: 1}
 
 
 def euler_phi(n: int) -> int:
@@ -42,64 +35,16 @@ def euler_phi(n: int) -> int:
     return phi
 
 
-def mobius(n: int) -> int:
-    mu = 1
-    for _, e in factorize(n).items():
-        if e > 1:
-            return 0
-        mu = -mu
-    return mu
-
-
-def divisors(n: int) -> list[int]:
-    """All positive divisors of n, ascending."""
-    divs = [1]
-    for p, e in factorize(n).items():
-        divs = [d * p**k for d in divs for k in range(e + 1)]
-    return sorted(divs)
-
-
 def is_squarefree(n: int) -> bool:
     return all(e == 1 for e in factorize(n).values())
 
 
-def jacobi_symbol(a: int, n: int) -> int:
-    """Jacobi symbol (a|n) for odd n >= 1."""
-    if n <= 0 or n % 2 == 0:
-        raise ValueError("Jacobi symbol needs odd n >= 1")
-    a %= n
-    result = 1
-    while a != 0:
-        while a % 2 == 0:
-            a //= 2
-            if n % 8 in (3, 5):
-                result = -result
-        a, n = n, a
-        if a % 4 == 3 and n % 4 == 3:
-            result = -result
-        a %= n
-    return result if n == 1 else 0
-
-
-def multiplicative_order(a: int, n: int) -> int:
-    """Order of a in (Z/nZ)*; a must be a unit mod n."""
-    if math.gcd(a, n) != 1:
-        raise ValueError(f"{a} is not a unit mod {n}")
-    group_order = euler_phi(n)
-    order = group_order
-    for p in factorize(group_order):
-        while order % p == 0 and pow(a, order // p, n) == 1:
-            order //= p
-    return order
-
-
 def primitive_root(n: int) -> int:
-    """Smallest generator of (Z/nZ)* for n an odd prime power."""
+    """Smallest generator of (Z/nZ)* for n an odd prime power: the smallest g
+    coprime to n with g^(phi/r) != 1 mod n for each prime r | phi = phi(n)."""
     fac = factorize(n)
     if len(fac) != 1 or 2 in fac:
         raise ValueError("primitive roots implemented for odd prime powers only")
-    target = euler_phi(n)
-    for g in range(2, n):
-        if math.gcd(g, n) == 1 and multiplicative_order(g, n) == target:
-            return g
-    raise ValueError(f"no primitive root found mod {n}")  # unreachable for odd prime powers
+    phi = euler_phi(n)
+    cofactors = [phi // r for r in factorize(phi)]
+    return next(g for g in range(2, n) if math.gcd(g, n) == 1 and all(pow(g, c, n) != 1 for c in cofactors))

@@ -1,7 +1,9 @@
 """Shared fixtures for the test suite, and the call recorder."""
 import contextlib
 import json
+import math
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -50,3 +52,11 @@ def recording():
         yield called
     finally:
         sys.setprofile(previous)
+
+
+def field_element(field, coeffs):
+    """The element of `field` with these rational coefficients, at most
+    max(2D - 1, N) of them, reduced mod Phi_N over one common denominator."""
+    fracs = [Fraction(c) for c in coeffs]
+    den = math.lcm(*(c.denominator for c in fracs))
+    return field._reduce_ints([c.numerator * (den // c.denominator) for c in fracs], den)

@@ -11,6 +11,7 @@ import pytest
 import eulertwist as et
 from eulertwist import checks, cli, fermionic, lfunction, series, twisted
 from eulertwist.cyclotomic import CyclotomicNumber, cyclotomic_field
+from conftest import field_element
 from test_reachability import exit_code, program_runs
 
 SMALL_GRID = checks.Grid(
@@ -269,9 +270,9 @@ def test_equal_up_to_q_squared_decides_as_the_product(seed):
         if q == -1:
             continue
         cfg = twisted.TwistedConfig.build(et.principal_character(1), 1, 0, q)
-        rhs = field.reduce([F(rng.randint(-50, 50), rng.randint(1, 20)) for _ in range(field.degree)])
+        rhs = field_element(field, [F(rng.randint(-50, 50), rng.randint(1, 20)) for _ in range(field.degree)])
         product = q**2 * rhs
-        nudged = product + field.reduce([F(rng.choice((0, 1)), rng.randint(1, 9)) for _ in range(field.degree)])
+        nudged = product + field_element(field, [F(rng.choice((0, 1)), rng.randint(1, 9)) for _ in range(field.degree)])
         # the product's coefficients in another field of the same degree
         other = CyclotomicNumber(cyclotomic_field({1: 2, 3: 4, 4: 3, 9: 7}[order]), product.num, product.den)
         for lhs in (product, nudged, rhs, other):

@@ -30,13 +30,14 @@ from eulertwist.errors import (
 )
 from eulertwist.ntheory import euler_phi
 from eulertwist.rationals import DECIMAL_CUTOFF_BITS, decimal_string, format_rational, parse_rational
+from conftest import field_element
 
 
 def random_element(field, rng):
     coeffs = tuple(
         F(rng.randint(-20, 20), rng.randint(1, 10)) for _ in range(field.degree)
     )
-    return field.reduce(list(coeffs))
+    return field_element(field, coeffs)
 
 
 def int_poly_mul(a, b):
@@ -148,14 +149,14 @@ class TestComplexEmbedding:
     ])
     def test_beyond_double_range_rejected(self, coeffs):
         with pytest.raises(OutsideDoubleRange):
-            embed_complex(cyclotomic_field(6).reduce(coeffs), 1)
+            embed_complex(field_element(cyclotomic_field(6), coeffs), 1)
 
     def test_ring_homomorphism(self):
         rng = random.Random(7)
         field = cyclotomic_field(9)
         for _ in range(50):
-            a = field.reduce([F(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(6)])
-            b = field.reduce([F(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(6)])
+            a = field_element(field, [F(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(6)])
+            b = field_element(field, [F(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(6)])
             lhs = embed_complex(a * b, 1)
             rhs = embed_complex(a, 1) * embed_complex(b, 1)
             assert abs(lhs - rhs) < 1e-12

@@ -50,7 +50,6 @@ ALLOWLIST = {
     "cyclotomic.CyclotomicNumber.__sub__": "field API beside + and *; the tests' field arithmetic reads it",
     "cyclotomic.CyclotomicNumber.__rsub__": "field API beside + and *; the tests' field arithmetic reads it",
     "cyclotomic.CyclotomicNumber.__neg__": "field API beside + and *; the tests' field arithmetic reads it",
-    "cyclotomic.CyclotomicField.reduce": "an element from rational coefficients; the tests' random elements read it",
     "cyclotomic.galois_conjugate": "ROADMAP item 13's galois relation reads it; the Galois-equivariance test does",
     "cyclotomic.lift_to_field": "ROADMAP item 13 reads it; the tests' independent character lift does",
 }
