@@ -316,10 +316,15 @@ def _resolve_character(spec: str, modulus: int):
 #   p-adic walk        4.6e-12 (p^levels h)^2 per exponent        p 3, 9 levels, q 3*10^30+1, n 40: 1.4-2.0 -> 18.2;
 #                      (7.5e-13 at exponent 0), fitted to the     n 0: 0.6-1.0 -> 2.98;
 #                      walk that folded one piece at a time,      p 19991, 1 level, q 19991*10^30+1, n 0: 0.8-1.1
-#                      quadratic in the bits; the balanced        -> 3.89; n 40: 1.6-1.9 -> 23.9;
-#                      merge costs 3-15x less; the price          p 7, 6 levels, q 8, n 6: 0.10-0.12 -> 0.57;
-#                      is kept, so it admits the same runs        p 19997, 1 level, q 19998, n 40: 0.10-0.14 -> 0.38
-#     Measured: `padic_truncation` and `TruncationReport.to_csv` in process.  Printing is no longer the gap:
+#                      quadratic in the bits; integral's          -> 3.89; n 40: 1.6-1.9 -> 23.9;
+#                      closed form and cor2's regrouped walk      p 7, 6 levels, q 8, n 6: 0.10-0.12 -> 0.57;
+#                      (riemann_sums, both characters) mostly     p 19997, 1 level, q 19998, n 40: 0.10-0.14 -> 0.38;
+#                      cost 4-150x less; the price is kept,       cor2 walks at q 1+p: p 3, 11 levels, n 4: 0.033
+#                      so it admits the same runs                 -> 4.8; p 13, 5 levels, n 0: 0.55 -> 3.0; p 31, 3
+#                                                                 levels, n 12: 0.15 -> 2.5; p 97, 2 levels, n 12:
+#                                                                 0.097 -> 0.43
+#     Measured: `padic_truncation` and `TruncationReport.to_csv` in process, and cor2's two `riemann_sums` calls
+#     at the deepest level the budget admits (median of 7 processes).  Printing is no longer the gap:
 #     `format_rational` writes long ints by divide and conquer, so at p 3, 9 levels, q 3*10^30+1, n 5 `to_csv` takes
 #     0.6-0.7 s for 1.8 M characters (15.6 s by str()) and `padic_truncation` 0.7 s (3.0 s with one fold per piece).
 #   integral's exact   7.3e-11 solve(n, h)                        n 40, q 10/(3^8000+1): 46 -> 46

@@ -11,11 +11,8 @@ compare them are stated in :mod:`eulertwist.checks`.
 from __future__ import annotations
 
 import math
-import operator
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, repeat
 
 from .characters import DirichletCharacter, principal_character
 from .cyclotomic import CyclotomicNumber, cyclotomic_field
@@ -160,96 +157,49 @@ def _check_padic_regime(q: Fraction, p: int, char: DirichletCharacter) -> None:
         )
 
 
-def _piece_length(p: int) -> int:
-    """K, the walk's longest piece: the power of p nearest 64 on a log scale, or 64 where that power
-    exceeds 256 (p > 256), so no piece holds more than 256 terms."""
-    length = p ** max(1, round(math.log(64, p)))
-    return length if length <= 256 else 64
-
-
 def riemann_sums(
     n_max: int, q: Fraction, p: int, max_level: int, char: DirichletCharacter
 ) -> list[list[Fraction]]:
     """sums[n][N] = U_N = sum_{0 <= x < p^N} (-1/q)^x chi(x) x^n = A_N / u^(p^N - 1) for n = 0..n_max,
-    N = 0..max_level and q = u/v, from the integers A_N = sum_{x < p^N} chi(x) x^n (-v)^x u^(p^N - 1 - x)
-    of one walk over x < p^max_level in aligned pieces, one cached table, balanced merge.
+    N = 0..max_level and q = u/v, from the integers A_N = sum_{x < p^N} chi(x) x^n (-v)^x u^(p^N - 1 - x).
 
-    Level N >= 1 adds the x in [p^(N-1), p^N), cut into pieces [a, a+k) of at most K terms
-    (:func:`_piece_length`); once p^(N-1) >= K every piece starts at a multiple of K, so of the character
-    period d when d | K.  A piece sums to
-    S_n = sum chi(x) x^n (-v)^(x-a) u^(a+k-1-x) = sum_j C(n,j) a^(n-j) B_j, where
-    B_j = sum_{i<k} chi(a+i) i^j (-v)^i u^(k-1-i) depends only on (a mod d, k): one table per such key,
-    read by every piece that shares it, while a piece whose key occurs once is summed directly.  The
-    pieces of a level merge in a balanced tree, S = S_left u^(len right) + (-v)^(len left) S_right, and
-    each level folds into the running totals once, through u^(p^N - p^(N-1)) = (u^(p^(N-1)))^(p-1); that
-    power times u^(p^(N-1)) is u^(p^N), so no power of u is raised from scratch past level 0."""
+    Level N adds the x in [p^(N-1), p^N) ([0, 1) at N = 0).  While p^N <= d, the character's period, or
+    2 p^(N-1) <= n_max + 2 (a walked level has no more products than one regrouped copy), it walks them one
+    term at a time, A <- A u + chi(x) x^n (-v)^x.  Past both, P = p^(N-1) is a multiple of d, so x = y + jP
+    has chi(x) = chi(y) and the level regroups the prefix into p shifted copies,
+    A_N = sum_{j<p} (-v)^(jP) u^((p-1-j)P) copy_j with copy_j[n] = sum_k C(n,k) (jP)^(n-k) A_(N-1)[k]
+    by Horner in jP from one table C(n,k) A_(N-1)[k] per regrouped level, combined by Horner in j:
+    acc <- acc u^P + (-v)^(jP) copy_j."""
     q = Fraction(q)
     _check_padic_regime(q, p, char)
     u, v, d = q.numerator, q.denominator, char.modulus
     chi = [int(char.rational_value(a)) for a in range(d)]
-    span = _piece_length(p)
-    levels = [(p**level // p, p**level) for level in range(max_level + 1)]  # [0, 1), then [p^(N-1), p^N)
-    cuts = [[(a, min(a + span, end) - a) for a in range(start, end, span)] for start, end in levels]
-    longest = max((k for pieces in cuts for _, k in pieces), default=0)
-    # u^i and (-v)^i for i < longest, the weights (-v)^i u^(k-1-i) of every piece
-    rising, falling = (list(accumulate(repeat(base, longest - 1), operator.mul, initial=1)) for base in (u, -v))
-    uses = Counter((a % d, k) for pieces in cuts for a, k in pieces)
-    tables = {}
-
-    def power_sums(a: int, k: int, origin: int) -> list[int]:
-        """sum_{i<k} chi(a+i) (origin+i)^n (-v)^i u^(k-1-i) for n = 0..n_max."""
-        signs = [chi[x % d] for x in range(a, a + k)]
-        xs = [origin + i for i, c in enumerate(signs) if c]
-        terms = [c * w * r for c, w, r in zip(signs, falling, reversed(rising[:k])) if c]
-        out = [sum(terms)]
-        for _ in range(n_max):
-            terms = [t * x for t, x in zip(terms, xs)]
-            out.append(sum(terms))
-        return out
-
-    def piece(a: int, k: int) -> list[int]:
-        key = (a % d, k)
-        if uses[key] == 1:
-            return power_sums(a, k, a)
-        if key not in tables:  # C(n,j) B_j for j = 0..n, per exponent n
-            table = power_sums(a, k, 0)
-            tables[key] = [[math.comb(n, j) * table[j] for j in range(n + 1)] for n in range(n_max + 1)]
-        out = []
-        for row in tables[key]:
-            total = 0
-            for term in row:  # Horner in a
-                total = total * a + term
-            out.append(total)
-        return out
-
-    shifts: dict[int, tuple[int, int]] = {}
-
-    def shift(k: int) -> tuple[int, int]:
-        """(u^k, (-v)^k), each formed once."""
-        if k not in shifts:
-            shifts[k] = u**k, (-v) ** k
-        return shifts[k]
-
-    def merge(left, right=None):
-        if right is None:
-            return left
-        (sums_l, k_l), (sums_r, k_r) = left, right
-        lift, lead = shift(k_r)[0], shift(k_l)[1]
-        return [s * lift + lead * t for s, t in zip(sums_l, sums_r)], k_l + k_r
-
-    totals, rise, rows = [0] * (n_max + 1), 1, [[] for _ in range(n_max + 1)]
-    for (start, end), pieces in zip(levels, cuts):
-        parts = [(piece(a, k), k) for a, k in pieces]
-        while len(parts) > 1:
-            parts = [merge(*parts[i : i + 2]) for i in range(0, len(parts), 2)]
-        [(sums, _)] = parts
-        # the level's length is p^N - p^(N-1), or 1 at level 0
-        lift, lead = rise ** (p - 1) if start else u, (-v) ** start
-        totals = [t * lift + lead * s for t, s in zip(totals, sums)]
-        rise *= lift  # u^(p^N)
-        scale = rise // u
-        for row, total in zip(rows, totals):
-            row.append(Fraction(total, scale))
+    sums, rows = [0] * (n_max + 1), [[] for _ in range(n_max + 1)]
+    rise, weight = 1, 1  # u^(p^(N-1)) past level 0, and (-v)^x
+    for level in range(max_level + 1):
+        start, end = p**level // p, p**level
+        if end <= d or 2 * start <= n_max + 2:
+            for x in range(start, end):
+                term = chi[x % d] * weight
+                for m, total in enumerate(sums):
+                    sums[m] = total * u + term
+                    term *= x
+                weight *= -v
+        else:
+            table = [[math.comb(n, k) * s for k, s in enumerate(sums[: n + 1])] for n in range(n_max + 1)]
+            lead, fall = (-v) ** start, 1
+            for j in range(1, p):
+                fall, shift = fall * lead, j * start
+                copy = []
+                for row in table:
+                    total = 0
+                    for term in row:  # Horner in jP
+                        total = total * shift + term
+                    copy.append(total)
+                sums = [s * rise + fall * c for s, c in zip(sums, copy)]
+        rise = rise**p if level else u  # u^(p^N)
+        for row, total in zip(rows, sums):
+            row.append(Fraction(total, rise // u))
     return rows
 
 

@@ -55,7 +55,8 @@ def series_value(char, q, n):
 def one_term_walk(n_max, q, p, max_level, char):
     """sums[n][N] = U_N, one term at a time: with q = u/v,
     acc_n <- acc_n u + chi(x) (-v)^x x^n, and U_N = acc_n / u^x at
-    x = p^N - 1.  The oracle of the pieced walk in `riemann_sums`."""
+    x = p^N - 1.  The oracle of `riemann_sums`, which walks the first levels
+    this way and regroups each later level from the one before it."""
     u, v = q.numerator, q.denominator
     acc = [0] * (n_max + 1)
     sums = [[] for _ in acc]
@@ -74,10 +75,10 @@ def one_term_walk(n_max, q, p, max_level, char):
     return sums
 
 
-# The walk cuts level N >= 1, [p^(N-1), p^N), into pieces of at most
-# K = 81, 125 and 49 terms for p = 3, 5 and 7, so a level is one piece up to
-# N = 4, 3 and 2 and several from N = 5, 4 and 3 on: each top below reaches
-# two levels of several pieces.
+# At n_max 4, riemann_sums walks level N, [p^(N-1), p^N), one term at a time
+# while p^N <= d or 2 p^(N-1) <= 6: up to level 2 at p = 3 and level 1 at
+# p = 5 and 7.  Each later level is regrouped into p shifted copies of the
+# level before, so each top below reaches at least three regrouped levels.
 WALK_TOP_LEVEL = {3: 7, 5: 5, 7: 4}
 WALK_POINTS = [
     (F(4, 7), 3), (F(4), 3), (F(-2), 3),
@@ -88,11 +89,6 @@ WALK_POINTS = [
 
 def walk_characters(p):
     return [principal_character(1), principal_character(p), quadratic_character(p)]
-
-
-def piece_starts(p, level):
-    """The first x of each piece of a level N >= 1, [p^(N-1), p^N), K terms apart."""
-    return range(p ** (level - 1), p**level, fermionic._piece_length(p))
 
 
 def rational_characters(d):
@@ -449,25 +445,31 @@ class TestPadicTruncation:
                     total / q_bracket_neg(p**level, 1 / q) for level, total in enumerate(oracle[n])
                 ]
 
-    @pytest.mark.parametrize("d, top", [(9, 6), (243, 7)])
+    @pytest.mark.parametrize("n_max", [0, 4, 5, 6, 12])
+    def test_walked_and_regrouped_levels_meet_at_each_exponent_count(self, n_max):
+        # level 2 (P = 3) is walked while 2 P <= n_max + 2, so from n_max 4 on, and regrouped at n_max 0;
+        # levels 3 to 6 are regrouped at every n_max here (level 3 is walked from n_max 16)
+        for char in walk_characters(3):
+            for q in (F(4, 7), F(-2)):
+                assert riemann_sums(n_max, q, 3, 6, char) == one_term_walk(n_max, q, 3, 6, char)
+
+    @pytest.mark.parametrize("d, top", [(9, 6), (27, 6), (243, 7)])
     def test_walk_at_a_character_modulus_of_a_power_of_p(self, d, top):
-        # d = 9: the one-piece levels start at 1, 3 and 0 mod 9; d = 243 > K = 81:
-        # the pieces of one level start at 0, 81 and 162 mod 243, one table each
-        levels = range(1, top + 1)
-        assert len({a % d for level in levels for a in piece_starts(3, level)}) >= 3
+        # the levels up to p^N = d are walked whatever n_max (levels 1-2, 1-3 and 1-5), so the first
+        # regrouped level has P = d: the copies are whole periods of the character
         for char in rational_characters(d):
             for q in (F(4), F(-2), F(4, 7)):
-                assert riemann_sums(4, q, 3, top, char) == one_term_walk(4, q, 3, top, char)
+                for n_max in (0, 4):
+                    assert riemann_sums(n_max, q, 3, top, char) == one_term_walk(n_max, q, 3, top, char)
 
     @pytest.mark.parametrize("p, top", [(67, 2), (263, 1)])
     def test_walk_at_a_prime_above_64(self, p, top):
-        # K = 67 at p = 67 (level 2: 66 pieces, merged 66 -> 33 -> 17 -> ...); no power of 263 is near 64,
-        # so K = 64 and level 1 is 4 pieces of 64 and one of 6, an odd count, each at its own residue mod 263
-        # (the characters mod 263 share no table; the one mod 1 shares one among the pieces of 64)
-        assert len(piece_starts(p, top)) % 2 == (p == 263)
+        # level 1 is walked: p^1 <= d for the characters mod p, 2 p^0 <= n_max + 2 for the one mod 1;
+        # level 2 at p = 67 is regrouped at n_max 0 and 4, into level 1 and 66 shifted copies of it
         for char in walk_characters(p):
             for q in (F(p + 1), F(1 - p), F(p + 2, 2)):
-                assert riemann_sums(4, q, p, top, char) == one_term_walk(4, q, p, top, char)
+                for n_max in (0, 4):
+                    assert riemann_sums(n_max, q, p, top, char) == one_term_walk(n_max, q, p, top, char)
 
     @pytest.mark.parametrize("q, p", WALK_POINTS)
     def test_truncation_valuations_are_those_of_partial_minus_exact(self, q, p):

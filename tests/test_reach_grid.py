@@ -65,6 +65,21 @@ def test_cor2_passes_on_the_reach_primes():
     assert report_digest(report) == COR2_DIGEST
 
 
+# At p 11 and 31, riemann_sums regroups levels 2 and 3 into 10 and 30 shifted copies of the level before,
+# which the default grid's primes 3 and 5 never do; the digest was taken from the earlier pieced walk.
+COR2_COPIES_GRID = '{"primes":[3,5,11,31],"level_max":3,"padic_n_max":4}'
+COR2_COPIES_DIGEST = "a728e3320df0b844b08ba406b90ff44f9fec6e23e33ca624170e734cfe9070a9"
+
+
+def test_cor2_stdout_is_pinned_where_levels_regroup_into_many_copies(capsys, tmp_path):
+    path = tmp_path / "grid.json"
+    path.write_text(COR2_COPIES_GRID)
+    assert cli.main(["check", "--relation", "cor2", "--grid", f"file:{path}"]) == 0
+    out = capsys.readouterr().out
+    assert json.loads(out)["summary"] == {"pass": 40, "fail": 0, "skip": 0}
+    assert hashlib.sha256(out.encode()).hexdigest() == COR2_COPIES_DIGEST
+
+
 @pytest.mark.parametrize("grid, digests", [(REACH_GRID, DIGESTS), (COR2_REACH_GRID, {"cor2-residual": COR2_DIGEST})])
 def test_reach_grid_file_gives_the_pinned_digests(capsys, grid_spec, grid, digests):
     spec = grid_spec(grid)
