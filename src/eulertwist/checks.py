@@ -353,7 +353,7 @@ def run_cor2_residual(grid: Grid) -> CheckReport:
 def _twist_quotient(field, k: int, order: int) -> tuple:
     """The coefficients of 2/(zeta^k e^t + 1) in `field` = Q(zeta_z) below
     the order, zeta = zeta_z^k: the quotient every fold of eq22 telescopes to."""
-    return exp_quotient(field, [(0, 2, 0)], 1, field.zeta_power(k), 1, field.binomial_inverse(1, 1, k), order).coeffs
+    return exp_quotient(field, [(0, 2, -k)], 1, 1, field.binomial_inverse(1, 1, -k), order).coeffs
 
 
 def run_eq22(grid: Grid) -> CheckReport:
@@ -361,10 +361,11 @@ def run_eq22(grid: Grid) -> CheckReport:
     fold count d, 2 sum_{l<d} (-1)^l zeta^l e^(lt) / (zeta^d e^(dt) + 1)
     against 2/(zeta e^t + 1), and the Taylor coefficients of the latter
     against the integral moments I(zeta^x x^n), through order 11.  Each
-    quotient is one triangular division, zeta^l read as the exponent k l of
-    zeta = zeta_z^k, its pivot zeta^d + 1 or zeta + 1 inverted by the
-    geometric series.  The direct quotient and the moments depend on the
-    twist alone, so they are held per (field, k) across the fold counts."""
+    quotient is one monic triangular division, divided by its unit zeta^d or
+    zeta: zeta^l / zeta^d read as the exponent k (l - d) of zeta = zeta_z^k,
+    its pivot 1 + zeta^-d or 1 + zeta^-1 inverted by the geometric series.
+    The direct quotient and the moments depend on the twist alone, so they
+    are held per (field, k) across the fold counts."""
     report = CheckReport("eq22", grid.describe())
     order = 12
     for d in grid.moduli:
@@ -373,8 +374,8 @@ def run_eq22(grid: Grid) -> CheckReport:
         for zeta_order in grid.zeta_orders:
             k = grid.zeta_exponent % zeta_order
             field = cyclotomic_field(zeta_order)
-            folded = exp_quotient(field, [(l, 2 * (-1) ** l, k * l) for l in range(d)], 1,
-                                  field.zeta_power(k * d), d, field.binomial_inverse(1, 1, k * d), order)
+            folded = exp_quotient(field, [(l, 2 * (-1) ** l, k * (l - d)) for l in range(d)], 1, d,
+                                  field.binomial_inverse(1, 1, -k * d), order)
             direct = TruncatedSeries(_memo(_twist_quotient, field, k, order))
             taylor = tuple(nth_taylor_coefficient(direct, n) for n in range(order))
             series_equal = folded == direct

@@ -106,7 +106,7 @@ class CyclotomicField:
 
     def _mul_ints(self, a, b) -> list[int]:
         """a b mod Phi_N for two integer vectors of length D, as D ints with no content divided out: the
-        one field product, read by ``CyclotomicNumber.__mul__`` and ``series.divide_step``."""
+        one field product, read by ``CyclotomicNumber.__mul__`` and once per step by ``series.divide_step``."""
         right = [(j, y) for j, y in enumerate(b) if y]
         prod = [0] * (2 * self.degree - 1)
         for i, x in enumerate(a):

@@ -24,18 +24,19 @@ from .series import divide_step, power_moments
 from .twisted import TwistedConfig
 
 
-def _binomial_solve(rhs: list, unit, step: int, pivot_inv) -> list:
-    """x_0 .. x_n of unit sum_{k<=m} C(m,k) step^(m-k) x_k + c x_m = rhs_m in
-    a cyclotomic field, solved upward in m with pivot_inv = 1/(unit + c):
-    per m one :func:`~eulertwist.series.divide_step` on integer vectors, its
-    scales C(m,k) step^(m-k) integers, with content gcds after the inner sum
-    of the lower x_k, after the subtraction from rhs_m and after the product
-    by pivot_inv.  Both callers (step 1 and step d) invert their pivot by
-    ``binomial_inverse``."""
+def _binomial_solve(rhs: list, step: int, pivot_inv) -> list:
+    """x_0 .. x_n of the monic system sum_{k<=m} C(m,k) step^(m-k) x_k + c x_m
+    = rhs_m in a cyclotomic field, solved upward in m with pivot_inv =
+    1/(1 + c): per m one :func:`~eulertwist.series.divide_step`, rhs_m its
+    first term and the lower x_k under the integer scales
+    -C(m,k) step^(m-k), so one field product per m.  Both callers (step 1
+    and step d) divide their equation by its unit zeta_N^k times a
+    rational, which shifts the right side's exponents by -k, and invert the
+    pivot 1 + c zeta_N^(-k) by ``binomial_inverse``."""
     out: list = []
     for m, value in enumerate(rhs):
-        scales = [(math.comb(m, k) * step ** (m - k), 1) for k in range(m)]
-        out.append(divide_step((value.num, value.den), scales, out, unit, pivot_inv))
+        scales = [(1, 1)] + [(-math.comb(m, k) * step ** (m - k), 1) for k in range(m)]
+        out.append(divide_step(scales, [value, *out], pivot_inv))
     return out
 
 
@@ -43,9 +44,11 @@ def _moment_sequence(n: int, ratio, field=None, k: int = 0) -> list:
     """I(zeta_N^(kx) x^m) for m = 0..n under mu_(-ratio), from the one-step
     equation on f(x) = zeta_N^(kx) x^m, whose right side (1+ratio) f(0) is
     1 + ratio at m = 0 and 0 after it: as Fractions at twist 1 without a
-    field, else in field = Q(zeta_N) at zeta_N^k of odd order, the pivot
-    1 + ratio zeta_N^k inverted by its geometric series.  Under mu_(-1) the
-    moments of x^m are E_m(0):
+    field, else in field = Q(zeta_N) at zeta_N^k of odd order.  Divided by
+    its unit ratio zeta_N^k, the equation is monic: its right side is
+    (1 + 1/ratio) zeta_N^(-k) at m = 0, its pivot 1 + zeta_N^(-k)/ratio,
+    inverted by its geometric series.  Under mu_(-1) the moments of x^m are
+    E_m(0):
 
     >>> [str(x) for x in _moment_sequence(5, 1)]
     ['1', '-1/2', '0', '1/4', '0', '-1/2']
@@ -61,8 +64,8 @@ def _moment_sequence(n: int, ratio, field=None, k: int = 0) -> list:
         field = cyclotomic_field(1)
     if ratio == -1 and k % field.order == 0:
         raise SingularFunctionalEquation("1 + ratio*twist vanishes")
-    rhs = [field.from_rational(1 + ratio)] + [field.zero] * n
-    out = _binomial_solve(rhs, ratio * field.zeta_power(k), 1, field.binomial_inverse(1, ratio, k))
+    rhs = [field.zeta_power(-k) * (1 + 1 / ratio)] + [field.zero] * n
+    out = _binomial_solve(rhs, 1, field.binomial_inverse(1, 1 / ratio, -k))
     return [x.coeffs[0] for x in out] if rational else out
 
 
@@ -75,7 +78,9 @@ def _char_moment_sequence(n: int, cfg) -> list:
             = (1+q) sum_{l<d} (-1)^l q^(d-1-l) zeta^l chi(l) l^m,
 
     solved upward in m.  The alternating kernel exponent d-1-l is the one
-    obtained by iterating the one-step equation d times.
+    obtained by iterating the one-step equation d times.  Divided by
+    zeta^d = zeta_N^k, the equation is monic: each kernel exponent shifts by
+    -k and the pivot is 1 + q^d zeta_N^(-k).
 
     >>> from eulertwist import TwistedConfig, quadratic_character
     >>> _char_moment_sequence(0, TwistedConfig.build(quadratic_character(3), 1, 0, 2))[0] == -1
@@ -83,8 +88,8 @@ def _char_moment_sequence(n: int, cfg) -> list:
     """
     q, d, field = cfg.q, cfg.char.modulus, cfg.field
     k = cfg.twist_exponent(d)
-    kernel = [(l, (1 + q) * (-1) ** l * q ** (d - 1 - l), e) for l, e in cfg.twisted_exponents(range(d))]
-    return _binomial_solve(power_moments(field, kernel, n), field.zeta_power(k), d, field.binomial_inverse(q**d, 1, k))
+    kernel = [(l, (1 + q) * (-1) ** l * q ** (d - 1 - l), e - k) for l, e in cfg.twisted_exponents(range(d))]
+    return _binomial_solve(power_moments(field, kernel, n), d, field.binomial_inverse(1, q**d, -k))
 
 
 def residue_class_sums(n_max: int, cfg) -> list:

@@ -16,14 +16,18 @@ canonical field element per intermediate:
   (:func:`exp_scales`);
 * a rational combination of field elements is one integer vector over one
   common denominator (:func:`integer_combination`);
-* one step of a triangular division, (rhs - unit * inner sum) * pivot_inv,
-  stays in integers until its result is wrapped (:func:`divide_step`),
-  with a content gcd after the inner sum, after the subtraction and after
-  the product by pivot_inv.
+* one step of a monic triangular division, (sum_j s_j v_j) pivot_inv with
+  the right side as the first term and the lower terms under negated
+  scales, is one integer combination, one content gcd and one product by
+  pivot_inv, wrapped once (:func:`divide_step`).
 
 :func:`exp_quotient` divides an exponential sum by a two-term denominator
-unit * exp(node rate t) + c with these steps, with no series inverse or
-series product, and ``fermionic._binomial_solve`` takes the same step.
+exp(node rate t) + c with these steps, with no series inverse or series
+product, and ``fermionic._binomial_solve`` takes the same step.  Every
+caller makes its division monic: a denominator unit zeta_N^k times a
+rational divides the numerator's weights and exponents (an exponent shift
+-k in the triples of :func:`power_moments`) and the constant term, so the
+pivot is 1 + c zeta_N^(-k) and no step multiplies by the unit.
 No program path multiplies or inverts a whole series; the benchmark's spans
 and the tests read those two.
 
@@ -119,36 +123,24 @@ def integer_combination(scales, values) -> tuple[list[int], int]:
     return [sum(map(operator.mul, ks, column)) for column in zip(*(v.num for v in values))], den
 
 
-def divide_step(rhs: tuple, scales, lower, unit, pivot_inv) -> CyclotomicNumber:
-    """(rhs - unit sum_j s_j lower_j) pivot_inv, for rhs an integer pair
-    (vector, denominator), integer-pair scales s_j matched to field elements
-    lower_j, and field elements unit and pivot_inv: one step of a triangular
-    division.  The inner sum is one :func:`integer_combination`; the
-    products by unit and pivot_inv are raw integer products reduced mod
-    Phi_N (``CyclotomicField._mul_ints``), and the subtraction is taken on
-    the vectors.  The content gcd is taken after the inner sum, after the
-    subtraction and in the final wrap; a product by a root of unity keeps
-    the content, so it needs none.
+def divide_step(scales, values, pivot_inv) -> CyclotomicNumber:
+    """(sum_j s_j v_j) pivot_inv for integer-pair scales s_j matched to field
+    elements v_j and a field element pivot_inv: one step of a monic
+    triangular division, its right side the first term and its lower terms
+    under negated scales.  The sum is one :func:`integer_combination` with
+    one content gcd; the product by pivot_inv is one raw integer product
+    reduced mod Phi_N (``CyclotomicField._mul_ints``), wrapped once.
 
     >>> from eulertwist.cyclotomic import cyclotomic_field
     >>> one = cyclotomic_field(1).from_rational(1)
-    >>> divide_step(([3], 1), [(1, 2)], [one], one, one * Fraction(1, 5))  # (3 - 1/2) / 5
+    >>> divide_step([(3, 1), (-1, 2)], [one, one], one * Fraction(1, 5))  # (3 - 1/2) / 5
     CyclotomicNumber(order=1, coeffs=(Fraction(1, 2),))
     """
-    num, den = rhs
+    num, den = integer_combination(scales, values)
+    g = math.gcd(den, *num)
+    if g != 1:
+        num, den = [c // g for c in num], den // g
     field = pivot_inv.field
-    if scales:
-        acc, acc_den = integer_combination(scales, lower)
-        g = math.gcd(acc_den, *acc)
-        if g != 1:
-            acc, acc_den = [c // g for c in acc], acc_den // g
-        acc, acc_den = field._mul_ints(unit.num, acc), acc_den * unit.den
-        common = math.lcm(den, acc_den)
-        ma, mb = common // den, common // acc_den
-        num, den = [x * ma - y * mb for x, y in zip(num, acc)], common
-        g = math.gcd(den, *num)
-        if g != 1:
-            num, den = [c // g for c in num], den // g
     return CyclotomicNumber(field, field._mul_ints(num, pivot_inv.num), den * pivot_inv.den)
 
 
@@ -169,39 +161,39 @@ def exp_scales(x, order: int) -> list[tuple[int, int]]:
     return out
 
 
-def exp_quotient(field, terms, rate, unit, node: int, pivot_inv, order: int, scale=1) -> TruncatedSeries:
-    """The series of scale * sum r zeta_N^e exp(x rate t) / (unit exp(node rate t) + c)
+def exp_quotient(field, terms, rate, node: int, pivot_inv, order: int, scale=1) -> TruncatedSeries:
+    """The series of scale * sum r zeta_N^e exp(x rate t) / (exp(node rate t) + c)
     over the (integer node x, rational r, exponent e) triples of `terms`, in
-    `field` = Q(zeta_N), for a rational scale, given field elements unit and
-    pivot_inv = 1/(unit + c), the inverse of the denominator's constant term.
+    `field` = Q(zeta_N), for a rational scale, given the field element
+    pivot_inv = 1/(1 + c), the inverse of the denominator's constant term.
+    A denominator u exp(node rate t) + c', u a rational times zeta_N^k, is
+    made monic by its caller: the exponents of `terms` shifted by -k, the
+    rationals and c' divided by the rational.
 
-    Every later denominator coefficient is unit (node rate)^j / j!, so the
-    quotient is one triangular division,
+    Every later denominator coefficient is (node rate)^j / j!, so the
+    quotient is one monic triangular division,
 
-        F_n = (N_n - unit sum_(j=1..n) (node rate)^j / j! F_(n-j)) pivot_inv,
+        F_n = (N_n - sum_(j=1..n) (node rate)^j / j! F_(n-j)) pivot_inv,
 
     N_n = scale rate^n / n! M_n for the power moments M_n of `terms`.  Formed
     once per call: the moments (one :func:`power_moments` call) and the
-    scales (node rate)^j / j! and scale rate^j / j! as integer pairs
-    (:func:`exp_scales`).  Each F_n is then one :func:`divide_step` on
-    integer vectors: N_n is the integer vector of M_n times one integer over
-    one denominator, and the content gcd is taken after the inner sum, after
-    the subtraction and after the product by pivot_inv.
+    scales -(node rate)^j / j! and scale rate^j / j! as integer pairs
+    (:func:`exp_scales`).  Each F_n is then one :func:`divide_step`, M_n its
+    first term: one field product per coefficient.
 
     >>> from eulertwist.cyclotomic import cyclotomic_field
     >>> field = cyclotomic_field(1)  # 2 / (e^t + 1):
-    >>> quotient = exp_quotient(field, [(0, 2, 0)], 1, field.zeta_power(0), 1, field.from_rational(Fraction(1, 2)), 4)
+    >>> quotient = exp_quotient(field, [(0, 2, 0)], 1, 1, field.from_rational(Fraction(1, 2)), 4)
     >>> [str(c.coeffs[0]) for c in quotient.coeffs]
     ['1', '-1/2', '0', '1/24']
     """
     if order < 1:
         raise ValueError("series order must be >= 1")
-    steps = exp_scales(node * rate, order)
+    steps = [(-a, b) for a, b in exp_scales(node * rate, order)]
     rates = [(a * scale.numerator, b * scale.denominator) for a, b in exp_scales(rate, order)]
     out: list = []
-    for m, (a, b) in zip(power_moments(field, terms, order - 1), rates):
-        out.append(divide_step(([c * a for c in m.num], m.den * b), steps[1 : len(out) + 1], out[::-1], unit,
-                               pivot_inv))
+    for m, first in zip(power_moments(field, terms, order - 1), rates):
+        out.append(divide_step([first, *steps[1 : len(out) + 1]], [m, *reversed(out)], pivot_inv))
     return TruncatedSeries(tuple(out))
 
 

@@ -93,14 +93,15 @@ def twisted_gf(cfg: TwistedConfig, order: int) -> TruncatedSeries:
     (-1)^l u^(d-l+1) v^l in a (node, integer, exponent) triple, never as a
     Fraction or a field element, and the rational (u+v) / v^(d+2) is folded
     back in once per coefficient, with rate^n / n!.  The quotient is one
-    triangular division on integer vectors (:func:`exp_quotient`), its pivot
-    zeta^d + q^d inverted once by its geometric series
-    (``CyclotomicField.binomial_inverse``)."""
+    monic triangular division on integer vectors (:func:`exp_quotient`):
+    numerator and denominator divided by zeta^d = zeta_N^k, each weight's
+    exponent shifted by -k, its pivot 1 + q^d zeta_N^(-k) inverted once by
+    its geometric series (``CyclotomicField.binomial_inverse``)."""
     q, d, field = cfg.q, cfg.char.modulus, cfg.field
     u, v = q.numerator, q.denominator
     k = cfg.twist_exponent(d)
-    terms = [(l, (-1) ** l * u ** (d - l + 1) * v**l, e) for l, e in cfg.twisted_exponents(range(d))]
-    return exp_quotient(field, terms, -(1 + q), field.zeta_power(k), d, field.binomial_inverse(q**d, 1, k), order,
+    terms = [(l, (-1) ** l * u ** (d - l + 1) * v**l, e - k) for l, e in cfg.twisted_exponents(range(d))]
+    return exp_quotient(field, terms, -(1 + q), d, field.binomial_inverse(1, q**d, -k), order,
                         Fraction(u + v, v ** (d + 2)))
 
 

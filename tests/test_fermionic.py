@@ -217,12 +217,13 @@ class TestCharTwistIntegral:
 
     def test_each_kernel_weight_is_formed_once_per_call(self, monkeypatch):
         # every weight chi(l) zeta^l is a power of zeta_N scaled by a
-        # rational, so the only field products are those of the triangular
-        # division: one by the pivot inverse for each of the n + 1
-        # coefficients, and one by zeta^d for each after the first, 2n + 1
-        # in all; the series path reads its cycle the same way and forms none.
-        # Every field product, CyclotomicNumber.__mul__ included, is one
-        # CyclotomicField._mul_ints call.
+        # rational, and each triangular division is monic, its unit zeta^d
+        # folded into the exponents, so the only field products are one by
+        # the pivot inverse for each of the n + 1 coefficients; the one-step
+        # moments and eq22's quotient form the same, and the series path
+        # reads its cycle the same way and forms none.  Every field product,
+        # CyclotomicNumber.__mul__ included, is one CyclotomicField._mul_ints
+        # call.
         real, products = CyclotomicField._mul_ints, []
 
         def counted(self, a, b):
@@ -239,8 +240,10 @@ class TestCharTwistIntegral:
         for char, zeta_order in ((quadratic_character(15), 9), (quadratic_character(97), 7)):
             cfg = TwistedConfig.build(char, zeta_order, 1, F(5, 2))
             for n in (0, 5, 20):
-                assert count(_char_moment_sequence, n, cfg) == 2 * n + 1
-                assert count(twisted_values, cfg, n) == 2 * n + 1
+                assert count(_char_moment_sequence, n, cfg) == n + 1
+                assert count(twisted_values, cfg, n) == n + 1
+                assert count(_moment_sequence, n, cfg.q**-15, cfg.field, cfg.twist_exponent(15)) == n + 1
+                assert count(checks._twist_quotient, cfg.field, cfg.twist_exponent(1), n + 1) == n + 1
             assert count(twisted_series_values, cfg, 8) == 0
 
 
@@ -261,9 +264,16 @@ class TestDistributionIdentity:
 
 def shifted_moments(n, ratio, field, k, shift):
     """I(zeta_N^(kx) (x+shift)^m) for m = 0..n under mu_(-ratio): the one-step
-    equation's triangular solve at the right side (1+ratio) shift^m."""
-    rhs = [field.from_rational((1 + ratio) * shift**m) for m in range(n + 1)]
-    return fermionic._binomial_solve(rhs, ratio * field.zeta_power(k), 1, field.binomial_inverse(1, ratio, k))
+    equation's triangular solve at the right side (1+ratio) shift^m, in unit
+    form and field arithmetic, x_m = ((1+ratio) shift^m - unit
+    sum_(j<m) C(m,j) x_j) / (unit + 1) with unit = ratio zeta_N^k, where the
+    program divides the equation by the unit."""
+    unit, pivot_inv = ratio * field.zeta_power(k), field.binomial_inverse(1, ratio, k)
+    out = []
+    for m in range(n + 1):
+        lower = sum((math.comb(m, j) * x for j, x in enumerate(out)), field.zero)
+        out.append(((1 + ratio) * shift**m - unit * lower) * pivot_inv)
+    return out
 
 
 def per_class_residue_sums(n_max, cfg):

@@ -1,11 +1,23 @@
 """Truncated power series arithmetic, inversion, and Taylor extraction."""
+import hashlib
 import math
 import random
 from fractions import Fraction as F
 
 import pytest
 
-from eulertwist import CyclotomicNumber, TruncatedSeries, cyclotomic_field, nth_taylor_coefficient
+from eulertwist import (
+    CyclotomicNumber,
+    TruncatedSeries,
+    TwistedConfig,
+    checks,
+    cli,
+    cyclotomic_field,
+    enumerate_characters,
+    nth_taylor_coefficient,
+    twisted_values,
+)
+from eulertwist.fermionic import _char_moment_sequence, _moment_sequence
 from eulertwist.series import divide_step, exp_quotient, integer_combination, power_moments
 from eulertwist.errors import NonUnitConstantTerm, OrderTooLow
 from conftest import field_element
@@ -239,7 +251,8 @@ def oracle_exp_quotient(field, terms, rate, unit, node, pivot_inv, order) -> lis
     moment by rate^n / n!, each inner sum one :func:`linear_combination`,
     then a field product by unit, a field subtraction and a field product by
     pivot_inv.  The form that ``series.exp_quotient`` replaced, kept as its
-    oracle."""
+    oracle; it divides by the unit-form denominator unit exp(node rate t) + c,
+    pivot_inv = 1/(unit + c), where the program runs the monic one."""
     rate = F(rate)
     numerator = [m * (rate**j / math.factorial(j)) for j, m in enumerate(power_moments(field, terms, order - 1))]
     step = node * rate
@@ -284,9 +297,9 @@ def test_linear_combination_matches_the_sum_of_products(field_order):
 
 
 def test_divide_step_matches_field_arithmetic():
-    """One step against (rhs - unit sum s_j lower_j) pivot_inv in field
-    arithmetic, for units that are roots of unity (dense rows included) and
-    rational multiples of them, and for no lower terms."""
+    """One step against (sum s_j v_j) pivot_inv in field arithmetic, the
+    first term a right side and the rest lower terms under scales of either
+    sign, zero values and a lone right side included."""
     rng = random.Random(17)
     for field_order in FIELD_ORDERS:
         field = cyclotomic_field(field_order)
@@ -295,14 +308,12 @@ def test_divide_step_matches_field_arithmetic():
             return field_element(field, [F(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(field.degree)])
 
         for _ in range(6):
-            size = rng.randint(0, 5)
+            size = rng.randint(1, 6)
             scales = [(rng.randint(-20, 20) or 1, rng.randint(1, 12)) for _ in range(size)]
-            lower, rhs = [element() for _ in range(size)], element()
-            unit = field.zeta_power(rng.randrange(field.order)) * F(rng.choice([1, 1, -3, 5]), rng.choice([1, 2]))
+            values = [element() if rng.random() < 0.9 else field.zero for _ in range(size)]
             pivot_inv = element() or field.from_rational(1)
-            acc = sum((v * F(a, b) for (a, b), v in zip(scales, lower)), field.zero)
-            want = (rhs - unit * acc) * pivot_inv
-            got = divide_step((list(rhs.num), rhs.den), scales, lower, unit, pivot_inv)
+            want = sum((v * F(a, b) for (a, b), v in zip(scales, values)), field.zero) * pivot_inv
+            got = divide_step(scales, values, pivot_inv)
             assert (got.num, got.den) == (want.num, want.den)
 
 
@@ -330,29 +341,37 @@ def test_exp_quotient_matches_the_fraction_oracle(field_order, exponents):
             kept = [l for l in range(d) if rng.random() < 0.8]
             rational = [(l, (1 + q) * (-1) ** l * q ** (d - l + 1), exps[l]) for l in kept]
             integer = [(l, (-1) ** l * u ** (d - l + 1) * v**l, exps[l]) for l in kept]
-            unit, pivot_inv = field.zeta_power(k), field.binomial_inverse(q**d, 1, k)
-            want = oracle_exp_quotient(field, rational, -(1 + q), unit, d, pivot_inv, n + 1)
-            got = exp_quotient(field, integer, -(1 + q), unit, d, pivot_inv, n + 1, F(u + v, v ** (d + 2))).coeffs
+            want = oracle_exp_quotient(field, rational, -(1 + q), field.zeta_power(k), d,
+                                       field.binomial_inverse(q**d, 1, k), n + 1)
+            monic = [(l, w, e - k) for l, w, e in integer]
+            got = exp_quotient(field, monic, -(1 + q), d, field.binomial_inverse(1, q**d, -k), n + 1,
+                               F(u + v, v ** (d + 2))).coeffs
             assert [(c.num, c.den) for c in got] == [(c.num, c.den) for c in want], (q, k, d, n)
         d_fold = rng.choice([1, 3, 5, 7, 9, 11, 13, 15])
         for k in exponents:
-            args = (field, [(l, 2 * (-1) ** l, k * l) for l in range(d_fold)], 1, field.zeta_power(k * d_fold), d_fold,
-                    field.binomial_inverse(1, 1, k * d_fold), 12)
-            got, want = exp_quotient(*args).coeffs, oracle_exp_quotient(*args)
+            want = oracle_exp_quotient(field, [(l, 2 * (-1) ** l, k * l) for l in range(d_fold)], 1,
+                                       field.zeta_power(k * d_fold), d_fold,
+                                       field.binomial_inverse(1, 1, k * d_fold), 12)
+            got = exp_quotient(field, [(l, 2 * (-1) ** l, k * (l - d_fold)) for l in range(d_fold)], 1, d_fold,
+                               field.binomial_inverse(1, 1, -k * d_fold), 12).coeffs
             assert [(c.num, c.den) for c in got] == [(c.num, c.den) for c in want], ("eq22", k, d_fold)
 
 
 def test_quotient_matches_inverse_then_multiply():
+    """The monic quotient, its terms and constant divided by the unit
+    ratio zeta^k, against the unit-form numerator series times the series
+    inverse of the unit-form denominator."""
     rng = random.Random(16)
     for _ in range(30):
         field = cyclotomic_field(rng.choice([1, 9]))
         rate = F(rng.randint(-5, 5) or 1, rng.randint(1, 4))
         node = rng.randint(1, 7)
         if field.order == 1:
-            unit = field.from_rational(F(rng.randint(1, 5), rng.randint(1, 5)))
+            ratio, k = F(rng.randint(1, 5), rng.randint(1, 5)), 0
             constant = F(rng.randint(-5, 5), rng.randint(1, 5))
         else:
-            unit, constant = field.zeta_power(rng.randrange(9)), F(rng.randint(2, 9), 3)
+            ratio, k, constant = F(1), rng.randrange(9), F(rng.randint(2, 9), 3)
+        unit = field.zeta_power(k) * ratio
         if unit + constant == 0:
             continue
         terms = [(rng.randint(0, 8), F(rng.randint(-9, 9), rng.randint(1, 9)), rng.randrange(2 * field.order))
@@ -364,4 +383,72 @@ def test_quotient_matches_inverse_then_multiply():
             sum((w * ((x * rate) ** j / math.factorial(j)) for x, w in as_pairs(field, terms)), field.zero)
             for j in range(order)))
         expected = numerator * denominator.inverse()
-        assert exp_quotient(field, terms, rate, unit, node, (unit + constant).inverse(), order) == expected
+        monic = [(x, r / ratio, e - k) for x, r, e in terms]
+        pivot_inv = (1 + field.zeta_power(-k) * (constant / ratio)).inverse()
+        assert exp_quotient(field, monic, rate, node, pivot_inv, order) == expected
+
+
+def unit_form_solve(rhs, unit, step, pivot_inv) -> list:
+    """x_m = (rhs_m - unit sum_(j<m) C(m,j) step^(m-j) x_j) pivot_inv over
+    rationals or field elements, pivot_inv = 1/(unit + c): the binomial
+    triangular solve before it was made monic, kept as its oracle."""
+    out = []
+    for m, value in enumerate(rhs):
+        lower = sum((math.comb(m, j) * step ** (m - j) * x for j, x in enumerate(out)), value * 0)
+        out.append((value - unit * lower) * pivot_inv)
+    return out
+
+
+# (character modulus, twist order, twist exponent) for an order-3 character, each with -k mod N >= D for the
+# exponents k of zeta and of zeta^d in Q(zeta_N), N the twist order: there zeta_N^(-k) is a multi-term row of
+# x^j mod Phi_N, so an exponent shift of +k in place of -k changes the values
+FOLD_POINTS = [(9, 15, 2), (13, 21, 5), (7, 99, 2)]
+FOLD_QS = [F(-3, 7), F(2, 3), F(1), F(2**40 + 1)]
+
+
+@pytest.mark.parametrize("d, zeta_order, zeta_exponent", FOLD_POINTS)
+def test_monic_divisions_match_the_unit_form_where_the_inverse_twist_is_a_multi_term_row(d, zeta_order,
+                                                                                       zeta_exponent):
+    """Every division made monic by its unit zeta_N^k against its unit-form
+    oracle, num and den identical: A_n (the generating function), the d-step
+    moments, eq22's quotient, and the one-step moments at ratio -3/7 and at
+    q^-d, in the field and on the fieldless path."""
+    char = next(c for c in enumerate_characters(d) if c.value_order == 3)
+    for q in FOLD_QS:
+        if zeta_order == 99 and q > 2**40:
+            continue  # the pivot's norm (q^d)^99 + 1 has some 28000 bits, and each degree-60 product costs seconds
+        cfg = TwistedConfig.build(char, zeta_order, zeta_exponent, q)
+        field, k, k_one = cfg.field, cfg.twist_exponent(d), cfg.twist_exponent(1)
+        assert field.order == zeta_order and min(-k % field.order, -k_one % field.order) >= field.degree
+        n = 4 if zeta_order == 99 else 6
+        weights = [(l, (1 + q) * (-1) ** l * q ** (d - l + 1), e) for l, e in cfg.twisted_exponents(range(d))]
+        quotient = oracle_exp_quotient(field, weights, -(1 + q), field.zeta_power(k), d,
+                                       field.binomial_inverse(q**d, 1, k), n + 1)
+        assert [a.value for a in twisted_values(cfg, n)] == [math.factorial(j) * c for j, c in enumerate(quotient)]
+        kernel = [(l, (1 + q) * (-1) ** l * q ** (d - 1 - l), e) for l, e in cfg.twisted_exponents(range(d))]
+        assert _char_moment_sequence(n, cfg) == unit_form_solve(
+            power_moments(field, kernel, n), field.zeta_power(k), d, field.binomial_inverse(q**d, 1, k))
+        assert checks._twist_quotient(field, k_one, n + 1) == tuple(oracle_exp_quotient(
+            field, [(0, 2, 0)], 1, field.zeta_power(k_one), 1, field.binomial_inverse(1, 1, k_one), n + 1))
+        for ratio, twist in ((F(-3, 7), k_one), (q**-d, k)):
+            rhs = [field.from_rational(1 + ratio)] + [field.zero] * n
+            assert _moment_sequence(n, ratio, field, twist) == unit_form_solve(
+                rhs, ratio * field.zeta_power(twist), 1, field.binomial_inverse(1, ratio, twist))
+        for ratio in (F(-3, 7), 1 / q):
+            assert _moment_sequence(n, ratio) == unit_form_solve([1 + ratio] + [F(0)] * n, ratio, 1, 1 / (1 + ratio))
+
+
+# stdout of `twisted` at points where -k mod N >= D for zeta^d = zeta_N^k (N = 18 and 198), pinned from the
+# unit-form division
+FOLD_PINS = [
+    ("--q -3/7 --d 7 --char index:1 --zeta-order 9 --zeta-k 4 --n 0..4",
+     "2741e22c32ba4f0cdcde3cc809ee2f325963417347d3270729d6399fa8364675"),
+    ("--q 5/2 --d 29 --char quadratic --zeta-order 99 --zeta-k 97 --n 0..2",
+     "569787bfe2aaabfdad9c0f44ef15ecaeac9e344f1b6a094343ac38bc0a58d4c3"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", FOLD_PINS, ids=["index1-zeta9", "quadratic29-zeta99"])
+def test_twisted_stdout_is_pinned_where_the_fold_bites(capsys, argv, digest):
+    assert cli.main(["twisted", *argv.split()]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
