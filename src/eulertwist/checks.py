@@ -26,9 +26,10 @@ process-wide memo, :func:`_memo`, once per configuration and n_max:
 and eq22 holds its twist-only quotient and moments per (field, k) across
 the fold counts.  The key is the function as read from its module at the
 call, with its arguments, so a quantity patched on its module misses the
-memo.  Each result is held as a tuple, which no caller can mutate, and at
-most MEMO_ENTRIES of them are held.  A read returns only the result of the
-route it names, so no relation ever compares a route with itself.
+memo.  Each result is held as a tuple, which no caller can mutate, for the
+rest of the process: one CLI run, or one test, since the test suite clears
+the memo before each.  A read returns only the result of the route it
+names, so no relation ever compares a route with itself.
 """
 from __future__ import annotations
 
@@ -36,7 +37,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import cache, partial
 
 from . import fermionic, lfunction, twisted
 from .characters import (
@@ -77,7 +78,7 @@ def default_grid() -> Grid:
     return Grid()
 
 
-@lru_cache(maxsize=None)
+@cache
 def grid_characters(d: int) -> tuple[tuple[str, DirichletCharacter], ...]:
     """The characters a grid exercises per modulus: the principal one, the
     quadratic one where it exists, and one order-4 character for d = 5;
@@ -138,14 +139,9 @@ class CheckReport:
         }
 
 
-# One `all` sweep of the reach grid at n_max 12 holds 496 entries (5.2 MB
-# by tracemalloc), the default grid 320.
-MEMO_ENTRIES = 768
-
-
-@lru_cache(maxsize=MEMO_ENTRIES)
+@cache
 def _memo(quantity, *args) -> tuple:
-    """quantity(*args) as a tuple, computed once per equal key while held."""
+    """quantity(*args) as a tuple, computed once per equal key."""
     return tuple(quantity(*args))
 
 

@@ -331,8 +331,8 @@ def _resolve_character(spec: str, modulus: int):
 #   eq15 per q         integral's exact term at n = 8             q (3^9000+1)/7: 0.22 -> 0.27
 #   eq22 per (d, z)    5e-4 (d + D)                               d 99, z 99: 0.071 -> 0.080
 #   eq28 per table     d (3.5e-5 (1 + log2(h) / 4) + 1.3e-13 s^2) d 99, q 2: 0.0035 -> 0.0035; q 3^800+1: 0.20 -> 0.22
-# Each point adds 1e-3.  A check costs the relation that runs (RELATION_PRICES), a configuration A_0..A_n and the
-# dearest of series path, residue classes and float sums.  An lfun run costs its field and its float sum.
+# Each point adds 1e-3.  A check costs its relation (RELATION_PRICES): a configuration A_0..A_n and the dearest of
+# series path, residue classes and float sums; `all`, one sweep, each of them once.  lfun: its field and float sum.
 
 
 def _log_height(q) -> float:
@@ -394,15 +394,17 @@ def _exact_moments_s(n: int, h: float) -> float:
     return 7.3e-11 * (n + 1) ** 3.5 * h**1.5
 
 
-def _configs_s(grid, fixed_q=None) -> float:
+def _configs_s(grid, fixed_q=None, sweep=False) -> float:
     """Each point of `checks._configs` at 1e-3 + A_0..A_n + the dearest of its series path, residue classes and
-    float sums, or at cor3's fixed q + its residue classes; plus the fields the points build."""
+    float sums, or at cor3's fixed q + its residue classes; in a sweep of the six configuration relations at 6e-3 +
+    A_0..A_n twice (the d-step moments priced as A_n) + all three; plus the fields the points build."""
     seconds, orders = 0.0, set()
     for _, char, z, _, q in checks._configs(grid, fixed_q):
         orders.add(math.lcm(z, char.value_order))
         values, series, residues = _point_parts(grid.n_max, char.modulus, char.value_order, z, q)
         if fixed_q is None:
-            residues = max(series, residues, _float_sums_s(range(0, -grid.n_max - 1, -1), char.modulus, q))
+            parts = series, residues, _float_sums_s(range(0, -grid.n_max - 1, -1), char.modulus, q)
+            residues = 5e-3 + values + sum(parts) if sweep else max(parts)
         seconds += 1e-3 + values + residues
     return seconds + sum(map(_field_s, orders))
 
@@ -427,8 +429,10 @@ def predicted_seconds(args) -> float:
     """The predicted run time of a twisted, lfun, integral or check invocation from its parsed flags, checked
     against MAX_WORK_S before any field is built or any sum starts; 0 for classic and chars (bounded otherwise)."""
     if args.command == "check":
-        tokens = checks.RELATIONS if args.relation == "all" else [checks.ALIASES.get(args.relation, args.relation)]
-        return sum(RELATION_PRICES[token](args.grid) for token in tokens)
+        if args.relation == "all":  # the configuration relations as one sweep, plus the others' own prices
+            return _configs_s(args.grid, sweep=True) + sum(
+                price(args.grid) for price in RELATION_PRICES.values() if price is not _configs_s)
+        return RELATION_PRICES[checks.ALIASES.get(args.relation, args.relation)](args.grid)
     if args.command == "integral":
         h = _height(args.q)
         return 1e-3 + _walk_s(args.p, args.levels, h, [args.n]) + _exact_moments_s(args.n, h)
@@ -607,7 +611,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="run one relation check, or all of them, over a grid", epilog=budget)
     p.add_argument(
         "--relation", required=True, choices=(*checks.RELATIONS, *checks.ALIASES, "all"),
-        help="a relation token or alias, or all: every relation in turn, one report each, priced as their sum",
+        help="a relation token or alias, or all: every relation in turn, one report each, priced per held quantity",
     )
     p.add_argument(
         "--grid", type=_flag_type(_grid), default="default",

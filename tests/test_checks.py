@@ -12,6 +12,7 @@ import eulertwist as et
 from eulertwist import checks, cli, fermionic, lfunction, series, twisted
 from eulertwist.cyclotomic import CyclotomicNumber, cyclotomic_field
 from conftest import field_element
+from test_cli import CONFIG_RELATIONS
 from test_reachability import exit_code, program_runs
 
 SMALL_GRID = checks.Grid(
@@ -219,30 +220,41 @@ def test_one_bad_held_l_series_sum_fails_exactly_its_points_in_thm3_and_thm6(mon
         assert_fails_exactly_bad_n(checks.run_relation(relation, SMALL_GRID))
 
 
+# 1620 held keys: a memo bounded at a few hundred entries would evict them between readers.
+WIDE_GRID = checks.Grid(n_max=0, moduli=tuple(range(1, 30, 2)), zeta_orders=(1, 3, 5, 9),
+                        q_values=(F(2), F(5, 2), F(-3, 7)))
+# (module, quantity, its key in the count): what the config relations read through checks._memo
+HELD = [
+    (twisted, "twisted_values", lambda cfg, n_max: cfg),
+    (twisted, "alternating_char_sums", lambda cfg, n_max: cfg),
+    (fermionic, "_char_moment_sequence", lambda n_max, cfg: cfg),
+    (fermionic, "residue_class_sums", lambda n_max, cfg: cfg),
+    (lfunction, "l_series_sum", lambda params: (params.cfg, params.s)),
+]
+
+
 def test_thm2_thm3_and_thm6_compute_each_shared_sum_once(monkeypatch):
-    """Run in `RELATIONS` order, thm2, thm3 and thm6 compute the alternating
-    sums once per configuration and sum the L-series once per configuration
-    and n."""
-    sums, series = Counter(), Counter()
-    real_sums, real_series = twisted.alternating_char_sums, lfunction.l_series_sum
-
-    def counted_sums(cfg, n_max):
-        sums[cfg] += 1
-        return real_sums(cfg, n_max)
-
-    def counted_series(params):
-        series[params.cfg, params.s] += 1
-        return real_series(params)
-
-    monkeypatch.setattr(twisted, "alternating_char_sums", counted_sums)
-    monkeypatch.setattr(lfunction, "l_series_sum", counted_series)
-    grid = checks.default_grid()
-    for relation in [r for r in checks.RELATIONS if r in ("thm2", "thm3", "thm6")]:
-        assert checks.run_relation(relation, grid).passed, relation
-    configs = {twisted.TwistedConfig.build(*config) for _, *config in checks._configs(grid)}
-    assert len(configs) == 54
-    assert sums == Counter(configs)
-    assert series == Counter((cfg, complex(-n)) for cfg in configs for n in range(grid.n_max + 1))
+    """Run as separate `run_relation` calls in `RELATIONS` order, the six
+    config relations compute each held quantity once per configuration,
+    and sum the L-series once per configuration and n, on the default grid
+    and on a wide one: nothing held is evicted between two readers."""
+    calls = Counter()
+    for module, name, key in HELD:
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args, real=real, name=name, key=key:
+                            calls.update([(name, key(*args))]) or real(*args))
+    for grid, count in ((checks.default_grid(), 54), (WIDE_GRID, 324)):
+        checks._memo.cache_clear()
+        calls.clear()
+        for relation in [r for r in checks.RELATIONS if r in CONFIG_RELATIONS]:
+            assert checks.run_relation(relation, grid).passed, relation
+        configs = {twisted.TwistedConfig.build(*config) for _, *config in checks._configs(grid)}
+        assert len(configs) == count
+        expected = Counter((name, cfg) for _, name, _ in HELD[:-1] for cfg in configs)
+        expected.update(("l_series_sum", (cfg, complex(-n))) for cfg in configs for n in range(grid.n_max + 1))
+        assert calls == expected
+        info = checks._memo.cache_info()
+        assert info.misses == info.currsize == len(HELD) * count
 
 
 def test_a_sweep_enumerates_the_characters_of_each_modulus_at_most_once(capsys, monkeypatch):

@@ -267,17 +267,34 @@ def test_all_exits_one_when_one_report_fails(capsys, monkeypatch):
     assert [doc["summary"]["fail"] for doc in docs] == [token == "thm5-residual" for token in checks.RELATIONS]
 
 
-def test_all_is_priced_as_the_sum_of_the_relations(capsys, monkeypatch):
-    def price(relation):
-        return cli.predicted_seconds(SimpleNamespace(command="check", relation=relation, grid=checks.default_grid()))
+def check_price(relation, grid) -> float:
+    return cli.predicted_seconds(SimpleNamespace(command="check", relation=relation, grid=grid))
 
-    assert price("all") == pytest.approx(sum(price(token) for token in checks.RELATIONS))
-    # each relation alone is admitted, their sum is not
-    for token in checks.RELATIONS:
-        monkeypatch.setitem(cli.RELATION_PRICES, token, lambda grid: cli.MAX_WORK_S / 10)
-    assert all(price(token) <= cli.MAX_WORK_S for token in checks.RELATIONS)
+
+# A grid that the sum of the eleven relation prices (8.41 s) would refuse and the sweep (4.42 s) admits.
+PROBE_GRID = {"n_max": 6, "moduli": list(range(1, 30, 2)), "zeta_orders": [1, 3, 5, 9], "q": ["2", "5/2", "-3/7"]}
+
+
+def test_all_is_priced_at_most_the_sum_of_the_relations():
+    """`all` counts each held quantity once, so no `all` run the sum of the prices admitted is refused."""
+    rng = random.Random(20261020)
+    for _ in range(300):
+        grid = draw_grid(rng)
+        assert 0 < check_price("all", grid) <= sum(check_price(token, grid) for token in checks.RELATIONS), grid
+
+
+def test_the_probe_grid_all_run_is_admitted_and_passes(capsys, tmp_path):
+    code, out = run_cli(capsys, "check", "--relation", "all", "--grid", grid_file(tmp_path, PROBE_GRID))
+    assert code == 0 and [json.loads(line)["relation"] for line in out.splitlines()] == list(checks.RELATIONS)
+
+
+def test_all_exits_two_when_its_sweep_is_over_the_budget(capsys, monkeypatch, tmp_path):
+    # at n_max 8 the sweep prices 5.43 s, though each relation alone is admitted
+    spec = grid_file(tmp_path, {**PROBE_GRID, "n_max": 8})
+    grid = cli._grid(spec)
+    assert all(check_price(token, grid) <= cli.MAX_WORK_S for token in checks.RELATIONS)
     no_work(monkeypatch)
-    assert cli.main(["check", "--relation", "all"]) == 2
+    assert cli.main(["check", "--relation", "all", "--grid", spec]) == 2
     assert "work budget MAX_WORK_S" in capsys.readouterr().err
 
 
