@@ -2,12 +2,13 @@
 
 This module states every relation's two sides; the modules it reads
 (`twisted`, `fermionic`, `lfunction`) export quantities only.  Each
-registered relation runs one identity over every applicable grid point and
-reports a per-point verdict; a report passes iff no point fails and at least
-one passes.  Routes that give other than the grid's count of n or levels,
-or two routes of different lengths, fail every point of their
-configuration, so no relation passes on fewer points.  The registry names
-are the stable CLI tokens.
+relation, registered once under its stable CLI token, is a stream of
+(key, verdict) points, a verdict an (ok, detail) pair or the reason string
+of a skipped point; :func:`_report` turns a stream into a report sorted by
+key, which passes iff no point fails and at least one passes.  Routes that
+give other than the grid's count of n or levels, or two routes of
+different lengths, fail every point of their configuration, so no relation
+passes on fewer points.
 
 Every quantity that two relations read at one point is read through one
 process-wide memo, :func:`_memo`, once per configuration and n_max:
@@ -35,7 +36,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, partial
 
@@ -104,17 +105,7 @@ class PointResult:
 class CheckReport:
     relation: str
     grid_description: str
-    points: list = field(default_factory=list)
-
-    def add(self, key: str, ok: bool, detail: str = "") -> None:
-        self.points.append(PointResult(key, "pass" if ok else "fail", detail))
-
-    def skip(self, key: str, detail: str) -> None:
-        self.points.append(PointResult(key, "skip", detail))
-
-    def finalize(self) -> "CheckReport":
-        self.points.sort(key=lambda p: p.key)
-        return self
+    points: list
 
     @property
     def counts(self) -> dict:
@@ -157,16 +148,21 @@ def _configs(grid: Grid, fixed_q: Fraction | None = None):
                     yield (key if fixed_q is not None else f"{key} q={format_rational(q)}"), char, zeta_order, k, q
 
 
-def run_eq15(grid: Grid) -> CheckReport:
+def _report(name: str, grid: Grid, points) -> CheckReport:
+    """The report of a stream of (key, verdict) points, sorted by key: a
+    verdict is an (ok, detail) pair, or the reason string of a skipped point."""
+    results = (PointResult(key, "skip", verdict) if isinstance(verdict, str)
+               else PointResult(key, "pass" if verdict[0] else "fail", verdict[1]) for key, verdict in points)
+    return CheckReport(name, grid.describe(), sorted(results, key=lambda p: p.key))
+
+
+def _eq15_points(grid: Grid):
     """Moments of the alternating measure against classical polynomials: one
     moment sequence I(x^n), n <= 8, per q."""
-    report = CheckReport("eq15", grid.describe())
     for q in grid.q_values:
-        moments = fermionic._moment_sequence(8, 1 / q)
-        for n, lhs in enumerate(moments):
+        for n, lhs in enumerate(fermionic._moment_sequence(8, 1 / q)):
             rhs = Fraction(-1) ** n * eulerian_at(n, -q) / (1 + q) ** n
-            report.add(f"n={n} q={format_rational(q)}", lhs == rhs)
-    return report.finalize()
+            yield f"n={n} q={format_rational(q)}", (lhs == rhs, "")
 
 
 # Tolerances of the two float relations: thm3 bounds the absolute gap, thm6
@@ -189,27 +185,20 @@ def _zip(*routes):
     return zip(*routes)
 
 
-def _config_report(grid: Grid, name: str, sides, decide, fixed_q: Fraction | None = None) -> CheckReport:
+def _config_points(grid: Grid, sides, decide, fixed_q: Fraction | None = None):
     """One verdict per configuration and n: sides(cfg, n_max) gives an
     (lhs, rhs) pair per n, or the reason string of a skipped point, and
     decide(cfg, lhs, rhs) gives (ok, detail).  A configuration whose sides
     are not n_max + 1, or whose routes differ in length, fails at every n."""
-    report = CheckReport(name, grid.describe())
     for key, *config in _configs(grid, fixed_q):
         cfg = twisted.TwistedConfig.build(*config)
         try:
-            pairs = list(_zip(range(grid.n_max + 1), sides(cfg, grid.n_max)))
+            verdicts = [pair if isinstance(pair, str) else decide(cfg, *pair)
+                        for _, pair in _zip(range(grid.n_max + 1), sides(cfg, grid.n_max))]
         except _ShortRoute as exc:
-            for n in range(grid.n_max + 1):
-                report.add(f"{key} n={n}", False, str(exc))
-            continue
-        for n, pair in pairs:
-            point = f"{key} n={n}"
-            if isinstance(pair, str):
-                report.skip(point, pair)
-            else:
-                report.add(point, *decide(cfg, *pair))
-    return report.finalize()
+            verdicts = [(False, str(exc))] * (grid.n_max + 1)
+        for n, verdict in enumerate(verdicts):
+            yield f"{key} n={n}", verdict
 
 
 def _skip_vanishing(sides, what: str):
@@ -315,12 +304,11 @@ def _distribution_sides(cfg, n_max: int) -> list:
                      _memo(fermionic.residue_class_sums, n_max, cfg)))
 
 
-def run_cor2_residual(grid: Grid) -> CheckReport:
+def _cor2_points(grid: Grid):
     """Corollary 2: the unnormalized alternating sums U_N tend to
     2 (-1)^n A_n / (q (1+q)^(n+1)), A_n on the series path, with every
     v_p(U_N - limit) at least N; the d-l+1 kernel's limit, the same formula
     times q^2 with A_n from the generating function, is q^2 times it."""
-    report = CheckReport("cor2-residual", grid.describe())
     for p in grid.primes:
         q = Fraction(1 + p)
         for char_name, char in (("principal", principal_character(p)),
@@ -341,9 +329,8 @@ def run_cor2_residual(grid: Grid) -> CheckReport:
                     verdicts.append((growth and kernel_limit == q**2 * limit, detail))
             except _ShortRoute as exc:  # each n of this character fails
                 verdicts = [(False, str(exc))] * (grid.padic_n_max + 1)
-            for n, (ok, detail) in enumerate(verdicts):
-                report.add(f"p={p} char={char_name} n={n}", ok, detail)
-    return report.finalize()
+            for n, verdict in enumerate(verdicts):
+                yield f"p={p} char={char_name} n={n}", verdict
 
 
 def _twist_quotient(field, k: int, order: int) -> tuple:
@@ -352,7 +339,7 @@ def _twist_quotient(field, k: int, order: int) -> tuple:
     return exp_quotient(field, [(0, 2, -k)], 1, 1, field.binomial_inverse(1, 1, -k), order).coeffs
 
 
-def run_eq22(grid: Grid) -> CheckReport:
+def _eq22_points(grid: Grid):
     """Telescoping of the folded twisted Euler generating function: per odd
     fold count d, 2 sum_{l<d} (-1)^l zeta^l e^(lt) / (zeta^d e^(dt) + 1)
     against 2/(zeta e^t + 1), and the Taylor coefficients of the latter
@@ -362,7 +349,6 @@ def run_eq22(grid: Grid) -> CheckReport:
     its pivot 1 + zeta^-d or 1 + zeta^-1 inverted by the geometric series.
     The direct quotient and the moments depend on the twist alone, so they
     are held per (field, k) across the fold counts."""
-    report = CheckReport("eq22", grid.describe())
     order = 12
     for d in grid.moduli:
         if d < 1 or d % 2 == 0:
@@ -376,49 +362,43 @@ def run_eq22(grid: Grid) -> CheckReport:
             taylor = tuple(nth_taylor_coefficient(direct, n) for n in range(order))
             series_equal = folded == direct
             moments_equal = taylor == _memo(fermionic._moment_sequence, order - 1, 1, field, k)
-            report.add(
-                f"d_fold={d} zeta={zeta_order}^{k}",
-                series_equal and moments_equal,
-                f"series_equal={series_equal} moments_equal={moments_equal}",
-            )
-    return report.finalize()
+            yield f"d_fold={d} zeta={zeta_order}^{k}", (
+                series_equal and moments_equal, f"series_equal={series_equal} moments_equal={moments_equal}")
 
 
-def run_eq28_residual(grid: Grid) -> CheckReport:
+def _eq28_points(grid: Grid):
     """The two alternating kernels differ by exactly q^2 on random tables:
     sum_l (-1)^l q^(d-l+1) v_l = q^2 sum_l (-1)^l q^(d-1-l) v_l."""
-    report = CheckReport("eq28-residual", grid.describe())
     rng = random.Random(grid.seed)
     for d in grid.moduli:
         for q in grid.q_values:
             for trial in range(grid.random_tables):
-                values = [
-                    Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(d)
-                ]
+                values = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(d)]
                 lhs = sum((-1) ** l * q ** (d - l + 1) * v for l, v in enumerate(values))
                 rhs = q**2 * sum((-1) ** l * q ** (d - 1 - l) * v for l, v in enumerate(values))
-                report.add(f"d={d} q={format_rational(q)} trial={trial}", lhs == rhs)
-    return report.finalize()
+                yield f"d={d} q={format_rational(q)} trial={trial}", (lhs == rhs, "")
 
 
-# A config relation is one _config_report row.  Each row reads its sides
-# function by name when it runs, so a sides function patched on this module
-# is the one that runs.
-RELATIONS = {
-    "eq15": run_eq15,
-    "thm2": lambda grid: _config_report(grid, "thm2", _path_sides, _equal),
-    "thm3": lambda grid: _config_report(grid, "thm3", _thm3_sides, _absolute_gap),
-    "thm6": lambda grid: _config_report(grid, "thm6", _thm6_sides, _relative_gap),
-    "distribution": lambda grid: _config_report(grid, "distribution", _distribution_sides, _equal),
-    "thm1-residual": lambda grid: _config_report(
-        grid, "thm1-residual", _skip_vanishing(_thm1_sides, "integral moment"), _equal_up_to_q_squared),
-    "thm5-residual": lambda grid: _config_report(
-        grid, "thm5-residual", _skip_vanishing(_thm5_sides, "decomposition sum"), _equal_up_to_q_squared),
-    "cor2-residual": run_cor2_residual,
-    "cor3": lambda grid: _config_report(grid, "cor3", _thm5_sides, _equal, fixed_q=Fraction(1)),
-    "eq22": run_eq22,
-    "eq28-residual": run_eq28_residual,
+# One row per relation: its token and its stream of points.  A config row reads
+# its sides function by name when it runs, so one patched on this module runs.
+# RELATIONS holds a plain callable per token, grid -> report, that callers may rebind.
+_POINTS = {
+    "eq15": _eq15_points,
+    "thm2": lambda grid: _config_points(grid, _path_sides, _equal),
+    "thm3": lambda grid: _config_points(grid, _thm3_sides, _absolute_gap),
+    "thm6": lambda grid: _config_points(grid, _thm6_sides, _relative_gap),
+    "distribution": lambda grid: _config_points(grid, _distribution_sides, _equal),
+    "thm1-residual": lambda grid: _config_points(
+        grid, _skip_vanishing(_thm1_sides, "integral moment"), _equal_up_to_q_squared),
+    "thm5-residual": lambda grid: _config_points(
+        grid, _skip_vanishing(_thm5_sides, "decomposition sum"), _equal_up_to_q_squared),
+    "cor2-residual": _cor2_points,
+    "cor3": lambda grid: _config_points(grid, _thm5_sides, _equal, fixed_q=Fraction(1)),
+    "eq22": _eq22_points,
+    "eq28-residual": _eq28_points,
 }
+RELATIONS = {token: lambda grid, token=token, points=points: _report(token, grid, points(grid))
+             for token, points in _POINTS.items()}
 
 ALIASES = {"witt": "eq15", "cor2": "cor2-residual"}
 

@@ -17,11 +17,10 @@ from fractions import Fraction
 from .characters import DirichletCharacter, principal_character
 from .cyclotomic import CyclotomicNumber, cyclotomic_field
 from .errors import NotPadicallyConvergent, SingularFunctionalEquation
-from .eulerian import periodic_power_sums
 from .ntheory import is_prime
 from .rationals import format_rational, int_valuation, padic_valuation, q_bracket_neg
 from .series import divide_step, power_moments
-from .twisted import TwistedConfig
+from .twisted import TwistedConfig, alternating_char_sums
 
 
 def _binomial_solve(rhs: list, step: int, pivot_inv) -> list:
@@ -217,18 +216,18 @@ def padic_truncation(
     one Fraction S_N = (u+v) A_N / (scale (U - V)).  While P <= d, the character's period,
     A_N = sum_{x<P} chi(x) x^n (-v)^x u^(P-1-x) by Horner in u, and scale = 1.  Past it, regrouping
     x = y + P in one period's Eulerian power sums T_j = t_j/den = sum_{x>=0} chi(x) x^j (-1/q)^x (one
-    :func:`~eulertwist.eulerian.periodic_power_sums` call before the loop, plus chi(0) at j = 0) gives
+    :func:`~eulertwist.twisted.alternating_char_sums` call at twist 1 before the loop, plus chi(0) at j = 0) gives
     A_N = t_n U - R_P V, R_P = sum_j C(n,j) P^(n-j) t_j by Horner in P, and scale = u den.  The exact
     value comes from the d-step functional equation, which shares no formula with either."""
     char = principal_character(1) if char is None else char
     q = Fraction(q)
     _check_padic_regime(q, p, char)
+    cfg = TwistedConfig.build(char, 1, 0, q)
     period = int_valuation(char.modulus, p)  # p^period = d
     d, u, v = char.modulus, q.numerator, q.denominator
     chi = [int(char.rational_value(m)) for m in range(d)]
     if max_level > period:
-        terms = [(m, chi[m % d], 0) for m in range(1, d + 1) if chi[m % d]]
-        sums = periodic_power_sums(cyclotomic_field(1), terms, d, n, -1 / q)
+        sums = alternating_char_sums(cfg, n)
         den = math.lcm(*(t.den for t in sums))
         weights = [math.comb(n, j) * t.num[0] * (den // t.den) for j, t in enumerate(sums)]  # C(n,j) t_j
         weights[0] += chi[0] * den
@@ -247,7 +246,7 @@ def padic_truncation(
                 tail = tail * size + weight
             total, scale = weights[n] * big_u - tail * big_v, u * den
         partials.append(Fraction((u + v) * total, scale * (big_u - big_v)))
-    exact = _char_moment_sequence(n, TwistedConfig.build(char, 1, 0, q))[n].coeffs[0]  # degree 1: chi rational, twist 1
+    exact = _char_moment_sequence(n, cfg)[n].coeffs[0]  # degree 1: chi rational, twist 1
     levels = []
     for level, partial in enumerate(partials):
         gap = partial.numerator * exact.denominator - exact.numerator * partial.denominator

@@ -257,6 +257,17 @@ def test_thm2_thm3_and_thm6_compute_each_shared_sum_once(monkeypatch):
         assert info.misses == info.currsize == len(HELD) * count
 
 
+def test_every_report_names_its_token_and_each_point_once():
+    """The benchmark's check-sweep counts a report's points by key: on the
+    default grid and on a wide one, each token's report names that token
+    and holds each key once."""
+    for grid in (checks.default_grid(), WIDE_GRID):
+        for token in checks.RELATIONS:
+            report = checks.run_relation(token, grid)
+            keys = [p.key for p in report.points]
+            assert report.relation == token and keys and len(set(keys)) == len(keys), token
+
+
 def test_a_sweep_enumerates_the_characters_of_each_modulus_at_most_once(capsys, monkeypatch):
     """grid_characters holds its tuple per modulus: `check --relation all`
     on the default grid enumerates the characters mod 5 once, not once per

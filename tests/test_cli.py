@@ -257,7 +257,7 @@ def test_all_exits_one_when_one_report_fails(capsys, monkeypatch):
     def run(name, grid):
         report = passing_report(name)
         if name == "thm5-residual":
-            report.add("bad", False)
+            report.points.append(checks.PointResult("bad", "fail"))
         return report
 
     monkeypatch.setattr(cli.checks, "run_relation", run)
@@ -598,9 +598,7 @@ def test_every_grid_field_has_one_key():
 
 def passing_report(name):
     """A stand-in report: one point, passed."""
-    report = cli.checks.CheckReport(name, "")
-    report.add("stub", True)
-    return report
+    return checks.CheckReport(name, "", [checks.PointResult("stub", "pass")])
 
 
 def test_cor2_grid_at_the_walk_bound_is_accepted(capsys, monkeypatch, tmp_path):

@@ -20,6 +20,7 @@ from eulertwist import (
     q_bracket_neg,
     quadratic_character,
     riemann_sums,
+    twisted,
     twisted_values,
 )
 from eulertwist.cyclotomic import CyclotomicField, CyclotomicNumber
@@ -500,13 +501,13 @@ class TestPadicTruncation:
     @pytest.mark.parametrize("q, p", CLOSED_FORM_POINTS)
     def test_power_sums_are_read_once_past_the_period_and_never_up_to_it(self, monkeypatch, q, p):
         calls = []
-        real = fermionic.periodic_power_sums
+        real = twisted.periodic_power_sums
 
         def counted(*args):
             calls.append(args)
             return real(*args)
 
-        monkeypatch.setattr(fermionic, "periodic_power_sums", counted)
+        monkeypatch.setattr(twisted, "periodic_power_sums", counted)
         for char, top in closed_form_characters(p):
             period = 0 if char is None else round(math.log(char.modulus, p))  # p^period = d
             for max_level in range(-1, top + 1):
