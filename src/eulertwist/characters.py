@@ -95,9 +95,7 @@ def character_from_table(modulus: int, order: int, table) -> DirichletCharacter:
             got = exps[(a * b) % modulus]
             want = None if (ea is None or eb is None) else (ea + eb) % order
             if got != want:
-                raise InvalidCharacter(
-                    f"multiplicativity fails at ({a}, {b})", pair=(a, b)
-                )
+                raise InvalidCharacter(f"multiplicativity fails at ({a}, {b})")
     final_order, canon = _canonical_exponents(order, tuple(exps))
     return DirichletCharacter(modulus, final_order, canon)
 
@@ -169,22 +167,22 @@ def enumerate_characters(modulus: int) -> list[DirichletCharacter]:
 _FILE_SHAPE = 'a character file holds {"modulus": d, "order": M, "values": {"a": exponent or null}}'
 
 
-def character_from_json(doc: dict, modulus: int | None = None) -> DirichletCharacter:
+def character_from_json(doc: dict, modulus: int) -> DirichletCharacter:
     """The character of a to_json document; InvalidCharacter for a document
-    of another shape, and for one whose modulus is not `modulus` (when
-    given), before the table is validated."""
+    of another shape, and for one whose modulus is not `modulus`, before the
+    table is validated."""
     try:
         read = int(doc["modulus"])
         order = int(doc["order"])
         table = {int(a): (None if e is None else int(e)) for a, e in doc["values"].items()}
     except (TypeError, KeyError, AttributeError, ValueError) as exc:
         raise InvalidCharacter(_FILE_SHAPE) from exc
-    if modulus is not None and read != modulus:
+    if read != modulus:
         raise InvalidCharacter(f"character file has modulus {read}, expected {modulus}")
     return character_from_table(read, order, table)
 
 
-def load_character_file(path: str, modulus: int | None = None) -> DirichletCharacter:
+def load_character_file(path: str, modulus: int) -> DirichletCharacter:
     """The character of a to_json file; InvalidCharacter for a file that is
     not UTF-8 JSON, holds an int over the interpreter's digit limit or nests
     too deeply for json.load, as for a document of another shape.  The first

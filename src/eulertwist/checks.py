@@ -158,9 +158,9 @@ def _report(name: str, grid: Grid, points) -> CheckReport:
 
 def _eq15_points(grid: Grid):
     """Moments of the alternating measure against classical polynomials: one
-    moment sequence I(x^n), n <= 8, per q."""
+    moment sequence I(x^n), n <= 8, per q, in Q(zeta_1)."""
     for q in grid.q_values:
-        for n, lhs in enumerate(fermionic._moment_sequence(8, 1 / q)):
+        for n, lhs in enumerate(fermionic._moment_sequence(8, 1 / q, cyclotomic_field(1), 0)):
             rhs = Fraction(-1) ** n * eulerian_at(n, -q) / (1 + q) ** n
             yield f"n={n} q={format_rational(q)}", (lhs == rhs, "")
 
@@ -260,7 +260,7 @@ def _thm3_sides(cfg, n_max: int) -> list:
     """Numeric partial sums of sum (-1)^m zeta^m chi(m) m^n / q^m beside the
     embedded exact closed form of the same series."""
     numerics = [_evaluated(held) for held in _memo(lfunction.l_series_sums, cfg, n_max)]
-    return [v if isinstance(v, str) else (v, embed_complex(e, 1))
+    return [v if isinstance(v, str) else (v, embed_complex(e))
             for v, e in _zip(numerics, _memo(twisted.alternating_char_sums, cfg, n_max))]
 
 
@@ -287,7 +287,7 @@ def _thm6_sides(cfg, n_max: int) -> list:
             out.append("series misses the index-0 term at modulus 1")
         else:
             value = _evaluated(held, partial(lfunction.with_prefactor, complex(-n), cfg.q))
-            out.append(value if isinstance(value, str) else (value, (-1) ** n * embed_complex(tv.value, 1)))
+            out.append(value if isinstance(value, str) else (value, (-1) ** n * embed_complex(tv.value)))
     return out
 
 

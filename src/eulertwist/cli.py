@@ -473,7 +473,7 @@ def _cmd_twisted(args) -> int:
     rows = []
     for n in indices:
         val = values[n].value
-        emb = embed_complex(val, 1)
+        emb = embed_complex(val)
         rows.append({"n": n, "cyclotomic": val.to_json(), "complex": [emb.real, emb.imag]})
     params = {"q": format_rational(args.q), "d": args.d, "char": args.char, "zeta_order": args.zeta_order,
               "zeta_k": cfg.zeta_exponent, "ambient_order": cfg.field.order}

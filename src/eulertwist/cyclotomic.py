@@ -14,8 +14,8 @@ equality is equality in the field.  Every operation works on integers and
 divides out the content gcd once at the end; ``coeffs`` gives the same
 element as a tuple of Fractions.
 
-The class of x itself is a primitive N-th root of unity; complex embeddings
-send it to exp(2*pi*i*k/N).
+The class of x itself is a primitive N-th root of unity; the complex
+embedding sends it to exp(2*pi*i/N).
 """
 from __future__ import annotations
 
@@ -211,7 +211,8 @@ class CyclotomicNumber:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return _sum(self.field, self.num, self.den, other.num, other.den, 1)
+        da, db = self.den, other.den
+        return CyclotomicNumber(self.field, [x * db + y * da for x, y in zip(self.num, other.num)], da * db)
 
     __radd__ = __add__
 
@@ -219,7 +220,7 @@ class CyclotomicNumber:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return _sum(self.field, self.num, self.den, other.num, other.den, -1)
+        return self + -other
 
     def __rsub__(self, other) -> "CyclotomicNumber":
         return (-self) + other
@@ -296,35 +297,10 @@ def _make(field: CyclotomicField, num: tuple, den: int) -> CyclotomicNumber:
     return out
 
 
-def _sum(field: CyclotomicField, a: tuple, da: int, b: tuple, db: int, sign: int) -> CyclotomicNumber:
-    """a/da + sign * b/db for canonical operands.
-
-    Over the common denominator da*db/g, g = gcd(da, db), a prime that
-    divides the new denominator and every new numerator entry divides g
-    (otherwise it would divide da and all of a, or db and all of b), so the
-    content gcd is taken against g alone and skipped when g = 1."""
-    g = math.gcd(da, db)
-    if da == db:
-        num = [x + y for x, y in zip(a, b)] if sign > 0 else [x - y for x, y in zip(a, b)]
-        den = da
-    else:
-        ma, mb = db // g, sign * (da // g)
-        num = [x * ma + y * mb for x, y in zip(a, b)]
-        den = da * ma
-    if g != 1:
-        h = math.gcd(g, *num)
-        if h != 1:
-            return _make(field, tuple([c // h for c in num]), den // h)
-    return _make(field, tuple(num), den)
-
-
-def embed_complex(a: CyclotomicNumber, k: int = 1) -> complex:
-    """Evaluate the coefficient polynomial at exp(2*pi*i*k/N); k coprime to N.
+def embed_complex(a: CyclotomicNumber) -> complex:
+    """Evaluate the coefficient polynomial at exp(2*pi*i/N).
     OutsideDoubleRange when a coefficient or the value exceeds double range."""
-    n = a.field.order
-    if math.gcd(k, n) != 1:
-        raise NotAPrimitiveEmbedding(f"gcd({k}, {n}) != 1")
-    root = cmath.exp(2j * cmath.pi * k / n)
+    root = cmath.exp(2j * cmath.pi / a.field.order)
     den = a.den
     value = 0j
     try:

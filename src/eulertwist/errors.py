@@ -39,9 +39,7 @@ class OrderTooLow(MathError):
 
 
 class InvalidCharacter(MathError):
-    def __init__(self, message, pair=None):
-        super().__init__(message)
-        self.pair = pair
+    pass
 
 
 class NotSquarefree(MathError):

@@ -39,33 +39,29 @@ def _binomial_solve(rhs: list, step: int, pivot_inv) -> list:
     return out
 
 
-def _moment_sequence(n: int, ratio, field=None, k: int = 0) -> list:
-    """I(zeta_N^(kx) x^m) for m = 0..n under mu_(-ratio), from the one-step
-    equation on f(x) = zeta_N^(kx) x^m, whose right side (1+ratio) f(0) is
-    1 + ratio at m = 0 and 0 after it: as Fractions at twist 1 without a
-    field, else in field = Q(zeta_N) at zeta_N^k of odd order.  Divided by
-    its unit ratio zeta_N^k, the equation is monic: its right side is
-    (1 + 1/ratio) zeta_N^(-k) at m = 0, its pivot 1 + zeta_N^(-k)/ratio,
-    inverted by its geometric series.  Under mu_(-1) the moments of x^m are
-    E_m(0):
+def _moment_sequence(n: int, ratio, field, k: int) -> list:
+    """I(zeta_N^(kx) x^m) for m = 0..n under mu_(-ratio), in field = Q(zeta_N)
+    at zeta_N^k of odd order, from the one-step equation on
+    f(x) = zeta_N^(kx) x^m, whose right side (1+ratio) f(0) is 1 + ratio at
+    m = 0 and 0 after it.  Divided by its unit ratio zeta_N^k, the equation
+    is monic: its right side is (1 + 1/ratio) zeta_N^(-k) at m = 0, its pivot
+    1 + zeta_N^(-k)/ratio, inverted by its geometric series.  Under mu_(-1)
+    the moments of x^m are E_m(0):
 
-    >>> [str(x) for x in _moment_sequence(5, 1)]
+    >>> [str(x.coeffs[0]) for x in _moment_sequence(5, 1, cyclotomic_field(1), 0)]
     ['1', '-1/2', '0', '1/4', '0', '-1/2']
 
     Ratio -1 at twist 1 raises SingularFunctionalEquation; with zeta_N^k != 1
     it raises the geometric series' DivisionByZero (c0 = -c1).  No program
     path passes ratio -1: q = -1 is refused everywhere.
     """
-    ratio, rational = Fraction(ratio), field is None
+    ratio = Fraction(ratio)
     if ratio == 0:
         raise ValueError("measure parameter must be nonzero")
-    if rational:
-        field = cyclotomic_field(1)
     if ratio == -1 and k % field.order == 0:
         raise SingularFunctionalEquation("1 + ratio*twist vanishes")
     rhs = [field.zeta_power(-k) * (1 + 1 / ratio)] + [field.zero] * n
-    out = _binomial_solve(rhs, 1, field.binomial_inverse(1, 1 / ratio, -k))
-    return [x.coeffs[0] for x in out] if rational else out
+    return _binomial_solve(rhs, 1, field.binomial_inverse(1, 1 / ratio, -k))
 
 
 def _char_moment_sequence(n: int, cfg) -> list:

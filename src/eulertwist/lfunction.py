@@ -70,8 +70,8 @@ class _Summands:
 
     def __init__(self, cfg: TwistedConfig):
         d, order = cfg.char.modulus, cfg.zeta_order
-        chi = [embed_complex(cfg.char_value(a), 1) for a in range(d)]
-        zeta = [embed_complex(cfg.zeta_pow(m), 1) for m in range(order)]
+        chi = [embed_complex(cfg.char_value(a)) for a in range(d)]
+        zeta = [embed_complex(cfg.zeta_pow(m)) for m in range(order)]
         self.cfg, self.q = cfg, float(cfg.q)
         self.ln_q, self.ln_1q = math.log(self.q), math.log(1 + self.q)
         self.coefficients = [

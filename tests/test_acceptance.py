@@ -14,6 +14,7 @@ from eulertwist import (
     TwistedConfig,
     checks,
     cli,
+    cyclotomic_field,
     descent_oracle,
     enumerate_characters,
     eulerian_at,
@@ -68,7 +69,7 @@ def test_criterion_2_witt_formula_exact():
     ok = True
     for q in Q_GRID:
         for n in range(9):
-            lhs = _moment_sequence(n, 1 / q)[n]
+            lhs = _moment_sequence(n, 1 / q, cyclotomic_field(1), 0)[n]
             rhs = F(-1) ** n * eulerian_at(n, -q) / (1 + q) ** n
             ok = ok and lhs == rhs
     report(2, "integral moments equal classical values, exact", ok)
@@ -184,8 +185,8 @@ def test_criterion_9_twisted_euler_generating_function():
     # d in (1, 3, 5), zeta of order 1, 3, 9 at exponent 1; a point passes when both pairs agree
     folds = checks.run_relation("eq22", checks.Grid(moduli=(1, 3, 5), zeta_orders=(1, 3, 9), zeta_exponent=1))
     ok = ok and folds.passed and folds.counts["pass"] == 9
-    ok = ok and _moment_sequence(0, 1)[0] == 1
-    ok = ok and _moment_sequence(1, 1)[1] == F(-1, 2)
+    ok = ok and _moment_sequence(0, 1, cyclotomic_field(1), 0)[0] == 1
+    ok = ok and _moment_sequence(1, 1, cyclotomic_field(1), 0)[1] == F(-1, 2)
     report(9, "folded Euler generating function telescopes, exact", ok)
 
 

@@ -38,9 +38,8 @@ class TestFromTable:
     def test_multiplicativity_failure_reports_pair(self):
         # chi(2) = -1 but chi(4) = +1 requires chi(2)^2 = chi(4); force a break
         table = {0: None, 1: 0, 2: 1, 3: None, 4: 1, 5: 0, 6: None, 7: 0, 8: 0}
-        with pytest.raises(InvalidCharacter) as excinfo:
+        with pytest.raises(InvalidCharacter, match=r"multiplicativity fails at \(2, 2\)"):
             character_from_table(9, 2, table)
-        assert excinfo.value.pair is not None
 
     @pytest.mark.parametrize("d", [3, 5, 7, 9])
     def test_accepted_tables_are_exactly_the_enumerated_characters(self, d):
@@ -144,13 +143,13 @@ class TestValues:
 class TestJson:
     def test_round_trip(self):
         char = quadratic_character(15)
-        assert character_from_json(char.to_json()) == char
+        assert character_from_json(char.to_json(), 15) == char
 
     def test_file_loading(self, tmp_path):
         path = tmp_path / "quadratic3.json"
         doc = {"modulus": 3, "order": 2, "values": {"0": None, "1": 0, "2": 1}}
         path.write_text(json.dumps(doc))
-        assert load_character_file(str(path)) == quadratic_character(3)
+        assert load_character_file(str(path), 3) == quadratic_character(3)
 
     def test_null_encodes_zero(self):
         doc = principal_character(3).to_json()

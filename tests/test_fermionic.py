@@ -132,22 +132,22 @@ def walk_valuations(char, q, p, max_level, n):
 class TestPolyTwistIntegral:
     def test_zeroth_moment_is_one(self):
         for ratio in (F(1, 2), F(3), F(2, 7)):
-            assert _moment_sequence(0, ratio)[0] == 1
+            assert _moment_sequence(0, ratio, cyclotomic_field(1), 0)[0] == 1
 
     def test_first_moment(self):
         q = F(2)
-        assert _moment_sequence(1, 1 / q)[1] == F(-1, 3)  # -1/(1+q)
+        assert _moment_sequence(1, 1 / q, cyclotomic_field(1), 0)[1] == F(-1, 3)  # -1/(1+q)
 
     def test_second_moment(self):
         q = F(2)
-        assert _moment_sequence(2, 1 / q)[2] == (1 - q) / (1 + q) ** 2
+        assert _moment_sequence(2, 1 / q, cyclotomic_field(1), 0)[2] == (1 - q) / (1 + q) ** 2
 
     def test_singular_pivot(self):
-        # 1 + ratio twist vanishes at twist 1, in Q or in a field; at any
+        # 1 + ratio twist vanishes at twist 1, in Q(zeta_1) or a larger field; at any
         # other power of zeta the geometric series refuses c0 = -c1
         field = cyclotomic_field(9)
         with pytest.raises(SingularFunctionalEquation):
-            _moment_sequence(1, F(-1))
+            _moment_sequence(1, F(-1), cyclotomic_field(1), 0)
         for k in (0, 9):
             with pytest.raises(SingularFunctionalEquation):
                 _moment_sequence(1, F(-1), field, k)
@@ -158,7 +158,7 @@ class TestPolyTwistIntegral:
     @pytest.mark.parametrize("q", [F(2), F(3), F(5, 2)])
     @pytest.mark.parametrize("n", range(9))
     def test_witt_identity_with_classical_polynomials(self, n, q):
-        lhs = _moment_sequence(n, 1 / q)[n]
+        lhs = _moment_sequence(n, 1 / q, cyclotomic_field(1), 0)[n]
         rhs = F(-1) ** n * eulerian_at(n, -q) / (1 + q) ** n
         assert lhs == rhs
 
@@ -205,7 +205,7 @@ class TestCharTwistIntegral:
         q = F(2)
         lhs = untwisted_integral(1, principal_character(1), q)
         assert lhs == F(-1, 3)
-        assert lhs == _moment_sequence(1, 1 / q)[1]
+        assert lhs == _moment_sequence(1, 1 / q, cyclotomic_field(1), 0)[1]
         # at d = 1 the d-step equation is q times the one-step equation at
         # ratio 1/q, so the two entry points of _binomial_solve agree exactly
         for order in (1, 3, 5, 9):

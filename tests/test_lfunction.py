@@ -44,7 +44,7 @@ class TestEvaluation:
 
         cfg = quadratic3_config()
         for k in range(1, 4):
-            assert embed_complex(cfg.char_value(3 * k), 1) == 0
+            assert embed_complex(cfg.char_value(3 * k)) == 0
 
     def test_outside_convergence(self):
         cfg = TwistedConfig.build(quadratic_character(3), 1, 0, F(1))
@@ -194,8 +194,8 @@ def reference_series_sum(params: LParams) -> lfunction.LEvaluation:
     if q <= 1:
         raise OutsideConvergence(f"series evaluation needs q > 1, got q={cfg.q}")
     ln_q = math.log(q)
-    chi = [embed_complex(cfg.char_value(a), 1) for a in range(cfg.char.modulus)]
-    zeta = [embed_complex(cfg.zeta_pow(m), 1) for m in range(cfg.zeta_order)]
+    chi = [embed_complex(cfg.char_value(a)) for a in range(cfg.char.modulus)]
+    zeta = [embed_complex(cfg.zeta_pow(m)) for m in range(cfg.zeta_order)]
     s = complex(params.s)
     start = 1
     if not 0 < s.real < math.inf:
@@ -456,7 +456,7 @@ class TestSummandTable:
 class TestCoefficientReuse:
     def test_one_embedding_of_chi_and_zeta_per_config(self, monkeypatch):
         embeds = []
-        monkeypatch.setattr(lfunction, "embed_complex", lambda a, k=1: embeds.append(a) or embed_complex(a, k))
+        monkeypatch.setattr(lfunction, "embed_complex", lambda a: embeds.append(a) or embed_complex(a))
         cfg = TwistedConfig.build(quadratic_character(5), 9, 2, F(5, 2))
         for j in range(100):
             l_eval(LParams(s=complex(-2 + j / 10, j - 50), cfg=cfg))
@@ -526,7 +526,7 @@ def uncached_stop_index(*args) -> tuple:
     return lfunction.stop_index(*args)
 
 
-class TestStopIndexClosedForm:
+class TestStopIndexBisection:
     """`stop_index` finds each index by bisection on the sum's float tests; a
     loop over every m gives the same index, tail bound and error, on either
     side of Re s = 0."""

@@ -435,7 +435,8 @@ def test_monic_divisions_match_the_unit_form_where_the_inverse_twist_is_a_multi_
             assert _moment_sequence(n, ratio, field, twist) == unit_form_solve(
                 rhs, ratio * field.zeta_power(twist), 1, field.binomial_inverse(1, ratio, twist))
         for ratio in (F(-3, 7), 1 / q):
-            assert _moment_sequence(n, ratio) == unit_form_solve([1 + ratio] + [F(0)] * n, ratio, 1, 1 / (1 + ratio))
+            assert _moment_sequence(n, ratio, cyclotomic_field(1), 0) == unit_form_solve(
+                [1 + ratio] + [F(0)] * n, ratio, 1, 1 / (1 + ratio))
 
 
 # stdout of `twisted` at points where -k mod N >= D for zeta^d = zeta_N^k (N = 18 and 198), pinned from the

@@ -260,14 +260,14 @@ class TestTwistedEuler:
         assert _moment_sequence(0, 1, field, 1)[0] == 2 * (1 + field.zeta_power(1)).inverse()
 
     def test_classical_zeroth(self):
-        assert _moment_sequence(0, 1)[0] == 1
+        assert _moment_sequence(0, 1, cyclotomic_field(1), 0)[0] == 1
 
     def test_classical_first(self):
-        assert _moment_sequence(1, 1)[1] == F(-1, 2)
+        assert _moment_sequence(1, 1, cyclotomic_field(1), 0)[1] == F(-1, 2)
 
     def test_singular_twist(self):
         with pytest.raises(SingularFunctionalEquation):
-            _moment_sequence(1, -1)
+            _moment_sequence(1, -1, cyclotomic_field(1), 0)
 
 
 def eq22_report(d_fold, zeta_order, k=1):
