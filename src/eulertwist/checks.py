@@ -52,7 +52,7 @@ from .errors import NotConverged, OutsideConvergence, OutsideDoubleRange
 from .eulerian import eulerian_at
 from .ntheory import is_squarefree
 from .rationals import format_rational, padic_valuation
-from .series import TruncatedSeries, exp_quotient, nth_taylor_coefficient
+from .series import binomial_solve, power_moments
 
 
 @dataclass(frozen=True)
@@ -334,9 +334,11 @@ def _cor2_points(grid: Grid):
 
 
 def _twist_quotient(field, k: int, order: int) -> tuple:
-    """The coefficients of 2/(zeta^k e^t + 1) in `field` = Q(zeta_z) below
-    the order, zeta = zeta_z^k: the quotient every fold of eq22 telescopes to."""
-    return exp_quotient(field, [(0, 2, -k)], 1, 1, field.binomial_inverse(1, 1, -k), order).coeffs
+    """The Taylor coefficients of 2/(zeta^k e^t + 1) in `field` = Q(zeta_z)
+    below the order, zeta = zeta_z^k: the quotient every fold of eq22
+    telescopes to."""
+    rows, den = power_moments(field, [(0, 2, -k)], order - 1)
+    return tuple(binomial_solve(rows, den, (1, 1), field.binomial_inverse(1, 1, -k)))
 
 
 def _eq22_points(grid: Grid):
@@ -344,11 +346,12 @@ def _eq22_points(grid: Grid):
     fold count d, 2 sum_{l<d} (-1)^l zeta^l e^(lt) / (zeta^d e^(dt) + 1)
     against 2/(zeta e^t + 1), and the Taylor coefficients of the latter
     against the integral moments I(zeta^x x^n), through order 11.  Each
-    quotient is one monic triangular division, divided by its unit zeta^d or
-    zeta: zeta^l / zeta^d read as the exponent k (l - d) of zeta = zeta_z^k,
-    its pivot 1 + zeta^-d or 1 + zeta^-1 inverted by the geometric series.
-    The direct quotient and the moments depend on the twist alone, so they
-    are held per (field, k) across the fold counts."""
+    quotient's Taylor coefficients are one monic binomial solve, of step d
+    or 1, divided by its unit zeta^d or zeta: zeta^l / zeta^d read as the
+    exponent k (l - d) of zeta = zeta_z^k, its pivot 1 + zeta^-d or
+    1 + zeta^-1 inverted by the geometric series.  The direct quotient and
+    the moments depend on the twist alone, so they are held per (field, k)
+    across the fold counts."""
     order = 12
     for d in grid.moduli:
         if d < 1 or d % 2 == 0:
@@ -356,12 +359,11 @@ def _eq22_points(grid: Grid):
         for zeta_order in grid.zeta_orders:
             k = grid.zeta_exponent % zeta_order
             field = cyclotomic_field(zeta_order)
-            folded = exp_quotient(field, [(l, 2 * (-1) ** l, k * (l - d)) for l in range(d)], 1, d,
-                                  field.binomial_inverse(1, 1, -k * d), order)
-            direct = TruncatedSeries(_memo(_twist_quotient, field, k, order))
-            taylor = tuple(nth_taylor_coefficient(direct, n) for n in range(order))
+            rows, den = power_moments(field, [(l, 2 * (-1) ** l, k * (l - d)) for l in range(d)], order - 1)
+            folded = tuple(binomial_solve(rows, den, (d, 1), field.binomial_inverse(1, 1, -k * d)))
+            direct = _memo(_twist_quotient, field, k, order)
             series_equal = folded == direct
-            moments_equal = taylor == _memo(fermionic._moment_sequence, order - 1, 1, field, k)
+            moments_equal = direct == _memo(fermionic._moment_sequence, order - 1, 1, field, k)
             yield f"d_fold={d} zeta={zeta_order}^{k}", (
                 series_equal and moments_equal, f"series_equal={series_equal} moments_equal={moments_equal}")
 

@@ -89,9 +89,13 @@ class CyclotomicField:
                     acc[i + 1] = acc.get(i + 1, 0) + c
                 row = tuple(sorted((i, c) for i, c in acc.items() if c))
 
+    def _row(self, j: int):
+        """x^j mod Phi_N as (index, int) pairs, for 0 <= j < max(2D - 1, N)."""
+        return self._high_rows[j - self.degree] if j >= self.degree else ((j, 1),)
+
     def _fold(self, vec: list[int]) -> list[int]:
         """vec mod Phi_N as D ints, for an integer vector of length <= max(2D - 1, N), entry j >= D folded
-        in through row j - D; ``series.power_moments`` passes length N, one slot per exponent of zeta_N."""
+        in through row j - D; ``binomial_inverse`` and ``_substitute`` pass length N, one slot per exponent."""
         n = self.degree
         out = vec[:n] + [0] * (n - len(vec))
         for c, row in zip(vec[n:], self._high_rows):
@@ -106,7 +110,9 @@ class CyclotomicField:
 
     def _mul_ints(self, a, b) -> list[int]:
         """a b mod Phi_N for two integer vectors of length D, as D ints with no content divided out: the
-        one field product, read by ``CyclotomicNumber.__mul__`` and once per step by ``series.divide_step``."""
+        product of ``CyclotomicNumber.__mul__`` and of ``fermionic.residue_class_sums``.  The triangular
+        solve ``series.binomial_solve`` multiplies by one fixed factor many times, through
+        :meth:`_product_columns` instead."""
         right = [(j, y) for j, y in enumerate(b) if y]
         prod = [0] * (2 * self.degree - 1)
         for i, x in enumerate(a):
@@ -114,6 +120,20 @@ class CyclotomicField:
                 for j, y in right:
                     prod[i + j] += x * y
         return self._fold(prod)
+
+    def _product_columns(self, b) -> list[tuple]:
+        """The matrix of a -> a b mod Phi_N for an integer vector b of length D, by columns: column j
+        holds entry j of x^i b mod Phi_N for i = 0..D-1, so entry j of a b is
+        sum(map(operator.mul, column_j, a)), with no fold per product."""
+        rows = [list(b)]
+        for _ in range(self.degree - 1):
+            *low, top = rows[-1]
+            row = [0, *low]
+            if top:
+                for i, c in self._high_rows[0]:
+                    row[i] += top * c
+            rows.append(row)
+        return list(zip(*rows))
 
     def binomial_inverse(self, c0, c1, k: int) -> "CyclotomicNumber":
         """1 / (c0 + c1 zeta^k) for rationals c0, c1, where w = zeta^k has odd order m.
@@ -153,8 +173,8 @@ class CyclotomicField:
         return _make(self, (value.numerator,) + (0,) * (self.degree - 1), value.denominator)
 
     def zeta_power(self, exponent: int) -> "CyclotomicNumber":
-        j, num = exponent % self.order, [0] * self.degree
-        for i, c in self._high_rows[j - self.degree] if j >= self.degree else [(j, 1)]:
+        num = [0] * self.degree
+        for i, c in self._row(exponent % self.order):
             num[i] = c
         return _make(self, tuple(num), 1)
 

@@ -8,12 +8,13 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from fractions import Fraction
 from functools import lru_cache, reduce
 
 from .cyclotomic import CyclotomicNumber, cyclotomic_field
 from .errors import OracleTooLarge, PoleAtOne
-from .series import integer_combination, power_moments
+from .series import power_moments
 
 
 @lru_cache(maxsize=None)
@@ -90,9 +91,10 @@ def periodic_power_sums(field, terms, period: int, n_max: int, z) -> list:
     tails T_k = :func:`power_sum_rational` (k, z^P) and the residue moments
     B_i = sum_l c(l) z^l l^i each built once for all n.  With z = u/v, v^P B_i
     are the :func:`~eulertwist.series.power_moments` of the integer-scaled
-    weights r u^l v^(P-l), so no weight carries a power of v of its own, and
-    each S_n is one :func:`~eulertwist.series.integer_combination` with one
-    content gcd.  The tails P^k T_k / v^P enter over the common denominator
+    weights r u^l v^(P-l), raw integer rows over one denominator, so no
+    weight carries a power of v of its own, and each S_n is one integer
+    combination of those rows, canonicalised once.  The tails P^k T_k / v^P
+    enter over the common denominator
     |v^P - u^P|^(n+1), which each of them divides: each is lifted to it
     once by exact divisions, then by one product with |v^P - u^P| per step
     in n, so no S_n divides its denominator by a tail's.
@@ -108,15 +110,16 @@ def periodic_power_sums(field, terms, period: int, n_max: int, z) -> list:
         while at < m:
             scale, at = scale // v * u, at + 1
         scaled.append((m, r * scale, e))
-    moments = power_moments(field, scaled, n_max)
+    moments, moment_den = power_moments(field, scaled, n_max)
     step = abs(w.denominator - w.numerator)
     sums, den, lifted = [], 1, []  # den = |v^P - u^P|^(n+1); lifted[k] = den P^k T_k / v^P
     for n in range(n_max + 1):
         tail = power_sum_rational(n, w)  # its numerator keeps the factor v^P: v^P and v^P - u^P are coprime
         den *= step
         lifted = [c * step for c in lifted] + [tail.numerator // w.denominator * period**n * (den // tail.denominator)]
-        num, scale = integer_combination([(math.comb(n, k) * c, 1) for k, c in enumerate(lifted)], moments[n::-1])
-        sums.append(CyclotomicNumber(field, num, scale * den))
+        scales = [math.comb(n, k) * c for k, c in enumerate(lifted)]
+        num = [sum(map(operator.mul, scales, entries)) for entries in zip(*moments[n::-1])]
+        sums.append(CyclotomicNumber(field, num, moment_den * den))
     return sums
 
 

@@ -3,7 +3,11 @@
 The engine never touches a limit directly: the one-step functional equation
 ratio*I(f(x+1)) + I(f(x)) = (1+ratio)*f(0) closes into a triangular linear
 system on the moment family I(zeta^(kx) x^n), its twist named by the exponent
-k, which is solved upward in n.  Truncated alternating Riemann sums
+k, which is solved upward in n; the d-step equation of a character closes the
+same way.  Both are one fraction-free binomial solve,
+:func:`~eulertwist.series.binomial_solve`, of step 1 and of step d: the one
+behind A_n in :mod:`eulertwist.twisted`, with its own right sides and
+pivots.  Truncated alternating Riemann sums
 with valuation diagnostics verify that these solutions really are the limits
 they claim to be.  The module computes quantities only; the relations that
 compare them are stated in :mod:`eulertwist.checks`.
@@ -19,24 +23,8 @@ from .cyclotomic import CyclotomicNumber, cyclotomic_field
 from .errors import NotPadicallyConvergent, SingularFunctionalEquation
 from .ntheory import is_prime
 from .rationals import format_rational, int_valuation, padic_valuation, q_bracket_neg
-from .series import divide_step, power_moments
+from .series import binomial_solve, power_moments
 from .twisted import TwistedConfig, alternating_char_sums
-
-
-def _binomial_solve(rhs: list, step: int, pivot_inv) -> list:
-    """x_0 .. x_n of the monic system sum_{k<=m} C(m,k) step^(m-k) x_k + c x_m
-    = rhs_m in a cyclotomic field, solved upward in m with pivot_inv =
-    1/(1 + c): per m one :func:`~eulertwist.series.divide_step`, rhs_m its
-    first term and the lower x_k under the integer scales
-    -C(m,k) step^(m-k), so one field product per m.  Both callers (step 1
-    and step d) divide their equation by its unit zeta_N^k times a
-    rational, which shifts the right side's exponents by -k, and invert the
-    pivot 1 + c zeta_N^(-k) by ``binomial_inverse``."""
-    out: list = []
-    for m, value in enumerate(rhs):
-        scales = [(1, 1)] + [(-math.comb(m, k) * step ** (m - k), 1) for k in range(m)]
-        out.append(divide_step(scales, [value, *out], pivot_inv))
-    return out
 
 
 def _moment_sequence(n: int, ratio, field, k: int) -> list:
@@ -60,8 +48,8 @@ def _moment_sequence(n: int, ratio, field, k: int) -> list:
         raise ValueError("measure parameter must be nonzero")
     if ratio == -1 and k % field.order == 0:
         raise SingularFunctionalEquation("1 + ratio*twist vanishes")
-    rhs = [field.zeta_power(-k) * (1 + 1 / ratio)] + [field.zero] * n
-    return _binomial_solve(rhs, 1, field.binomial_inverse(1, 1 / ratio, -k))
+    rows, den = power_moments(field, [(0, 1 + 1 / ratio, -k)], n)
+    return binomial_solve(rows, den, (1, 1), field.binomial_inverse(1, 1 / ratio, -k))
 
 
 def _char_moment_sequence(n: int, cfg) -> list:
@@ -84,7 +72,8 @@ def _char_moment_sequence(n: int, cfg) -> list:
     q, d, field = cfg.q, cfg.char.modulus, cfg.field
     k = cfg.twist_exponent(d)
     kernel = [(l, (1 + q) * (-1) ** l * q ** (d - 1 - l), e - k) for l, e in cfg.twisted_exponents(range(d))]
-    return _binomial_solve(power_moments(field, kernel, n), d, field.binomial_inverse(1, q**d, -k))
+    rows, den = power_moments(field, kernel, n)
+    return binomial_solve(rows, den, (d, 1), field.binomial_inverse(1, q**d, -k))
 
 
 def residue_class_sums(n_max: int, cfg) -> list:
@@ -94,15 +83,17 @@ def residue_class_sums(n_max: int, cfg) -> list:
     d^n (a/d + x)^n = sum_j C(n,j) a^j d^(n-j) x^(n-j), so this is
     [d]_{-1/q}^-1 sum_j C(n,j) d^(n-j) M_(n-j) S_j: one sequence
     M_k = I(x^k zeta^(dx)), S_j = sum_a c_a a^j, each zero S_j skipped
-    (every j >= 1 at d = 1).  Each n is one integer convolution: the raw
-    products M_(n-j) S_j (``CyclotomicField._mul_ints``) over the lcm of the
-    denominators of M_0..M_n times that of the S_j, scaled by integers,
-    summed and wrapped once, with no field element formed per term."""
+    (every j >= 1 at d = 1), the S_j the raw integer rows of one
+    :func:`~eulertwist.series.power_moments` call over one denominator.
+    Each n is one integer convolution: the raw products M_(n-j) S_j
+    (``CyclotomicField._mul_ints``) over the lcm of the denominators of
+    M_0..M_n times that of the S_j, scaled by integers, summed and wrapped
+    once, with no field element formed per term."""
     q, d, field = cfg.q, cfg.char.modulus, cfg.field
     moments = _moment_sequence(n_max, q**-d, field, cfg.twist_exponent(d))
-    classes = power_moments(field, [(a, (-1) ** a * q**-a, e) for a, e in cfg.twisted_exponents(range(d))], n_max)
-    class_den = math.lcm(*(s.den for s in classes))
-    weights = [(j, [c * (class_den // s.den) for c in s.num]) for j, s in enumerate(classes) if s]
+    terms = [(a, (-1) ** a * q**-a, e) for a, e in cfg.twisted_exponents(range(d))]
+    classes, class_den = power_moments(field, terms, n_max)
+    weights = [(j, s) for j, s in enumerate(classes) if any(s)]
     scale = 1 / q_bracket_neg(d, 1 / q)
     out, moment_den = [], 1
     for n in range(n_max + 1):

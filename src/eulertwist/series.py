@@ -1,35 +1,32 @@
-"""Truncated formal power series over an exact field.
+"""Truncated formal power series, and the integer kernels behind every A_n
+and every moment.
 
-Coefficients are stored in ordinary t^n normalization (NOT divided by n!);
-conversion to exponential-generating-function coefficients happens only in
-:func:`nth_taylor_coefficient`.  Coefficients are rationals or elements
-of one cyclotomic field.
+Coefficients of a :class:`TruncatedSeries` are stored in ordinary t^n
+normalization (NOT divided by n!); :func:`nth_taylor_coefficient` gives
+the coefficient of t^n/n!.  Coefficients are rationals or elements of one
+cyclotomic field.
 
-The exponential sums and quotients behind every A_n run on the integer
-layout num / den of :mod:`eulertwist.cyclotomic`, not on Fractions or one
-canonical field element per intermediate:
+The paper's A_n (the Taylor coefficients of the twisted generating
+function) and its fermionic moments (the one-step and d-step functional
+equations) solve one monic binomial triangular system, and it runs once,
+on the integer layout num / den of :mod:`eulertwist.cyclotomic`:
 
 * a power moment sum r x^j zeta_N^e over (integer node x, rational r,
-  exponent e) triples is one integer vector per moment, reduced once mod
-  Phi_N (:func:`power_moments`);
-* the scales x^j / j! are integer pairs, formed once per call
-  (:func:`exp_scales`);
-* a rational combination of field elements is one integer vector over one
-  common denominator (:func:`integer_combination`);
-* one step of a monic triangular division, (sum_j s_j v_j) pivot_inv with
-  the right side as the first term and the lower terms under negated
-  scales, is one integer combination, one content gcd and one product by
-  pivot_inv, wrapped once (:func:`divide_step`).
+  exponent e) triples is one raw integer row per moment over one common
+  denominator, each term's slot read as its row mod Phi_N once per call
+  (:func:`power_moments`);
+* the system x_n = (R_n - sum_(k<n) C(n,k) (a/b)^(n-k) x_k) pivot_inv is
+  solved fraction-free: every x_n an integer vector over the known
+  denominator den rho^(n+1) b^n, its scales integers from one power table,
+  each product by pivot_inv one pass over a matrix built once per solve,
+  each output canonicalised once (:func:`binomial_solve`).
 
-:func:`exp_quotient` divides an exponential sum by a two-term denominator
-exp(node rate t) + c with these steps, with no series inverse or series
-product, and ``fermionic._binomial_solve`` takes the same step.  Every
-caller makes its division monic: a denominator unit zeta_N^k times a
-rational divides the numerator's weights and exponents (an exponent shift
--k in the triples of :func:`power_moments`) and the constant term, so the
-pivot is 1 + c zeta_N^(-k) and no step multiplies by the unit.
-No program path multiplies or inverts a whole series; the benchmark's spans
-and the tests read those two.
+Every caller makes its system monic: a denominator unit zeta_N^k times a
+rational divides the right side's weights and exponents (an exponent shift
+-k in the triples of :func:`power_moments`), so the pivot is
+1 + c zeta_N^(-k) and no step multiplies by the unit.  No program path
+multiplies or inverts a whole series; the benchmark's spans and the tests
+read those two.
 
 >>> geometric = TruncatedSeries((1, -1, 0, 0, 0)).inverse()
 >>> geometric.coeffs == (1, 1, 1, 1, 1)
@@ -83,118 +80,77 @@ class TruncatedSeries:
         return TruncatedSeries(tuple(out))
 
 
-def power_moments(field, terms, n_max: int) -> list:
+def power_moments(field, terms, n_max: int) -> tuple[list[list[int]], int]:
     """[sum r x^j zeta_N^e for j = 0..n_max] in `field` = Q(zeta_N) over the
-    (integer node x, rational r, exponent e) triples of `terms`, 0^0 = 1.
-    Every r is scaled to one common denominator, and moment j adds r x^j
-    into slot e mod N of one integer vector, reduced mod Phi_N once with one
-    content gcd: no field element is formed per term.
+    (integer node x, rational r, exponent e) triples of `terms`, 0^0 = 1, as
+    raw integer rows of length D over one common denominator, no content
+    divided out.  Each term's slot e mod N is read as its row x^e mod Phi_N
+    once per call and added, scaled, into its node's weight; moment j is
+    then sum_x x^j w_x, one ``sum(map(mul, ...))`` per entry: no fold and no
+    field element per moment.
 
     >>> from eulertwist.cyclotomic import cyclotomic_field
-    >>> [str(m.coeffs[0]) for m in power_moments(cyclotomic_field(1), [(0, 5, 0), (2, Fraction(1, 2), 7)], 3)]
-    ['11/2', '1', '2', '4']
+    >>> power_moments(cyclotomic_field(1), [(0, 5, 0), (2, Fraction(1, 2), 7)], 3)
+    ([[11], [2], [4], [8]], 2)
     """
-    rows = [(x, r, e % field.order) for x, r, e in terms if r]
-    den = math.lcm(*{r.denominator for _, r, _ in rows})
-    rows = [(x, r.numerator * (den // r.denominator), e) for x, r, e in rows]
-    moments = []
+    order, degree = field.order, field.degree
+    terms = [(x, r, e) for x, r, e in terms if r]
+    den = math.lcm(*{r.denominator for _, r, _ in terms})
+    weights: dict = {}
+    for x, r, e in terms:
+        w, a = weights.setdefault(x, [0] * degree), r.numerator * (den // r.denominator)
+        for i, c in field._row(e % order):
+            w[i] += a * c
+    nodes, columns = list(weights), list(zip(*weights.values())) or [()] * degree
+    rows, powers = [], [1] * len(nodes)
     for _ in range(n_max + 1):
-        vec = [0] * field.order
-        for _, a, e in rows:
-            vec[e] += a
-        moments.append(field._reduce_ints(vec, den))
-        rows = [(x, a * x, e) for x, a, e in rows if x]
-    return moments
+        rows.append([sum(map(operator.mul, column, powers)) for column in columns])
+        powers = list(map(operator.mul, powers, nodes))
+    return rows, den
 
 
-def integer_combination(scales, values) -> tuple[list[int], int]:
-    """sum (a/b) v over integer pairs (a, b), b > 0, and elements v of one
-    cyclotomic field, as one integer vector over one common denominator,
-    its content not divided out.
+def binomial_solve(rows, den: int, step: tuple[int, int], pivot_inv) -> list[CyclotomicNumber]:
+    """x_0, x_1, ... of the monic binomial triangular system
 
-    >>> from eulertwist.cyclotomic import cyclotomic_field
-    >>> half, third = (cyclotomic_field(1).from_rational(Fraction(1, k)) for k in (2, 3))
-    >>> integer_combination([(2, 1), (3, 4)], [half, third])  # 2/2 + 3/12 = 15/12, content 3 kept
-    ([15], 12)
-    """
-    dens = [b * v.den for (_, b), v in zip(scales, values)]
-    den = math.lcm(*dens)
-    ks = [a * (den // b) for (a, _), b in zip(scales, dens)]
-    return [sum(map(operator.mul, ks, column)) for column in zip(*(v.num for v in values))], den
+        x_n = (R_n - sum_(k<n) C(n,k) (a/b)^(n-k) x_k) pivot_inv,
 
+    R_n = rows[n] / (den b^n) for raw integer rows of length D, the step a/b
+    an integer pair with b > 0, and pivot_inv = P / rho a field element.
+    The pair is not reduced: b is the base of the right sides' denominators
+    too.  The one solve behind A_n (the Taylor coefficients of the
+    generating function, step d times the rate) and both moment equations
+    (step 1 and step d).
 
-def divide_step(scales, values, pivot_inv) -> CyclotomicNumber:
-    """(sum_j s_j v_j) pivot_inv for integer-pair scales s_j matched to field
-    elements v_j and a field element pivot_inv: one step of a monic
-    triangular division, its right side the first term and its lower terms
-    under negated scales.  The sum is one :func:`integer_combination` with
-    one content gcd; the product by pivot_inv is one raw integer product
-    reduced mod Phi_N (``CyclotomicField._mul_ints``), wrapped once.
+    Fraction-free: every x_n is the integer vector X_n over the known
+    denominator den rho^(n+1) b^n, so
+
+        X_n = (rho^n R'_n - sum_(k<n) C(n,k) a^(n-k) rho^(n-k-1) X_k) P mod Phi_N,
+
+    R'_n = rows[n], its scales integers read from one power table and no
+    step taking an lcm or a gcd.  Each entry of the product by P is one
+    ``sum(map(mul, ...))`` over a column of P's multiplication matrix
+    (``CyclotomicField._product_columns``), built once per solve.  Each
+    output is canonicalised once, by the
+    :class:`~eulertwist.cyclotomic.CyclotomicNumber` constructor.
 
     >>> from eulertwist.cyclotomic import cyclotomic_field
-    >>> one = cyclotomic_field(1).from_rational(1)
-    >>> divide_step([(3, 1), (-1, 2)], [one, one], one * Fraction(1, 5))  # (3 - 1/2) / 5
-    CyclotomicNumber(order=1, coeffs=(Fraction(1, 2),))
+    >>> half = cyclotomic_field(1).from_rational(Fraction(1, 2))  # the Taylor coefficients of 2 / (e^t + 1):
+    >>> [str(x.coeffs[0]) for x in binomial_solve([[2], [0], [0], [0]], 1, (1, 1), half)]
+    ['1', '-1/2', '0', '1/4']
     """
-    num, den = integer_combination(scales, values)
-    g = math.gcd(den, *num)
-    if g != 1:
-        num, den = [c // g for c in num], den // g
-    field = pivot_inv.field
-    return CyclotomicNumber(field, field._mul_ints(num, pivot_inv.num), den * pivot_inv.den)
-
-
-def exp_scales(x, order: int) -> list[tuple[int, int]]:
-    """x^j / j! for j < order and a rational x, as reduced integer pairs
-    (numerator, denominator).
-
-    >>> exp_scales(Fraction(-2, 3), 4)
-    [(1, 1), (-2, 3), (2, 9), (-4, 81)]
-    """
-    p, q = x.numerator, x.denominator
-    out = [(1, 1)]
-    for j in range(1, order):
-        a, b = out[-1]
-        a, b = a * p, b * q * j
-        g = math.gcd(a, b)
-        out.append((a // g, b // g))
+    field, rho, (a, b) = pivot_inv.field, pivot_inv.den, step
+    columns = field._product_columns(pivot_inv.num)
+    lower = [None]  # lower[j] = -a^j rho^(j-1)
+    solved, out, rho_n, scale = [], [], 1, den * rho  # rho_n = rho^n, scale = den rho^(n+1) b^n
+    for n, row in enumerate(rows):
+        if n:
+            lower.append(-a if n == 1 else lower[-1] * a * rho)
+        scales = [rho_n] + [math.comb(n, k) * lower[n - k] for k in range(n)]
+        acc = [sum(map(operator.mul, scales, entries)) for entries in zip(row, *solved)]
+        solved.append([sum(map(operator.mul, column, acc)) for column in columns])
+        out.append(CyclotomicNumber(field, solved[-1], scale))
+        rho_n, scale = rho_n * rho, scale * rho * b
     return out
-
-
-def exp_quotient(field, terms, rate, node: int, pivot_inv, order: int, scale=1) -> TruncatedSeries:
-    """The series of scale * sum r zeta_N^e exp(x rate t) / (exp(node rate t) + c)
-    over the (integer node x, rational r, exponent e) triples of `terms`, in
-    `field` = Q(zeta_N), for a rational scale, given the field element
-    pivot_inv = 1/(1 + c), the inverse of the denominator's constant term.
-    A denominator u exp(node rate t) + c', u a rational times zeta_N^k, is
-    made monic by its caller: the exponents of `terms` shifted by -k, the
-    rationals and c' divided by the rational.
-
-    Every later denominator coefficient is (node rate)^j / j!, so the
-    quotient is one monic triangular division,
-
-        F_n = (N_n - sum_(j=1..n) (node rate)^j / j! F_(n-j)) pivot_inv,
-
-    N_n = scale rate^n / n! M_n for the power moments M_n of `terms`.  Formed
-    once per call: the moments (one :func:`power_moments` call) and the
-    scales -(node rate)^j / j! and scale rate^j / j! as integer pairs
-    (:func:`exp_scales`).  Each F_n is then one :func:`divide_step`, M_n its
-    first term: one field product per coefficient.
-
-    >>> from eulertwist.cyclotomic import cyclotomic_field
-    >>> field = cyclotomic_field(1)  # 2 / (e^t + 1):
-    >>> quotient = exp_quotient(field, [(0, 2, 0)], 1, 1, field.from_rational(Fraction(1, 2)), 4)
-    >>> [str(c.coeffs[0]) for c in quotient.coeffs]
-    ['1', '-1/2', '0', '1/24']
-    """
-    if order < 1:
-        raise ValueError("series order must be >= 1")
-    steps = [(-a, b) for a, b in exp_scales(node * rate, order)]
-    rates = [(a * scale.numerator, b * scale.denominator) for a, b in exp_scales(rate, order)]
-    out: list = []
-    for m, first in zip(power_moments(field, terms, order - 1), rates):
-        out.append(divide_step([first, *steps[1 : len(out) + 1]], [m, *reversed(out)], pivot_inv))
-    return TruncatedSeries(tuple(out))
 
 
 def nth_taylor_coefficient(series: TruncatedSeries, n: int):

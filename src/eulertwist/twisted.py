@@ -2,9 +2,12 @@
 
 Everything here evaluates the family A_n attached to a character chi mod d,
 a root-of-unity twist, and a rational q.  The values are the Taylor
-coefficients of the generating function (kernel exponent d-l+1); the
-regrouped alternating series in closed form is an independent second route
-(Theorem 2).  Both are quantities only: every relation that reads them,
+coefficients of the generating function (kernel exponent d-l+1), read
+straight from one fraction-free binomial solve
+(:func:`~eulertwist.series.binomial_solve`, the one the moment equations of
+:mod:`eulertwist.fermionic` run too); the regrouped alternating series in
+closed form is an independent second route (Theorem 2), which shares no
+solve.  Both are quantities only: every relation that reads them,
 against each other or against the integral world, is stated in
 :mod:`eulertwist.checks`.
 """
@@ -17,7 +20,7 @@ from fractions import Fraction
 from .characters import DirichletCharacter
 from .cyclotomic import CyclotomicField, CyclotomicNumber, cyclotomic_field
 from .eulerian import periodic_power_sums
-from .series import TruncatedSeries, exp_quotient, nth_taylor_coefficient
+from .series import TruncatedSeries, binomial_solve, power_moments
 
 
 @dataclass(frozen=True)
@@ -86,23 +89,10 @@ class TwistedValue:
 
 def twisted_gf(cfg: TwistedConfig, order: int) -> TruncatedSeries:
     """The generating function expanded to the requested order over the
-    ambient field: (1+q) * sum_{l<d} (-1)^l q^(d-l+1) zeta^l chi(l)
-    exp(-l(1+q)t) divided by (zeta^d exp(-d(1+q)t) + q^d).  With q = u/v,
-    (1+q) q^(d-l+1) = (u+v) u^(d-l+1) v^l / v^(d+2): each weight enters the
-    numerator's exponential sum at rate -(1+q) as the integer
-    (-1)^l u^(d-l+1) v^l in a (node, integer, exponent) triple, never as a
-    Fraction or a field element, and the rational (u+v) / v^(d+2) is folded
-    back in once per coefficient, with rate^n / n!.  The quotient is one
-    monic triangular division on integer vectors (:func:`exp_quotient`):
-    numerator and denominator divided by zeta^d = zeta_N^k, each weight's
-    exponent shifted by -k, its pivot 1 + q^d zeta_N^(-k) inverted once by
-    its geometric series (``CyclotomicField.binomial_inverse``)."""
-    q, d, field = cfg.q, cfg.char.modulus, cfg.field
-    u, v = q.numerator, q.denominator
-    k = cfg.twist_exponent(d)
-    terms = [(l, (-1) ** l * u ** (d - l + 1) * v**l, e - k) for l, e in cfg.twisted_exponents(range(d))]
-    return exp_quotient(field, terms, -(1 + q), d, field.binomial_inverse(1, q**d, -k), order,
-                        Fraction(u + v, v ** (d + 2)))
+    ambient field: its ordinary coefficients A_n / n!, from
+    :func:`twisted_values`.  No program path reads it; the benchmark's
+    Taylor oracle and self-test do."""
+    return TruncatedSeries(tuple(tv.value * Fraction(1, math.factorial(tv.n)) for tv in twisted_values(cfg, order - 1)))
 
 
 def alternating_char_sums(cfg: TwistedConfig, n_max: int) -> list:
@@ -139,10 +129,25 @@ def twisted_series_value(cfg: TwistedConfig, n: int) -> CyclotomicNumber:
 
 
 def twisted_values(cfg: TwistedConfig, n_max: int) -> list[TwistedValue]:
-    """A_0 .. A_{n_max}: the Taylor coefficients of the generating function,
-    defined at every admissible q, q = 1 included."""
-    gf = twisted_gf(cfg, n_max + 1)
-    return [TwistedValue(n, nth_taylor_coefficient(gf, n)) for n in range(n_max + 1)]
+    """A_0 .. A_{n_max}: the Taylor coefficients of the generating function
+    (1+q) sum_{l<d} (-1)^l q^(d-l+1) zeta^l chi(l) exp(-l(1+q)t) divided by
+    zeta^d exp(-d(1+q)t) + q^d, defined at every admissible q, q = 1
+    included.  Divided by zeta^d = zeta_N^k, the denominator is monic, its
+    pivot 1 + q^d zeta_N^(-k) inverted once by its geometric series
+    (``CyclotomicField.binomial_inverse``), and A_n is one
+    :func:`~eulertwist.series.binomial_solve` of step -d(1+q).  With
+    q = u/v, the numerator's n-th Taylor coefficient is
+    sum_l w_l zeta_N^(e_l - k) (-l(u+v))^n / v^(n+d+2) for the integers
+    w_l = (u+v) (-1)^l u^(d-l+1) v^l: the power moments of the nodes
+    -l(u+v), over v^(d+2) b^n with b = v, the step's denominator."""
+    q, d, field = cfg.q, cfg.char.modulus, cfg.field
+    u, v = q.numerator, q.denominator
+    k = cfg.twist_exponent(d)
+    terms = [(-(u + v) * l, (u + v) * (-1) ** l * u ** (d - l + 1) * v**l, e - k)
+             for l, e in cfg.twisted_exponents(range(d))]
+    rows, den = power_moments(field, terms, n_max)
+    values = binomial_solve(rows, den * v ** (d + 2), (-(u + v) * d, v), field.binomial_inverse(1, q**d, -k))
+    return [TwistedValue(n, value) for n, value in enumerate(values)]
 
 
 def twisted_value(cfg: TwistedConfig, n: int) -> TwistedValue:

@@ -8,6 +8,8 @@ from fractions import Fraction
 import pytest
 
 from eulertwist import checks, cli
+from eulertwist.cyclotomic import CyclotomicNumber
+from eulertwist.series import power_moments
 
 
 @pytest.fixture(autouse=True)
@@ -60,3 +62,9 @@ def field_element(field, coeffs):
     fracs = [Fraction(c) for c in coeffs]
     den = math.lcm(*(c.denominator for c in fracs))
     return field._reduce_ints([c.numerator * (den // c.denominator) for c in fracs], den)
+
+
+def moment_values(field, terms, n_max):
+    """`series.power_moments` as canonical field elements, one per moment."""
+    rows, den = power_moments(field, terms, n_max)
+    return [CyclotomicNumber(field, row, den) for row in rows]

@@ -156,17 +156,18 @@ def test_a_bad_power_moment_fails_every_relation_that_reads_one(monkeypatch):
     exponent) triples, is shared field arithmetic, like the product of two
     field elements: a fault in it fails points of thm2, thm3, thm6, cor2 and
     eq22, whose other sides (the float sums, the p-adic walk, the Euler
-    moments of the one-step solve) never read it, and thm2's two sides read
-    it with different weights.  distribution still passes, because both of
+    moments of the one-step solve, whose one right side has no moment past
+    the zeroth) never read it at the doubled moment, and thm2's two sides
+    read it with different weights.  distribution still passes, because both of
     its sides read the same moments, just as they read the same field
     arithmetic."""
     real = series.power_moments
 
     def doubled(field, terms, n_max):
-        out = real(field, terms, n_max)
+        rows, den = real(field, terms, n_max)
         if n_max >= 2:
-            out[2] = 2 * out[2]
-        return out
+            rows[2] = [2 * c for c in rows[2]]
+        return rows, den
 
     bound = [module for module in vars(et).values() if getattr(module, "power_moments", None) is real]
     assert {module.__name__.rpartition(".")[2] for module in bound} >= {"series", "fermionic", "eulerian"}
@@ -179,16 +180,18 @@ def test_a_bad_power_moment_fails_every_relation_that_reads_one(monkeypatch):
 
 
 def test_a_bad_moment_solve_fails_every_relation_that_reads_one(monkeypatch):
-    """`fermionic._binomial_solve` is the one triangular solve behind both
-    functional equations: a fault in it fails points of eq15, thm1, thm5,
-    cor3 and eq22, whose other sides (the classical polynomials, A_n from the
-    generating function, the telescoped Euler series) never read it.  thm2,
+    """`series.binomial_solve`, as `fermionic` binds it, is the triangular
+    solve behind both functional equations: a fault there fails points of
+    eq15, thm1, thm5, cor3 and eq22, whose other sides (the classical
+    polynomials, A_n from the generating function, the telescoped Euler
+    series) read no moment, or the kernel through their own module's
+    binding, which stays unpatched.  thm2,
     thm3, thm6, cor2 and eq28 read no moment and still pass.  distribution
     reads the solve on both sides, the d-step moments against the one-step
     moments of its residue classes, and still fails, at every n >= 2: its
     left side reads the doubled entry only at n = 2, its right side carries
     M_2 into every n >= 2 through the binomial sum over classes."""
-    real = fermionic._binomial_solve
+    real = fermionic.binomial_solve
 
     def doubled(*args):
         out = real(*args)
@@ -196,7 +199,7 @@ def test_a_bad_moment_solve_fails_every_relation_that_reads_one(monkeypatch):
             out[2] = 2 * out[2]
         return out
 
-    monkeypatch.setattr(fermionic, "_binomial_solve", doubled)
+    monkeypatch.setattr(fermionic, "binomial_solve", doubled)
     grid = checks.default_grid()
     for relation in ("eq15", "thm1-residual", "thm5-residual", "cor3", "eq22"):
         assert checks.run_relation(relation, grid).counts["fail"] > 0, relation

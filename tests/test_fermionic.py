@@ -26,8 +26,8 @@ from eulertwist import (
 from eulertwist.cyclotomic import CyclotomicField, CyclotomicNumber
 from eulertwist.errors import DivisionByZero, NotPadicallyConvergent, SingularFunctionalEquation
 from eulertwist.fermionic import _char_moment_sequence, _moment_sequence, residue_class_sums
-from eulertwist.series import power_moments
 from eulertwist.twisted import alternating_char_sums, twisted_series_values
+from conftest import moment_values
 
 
 def distribution_sides(n_max, char, zeta_order, zeta_exponent, q):
@@ -207,7 +207,7 @@ class TestCharTwistIntegral:
         assert lhs == F(-1, 3)
         assert lhs == _moment_sequence(1, 1 / q, cyclotomic_field(1), 0)[1]
         # at d = 1 the d-step equation is q times the one-step equation at
-        # ratio 1/q, so the two entry points of _binomial_solve agree exactly
+        # ratio 1/q, so the two moment solves agree exactly
         for order in (1, 3, 5, 9):
             for k in (k for k in range(order) if math.gcd(k, order) == 1):
                 for q in (F(2), F(5, 2), F(-3, 7)):
@@ -219,33 +219,42 @@ class TestCharTwistIntegral:
     def test_each_kernel_weight_is_formed_once_per_call(self, monkeypatch):
         # every weight chi(l) zeta^l is a power of zeta_N scaled by a
         # rational, and each triangular division is monic, its unit zeta^d
-        # folded into the exponents, so the only field products are one by
-        # the pivot inverse for each of the n + 1 coefficients; the one-step
-        # moments and eq22's quotient form the same, and the series path
-        # reads its cycle the same way and forms none.  Every field product,
-        # CyclotomicNumber.__mul__ included, is one CyclotomicField._mul_ints
-        # call.
-        real, products = CyclotomicField._mul_ints, []
+        # folded into the exponents, so the only field products are the
+        # n + 1 by the pivot inverse, each one pass over the one product
+        # matrix of the pivot inverse that series.binomial_solve builds per
+        # call; the one-step moments and eq22's quotient form the same, and
+        # the series path reads its cycle the same way and forms none.  Every
+        # other field product, CyclotomicNumber.__mul__ included, is one
+        # CyclotomicField._mul_ints call.
+        real_mul, real_matrix, products, matrices = CyclotomicField._mul_ints, CyclotomicField._product_columns, [], []
 
-        def counted(self, a, b):
+        def counted_mul(self, a, b):
             products.append(b)
-            return real(self, a, b)
+            return real_mul(self, a, b)
 
-        monkeypatch.setattr(CyclotomicField, "_mul_ints", counted)
+        def counted_matrix(self, b):
+            matrices.append(tuple(b))
+            return real_matrix(self, b)
+
+        monkeypatch.setattr(CyclotomicField, "_mul_ints", counted_mul)
+        monkeypatch.setattr(CyclotomicField, "_product_columns", counted_matrix)
 
         def count(route, *args):
             products.clear()
+            matrices.clear()
             route(*args)
-            return len(products)
+            return len(products), len(matrices)
 
         for char, zeta_order in ((quadratic_character(15), 9), (quadratic_character(97), 7)):
             cfg = TwistedConfig.build(char, zeta_order, 1, F(5, 2))
+            d, k = char.modulus, cfg.twist_exponent(char.modulus)
             for n in (0, 5, 20):
-                assert count(_char_moment_sequence, n, cfg) == n + 1
-                assert count(twisted_values, cfg, n) == n + 1
-                assert count(_moment_sequence, n, cfg.q**-15, cfg.field, cfg.twist_exponent(15)) == n + 1
-                assert count(checks._twist_quotient, cfg.field, cfg.twist_exponent(1), n + 1) == n + 1
-            assert count(twisted_series_values, cfg, 8) == 0
+                assert count(_char_moment_sequence, n, cfg) == (0, 1)
+                assert count(twisted_values, cfg, n) == (0, 1)
+                assert matrices == [cfg.field.binomial_inverse(1, cfg.q**d, -k).num]
+                assert count(_moment_sequence, n, cfg.q**-15, cfg.field, cfg.twist_exponent(15)) == (0, 1)
+                assert count(checks._twist_quotient, cfg.field, cfg.twist_exponent(1), n + 1) == (0, 1)
+            assert count(twisted_series_values, cfg, 8) == (0, 0)
 
 
 class TestDistributionIdentity:
@@ -301,7 +310,7 @@ def field_product_residue_sums(n_max, cfg):
     `residue_class_sums`, which reads the same M_k and S_j."""
     q, d = cfg.q, cfg.char.modulus
     moments = _moment_sequence(n_max, q**-d, cfg.field, cfg.twist_exponent(d))
-    classes = power_moments(cfg.field, [(a, (-1) ** a * q**-a, e) for a, e in cfg.twisted_exponents(range(d))], n_max)
+    classes = moment_values(cfg.field, [(a, (-1) ** a * q**-a, e) for a, e in cfg.twisted_exponents(range(d))], n_max)
     weights = [(j, s) for j, s in enumerate(classes) if s]
     scale = 1 / q_bracket_neg(d, 1 / q)
     return [scale * sum((math.comb(n, j) * d ** (n - j) * moments[n - j] * s for j, s in weights if j <= n),
@@ -343,7 +352,7 @@ class TestResidueClassSums:
         monkeypatch.setattr(CyclotomicNumber, "__add__", lambda *args: pytest.fail("a field sum"))
         sums = residue_class_sums(12, cfg)
         assert len(sums) == 13
-        assert len(built) == 13 + 13  # one per n, and the 13 class weights of power_moments
+        assert len(built) == 13  # one per n: power_moments gives the class weights as raw integer rows
 
     @pytest.mark.parametrize("d", [1, 3, 5, 7, 9, 15, 21])
     def test_matches_one_sequence_per_class(self, d):

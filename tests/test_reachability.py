@@ -38,8 +38,8 @@ from eulertwist import cli
 from eulertwist.characters import enumerate_characters, quadratic_character
 from eulertwist.cyclotomic import cyclotomic_field
 from eulertwist.eulerian import periodic_power_sum
-from eulertwist.series import TruncatedSeries
-from eulertwist.twisted import TwistedConfig, twisted_series_value, twisted_value
+from eulertwist.series import TruncatedSeries, nth_taylor_coefficient
+from eulertwist.twisted import TwistedConfig, twisted_gf, twisted_series_value, twisted_value
 from test_benchmark_names import called_names, resolve, tracer
 
 PACKAGE = Path(eulertwist.__file__).resolve().parent
@@ -50,6 +50,8 @@ ALLOWLIST = {
     "cyclotomic.CyclotomicNumber.__sub__": "field API beside + and *; the tests' field arithmetic reads it",
     "cyclotomic.CyclotomicNumber.__rsub__": "field API beside + and *; the tests' field arithmetic reads it",
     "cyclotomic.CyclotomicNumber.__neg__": "field API beside + and *; the tests' field arithmetic reads it",
+    "cyclotomic.CyclotomicNumber.__bool__": "without it every element, zero included, is true; the tests' oracles "
+                                            "read it (`if s`, `x or default`)",
     "cyclotomic.galois_conjugate": "ROADMAP item 13's galois relation reads it; the Galois-equivariance test does",
     "cyclotomic.lift_to_field": "ROADMAP item 13 reads it; the tests' independent character lift does",
 }
@@ -115,6 +117,8 @@ BENCHMARK_CALLS = {
     ("eulerian", "periodic_power_sum"): lambda: periodic_power_sum([1, -1, 0], 2, F(1, 2)),
     ("twisted", "twisted_series_value"): lambda: twisted_series_value(_point(), 2),
     ("twisted", "twisted_value"): lambda: twisted_value(_point(), 2),
+    ("twisted", "twisted_gf"): lambda: twisted_gf(_point(), 3),
+    ("series", "nth_taylor_coefficient"): lambda: nth_taylor_coefficient(TruncatedSeries((1, 1, 0)), 1),
 }
 
 

@@ -1,6 +1,7 @@
 """Truncated power series arithmetic, inversion, and Taylor extraction."""
 import hashlib
 import math
+import operator
 import random
 from fractions import Fraction as F
 
@@ -18,9 +19,9 @@ from eulertwist import (
     twisted_values,
 )
 from eulertwist.fermionic import _char_moment_sequence, _moment_sequence
-from eulertwist.series import divide_step, exp_quotient, integer_combination, power_moments
+from eulertwist.series import binomial_solve, power_moments
 from eulertwist.errors import NonUnitConstantTerm, OrderTooLow
-from conftest import field_element
+from conftest import field_element, moment_values
 
 
 def test_difference_of_squares():
@@ -183,7 +184,7 @@ def test_power_moments_match_direct_powers(field_order):
         terms = random_triples(rng, field)
         n_max = rng.randint(0, 8)
         expected = [sum((w * x**j for x, w in as_pairs(field, terms)), field.zero) for j in range(n_max + 1)]
-        assert power_moments(field, terms, n_max) == expected
+        assert moment_values(field, terms, n_max) == expected
 
 
 @pytest.mark.parametrize("field_order", FIELD_ORDERS)
@@ -194,36 +195,39 @@ def test_power_moments_match_the_field_oracle(field_order):
     for _ in range(15):
         terms = random_triples(rng, field)
         n_max = rng.randint(0, 8)
-        got = power_moments(field, terms, n_max)
+        got = moment_values(field, terms, n_max)
         want = oracle_power_moments(as_pairs(field, terms), n_max)
         assert [(m.num, m.den) for m in got] == [(m.num, m.den) for m in want]
         muted = [(x, 0, e) for x, _, e in terms]
-        assert power_moments(field, muted, n_max) == [field.zero] * (n_max + 1)
-    zero = field.zero
-    assert [(m.num, m.den) for m in power_moments(field, [], 3)] == [(zero.num, zero.den)] * 4
+        assert power_moments(field, muted, n_max) == ([[0] * field.degree] * (n_max + 1), 1)
+    assert power_moments(field, [], 3) == ([[0] * field.degree] * 4, 1)
 
 
-def test_one_kernel_call_reduces_once_per_moment(monkeypatch):
-    """One reduction mod Phi_N per moment and no field addition or product:
-    the weights stay integers until each moment is reduced."""
+def test_one_kernel_call_reads_each_slot_once(monkeypatch):
+    """Each term's slot is read as its row mod Phi_N once per call, and no
+    moment forms a field element or folds a vector: the moments are raw
+    integer rows over one denominator."""
     field = cyclotomic_field(45)
-    calls = []
-    real = type(field)._reduce_ints
+    slots = []
+    real = type(field)._row
 
-    def counted(self, vec, den):
-        calls.append(len(vec))
-        return real(self, vec, den)
+    def counted(self, j):
+        slots.append(j)
+        return real(self, j)
 
     def refused(*args):
-        raise AssertionError("a field operation per weight")
+        raise AssertionError("a field operation per weight or per moment")
 
-    monkeypatch.setattr(type(field), "_reduce_ints", counted)
-    monkeypatch.setattr(CyclotomicNumber, "__add__", refused)
-    monkeypatch.setattr(CyclotomicNumber, "__mul__", refused)
+    monkeypatch.setattr(type(field), "_row", counted)
+    for name in ("_fold", "_reduce_ints", "_mul_ints"):
+        monkeypatch.setattr(type(field), name, refused)
+    for name in ("__init__", "__add__", "__mul__"):
+        monkeypatch.setattr(CyclotomicNumber, name, refused)
     terms = random_triples(random.Random(7), field)
-    n_max = 6
-    power_moments(field, terms, n_max)
-    assert calls == [field.order] * (n_max + 1)
+    rows, den = power_moments(field, terms, 6)
+    assert sorted(slots) == sorted(e % field.order for _, r, e in terms if r)
+    assert len(rows) == 7 and all(len(row) == field.degree for row in rows)
+    assert den == math.lcm(*(F(r).denominator for _, r, _ in terms))
 
 
 def linear_combination(scales, values):
@@ -250,11 +254,11 @@ def oracle_exp_quotient(field, terms, rate, unit, node, pivot_inv, order) -> lis
     per intermediate: each numerator coefficient one product of a power
     moment by rate^n / n!, each inner sum one :func:`linear_combination`,
     then a field product by unit, a field subtraction and a field product by
-    pivot_inv.  The form that ``series.exp_quotient`` replaced, kept as its
+    pivot_inv.  The form that the integer division replaced, kept as its
     oracle; it divides by the unit-form denominator unit exp(node rate t) + c,
     pivot_inv = 1/(unit + c), where the program runs the monic one."""
     rate = F(rate)
-    numerator = [m * (rate**j / math.factorial(j)) for j, m in enumerate(power_moments(field, terms, order - 1))]
+    numerator = [m * (rate**j / math.factorial(j)) for j, m in enumerate(moment_values(field, terms, order - 1))]
     step = node * rate
     scales = [step**j / math.factorial(j) for j in range(order)]
     out = [numerator[0] * pivot_inv]
@@ -264,10 +268,69 @@ def oracle_exp_quotient(field, terms, rate, unit, node, pivot_inv, order) -> lis
     return out
 
 
+# The stepwise integer division that `series.binomial_solve` replaced, kept as its oracle: per coefficient one
+# integer combination over the lcm of every earlier denominator, one content gcd and one field product.
+
+def integer_combination(scales, values) -> tuple[list[int], int]:
+    """sum (a/b) v over integer pairs (a, b), b > 0, and elements v of one
+    cyclotomic field, as one integer vector over one common denominator."""
+    dens = [b * v.den for (_, b), v in zip(scales, values)]
+    den = math.lcm(*dens)
+    ks = [a * (den // b) for (a, _), b in zip(scales, dens)]
+    return [sum(map(operator.mul, ks, column)) for column in zip(*(v.num for v in values))], den
+
+
+def divide_step(scales, values, pivot_inv) -> CyclotomicNumber:
+    """(sum_j s_j v_j) pivot_inv: the combination, its content divided out,
+    then one raw product by pivot_inv, wrapped once."""
+    num, den = integer_combination(scales, values)
+    g = math.gcd(den, *num)
+    num, den = [c // g for c in num], den // g
+    field = pivot_inv.field
+    return CyclotomicNumber(field, field._mul_ints(num, pivot_inv.num), den * pivot_inv.den)
+
+
+def exp_scales(x, order: int) -> list[tuple[int, int]]:
+    """x^j / j! for j < order, as reduced integer pairs."""
+    p, q = x.numerator, x.denominator
+    out = [(1, 1)]
+    for j in range(1, order):
+        a, b = out[-1]
+        a, b = a * p, b * q * j
+        g = math.gcd(a, b)
+        out.append((a // g, b // g))
+    return out
+
+
+def exp_quotient(field, terms, rate, node: int, pivot_inv, order: int, scale=1) -> list:
+    """The ordinary coefficients of scale * sum r zeta_N^e exp(x rate t) / (exp(node rate t) + c), pivot_inv =
+    1/(1 + c): F_n = (N_n - sum_(j=1..n) (node rate)^j / j! F_(n-j)) pivot_inv, one :func:`divide_step` each."""
+    steps = [(-a, b) for a, b in exp_scales(node * rate, order)]
+    rates = [(a * scale.numerator, b * scale.denominator) for a, b in exp_scales(rate, order)]
+    out: list = []
+    for m, first in zip(moment_values(field, terms, order - 1), rates):
+        out.append(divide_step([first, *steps[1 : len(out) + 1]], [m, *reversed(out)], pivot_inv))
+    return out
+
+
+def stepwise_binomial_solve(rhs, step: int, pivot_inv) -> list:
+    """x_m = (rhs_m - sum_(k<m) C(m,k) step^(m-k) x_k) pivot_inv, one :func:`divide_step` per m."""
+    out: list = []
+    for m, value in enumerate(rhs):
+        scales = [(1, 1)] + [(-math.comb(m, k) * step ** (m - k), 1) for k in range(m)]
+        out.append(divide_step(scales, [value, *out], pivot_inv))
+    return out
+
+
+def taylor(coeffs) -> list:
+    """n! times the n-th ordinary coefficient."""
+    return [math.factorial(n) * c for n, c in enumerate(coeffs)]
+
+
 @pytest.mark.parametrize("field_order", [None, *FIELD_ORDERS])
 def test_linear_combination_matches_the_sum_of_products(field_order):
-    """The oracle and ``integer_combination`` (over Q as Q(zeta_1)), each
-    against the plain sum of products."""
+    """The oracles `linear_combination` and `integer_combination` (over Q as
+    Q(zeta_1)), each against the plain sum of products."""
     field = cyclotomic_field(1 if field_order is None else field_order)
     rng = random.Random(41 if field_order is None else 41 + field_order)
 
@@ -297,9 +360,9 @@ def test_linear_combination_matches_the_sum_of_products(field_order):
 
 
 def test_divide_step_matches_field_arithmetic():
-    """One step against (sum s_j v_j) pivot_inv in field arithmetic, the
-    first term a right side and the rest lower terms under scales of either
-    sign, zero values and a lone right side included."""
+    """The oracle's step against (sum s_j v_j) pivot_inv in field arithmetic,
+    the first term a right side and the rest lower terms under scales of
+    either sign, zero values and a lone right side included."""
     rng = random.Random(17)
     for field_order in FIELD_ORDERS:
         field = cyclotomic_field(field_order)
@@ -317,50 +380,102 @@ def test_divide_step_matches_field_arithmetic():
             assert (got.num, got.den) == (want.num, want.den)
 
 
-# (field order, twist exponents k); every k with k mod N >= D makes zeta^k a dense row of x^k mod Phi_N
-QUOTIENT_FIELDS = [(1, [0]), (3, [1, 2]), (9, [1, 4, 7, 8]), (15, [2, 8, 14]), (21, [5, 13, 20]), (99, [7, 61, 98])]
-QUOTIENT_QS = [F(2), F(5, 2), F(-3, 7), F(2, 3), F(2**40 + 1)]
+def test_product_columns_multiply_by_the_fixed_factor():
+    """Entry j of a b is sum(map(mul, column_j, a)) over the columns of b's
+    matrix, against the field product, dense rows of x^i b included."""
+    rng = random.Random(19)
+    for field_order in (*FIELD_ORDERS, 90):
+        field = cyclotomic_field(field_order)
+        for _ in range(4):
+            a, b = ([rng.randint(-99, 99) for _ in range(field.degree)] for _ in range(2))
+            columns = field._product_columns(b)
+            assert [sum(map(operator.mul, column, a)) for column in columns] == field._mul_ints(a, b)
 
 
-@pytest.mark.parametrize("field_order, exponents", QUOTIENT_FIELDS)
-def test_exp_quotient_matches_the_fraction_oracle(field_order, exponents):
-    """The integer pipeline against the Fraction-scale oracle, num and den
-    identical at every coefficient: the generating function's quotient, its
-    weights (1+q)(-1)^l q^(d-l+1) as integers (-1)^l u^(d-l+1) v^l with
-    (u+v)/v^(d+2) folded back in, at d <= 15 and n <= 12 over every q of
-    QUOTIENT_QS, and eq22's fold at rate 1."""
+# (field order, twist exponents k, each zeta_N^k of odd order); every k with k mod N >= D makes zeta^k a dense
+# row of x^k mod Phi_N
+KERNEL_FIELDS = [(1, [0]), (3, [1, 2]), (9, [1, 4, 7, 8]), (15, [2, 8, 14]), (45, [7, 26, 44]), (90, [2, 40, 88]),
+                 (99, [7, 61, 98])]
+# q < 0, q = 1, a tall q, and two q = u/v with v | d at the fold count they are paired with
+KERNEL_QS = [(F(2), None), (F(5, 2), None), (F(-3, 7), None), (F(1), None), (F(2**40 + 1), None), (F(2, 3), 3),
+             (F(5, 3), 15)]
+
+
+@pytest.mark.parametrize("field_order, exponents", KERNEL_FIELDS)
+def test_kernel_gives_the_taylor_coefficients_of_the_retired_quotients(field_order, exponents):
+    """The generating function's A_n through `binomial_solve` (nodes -l(u+v),
+    integer weights (u+v)(-1)^l u^(d-l+1) v^l, step -d(u+v) over v), num and
+    den identical to n! times the retired integer quotient and, where it is
+    cheap, the Fraction-scale one; seeded, n <= 12 (smaller in the
+    degree-60 field and at the tall q).  Where v | d, the step reduced as a
+    Fraction changes its denominator, and that mutant must differ."""
     field = cyclotomic_field(field_order)
-    rng = random.Random(f"exp-quotient:{field_order}")
-    for q in QUOTIENT_QS:
+    rng = random.Random(f"kernel:{field_order}")
+    small, mutants = field.degree >= 24, 0
+    for q, fold in KERNEL_QS:
         u, v = q.numerator, q.denominator
+        tall = u > 2**40
         for k in exponents:
-            # the degree-60 field costs most, above all at the tall q: smaller d and n there
-            d = rng.randint(1, 15) if field.degree < 60 else 1 if u > 2**40 else rng.randint(1, 5)
-            n = rng.randint(0, 12) if field.degree < 60 else rng.randint(0, 2 if u > 2**40 else 4)
+            d = fold or (rng.randint(1, 3) if tall and small else rng.randint(1, 5) if tall or small else
+                         rng.randint(1, 15))
+            n = rng.randint(0, 2) if field.degree >= 60 else rng.randint(0, 4) if tall or small else rng.randint(0, 12)
+            n = max(n, 2) if fold else n
             exps = [rng.randrange(3 * field.order) for _ in range(d)]
-            kept = [l for l in range(d) if rng.random() < 0.8]
-            rational = [(l, (1 + q) * (-1) ** l * q ** (d - l + 1), exps[l]) for l in kept]
-            integer = [(l, (-1) ** l * u ** (d - l + 1) * v**l, exps[l]) for l in kept]
-            want = oracle_exp_quotient(field, rational, -(1 + q), field.zeta_power(k), d,
-                                       field.binomial_inverse(q**d, 1, k), n + 1)
-            monic = [(l, w, e - k) for l, w, e in integer]
-            got = exp_quotient(field, monic, -(1 + q), d, field.binomial_inverse(1, q**d, -k), n + 1,
-                               F(u + v, v ** (d + 2))).coeffs
+            kept = [l for l in range(d) if fold or rng.random() < 0.8]
+            integer = [(l, (-1) ** l * u ** (d - l + 1) * v**l, exps[l] - k) for l in kept]
+            pivot_inv = field.binomial_inverse(1, q**d, -k)
+            want = taylor(exp_quotient(field, integer, -(1 + q), d, pivot_inv, n + 1, F(u + v, v ** (d + 2))))
+            if not (tall or small):
+                rational = [(l, (1 + q) * (-1) ** l * q ** (d - l + 1), exps[l]) for l in kept]
+                assert want == taylor(oracle_exp_quotient(field, rational, -(1 + q), field.zeta_power(k), d,
+                                                          field.binomial_inverse(q**d, 1, k), n + 1))
+            rows, den = power_moments(field, [(-(u + v) * l, (u + v) * w, e) for l, w, e in integer], n)
+            step = (-(u + v) * d, v)
+            got = binomial_solve(rows, den * v ** (d + 2), step, pivot_inv)
             assert [(c.num, c.den) for c in got] == [(c.num, c.den) for c in want], (q, k, d, n)
+            reduced = F(*step)
+            if reduced.denominator != v and any(want[1:]):
+                mutant = binomial_solve(rows, den * v ** (d + 2), (reduced.numerator, reduced.denominator), pivot_inv)
+                assert mutant != want, (q, k, d)
+                mutants += fold is not None
         d_fold = rng.choice([1, 3, 5, 7, 9, 11, 13, 15])
         for k in exponents:
-            want = oracle_exp_quotient(field, [(l, 2 * (-1) ** l, k * l) for l in range(d_fold)], 1,
-                                       field.zeta_power(k * d_fold), d_fold,
-                                       field.binomial_inverse(1, 1, k * d_fold), 12)
-            got = exp_quotient(field, [(l, 2 * (-1) ** l, k * (l - d_fold)) for l in range(d_fold)], 1, d_fold,
-                               field.binomial_inverse(1, 1, -k * d_fold), 12).coeffs
-            assert [(c.num, c.den) for c in got] == [(c.num, c.den) for c in want], ("eq22", k, d_fold)
+            terms = [(l, 2 * (-1) ** l, k * (l - d_fold)) for l in range(d_fold)]
+            pivot_inv = field.binomial_inverse(1, 1, -k * d_fold)
+            want = taylor(exp_quotient(field, terms, 1, d_fold, pivot_inv, 12))
+            assert binomial_solve(*power_moments(field, terms, 11), (d_fold, 1), pivot_inv) == want, ("eq22", k)
+    assert mutants == 2 * len(exponents)  # every v | d point tells the reduced step from the kept pair
+
+
+def test_kernel_matches_the_stepwise_solve_at_any_step():
+    """Random raw right sides over den b^n and unreduced steps a/b against
+    the Fraction-scale solve, and at b = 1 against the retired stepwise
+    integer solve of the moment equations, num and den identical."""
+    rng = random.Random(23)
+    for field_order in FIELD_ORDERS:
+        field = cyclotomic_field(field_order)
+        for _ in range(4):
+            n = rng.randint(0, 9)
+            g = rng.randint(1, 4)
+            a, b = g * (rng.randint(-7, 7) or 1), g * rng.choice([1, 1, 2, 3, 5])
+            den = rng.randint(1, 30)
+            rows = [[rng.randint(-40, 40) if rng.random() < 0.7 else 0 for _ in range(field.degree)]
+                    for _ in range(n + 1)]
+            c = F(rng.randint(1, 9), rng.randint(1, 9))
+            pivot_inv = field.binomial_inverse(1, c, 2 * rng.randrange(field.order))
+            rhs = [CyclotomicNumber(field, row, den * b**m) for m, row in enumerate(rows)]
+            got = binomial_solve(rows, den, (a, b), pivot_inv)
+            want = unit_form_solve(rhs, 1, F(a, b), pivot_inv)
+            assert [(x.num, x.den) for x in got] == [(x.num, x.den) for x in want]
+            if b == 1:
+                assert got == stepwise_binomial_solve(rhs, a, pivot_inv)
 
 
 def test_quotient_matches_inverse_then_multiply():
-    """The monic quotient, its terms and constant divided by the unit
-    ratio zeta^k, against the unit-form numerator series times the series
-    inverse of the unit-form denominator."""
+    """The kernel's Taylor coefficients of a monic quotient, its terms and
+    constant divided by the unit ratio zeta^k, against the unit-form
+    numerator series times the series inverse of the unit-form
+    denominator: with rate p/b, the nodes x p and the step node p over b."""
     rng = random.Random(16)
     for _ in range(30):
         field = cyclotomic_field(rng.choice([1, 9]))
@@ -383,9 +498,10 @@ def test_quotient_matches_inverse_then_multiply():
             sum((w * ((x * rate) ** j / math.factorial(j)) for x, w in as_pairs(field, terms)), field.zero)
             for j in range(order)))
         expected = numerator * denominator.inverse()
-        monic = [(x, r / ratio, e - k) for x, r, e in terms]
+        p, b = rate.numerator, rate.denominator
+        rows, den = power_moments(field, [(x * p, r / ratio, e - k) for x, r, e in terms], order - 1)
         pivot_inv = (1 + field.zeta_power(-k) * (constant / ratio)).inverse()
-        assert exp_quotient(field, monic, rate, node, pivot_inv, order) == expected
+        assert binomial_solve(rows, den, (node * p, b), pivot_inv) == taylor(expected.coeffs)
 
 
 def unit_form_solve(rhs, unit, step, pivot_inv) -> list:
@@ -427,9 +543,9 @@ def test_monic_divisions_match_the_unit_form_where_the_inverse_twist_is_a_multi_
         assert [a.value for a in twisted_values(cfg, n)] == [math.factorial(j) * c for j, c in enumerate(quotient)]
         kernel = [(l, (1 + q) * (-1) ** l * q ** (d - 1 - l), e) for l, e in cfg.twisted_exponents(range(d))]
         assert _char_moment_sequence(n, cfg) == unit_form_solve(
-            power_moments(field, kernel, n), field.zeta_power(k), d, field.binomial_inverse(q**d, 1, k))
-        assert checks._twist_quotient(field, k_one, n + 1) == tuple(oracle_exp_quotient(
-            field, [(0, 2, 0)], 1, field.zeta_power(k_one), 1, field.binomial_inverse(1, 1, k_one), n + 1))
+            moment_values(field, kernel, n), field.zeta_power(k), d, field.binomial_inverse(q**d, 1, k))
+        assert checks._twist_quotient(field, k_one, n + 1) == tuple(taylor(oracle_exp_quotient(
+            field, [(0, 2, 0)], 1, field.zeta_power(k_one), 1, field.binomial_inverse(1, 1, k_one), n + 1)))
         for ratio, twist in ((F(-3, 7), k_one), (q**-d, k)):
             rhs = [field.from_rational(1 + ratio)] + [field.zero] * n
             assert _moment_sequence(n, ratio, field, twist) == unit_form_solve(

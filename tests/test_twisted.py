@@ -26,7 +26,7 @@ from eulertwist import (
 from eulertwist.checks import grid_characters
 from eulertwist.errors import SingularFunctionalEquation
 from eulertwist.fermionic import _moment_sequence
-from eulertwist.series import exp_quotient
+from eulertwist.series import binomial_solve
 from eulertwist.twisted import (
     alternating_char_sums,
     twisted_series_value,
@@ -298,15 +298,15 @@ class TestEulerGfConsistency:
         quotients = []
 
         def recorded(*args):
-            quotients.append(exp_quotient(*args))
+            quotients.append(binomial_solve(*args))
             return quotients[-1]
 
-        monkeypatch.setattr(checks, "exp_quotient", recorded)
+        monkeypatch.setattr(checks, "binomial_solve", recorded)
         assert eq22_report(d_fold, field.order, k).passed
         numerator = exp_series(field, [(l, 2 * (-1) ** l, k * l) for l in range(d_fold)], 1, 12)
         folded = numerator * exp_series(field, [(d_fold, 1, k * d_fold), (0, 1, 0)], 1, 12).inverse()
         direct = exp_series(field, [(0, 2, 0)], 1, 12) * exp_series(field, [(1, 1, k), (0, 1, 0)], 1, 12).inverse()
-        assert quotients == [folded, direct]
+        assert quotients == [[nth_taylor_coefficient(series, n) for n in range(12)] for series in (folded, direct)]
 
     def test_even_fold_rejected(self):
         with pytest.raises(ValueError):
@@ -395,8 +395,8 @@ class TestOneComputationPerPoint:
     GRID = dataclasses.replace(checks.default_grid(), moduli=(5,), zeta_orders=(3,), q_values=(F(5, 2),))
 
     # These relations read A_n from the generating function alone: one
-    # twisted_gf per configuration, and the series path, whose closed form
-    # builds the tails power_sum_rational, is never built.
+    # twisted_values per configuration, and the series path, whose closed
+    # form builds the tails power_sum_rational, is never built.
     @pytest.mark.parametrize("relation", ["thm1-residual", "thm5-residual", "thm6"])
     def test_builds_each_point_once(self, monkeypatch, relation):
         from collections import Counter
@@ -405,17 +405,17 @@ class TestOneComputationPerPoint:
 
         gf_builds = Counter()
         tail_calls = []
-        real_gf, real_tail = twisted.twisted_gf, eulerian.power_sum_rational
+        real_gf, real_tail = twisted.twisted_values, eulerian.power_sum_rational
 
-        def counted_gf(cfg, order):
+        def counted_gf(cfg, n_max):
             gf_builds[cfg] += 1
-            return real_gf(cfg, order)
+            return real_gf(cfg, n_max)
 
         def counted_tail(j, w):
             tail_calls.append(j)
             return real_tail(j, w)
 
-        monkeypatch.setattr(twisted, "twisted_gf", counted_gf)
+        monkeypatch.setattr(twisted, "twisted_values", counted_gf)
         monkeypatch.setattr(eulerian, "power_sum_rational", counted_tail)
         report = checks.run_relation(relation, self.GRID)
         assert report.passed
@@ -443,13 +443,13 @@ class TestOneComputationPerPoint:
 
             monkeypatch.setattr(module, name, wrapper)
 
-        counted(twisted, "twisted_gf", 0)
+        counted(twisted, "twisted_values", 0)
         counted(fermionic, "_char_moment_sequence", 1)
         counted(fermionic, "residue_class_sums", 1)
         for relation in self.SHARING:
             assert checks.run_relation(relation, self.GRID).passed, relation
         configs = len(checks.grid_characters(5))
-        for name in ("twisted_gf", "_char_moment_sequence", "residue_class_sums"):
+        for name in ("twisted_values", "_char_moment_sequence", "residue_class_sums"):
             assert sorted(n for (quantity, _), n in calls.items() if quantity == name) == [1] * configs, name
 
     def test_a_held_quantity_is_a_tuple_and_a_patched_one_misses(self, monkeypatch):
