@@ -445,28 +445,19 @@ def predicted_seconds(args) -> float:
     return seconds + _float_sums_s([args.s.real], args.d, args.q, args.tol, args.max_terms)
 
 
-def _emit(args, text: str) -> None:
-    if getattr(args, "output", None):
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+# Each handler returns (result, exit status): a doc, which main writes as one JSON line, or the text of a csv
+# table or of check's JSON lines.
 
-
-def _cmd_classic(args) -> int:
+def _cmd_classic(args) -> tuple:
     poly = eulerian_recurrence(args.n)
     doc = {"n": args.n, "coeffs": [format_rational(c) for c in poly]}
-    status = 0
-    if args.check_oracle:
-        match = descent_oracle(args.n) == poly
-        doc["oracle_match"] = match
-        if not match:
-            status = 1
-    _emit(args, _dumps(doc) + "\n")
-    return status
+    if not args.check_oracle:
+        return doc, 0
+    doc["oracle_match"] = match = descent_oracle(args.n) == poly
+    return doc, 0 if match else 1
 
 
-def _cmd_twisted(args) -> int:
+def _cmd_twisted(args) -> tuple:
     cfg = TwistedConfig.build(args.character, args.zeta_order, args.zeta_k, args.q)
     indices = args.n
     values = twisted_values(cfg, max(indices))
@@ -477,57 +468,42 @@ def _cmd_twisted(args) -> int:
         rows.append({"n": n, "cyclotomic": val.to_json(), "complex": [emb.real, emb.imag]})
     params = {"q": format_rational(args.q), "d": args.d, "char": args.char, "zeta_order": args.zeta_order,
               "zeta_k": cfg.zeta_exponent, "ambient_order": cfg.field.order}
-    doc = {"params": params, "values": rows}
     if args.format == "json":
-        _emit(args, _dumps(doc) + "\n")
-    else:
-        lines = ["n,re,im,cyclotomic_order,cyclotomic_coeffs"]
-        for row in rows:
-            real, imag = (format(x, ".17g") for x in row["complex"])
-            cyclotomic = row["cyclotomic"]
-            lines.append(f"{row['n']},{real},{imag},{cyclotomic['order']},{';'.join(cyclotomic['coeffs'])}")
-        _emit(args, "\n".join(lines) + "\n")
-    return 0
+        return {"params": params, "values": rows}, 0
+    lines = ["n,re,im,cyclotomic_order,cyclotomic_coeffs"]
+    for row in rows:
+        real, imag = (format(x, ".17g") for x in row["complex"])
+        cyclotomic = row["cyclotomic"]
+        lines.append(f"{row['n']},{real},{imag},{cyclotomic['order']},{';'.join(cyclotomic['coeffs'])}")
+    return "\n".join(lines) + "\n", 0
 
 
-def _cmd_integral(args) -> int:
-    q, report = args.q, padic_truncation(args.n, args.q, args.p, args.levels)
-    if args.format == "json":
-        levels = [
-            {"N": lv.level, "partial": format_rational(lv.partial),
-             "valuation": "inf" if lv.valuation == math.inf else lv.valuation}
-            for lv in report.levels
-        ]
-        doc = {"n": args.n, "q": format_rational(q), "p": args.p, "exact": format_rational(report.exact)}
-        doc["levels"] = levels
-        _emit(args, _dumps(doc) + "\n")
-    else:
-        _emit(args, report.to_csv())
-    return 0
+def _cmd_integral(args) -> tuple:
+    report = padic_truncation(args.n, args.q, args.p, args.levels)
+    if args.format == "csv":
+        return report.to_csv(), 0
+    levels = [{"N": lv.level, "partial": format_rational(lv.partial),
+               "valuation": "inf" if lv.valuation == math.inf else lv.valuation} for lv in report.levels]
+    return {"n": args.n, "q": format_rational(args.q), "p": args.p, "exact": format_rational(report.exact),
+            "levels": levels}, 0
 
 
-def _cmd_lfun(args) -> int:
+def _cmd_lfun(args) -> tuple:
     cfg = TwistedConfig.build(args.character, args.zeta_order, args.zeta_k, args.q)
     s = args.s
     result = l_eval(LParams(s=s, cfg=cfg, tol=args.tol, max_terms=args.max_terms))
-    doc = {"s": [s.real, s.imag], "value": [result.value.real, result.value.imag],
-           "terms": result.terms_used, "tail_bound": result.tail_bound}
-    _emit(args, _dumps(doc) + "\n")
-    return 0
+    return {"s": [s.real, s.imag], "value": [result.value.real, result.value.imag],
+            "terms": result.terms_used, "tail_bound": result.tail_bound}, 0
 
 
-def _cmd_chars(args) -> int:
-    chars = enumerate_characters(args.d)
-    doc = {"modulus": args.d, "characters": [c.to_json() for c in chars]}
-    _emit(args, _dumps(doc) + "\n")
-    return 0
+def _cmd_chars(args) -> tuple:
+    return {"modulus": args.d, "characters": [c.to_json() for c in enumerate_characters(args.d)]}, 0
 
 
-def _cmd_check(args) -> int:
+def _cmd_check(args) -> tuple:
     tokens = checks.RELATIONS if args.relation == "all" else [args.relation]
     reports = [checks.run_relation(token, args.grid) for token in tokens]
-    _emit(args, "".join(_dumps(report.to_json()) + "\n" for report in reports))
-    return 0 if all(report.passed for report in reports) else 1
+    return "".join(_dumps(report.to_json()) + "\n" for report in reports), 0 if all(r.passed for r in reports) else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -564,7 +540,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("classic", help="classical Eulerian polynomial coefficients")
     p.add_argument("--n", type=index, required=True, help=f"polynomial index, 0..{MAX_INDEX}")
     p.add_argument("--check-oracle", action="store_true")
-    p.add_argument("--output")
     p.set_defaults(handler=_cmd_classic)
 
     p = sub.add_parser("twisted", parents=[point], help="twisted Eulerian values on a parameter point", epilog=budget)
@@ -573,7 +548,6 @@ def build_parser() -> argparse.ArgumentParser:
         help=f'index list: "3", "0,2", or "0..5"; nonempty, each in 0..{MAX_INDEX}',
     )
     p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--output")
     p.set_defaults(handler=_cmd_twisted)
 
     p = sub.add_parser("integral", help="alternating Riemann-sum truncation report", epilog=budget)
@@ -585,7 +559,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="levels N = 0..LEVELS, >= 0; the p^LEVELS terms of the largest sum are priced by the work budget",
     )
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--output")
     p.set_defaults(handler=_cmd_integral)
 
     p = sub.add_parser("lfun", parents=[point], help="L-series value at a complex point", epilog=budget)
@@ -598,14 +571,12 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-terms", type=_flag_type(_bounded_int(1, MAX_TERMS)), default=200000,
         help=f"most series terms summed, 1..{MAX_TERMS}",
     )
-    p.add_argument("--output")
     p.set_defaults(handler=_cmd_lfun)
 
     p = sub.add_parser("chars", help="enumerate all characters of a modulus")
     p.add_argument(
         "--d", type=_flag_type(_odd_int(MAX_CHARS_MODULUS)), required=True, help=f"modulus, odd, 1..{MAX_CHARS_MODULUS}"
     )
-    p.add_argument("--output")
     p.set_defaults(handler=_cmd_chars)
 
     p = sub.add_parser("check", help="run one relation check, or all of them, over a grid", epilog=budget)
@@ -622,9 +593,10 @@ def build_parser() -> argparse.ArgumentParser:
         f"1..{MAX_RANDOM_TABLES}; seed, an integer. Lists are nonempty and repeat no entry, and every message starts "
         f"with its key; the points the relation reads are priced",
     )
-    p.add_argument("--output")
     p.set_defaults(handler=_cmd_check)
 
+    for p in sub.choices.values():  # last, after each command's own flags
+        p.add_argument("--output")
     return parser
 
 
@@ -658,7 +630,14 @@ def main(argv=None) -> int:
             raise UsageError(
                 f"this run is predicted to take {seconds:.3g} s, over the work budget MAX_WORK_S = {MAX_WORK_S:g} s"
             )
-        return args.handler(args)
+        result, status = args.handler(args)
+        text = result if isinstance(result, str) else _dumps(result) + "\n"
+        if args.output:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
+        return status
     except (UsageError, OSError) as exc:  # OSError: a character or --output file
         print(f"error: {exc}", file=sys.stderr)
         return 2

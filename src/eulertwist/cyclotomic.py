@@ -93,38 +93,23 @@ class CyclotomicField:
         """x^j mod Phi_N as (index, int) pairs, for 0 <= j < max(2D - 1, N)."""
         return self._high_rows[j - self.degree] if j >= self.degree else ((j, 1),)
 
-    def _fold(self, vec: list[int]) -> list[int]:
-        """vec mod Phi_N as D ints, for an integer vector of length <= max(2D - 1, N), entry j >= D folded
-        in through row j - D; ``binomial_inverse`` and ``_substitute`` pass length N, one slot per exponent."""
+    def _reduce_ints(self, vec: list[int], den: int) -> "CyclotomicNumber":
+        """vec / den mod Phi_N, in canonical form, for an integer vector of length <= max(2D - 1, N): entry
+        j >= D is folded in through row j - D.  ``CyclotomicNumber.__mul__`` passes its 2D - 1 product
+        entries; ``binomial_inverse`` and ``_substitute`` pass length N, one slot per exponent."""
         n = self.degree
         out = vec[:n] + [0] * (n - len(vec))
         for c, row in zip(vec[n:], self._high_rows):
             if c:
                 for i, r in row:
                     out[i] += c * r
-        return out
-
-    def _reduce_ints(self, vec: list[int], den: int) -> "CyclotomicNumber":
-        """vec / den mod Phi_N, in canonical form (see :meth:`_fold`)."""
-        return CyclotomicNumber(self, self._fold(vec), den)
-
-    def _mul_ints(self, a, b) -> list[int]:
-        """a b mod Phi_N for two integer vectors of length D, as D ints with no content divided out: the
-        product of ``CyclotomicNumber.__mul__`` and of ``fermionic.residue_class_sums``.  The triangular
-        solve ``series.binomial_solve`` multiplies by one fixed factor many times, through
-        :meth:`_product_columns` instead."""
-        right = [(j, y) for j, y in enumerate(b) if y]
-        prod = [0] * (2 * self.degree - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in right:
-                    prod[i + j] += x * y
-        return self._fold(prod)
+        return CyclotomicNumber(self, out, den)
 
     def _product_columns(self, b) -> list[tuple]:
-        """The matrix of a -> a b mod Phi_N for an integer vector b of length D, by columns: column j
-        holds entry j of x^i b mod Phi_N for i = 0..D-1, so entry j of a b is
-        sum(map(operator.mul, column_j, a)), with no fold per product."""
+        """The matrix of a -> a b mod Phi_N for an integer vector b of length D, by columns: column j holds
+        entry j of x^i b mod Phi_N for i = 0..D-1, so entry j of a b is sum(map(operator.mul, column_j, a)),
+        with no fold per product.  For a factor met many times: ``series.binomial_solve``'s pivot inverse,
+        once per solve, and each nonzero class row of ``fermionic.residue_class_sums``, once per call."""
         rows = [list(b)]
         for _ in range(self.degree - 1):
             *low, top = rows[-1]
@@ -249,6 +234,9 @@ class CyclotomicNumber:
         return _make(self.field, tuple([-a for a in self.num]), self.den)
 
     def __mul__(self, other) -> "CyclotomicNumber":
+        """By a rational, or by an element of this field: the sparse schoolbook product of the two numerators,
+        2D - 1 entries, reduced once by :meth:`CyclotomicField._reduce_ints`.  A factor met many times is
+        multiplied through :meth:`CyclotomicField._product_columns` instead."""
         if isinstance(other, (int, Fraction)):
             # With gcd(den, num) = 1 and gcd(p, q) = 1, the content of
             # (p*num)/(den*q) is gcd(den, p) * gcd(q, num).
@@ -259,7 +247,13 @@ class CyclotomicNumber:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return CyclotomicNumber(self.field, self.field._mul_ints(self.num, other.num), self.den * other.den)
+        right = [(j, y) for j, y in enumerate(other.num) if y]
+        prod = [0] * (2 * self.field.degree - 1)
+        for i, x in enumerate(self.num):
+            if x:
+                for j, y in right:
+                    prod[i + j] += x * y
+        return self.field._reduce_ints(prod, self.den * other.den)
 
     __rmul__ = __mul__
 

@@ -47,10 +47,11 @@ def eulerian_at(n: int, x):
 
 
 def descent_oracle(n: int) -> tuple[int, ...]:
-    """Descent-statistic polynomial of S_n by full enumeration, 1 <= n <= 9."""
-    if not 1 <= n <= 9:
+    """Descent-statistic polynomial of S_n by full enumeration, 0 <= n <= 9; S_0 holds the one empty
+    permutation, with no descent."""
+    if not 0 <= n <= 9:
         raise OracleTooLarge(f"descent oracle enumerates n! permutations, n={n} unsupported")
-    counts = [0] * n
+    counts = [0] * max(n, 1)
     for perm in itertools.permutations(range(n)):
         descents = sum(1 for i in range(n - 1) if perm[i] > perm[i + 1])
         counts[descents] += 1

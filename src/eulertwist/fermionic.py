@@ -15,6 +15,7 @@ compare them are stated in :mod:`eulertwist.checks`.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -85,26 +86,27 @@ def residue_class_sums(n_max: int, cfg) -> list:
     M_k = I(x^k zeta^(dx)), S_j = sum_a c_a a^j, each zero S_j skipped
     (every j >= 1 at d = 1), the S_j the raw integer rows of one
     :func:`~eulertwist.series.power_moments` call over one denominator.
-    Each n is one integer convolution: the raw products M_(n-j) S_j
-    (``CyclotomicField._mul_ints``) over the lcm of the denominators of
-    M_0..M_n times that of the S_j, scaled by integers, summed and wrapped
-    once, with no field element formed per term."""
+    Each n is one integer convolution: the raw products M_(n-j) S_j, each
+    entry one pass over a column of S_j's product matrix
+    (``CyclotomicField._product_columns``, built once per nonzero S_j), over
+    the lcm of the denominators of M_0..M_n times that of the S_j, scaled by
+    integers, summed and wrapped once, with no field element formed per term."""
     q, d, field = cfg.q, cfg.char.modulus, cfg.field
     moments = _moment_sequence(n_max, q**-d, field, cfg.twist_exponent(d))
     terms = [(a, (-1) ** a * q**-a, e) for a, e in cfg.twisted_exponents(range(d))]
     classes, class_den = power_moments(field, terms, n_max)
-    weights = [(j, s) for j, s in enumerate(classes) if any(s)]
+    weights = [(j, field._product_columns(s)) for j, s in enumerate(classes) if any(s)]
     scale = 1 / q_bracket_neg(d, 1 / q)
     out, moment_den = [], 1
     for n in range(n_max + 1):
         moment_den = math.lcm(moment_den, moments[n].den)
         total = [0] * field.degree
-        for j, s in weights:
+        for j, columns in weights:
             if j > n:
                 break
             moment = moments[n - j]
             c = math.comb(n, j) * d ** (n - j) * (moment_den // moment.den)
-            total = [x + c * y for x, y in zip(total, field._mul_ints(moment.num, s))]
+            total = [x + c * sum(map(operator.mul, column, moment.num)) for x, column in zip(total, columns)]
         out.append(CyclotomicNumber(field, [x * scale.numerator for x in total],
                                     moment_den * class_den * scale.denominator))
     return out

@@ -198,7 +198,7 @@ def l_series_sum(params: LParams) -> LEvaluation:
                 c = coefficients[m % cycle]
                 if c is not None:
                     total += c * exp(neg_s * log(m) - m * ln_q)
-    except OverflowError as exc:
+    except (OverflowError, ValueError) as exc:  # ValueError: cmath.exp at an infinite phase
         raise NotConverged(f"term {m} overflows double precision") from exc
     return LEvaluation(total, stop, tail)
 
@@ -242,7 +242,7 @@ def _prefactored(s: complex, q, held: _Summands | None, inner: LEvaluation) -> L
         else:
             q, ln_1q = held.q, held.ln_1q
         value = l_prefactor(s, q, ln_1q) * inner.value
-    except OverflowError as exc:
+    except (OverflowError, ValueError) as exc:
         raise NotConverged("non-finite value") from exc
     if not cmath.isfinite(value):
         raise NotConverged("non-finite value")

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from eulertwist import checks, cli
-from eulertwist.cyclotomic import CyclotomicNumber
+from eulertwist.cyclotomic import CyclotomicNumber, cyclotomic_polynomial
 from eulertwist.series import power_moments
 
 
@@ -68,3 +68,20 @@ def moment_values(field, terms, n_max):
     """`series.power_moments` as canonical field elements, one per moment."""
     rows, den = power_moments(field, terms, n_max)
     return [CyclotomicNumber(field, row, den) for row in rows]
+
+
+def schoolbook_product(field, a, b):
+    """a b mod Phi_N for integer vectors a and b of any length, as field.degree ints with no content
+    divided out: the integer polynomial product, then its remainder by long division by the monic
+    cyclotomic_polynomial(N).  It reads none of the field's tables."""
+    phi = cyclotomic_polynomial(field.order)
+    degree = len(phi) - 1
+    prod = [0] * max(len(a) + len(b) - 1, degree)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] += x * y
+    for top in range(len(prod) - 1, degree - 1, -1):
+        lead = prod[top]
+        for i, c in enumerate(phi):
+            prod[top - degree + i] -= lead * c
+    return prod[:degree]

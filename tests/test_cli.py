@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import random
+import re
 import subprocess
 import sys
 import time
@@ -163,6 +164,14 @@ def test_lfun_beyond_double_precision_exits_three(s):
     proc = subprocess.run(argv, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 3
     assert "NotConverged" in proc.stderr and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("q, d, message", [
+    ("2", "3", "term 7 overflows double precision"), ("100000000000000000000", "1", "non-finite value"),
+])
+def test_lfun_at_a_huge_im_s_is_not_converged(capsys, q, d, message):
+    code, err = math_exit(capsys, "lfun", "--q", q, "--d", d, "--s", "0,1e308")
+    assert code == 3 and err == f"error: NotConverged: {message}\n"
 
 
 def test_lfun_at_a_huge_positive_re_s_sums_one_term():
@@ -336,6 +345,50 @@ def test_output_flag_writes_file(tmp_path, capsys):
     code = cli.main(["classic", "--n", "2", "--output", str(target)])
     assert code == 0
     assert json.loads(target.read_text()) == {"n": 2, "coeffs": ["1/1", "1/1"]}
+
+
+# One run per subcommand and format, and whether classic's oracle is patched to disagree (exit 1); GRID stands for
+# a small grid file, and the thm6 one checks nothing (exit 1).
+TWISTED_RUN = ["twisted", "--q", "5/2", "--d", "5", "--char", "quadratic", "--zeta-order", "3", "--n", "0..3"]
+INTEGRAL_RUN = ["integral", "--n", "2", "--q", "4", "--p", "3", "--levels", "3"]
+OUTPUT_RUNS = [
+    pytest.param(["classic", "--n", "4"], False, id="classic"),
+    pytest.param(["classic", "--n", "4", "--check-oracle"], False, id="classic-oracle"),
+    pytest.param(["classic", "--n", "4", "--check-oracle"], True, id="classic-oracle-mismatch"),
+    pytest.param(TWISTED_RUN, False, id="twisted-json"),
+    pytest.param([*TWISTED_RUN, "--format", "csv"], False, id="twisted-csv"),
+    pytest.param(INTEGRAL_RUN, False, id="integral-csv"),
+    pytest.param([*INTEGRAL_RUN, "--format", "json"], False, id="integral-json"),
+    pytest.param(["lfun", "--q", "2", "--d", "3", "--char", "quadratic", "--s", "0.5,1"], False, id="lfun"),
+    pytest.param(["chars", "--d", "5"], False, id="chars"),
+    pytest.param(["check", "--relation", "eq15"], False, id="check-eq15"),
+    pytest.param(["check", "--relation", "all", "--grid", "GRID"], False, id="check-all"),
+    pytest.param(["check", "--relation", "thm6", "--grid", "GRID"], False, id="check-nothing"),
+]
+
+
+@pytest.mark.parametrize("argv, mismatch", OUTPUT_RUNS)
+def test_output_file_holds_the_bytes_of_stdout(capsys, monkeypatch, tmp_path, argv, mismatch):
+    if mismatch:
+        monkeypatch.setattr(cli, "descent_oracle", lambda n: (9, 9))
+    doc = {"n_max": 0, "moduli": [1], "zeta_orders": [1], "q": ["2"]} if "thm6" in argv else \
+        {"n_max": 1, "moduli": [1, 3], "zeta_orders": [1, 3], "q": ["2"], "primes": [3], "level_max": 2}
+    argv = [grid_file(tmp_path, doc) if token == "GRID" else token for token in argv]
+    code, out = run_cli(capsys, *argv)
+    target = tmp_path / "out.txt"
+    assert run_cli(capsys, *argv, "--output", str(target)) == (code, "")
+    assert target.read_bytes() == out.encode() and out.endswith("\n")
+    assert code == (1 if mismatch or "thm6" in argv else 0)
+
+
+def test_output_is_the_last_option_of_every_command(capsys):
+    commands = cli.build_parser()._subparsers._group_actions[0].choices
+    assert {run.values[0][0] for run in OUTPUT_RUNS} == set(commands)
+    for command in commands:
+        with pytest.raises(SystemExit):
+            cli.main([command, "--help"])
+        options = re.findall(r"^  (--[a-z-]+)", capsys.readouterr().out, re.M)
+        assert options[-1] == "--output" and options.count("--output") == 1, command
 
 
 def usage_exit(capsys, *argv):

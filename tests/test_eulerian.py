@@ -37,10 +37,11 @@ def test_oracle_small_cases():
 
 
 def test_oracle_range_guard():
-    with pytest.raises(OracleTooLarge):
-        descent_oracle(0)
-    with pytest.raises(OracleTooLarge):
-        descent_oracle(10)
+    # S_0 holds the one empty permutation, with no descent
+    assert descent_oracle(0) == (1,) == eulerian_recurrence(0)
+    for n in (-1, 10):
+        with pytest.raises(OracleTooLarge):
+            descent_oracle(n)
 
 
 @pytest.mark.parametrize("n", range(1, 9))

@@ -26,6 +26,7 @@ from eulertwist import (
 from eulertwist.cyclotomic import CyclotomicField, CyclotomicNumber
 from eulertwist.errors import DivisionByZero, NotPadicallyConvergent, SingularFunctionalEquation
 from eulertwist.fermionic import _char_moment_sequence, _moment_sequence, residue_class_sums
+from eulertwist.series import power_moments
 from eulertwist.twisted import alternating_char_sums, twisted_series_values
 from conftest import moment_values
 
@@ -223,20 +224,22 @@ class TestCharTwistIntegral:
         # n + 1 by the pivot inverse, each one pass over the one product
         # matrix of the pivot inverse that series.binomial_solve builds per
         # call; the one-step moments and eq22's quotient form the same, and
-        # the series path reads its cycle the same way and forms none.  Every
-        # other field product, CyclotomicNumber.__mul__ included, is one
-        # CyclotomicField._mul_ints call.
-        real_mul, real_matrix, products, matrices = CyclotomicField._mul_ints, CyclotomicField._product_columns, [], []
+        # the series path reads its cycle the same way and forms none.  The
+        # residue classes add one matrix per nonzero class row S_j.  No
+        # route multiplies two field elements by CyclotomicNumber.__mul__.
+        real_mul, real_matrix = CyclotomicNumber.__mul__, CyclotomicField._product_columns
+        products, matrices = [], []
 
-        def counted_mul(self, a, b):
-            products.append(b)
-            return real_mul(self, a, b)
+        def counted_mul(self, other):
+            if isinstance(other, CyclotomicNumber):
+                products.append(other)
+            return real_mul(self, other)
 
         def counted_matrix(self, b):
             matrices.append(tuple(b))
             return real_matrix(self, b)
 
-        monkeypatch.setattr(CyclotomicField, "_mul_ints", counted_mul)
+        monkeypatch.setattr(CyclotomicNumber, "__mul__", counted_mul)
         monkeypatch.setattr(CyclotomicField, "_product_columns", counted_matrix)
 
         def count(route, *args):
@@ -254,6 +257,10 @@ class TestCharTwistIntegral:
                 assert matrices == [cfg.field.binomial_inverse(1, cfg.q**d, -k).num]
                 assert count(_moment_sequence, n, cfg.q**-15, cfg.field, cfg.twist_exponent(15)) == (0, 1)
                 assert count(checks._twist_quotient, cfg.field, cfg.twist_exponent(1), n + 1) == (0, 1)
+                classes = [(a, (-1) ** a * cfg.q**-a, e) for a, e in cfg.twisted_exponents(range(d))]
+                rows = [tuple(row) for row in power_moments(cfg.field, classes, n)[0] if any(row)]
+                assert count(residue_class_sums, n, cfg) == (0, 1 + len(rows))
+                assert matrices[1:] == rows
             assert count(twisted_series_values, cfg, 8) == (0, 0)
 
 

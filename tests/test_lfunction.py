@@ -73,6 +73,16 @@ class TestEvaluation:
             l_eval(LParams(s=complex(s), cfg=quadratic3_config(q)))
         assert time.monotonic() - start < 1.0
 
+    @pytest.mark.parametrize("q, d, message", [
+        (F(2), 3, "^term 7 overflows double precision$"), (F(10**20), 1, "^non-finite value$"),
+    ])
+    def test_an_infinite_phase_is_not_converged(self, q, d, message):
+        # at Im s = 1e308 the phase Im(s) ln m is past the double range from m = 7 on (m = 6 has chi(6) = 0),
+        # and cmath.exp raises ValueError on it: in a term at q = 2, in the prefactor's Im(s) ln(1 + q) at
+        # q = 10^20, where the sum stops before m = 7
+        with pytest.raises(NotConverged, match=message):
+            l_eval(LParams(s=complex(0, 1e308), cfg=TwistedConfig.build(principal_character(d), 1, 0, q)))
+
     def test_huge_positive_re_s_sums_one_term_quickly(self):
         # past m = 1 every term is below 2^-1e300, so one term meets the
         # tail bound; the prefactor 2 * 3^(1 - 1e300) rounds to 0

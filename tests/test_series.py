@@ -21,7 +21,7 @@ from eulertwist import (
 from eulertwist.fermionic import _char_moment_sequence, _moment_sequence
 from eulertwist.series import binomial_solve, power_moments
 from eulertwist.errors import NonUnitConstantTerm, OrderTooLow
-from conftest import field_element, moment_values
+from conftest import field_element, moment_values, schoolbook_product
 
 
 def test_difference_of_squares():
@@ -219,7 +219,7 @@ def test_one_kernel_call_reads_each_slot_once(monkeypatch):
         raise AssertionError("a field operation per weight or per moment")
 
     monkeypatch.setattr(type(field), "_row", counted)
-    for name in ("_fold", "_reduce_ints", "_mul_ints"):
+    for name in ("_reduce_ints", "_product_columns"):
         monkeypatch.setattr(type(field), name, refused)
     for name in ("__init__", "__add__", "__mul__"):
         monkeypatch.setattr(CyclotomicNumber, name, refused)
@@ -287,7 +287,7 @@ def divide_step(scales, values, pivot_inv) -> CyclotomicNumber:
     g = math.gcd(den, *num)
     num, den = [c // g for c in num], den // g
     field = pivot_inv.field
-    return CyclotomicNumber(field, field._mul_ints(num, pivot_inv.num), den * pivot_inv.den)
+    return CyclotomicNumber(field, schoolbook_product(field, num, pivot_inv.num), den * pivot_inv.den)
 
 
 def exp_scales(x, order: int) -> list[tuple[int, int]]:
@@ -382,14 +382,42 @@ def test_divide_step_matches_field_arithmetic():
 
 def test_product_columns_multiply_by_the_fixed_factor():
     """Entry j of a b is sum(map(mul, column_j, a)) over the columns of b's
-    matrix, against the field product, dense rows of x^i b included."""
+    matrix, against the schoolbook product, dense rows of x^i b included."""
     rng = random.Random(19)
     for field_order in (*FIELD_ORDERS, 90):
         field = cyclotomic_field(field_order)
         for _ in range(4):
             a, b = ([rng.randint(-99, 99) for _ in range(field.degree)] for _ in range(2))
             columns = field._product_columns(b)
-            assert [sum(map(operator.mul, column, a)) for column in columns] == field._mul_ints(a, b)
+            assert [sum(map(operator.mul, column, a)) for column in columns] == schoolbook_product(field, a, b)
+
+
+@pytest.mark.parametrize("field_order", [5, 7, 13, 31, 97, 90, 99])
+def test_field_product_and_reduction_match_the_schoolbook_product(field_order):
+    """CyclotomicNumber.__mul__ and CyclotomicField._reduce_ints against the
+    long division by Phi_N, at prime orders (where 2D - 1 > N, so a product
+    reads every row of the table) and at 90 and 99; the reduced vectors run
+    up to length max(2D - 1, N), sparse ones and zero included."""
+    field = cyclotomic_field(field_order)
+    rng = random.Random(field_order)
+    longest = max(2 * field.degree - 1, field_order)
+
+    def vector(size):
+        density = rng.choice([0.0, 0.1, 0.5, 1.0])
+        return [rng.randint(-99, 99) if rng.random() < density else 0 for _ in range(size)]
+
+    for _ in range(8):
+        a, b = vector(field.degree), vector(field.degree)
+        da, db = rng.randint(1, 50), rng.randint(1, 50)
+        got = CyclotomicNumber(field, a, da) * CyclotomicNumber(field, b, db)
+        want = CyclotomicNumber(field, schoolbook_product(field, a, b), da * db)
+        assert (got.num, got.den) == (want.num, want.den)
+        vec, den = vector(rng.randint(1, longest)), rng.randint(1, 50)
+        got = field._reduce_ints(vec, den)
+        want = CyclotomicNumber(field, schoolbook_product(field, vec, [1]), den)
+        assert (got.num, got.den) == (want.num, want.den)
+    got = field._reduce_ints([1] * longest, 1)
+    assert got.num == tuple(schoolbook_product(field, [1] * longest, [1]))
 
 
 # (field order, twist exponents k, each zeta_N^k of odd order); every k with k mod N >= D makes zeta^k a dense
