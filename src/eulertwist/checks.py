@@ -338,7 +338,7 @@ def _twist_quotient(field, k: int, order: int) -> tuple:
     below the order, zeta = zeta_z^k: the quotient every fold of eq22
     telescopes to."""
     rows, den = power_moments(field, [(0, 2, -k)], order - 1)
-    return tuple(binomial_solve(rows, den, (1, 1), field.binomial_inverse(1, 1, -k)))
+    return tuple(binomial_solve(field, rows, den, (1, 1), (1, -k)))
 
 
 def _eq22_points(grid: Grid):
@@ -349,7 +349,7 @@ def _eq22_points(grid: Grid):
     quotient's Taylor coefficients are one monic binomial solve, of step d
     or 1, divided by its unit zeta^d or zeta: zeta^l / zeta^d read as the
     exponent k (l - d) of zeta = zeta_z^k, its pivot 1 + zeta^-d or
-    1 + zeta^-1 inverted by the geometric series.  The direct quotient and
+    1 + zeta^-1 passed as (1, -k d) or (1, -k).  The direct quotient and
     the moments depend on the twist alone, so they are held per (field, k)
     across the fold counts."""
     order = 12
@@ -360,7 +360,7 @@ def _eq22_points(grid: Grid):
             k = grid.zeta_exponent % zeta_order
             field = cyclotomic_field(zeta_order)
             rows, den = power_moments(field, [(l, 2 * (-1) ** l, k * (l - d)) for l in range(d)], order - 1)
-            folded = tuple(binomial_solve(rows, den, (d, 1), field.binomial_inverse(1, 1, -k * d)))
+            folded = tuple(binomial_solve(field, rows, den, (d, 1), (1, -k * d)))
             direct = _memo(_twist_quotient, field, k, order)
             series_equal = folded == direct
             moments_equal = direct == _memo(fermionic._moment_sequence, order - 1, 1, field, k)

@@ -630,13 +630,9 @@ def main(argv=None) -> int:
             raise UsageError(
                 f"this run is predicted to take {seconds:.3g} s, over the work budget MAX_WORK_S = {MAX_WORK_S:g} s"
             )
-        result, status = args.handler(args)
-        text = result if isinstance(result, str) else _dumps(result) + "\n"
-        if args.output:
-            with open(args.output, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
+        with open(args.output, "w", encoding="utf-8") if args.output else contextlib.nullcontext(sys.stdout) as out:
+            result, status = args.handler(args)
+            out.write(result if isinstance(result, str) else _dumps(result) + "\n")
         return status
     except (UsageError, OSError) as exc:  # OSError: a character or --output file
         print(f"error: {exc}", file=sys.stderr)

@@ -120,34 +120,33 @@ class CyclotomicField:
             rows.append(row)
         return list(zip(*rows))
 
-    def binomial_inverse(self, c0, c1, k: int) -> "CyclotomicNumber":
-        """1 / (c0 + c1 zeta^k) for rationals c0, c1, where w = zeta^k has odd order m.
+    def binomial_inverse(self, c, k: int) -> "CyclotomicNumber":
+        """1 / (1 + c zeta^k) for a rational c = r/s, where w = zeta^k has odd order m.
 
-        With w^m = 1, (c0 + c1 w) sum_(i<m) c0^(m-1-i) (-c1)^i w^i = c0^m - (-c1)^m, so the
-        inverse is m rows x^(k i) mod Phi_N scaled by integers, with no linear algebra.  For odd m
-        the right side vanishes only at c0 = -c1; for even m it can vanish while c0 + c1 w does
+        With w^m = 1, (s + r w) sum_(i<m) s^(m-1-i) (-r)^i w^i = s^m - (-r)^m, so the inverse is
+        s times m rows x^(k i) mod Phi_N scaled by integers, with no linear algebra.  For odd m
+        the right side vanishes only at c = -1; for even m it can vanish while 1 + c w does
         not (1 + i in Q(zeta_4)), so even m is refused.
 
         >>> field = cyclotomic_field(3)
-        >>> inv = field.binomial_inverse(2, 1, 1)
-        >>> inv.coeffs, inv * (2 + field.zeta_power(1)) == 1
-        ((Fraction(1, 3), Fraction(-1, 3)), True)
+        >>> inv = field.binomial_inverse(Fraction(1, 2), 1)
+        >>> inv.coeffs, inv * (2 + field.zeta_power(1)) == 2
+        ((Fraction(2, 3), Fraction(-2, 3)), True)
         """
         order = self.order
         m = order // math.gcd(k, order)
         if m % 2 == 0:
             raise ValueError(f"zeta^{k} has even order {m}; the geometric series needs an odd order")
-        c0, c1 = Fraction(c0), Fraction(c1)
-        # Over the integers: c0 = a / (den0 den1) and -c1 = b / (den0 den1).
-        a, b = c0.numerator * c1.denominator, -c1.numerator * c0.denominator
+        c = Fraction(c)
+        a, b = c.denominator, -c.numerator  # 1 + c zeta^k = (a - b zeta^k) / a
         norm = a**m - b**m
         if norm == 0:
-            raise DivisionByZero(f"c0^{m} = (-c1)^{m}: no geometric-series inverse of c0 + c1 zeta^{k}")
+            raise DivisionByZero(f"c = -1: no geometric-series inverse of 1 + c zeta^{k}")
         powers_of_a = [1]
         for _ in range(m - 1):
             powers_of_a.append(powers_of_a[-1] * a)
         vec = [0] * order
-        term, j = c0.denominator * c1.denominator, 0  # term = den0 den1 b^i; j = k i mod order
+        term, j = a, 0  # term = a b^i; j = k i mod order
         for a_power in reversed(powers_of_a):
             vec[j] += a_power * term
             term, j = term * b, (j + k) % order

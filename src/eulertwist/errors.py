@@ -50,10 +50,6 @@ class OracleTooLarge(MathError):
     pass
 
 
-class SingularFunctionalEquation(MathError):
-    pass
-
-
 class NotPadicallyConvergent(MathError):
     pass
 

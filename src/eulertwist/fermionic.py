@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from .characters import DirichletCharacter, principal_character
 from .cyclotomic import CyclotomicNumber, cyclotomic_field
-from .errors import NotPadicallyConvergent, SingularFunctionalEquation
+from .errors import NotPadicallyConvergent
 from .ntheory import is_prime
 from .rationals import format_rational, int_valuation, padic_valuation, q_bracket_neg
 from .series import binomial_solve, power_moments
@@ -34,23 +34,19 @@ def _moment_sequence(n: int, ratio, field, k: int) -> list:
     f(x) = zeta_N^(kx) x^m, whose right side (1+ratio) f(0) is 1 + ratio at
     m = 0 and 0 after it.  Divided by its unit ratio zeta_N^k, the equation
     is monic: its right side is (1 + 1/ratio) zeta_N^(-k) at m = 0, its pivot
-    1 + zeta_N^(-k)/ratio, inverted by its geometric series.  Under mu_(-1)
-    the moments of x^m are E_m(0):
+    1 + zeta_N^(-k)/ratio, the pair (1/ratio, -k).  Under mu_(-1) the
+    moments of x^m are E_m(0):
 
     >>> [str(x.coeffs[0]) for x in _moment_sequence(5, 1, cyclotomic_field(1), 0)]
     ['1', '-1/2', '0', '1/4', '0', '-1/2']
 
-    Ratio -1 at twist 1 raises SingularFunctionalEquation; with zeta_N^k != 1
-    it raises the geometric series' DivisionByZero (c0 = -c1).  No program
-    path passes ratio -1: q = -1 is refused everywhere.
+    Ratio -1, the pivot 1 - zeta_N^(-k), raises the geometric series'
+    DivisionByZero at every twist.  No program path passes ratio -1:
+    q = -1 is refused everywhere.
     """
     ratio = Fraction(ratio)
-    if ratio == 0:
-        raise ValueError("measure parameter must be nonzero")
-    if ratio == -1 and k % field.order == 0:
-        raise SingularFunctionalEquation("1 + ratio*twist vanishes")
     rows, den = power_moments(field, [(0, 1 + 1 / ratio, -k)], n)
-    return binomial_solve(rows, den, (1, 1), field.binomial_inverse(1, 1 / ratio, -k))
+    return binomial_solve(field, rows, den, (1, 1), (1 / ratio, -k))
 
 
 def _char_moment_sequence(n: int, cfg) -> list:
@@ -64,7 +60,7 @@ def _char_moment_sequence(n: int, cfg) -> list:
     solved upward in m.  The alternating kernel exponent d-1-l is the one
     obtained by iterating the one-step equation d times.  Divided by
     zeta^d = zeta_N^k, the equation is monic: each kernel exponent shifts by
-    -k and the pivot is 1 + q^d zeta_N^(-k).
+    -k and the pivot is 1 + q^d zeta_N^(-k), the pair (q^d, -k).
 
     >>> from eulertwist import TwistedConfig, quadratic_character
     >>> _char_moment_sequence(0, TwistedConfig.build(quadratic_character(3), 1, 0, 2))[0] == -1
@@ -74,7 +70,7 @@ def _char_moment_sequence(n: int, cfg) -> list:
     k = cfg.twist_exponent(d)
     kernel = [(l, (1 + q) * (-1) ** l * q ** (d - 1 - l), e - k) for l, e in cfg.twisted_exponents(range(d))]
     rows, den = power_moments(field, kernel, n)
-    return binomial_solve(rows, den, (d, 1), field.binomial_inverse(1, q**d, -k))
+    return binomial_solve(field, rows, den, (d, 1), (q**d, -k))
 
 
 def residue_class_sums(n_max: int, cfg) -> list:

@@ -15,16 +15,17 @@ on the integer layout num / den of :mod:`eulertwist.cyclotomic`:
   exponent e) triples is one raw integer row per moment over one common
   denominator, each term's slot read as its row mod Phi_N once per call
   (:func:`power_moments`);
-* the system x_n = (R_n - sum_(k<n) C(n,k) (a/b)^(n-k) x_k) pivot_inv is
-  solved fraction-free: every x_n an integer vector over the known
-  denominator den rho^(n+1) b^n, its scales integers from one power table,
-  each product by pivot_inv one pass over a matrix built once per solve,
-  each output canonicalised once (:func:`binomial_solve`).
+* the system (1 + c zeta_N^k) x_n = R_n - sum_(j<n) C(n,j) (a/b)^(n-j) x_j
+  is solved fraction-free: its pivot inverted once, every x_n an integer
+  vector over the known denominator den rho^(n+1) b^n, its scales integers
+  from one power table, each product by the pivot's inverse one pass over a
+  matrix built once per solve, each output canonicalised once
+  (:func:`binomial_solve`).
 
 Every caller makes its system monic: a denominator unit zeta_N^k times a
 rational divides the right side's weights and exponents (an exponent shift
--k in the triples of :func:`power_moments`), so the pivot is
-1 + c zeta_N^(-k) and no step multiplies by the unit.  No program path
+-k in the triples of :func:`power_moments`), so the caller states its pivot
+1 + c zeta_N^(-k) as the pair (c, -k) and no step multiplies by the unit.  No program path
 multiplies or inverts a whole series; the benchmark's spans and the tests
 read those two.
 
@@ -109,22 +110,23 @@ def power_moments(field, terms, n_max: int) -> tuple[list[list[int]], int]:
     return rows, den
 
 
-def binomial_solve(rows, den: int, step: tuple[int, int], pivot_inv) -> list[CyclotomicNumber]:
-    """x_0, x_1, ... of the monic binomial triangular system
+def binomial_solve(field, rows, den: int, step: tuple[int, int], pivot: tuple) -> list[CyclotomicNumber]:
+    """x_0, x_1, ... in `field` = Q(zeta_N) of the monic binomial triangular system
 
-        x_n = (R_n - sum_(k<n) C(n,k) (a/b)^(n-k) x_k) pivot_inv,
+        (1 + c zeta_N^k) x_n = R_n - sum_(j<n) C(n,j) (a/b)^(n-j) x_j,
 
     R_n = rows[n] / (den b^n) for raw integer rows of length D, the step a/b
-    an integer pair with b > 0, and pivot_inv = P / rho a field element.
-    The pair is not reduced: b is the base of the right sides' denominators
-    too.  The one solve behind A_n (the Taylor coefficients of the
-    generating function, step d times the rate) and both moment equations
-    (step 1 and step d).
+    an integer pair with b > 0 (not reduced: b is the base of the right
+    sides' denominators too), and the pivot a rational c and an exponent k,
+    inverted once as P / rho (``CyclotomicField.binomial_inverse``).  The
+    one solve behind A_n (the Taylor coefficients of the generating
+    function, step d times the rate) and both moment equations (step 1 and
+    step d).
 
     Fraction-free: every x_n is the integer vector X_n over the known
     denominator den rho^(n+1) b^n, so
 
-        X_n = (rho^n R'_n - sum_(k<n) C(n,k) a^(n-k) rho^(n-k-1) X_k) P mod Phi_N,
+        X_n = (rho^n R'_n - sum_(j<n) C(n,j) a^(n-j) rho^(n-j-1) X_j) P mod Phi_N,
 
     R'_n = rows[n], its scales integers read from one power table and no
     step taking an lcm or a gcd.  Each entry of the product by P is one
@@ -134,12 +136,12 @@ def binomial_solve(rows, den: int, step: tuple[int, int], pivot_inv) -> list[Cyc
     :class:`~eulertwist.cyclotomic.CyclotomicNumber` constructor.
 
     >>> from eulertwist.cyclotomic import cyclotomic_field
-    >>> half = cyclotomic_field(1).from_rational(Fraction(1, 2))  # the Taylor coefficients of 2 / (e^t + 1):
-    >>> [str(x.coeffs[0]) for x in binomial_solve([[2], [0], [0], [0]], 1, (1, 1), half)]
+    >>> # the Taylor coefficients of 2 / (e^t + 1), pivot 1 + 1:
+    >>> [str(x.coeffs[0]) for x in binomial_solve(cyclotomic_field(1), [[2], [0], [0], [0]], 1, (1, 1), (1, 0))]
     ['1', '-1/2', '0', '1/4']
     """
-    field, rho, (a, b) = pivot_inv.field, pivot_inv.den, step
-    columns = field._product_columns(pivot_inv.num)
+    (a, b), pivot_inv = step, field.binomial_inverse(*pivot)
+    rho, columns = pivot_inv.den, field._product_columns(pivot_inv.num)
     lower = [None]  # lower[j] = -a^j rho^(j-1)
     solved, out, rho_n, scale = [], [], 1, den * rho  # rho_n = rho^n, scale = den rho^(n+1) b^n
     for n, row in enumerate(rows):

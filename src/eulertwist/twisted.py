@@ -132,10 +132,9 @@ def twisted_values(cfg: TwistedConfig, n_max: int) -> list[TwistedValue]:
     """A_0 .. A_{n_max}: the Taylor coefficients of the generating function
     (1+q) sum_{l<d} (-1)^l q^(d-l+1) zeta^l chi(l) exp(-l(1+q)t) divided by
     zeta^d exp(-d(1+q)t) + q^d, defined at every admissible q, q = 1
-    included.  Divided by zeta^d = zeta_N^k, the denominator is monic, its
-    pivot 1 + q^d zeta_N^(-k) inverted once by its geometric series
-    (``CyclotomicField.binomial_inverse``), and A_n is one
-    :func:`~eulertwist.series.binomial_solve` of step -d(1+q).  With
+    included.  Divided by zeta^d = zeta_N^k, the denominator is monic, and
+    A_n is one :func:`~eulertwist.series.binomial_solve` of step -d(1+q)
+    and pivot 1 + q^d zeta_N^(-k), the pair (q^d, -k).  With
     q = u/v, the numerator's n-th Taylor coefficient is
     sum_l w_l zeta_N^(e_l - k) (-l(u+v))^n / v^(n+d+2) for the integers
     w_l = (u+v) (-1)^l u^(d-l+1) v^l: the power moments of the nodes
@@ -146,7 +145,7 @@ def twisted_values(cfg: TwistedConfig, n_max: int) -> list[TwistedValue]:
     terms = [(-(u + v) * l, (u + v) * (-1) ** l * u ** (d - l + 1) * v**l, e - k)
              for l, e in cfg.twisted_exponents(range(d))]
     rows, den = power_moments(field, terms, n_max)
-    values = binomial_solve(rows, den * v ** (d + 2), (-(u + v) * d, v), field.binomial_inverse(1, q**d, -k))
+    values = binomial_solve(field, rows, den * v ** (d + 2), (-(u + v) * d, v), (q**d, -k))
     return [TwistedValue(n, value) for n, value in enumerate(values)]
 
 

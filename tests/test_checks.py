@@ -1,10 +1,12 @@
 """The checks driver can fail: one side off at one n fails exactly the
 points at that n, and every other point still passes."""
+import ast
 import json
 import random
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -329,7 +331,7 @@ def test_eq15_solves_one_moment_sequence_per_q(monkeypatch):
 
 
 def test_no_program_path_reaches_the_general_field_inverse(monkeypatch, tmp_path):
-    """Every pivot the program inverts is a binomial c0 + c1 zeta^k with zeta^k
+    """Every pivot the program inverts is a binomial 1 + c zeta^k with zeta^k
     of odd order, inverted by its geometric series: no run of the
     reachability gate's list reaches the general `CyclotomicNumber.inverse`,
     which serves the tests and the benchmark's `cyclotomic.inverse` span."""
@@ -340,3 +342,21 @@ def test_no_program_path_reaches_the_general_field_inverse(monkeypatch, tmp_path
     monkeypatch.setattr(CyclotomicNumber, "inverse", refused)
     for argv, code in program_runs(tmp_path):
         assert exit_code(argv) == code, argv
+
+
+def test_only_the_binomial_solve_inverts_a_pivot():
+    """`series.binomial_solve` is the one function in `src/` that reads
+    `binomial_inverse`: every other caller states its pivot as the pair
+    (c, k) and leaves its inversion to the solve."""
+    readers = []
+
+    def visit(node, module, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Attribute) and child.attr == "binomial_inverse":
+                readers.append((module, function))
+            named = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, module, child.name if named else function)
+
+    for path in sorted(Path(series.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem, None)
+    assert readers == [("series", "binomial_solve")]

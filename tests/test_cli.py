@@ -505,6 +505,18 @@ def test_unreadable_character_and_output_files_are_usage_errors(capsys, tmp_path
     assert "Traceback" not in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, owner, stub", [
+    (["check", "--relation", "all"], checks, "run_relation"),
+    (TWISTED_RUN, cli, "twisted_values"),
+    (INTEGRAL_RUN, cli, "padic_truncation"),
+], ids=["check", "twisted", "integral"])
+def test_an_unwritable_output_exits_two_before_the_work(capsys, monkeypatch, tmp_path, argv, owner, stub):
+    monkeypatch.setattr(owner, stub, lambda *args: pytest.fail("the computation was started"))
+    assert cli.main([*argv, "--output", str(tmp_path / "none" / "x")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "No such file or directory" in captured.err
+
+
 @pytest.mark.parametrize("command, stub, argv", [
     ("twisted", "twisted_values", ["--q", "2", "--d", "3", "--n", "0,41"]),
     ("classic", "eulerian_recurrence", ["--n", "41"]),
