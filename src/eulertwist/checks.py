@@ -17,8 +17,9 @@ process-wide memo, :func:`_memo`, once per configuration and n_max:
 * the alternating sums (`twisted.alternating_char_sums`): thm2's and
   cor2's series path and thm3's exact side;
 * the L-series sums at s = 0, -1, ..., -n_max (`lfunction.l_series_sums`):
-  thm3 as they are, thm6 through `lfunction.with_prefactor`, the
-  `l_prefactor` formula `l_eval` itself applies;
+  thm3 as they are, thm6 through `lfunction.with_prefactor`, the step
+  `l_eval` itself takes; a sum held as its error string is the point's
+  skip reason in both;
 * the d-step moments (`fermionic._char_moment_sequence`): distribution and
   thm1;
 * the residue-class sums (`fermionic.residue_class_sums`): distribution,
@@ -38,7 +39,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, partial
+from functools import cache
 
 from . import fermionic, lfunction, twisted
 from .characters import (
@@ -48,7 +49,7 @@ from .characters import (
     quadratic_character,
 )
 from .cyclotomic import cyclotomic_field, embed_complex
-from .errors import NotConverged, OutsideConvergence, OutsideDoubleRange
+from .errors import NotConverged
 from .eulerian import eulerian_at
 from .ntheory import is_squarefree
 from .rationals import format_rational, padic_valuation
@@ -244,24 +245,12 @@ def _thm1_sides(cfg, n_max: int) -> list:
             for n, (tv, integral) in enumerate(_zip(_memo(twisted.twisted_values, cfg, n_max), moments))]
 
 
-def _evaluated(held, step=None):
-    """The value of a held L-series sum, through step when given, or
-    "ClassName: message" where the sum or the step raised and the point is
-    skipped."""
-    if isinstance(held, lfunction.LEvaluation):
-        try:
-            return (held if step is None else step(held)).value
-        except (NotConverged, OutsideConvergence, OutsideDoubleRange) as exc:
-            held = exc
-    return f"{type(held).__name__}: {held}"
-
-
 def _thm3_sides(cfg, n_max: int) -> list:
     """Numeric partial sums of sum (-1)^m zeta^m chi(m) m^n / q^m beside the
     embedded exact closed form of the same series."""
-    numerics = [_evaluated(held) for held in _memo(lfunction.l_series_sums, cfg, n_max)]
-    return [v if isinstance(v, str) else (v, embed_complex(e))
-            for v, e in _zip(numerics, _memo(twisted.alternating_char_sums, cfg, n_max))]
+    return [held if isinstance(held, str) else (held.value, embed_complex(e))
+            for held, e in _zip(_memo(lfunction.l_series_sums, cfg, n_max),
+                                _memo(twisted.alternating_char_sums, cfg, n_max))]
 
 
 def _thm5_sides(cfg, n_max: int) -> list:
@@ -276,18 +265,23 @@ def _thm5_sides(cfg, n_max: int) -> list:
 
 
 def _thm6_sides(cfg, n_max: int) -> list:
-    """L(-n), the held sum times l_eval's prefactor, beside (-1)^n A_n
-    embedded, A_n from the generating function.  For modulus 1 the series
-    misses the index-0 summand of the generating function, which only
-    contributes at n = 0; that point is skipped."""
+    """L(-n), `lfunction.with_prefactor` of the held sum, beside (-1)^n A_n
+    embedded, A_n from the generating function; a sum held as its skip
+    reason, or a prefactor step that does not converge, skips the point.
+    For modulus 1 the series misses the index-0 summand of the generating
+    function, which only contributes at n = 0; that point is skipped."""
     out = []
     sums, values = _memo(lfunction.l_series_sums, cfg, n_max), _memo(twisted.twisted_values, cfg, n_max)
     for n, (held, tv) in enumerate(_zip(sums, values)):
         if n == 0 and cfg.char.modulus == 1:
             out.append("series misses the index-0 term at modulus 1")
+        elif isinstance(held, str):
+            out.append(held)
         else:
-            value = _evaluated(held, partial(lfunction.with_prefactor, complex(-n), cfg.q))
-            out.append(value if isinstance(value, str) else (value, (-1) ** n * embed_complex(tv.value)))
+            try:
+                out.append((lfunction.with_prefactor(-n, cfg, held).value, (-1) ** n * embed_complex(tv.value)))
+            except NotConverged as exc:
+                out.append(f"NotConverged: {exc}")
     return out
 
 

@@ -323,9 +323,9 @@ def _resolve_character(spec: str, modulus: int):
 #                      so it admits the same runs                 -> 4.8; p 13, 5 levels, n 0: 0.55 -> 3.0; p 31, 3
 #                                                                 levels, n 12: 0.15 -> 2.5; p 97, 2 levels, n 12:
 #                                                                 0.097 -> 0.43
-#     Measured: `padic_truncation` and `TruncationReport.to_csv` in process, and cor2's two `riemann_sums` calls
+#     Measured: `padic_truncation` and integral's csv writing in process, and cor2's two `riemann_sums` calls
 #     at the deepest level the budget admits (median of 7 processes).  Printing is no longer the gap:
-#     `format_rational` writes long ints by divide and conquer, so at p 3, 9 levels, q 3*10^30+1, n 5 `to_csv` takes
+#     `format_rational` writes long ints by divide and conquer, so at p 3, 9 levels, q 3*10^30+1, n 5 the csv takes
 #     0.6-0.7 s for 1.8 M characters (15.6 s by str()) and `padic_truncation` 0.7 s (3.0 s with one fold per piece).
 #   integral's exact   7.3e-11 solve(n, h)                        n 40, q 10/(3^8000+1): 46 -> 46
 #   eq15 per q         integral's exact term at n = 8             q (3^9000+1)/7: 0.22 -> 0.27
@@ -480,10 +480,11 @@ def _cmd_twisted(args) -> tuple:
 
 def _cmd_integral(args) -> tuple:
     report = padic_truncation(args.n, args.q, args.p, args.levels)
+    rows = [(lv.level, format_rational(lv.partial), "inf" if lv.valuation == math.inf else lv.valuation)
+            for lv in report.levels]
     if args.format == "csv":
-        return report.to_csv(), 0
-    levels = [{"N": lv.level, "partial": format_rational(lv.partial),
-               "valuation": "inf" if lv.valuation == math.inf else lv.valuation} for lv in report.levels]
+        return "".join(",".join(map(str, row)) + "\n" for row in [("N", "S_N", "valuation"), *rows]), 0
+    levels = [{"N": level, "partial": partial, "valuation": valuation} for level, partial, valuation in rows]
     return {"n": args.n, "q": format_rational(args.q), "p": args.p, "exact": format_rational(report.exact),
             "levels": levels}, 0
 

@@ -23,7 +23,7 @@ from .characters import DirichletCharacter, principal_character
 from .cyclotomic import CyclotomicNumber, cyclotomic_field
 from .errors import NotPadicallyConvergent
 from .ntheory import is_prime
-from .rationals import format_rational, int_valuation, padic_valuation, q_bracket_neg
+from .rationals import int_valuation, padic_valuation, q_bracket_neg
 from .series import binomial_solve, power_moments
 from .twisted import TwistedConfig, alternating_char_sums
 
@@ -120,13 +120,6 @@ class TruncationReport:
     p: int
     exact: Fraction
     levels: tuple[TruncationLevel, ...]
-
-    def to_csv(self) -> str:
-        lines = ["N,S_N,valuation"]
-        for lv in self.levels:
-            val = "inf" if lv.valuation == math.inf else str(lv.valuation)
-            lines.append(f"{lv.level},{format_rational(lv.partial)},{val}")
-        return "\n".join(lines) + "\n"
 
 
 def _check_padic_regime(q: Fraction, p: int, char: DirichletCharacter) -> None:

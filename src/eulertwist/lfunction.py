@@ -21,9 +21,9 @@ term afresh, and one exp for the prefactor.
 
 A result is an `LEvaluation`, a named tuple (value, terms_used,
 tail_bound).  `l_series_sums` gives the bare sums at s = 0, -1, ..., -n_max,
-the sequence thm3 and thm6 hold.  `l_prefactor` is the one formula from a
-bare sum to the L-value: `l_eval` applies it from the held floats of its
-config, and `with_prefactor`, thm6's step, from q's double.
+the sequence thm3 and thm6 hold, a sum that raised held as the string
+"ClassName: message".  `with_prefactor` is the one step from a bare sum to
+the L-value, for `l_eval` and thm6 alike.
 """
 from __future__ import annotations
 
@@ -50,12 +50,6 @@ class LEvaluation(NamedTuple):
     value: complex
     terms_used: int
     tail_bound: float
-
-
-def l_prefactor(s: complex, q: float, ln_1q: float) -> complex:
-    """q * (1+q)^(1-s) from q's double and ln_1q = ln(1+q), the principal
-    branch, 1+q > 0."""
-    return q * cmath.exp((1 - s) * ln_1q)
 
 
 class _Summands:
@@ -206,44 +200,37 @@ def l_series_sum(params: LParams) -> LEvaluation:
 def l_series_sums(cfg: TwistedConfig, n_max: int) -> list:
     """`l_series_sum` at s = 0, -1, ..., -n_max, at LParams' default tol and
     max_terms: per n its LEvaluation, or the NotConverged,
-    OutsideConvergence or OutsideDoubleRange it raised, rebuilt from its
-    class and message so that holding it holds no traceback."""
+    OutsideConvergence or OutsideDoubleRange it raised as the string
+    "ClassName: message", so that holding it holds no traceback."""
     out = []
     for n in range(n_max + 1):
         try:
             out.append(l_series_sum(LParams(s=complex(-n), cfg=cfg)))
         except (NotConverged, OutsideConvergence, OutsideDoubleRange) as exc:
-            out.append(type(exc)(*exc.args))
+            out.append(f"{type(exc).__name__}: {exc}")
     return out
 
 
-def with_prefactor(s: complex, q, inner: LEvaluation) -> LEvaluation:
-    """The L-value at s from the bare sum `inner`: `l_prefactor` at q's
-    double times its value; NotConverged where that is not finite."""
-    return _prefactored(complex(s), q, None, inner)
-
-
-def l_eval(params: LParams) -> LEvaluation:
-    """Full L-value: prefactor times the truncated series, q's double and
-    ln(1+q) read from the table the sum left held when it is this config's,
-    computed from this config's q otherwise, never from another config's."""
-    inner = l_series_sum(params)
-    held = _held if _held is not None and _held.cfg is params.cfg else None
-    return _prefactored(complex(params.s), params.cfg.q, held, inner)
-
-
-def _prefactored(s: complex, q, held: _Summands | None, inner: LEvaluation) -> LEvaluation:
-    """inner's value times `l_prefactor` at s, from held's floats when given
-    (held is q's config's table) and from q's double otherwise."""
+def with_prefactor(s: complex, cfg: TwistedConfig, inner: LEvaluation) -> LEvaluation:
+    """The L-value at s from the bare sum `inner`: q * (1+q)^(1-s), principal
+    branch, times its value; NotConverged where that is not finite.  q's
+    double and ln(1+q) come from the held table when it is cfg's and from
+    cfg.q otherwise, with the same bits."""
     try:
-        if held is None:
-            q = float(q)
-            ln_1q = math.log(1 + q)
+        if _held is not None and _held.cfg is cfg:
+            q, ln_1q = _held.q, _held.ln_1q
         else:
-            q, ln_1q = held.q, held.ln_1q
-        value = l_prefactor(s, q, ln_1q) * inner.value
+            q = float(cfg.q)
+            ln_1q = math.log(1 + q)
+        value = q * cmath.exp((1 - complex(s)) * ln_1q) * inner.value
     except (OverflowError, ValueError) as exc:
         raise NotConverged("non-finite value") from exc
     if not cmath.isfinite(value):
         raise NotConverged("non-finite value")
     return LEvaluation(value, inner.terms_used, inner.tail_bound)
+
+
+def l_eval(params: LParams) -> LEvaluation:
+    """Full L-value: `with_prefactor` of `l_series_sum`, read from this module
+    at the call so that a wrapper set on it sees every sum."""
+    return with_prefactor(params.s, params.cfg, l_series_sum(params))

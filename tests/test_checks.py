@@ -225,6 +225,20 @@ def test_one_bad_held_l_series_sum_fails_exactly_its_points_in_thm3_and_thm6(mon
         assert_fails_exactly_bad_n(checks.run_relation(relation, SMALL_GRID))
 
 
+def test_a_prefactor_past_the_double_range_skips_the_point_in_thm6_alone():
+    """At q = 10^10 the bare sums stay finite up to n = 32, but (1+q)^(n+1)
+    leaves the double range from n = 29 on: thm6 skips exactly those points,
+    with the prefactor step's NotConverged as the reason, and thm3, which
+    reads the bare sums, passes them all."""
+    grid = checks.Grid(n_max=32, moduli=(3,), q_values=(F(10**10),), zeta_orders=(1,))
+    thm6 = checks.run_relation("thm6", grid)
+    assert thm6.counts == {"pass": 58, "fail": 0, "skip": 8}
+    skipped = {(p.key.split()[1], p.key.split()[-1], p.detail) for p in thm6.points if p.verdict == "skip"}
+    assert skipped == {(char, f"n={n}", "NotConverged: non-finite value")
+                       for char in ("char=principal", "char=quadratic") for n in range(29, 33)}
+    assert checks.run_relation("thm3", grid).counts == {"pass": 66, "fail": 0, "skip": 0}
+
+
 # 1620 held keys: a memo bounded at a few hundred entries would evict them between readers.
 WIDE_GRID = checks.Grid(n_max=0, moduli=tuple(range(1, 30, 2)), zeta_orders=(1, 3, 5, 9),
                         q_values=(F(2), F(5, 2), F(-3, 7)))
@@ -360,3 +374,21 @@ def test_only_the_binomial_solve_inverts_a_pivot():
     for path in sorted(Path(series.__file__).parent.glob("*.py")):
         visit(ast.parse(path.read_text(encoding="utf-8")), path.stem, None)
     assert readers == [("series", "binomial_solve")]
+
+
+def test_only_the_prefactor_step_reads_ln_1_plus_q():
+    """`lfunction.with_prefactor` is the one function in `src/` that reads
+    ln(1+q), `ln_1q`: every L-value is its step from a bare sum."""
+    readers = set()
+
+    def visit(node, module, function):
+        for child in ast.iter_child_nodes(node):
+            read = isinstance(getattr(child, "ctx", None), ast.Load)
+            if read and (getattr(child, "attr", None) == "ln_1q" or getattr(child, "id", None) == "ln_1q"):
+                readers.add((module, function))
+            named = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, module, child.name if named else function)
+
+    for path in sorted(Path(lfunction.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem, None)
+    assert readers == {("lfunction", "with_prefactor")}

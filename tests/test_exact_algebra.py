@@ -13,12 +13,12 @@ from hypothesis import strategies as st
 
 from eulertwist import (
     PLUS_INFINITY,
+    cli,
     cyclotomic_field,
     cyclotomic_polynomial,
     embed_complex,
     galois_conjugate,
     lift_to_field,
-    padic_truncation,
     padic_valuation,
     q_bracket_neg,
 )
@@ -225,7 +225,7 @@ class TestSerialization:
             if limit is not None:
                 sys.set_int_max_str_digits(limit)
 
-    def test_ints_over_the_default_digit_limit_are_written_in_process(self):
+    def test_ints_over_the_default_digit_limit_are_written_in_process(self, capsys):
         # Below the cutoff but past the default limit of 4300 digits, str() refuses these ints; the
         # limit is lifted only to write the references.
         ints = [10**4300, 2**20000 + 1]
@@ -240,5 +240,5 @@ class TestSerialization:
         for n, text in zip(ints, texts):
             assert decimal_string(n) == text and decimal_string(-n) == "-" + text
             assert format_rational(F(-n, 3)) == f"-{text}/3"
-        csv = padic_truncation(5, 4, 3, 9).to_csv()
-        assert max(len(line) for line in csv.splitlines()) > 4300
+        assert cli.main(["integral", "--n", "5", "--q", "4", "--p", "3", "--levels", "9", "--format", "csv"]) == 0
+        assert max(len(line) for line in capsys.readouterr().out.splitlines()) > 4300
