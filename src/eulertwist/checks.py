@@ -6,9 +6,9 @@ relation, registered once under its stable CLI token, is a stream of
 (key, verdict) points, a verdict an (ok, detail) pair or the reason string
 of a skipped point; :func:`_report` turns a stream into a report sorted by
 key, which passes iff no point fails and at least one passes.  Routes that
-give other than the grid's count of n or levels, or two routes of
-different lengths, fail every point of their configuration, so no relation
-passes on fewer points.
+give other than the grid's count of n or levels (eq15's 9 moments and
+eq22's 12 orders included), or two routes of different lengths, fail every
+point of their configuration, so no relation passes on fewer points.
 
 Every quantity that two relations read at one point is read through one
 process-wide memo, :func:`_memo`, once per configuration and n_max:
@@ -25,13 +25,13 @@ process-wide memo, :func:`_memo`, once per configuration and n_max:
 * the residue-class sums (`fermionic.residue_class_sums`): distribution,
   thm5 and cor3;
 
-and eq22 holds its twist-only quotient and moments per (field, k) across
-the fold counts.  The key is the function as read from its module at the
-call, with its arguments, so a quantity patched on its module misses the
-memo.  Each result is held as a tuple, which no caller can mutate, for the
-rest of the process: one CLI run, or one test, since the test suite clears
-the memo before each.  A read returns only the result of the route it
-names, so no relation ever compares a route with itself.
+and eq22 holds its twist-only 1-fold, :func:`_fold` at d = 1, and moments
+per (field, k) across the fold counts.  The key is the function as read
+from its module at the call, with its arguments, so a quantity patched on
+its module misses the memo.  Each result is held as a tuple, which no
+caller can mutate, for the rest of the process: one CLI run, or one test,
+since the test suite clears the memo before each.  A read returns only the
+result of the route it names, so no relation ever compares a route with itself.
 """
 from __future__ import annotations
 
@@ -68,12 +68,6 @@ class Grid:
     padic_n_max: int = 4
     random_tables: int = 5
     seed: int = 271828
-
-    def describe(self) -> str:
-        return (
-            f"n<={self.n_max} d in {list(self.moduli)} q in "
-            f"{[format_rational(q) for q in self.q_values]} zeta orders {list(self.zeta_orders)}"
-        )
 
 
 def default_grid() -> Grid:
@@ -154,16 +148,22 @@ def _report(name: str, grid: Grid, points) -> CheckReport:
     verdict is an (ok, detail) pair, or the reason string of a skipped point."""
     results = (PointResult(key, "skip", verdict) if isinstance(verdict, str)
                else PointResult(key, "pass" if verdict[0] else "fail", verdict[1]) for key, verdict in points)
-    return CheckReport(name, grid.describe(), sorted(results, key=lambda p: p.key))
+    described = (f"n<={grid.n_max} d in {list(grid.moduli)} q in "
+                 f"{[format_rational(q) for q in grid.q_values]} zeta orders {list(grid.zeta_orders)}")
+    return CheckReport(name, described, sorted(results, key=lambda p: p.key))
 
 
 def _eq15_points(grid: Grid):
     """Moments of the alternating measure against classical polynomials: one
     moment sequence I(x^n), n <= 8, per q, in Q(zeta_1)."""
     for q in grid.q_values:
-        for n, lhs in enumerate(fermionic._moment_sequence(8, 1 / q, cyclotomic_field(1), 0)):
-            rhs = Fraction(-1) ** n * eulerian_at(n, -q) / (1 + q) ** n
-            yield f"n={n} q={format_rational(q)}", (lhs == rhs, "")
+        try:
+            verdicts = [(lhs == Fraction(-1) ** n * eulerian_at(n, -q) / (1 + q) ** n, "")
+                        for n, lhs in _zip(range(9), fermionic._moment_sequence(8, 1 / q, cyclotomic_field(1), 0))]
+        except _ShortRoute as exc:
+            verdicts = [(False, str(exc))] * 9
+        for n, verdict in enumerate(verdicts):
+            yield f"n={n} q={format_rational(q)}", verdict
 
 
 # Tolerances of the two float relations: thm3 bounds the absolute gap, thm6
@@ -311,7 +311,7 @@ def _cor2_points(grid: Grid):
             verdicts = []
             try:
                 sides = _path_sides(twisted.TwistedConfig.build(char, 1, 0, q), grid.padic_n_max)
-                for n, (row, (gf, series)) in enumerate(_zip(sums, sides)):
+                for n, row, (gf, series) in _zip(range(grid.padic_n_max + 1), sums, sides):
                     # A_n is rational here: the twist is 1 and chi takes values in {0, 1, -1}.
                     scale = 2 * (-1) ** n / (q * (1 + q) ** (n + 1))
                     limit = scale * series.coeffs[0]
@@ -327,25 +327,23 @@ def _cor2_points(grid: Grid):
                 yield f"p={p} char={char_name} n={n}", verdict
 
 
-def _twist_quotient(field, k: int, order: int) -> tuple:
-    """The Taylor coefficients of 2/(zeta^k e^t + 1) in `field` = Q(zeta_z)
-    below the order, zeta = zeta_z^k: the quotient every fold of eq22
-    telescopes to."""
-    rows, den = power_moments(field, [(0, 2, -k)], order - 1)
-    return tuple(binomial_solve(field, rows, den, (1, 1), (1, -k)))
+def _fold(field, k: int, d: int, order: int) -> tuple:
+    """The Taylor coefficients below the order of the d-fold 2 sum_{l<d} (-1)^l
+    zeta^l e^(lt) / (zeta^d e^(dt) + 1), zeta = zeta_z^k in `field` = Q(zeta_z):
+    one monic binomial solve of step d over its unit zeta^d, zeta^l / zeta^d
+    read as the exponent k (l - d) and the pivot 1 + zeta^-d as (1, -k d).
+    d = 1 gives the direct quotient 2/(zeta e^t + 1), which every fold telescopes to."""
+    rows, den = power_moments(field, [(l, 2 * (-1) ** l, k * (l - d)) for l in range(d)], order - 1)
+    return tuple(binomial_solve(field, rows, den, (d, 1), (1, -k * d)))
 
 
 def _eq22_points(grid: Grid):
     """Telescoping of the folded twisted Euler generating function: per odd
-    fold count d, 2 sum_{l<d} (-1)^l zeta^l e^(lt) / (zeta^d e^(dt) + 1)
-    against 2/(zeta e^t + 1), and the Taylor coefficients of the latter
-    against the integral moments I(zeta^x x^n), through order 11.  Each
-    quotient's Taylor coefficients are one monic binomial solve, of step d
-    or 1, divided by its unit zeta^d or zeta: zeta^l / zeta^d read as the
-    exponent k (l - d) of zeta = zeta_z^k, its pivot 1 + zeta^-d or
-    1 + zeta^-1 passed as (1, -k d) or (1, -k).  The direct quotient and
-    the moments depend on the twist alone, so they are held per (field, k)
-    across the fold counts."""
+    fold count d, the d-fold :func:`_fold` against the 1-fold
+    2/(zeta e^t + 1), and the Taylor coefficients of the latter against the
+    integral moments I(zeta^x x^n), through order 11.  The 1-fold and the
+    moments depend on the twist alone, so they are held per (field, k)
+    across the fold counts; a 1-fold short of the 12 orders fails its point."""
     order = 12
     for d in grid.moduli:
         if d < 1 or d % 2 == 0:
@@ -353,13 +351,13 @@ def _eq22_points(grid: Grid):
         for zeta_order in grid.zeta_orders:
             k = grid.zeta_exponent % zeta_order
             field = cyclotomic_field(zeta_order)
-            rows, den = power_moments(field, [(l, 2 * (-1) ** l, k * (l - d)) for l in range(d)], order - 1)
-            folded = tuple(binomial_solve(field, rows, den, (d, 1), (1, -k * d)))
-            direct = _memo(_twist_quotient, field, k, order)
-            series_equal = folded == direct
+            direct = _memo(_fold, field, k, 1, order)
+            series_equal = _fold(field, k, d, order) == direct
             moments_equal = direct == _memo(fermionic._moment_sequence, order - 1, 1, field, k)
+            short = "" if len(direct) == order else f" short route: {len(direct)} of {order} orders"
             yield f"d_fold={d} zeta={zeta_order}^{k}", (
-                series_equal and moments_equal, f"series_equal={series_equal} moments_equal={moments_equal}")
+                series_equal and moments_equal and not short,
+                f"series_equal={series_equal} moments_equal={moments_equal}{short}")
 
 
 def _eq28_points(grid: Grid):

@@ -141,6 +141,29 @@ def test_a_short_route_fails_its_points_and_exits_1(capsys, monkeypatch, relatio
     assert {p["detail"] for p in doc["points"]} == {f"short route: lengths {lengths}"}
 
 
+ROWS_SHORT = [(fermionic, "power_moments"), (checks, "power_moments")]
+
+
+@pytest.mark.parametrize("relation, patched, shorten, fails, detail", [
+    ("cor2", [(fermionic, "riemann_sums"), (checks, "_path_sides")], lambda out: out[:-1], 20,
+     "short route: lengths 5 and 4 and 4"),  # both routes one n fewer
+    ("eq15", ROWS_SHORT, lambda out: (out[0][:-1], out[1]), 27, "short route: lengths 9 and 8"),
+    ("eq22", ROWS_SHORT, lambda out: (out[0][:-1], out[1]), 9,
+     "series_equal=True moments_equal=True short route: 11 of 12 orders"),
+], ids=["cor2", "eq15", "eq22"])
+def test_routes_short_alike_still_fail_every_point(capsys, monkeypatch, relation, patched, shorten, fails, detail):
+    """Routes one n or one `power_moments` row short alike agree with each
+    other, but not with the count the relation names: every point fails and
+    the check exits 1."""
+    for namespace, attribute in patched:
+        real = getattr(namespace, attribute)
+        monkeypatch.setattr(namespace, attribute, lambda *args, real=real: shorten(real(*args)))
+    assert cli.main(["check", "--relation", relation]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["summary"] == {"pass": 0, "fail": fails, "skip": 0}
+    assert {p["detail"] for p in doc["points"]} == {detail}
+
+
 def test_a_genuine_value_error_still_exits_3(capsys, monkeypatch):
     """eq22 refuses an even fold count, a fault of the input and not a short
     route: it raises ValueError, and `main` exits 3.  No grid file can hold
@@ -322,13 +345,15 @@ def test_equal_up_to_q_squared_decides_as_the_product(seed):
 
 
 def test_eq22_holds_its_twist_only_quantities_across_fold_counts(monkeypatch):
-    quotients, moments = [], []
-    real_quotient, real_moments = checks._twist_quotient, fermionic._moment_sequence
-    monkeypatch.setattr(checks, "_twist_quotient", lambda *args: quotients.append(args) or real_quotient(*args))
+    """One 1-fold and one moment sequence per twist, and one d-fold per fold count and twist."""
+    folds, moments = [], []
+    real_fold, real_moments = checks._fold, fermionic._moment_sequence
+    monkeypatch.setattr(checks, "_fold", lambda *args: folds.append(args) or real_fold(*args))
     monkeypatch.setattr(fermionic, "_moment_sequence", lambda *args: moments.append(args) or real_moments(*args))
     grid = checks.default_grid()
     assert checks.run_relation("eq22", grid).passed
-    assert len(quotients) == len(moments) == len(grid.zeta_orders) < len(grid.zeta_orders) * len(grid.moduli)
+    assert len(moments) == len(grid.zeta_orders) < len(grid.zeta_orders) * len(grid.moduli)
+    assert len(folds) == len(grid.zeta_orders) * (1 + len(grid.moduli))
 
 
 def test_eq15_solves_one_moment_sequence_per_q(monkeypatch):

@@ -253,7 +253,7 @@ class TestCharTwistIntegral:
                 assert count(twisted_values, cfg, n) == (0, 1)
                 assert matrices == [cfg.field.binomial_inverse(cfg.q**d, -k).num]
                 assert count(_moment_sequence, n, cfg.q**-15, cfg.field, cfg.twist_exponent(15)) == (0, 1)
-                assert count(checks._twist_quotient, cfg.field, cfg.twist_exponent(1), n + 1) == (0, 1)
+                assert count(checks._fold, cfg.field, cfg.twist_exponent(1), 1, n + 1) == (0, 1)
                 classes = [(a, (-1) ** a * cfg.q**-a, e) for a, e in cfg.twisted_exponents(range(d))]
                 rows = [tuple(row) for row in power_moments(cfg.field, classes, n)[0] if any(row)]
                 assert count(residue_class_sums, n, cfg) == (0, 1 + len(rows))

@@ -107,3 +107,18 @@ def test_thm3_and_thm6_alone_equal_thm3_and_thm6_after_the_relations_before_them
     assert json.dumps(alone["thm6"]) == json.dumps(after["thm6"])
     if grid is FOUND_GRID:
         assert all(alone[r]["summary"]["skip"] and alone[r]["summary"]["fail"] for r in alone)
+
+
+# eq22 at twist exponent 2 over twist orders 97 and 99 and fold counts 97 and 99: the largest folds and pivots
+# 1 + zeta^-2d that a grid file allows, which no other pinned grid reaches.
+EQ22_CORNER_GRID = '{"moduli":[1,97,99],"zeta_orders":[1,97,99],"zeta_exponent":2}'
+EQ22_CORNER_DIGEST = "5f146cb66c341cdf011765972678fa4a083d3c891ae757350482ac4d98881d07"
+
+
+def test_eq22_stdout_is_pinned_at_the_folds_largest_corner(capsys, tmp_path):
+    path = tmp_path / "grid.json"
+    path.write_text(EQ22_CORNER_GRID)
+    assert cli.main(["check", "--relation", "eq22", "--grid", f"file:{path}"]) == 0
+    out = capsys.readouterr().out
+    assert json.loads(out)["summary"] == {"pass": 9, "fail": 0, "skip": 0}
+    assert hashlib.sha256(out.encode()).hexdigest() == EQ22_CORNER_DIGEST

@@ -574,7 +574,7 @@ def test_monic_divisions_match_the_unit_form_where_the_inverse_twist_is_a_multi_
         kernel = [(l, (1 + q) * (-1) ** l * q ** (d - 1 - l), e) for l, e in cfg.twisted_exponents(range(d))]
         assert _char_moment_sequence(n, cfg) == unit_form_solve(
             moment_values(field, kernel, n), field.zeta_power(k), d, field.binomial_inverse(q**-d, k) * q**-d)
-        assert checks._twist_quotient(field, k_one, n + 1) == tuple(taylor(oracle_exp_quotient(
+        assert checks._fold(field, k_one, 1, n + 1) == tuple(taylor(oracle_exp_quotient(
             field, [(0, 2, 0)], 1, field.zeta_power(k_one), 1, field.binomial_inverse(1, k_one), n + 1)))
         for ratio, twist in ((F(-3, 7), k_one), (q**-d, k)):
             rhs = [field.from_rational(1 + ratio)] + [field.zero] * n
