@@ -15,9 +15,14 @@ tolerance, found by bisection on that float test; at sigma <= 0 the search
 starts at the stable index, found the same way.  What a term holds apart
 from s is kept per config, in one summand table: q's double, ln q and
 ln(1+q), the periodic coefficients and, for each m with chi(m) != 0 up to a
-fixed cap, one row (m, c_m, ln m, m ln q).  A scan over s at one config then
-costs one exp and two products per term, with the same bits as summing each
-term afresh, and one exp for the prefactor.
+fixed cap, one row (m, c_m, ln m, m ln q).  Beside the rows it holds the
+line summed last, Re s = sigma up to its stop, as its term magnitudes
+exp(-sigma ln m - m ln q): the first point on a line takes one exp per term,
+and every later point on it sums c_m rect(magnitude, -Im(s) ln m), one rect
+and two products per term.  Up to CPython's CM_LOG_LARGE_DOUBLE that rect is
+the product cmath.exp forms, so a scan over s at one config has the same bits
+as summing each term afresh; a line with a larger exponent, an infinite phase
+or a stop past the cap is summed term by term.  The prefactor takes one exp.
 
 A result is an `LEvaluation`, a named tuple (value, terms_used,
 tail_bound).  `l_series_sums` gives the bare sums at s = 0, -1, ..., -n_max,
@@ -29,6 +34,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -55,12 +61,14 @@ class LEvaluation(NamedTuple):
 class _Summands:
     """One config's series data, none of it depending on s: q's double, its
     ln and ln(1+q); sign(m) chi(m) zeta^m embedded for m mod lcm(2, d,
-    twist order), None where chi(m) = 0 and the series skips the term; and
-    one row (m, c_m, ln m, m ln q) for every m <= reach with chi(m) != 0.
-    reach is the largest stop summed so far, capped at _ROW_CAP; past it,
-    terms are summed as they are met and not kept."""
+    twist order), None where chi(m) = 0 and the series skips the term;
+    one row (m, c_m, ln m, m ln q) for every m <= reach with chi(m) != 0; and
+    the line summed last, (Re s, stop), with its magnitudes
+    exp(-Re(s) ln m - m ln q), one per row up to stop, or None where the line
+    is summed term by term.  reach is the largest stop summed so far, capped
+    at _ROW_CAP; past it, terms are summed as they are met and not kept."""
 
-    __slots__ = ("cfg", "q", "ln_q", "ln_1q", "coefficients", "reach", "rows")
+    __slots__ = ("cfg", "q", "ln_q", "ln_1q", "coefficients", "reach", "rows", "line", "magnitudes")
 
     def __init__(self, cfg: TwistedConfig):
         d, order = cfg.char.modulus, cfg.zeta_order
@@ -73,6 +81,7 @@ class _Summands:
             for m in range(math.lcm(2, d, order))
         ]
         self.reach, self.rows = 0, []
+        self.line, self.magnitudes = None, None
 
 
 # Rows are kept for m up to this cap.  At d = 1, where every m has a row, a
@@ -82,6 +91,10 @@ _ROW_CAP = 2**14
 # The table of the config summed last; holding the config, the identity test
 # below matches no other object.  Callers scan s per config.
 _held: _Summands | None = None
+
+# CPython's CM_LOG_LARGE_DOUBLE: up to this real part, cmath.exp(x + iy) is
+# the products exp(x) cos y and exp(x) sin y that cmath.rect(exp(x), y) forms.
+_RECT_EXP_MAX = math.log(sys.float_info.max / 4)
 
 
 def _ln_q(q) -> float:
@@ -161,8 +174,12 @@ def l_series_sum(params: LParams) -> LEvaluation:
     """The bare alternating series, without the prefactor: terms 1..M in
     order, M from `stop_index`; NotConverged before the first term where no
     M <= max_terms meets the tolerance.  The config's table is built once per
-    config object and extended to min(M, _ROW_CAP) before the sum, so a held
-    term costs one exp and two products; terms past the cap are streamed."""
+    config object and extended to min(M, _ROW_CAP) before the sum.  The first
+    point on a line (Re s, M) takes one exp per term and holds its result,
+    each later point one rect and two products; a line with an exponent past
+    _RECT_EXP_MAX, an infinite phase or M past the cap is summed by the
+    per-term cmath.exp, which alone raises, and terms past the cap are
+    streamed."""
     global _held
     s, cfg = complex(params.s), params.cfg
     held = _held if _held is not None and _held.cfg is cfg else None
@@ -180,8 +197,31 @@ def l_series_sum(params: LParams) -> LEvaluation:
             if c is not None:
                 held.rows.append((m, c, log(m), m * ln_q))
         held.reach = reach
+    total, neg_t, line = 0j, -s.imag, (s.real, stop)
+    if stop <= cap and math.isfinite(neg_t * stop):  # so each phase, |Im s| ln m <= |Im s| m, is finite
+        rect = cmath.rect
+        if held.line != line:  # a new line: its table is built as it is summed
+            magnitudes, neg_sigma, exp, limit = [], -s.real, math.exp, _RECT_EXP_MAX
+            put = magnitudes.append
+            for m, c, lm, mq in held.rows:
+                if m > stop:
+                    break
+                x = neg_sigma * lm - mq
+                if x > limit:  # where cmath.exp takes its other branch, the line is summed by it
+                    magnitudes, total = None, 0j
+                    break
+                magnitude = exp(x)
+                put(magnitude)
+                # at real s the phase is a zero, and c * magnitude differs from
+                # c * rect(magnitude, +-0.0) only in zero signs the +0.0 sum absorbs
+                total += c * (rect(magnitude, neg_t * lm) if neg_t else magnitude)
+            held.line, held.magnitudes = line, magnitudes
+        elif held.magnitudes is not None:
+            for (_, c, lm, _), magnitude in zip(held.rows, held.magnitudes):
+                total += c * rect(magnitude, neg_t * lm)
+        if held.magnitudes is not None:
+            return LEvaluation(total, stop, tail)
     neg_s, exp = -s, cmath.exp
-    total = 0j
     try:
         for m, c, lm, mq in held.rows:
             if m > stop:

@@ -3,6 +3,7 @@ import cmath
 import dataclasses
 import math
 import random
+import sys
 import time
 from fractions import Fraction as F
 
@@ -350,6 +351,59 @@ class TestSameBitsAsThePerTermLoop:
             assert outcome(l_series_sum, params) == outcome(reference_series_sum, params)
         assert lfunction._held.cfg is cfg and lfunction._held.rows[-1][0] <= cap
 
+    def test_a_line_revisited_after_another_line_and_another_config(self):
+        # each line's magnitudes are held for the last line summed: a line met
+        # again after another Re s, another stop (tol) or another config must
+        # not read a stale table
+        cfg = TwistedConfig.build(enumerate_characters(7)[2], 9, 4, F(6, 5))
+        other = TwistedConfig.build(quadratic_character(5), 3, 1, F(5, 2))
+        visits = (
+            (cfg, 0.5, 1, 1e-12), (cfg, 0.5, -3, 1e-12), (cfg, -2.0, 4, 1e-12), (cfg, 0.5, 7, 1e-12),
+            (cfg, 0.5, 2, 1e-6), (cfg, 0.5, -9, 1e-12), (other, 0.5, 5, 1e-12), (cfg, 0.5, 11, 1e-12),
+            (other, -2.0, 5, 1e-12), (cfg, -2.0, -6, 1e-12),
+        )
+        for c, sigma, t, tol in visits:
+            params = LParams(s=complex(sigma, t), cfg=c, tol=tol)
+            assert outcome(l_series_sum, params) == outcome(reference_series_sum, params)
+            assert outcome(l_eval, params) == outcome(reference_eval, params)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 5])
+    def test_real_s_after_complex_s_on_its_line(self, n):
+        cfg = TwistedConfig.build(quadratic_character(5), 9, 2, F(3, 2))
+        for s in (complex(-n, 3), complex(-n, -0.5), complex(-n), complex(-n, 2), complex(-n, -0.0)):
+            params = LParams(s=s, cfg=cfg)
+            assert outcome(l_series_sum, params) == outcome(reference_series_sum, params)
+            assert outcome(l_eval, params) == outcome(reference_eval, params)
+
+    def test_a_term_past_the_rect_threshold(self):
+        # at s = -159.59 + 7i, q = 2, the largest exponent -s ln m - m ln q has
+        # real part 708.44 (m = 230), past the module's threshold 708.40 and below
+        # ln DBL_MAX: there cmath.exp scales exp(x - 1) by e, and rect(exp(x), y)
+        # gives other bits, so the line is summed term by term, cold and warm
+        cfg = quadratic3_config()
+        for s in (complex(-159.59, 7), complex(-159.59, -2), complex(-159.6, 7), complex(-3, 7), complex(-159.59, 7)):
+            params = LParams(s=s, cfg=cfg)
+            got = outcome(l_series_sum, params)
+            assert got == outcome(reference_series_sum, params)
+            assert got[0] != "NotConverged"
+
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_an_infinite_phase_on_a_warm_line(self, d):
+        # Im s = +-1e308 on a line whose table is held: the phase Im(s) ln m
+        # leaves the double range from m = 7 on (1e308 ln 6 is just below
+        # DBL_MAX), and the message names the term as on a cold line; at
+        # +-1e300 every phase is finite, and the held table gives the
+        # per-term loop's bits
+        cfg = TwistedConfig.build(principal_character(d), 1, 0, F(2))
+        for t in (1.0, 1e308, -1e308, 1e300, -1e300):
+            params = LParams(s=complex(0, t), cfg=cfg)
+            if abs(t) < 1e308:
+                assert outcome(l_series_sum, params) == outcome(reference_series_sum, params)
+                continue
+            warm = outcome(l_series_sum, params)
+            cold = outcome(l_series_sum, dataclasses.replace(params, cfg=dataclasses.replace(cfg)))
+            assert warm == cold == ("NotConverged", "term 7 overflows double precision")
+
 
 class TestSummandTable:
     """The held table's work, counted by calls to ln, and its size."""
@@ -459,6 +513,53 @@ class TestSummandTable:
         assert lfunction._held.cfg is params.cfg
         with pytest.raises(NotConverged, match="^non-finite value$"):
             lfunction.with_prefactor(params.s, params.cfg, inner)
+
+
+class TestMagnitudeTable:
+    """Each line Re s = sigma holds its term magnitudes exp(-sigma ln m - m ln q):
+    the first point on the line takes one exp per summed row, every later one
+    none, and a term is c_m rect(magnitude, -Im(s) ln m)."""
+
+    def test_rect_of_exp_is_cmath_exp_below_the_threshold(self):
+        # the identity the held magnitudes rest on: up to CPython's
+        # CM_LOG_LARGE_DOUBLE = ln(DBL_MAX / 4), cmath.exp(x + iy) forms
+        # exp(x) cos y and exp(x) sin y, the products of cmath.rect(exp(x), y)
+        limit = lfunction._RECT_EXP_MAX
+        assert limit == math.log(sys.float_info.max / 4)
+        rng = random.Random(20261021)
+        xs = [limit, math.nextafter(limit, 0), 0.0, -0.0, -745.0, -800.0, 1e-300]
+        xs += [rng.uniform(-760, limit) for _ in range(3000)] + [limit - rng.expovariate(1) for _ in range(500)]
+        ys = [0.0, -0.0, 1e300, -1e300, sys.float_info.max, 5e-324]
+        for x in xs:
+            for y in (*ys, rng.uniform(-1e3, 1e3), rng.uniform(-1e20, 1e20), math.ldexp(rng.random(), rng.randint(-60, 60))):
+                left, right = cmath.rect(math.exp(x), y), cmath.exp(complex(x, y))
+                assert (left.real.hex(), left.imag.hex()) == (right.real.hex(), right.imag.hex()), (x, y)
+
+    def test_one_exp_per_row_on_a_new_line_and_none_after(self, monkeypatch):
+        cfg = TwistedConfig.build(quadratic_character(5), 3, 1, F(6, 5))
+        for sigma in (0.5, -2.0):
+            lfunction.stop_index(sigma, cfg.q, 1e-12, 200000)  # the stop index's exps are cached, not counted
+        l_series_sum(LParams(s=complex(-3.0, 1), cfg=cfg))  # holds the rows up to both stops, on a third line
+        for sigma in (0.5, -2.0):
+            calls = []
+            real = math.exp
+            monkeypatch.setattr(lfunction.math, "exp", lambda x: calls.append(x) or real(x))
+            stop = l_series_sum(LParams(s=complex(sigma, 3), cfg=cfg)).terms_used
+            rows = [row for row in lfunction._held.rows if row[0] <= stop]
+            assert len(calls) == len(rows) == len(lfunction._held.magnitudes)
+            for t in (-4.0, 0.0, 9.5):
+                calls.clear()
+                l_series_sum(LParams(s=complex(sigma, t), cfg=cfg))
+                assert calls == []
+            monkeypatch.undo()
+
+    def test_the_table_is_keyed_by_re_s_and_stop(self):
+        cfg = TwistedConfig.build(quadratic_character(5), 3, 1, F(6, 5))
+        for sigma, tol in ((0.5, 1e-12), (0.5, 1e-6), (-2.0, 1e-6)):
+            stop = l_series_sum(LParams(s=complex(sigma, 1), cfg=cfg, tol=tol)).terms_used
+            held = lfunction._held
+            assert held.line == (sigma, stop)
+            assert held.magnitudes == [math.exp(-sigma * lm - mq) for m, _, lm, mq in held.rows if m <= stop]
 
 
 class TestCoefficientReuse:
