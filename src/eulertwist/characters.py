@@ -12,7 +12,6 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import InvalidCharacter, NotSquarefree
 from .ntheory import euler_phi, factorize, is_squarefree, primitive_root
@@ -27,14 +26,12 @@ class DirichletCharacter:
     def exponent(self, m: int):
         return self.exponents[m % self.modulus]
 
-    def rational_value(self, m: int) -> Fraction:
-        """chi(m) in {0, 1, -1}; only for characters of value order <= 2."""
+    def rational_value(self, m: int) -> int:
+        """chi(m) as the int 0, 1 or -1; only for characters of value order <= 2."""
         if self.value_order > 2:
             raise ValueError("character is not rational-valued")
         e = self.exponent(m)
-        if e is None:
-            return Fraction(0)
-        return Fraction(-1) ** e
+        return 0 if e is None else (-1) ** e
 
     @property
     def is_rational_valued(self) -> bool:

@@ -239,9 +239,11 @@ def _path_sides(cfg, n_max: int) -> list:
 
 def _thm1_sides(cfg, n_max: int) -> list:
     """Theorem 1: A_n = q^2 (-1)^n (1+q)^n I(zeta^x chi(x) x^n); q^2 is the
-    gap between the d-l+1 kernel and the iterated d-1-l kernel."""
+    gap between the d-l+1 kernel and the iterated d-1-l kernel.  With
+    q = u/v, (-1)^n (1+q)^n is the integer pair ((-(u+v))^n, v^n)."""
     moments = _memo(fermionic._char_moment_sequence, n_max, cfg)
-    return [(tv.value, ((-1) ** n * (1 + cfg.q) ** n) * integral)
+    u, v = cfg.q.numerator, cfg.q.denominator
+    return [(tv.value, integral.scaled((-(u + v)) ** n, v**n))
             for n, (tv, integral) in enumerate(_zip(_memo(twisted.twisted_values, cfg, n_max), moments))]
 
 
@@ -258,9 +260,10 @@ def _thm5_sides(cfg, n_max: int) -> list:
     integral through its residue-class decomposition.  At q = 1, with odd d,
     q^2 = 1 and [d]_{-1} = 1, so this is Corollary 3: A_n = (-2d)^n
     sum_a (-1)^a chi(a) zeta^a E_n(a/d), E_n the twisted Euler values of
-    twist zeta^d."""
+    twist zeta^d.  With q = u/v, (1+q)^n is the integer pair ((u+v)^n, v^n)."""
     sums = _memo(fermionic.residue_class_sums, n_max, cfg)
-    return [((-1) ** n * tv.value, (1 + cfg.q) ** n * integral)
+    u, v = cfg.q.numerator, cfg.q.denominator
+    return [((-1) ** n * tv.value, integral.scaled((u + v) ** n, v**n))
             for n, (tv, integral) in enumerate(_zip(_memo(twisted.twisted_values, cfg, n_max), sums))]
 
 
@@ -343,7 +346,8 @@ def _eq22_points(grid: Grid):
     2/(zeta e^t + 1), and the Taylor coefficients of the latter against the
     integral moments I(zeta^x x^n), through order 11.  The 1-fold and the
     moments depend on the twist alone, so they are held per (field, k)
-    across the fold counts; a 1-fold short of the 12 orders fails its point."""
+    across the fold counts, and fold count 1 reads the held 1-fold as its
+    series side; a 1-fold short of the 12 orders fails its point."""
     order = 12
     for d in grid.moduli:
         if d < 1 or d % 2 == 0:
@@ -352,7 +356,7 @@ def _eq22_points(grid: Grid):
             k = grid.zeta_exponent % zeta_order
             field = cyclotomic_field(zeta_order)
             direct = _memo(_fold, field, k, 1, order)
-            series_equal = _fold(field, k, d, order) == direct
+            series_equal = (direct if d == 1 else _fold(field, k, d, order)) == direct
             moments_equal = direct == _memo(fermionic._moment_sequence, order - 1, 1, field, k)
             short = "" if len(direct) == order else f" short route: {len(direct)} of {order} orders"
             yield f"d_fold={d} zeta={zeta_order}^{k}", (

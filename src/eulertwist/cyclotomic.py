@@ -232,17 +232,25 @@ class CyclotomicNumber:
     def __neg__(self) -> "CyclotomicNumber":
         return _make(self.field, tuple([-a for a in self.num]), self.den)
 
+    def scaled(self, p: int, q: int) -> "CyclotomicNumber":
+        """This element times the rational p/q, for integers with gcd(p, q) = 1 and q > 0: the one
+        rational-scaling kernel, so a caller holding a rational as its integer pair forms no Fraction.
+        With gcd(den, num) = 1 too, the content of (p num)/(den q) is gcd(den, p) gcd(q, num).
+
+        >>> field = cyclotomic_field(3)
+        >>> (field.zeta_power(1) * 2 + 3).scaled(-4, 9).coeffs
+        (Fraction(-4, 3), Fraction(-8, 9))
+        """
+        g, h = math.gcd(self.den, p), math.gcd(q, *self.num)
+        k = p // g
+        return _make(self.field, tuple([a // h * k for a in self.num]), self.den // g * (q // h))
+
     def __mul__(self, other) -> "CyclotomicNumber":
-        """By a rational, or by an element of this field: the sparse schoolbook product of the two numerators,
-        2D - 1 entries, reduced once by :meth:`CyclotomicField._reduce_ints`.  A factor met many times is
-        multiplied through :meth:`CyclotomicField._product_columns` instead."""
+        """By a rational, through :meth:`scaled`, or by an element of this field: the sparse schoolbook
+        product of the two numerators, 2D - 1 entries, reduced once by :meth:`CyclotomicField._reduce_ints`.
+        A factor met many times is multiplied through :meth:`CyclotomicField._product_columns` instead."""
         if isinstance(other, (int, Fraction)):
-            # With gcd(den, num) = 1 and gcd(p, q) = 1, the content of
-            # (p*num)/(den*q) is gcd(den, p) * gcd(q, num).
-            p, q = other.numerator, other.denominator
-            g, h = math.gcd(self.den, p), math.gcd(q, *self.num)
-            k = p // g
-            return _make(self.field, tuple([a // h * k for a in self.num]), self.den // g * (q // h))
+            return self.scaled(other.numerator, other.denominator)
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented

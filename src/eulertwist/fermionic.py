@@ -23,7 +23,7 @@ from .characters import DirichletCharacter, principal_character
 from .cyclotomic import CyclotomicNumber, cyclotomic_field
 from .errors import NotPadicallyConvergent
 from .ntheory import is_prime
-from .rationals import int_valuation, padic_valuation, q_bracket_neg
+from .rationals import int_valuation, q_bracket_neg
 from .series import binomial_solve, power_moments
 from .twisted import TwistedConfig, alternating_char_sums
 
@@ -60,17 +60,19 @@ def _char_moment_sequence(n: int, cfg) -> list:
     solved upward in m.  The alternating kernel exponent d-1-l is the one
     obtained by iterating the one-step equation d times.  Divided by
     zeta^d = zeta_N^k, the equation is monic: each kernel exponent shifts by
-    -k and the pivot is 1 + q^d zeta_N^(-k), the pair (q^d, -k).
+    -k and the pivot is 1 + q^d zeta_N^(-k), the pair (q^d, -k).  With
+    q = u/v, the kernel weights are the integers (u+v) (-1)^l u^(d-1-l) v^l
+    over v^d.
 
     >>> from eulertwist import TwistedConfig, quadratic_character
     >>> _char_moment_sequence(0, TwistedConfig.build(quadratic_character(3), 1, 0, 2))[0] == -1
     True
     """
     q, d, field = cfg.q, cfg.char.modulus, cfg.field
-    k = cfg.twist_exponent(d)
-    kernel = [(l, (1 + q) * (-1) ** l * q ** (d - 1 - l), e - k) for l, e in cfg.twisted_exponents(range(d))]
+    u, v, k = q.numerator, q.denominator, cfg.twist_exponent(d)
+    kernel = [(l, (u + v) * (-1) ** l * u ** (d - 1 - l) * v**l, e - k) for l, e in cfg.twisted_exponents(range(d))]
     rows, den = power_moments(field, kernel, n)
-    return binomial_solve(field, rows, den, (d, 1), (q**d, -k))
+    return binomial_solve(field, rows, den * v**d, (d, 1), (q**d, -k))
 
 
 def residue_class_sums(n_max: int, cfg) -> list:
@@ -86,11 +88,15 @@ def residue_class_sums(n_max: int, cfg) -> list:
     entry one pass over a column of S_j's product matrix
     (``CyclotomicField._product_columns``, built once per nonzero S_j), over
     the lcm of the denominators of M_0..M_n times that of the S_j, scaled by
-    integers, summed and wrapped once, with no field element formed per term."""
+    integers, summed and wrapped once, with no field element formed per term.
+    With q = u/v, the class weights (-1)^a q^-a are the integers
+    (-v)^a u^(d-1-a) over u^(d-1)."""
     q, d, field = cfg.q, cfg.char.modulus, cfg.field
+    u, v = q.numerator, q.denominator
     moments = _moment_sequence(n_max, q**-d, field, cfg.twist_exponent(d))
-    terms = [(a, (-1) ** a * q**-a, e) for a, e in cfg.twisted_exponents(range(d))]
+    terms = [(a, (-v) ** a * u ** (d - 1 - a), e) for a, e in cfg.twisted_exponents(range(d))]
     classes, class_den = power_moments(field, terms, n_max)
+    class_den *= u ** (d - 1)
     weights = [(j, field._product_columns(s)) for j, s in enumerate(classes) if any(s)]
     scale = 1 / q_bracket_neg(d, 1 / q)
     out, moment_den = [], 1
@@ -123,9 +129,12 @@ class TruncationReport:
 
 
 def _check_padic_regime(q: Fraction, p: int, char: DirichletCharacter) -> None:
+    """With q = u/v in lowest terms, |q|_p = 1 is p dividing neither u nor v, and then |q-1|_p < 1 is p
+    dividing u - v."""
     if p == 2 or not is_prime(p):
         raise ValueError(f"p must be an odd prime, got {p}")
-    if padic_valuation(q - 1, p) < 1 or padic_valuation(q, p) != 0:
+    u, v = q.numerator, q.denominator
+    if int_valuation(u - v, p) < 1 or int_valuation(u, p) or int_valuation(v, p):
         raise NotPadicallyConvergent(f"need |q-1|_p < 1 and |q|_p = 1 at p={p}")
     if not char.is_rational_valued:
         raise NotPadicallyConvergent("character must take values in {0, 1, -1}")
@@ -155,7 +164,7 @@ def riemann_sums(
     q = Fraction(q)
     _check_padic_regime(q, p, char)
     u, v, d = q.numerator, q.denominator, char.modulus
-    chi = [int(char.rational_value(a)) for a in range(d)]
+    chi = [char.rational_value(a) for a in range(d)]
     sums, rows = [0] * (n_max + 1), [[] for _ in range(n_max + 1)]
     rise, weight = 1, 1  # u^(p^(N-1)) past level 0, and (-v)^x
     for level in range(max_level + 1):
@@ -203,7 +212,7 @@ def padic_truncation(
     cfg = TwistedConfig.build(char, 1, 0, q)
     period = int_valuation(char.modulus, p)  # p^period = d
     d, u, v = char.modulus, q.numerator, q.denominator
-    chi = [int(char.rational_value(m)) for m in range(d)]
+    chi = [char.rational_value(m) for m in range(d)]
     if max_level > period:
         sums = alternating_char_sums(cfg, n)
         den = math.lcm(*(t.den for t in sums))

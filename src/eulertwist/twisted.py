@@ -117,10 +117,11 @@ def series_from_sums(cfg: TwistedConfig, sums) -> list[CyclotomicNumber]:
     """A_n from the closed-form sums of :func:`alternating_char_sums`:
     (-1)^n q (1+q)^(n+1) times the sum, plus the index-0 summand
     q(1+q) chi(0), which survives only at n = 0 (and is nonzero only for
-    modulus 1)."""
-    q = cfg.q
-    out = [((-1) ** n * q * (1 + q) ** (n + 1)) * alt for n, alt in enumerate(sums)]
-    out[0] = out[0] + (q * (1 + q)) * cfg.char_value(0)
+    modulus 1).  With q = u/v each scalar is an integer pair, the first
+    ((-1)^n u (u+v)^(n+1), v^(n+2)), in lowest terms since gcd(u, v) = 1."""
+    u, v = cfg.q.numerator, cfg.q.denominator
+    out = [alt.scaled((-1) ** n * u * (u + v) ** (n + 1), v ** (n + 2)) for n, alt in enumerate(sums)]
+    out[0] = out[0] + cfg.char_value(0).scaled(u * (u + v), v * v)
     return out
 
 

@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -138,6 +139,18 @@ class TestValues:
                     assert total == euler_phi(d)
                 else:
                     assert total.is_zero()
+
+
+def test_rational_value_is_the_int_of_the_fraction_value():
+    # the Fraction form chi(m) took before, 0 off the units and (-1)^e on them
+    for d in range(1, 16, 2):
+        for char in enumerate_characters(d):
+            if char.is_rational_valued:
+                for m in range(-d, 2 * d):
+                    e = char.exponent(m)
+                    value = char.rational_value(m)
+                    assert type(value) is int
+                    assert value == (Fraction(0) if e is None else Fraction(-1) ** e)
 
 
 class TestJson:

@@ -1,8 +1,10 @@
 """The checks driver can fail: one side off at one n fails exactly the
 points at that n, and every other point still passes."""
 import ast
+import fractions
 import json
 import random
+import sys
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction as F
@@ -345,7 +347,8 @@ def test_equal_up_to_q_squared_decides_as_the_product(seed):
 
 
 def test_eq22_holds_its_twist_only_quantities_across_fold_counts(monkeypatch):
-    """One 1-fold and one moment sequence per twist, and one d-fold per fold count and twist."""
+    """One 1-fold and one moment sequence per twist, and one d-fold per fold count d > 1 and twist: at d = 1
+    the held 1-fold is the series side."""
     folds, moments = [], []
     real_fold, real_moments = checks._fold, fermionic._moment_sequence
     monkeypatch.setattr(checks, "_fold", lambda *args: folds.append(args) or real_fold(*args))
@@ -353,7 +356,46 @@ def test_eq22_holds_its_twist_only_quantities_across_fold_counts(monkeypatch):
     grid = checks.default_grid()
     assert checks.run_relation("eq22", grid).passed
     assert len(moments) == len(grid.zeta_orders) < len(grid.zeta_orders) * len(grid.moduli)
-    assert len(folds) == len(grid.zeta_orders) * (1 + len(grid.moduli))
+    assert 1 in grid.moduli
+    assert len(folds) == len(grid.zeta_orders) * (1 + sum(d > 1 for d in grid.moduli))
+
+
+def fractions_built(run) -> int:
+    """The Fractions built inside run(): calls of `Fraction.__new__`, and of `Fraction._from_coprime_ints`, through
+    which Fraction arithmetic builds its results from Python 3.12 on, counted by sys.setprofile."""
+    count = 0
+
+    def profile(frame, event, arg):
+        nonlocal count
+        if event == "call" and frame.f_code.co_filename == fractions.__file__ \
+                and frame.f_code.co_name in ("__new__", "_from_coprime_ints"):
+            count += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        run()
+    finally:
+        sys.setprofile(previous)
+    return count
+
+
+def test_the_relation_sides_build_no_fraction_per_n():
+    """thm1's, thm5's and cor3's sides and `twisted.series_from_sums` scale by q = u/v as integer pairs: with the
+    quantities they read already held, the Fractions they build do not grow from n_max 0 to n_max 8."""
+    char = et.quadratic_character(5)
+    configs = [twisted.TwistedConfig.build(char, 3, 1, q) for q in (F(-3, 7), F(1))]
+    sides = [(checks._thm1_sides, configs[0]), (checks._thm5_sides, configs[0]), (checks._thm5_sides, configs[1])]
+
+    def built(n_max: int) -> list:
+        sums = twisted.alternating_char_sums(configs[0], n_max)
+        for side, cfg in sides:
+            side(cfg, n_max)  # holds the quantities
+        counts = [fractions_built(lambda: side(cfg, n_max)) for side, cfg in sides]
+        return counts + [fractions_built(lambda: twisted.series_from_sums(configs[0], sums))]
+
+    small, large = built(0), built(8)
+    assert all(a >= b for a, b in zip(small, large)), (small, large)
 
 
 def test_eq15_solves_one_moment_sequence_per_q(monkeypatch):

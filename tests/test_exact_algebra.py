@@ -92,6 +92,22 @@ class TestFieldArithmetic:
             if not a.is_zero():
                 assert a * a.inverse() == 1
 
+    @pytest.mark.parametrize("n", [1, 3, 9, 12, 45])
+    def test_scaled_is_the_product_by_the_fraction(self, n):
+        # against each coefficient times p/q in Fractions, the whole vector then reduced once
+        field = cyclotomic_field(n)
+        rng = random.Random(2000 + n)
+        pairs = [(0, 1), (1, 1), (-1, 1)] + [(rng.choice((-1, 1)) * rng.randint(1, 10**6), rng.randint(1, 10**6))
+                                             for _ in range(60)]
+        for p, q in pairs:
+            p, q = p // math.gcd(p, q), q // math.gcd(p, q)
+            for a in (random_element(field, rng), field.zero, field.zeta_power(rng.randrange(n))):
+                scaled = a.scaled(p, q)
+                assert scaled == field_element(field, [c * F(p, q) for c in a.coeffs]) == a * F(p, q)
+                assert scaled.den > 0 and math.gcd(scaled.den, *scaled.num) == 1
+                if p == 0:
+                    assert scaled.num == (0,) * field.degree and scaled.den == 1
+
     def test_inverse_of_zero_raises(self):
         with pytest.raises(DivisionByZero):
             cyclotomic_field(3).zero.inverse()

@@ -564,6 +564,21 @@ class TestPadicTruncation:
         with pytest.raises(ValueError):
             padic_truncation(1, F(4), 4, 2)  # p must be prime
 
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_regime_check_refuses_where_the_valuation_form_did(self, p):
+        # the Fraction form: |q - 1|_p < 1 and |q|_p = 1 through padic_valuation
+        qs = [F(1), F(p + 1, p), F(p + 1), F(2 * p + 1), F(p - 1), F(1, p), F(p), F(0), F(-1), F(-2), F(1, 2),
+              F(-1, 2), F(2, 3), F(1 - p), F(1 - 2 * p), F(1 - p, 1 + p), F(-p - 1, p), F(1, 1 + p), F(1, 1 - p)]
+        qs += [F(1 + k * p) for k in range(-4, 5)] + [F(1 + k * p, 1 + j * p) for k in (-2, 3) for j in (1, -3)]
+        for q in qs:
+            admitted = padic_valuation(q - 1, p) >= 1 and padic_valuation(q, p) == 0
+            try:
+                fermionic._check_padic_regime(q, p, principal_character(1))
+            except NotPadicallyConvergent:
+                assert not admitted, q
+            else:
+                assert admitted, q
+
 
 class TestSeriesLimit:
     def test_quadratic_anchor(self):
