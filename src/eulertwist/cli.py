@@ -28,7 +28,7 @@ from .characters import (
     principal_character,
     quadratic_character,
 )
-from .cyclotomic import embed_complex
+from .cyclotomic import embed_certified
 from .errors import MathError
 from .eulerian import descent_oracle, eulerian_recurrence
 from .fermionic import padic_truncation
@@ -327,6 +327,12 @@ def _resolve_character(spec: str, modulus: int):
 #     at the deepest level the budget admits (median of 7 processes).  Printing is no longer the gap:
 #     `format_rational` writes long ints by divide and conquer, so at p 3, 9 levels, q 3*10^30+1, n 5 the csv takes
 #     0.6-0.7 s for 1.8 M characters (15.6 s by str()) and `padic_truncation` 0.7 s (3.0 s with one fold per piece).
+#   embedding          1e-4 + D (3e-6 + 3e-9 B) per printed A_n,    order 9312, B 50000: 0.095 -> 0.47; a real value,
+#     (twisted)        B = (n+1) (s D' + log2(d (n+1))) its entries'  whose zero imaginary part takes the fold: 0.14;
+#                      bits: embed_certified's D products by 128-bit  order 990, B 50000, a real value: 0.039 -> 0.036;
+#                      cos and sin tables, the tables' own D          d 97, quadratic, z 7, q 2, n 0..40: 0.0034 -> 0.014;
+#                      products, and a conjugate fold of N entries    d 97, index:1, z 99, q 2, n 0: 0.0058 -> 0.020
+#                      where a part is within its error of 0
 #   integral's exact   7.3e-11 solve(n, h)                        n 40, q 10/(3^8000+1): 46 -> 46
 #   eq15 per q         integral's exact term at n = 8             q (3^9000+1)/7: 0.22 -> 0.27
 #   eq22 per (d, z)    5e-4 (d + D)                               d 99, z 99: 0.071 -> 0.080
@@ -372,7 +378,8 @@ def _point_parts(n: int, d: int, char_order: int, z: int, q) -> tuple:
     return values, series, residues
 
 
-def _float_sums_s(sigmas, d: int, q, tol: float = LParams.tol, max_terms: int = LParams.max_terms) -> float:
+def _float_sums_s(sigmas, d: int, q, tol: float = LParams._field_defaults["tol"],
+                  max_terms: int = LParams._field_defaults["max_terms"]) -> float:
     """`l_series_sum` at each Re s in sigmas: 6.5e-7 s per summed term, the phi(d)/d of the indices up to its
     stop index where chi(m) != 0; none where it raises at once, also where no stop index meets tol."""
     seconds = 0.0
@@ -381,6 +388,14 @@ def _float_sums_s(sigmas, d: int, q, tol: float = LParams.tol, max_terms: int = 
             stop, tail = stop_index(sigma, q, tol, max_terms)
             seconds += 0.0 if tail is None else 6.5e-7 * stop * euler_phi(d) / d
     return seconds
+
+
+def _embed_s(indices, d: int, char_order: int, z: int, q) -> float:
+    """`embed_certified` of each printed A_n, n in indices (the embedding row of the table above)."""
+    degree, zeta_d_degree = euler_phi(math.lcm(z, char_order)), euler_phi(z // math.gcd(z, d))
+    size = 1 if q == 1 else d * _height(q)
+    return sum(1e-4 + degree * (3e-6 + 3e-9 * (n + 1) * (size * zeta_d_degree + math.log2(d * (n + 1))))
+               for n in indices)
 
 
 def _walk_s(p: int, levels: int, h: float, exponents) -> float:
@@ -441,7 +456,8 @@ def predicted_seconds(args) -> float:
     char_order = args.character.value_order
     seconds = 1e-3 + _field_s(math.lcm(args.zeta_order, char_order))
     if args.command == "twisted":
-        return seconds + _point_parts(max(args.n), args.d, char_order, args.zeta_order, args.q)[0]
+        return (seconds + _point_parts(max(args.n), args.d, char_order, args.zeta_order, args.q)[0]
+                + _embed_s(args.n, args.d, char_order, args.zeta_order, args.q))
     return seconds + _float_sums_s([args.s.real], args.d, args.q, args.tol, args.max_terms)
 
 
@@ -464,7 +480,7 @@ def _cmd_twisted(args) -> tuple:
     rows = []
     for n in indices:
         val = values[n].value
-        emb = embed_complex(val)
+        emb = embed_certified(val)
         rows.append({"n": n, "cyclotomic": val.to_json(), "complex": [emb.real, emb.imag]})
     params = {"q": format_rational(args.q), "d": args.d, "char": args.char, "zeta_order": args.zeta_order,
               "zeta_k": cfg.zeta_exponent, "ambient_order": cfg.field.order}
@@ -567,9 +583,12 @@ def build_parser() -> argparse.ArgumentParser:
         "--s", type=_flag_type(_complex_point), required=True,
         help='complex point "RE" or "RE,IM", finite; either part may be negative',
     )
-    p.add_argument("--tol", type=_flag_type(_tolerance), default=1e-12, help=f"tail bound, >= {sys.float_info.min!r}")
+    defaults = LParams._field_defaults
     p.add_argument(
-        "--max-terms", type=_flag_type(_bounded_int(1, MAX_TERMS)), default=200000,
+        "--tol", type=_flag_type(_tolerance), default=defaults["tol"], help=f"tail bound, >= {sys.float_info.min!r}"
+    )
+    p.add_argument(
+        "--max-terms", type=_flag_type(_bounded_int(1, MAX_TERMS)), default=defaults["max_terms"],
         help=f"most series terms summed, 1..{MAX_TERMS}",
     )
     p.set_defaults(handler=_cmd_lfun)

@@ -22,6 +22,7 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
+import operator
 from fractions import Fraction
 from functools import lru_cache
 
@@ -333,6 +334,89 @@ def embed_complex(a: CyclotomicNumber) -> complex:
     if not cmath.isfinite(value):
         raise OutsideDoubleRange("the complex value exceeds double range")
     return value
+
+
+def embed_certified(a: CyclotomicNumber) -> complex:
+    """The value of a at exp(2*pi*i/N) with each part within one ulp of |a|, and exactly 0 where the part
+    is 0.  The sum num_j zeta^j is taken in integers over cos and sin tables at P bits (:func:`_unit_circle`)
+    and rounded once by the division into den 2^P.  Each table entry is within one unit, so each part is
+    within L1 = sum |num_j| units: P starts at 128 and, where L1 exceeds 2^-56 of the larger part, as where
+    the entries cancel to a small value, the sum is taken again with the shortfall added to P, rounded up to
+    a multiple of 64.  A part within L1 of 0 is 0 exactly where a is minus or plus its complex conjugate
+    (zeta -> zeta^-1).  OutsideDoubleRange when the value exceeds double range.
+
+    >>> field = cyclotomic_field(3)
+    >>> embed_certified(field.zeta_power(1)), embed_certified(field.zeta_power(1) * 2 + 1)
+    ((-0.5+0.8660254037844386j), 1.7320508075688772j)
+    """
+    num, field = a.num, a.field
+    if not any(num):
+        return 0j
+    bits, l1 = 128, sum(map(abs, num))
+    while True:
+        cos_table, sin_table = _unit_circle(field.order, bits)
+        real, imag = sum(map(operator.mul, num, cos_table)), sum(map(operator.mul, num, sin_table))
+        larger = max(abs(real), abs(imag))
+        if l1 << 56 <= larger:
+            break
+        bits += -(-(l1.bit_length() + 57 - larger.bit_length()) // 64) * 64
+    if min(abs(real), abs(imag)) <= l1:
+        conjugate = _substitute(_make(field, num, 1), field, field.order - 1).num  # over 1: no gcd of long entries
+        if conjugate == tuple([-c for c in num]):
+            real = 0
+        elif conjugate == num:
+            imag = 0
+    scale = a.den << bits
+    try:
+        return complex(real / scale, imag / scale)
+    except OverflowError as exc:
+        raise OutsideDoubleRange("the complex value exceeds double range") from exc
+
+
+def _pi_fixed(bits: int) -> int:
+    """pi 2^bits within 8 bits + 40 units (2^-bits each): Machin's 16 atan(1/5) - 4 atan(1/239), each term
+    floored."""
+
+    def atan_inverse(x: int) -> int:
+        power = total = (1 << bits) // x
+        k, sign = 1, 1
+        while power:
+            power //= x * x
+            k, sign = k + 2, -sign
+            total += sign * (power // k)
+        return total
+
+    return 16 * atan_inverse(5) - 4 * atan_inverse(239)
+
+
+@lru_cache(maxsize=64)
+def _unit_circle(order: int, bits: int) -> tuple:
+    """(cos table, sin table): round(2^bits cos(2 pi j/order)) and the same of sin, for 0 <= j < phi(order),
+    each within one unit; built on first use, for bits >= 64.  At W = bits + guard bits, zeta's cos and sin
+    are Taylor series in 2 pi/order <= 2 pi/3 (order <= 2 needs only zeta^0), each within 60 W units, and
+    zeta^j is j products of fixed-point pairs, within 61 W j units; 2^guard > 256 D bits >= 122 D W."""
+    degree = euler_phi(order)
+    guard = (256 * degree * bits).bit_length()
+    w = bits + guard
+    one = 1 << w
+    cos_w, sin_w = [one], [0]
+    if degree > 1:
+        theta = 2 * _pi_fixed(w) // order
+        c, s, term, k = one, 0, one, 0
+        while term:
+            k += 1
+            term = (term * theta >> w) // k  # theta^k / k!
+            if k % 2:
+                s += term if k % 4 == 1 else -term
+            else:
+                c += term if k % 4 == 0 else -term
+        x, y = one, 0
+        for _ in range(degree - 1):
+            x, y = (x * c - y * s) >> w, (x * s + y * c) >> w
+            cos_w.append(x)
+            sin_w.append(y)
+    half = 1 << (guard - 1)
+    return tuple([(v + half) >> guard for v in cos_w]), tuple([(v + half) >> guard for v in sin_w])
 
 
 def galois_conjugate(a: CyclotomicNumber, k: int) -> CyclotomicNumber:

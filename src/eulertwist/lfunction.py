@@ -24,18 +24,19 @@ the product cmath.exp forms, so a scan over s at one config has the same bits
 as summing each term afresh; a line with a larger exponent, an infinite phase
 or a stop past the cap is summed term by term.  The prefactor takes one exp.
 
-A result is an `LEvaluation`, a named tuple (value, terms_used,
-tail_bound).  `l_series_sums` gives the bare sums at s = 0, -1, ..., -n_max,
-the sequence thm3 and thm6 hold, a sum that raised held as the string
-"ClassName: message".  `with_prefactor` is the one step from a bare sum to
-the L-value, for `l_eval` and thm6 alike.
+A point is an `LParams`, a named tuple (s, cfg, tol, max_terms) whose
+defaults, tol 1e-12 and max_terms 200000, are `LParams._field_defaults`, the
+one place the CLI reads them from.  A result is an `LEvaluation`, a named
+tuple (value, terms_used, tail_bound).  `l_series_sums` gives the bare sums
+at s = 0, -1, ..., -n_max, the sequence thm3 and thm6 hold, a sum that raised
+held as the string "ClassName: message".  `with_prefactor` is the one step
+from a bare sum to the L-value, for `l_eval` and thm6 alike.
 """
 from __future__ import annotations
 
 import cmath
 import math
 import sys
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -44,8 +45,7 @@ from .errors import NotConverged, OutsideConvergence, OutsideDoubleRange
 from .twisted import TwistedConfig
 
 
-@dataclass(frozen=True)
-class LParams:
+class LParams(NamedTuple):
     s: complex
     cfg: TwistedConfig
     tol: float = 1e-12
@@ -181,11 +181,12 @@ def l_series_sum(params: LParams) -> LEvaluation:
     per-term cmath.exp, which alone raises, and terms past the cap are
     streamed."""
     global _held
-    s, cfg = complex(params.s), params.cfg
+    s, cfg, tol, max_terms = params
+    s = complex(s)
     held = _held if _held is not None and _held.cfg is cfg else None
-    stop, tail = _indices(s.real, held.ln_q if held else _ln_q(cfg.q), params.tol, params.max_terms)
+    stop, tail = _indices(s.real, held.ln_q if held else _ln_q(cfg.q), tol, max_terms)
     if tail is None:
-        raise NotConverged(f"tail bound not reached within {params.max_terms} terms")
+        raise NotConverged(f"tail bound not reached within {max_terms} terms")
     if held is None:
         held = _held = _Summands(cfg)
     coefficients, ln_q, log, cap = held.coefficients, held.ln_q, math.log, _ROW_CAP

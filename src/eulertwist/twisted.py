@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .characters import DirichletCharacter
 from .cyclotomic import CyclotomicField, CyclotomicNumber, cyclotomic_field
@@ -81,8 +82,7 @@ class TwistedConfig:
         return [(m, e + twist) for m in ms for e, twist in [self._exponents(m)] if e is not None]
 
 
-@dataclass(frozen=True)
-class TwistedValue:
+class TwistedValue(NamedTuple):
     n: int
     value: CyclotomicNumber
 

@@ -13,7 +13,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from eulertwist import checks, cli
+from eulertwist import TwistedConfig, checks, cli, l_eval, quadratic_character
 from eulertwist.cli import _exact_moments_s, _field_s, _float_sums_s, _height, _point_parts, _walk_s
 from eulertwist.lfunction import LEvaluation, LParams
 from eulertwist.ntheory import euler_phi
@@ -75,6 +75,18 @@ def test_twisted_csv_format(capsys):
     assert len(lines) == 3
 
 
+def test_twisted_prints_the_certified_embedding(capsys):
+    # at q = 1, entries near 2^80 cancel to A_12 = -3141510.13195976948...i; the Horner sum in doubles printed
+    # [-134217728, 83886080], and the csv prints the same doubles as the json
+    argv = ["twisted", "--q", "1", "--d", "1", "--zeta-order", "27", "--zeta-k", "1", "--n", "12"]
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    assert json.loads(out)["values"][0]["complex"] == [0.0, -3141510.1319597694]
+    code, out = run_cli(capsys, *argv, "--format", "csv")
+    assert code == 0
+    assert out.splitlines()[1].split(",")[1:3] == ["0", "-3141510.1319597694"]
+
+
 def test_integral_csv_anchor(capsys):
     code, out = run_cli(capsys, "integral", "--n", "1", "--q", "4", "--p", "3", "--levels", "1")
     assert code == 0
@@ -102,6 +114,18 @@ def test_lfun_output(capsys):
     assert doc["value"][1] == 0.0
     assert doc["terms"] > 0
     assert doc["tail_bound"] < 1e-12
+
+
+def test_lfun_defaults_are_the_records(capsys):
+    # --tol and --max-terms default to LParams' own defaults, so lfun without them prints the bits of
+    # l_eval(LParams(s, cfg))
+    args = cli.build_parser().parse_args(["lfun", "--q", "2", "--d", "3", "--char", "quadratic", "--s", "0.5,1"])
+    assert {"tol": args.tol, "max_terms": args.max_terms} == LParams._field_defaults
+    expected = l_eval(LParams(complex(0.5, 1), TwistedConfig.build(quadratic_character(3), 1, 1, 2)))
+    _, out = run_cli(capsys, "lfun", "--q", "2", "--d", "3", "--char", "quadratic", "--s", "0.5,1")
+    doc = json.loads(out)
+    assert doc["value"] == [expected.value.real, expected.value.imag]
+    assert (doc["terms"], doc["tail_bound"]) == (expected.terms_used, expected.tail_bound)
 
 
 def test_float_round_trip_17_digits(capsys):
@@ -863,7 +887,7 @@ def whole_grid_s(grid) -> float:
     """The former price of every check, kept as the oracle of the per-relation prices: the grid's dearest family
     of points, whatever relation runs, plus every field a configuration builds."""
     n, families = grid.n_max, [0.0] * 6
-    floats = {(d, q): _float_sums_s(range(0, -n - 1, -1), d, q, LParams.tol, LParams.max_terms)
+    floats = {(d, q): _float_sums_s(range(0, -n - 1, -1), d, q, **LParams._field_defaults)
               for d in grid.moduli for q in grid.q_values}
     orders = set()
     for d in grid.moduli:

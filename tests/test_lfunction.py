@@ -21,6 +21,7 @@ from eulertwist.errors import MathError, NotConverged, OutsideConvergence, Outsi
 from eulertwist import lfunction
 from eulertwist.cyclotomic import embed_complex
 from eulertwist.lfunction import LParams, l_series_sum
+from eulertwist.twisted import TwistedValue
 
 
 def quadratic3_config(q=F(2)):
@@ -401,8 +402,23 @@ class TestSameBitsAsThePerTermLoop:
                 assert outcome(l_series_sum, params) == outcome(reference_series_sum, params)
                 continue
             warm = outcome(l_series_sum, params)
-            cold = outcome(l_series_sum, dataclasses.replace(params, cfg=dataclasses.replace(cfg)))
+            cold = outcome(l_series_sum, params._replace(cfg=dataclasses.replace(cfg)))
             assert warm == cold == ("NotConverged", "term 7 overflows double precision")
+
+
+@pytest.mark.parametrize("record, fields", [
+    (LParams, {"s": complex(-1.5, 0.25), "cfg": quadratic3_config()}),
+    (TwistedValue, {"n": 3, "value": quadratic3_config().field.from_rational(-12)}),
+])
+def test_records_are_immutable_hashable_and_positional(record, fields):
+    # LParams and TwistedValue are named tuples: equal fields give equal records with one hash, no field is
+    # assigned, and the positional form is the keyword form
+    first, second = record(**fields), record(**fields)
+    assert first == second and hash(first) == hash(second)
+    assert record(*fields.values()) == first
+    for name in fields:
+        with pytest.raises(AttributeError):
+            setattr(first, name, None)
 
 
 class TestSummandTable:
