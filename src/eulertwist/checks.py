@@ -9,6 +9,9 @@ key, which passes iff no point fails and at least one passes.  Routes that
 give other than the grid's count of n or levels (eq15's 9 moments and
 eq22's 12 orders included), or two routes of different lengths, fail every
 point of their configuration, so no relation passes on fewer points.
+Theorems 1 and 5 are one identity, stated once by :func:`_integral_sides`
+with q^2 and the sign inside the integer scale of the integral side, so
+thm1, thm5 and cor3 decide by ==, and cor2 on its two paths' A_n.
 
 Every quantity that two relations read at one point is read through one
 process-wide memo, :func:`_memo`, once per configuration and n_max:
@@ -212,13 +215,8 @@ def _equal(cfg, lhs, rhs) -> tuple:
     return lhs == rhs, ""
 
 
-def _equal_up_to_q_squared(cfg, lhs, rhs) -> tuple:
-    """lhs == q^2 rhs, q = u/v, for canonical num/den: the same field and
-    lhs.num[i] rhs.den v^2 == u^2 rhs.num[i] lhs.den at every i, without
-    forming q^2 rhs."""
-    u, v = cfg.q.numerator, cfg.q.denominator
-    left, right = rhs.den * v * v, u * u * lhs.den
-    return lhs.field is rhs.field and all(a * left == right * b for a, b in zip(lhs.num, rhs.num)), "expected q^2"
+def _equal_q_squared(cfg, lhs, rhs) -> tuple:
+    return lhs == rhs, "expected q^2"
 
 
 def _absolute_gap(cfg, lhs, rhs) -> tuple:
@@ -237,14 +235,20 @@ def _path_sides(cfg, n_max: int) -> list:
     return [(tv.value, b) for tv, b in _zip(_memo(twisted.twisted_values, cfg, n_max), series)]
 
 
-def _thm1_sides(cfg, n_max: int) -> list:
-    """Theorem 1: A_n = q^2 (-1)^n (1+q)^n I(zeta^x chi(x) x^n); q^2 is the
-    gap between the d-l+1 kernel and the iterated d-1-l kernel.  With
-    q = u/v, (-1)^n (1+q)^n is the integer pair ((-(u+v))^n, v^n)."""
-    moments = _memo(fermionic._char_moment_sequence, n_max, cfg)
+def _integral_sides(cfg, n_max: int, integrals) -> list:
+    """Theorems 1 and 5: A_n = q^2 (-(1+q))^n I(zeta^x chi(x) x^n), I from the
+    caller's route.  With q = u/v in lowest terms and v > 0, the factor is the
+    coprime pair ((-(u+v))^n u^2, v^(n+2)) that `CyclotomicNumber.scaled` takes,
+    so the right side is canonical and == decides."""
     u, v = cfg.q.numerator, cfg.q.denominator
-    return [(tv.value, integral.scaled((-(u + v)) ** n, v**n))
-            for n, (tv, integral) in enumerate(_zip(_memo(twisted.twisted_values, cfg, n_max), moments))]
+    return [(tv.value, integral.scaled((-(u + v)) ** n * u * u, v ** (n + 2)))
+            for n, (tv, integral) in enumerate(_zip(_memo(twisted.twisted_values, cfg, n_max), integrals))]
+
+
+def _thm1_sides(cfg, n_max: int) -> list:
+    """Theorem 1: the integral from the d-step functional equation; q^2 is
+    the gap between the d-l+1 kernel and the iterated d-1-l kernel."""
+    return _integral_sides(cfg, n_max, _memo(fermionic._char_moment_sequence, n_max, cfg))
 
 
 def _thm3_sides(cfg, n_max: int) -> list:
@@ -256,15 +260,11 @@ def _thm3_sides(cfg, n_max: int) -> list:
 
 
 def _thm5_sides(cfg, n_max: int) -> list:
-    """Theorem 5: (-1)^n A_n = q^2 (1+q)^n I(zeta^x chi(x) x^n), the
-    integral through its residue-class decomposition.  At q = 1, with odd d,
-    q^2 = 1 and [d]_{-1} = 1, so this is Corollary 3: A_n = (-2d)^n
-    sum_a (-1)^a chi(a) zeta^a E_n(a/d), E_n the twisted Euler values of
-    twist zeta^d.  With q = u/v, (1+q)^n is the integer pair ((u+v)^n, v^n)."""
-    sums = _memo(fermionic.residue_class_sums, n_max, cfg)
-    u, v = cfg.q.numerator, cfg.q.denominator
-    return [((-1) ** n * tv.value, integral.scaled((u + v) ** n, v**n))
-            for n, (tv, integral) in enumerate(_zip(_memo(twisted.twisted_values, cfg, n_max), sums))]
+    """Theorem 5: the integral through its residue-class decomposition.  At
+    q = 1, with odd d, q^2 = 1 and [d]_{-1} = 1, so this is Corollary 3:
+    A_n = (-2d)^n sum_a (-1)^a chi(a) zeta^a E_n(a/d), E_n the twisted Euler
+    values of twist zeta^d."""
+    return _integral_sides(cfg, n_max, _memo(fermionic.residue_class_sums, n_max, cfg))
 
 
 def _thm6_sides(cfg, n_max: int) -> list:
@@ -302,10 +302,10 @@ def _distribution_sides(cfg, n_max: int) -> list:
 
 
 def _cor2_points(grid: Grid):
-    """Corollary 2: the unnormalized alternating sums U_N tend to
-    2 (-1)^n A_n / (q (1+q)^(n+1)), A_n on the series path, with every
-    v_p(U_N - limit) at least N; the d-l+1 kernel's limit, the same formula
-    times q^2 with A_n from the generating function, is q^2 times it."""
+    """Corollary 2: the unnormalized alternating sums U_N tend to 2 (-1)^n A_n /
+    (q (1+q)^(n+1)), A_n on the series path, with every v_p(U_N - limit) at least
+    N; the d-l+1 kernel's limit, the same formula times q^2 with A_n from the
+    generating function, is q^2 times it: the two paths' A_n are equal."""
     for p in grid.primes:
         q = Fraction(1 + p)
         for char_name, char in (("principal", principal_character(p)),
@@ -316,14 +316,12 @@ def _cor2_points(grid: Grid):
                 sides = _path_sides(twisted.TwistedConfig.build(char, 1, 0, q), grid.padic_n_max)
                 for n, row, (gf, series) in _zip(range(grid.padic_n_max + 1), sums, sides):
                     # A_n is rational here: the twist is 1 and chi takes values in {0, 1, -1}.
-                    scale = 2 * (-1) ** n / (q * (1 + q) ** (n + 1))
-                    limit = scale * series.coeffs[0]
+                    limit = 2 * (-1) ** n / (q * (1 + q) ** (n + 1)) * series.coeffs[0]
                     vals = [padic_valuation(total - limit, p) for total in row]
                     growth = all(v >= level for level, v in _zip(range(grid.level_max + 1), vals))
-                    kernel_limit = q**2 * scale * gf.coeffs[0]
-                    ratio = None if limit == 0 else kernel_limit / limit
+                    ratio = None if limit == 0 else q**2 * gf.coeffs[0] / series.coeffs[0]
                     detail = f"valuations={['inf' if v == math.inf else v for v in vals]} ratio={ratio}"
-                    verdicts.append((growth and kernel_limit == q**2 * limit, detail))
+                    verdicts.append((growth and gf == series, detail))
             except _ShortRoute as exc:  # each n of this character fails
                 verdicts = [(False, str(exc))] * (grid.padic_n_max + 1)
             for n, verdict in enumerate(verdicts):
@@ -387,9 +385,9 @@ _POINTS = {
     "thm6": lambda grid: _config_points(grid, _thm6_sides, _relative_gap),
     "distribution": lambda grid: _config_points(grid, _distribution_sides, _equal),
     "thm1-residual": lambda grid: _config_points(
-        grid, _skip_vanishing(_thm1_sides, "integral moment"), _equal_up_to_q_squared),
+        grid, _skip_vanishing(_thm1_sides, "integral moment"), _equal_q_squared),
     "thm5-residual": lambda grid: _config_points(
-        grid, _skip_vanishing(_thm5_sides, "decomposition sum"), _equal_up_to_q_squared),
+        grid, _skip_vanishing(_thm5_sides, "decomposition sum"), _equal_q_squared),
     "cor2-residual": _cor2_points,
     "cor3": lambda grid: _config_points(grid, _thm5_sides, _equal, fixed_q=Fraction(1)),
     "eq22": _eq22_points,

@@ -3,7 +3,7 @@ points at that n, and every other point still passes."""
 import ast
 import fractions
 import json
-import random
+import math
 import sys
 from collections import Counter
 from dataclasses import replace
@@ -14,8 +14,7 @@ import pytest
 
 import eulertwist as et
 from eulertwist import checks, cli, fermionic, lfunction, series, twisted
-from eulertwist.cyclotomic import CyclotomicNumber, cyclotomic_field
-from conftest import field_element
+from eulertwist.cyclotomic import CyclotomicNumber
 from test_cli import CONFIG_RELATIONS
 from test_reachability import exit_code, program_runs
 
@@ -325,27 +324,6 @@ def test_a_sweep_enumerates_the_characters_of_each_modulus_at_most_once(capsys, 
     assert checks.grid_characters(5) is checks.grid_characters(5)
 
 
-@pytest.mark.parametrize("seed", range(4))
-def test_equal_up_to_q_squared_decides_as_the_product(seed):
-    """The cross-multiplied test gives the verdict of lhs == q^2 rhs with
-    the product formed, on equal, nearly equal and other-field pairs."""
-    rng = random.Random(seed)
-    for _ in range(40):
-        order = rng.choice((1, 3, 4, 9))
-        field = cyclotomic_field(order)
-        q = F(rng.choice((-1, 1)) * rng.randint(1, 30), rng.randint(1, 30))
-        if q == -1:
-            continue
-        cfg = twisted.TwistedConfig.build(et.principal_character(1), 1, 0, q)
-        rhs = field_element(field, [F(rng.randint(-50, 50), rng.randint(1, 20)) for _ in range(field.degree)])
-        product = q**2 * rhs
-        nudged = product + field_element(field, [F(rng.choice((0, 1)), rng.randint(1, 9)) for _ in range(field.degree)])
-        # the product's coefficients in another field of the same degree
-        other = CyclotomicNumber(cyclotomic_field({1: 2, 3: 4, 4: 3, 9: 7}[order]), product.num, product.den)
-        for lhs in (product, nudged, rhs, other):
-            assert checks._equal_up_to_q_squared(cfg, lhs, rhs) == (lhs == product, "expected q^2")
-
-
 def test_eq22_holds_its_twist_only_quantities_across_fold_counts(monkeypatch):
     """One 1-fold and one moment sequence per twist, and one d-fold per fold count d > 1 and twist: at d = 1
     the held 1-fold is the series side."""
@@ -396,6 +374,23 @@ def test_the_relation_sides_build_no_fraction_per_n():
 
     small, large = built(0), built(8)
     assert all(a >= b for a, b in zip(small, large)), (small, large)
+
+
+@pytest.mark.parametrize("q", [F(-5, 2), F(-3, 7), F(3, 4), F(7, 3), F(1)])
+def test_theorem_1_and_5_right_sides_are_canonical_and_carry_q_squared(q):
+    """The relations decide by ==, which compares canonical forms, so a scale pair not in lowest terms would fail
+    equal sides: at q with negative u, with u + v < 0, with |q| < 1 and at q = 1, for a character of value order 4
+    and the twist zeta_9^2, each right side has den > 0 and gcd(den, *num) = 1, and equals q^2 (-(1+q))^n I, I
+    its route's integral, formed entry by entry in Fraction."""
+    order4 = next(c for c in et.enumerate_characters(5) if c.value_order == 4)
+    cfg = twisted.TwistedConfig.build(order4, 9, 2, q)
+    for sides, route in ((checks._thm1_sides, fermionic._char_moment_sequence),
+                         (checks._thm5_sides, fermionic.residue_class_sums)):
+        pairs, integrals = sides(cfg, 6), route(6, cfg)
+        assert len(pairs) == len(integrals) == 7
+        for n, ((_, rhs), integral) in enumerate(zip(pairs, integrals)):
+            assert rhs.den > 0 and math.gcd(rhs.den, *rhs.num) == 1, (sides.__name__, n)
+            assert rhs.coeffs == tuple(q**2 * (-(1 + q)) ** n * c for c in integral.coeffs), (sides.__name__, n)
 
 
 def test_eq15_solves_one_moment_sequence_per_q(monkeypatch):

@@ -53,6 +53,27 @@ def test_exact_relations_pass_on_the_reach_grid(relation):
     assert report_digest(report) == DIGESTS[relation]
 
 
+# Theorems 1 and 5 scale each integral by the integer pair ((-(u+v))^n u^2, v^(n+2)), q = u/v: these q have
+# negative u, u + v < 0 and |q| < 1, which the default grid's and REACH_GRID's q never have; cor3, Theorem 5 at
+# q = 1, pins the grid's configurations.  The digests were taken when the relations still multiplied q^2 through.
+SIGNED_Q_GRID = checks.Grid(
+    n_max=8, moduli=(1, 3, 5, 7, 15), zeta_orders=(1, 3, 9), q_values=(F(-5, 2), F(-3, 7), F(3, 4), F(7, 3))
+)
+SIGNED_Q_PINS = {
+    "thm1-residual": (1080, "de4421a3deea44e48d973dc80d316a9a075c0e548c19d76a4f9938b5756b997a"),
+    "thm5-residual": (1080, "9f5e0604a889ddd1a750791de9a217145ff89eb7715ec4eccb6b625269929267"),
+    "cor3": (270, "65e8aa4352a3b1d61159abadb5b90e255282fe80e697fe7d473bae65a1e03bfb"),
+}
+
+
+@pytest.mark.parametrize("relation", sorted(SIGNED_Q_PINS))
+def test_theorems_1_and_5_are_pinned_at_signed_and_small_q(relation):
+    passes, digest = SIGNED_Q_PINS[relation]
+    report = checks.run_relation(relation, SIGNED_Q_GRID)
+    assert report.counts == {"pass": passes, "fail": 0, "skip": 0}
+    assert report_digest(report) == digest
+
+
 # cor2 reads only the primes, level_max and padic_n_max of a grid; these go
 # past the default grid's primes (3, 5) and padic_n_max 4.
 COR2_REACH_GRID = checks.Grid(primes=(3, 5, 7, 11, 13), level_max=3, padic_n_max=12)

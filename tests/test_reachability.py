@@ -111,6 +111,8 @@ def _point():
 
 # The names perfbench/ reads that no CLI run reaches: (module, attribute path), as called_names gives them.
 BENCHMARK_CALLS = {
+    ("cyclotomic", "CyclotomicNumber.__mul__"):
+        lambda: cyclotomic_field(9).zeta_power(1) * (cyclotomic_field(9).zeta_power(4) + 1),
     ("cyclotomic", "CyclotomicNumber.inverse"): lambda: (cyclotomic_field(9).zeta_power(1) + 2).inverse(),
     ("series", "TruncatedSeries.__mul__"): lambda: TruncatedSeries((1, 1, 0)) * TruncatedSeries((1, -1, 0)),
     ("series", "TruncatedSeries.inverse"): lambda: TruncatedSeries((2, 1, 0)).inverse(),

@@ -316,15 +316,15 @@ class TestEulerGfConsistency:
 
 class TestResiduals:
     # Each entry of Theorem 1's and Theorem 5's sides is the pair (lhs, rhs)
-    # of lhs = q^2 * rhs.
+    # of lhs = rhs, the factor q^2 inside the right side.
     def test_witt_anchor(self):
         lhs, rhs = checks._thm1_sides(quadratic3_config(), 0)[0]
-        assert not rhs.is_zero() and lhs == 4 * rhs
+        assert not rhs.is_zero() and lhs == rhs
 
     def test_witt_modulus_one(self):
         cfg = TwistedConfig.build(principal_character(1), 1, 0, F(2))
         lhs, rhs = checks._thm1_sides(cfg, 0)[0]
-        assert not rhs.is_zero() and lhs == 4 * rhs
+        assert not rhs.is_zero() and lhs == rhs
 
     def test_residual_is_one_at_q_one(self):
         cfg = TwistedConfig.build(quadratic_character(3), 1, 0, F(1))
@@ -335,10 +335,10 @@ class TestResiduals:
     def test_residuals_agree_and_equal_q_squared(self, q):
         cfg = TwistedConfig.build(quadratic_character(5), 3, 1, q)
         pairs = zip(checks._thm1_sides(cfg, 3), checks._thm5_sides(cfg, 3))
-        for n, ((lhs1, rhs1), (lhs5, rhs5)) in enumerate(pairs):
-            assert lhs1 == (-1) ** n * lhs5  # both are A_n, up to the sign (-1)^n
-            assert not rhs1.is_zero() and lhs1 == q**2 * rhs1
-            assert not rhs5.is_zero() and lhs5 == q**2 * rhs5
+        for (lhs1, rhs1), (lhs5, rhs5) in pairs:
+            assert lhs1 == lhs5  # both are A_n
+            assert not rhs1.is_zero() and lhs1 == rhs1
+            assert not rhs5.is_zero() and lhs5 == rhs5
 
     def test_residuals_never_invert_per_n(self, monkeypatch):
         from eulertwist.cyclotomic import CyclotomicNumber
@@ -363,8 +363,8 @@ class TestResiduals:
 
 
 class TestQOneReduction:
-    # Corollary 3 is Theorem 5 at q = 1: (-1)^n A_n against
-    # 2^n d^n sum_a (-1)^a chi(a) zeta^a E_n(a/d), E_n with twist zeta^d.
+    # Corollary 3 is Theorem 5 at q = 1: A_n against
+    # (-2d)^n sum_a (-1)^a chi(a) zeta^a E_n(a/d), E_n with twist zeta^d.
     def test_anchor_both_sides_minus_two(self):
         cfg = TwistedConfig.build(quadratic_character(3), 1, 0, F(1))
         lhs, rhs = checks._thm5_sides(cfg, 0)[0]
@@ -472,6 +472,6 @@ class TestOneComputationPerPoint:
         series = twisted_series_values(cfg, 4)
         for n in range(5):
             (lhs1, rhs1), (lhs5, rhs5) = rho1[n], rho5[n]
-            assert lhs1 == (-1) ** n * lhs5
-            assert lhs1 == F(5, 2) ** 2 * rhs1 and lhs5 == F(5, 2) ** 2 * rhs5
+            assert lhs1 == lhs5
+            assert lhs1 == rhs1 and lhs5 == rhs5
             assert series[n] == twisted_series_value(cfg, n) == twisted_value(cfg, n).value
