@@ -16,13 +16,17 @@ starts at the stable index, found the same way.  What a term holds apart
 from s is kept per config, in one summand table: q's double, ln q and
 ln(1+q), the periodic coefficients and, for each m with chi(m) != 0 up to a
 fixed cap, one row (m, c_m, ln m, m ln q).  Beside the rows it holds the
-line summed last, Re s = sigma up to its stop, as its term magnitudes
-exp(-sigma ln m - m ln q): the first point on a line takes one exp per term,
-and every later point on it sums c_m rect(magnitude, -Im(s) ln m), one rect
-and two products per term.  Up to CPython's CM_LOG_LARGE_DOUBLE that rect is
-the product cmath.exp forms, so a scan over s at one config has the same bits
-as summing each term afresh; a line with a larger exponent, an infinite phase
-or a stop past the cap is summed term by term.  The prefactor takes one exp.
+line summed last, keyed by (sigma, tol, max_terms): its stop, its tail bound
+and one triple (c_m, ln m, exp(-sigma ln m - m ln q)) per term up to the
+stop.  A line's first point records the key, stop and tail and is summed
+term by term, so a caller that sums one point per line builds no triple; its
+second point builds the triples as it sums, one exp per term; every later
+point reads the stop and tail there and sums c_m rect(magnitude, -Im(s) ln m),
+one rect and two products per term.  Up to CPython's CM_LOG_LARGE_DOUBLE that
+rect is the product cmath.exp forms, so a scan over s at one config has the
+same bits as summing each term afresh; a line with a larger exponent, an
+infinite phase or a stop past the cap is summed term by term.  The prefactor
+takes one exp.
 
 A point is an `LParams`, a named tuple (s, cfg, tol, max_terms) whose
 defaults, tol 1e-12 and max_terms 200000, are `LParams._field_defaults`, the
@@ -63,12 +67,14 @@ class _Summands:
     ln and ln(1+q); sign(m) chi(m) zeta^m embedded for m mod lcm(2, d,
     twist order), None where chi(m) = 0 and the series skips the term;
     one row (m, c_m, ln m, m ln q) for every m <= reach with chi(m) != 0; and
-    the line summed last, (Re s, stop), with its magnitudes
-    exp(-Re(s) ln m - m ln q), one per row up to stop, or None where the line
-    is summed term by term.  reach is the largest stop summed so far, capped
-    at _ROW_CAP; past it, terms are summed as they are met and not kept."""
+    the line summed last, keyed by (Re s, tol, max_terms): its stop, its tail
+    bound and its terms, one triple (c_m, ln m, exp(-Re(s) ln m - m ln q))
+    per row up to stop, False until the line's second point builds them and
+    None where the line is summed term by term.  reach is the largest stop
+    summed so far, capped at _ROW_CAP; past it, terms are summed as they are
+    met and not kept."""
 
-    __slots__ = ("cfg", "q", "ln_q", "ln_1q", "coefficients", "reach", "rows", "line", "magnitudes")
+    __slots__ = ("cfg", "q", "ln_q", "ln_1q", "coefficients", "reach", "rows", "key", "stop", "tail", "terms")
 
     def __init__(self, cfg: TwistedConfig):
         d, order = cfg.char.modulus, cfg.zeta_order
@@ -81,11 +87,12 @@ class _Summands:
             for m in range(math.lcm(2, d, order))
         ]
         self.reach, self.rows = 0, []
-        self.line, self.magnitudes = None, None
+        self.key = self.stop = self.tail = self.terms = None
 
 
 # Rows are kept for m up to this cap.  At d = 1, where every m has a row, a
-# held table takes 2.5 MB (tracemalloc, Python 3.11).
+# held table with its rows and a line of triples at the cap takes 4.2 MB
+# (tracemalloc, Python 3.11).
 _ROW_CAP = 2**14
 
 # The table of the config summed last; holding the config, the identity test
@@ -174,17 +181,33 @@ def l_series_sum(params: LParams) -> LEvaluation:
     """The bare alternating series, without the prefactor: terms 1..M in
     order, M from `stop_index`; NotConverged before the first term where no
     M <= max_terms meets the tolerance.  The config's table is built once per
-    config object and extended to min(M, _ROW_CAP) before the sum.  The first
-    point on a line (Re s, M) takes one exp per term and holds its result,
-    each later point one rect and two products; a line with an exponent past
-    _RECT_EXP_MAX, an infinite phase or M past the cap is summed by the
-    per-term cmath.exp, which alone raises, and terms past the cap are
-    streamed."""
+    config object.  A point on the held line, keyed by (Re s, tol,
+    max_terms), reads its stop and tail there and sums its triples
+    c_m rect(magnitude, -Im(s) ln m), with no stop index and no row
+    extension.  Any other point extends the rows to min(M, _ROW_CAP): a
+    line's first point records its key, stop and tail and is summed term by
+    term by cmath.exp, and its second point builds the triples as it sums.
+    A line with an exponent past _RECT_EXP_MAX or M past the cap holds None
+    in place of triples, and it and a point at an infinite phase are summed
+    term by term, which alone raises; terms past the cap are streamed."""
     global _held
     s, cfg, tol, max_terms = params
     s = complex(s)
-    held = _held if _held is not None and _held.cfg is cfg else None
-    stop, tail = _indices(s.real, held.ln_q if held else _ln_q(cfg.q), tol, max_terms)
+    key, neg_t, held = (s.real, tol, max_terms), -s.imag, _held
+    if held is not None and held.cfg is cfg:
+        if key == held.key:  # the held line
+            stop, tail, terms = held.stop, held.tail, held.terms
+            # once its triples are built, and where each phase, |Im s| ln m <= |Im s| m, is finite
+            if terms and math.isfinite(neg_t * stop):
+                total, rect = 0j, cmath.rect
+                for c, lm, magnitude in terms:
+                    total += c * rect(magnitude, neg_t * lm)
+                return LEvaluation(total, stop, tail)
+        else:
+            stop, tail = _indices(s.real, held.ln_q, tol, max_terms)
+    else:
+        stop, tail = _indices(s.real, _ln_q(cfg.q), tol, max_terms)
+        held = None
     if tail is None:
         raise NotConverged(f"tail bound not reached within {max_terms} terms")
     if held is None:
@@ -198,29 +221,26 @@ def l_series_sum(params: LParams) -> LEvaluation:
             if c is not None:
                 held.rows.append((m, c, log(m), m * ln_q))
         held.reach = reach
-    total, neg_t, line = 0j, -s.imag, (s.real, stop)
-    if stop <= cap and math.isfinite(neg_t * stop):  # so each phase, |Im s| ln m <= |Im s| m, is finite
-        rect = cmath.rect
-        if held.line != line:  # a new line: its table is built as it is summed
-            magnitudes, neg_sigma, exp, limit = [], -s.real, math.exp, _RECT_EXP_MAX
-            put = magnitudes.append
+    total = 0j
+    if key != held.key:  # a line's first point, summed term by term below
+        held.key, held.stop, held.tail, held.terms = key, stop, tail, False
+    elif held.terms is False and math.isfinite(neg_t * stop):  # its second point
+        terms = None
+        if stop <= cap:
+            terms, neg_sigma, exp, rect, limit = [], -s.real, math.exp, cmath.rect, _RECT_EXP_MAX
+            put = terms.append
             for m, c, lm, mq in held.rows:
                 if m > stop:
                     break
                 x = neg_sigma * lm - mq
                 if x > limit:  # where cmath.exp takes its other branch, the line is summed by it
-                    magnitudes, total = None, 0j
+                    terms, total = None, 0j
                     break
                 magnitude = exp(x)
-                put(magnitude)
-                # at real s the phase is a zero, and c * magnitude differs from
-                # c * rect(magnitude, +-0.0) only in zero signs the +0.0 sum absorbs
-                total += c * (rect(magnitude, neg_t * lm) if neg_t else magnitude)
-            held.line, held.magnitudes = line, magnitudes
-        elif held.magnitudes is not None:
-            for (_, c, lm, _), magnitude in zip(held.rows, held.magnitudes):
+                put((c, lm, magnitude))
                 total += c * rect(magnitude, neg_t * lm)
-        if held.magnitudes is not None:
+        held.terms = terms
+        if terms is not None:
             return LEvaluation(total, stop, tail)
     neg_s, exp = -s, cmath.exp
     try:

@@ -1,11 +1,15 @@
 """Complex L-series evaluation and its interpolation of the exact values."""
 import cmath
 import dataclasses
+import hashlib
+import importlib.util
 import math
 import random
 import sys
 import time
 from fractions import Fraction as F
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -18,7 +22,7 @@ from eulertwist import (
     quadratic_character,
 )
 from eulertwist.errors import MathError, NotConverged, OutsideConvergence, OutsideDoubleRange
-from eulertwist import lfunction
+from eulertwist import characters, lfunction, twisted
 from eulertwist.cyclotomic import embed_complex
 from eulertwist.lfunction import LParams, l_series_sum
 from eulertwist.twisted import TwistedValue
@@ -237,6 +241,16 @@ def reference_series_sum(params: LParams) -> lfunction.LEvaluation:
         raise NotConverged(f"term {m} overflows double precision") from exc
 
 
+def bits(fn, params) -> tuple:
+    """The hex of a result's value and tail bound and its term count, or the
+    type and message of its error."""
+    try:
+        r = fn(params)
+    except MathError as exc:
+        return type(exc).__name__, str(exc)
+    return r.value.real.hex(), r.value.imag.hex(), r.terms_used, r.tail_bound.hex()
+
+
 def outcome(fn, params) -> tuple:
     """Every bit of a result, or the type and message of its error."""
     try:
@@ -390,13 +404,13 @@ class TestSameBitsAsThePerTermLoop:
 
     @pytest.mark.parametrize("d", [1, 3])
     def test_an_infinite_phase_on_a_warm_line(self, d):
-        # Im s = +-1e308 on a line whose table is held: the phase Im(s) ln m
-        # leaves the double range from m = 7 on (1e308 ln 6 is just below
-        # DBL_MAX), and the message names the term as on a cold line; at
-        # +-1e300 every phase is finite, and the held table gives the
-        # per-term loop's bits
+        # Im s = +-1e308 on a line whose triples are held (built at its
+        # second point, Im s = 2): the phase Im(s) ln m leaves the double
+        # range from m = 7 on (1e308 ln 6 is just below DBL_MAX), and the
+        # message names the term as on a cold line; at +-1e300 every phase is
+        # finite, and the held triples give the per-term loop's bits
         cfg = TwistedConfig.build(principal_character(d), 1, 0, F(2))
-        for t in (1.0, 1e308, -1e308, 1e300, -1e300):
+        for t in (1.0, 2.0, 1e308, -1e308, 1e300, -1e300):
             params = LParams(s=complex(0, t), cfg=cfg)
             if abs(t) < 1e308:
                 assert outcome(l_series_sum, params) == outcome(reference_series_sum, params)
@@ -532,9 +546,18 @@ class TestSummandTable:
 
 
 class TestMagnitudeTable:
-    """Each line Re s = sigma holds its term magnitudes exp(-sigma ln m - m ln q):
-    the first point on the line takes one exp per summed row, every later one
-    none, and a term is c_m rect(magnitude, -Im(s) ln m)."""
+    """The held line, keyed by (Re s, tol, max_terms), keeps its stop, its tail
+    bound and one triple (c_m, ln m, exp(-sigma ln m - m ln q)) per summed row:
+    the line's first point takes no exp of a magnitude and builds no triple,
+    its second takes one exp per summed row, every later one none, and a term
+    is c_m rect(magnitude, -Im(s) ln m)."""
+
+    @staticmethod
+    def spy(monkeypatch, owner, name) -> list:
+        """The arguments of every call to owner.name from now on."""
+        calls, real = [], getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *args: calls.append(args) or real(*args))
+        return calls
 
     def test_rect_of_exp_is_cmath_exp_below_the_threshold(self):
         # the identity the held magnitudes rest on: up to CPython's
@@ -551,31 +574,112 @@ class TestMagnitudeTable:
                 left, right = cmath.rect(math.exp(x), y), cmath.exp(complex(x, y))
                 assert (left.real.hex(), left.imag.hex()) == (right.real.hex(), right.imag.hex()), (x, y)
 
-    def test_one_exp_per_row_on_a_new_line_and_none_after(self, monkeypatch):
+    def test_one_exp_per_row_at_a_line_s_second_point_and_none_else(self, monkeypatch):
         cfg = TwistedConfig.build(quadratic_character(5), 3, 1, F(6, 5))
         for sigma in (0.5, -2.0):
             lfunction.stop_index(sigma, cfg.q, 1e-12, 200000)  # the stop index's exps are cached, not counted
         l_series_sum(LParams(s=complex(-3.0, 1), cfg=cfg))  # holds the rows up to both stops, on a third line
         for sigma in (0.5, -2.0):
-            calls = []
-            real = math.exp
-            monkeypatch.setattr(lfunction.math, "exp", lambda x: calls.append(x) or real(x))
+            calls = self.spy(monkeypatch, lfunction.math, "exp")
             stop = l_series_sum(LParams(s=complex(sigma, 3), cfg=cfg)).terms_used
+            assert calls == [] and lfunction._held.terms is False
+            l_series_sum(LParams(s=complex(sigma, -1), cfg=cfg))
             rows = [row for row in lfunction._held.rows if row[0] <= stop]
-            assert len(calls) == len(rows) == len(lfunction._held.magnitudes)
+            assert len(calls) == len(rows) == len(lfunction._held.terms)
             for t in (-4.0, 0.0, 9.5):
                 calls.clear()
                 l_series_sum(LParams(s=complex(sigma, t), cfg=cfg))
                 assert calls == []
             monkeypatch.undo()
 
-    def test_the_table_is_keyed_by_re_s_and_stop(self):
+    def test_later_points_take_no_stop_index_and_no_exp(self, monkeypatch):
+        cfg = TwistedConfig.build(enumerate_characters(7)[2], 9, 4, F(11, 10))
+        for sigma in (8.0, 0.5, -2.0):
+            params = [LParams(s=complex(sigma, t), cfg=cfg) for t in (1.0, -3.0, 0.0, 17.5, -40.0, 1.0)]
+            expected = [outcome(reference_series_sum, p) for p in params]
+            got = [outcome(l_series_sum, p) for p in params[:2]]
+            calls = [self.spy(monkeypatch, *at) for at in ((lfunction, "_indices"), (math, "exp"), (cmath, "exp"))]
+            got += [outcome(l_series_sum, p) for p in params[2:]]
+            monkeypatch.undo()
+            assert calls == [[], [], []]
+            assert got == expected
+
+    def test_the_line_is_keyed_by_re_s_tol_and_max_terms(self):
+        # at one Re s, another tol or max_terms is another line: its stop and tail come from its own
+        # stop index, and a max_terms below the held stop raises, on the line's first point and after
         cfg = TwistedConfig.build(quadratic_character(5), 3, 1, F(6, 5))
-        for sigma, tol in ((0.5, 1e-12), (0.5, 1e-6), (-2.0, 1e-6)):
-            stop = l_series_sum(LParams(s=complex(sigma, 1), cfg=cfg, tol=tol)).terms_used
-            held = lfunction._held
-            assert held.line == (sigma, stop)
-            assert held.magnitudes == [math.exp(-sigma * lm - mq) for m, _, lm, mq in held.rows if m <= stop]
+        held_stop = l_series_sum(LParams(s=0.5 + 1j, cfg=cfg)).terms_used
+        for sigma, tol, max_terms in (
+            (0.5, 1e-12, 200000), (0.5, 1e-6, 200000), (0.5, 1e-12, held_stop - 1), (0.5, 1e-12, held_stop),
+            (-2.0, 1e-6, 200000), (-2.0, 1e-12, 200000), (0.5, 1e-12, 200000), (0.5, 1e-12, held_stop - 1),
+        ):
+            for t in (1.0, -3.0, 7.0):  # the line's first, second and a later point
+                params = LParams(s=complex(sigma, t), cfg=cfg, tol=tol, max_terms=max_terms)
+                got = outcome(l_series_sum, params)
+                assert got == outcome(reference_series_sum, params)
+                if max_terms < held_stop:
+                    assert got == ("NotConverged", f"tail bound not reached within {max_terms} terms")
+                    continue
+                stop, tail = lfunction.stop_index(sigma, cfg.q, tol, max_terms)
+                assert got[1:] == (stop, repr(tail))
+                held = lfunction._held
+                assert (held.key, held.stop, held.tail) == ((sigma, tol, max_terms), stop, tail)
+            if max_terms >= held_stop:
+                assert held.terms == [(c, lm, math.exp(-sigma * lm - mq)) for m, c, lm, mq in held.rows if m <= stop]
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_a_scan_has_the_bits_of_fresh_sums(self, seed):
+        """Every point of seeded vertical lines, summed in scan order, has the
+        bits of the same point summed with no table held: at q = 11/10, at
+        Re s <= 0 and > 0, at real s where a line's triples are built and
+        read, on a line whose exponents pass _RECT_EXP_MAX and on one whose
+        stop passes _ROW_CAP."""
+        rng = random.Random(f"scan {seed}")
+        configs = [random_config(rng) for _ in range(3)]
+        configs.append(TwistedConfig.build(rng.choice(enumerate_characters(7)), 3, rng.choice((1, 2)), F(11, 10)))
+        lines = [(cfg, rng.uniform(-2, 0), 7) for cfg in configs] + [(cfg, rng.uniform(0, 8), 7) for cfg in configs]
+        lines.sort(key=lambda line: configs.index(line[0]))
+        near_one = TwistedConfig.build(principal_character(1), 1, 0, F(1001, 1000))
+        lines += [(quadratic3_config(), -159.59, 5), (near_one, -0.5, 3)]
+        points = [
+            LParams(s=complex(sigma, t), cfg=cfg)
+            for cfg, sigma, steps in lines
+            for t in (rng.uniform(-40, 40), 0.0, -0.0, *(rng.uniform(-40, 40) for _ in range(steps - 3)))
+        ]
+        scanned = [bits(l_series_sum, p) for p in points]
+        fresh = []
+        for p in points:
+            lfunction._held = None
+            fresh.append(bits(l_series_sum, p))
+        assert scanned == fresh
+        assert all(len(b) == 4 for b in scanned)  # no point raised
+        assert scanned[-1][2] > lfunction._ROW_CAP
+        stop = scanned[-4][2]  # the line at Re s = -159.59, q = 2, chi mod 3
+        exponents = (159.59 * math.log(m) - m * math.log(2) for m in range(1, stop + 1) if m % 3)
+        assert max(exponents) > lfunction._RECT_EXP_MAX
+
+
+WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+LSERIES_SCAN_SEED_1 = "e2bc79973fbdf96b7d9d122554d2b10ec97c5238282f2b97593ebb6121d6707c"
+
+
+def test_the_lseries_scan_bits_are_pinned(monkeypatch):
+    """sha256 over l_eval at every op of perfbench's lseries-scan, seed 1, in
+    its order: each value's and tail bound's hex and the term count, or the
+    error's type and message.  workloads.py is loaded from its path and left
+    as it is; the digest was computed before the held line kept its triples."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclass looks its module up there
+    spec.loader.exec_module(workloads)
+    et = SimpleNamespace(characters=characters, twisted=twisted, lfunction=lfunction)
+    scan = workloads.LSeriesScan()
+    inputs = scan.build(et, scan.generate(1))
+    digest = hashlib.sha256()
+    for params in [params for _, params in inputs["params"]] + [inputs["defect"]]:
+        digest.update(repr(bits(l_eval, params)).encode())
+    assert len(inputs["params"]) + 1 == 30241
+    assert digest.hexdigest() == LSERIES_SCAN_SEED_1
 
 
 class TestCoefficientReuse:
