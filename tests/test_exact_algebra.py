@@ -142,7 +142,7 @@ class TestFieldArithmetic:
             "try:\n"
             "    with open('/proc/self/status') as status:\n"
             "        peak = next(int(line.split()[1]) for line in status if line.startswith('VmHWM:'))\n"
-            "except OSError:\n"
+            "except (OSError, StopIteration):  # no /proc, or no VmHWM line in it\n"
             "    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss // (1024 if sys.platform == 'darwin' else 1)\n"
             "print(json.dumps([seconds, peak]))\n"
         )
